@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import beam as beam_mod
-from .config import ProblemConfig, build_pencil, load_config
+from .config import ProblemConfig, build_pencil, load_config, parse_number
 from .errors import ComputationError, ConfigError, InvalidArgumentError
 from .evolution import energy_monotonicity_report, simulate
 from .interlacing import check_form_order, compare_eigenvalues
@@ -64,10 +64,7 @@ def _load(path: str) -> ProblemConfig:
     config = load_config(path)
     env_seed = os.environ.get("QUADPENCIL_SEED")
     if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"QUADPENCIL_SEED must be an integer: {env_seed!r}") from exc
+        seed = parse_number(env_seed, "QUADPENCIL_SEED", integer=True, minimum=0)
         config = replace(config, seed=seed)
         if config.random is not None:
             config = replace(config, random={**config.random, "seed": seed})

@@ -7,6 +7,7 @@ registry names plus parameters so every fixture stays human-diffable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,11 +44,40 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _parse_matrix(raw, name: str) -> np.ndarray:
+def parse_number(raw, name: str, integer: bool = False, minimum: float | None = None):
+    """One scalar of the input contract: a finite float, or with `integer`
+    an int (a JSON integer or a decimal string), at least `minimum`.
+
+    Anything else, booleans and non-integral floats included, raises
+    ConfigError so that it exits with the input-error code.
+    """
+    kind = "an integer" if integer else "a finite number"
     try:
-        m = np.asarray(raw, dtype=float)
+        value = int(raw) if integer else float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if integer:
+        valid = value is not None and (isinstance(raw, str) or value == raw)
+    else:
+        valid = value is not None and math.isfinite(value)
+    valid = valid and not isinstance(raw, bool)
+    _require(valid, f"{name} must be {kind}, got {raw!r}")
+    _require(minimum is None or value >= minimum,
+             f"{name} must be >= {minimum}, got {raw!r}")
+    return value
+
+
+def _parse_array(raw, name: str) -> np.ndarray:
+    try:
+        a = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} is not a numeric matrix") from exc
+        raise ConfigError(f"{name} is not a numeric array") from exc
+    _require(bool(np.all(np.isfinite(a))), f"{name} must be finite")
+    return a
+
+
+def _parse_matrix(raw, name: str) -> np.ndarray:
+    m = _parse_array(raw, name)
     _require(m.ndim == 2 and m.shape[0] == m.shape[1] and m.shape[0] > 0,
              f"{name} must be a nonempty square matrix, got shape {m.shape}")
     scale = float(np.max(np.abs(m))) if m.size else 0.0
@@ -80,12 +110,12 @@ def parse_config(doc: dict) -> ProblemConfig:
 
     tol_doc = doc.get("tolerances", {})
     _require(isinstance(tol_doc, dict), "tolerances must be an object")
-    tolerances = Tolerances(
-        eigen=float(tol_doc.get("eigen", 1e-8)),
-        inertia=float(tol_doc.get("inertia", 1e-12)),
-        verify=float(tol_doc.get("verify", 1e-7)),
-    )
-    seed = int(doc.get("seed", 0))
+    defaults = Tolerances()
+    tolerances = Tolerances(**{
+        key: parse_number(tol_doc.get(key, getattr(defaults, key)), f"tolerances.{key}")
+        for key in ("eigen", "inertia", "verify")
+    })
+    seed = parse_number(doc.get("seed", 0), "seed", integer=True, minimum=0)
 
     dense = beam = None
     random_spec = None
@@ -120,20 +150,21 @@ def parse_config(doc: dict) -> ProblemConfig:
         _require(isinstance(section, dict) and "dim" in section,
                  "random section needs at least 'dim'")
         random_spec = {
-            "dim": int(section["dim"]),
-            "seed": int(section.get("seed", seed)),
-            "damping_scale": float(section.get("damping_scale", 1.0)),
+            "dim": parse_number(section["dim"], "random.dim", integer=True, minimum=1),
+            "seed": parse_number(section.get("seed", seed), "random.seed",
+                                 integer=True, minimum=0),
+            "damping_scale": parse_number(section.get("damping_scale", 1.0),
+                                          "random.damping_scale"),
             "ensure_real_root_cone": bool(section.get("ensure_real_root_cone", False)),
         }
-        _require(random_spec["dim"] >= 1, "random.dim must be >= 1")
 
     initial = None
     if doc.get("initial") is not None:
         init = doc["initial"]
         _require(isinstance(init, dict) and "z0" in init and "w0" in init,
                  "initial section needs 'z0' and 'w0'")
-        z0 = np.asarray(init["z0"], dtype=float)
-        w0 = np.asarray(init["w0"], dtype=float)
+        z0 = _parse_array(init["z0"], "initial.z0")
+        w0 = _parse_array(init["w0"], "initial.w0")
         _require(z0.ndim == 1 and w0.shape == z0.shape,
                  "initial.z0 and initial.w0 must be equal-length vectors")
         initial = (z0, w0)

@@ -127,8 +127,10 @@ def full_spectrum(
 ) -> SpectrumResult:
     """All 2n eigenvalues with residuals, clustered into multiplicity groups.
 
-    Geometric multiplicity is the numerical kernel dimension of (A - lam I);
-    algebraic multiplicity is the cluster size.
+    Algebraic multiplicity is the cluster size. Geometric multiplicity is
+    the numerical kernel dimension of (A - lam I), computed only for
+    clusters of two or more: a simple eigenvalue has 1 <= geo <= alg = 1,
+    so one eigensolve plus O(n^2) residual work per eigenvalue covers it.
     """
     if cluster_tolerance is None:
         cluster_tolerance = 1e-8 * system.norm
@@ -146,7 +148,7 @@ def full_spectrum(
         lam = complex(np.mean(w[grp]))
         reps.append(lam)
         alg.append(len(grp))
-        geo.append(_nullity(system.a_matrix - lam * eye))
+        geo.append(1 if len(grp) == 1 else _nullity(system.a_matrix - lam * eye))
         r = 0.0
         for i in grp:
             vec = v[:, i]
@@ -216,14 +218,21 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
     """Each companion eigenvalue must be a rank drop of T(lam) of the same depth.
 
     Verifies sigma_min(T(lam)) <= 1e-8 * |T(lam)| and numerical kernel
-    dimension == geometric multiplicity, per cluster.
+    dimension == geometric multiplicity, per cluster. At a real lam (exact
+    zero imaginary part, as LAPACK returns real eigenvalues of a real
+    matrix) T(lam) is real symmetric, so its singular values are the
+    absolute values of its eigenvalues and one symmetric eigensolve gives
+    them; complex lam takes a complex SVD.
     """
     report = Report("pencil_equivalence")
     n = pencil.dim
     eye = np.eye(n)
     for lam, mult in zip(spectrum.eigenvalues, spectrum.geometric_multiplicities):
         t = lam * lam * eye + lam * pencil.d_matrix + pencil.a0_matrix
-        s = np.linalg.svd(t, compute_uv=False)
+        if lam.imag == 0.0:
+            s = np.sort(np.abs(np.linalg.eigvalsh(t.real)))[::-1]
+        else:
+            s = np.linalg.svd(t, compute_uv=False)
         t_scale = float(s[0])
         sigma_min = float(s[-1])
         kernel_dim = int(np.sum(s < RANK_REL_TOL * t_scale))

@@ -528,6 +528,9 @@ def verify_minmax(
     >= lambda_n. For n = N+1 <= dim, every sampled subspace has
     min p_plus <= interval.lower (the no-more-eigenvalues clause).
     """
+    if random_subspaces < 0:
+        raise InvalidArgumentError(
+            f"random_subspaces must be >= 0, got {random_subspaces}")
     rng = np.random.default_rng(seed)
     report = Report("minmax_verification")
     n_dim = pencil.dim

@@ -69,6 +69,15 @@ class TestSpectrumCommand:
                                       "dense": {"a0": [[1.0]], "d": [[0.0]]}})
         assert main(["spectrum", cfg]) == 2
 
+    def test_nan_matrix_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "dense",
+            "dense": {"a0": [[2.0, 0.0], [0.0, float("nan")]], "d": [[1.0, 0.0], [0.0, 1.0]]},
+        })
+        assert main(["spectrum", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "dense.a0 must be finite" in err and "Traceback" not in err
+
     def test_two_sources_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {
             "schema": 1, "source": "dense",
@@ -94,6 +103,12 @@ class TestVariationalCommand:
         code = main(["variational", str(CONFIGS / "dense_diag.json"),
                      "--delta-lower", "-50.0", "--subspaces", "5"])
         assert code == 2
+
+    def test_negative_subspaces_exits_2(self, capsys):
+        code = main(["variational", str(CONFIGS / "dense_diag.json"),
+                     "--subspaces", "-3"])
+        assert code == 2
+        assert "random_subspaces must be >= 0" in capsys.readouterr().err
 
     def test_undamped_source_finds_nothing(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -176,6 +191,20 @@ class TestSimulateCommand:
         first = out.read_text().splitlines()[2].split(",")
         assert float(first[1]) == pytest.approx(8.0)
 
+    @pytest.mark.parametrize("z0, message", [
+        (["a", 1.0], "initial.z0 is not a numeric array"),
+        ([float("nan"), 1.0], "initial.z0 must be finite"),
+    ])
+    def test_malformed_initial_data_exits_2(self, tmp_path, capsys, z0, message):
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "dense",
+            "dense": {"a0": [[2.0, 0.0], [0.0, 8.0]], "d": [[6.0, 0.0], [0.0, 2.0]]},
+            "initial": {"z0": z0, "w0": [0.0, 0.0]},
+        })
+        assert main(["simulate", cfg, "--t-final", "0.01", "--dt", "0.001"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_rerun_identical_except_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["simulate", str(CONFIGS / "dense_diag.json"),
@@ -228,3 +257,28 @@ class TestSeedOverride:
     def test_bad_env_seed_exits_2(self, monkeypatch):
         monkeypatch.setenv("QUADPENCIL_SEED", "not-a-number")
         assert main(["spectrum", str(CONFIGS / "dense_diag.json")]) == 2
+
+    def test_negative_env_seed_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("QUADPENCIL_SEED", "-4")
+        assert main(["spectrum", str(CONFIGS / "random_dim4.json")]) == 2
+        err = capsys.readouterr().err
+        assert "QUADPENCIL_SEED must be >= 0" in err and "Traceback" not in err
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("doc, message", [
+        ({"source": "dense", "dense": {"a0": [[1.0]], "d": [[0.0]]}, "seed": "x"},
+         "seed must be an integer"),
+        ({"source": "random", "random": {"dim": 3, "seed": -1}},
+         "random.seed must be >= 0"),
+        ({"source": "random", "random": {"dim": 2.5}},
+         "random.dim must be an integer"),
+        ({"source": "dense", "dense": {"a0": [[1.0]], "d": [[0.0]]},
+          "tolerances": {"eigen": "tight"}},
+         "tolerances.eigen must be a finite number"),
+    ])
+    def test_exits_2_without_traceback(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path, {"schema": 1, **doc})
+        assert main(["spectrum", cfg]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err

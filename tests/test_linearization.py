@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+import quadpencil.linearization as linearization_mod
 from quadpencil import (
+    BeamConfig,
     InvalidArgumentError,
     QuadraticPencil,
     build_linearization,
     check_pencil_equivalence,
+    discretize_beam,
     full_spectrum,
+    make_damping_profile,
     resolvent_region_check,
     semisimplicity_check,
     structural_report,
@@ -26,6 +30,23 @@ def match_multisets(left, right, tol):
         j = int(np.argmin([abs(a - b) for b in right]))
         assert abs(a - right[j]) <= tol, (a, right[j])
         right.pop(j)
+
+
+def beam_cfg(n_modes):
+    return BeamConfig(
+        a0=1.0,
+        damping=make_damping_profile({"profile": "four_plus_sin", "params": {}}),
+        n_modes=n_modes,
+    )
+
+
+def overdamped_pencil(seed, dim=6):
+    """Seeded pencil with lambda_min(D) > 2 sqrt(lambda_max(A0)), so all 2n
+    eigenvalues are real."""
+    base = random_pencil(dim, 500 + seed)
+    a0_top = np.linalg.eigvalsh(base.a0_matrix)[-1]
+    d = base.d_matrix + 2.5 * np.sqrt(a0_top) * np.eye(dim)
+    return QuadraticPencil.from_matrices(base.a0_matrix, d)
 
 
 class TestBuild:
@@ -89,6 +110,29 @@ class TestFullSpectrum:
         assert spec.algebraic_multiplicities[0] == 2
         assert spec.geometric_multiplicities[0] == 1
 
+    def test_semisimple_double_keeps_kernel_count(self):
+        # two identical overdamped modes: each of -3 +- sqrt7 is a double,
+        # semisimple eigenvalue, so the kernel count must report geo = 2
+        pencil = QuadraticPencil.from_matrices(np.diag([2.0, 2.0]), np.diag([6.0, 6.0]))
+        spec = full_spectrum(build_linearization(pencil))
+        match_multisets(spec.eigenvalues, [-3.0 + SQRT7, -3.0 - SQRT7], 1e-7)
+        assert list(spec.algebraic_multiplicities) == [2, 2]
+        assert list(spec.geometric_multiplicities) == [2, 2]
+
+    def test_kernel_count_only_for_clusters(self, monkeypatch, critical_1x1):
+        calls = []
+
+        def counting_nullity(m, *args, **kwargs):
+            calls.append(m.shape)
+            return original(m, *args, **kwargs)
+
+        original = linearization_mod._nullity
+        monkeypatch.setattr(linearization_mod, "_nullity", counting_nullity)
+        spec = full_spectrum(build_linearization(discretize_beam(beam_cfg(20))))
+        assert len(spec.eigenvalues) == 40 and calls == []
+        spec = full_spectrum(build_linearization(critical_1x1))
+        assert calls == [(2, 2)] and spec.geometric_multiplicities[0] == 1
+
     def test_structural_report_random(self):
         for seed in range(10):
             pencil = random_pencil(4 + seed % 4, 50 + seed, damping_scale=3.0)
@@ -111,6 +155,34 @@ class TestPencilEquivalence:
         spec = full_spectrum(build_linearization(diag_pencil))
         report = check_pencil_equivalence(diag_pencil, spec)
         assert report.ok, report.failures()
+
+    @pytest.mark.parametrize("case", [
+        "diag", "beam30", "overdamped0", "overdamped1", "overdamped2",
+    ])
+    def test_real_eigenvalues_match_svd(self, case, diag_pencil):
+        if case == "diag":
+            pencil = diag_pencil
+        elif case == "beam30":
+            pencil = discretize_beam(beam_cfg(30))
+        else:
+            pencil = overdamped_pencil(int(case[-1]))
+        spec = full_spectrum(build_linearization(pencil))
+        checks = check_pencil_equivalence(pencil, spec).checks[:-1]
+        assert len(checks) == len(spec.eigenvalues)
+        n_real = 0
+        for lam, check in zip(spec.eigenvalues, checks):
+            if lam.imag != 0.0:
+                continue
+            n_real += 1
+            t = pencil.t_matrix(lam.real)
+            s = np.linalg.svd(t, compute_uv=False)
+            kernel_dim = int(np.sum(s < 1e-8 * s[0]))
+            ok = s[-1] <= 1e-8 * s[0] and kernel_dim == check.data["geometric_multiplicity"]
+            assert check.data["kernel_dim"] == kernel_dim
+            assert check.ok == ok
+            assert abs(check.data["sigma_min"] - s[-1]) <= 1e-13 * s[0]
+            assert abs(check.data["scale"] - s[0]) <= 1e-13 * s[0]
+        assert n_real >= 2
 
     def test_zero_is_regular(self, diag_pencil):
         t0 = diag_pencil.a0_matrix
