@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidArgumentError
-from .pencil import AlphaSearch, QuadraticPencil, compute_alpha
+from .pencil import QuadraticPencil, compute_alpha
 from .reports import Report
 from .variational import IntervalDelta, locate_real_eigenvalues
 
@@ -64,6 +63,8 @@ def make_damping_profile(spec: dict) -> DampingProfile:
         values = np.asarray(params["values"], dtype=float)
         if values.ndim != 1 or values.size < 4:
             raise InvalidArgumentError("samples profile needs >= 4 values")
+        from scipy.interpolate import CubicSpline
+
         grid = np.linspace(0.0, 1.0, values.size)
         spline = CubicSpline(grid, values)
         func = spline
@@ -198,8 +199,6 @@ def verify_beam_theorem(
     cfg: BeamConfig,
     tol: float = 1e-7,
     locate_tol: float = 1e-10,
-    seed: int = 0,
-    search: AlphaSearch | None = None,
 ) -> Report:
     """Run the variational solver on (-d_min pi^2 / 2, 0] and check the
     guaranteed count, the per-mode enclosures and semi-simplicity."""
@@ -211,10 +210,10 @@ def verify_beam_theorem(
         return report
 
     pencil = discretize_beam(cfg)
-    alpha = compute_alpha(pencil, search=search, seed=seed)
+    alpha = compute_alpha(pencil)
     lower = -bounds.d_min * np.pi**2 / 2.0
     report.add("alpha_below_interval", alpha.alpha <= lower + 1e-9 * abs(lower),
-               alpha_estimate=alpha.alpha, interval_lower=lower)
+               alpha=alpha.alpha, interval_lower=lower)
     interval = IntervalDelta(lower=lower)
     result = locate_real_eigenvalues(pencil, interval, locate_tol,
                                      alpha_estimate=alpha.alpha)

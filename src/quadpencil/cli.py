@@ -118,7 +118,7 @@ def cmd_spectrum(args) -> int:
 def cmd_variational(args) -> int:
     config = _load(args.config)
     pencil = build_pencil(config)
-    scalars = compute_scalars(pencil, seed=config.seed)
+    scalars = compute_scalars(pencil)
     if args.delta_lower is not None:
         lower = float(args.delta_lower)
     elif np.isfinite(scalars.alpha):
@@ -129,6 +129,9 @@ def cmd_variational(args) -> int:
         lower = -(np.linalg.norm(build_linearization(pencil).a_matrix, 2) + 1.0)
     interval = IntervalDelta(lower=lower)
     alpha_gate = scalars.alpha if np.isfinite(scalars.alpha) else None
+    bracket = None
+    if alpha_gate is not None:
+        bracket = [scalars.alpha_lower if np.isfinite(scalars.alpha_lower) else None, alpha_gate]
     result = locate_real_eigenvalues(
         pencil, interval, config.tolerances.eigen, alpha_estimate=alpha_gate
     )
@@ -139,8 +142,8 @@ def cmd_variational(args) -> int:
     payload = {
         "schema": 1,
         "command": "variational",
-        "alpha_estimate": scalars.alpha if np.isfinite(scalars.alpha) else None,
-        "alpha_is_estimate": scalars.alpha_is_estimate,
+        "alpha": alpha_gate,
+        "alpha_bracket": bracket,
         "delta": scalars.delta,
         "gamma": scalars.gamma,
         "disc_radius": scalars.disc_radius,
@@ -185,7 +188,6 @@ def cmd_interlace(args) -> int:
         a=args.delta_lower,
         tol=config_a.tolerances.verify,
         locate_tol=config_a.tolerances.eigen,
-        seed=config_a.seed,
     )
     payload["comparison"] = comparison.to_dict()
     payload["ok"] = comparison.ok
@@ -231,7 +233,7 @@ def cmd_beam_report(args) -> int:
     bounds = beam_mod.beam_bounds(cfg)
     report = beam_mod.verify_beam_theorem(
         cfg, tol=config.tolerances.verify,
-        locate_tol=config.tolerances.eigen, seed=config.seed,
+        locate_tol=config.tolerances.eigen,
     )
     payload = {
         "schema": 1,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .pencil import AlphaSearch, QuadraticPencil, compute_alpha, compute_delta_gamma
+from .pencil import QuadraticPencil, compute_alpha, compute_delta_gamma
 from .variational import IntervalDelta, locate_real_eigenvalues
 
 FORM_ORDER_TOL = 1e-12
@@ -89,21 +89,19 @@ def compare_eigenvalues(
     a: float | None = None,
     tol: float = 1e-7,
     locate_tol: float = 1e-10,
-    seed: int = 0,
-    search: AlphaSearch | None = None,
 ) -> ComparisonReport:
     """Locate both spectra on a shared (a, 0] and verify the full ordering.
 
-    With a omitted, the left endpoint is the larger of the two alpha
-    estimates pushed toward zero by a relative 1e-6 safety margin (the
-    estimates only bound alpha from below).
+    With a omitted, the left endpoint is the larger of the two alphas (the
+    certified upper ends of their brackets) pushed toward zero by a relative
+    1e-6 margin, so (a, 0] lies inside both pencils' (alpha, 0].
     """
     if not check_form_order(p, p_hat):
         raise InvalidArgumentError(
             "form order violated: need a0 >= a0_hat and d <= d_hat as quadratic forms"
         )
-    alpha = compute_alpha(p, search=search, seed=seed).alpha
-    alpha_hat = compute_alpha(p_hat, search=search, seed=seed + 1).alpha
+    alpha = compute_alpha(p).alpha
+    alpha_hat = compute_alpha(p_hat).alpha
     alpha_max = max(alpha, alpha_hat)
     if a is None:
         if not np.isfinite(alpha_max):
@@ -113,7 +111,7 @@ def compare_eigenvalues(
         a = alpha_max + 1e-6 * abs(alpha_max)
     elif np.isfinite(alpha_max) and a < alpha_max - 1e-9 * max(1.0, abs(alpha_max)):
         raise InvalidArgumentError(
-            f"left endpoint {a} lies below the larger alpha estimate {alpha_max}"
+            f"left endpoint {a} lies below the larger alpha {alpha_max}"
         )
 
     interval = IntervalDelta(lower=float(a))

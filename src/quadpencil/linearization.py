@@ -217,8 +217,10 @@ def structural_report(system: LinearizedSystem, spectrum: SpectrumResult) -> Rep
 def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) -> Report:
     """Each companion eigenvalue must be a rank drop of T(lam) of the same depth.
 
-    Verifies sigma_min(T(lam)) <= 1e-8 * |T(lam)| and numerical kernel
-    dimension == geometric multiplicity, per cluster. At a real lam (exact
+    Verifies sigma_min(T(lam)) <= 1e-8 * scale and numerical kernel dimension
+    == geometric multiplicity, per cluster, with the scale
+    |lam|^2 + |lam| |D| + |A0| of the three terms of T(lam) (not |T(lam)|,
+    which vanishes when the whole space is the kernel). At a real lam (exact
     zero imaginary part, as LAPACK returns real eigenvalues of a real
     matrix) T(lam) is real symmetric, so its singular values are the
     absolute values of its eigenvalues and one symmetric eigensolve gives
@@ -233,7 +235,7 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
             s = np.sort(np.abs(np.linalg.eigvalsh(t.real)))[::-1]
         else:
             s = np.linalg.svd(t, compute_uv=False)
-        t_scale = float(s[0])
+        t_scale = float(abs(lam) ** 2 + abs(lam) * pencil.d_norm + pencil.a0_norm)
         sigma_min = float(s[-1])
         kernel_dim = int(np.sum(s < RANK_REL_TOL * t_scale))
         ok = sigma_min <= 1e-8 * t_scale and kernel_dim == int(mult)

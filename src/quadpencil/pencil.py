@@ -5,8 +5,8 @@ semidefinite (damping), the mass operator is the identity. The module owns
 the scalar machinery built on the quadratic form
 t(lam)[x] = lam^2 |x|^2 + lam d[x] + a0[x]: the root functionals p-/p+, the
 cone of vectors with real roots, the damping-to-stiffness ratio extremes
-(delta, gamma), the left endpoint alpha = sup p- and the resolvent disc
-radius.
+(delta, gamma), a certified bracket on the left endpoint alpha = sup p-
+and the resolvent disc radius.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InvalidArgumentError
 from .reports import Report
@@ -24,6 +23,15 @@ from .reports import Report
 DEFINITENESS_TOL = 1e-12
 # Discriminants in [-DISC_CLAMP_TOL * scale, 0) are treated as exact double roots.
 DISC_CLAMP_TOL = 1e-12
+# compute_alpha: directions of the first sweep of support lines, bracket
+# width relative to |alpha| at which refinement stops, refinement rounds at
+# most, the smallest angle between neighbouring directions that is still
+# split, and the support-line slack in units of n * eps * (|cos| + |sin|).
+ALPHA_SWEEP = 16
+ALPHA_RTOL = 1e-8
+ALPHA_MAX_ROUNDS = 200
+ALPHA_MIN_GAP = 1e-12
+ALPHA_SLACK = 16.0
 
 
 class OperatorKind(str, Enum):
@@ -133,6 +141,16 @@ class QuadraticPencil:
         return (v / w) @ v.T
 
     @cached_property
+    def a0_norm(self) -> float:
+        """Spectral norm of A0, i.e. max eig(A0)."""
+        return float(self._a0_eig[0][-1])
+
+    @cached_property
+    def d_norm(self) -> float:
+        """Spectral norm of D, i.e. max eig(D) (0 for zero damping)."""
+        return max(float(np.linalg.eigvalsh(self.d_matrix)[-1]), 0.0)
+
+    @cached_property
     def a0_inv_norm(self) -> float:
         """Spectral norm of A0^{-1}, i.e. 1 / min eig(A0)."""
         return float(1.0 / self._a0_eig[0][0])
@@ -174,34 +192,43 @@ class RayleighPair:
 
 @dataclass(frozen=True)
 class PencilScalars:
-    """Derived constants of the pencil.
-
-    delta0 and gamma0 are the essential-spectrum analogues of delta/gamma;
-    in finite dimension they are fixed at +inf and 0 and are stored only so
-    every derived constant has a single home.
-    """
+    """Derived constants of the pencil; alpha is the certified upper end of
+    the alpha bracket and alpha_lower its witnessed lower end."""
 
     delta: float
     gamma: float
     alpha: float
+    alpha_lower: float
     disc_radius: float
-    delta0: float = np.inf
-    gamma0: float = 0.0
-    alpha_is_estimate: bool = True
-
-
-@dataclass(frozen=True)
-class AlphaSearch:
-    multistart: int = 48
-    refine_tol: float = 1e-12
 
 
 @dataclass(frozen=True)
 class AlphaResult:
-    alpha: float
+    """Bracket lower <= sup p- <= upper over the real-root cone.
+
+    lower is rayleigh_pair(witness).p_minus for an explicit unit witness;
+    upper bounds every rayleigh_pair value of p-. alpha is the upper end, so
+    an interval (alpha, 0] never reaches left of the true one. An empty cone
+    has lower = upper = -inf and no witness.
+    """
+
+    lower: float
+    upper: float
     witness: np.ndarray | None
-    is_estimate: bool
-    certificate: DstarVerdict
+
+    @property
+    def alpha(self) -> float:
+        return self.upper
+
+    @property
+    def certificate(self) -> DstarVerdict:
+        """The real-root cone verdict: empty (upper = -inf), nonempty (a
+        witness exists) or inconclusive."""
+        if self.upper == -np.inf:
+            return DstarVerdict.EMPTY_CERTIFIED
+        if self.witness is None:
+            return DstarVerdict.INCONCLUSIVE
+        return DstarVerdict.NONEMPTY_CERTIFIED
 
 
 @dataclass(frozen=True)
@@ -288,12 +315,19 @@ def rayleigh_batch(
         raise InvalidArgumentError("rayleigh_batch requires nonzero columns")
     b = np.einsum("ij,ij->j", X, pencil.d_matrix @ X)
     c = np.einsum("ij,ij->j", X, pencil.a0_matrix @ X)
+    return _roots_from_forms(a, b, c)
+
+
+def _roots_from_forms(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rayleigh_batch on the form values (|x|^2, d[x], a0[x]) themselves."""
     disc = b * b - 4.0 * a * c
     scale = np.maximum(b * b, np.abs(4.0 * a * c))
     disc = np.where((disc < 0.0) & (disc >= -DISC_CLAMP_TOL * scale), 0.0, disc)
     feasible = disc >= 0.0
-    p_minus = np.full(X.shape[1], np.inf)
-    p_plus = np.full(X.shape[1], -np.inf)
+    p_minus = np.full(disc.shape, np.inf)
+    p_plus = np.full(disc.shape, -np.inf)
     if np.any(feasible):
         q = -(b[feasible] + np.sqrt(disc[feasible])) / 2.0
         p_minus[feasible] = q / a[feasible]
@@ -374,150 +408,190 @@ def dstar_empty_certificate(pencil: QuadraticPencil) -> DstarCertificate:
     return DstarCertificate(DstarVerdict.INCONCLUSIVE, None)
 
 
-def _penalized_neg_p_minus(pencil: QuadraticPencil):
-    """Objective for maximizing p_minus: smooth inside the cone, graded outside."""
-    d_mat, a_mat = pencil.d_matrix, pencil.a0_matrix
+def _support(d_unit: np.ndarray, a_unit: np.ndarray, thetas: np.ndarray):
+    """Support lines of W in direction theta, for D and A0 scaled to unit
+    norm: the top eigenpair of cos(theta) D + sin(theta) A0.
 
-    def objective(z):
-        nz = np.linalg.norm(z)
-        if nz < 1e-10:
-            return 1e12
-        x = z / nz
-        a = 1.0
-        b = float(x @ (d_mat @ x))
-        c = float(x @ (a_mat @ x))
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return 1e6 * (1.0 - disc / max(4.0 * a * c, 1e-300))
-        return (b + np.sqrt(disc)) / (2.0 * a)
-
-    return objective
-
-
-def _boundary_polish(pencil: QuadraticPencil, x0: np.ndarray) -> np.ndarray | None:
-    """Refine a near-boundary maximizer of p_minus along the zero-discriminant set.
-
-    On the boundary p_minus equals -d[x] / (2 |x|^2), which is smooth, so an
-    equality-constrained step recovers the square-root cusp accurately.
+    Returns the line heights, the support vectors (columns) and their points
+    (d[v], a0[v]) on the boundary of W. Each height is raised by a slack
+    that covers the backward error of eigh and the rounding of the quadratic
+    forms in rayleigh_batch, so no evaluated point lies outside the line.
     """
-    d_mat, a_mat = pencil.d_matrix, pencil.a0_matrix
-
-    def vertex(z):
-        a = float(z @ z)
-        if a < 1e-20:
-            return 1e12
-        return float(z @ (d_mat @ z)) / (2.0 * a)
-
-    def disc_rel(z):
-        a = float(z @ z)
-        b = float(z @ (d_mat @ z))
-        c = float(z @ (a_mat @ z))
-        return (b * b - 4.0 * a * c) / max(4.0 * a * c, 1e-300)
-
-    try:
-        res = minimize(
-            vertex, x0, method="SLSQP",
-            constraints=[{"type": "eq", "fun": disc_rel}],
-            options={"ftol": 1e-14, "maxiter": 300},
-        )
-    except Exception:
-        return None
-    if not np.all(np.isfinite(res.x)) or np.linalg.norm(res.x) < 1e-10:
-        return None
-    return res.x / np.linalg.norm(res.x)
+    c, s = np.cos(thetas), np.sin(thetas)
+    w, v = np.linalg.eigh(c[:, None, None] * d_unit + s[:, None, None] * a_unit)
+    top = v[:, :, -1].T
+    points = np.stack([np.einsum("ij,ij->j", top, d_unit @ top),
+                       np.einsum("ij,ij->j", top, a_unit @ top)])
+    slack = ALPHA_SLACK * d_unit.shape[0] * np.finfo(float).eps * (np.abs(c) + np.abs(s))
+    return w[:, -1] + slack, top, points
 
 
-def compute_alpha(
-    pencil: QuadraticPencil,
-    search: AlphaSearch | None = None,
-    seed: int = 0,
-) -> AlphaResult:
-    """Estimate alpha = sup of p_minus over the real-root cone.
+def _split(theta_j: float, theta_k: float, p_j: np.ndarray, p_k: np.ndarray) -> float | None:
+    """Next direction between neighbouring directions theta_j < theta_k: the
+    normal of the chord between their support points, which finds a flat
+    piece of W's boundary in one step; the mid-angle when the chord is
+    degenerate. None when the two directions can no longer be split."""
+    gap = (theta_k - theta_j) % (2.0 * np.pi)
+    chord = p_k - p_j
+    offset = (np.arctan2(-chord[0], chord[1]) - theta_j) % (2.0 * np.pi)
+    if np.any(chord != 0.0) and ALPHA_MIN_GAP < offset < gap - ALPHA_MIN_GAP:
+        return theta_j + offset
+    if gap > 2.0 * ALPHA_MIN_GAP:
+        return theta_j + gap / 2.0
+    return None
 
-    Multistart maximization (random directions mixed with whitened-damping
-    eigenvector starts and the nonemptiness witness), Nelder-Mead refinement
-    with a feasibility penalty, then an equality-constrained polish along the
-    cone boundary where the supremum often sits. Returns -inf exactly when
-    the cone is certified empty; any finite value is flagged as an estimate
-    from below.
+
+def _polygon_max(thetas, heights, points, sigma_d, sigma_a):
+    """Largest clamped p- over the outer polygon of W cut out by the support
+    lines cos(t) s + sin(t) a <= h (s, a scaled by sigma_d, sigma_a).
+
+    p- rises with a, falls with s and has no critical point, so on each edge
+    its maximum sits at a vertex or where the edge crosses the parabola
+    s^2 = 4 a or its clamped twin s^2 = 4 (1 - DISC_CLAMP_TOL) a, on which
+    p- = -s/2. Returns (value, i, at_vertex): the maximum lies at the vertex
+    of lines i and i+1, or on the edge of line i.
+
+    Vertex i is reached from the support point of line i, moved onto the
+    line and then along it, so the rounding of nearly parallel neighbours
+    shifts it along line i only, never out of it.
     """
-    search = search or AlphaSearch()
-    cert = dstar_empty_certificate(pencil)
-    if np.linalg.norm(pencil.d_matrix) == 0.0 or cert.verdict is DstarVerdict.EMPTY_CERTIFIED:
-        return AlphaResult(-np.inf, None, False, DstarVerdict.EMPTY_CERTIFIED)
-
-    n = pencil.dim
-    rng = np.random.default_rng(seed)
-    structured = []
-    if cert.witness is not None:
-        structured.append(cert.witness / np.linalg.norm(cert.witness))
-    _, v = np.linalg.eigh(pencil.whitened_damping)
-    for j in range(n):
-        y = pencil.a0_inv_sqrt @ v[:, j]
-        structured.append(y / np.linalg.norm(y))
-    structured.extend(np.eye(n))
-
-    # Batched prescreen of random directions; only the best few earn a
-    # local refinement.
-    n_random = max(64, 16 * search.multistart)
-    randoms = rng.standard_normal((n, n_random))
-    randoms /= np.linalg.norm(randoms, axis=0, keepdims=True)
-    columns = np.hstack([np.column_stack(structured), randoms])
-    p_minus, _, feasible = rayleigh_batch(pencil, columns)
-    order = np.argsort(-np.where(feasible, p_minus, -np.inf))
-    n_coarse = min(columns.shape[1], max(6, search.multistart // 4))
-    seeds = [columns[:, i] for i in order[:n_coarse]]
-    # Keep structured starts in play even when infeasible: the penalty walks
-    # them toward the cone.
-    seeds.extend(structured[: min(len(structured), 2 * n + 1)])
-
-    objective = _penalized_neg_p_minus(pencil)
-    coarse = []
-    for x0 in seeds:
-        res = minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 160 * n},
-        )
-        if res.fun < 1e5:
-            coarse.append((float(-res.fun), res.x / np.linalg.norm(res.x)))
-    feasible_best = [float(p_minus[i]) for i in order[:1] if feasible[order[0]]]
-    if not coarse and not feasible_best:
-        # No feasible point sampled and emptiness not certified.
-        return AlphaResult(-np.inf, None, True, cert.verdict)
-
-    coarse.sort(key=lambda t: -t[0])
-    best_val, best_x = coarse[0] if coarse else (feasible_best[0], columns[:, order[0]])
-    for val, x0 in coarse[:3]:
-        res = minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"xatol": search.refine_tol, "fatol": search.refine_tol,
-                     "maxiter": 400 * n},
-        )
-        if res.fun < 1e5 and -res.fun > best_val:
-            best_val, best_x = float(-res.fun), res.x / np.linalg.norm(res.x)
-
-    polished = _boundary_polish(pencil, best_x)
-    if polished is not None:
-        pm, _, feas = rayleigh_batch(pencil, polished[:, None])
-        if feas[0] and pm[0] > best_val:
-            best_val, best_x = float(pm[0]), polished
-
-    return AlphaResult(float(best_val), best_x, True, cert.verdict)
+    normal = np.stack([np.cos(thetas), np.sin(thetas)])
+    on_line = points + (heights - np.einsum("ij,ij->j", normal, points)) * normal
+    nxt = np.roll(np.arange(thetas.size), -1)
+    along = ((heights[nxt] - np.einsum("ij,ij->j", normal[:, nxt], on_line))
+             / np.sin(thetas[nxt] - thetas))
+    vs = sigma_d * (on_line[0] - along * normal[1])
+    va = sigma_a * (on_line[1] + along * normal[0])
+    p_minus, _, feasible = _roots_from_forms(np.ones_like(vs), vs, va)
+    at_vertex = np.where(feasible, p_minus, -np.inf)
+    # The edge of line i runs from vertex i-1 to vertex i.
+    s0, a0 = np.roll(vs, 1), np.roll(va, 1)
+    ds, da = vs - s0, va - a0
+    on_edge = np.full(vs.shape, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in (4.0 * (1.0 - DISC_CLAMP_TOL), 4.0):
+            qa, qb, qc = ds * ds, 2.0 * s0 * ds - k * da, s0 * s0 - k * a0
+            # An edge that touches the parabola within the rounding of qc
+            # counts as touching it, so no crossing is lost.
+            disc = qb * qb - 4.0 * qa * qc
+            tiny = 8.0 * np.finfo(float).eps * (qb * qb + 4.0 * qa * (s0 * s0 + k * np.abs(a0)))
+            root = np.sqrt(np.where(disc >= -tiny, np.maximum(disc, 0.0), np.nan))
+            q = -(qb + np.copysign(root, qb)) / 2.0
+            for t in (q / qa, qc / q):
+                inside = (t >= 0.0) & (t <= 1.0)
+                value = np.where(inside, -(s0 + t * ds) / 2.0, -np.inf)
+                on_edge = np.maximum(on_edge, value)
+    i_v, i_e = int(np.argmax(at_vertex)), int(np.argmax(on_edge))
+    if at_vertex[i_v] >= on_edge[i_e]:
+        return float(at_vertex[i_v]), i_v, True
+    return float(on_edge[i_e]), i_e, False
 
 
-def compute_scalars(
-    pencil: QuadraticPencil,
-    search: AlphaSearch | None = None,
-    seed: int = 0,
-) -> PencilScalars:
-    """Assemble the derived constants delta, gamma, alpha and the disc radius."""
+def _span_candidates(pencil: QuadraticPencil, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Unit vectors in span(u, v) where p- can peak: the points where the
+    compressed quadratic form crosses into the cone, and the real
+    eigenvectors of the compressed 2x2 pencil (the critical points of p-).
+
+    With x = cos(phi) q1 + sin(phi) q2, d[x] and a0[x] are affine in
+    z = exp(2i phi), so the crossings are roots of a quartic in z. They are
+    taken half-way into the clamped band of rayleigh_pair, where p- = -d[x]/2.
+    """
+    q, r = np.linalg.qr(np.column_stack([u, v]))
+    if abs(r[1, 1]) <= 1e-12 * abs(r[0, 0]):
+        return np.empty((pencil.dim, 0))
+    dc = q.T @ pencil.d_matrix @ q
+    ac = q.T @ pencil.a0_matrix @ q
+    m_s, sig = (dc[0, 0] + dc[1, 1]) / 2.0, complex((dc[0, 0] - dc[1, 1]) / 2.0, -dc[0, 1])
+    m_a, rho = (ac[0, 0] + ac[1, 1]) / 2.0, complex((ac[0, 0] - ac[1, 1]) / 2.0, -ac[0, 1])
+    k = 4.0 * (1.0 - DISC_CLAMP_TOL / 2.0)
+    quartic = [sig * sig / 4.0, m_s * sig - k * rho / 2.0,
+               m_s * m_s + abs(sig) ** 2 / 2.0 - k * m_a,
+               m_s * sig.conjugate() - k * rho.conjugate() / 2.0,
+               sig.conjugate() ** 2 / 4.0]
+    phis = [np.angle(z) / 2.0 for z in np.roots(quartic)] if any(quartic) else []
+    coords = [np.array([np.cos(phi), np.sin(phi)]) for phi in phis]
+    companion = np.block([[np.zeros((2, 2)), np.eye(2)], [-ac, -dc]])
+    for lam in np.linalg.eigvals(companion).real:
+        w, y = np.linalg.eigh(lam * lam * np.eye(2) + lam * dc + ac)
+        coords.append(y[:, int(np.argmin(np.abs(w)))])
+    return q @ np.column_stack(coords)
+
+
+def compute_alpha(pencil: QuadraticPencil) -> AlphaResult:
+    """Bracket alpha = sup p- over the real-root cone from the joint
+    numerical range W = {(d[x], a0[x]) : |x| = 1}.
+
+    p- depends on x only through (d[x], a0[x]), rises with a0[x] and falls
+    with d[x], so its supremum lies on the boundary of conv W (W is convex
+    for n >= 3 and an ellipse for n = 2). Support lines from top
+    eigenvectors cut out an outer polygon whose largest p- is the upper
+    end; the lower end is rayleigh_pair(witness).p_minus for the best of
+    the support vectors and of the maximisers in the 2-D spans of
+    neighbouring support vectors where the polygon peaks. New directions split the neighbours there until the
+    bracket is ALPHA_RTOL wide or ALPHA_MAX_ROUNDS rounds have run; without
+    a witness by then the lower end is -inf. upper = -inf decides an empty
+    cone.
+    """
+    if pencil.dim == 1:
+        x = np.ones(1)
+        pair = rayleigh_pair(pencil, x)
+        if not pair.in_dstar:
+            return AlphaResult(-np.inf, -np.inf, None)
+        p_minus = float(pair.p_minus)
+        return AlphaResult(p_minus, p_minus, x)
+    sigma_d, sigma_a = pencil.d_norm, pencil.a0_norm
+    if sigma_d == 0.0:
+        return AlphaResult(-np.inf, -np.inf, None)
+    d_unit, a_unit = pencil.d_matrix / sigma_d, pencil.a0_matrix / sigma_a
+
+    thetas = np.linspace(0.0, 2.0 * np.pi, ALPHA_SWEEP, endpoint=False)
+    heights, vectors, points = _support(d_unit, a_unit, thetas)
+    lower, witness = -np.inf, None
+
+    def offer(columns):
+        nonlocal lower, witness
+        if columns.shape[1] == 0:
+            return
+        columns = columns / np.linalg.norm(columns, axis=0)
+        p_minus, _, feasible = rayleigh_batch(pencil, columns)
+        best = int(np.argmax(np.where(feasible, p_minus, -np.inf)))
+        pair = rayleigh_pair(pencil, columns[:, best])
+        if pair.in_dstar and pair.p_minus > lower:
+            lower, witness = float(pair.p_minus), columns[:, best]
+
+    offer(vectors)
+    for _ in range(ALPHA_MAX_ROUNDS):
+        upper, i, at_vertex = _polygon_max(thetas, heights, points, sigma_d, sigma_a)
+        if upper == -np.inf:
+            return AlphaResult(-np.inf, -np.inf, None)
+        m = thetas.size
+        pairs = [(i, (i + 1) % m)] if at_vertex else [((i - 1) % m, i), (i, (i + 1) % m)]
+        for j, k in pairs:
+            offer(_span_candidates(pencil, vectors[:, j], vectors[:, k]))
+        if upper - lower <= ALPHA_RTOL * abs(upper):
+            break
+        new = [_split(thetas[j], thetas[k], points[:, j], points[:, k]) for j, k in pairs]
+        new = np.mod([t for t in new if t is not None], 2.0 * np.pi)
+        if new.size == 0:
+            break
+        new_heights, new_vectors, new_points = _support(d_unit, a_unit, new)
+        offer(new_vectors)
+        order = np.argsort(np.concatenate([thetas, new]))
+        thetas = np.concatenate([thetas, new])[order]
+        heights = np.concatenate([heights, new_heights])[order]
+        vectors = np.hstack([vectors, new_vectors])[:, order]
+        points = np.hstack([points, new_points])[:, order]
+    return AlphaResult(lower, upper, witness)
+
+
+def compute_scalars(pencil: QuadraticPencil) -> PencilScalars:
+    """Assemble the derived constants delta, gamma, the alpha bracket and the disc radius."""
     delta, gamma = compute_delta_gamma(pencil)
-    alpha = compute_alpha(pencil, search=search, seed=seed)
-    radius = 2.0 / (gamma + np.sqrt(gamma * gamma + 4.0 * pencil.a0_inv_norm))
+    alpha = compute_alpha(pencil)
     return PencilScalars(
         delta=delta,
         gamma=gamma,
-        alpha=alpha.alpha,
-        disc_radius=radius,
-        alpha_is_estimate=alpha.is_estimate,
+        alpha=alpha.upper,
+        alpha_lower=alpha.lower,
+        disc_radius=disc_radius(pencil),
     )

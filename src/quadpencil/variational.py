@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ComputationError, InvalidArgumentError
 from .pencil import (
@@ -437,6 +436,8 @@ def _min_p_plus_on_subspace(
     if stop_below is not None and best <= stop_below:
         return best
 
+    from scipy.optimize import minimize
+
     hit_infeasible = [False]
 
     def objective(c):
@@ -483,6 +484,8 @@ def _max_p_plus_orthogonal_to(
     coeffs = _sphere_samples(rng, k, samples)
     _, pp, feasible = rayleigh_batch(pencil, comp @ coeffs)
     best = float(np.max(pp[feasible])) if np.any(feasible) else -np.inf
+
+    from scipy.optimize import minimize
 
     def objective(c):
         nc = np.linalg.norm(c)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from quadpencil import (
-    AlphaSearch,
     BeamConfig,
     IntervalDelta,
     QuadraticPencil,
@@ -44,7 +43,6 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SQRT3 = np.sqrt(3.0)
 SQRT7 = np.sqrt(7.0)
 ENSEMBLE_SIZE = 50
-ALPHA_SEARCH = AlphaSearch(multistart=24)
 
 
 def conclude(num, label, problems, started):
@@ -73,7 +71,7 @@ def ensemble():
         dim = 2 + seed % 5
         pencil = random_pencil(dim, seed, damping_scale=4.0 + (seed % 3),
                                ensure_real_root_cone=True)
-        alpha = compute_alpha(pencil, search=ALPHA_SEARCH, seed=seed).alpha
+        alpha = compute_alpha(pencil).alpha
         lower = alpha + 1e-6 * abs(alpha)
         result = locate_real_eigenvalues(
             pencil, IntervalDelta(lower=lower), 1e-10, alpha_estimate=alpha
@@ -303,8 +301,7 @@ def test_criterion_07_interlacing():
         partner = QuadraticPencil.from_matrices(
             pencil.a0_matrix - soften, pencil.d_matrix + strengthen
         )
-        report = compare_eigenvalues(pencil, partner, tol=1e-7,
-                                     seed=seed, search=ALPHA_SEARCH)
+        report = compare_eigenvalues(pencil, partner, tol=1e-7)
         if not report.n_ok:
             problems.append(f"seed {seed}: N={report.n_left} > N_hat={report.n_right}")
         for lam, lam_hat, ok in report.per_n:

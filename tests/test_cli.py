@@ -97,7 +97,9 @@ class TestVariationalCommand:
         assert doc["ok"] and doc["kappa"] == 0
         assert doc["n_found"] == 1
         assert doc["eigenvalues"][0]["value"] == pytest.approx(-3.0 + SQRT7, abs=1e-9)
-        assert doc["alpha_estimate"] == pytest.approx((3.0 - np.sqrt(53.0)) / 2.0, abs=1e-8)
+        assert doc["alpha"] == pytest.approx((3.0 - np.sqrt(53.0)) / 2.0, abs=1e-8)
+        lower, upper = doc["alpha_bracket"]
+        assert lower <= upper == doc["alpha"]
 
     def test_delta_lower_below_alpha_exits_2(self):
         code = main(["variational", str(CONFIGS / "dense_diag.json"),
@@ -120,7 +122,8 @@ class TestVariationalCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["n_found"] == 0
-        assert doc["alpha_estimate"] is None
+        assert doc["alpha"] is None
+        assert doc["alpha_bracket"] is None
 
     def test_rerun_byte_identical_except_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -176,13 +176,28 @@ class TestPencilEquivalence:
             n_real += 1
             t = pencil.t_matrix(lam.real)
             s = np.linalg.svd(t, compute_uv=False)
-            kernel_dim = int(np.sum(s < 1e-8 * s[0]))
-            ok = s[-1] <= 1e-8 * s[0] and kernel_dim == check.data["geometric_multiplicity"]
+            scale = (lam.real ** 2 + abs(lam.real) * np.linalg.norm(pencil.d_matrix, 2)
+                     + np.linalg.norm(pencil.a0_matrix, 2))
+            kernel_dim = int(np.sum(s < 1e-8 * scale))
+            ok = s[-1] <= 1e-8 * scale and kernel_dim == check.data["geometric_multiplicity"]
             assert check.data["kernel_dim"] == kernel_dim
             assert check.ok == ok
             assert abs(check.data["sigma_min"] - s[-1]) <= 1e-13 * s[0]
-            assert abs(check.data["scale"] - s[0]) <= 1e-13 * s[0]
+            assert abs(check.data["scale"] - scale) <= 1e-13 * scale
         assert n_real >= 2
+
+    def test_full_kernel_counts_both_dimensions(self):
+        # T(lam) = 0 at both double eigenvalues -3 +- sqrt7, so |T(lam)| is
+        # no measure of rank there.
+        pencil = QuadraticPencil.from_matrices(np.diag([2.0, 2.0]), np.diag([6.0, 6.0]))
+        spec = full_spectrum(build_linearization(pencil))
+        report = check_pencil_equivalence(pencil, spec)
+        checks = report.checks[:-1]
+        assert len(checks) == 2
+        for check in checks:
+            assert check.data["kernel_dim"] == check.data["geometric_multiplicity"] == 2
+            assert check.ok
+        assert report.ok
 
     def test_zero_is_regular(self, diag_pencil):
         t0 = diag_pencil.a0_matrix

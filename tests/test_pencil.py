@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadpencil import (
+    BeamConfig,
     DstarVerdict,
     InvalidArgumentError,
     QuadraticPencil,
@@ -10,8 +13,10 @@ from quadpencil import (
     compute_delta_gamma,
     compute_scalars,
     disc_radius,
+    discretize_beam,
     dstar_empty_certificate,
     evaluate_form,
+    make_damping_profile,
     rayleigh_batch,
     rayleigh_pair,
     verify_gamma_as_form_ratio,
@@ -211,9 +216,9 @@ class TestDerivedScalars:
         for seed in range(5):
             pencil = random_pencil(4, seed, damping_scale=5.0,
                                    ensure_real_root_cone=True)
-            scalars = compute_scalars(pencil, seed=seed)
+            scalars = compute_scalars(pencil)
             assert 0.0 <= scalars.delta <= scalars.gamma
-            assert scalars.gamma0 == 0.0 and scalars.delta0 == np.inf
+            assert scalars.alpha_lower <= scalars.alpha
             assert scalars.alpha <= -1.0 / scalars.gamma + 1e-12
             assert 0.0 < scalars.disc_radius < 1.0 / scalars.gamma
 
@@ -227,7 +232,7 @@ class TestLemmaAndSignLaws:
             assert pair.p_minus < -1.0 / gamma
 
     def test_sign_equivalence_on_interval(self, diag_pencil):
-        alpha = compute_alpha(diag_pencil, seed=0).alpha
+        alpha = compute_alpha(diag_pencil).alpha
         rng = np.random.default_rng(7)
         for _ in range(2000):
             x = rng.standard_normal(2)
@@ -245,33 +250,99 @@ class TestLemmaAndSignLaws:
 
 class TestAlpha:
     def test_zero_damping_empty_cone(self, undamped_pencil):
-        res = compute_alpha(undamped_pencil, seed=0)
-        assert res.alpha == -np.inf
+        res = compute_alpha(undamped_pencil)
+        assert res.alpha == res.upper == res.lower == -np.inf
         assert res.witness is None
-        assert not res.is_estimate
         assert res.certificate is DstarVerdict.EMPTY_CERTIFIED
 
+    def test_weak_damping_empty_cone(self):
+        pencil = QuadraticPencil.from_matrices(np.diag([2.0, 8.0]), 0.05 * np.eye(2))
+        res = compute_alpha(pencil)
+        assert res.upper == -np.inf and res.witness is None
+
     def test_diag_fixture_value(self, diag_pencil):
-        res = compute_alpha(diag_pencil, seed=0)
-        assert res.alpha == pytest.approx(ALPHA_DIAG, abs=1e-9)
-        assert res.is_estimate
+        res = compute_alpha(diag_pencil)
+        assert res.lower == pytest.approx(ALPHA_DIAG, abs=1e-9)
+        assert res.upper == pytest.approx(ALPHA_DIAG, abs=1e-9)
+        assert res.lower <= res.upper == res.alpha
+        assert res.certificate is DstarVerdict.NONEMPTY_CERTIFIED
         # the dense grid oracle approaches the same value from below
         grid = p_minus_grid_2d(diag_pencil.a0_matrix, diag_pencil.d_matrix)
-        assert grid <= res.alpha + 1e-9
+        assert grid <= res.upper
         # square-root cusp at the cone boundary limits the grid's accuracy
         assert res.alpha - grid < 2e-2
         pair = rayleigh_pair(diag_pencil, res.witness)
-        assert pair.in_dstar
+        assert pair.in_dstar and pair.p_minus == res.lower
 
     def test_1x1_exact(self, overdamped_1x1):
-        res = compute_alpha(overdamped_1x1, seed=0)
+        res = compute_alpha(overdamped_1x1)
+        assert res.lower == res.upper
         assert res.alpha == pytest.approx(-3.0 - SQRT7, abs=1e-12)
 
-    def test_seed_determinism(self, diag_pencil):
-        a = compute_alpha(diag_pencil, seed=42)
-        b = compute_alpha(diag_pencil, seed=42)
-        assert a.alpha == b.alpha
+    def test_1x1_critical(self, critical_1x1):
+        res = compute_alpha(critical_1x1)
+        assert res.lower == res.upper == -1.0
+
+    def test_determinism(self, diag_pencil):
+        a = compute_alpha(diag_pencil)
+        b = compute_alpha(diag_pencil)
+        assert (a.lower, a.upper) == (b.lower, b.upper)
         assert np.array_equal(a.witness, b.witness)
+
+
+def ensemble_pencil(seed):
+    """The acceptance suite's ensemble member for this seed."""
+    return random_pencil(2 + seed % 5, seed, damping_scale=4.0 + (seed % 3),
+                         ensure_real_root_cone=True)
+
+
+def beam_pencils():
+    profiles = ({"profile": "constant", "params": {"value": 4.0}},
+                {"profile": "four_plus_sin", "params": {}},
+                {"profile": "constant", "params": {"value": 5.0}})
+    return [discretize_beam(BeamConfig(a0=1.0, damping=make_damping_profile(spec), n_modes=12))
+            for spec in profiles]
+
+
+class TestAlphaBracket:
+    # Explicit cone vectors with these p- values exist; a multistart search
+    # once reported -1.17052, -1.22962 and -1.24371 for these seeds.
+    @pytest.mark.parametrize("seed, witnessed", [(14, -1.1284), (18, -1.0585), (33, -1.2134)])
+    def test_lower_end_reaches_known_witness(self, seed, witnessed):
+        res = compute_alpha(ensemble_pencil(seed))
+        assert res.lower > witnessed
+        assert res.lower <= res.upper
+
+    def test_upper_end_bounds_every_rayleigh_value(self):
+        rng = np.random.default_rng(2024)
+        pencils = [ensemble_pencil(seed) for seed in range(50)] + beam_pencils()
+        for pencil in pencils:
+            res = compute_alpha(pencil)
+            assert res.upper - res.lower <= 1e-8 * abs(res.upper)
+            assert rayleigh_pair(pencil, res.witness).p_minus == res.lower
+            x = rng.standard_normal((pencil.dim, 10_000))
+            x /= np.linalg.norm(x, axis=0)
+            p_minus, _, feasible = rayleigh_batch(pencil, np.column_stack([x, res.witness]))
+            assert feasible[-1]
+            assert np.all(p_minus[feasible] <= res.upper)
+
+    def test_constant_beam_maximum_on_a_two_mode_edge(self):
+        # D and A0 commute; sup p- is where the segment between modes 1 and 2
+        # of W crosses the parabola, far above the best single mode (-36.83).
+        res = compute_alpha(beam_pencils()[0])
+        assert res.lower == pytest.approx(-20.1717309614, abs=1e-8)
+        assert np.count_nonzero(np.abs(res.witness) > 1e-8) == 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), dim=st.integers(2, 6),
+           c=st.floats(1e-3, 1e3))
+    def test_bracket_scales_with_the_pencil(self, seed, dim, c):
+        pencil = random_pencil(dim, seed, damping_scale=5.0, ensure_real_root_cone=True)
+        scaled = QuadraticPencil.from_matrices(c * c * pencil.a0_matrix, c * pencil.d_matrix)
+        base, res = compute_alpha(pencil), compute_alpha(scaled)
+        slack = max(res.upper - res.lower, c * (base.upper - base.lower)) + 1e-12 * abs(res.upper)
+        assert abs(res.lower - c * base.lower) <= slack
+        assert abs(res.upper - c * base.upper) <= slack
 
 
 class TestDstarCertificate:

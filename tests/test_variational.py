@@ -68,7 +68,7 @@ class TestInertia:
         assert ic.boundary >= 1
 
     def test_monotone_on_valid_interval(self, diag_pencil):
-        alpha = compute_alpha(diag_pencil, seed=0).alpha
+        alpha = compute_alpha(diag_pencil).alpha
         grid = np.linspace(alpha * (1 - 1e-9), 0.0, 200)
         counts = [inertia_negative(diag_pencil, g).negative for g in grid]
         assert all(c1 >= c2 for c1, c2 in zip(counts, counts[1:]))
@@ -127,7 +127,7 @@ class TestLocate:
         for seed in range(8):
             pencil = random_pencil(3 + seed % 6, 700 + seed, damping_scale=5.0,
                                    ensure_real_root_cone=True)
-            alpha = compute_alpha(pencil, seed=seed).alpha
+            alpha = compute_alpha(pencil).alpha
             lower = alpha + 1e-6 * abs(alpha)
             res = locate_real_eigenvalues(
                 pencil, IntervalDelta(lower=lower), 1e-10, alpha_estimate=alpha
@@ -143,7 +143,7 @@ class TestLocate:
         for seed in range(6):
             pencil = random_pencil(4, 900 + seed, damping_scale=5.0,
                                    ensure_real_root_cone=True)
-            alpha = compute_alpha(pencil, seed=seed).alpha
+            alpha = compute_alpha(pencil).alpha
             lower = alpha + 1e-6 * abs(alpha)
             res = locate_real_eigenvalues(
                 pencil, IntervalDelta(lower=lower), 1e-10, alpha_estimate=alpha
@@ -173,7 +173,7 @@ class TestLocate:
 
 class TestVerifyMinmax:
     def test_diag_fixture(self, diag_pencil):
-        alpha = compute_alpha(diag_pencil, seed=0).alpha
+        alpha = compute_alpha(diag_pencil).alpha
         res = locate_real_eigenvalues(
             diag_pencil, IntervalDelta(lower=alpha + 1e-6 * abs(alpha)), 1e-10
         )
@@ -188,7 +188,7 @@ class TestVerifyMinmax:
         for seed in (1, 4):
             pencil = random_pencil(5, 1000 + seed, damping_scale=8.0,
                                    ensure_real_root_cone=True)
-            alpha = compute_alpha(pencil, seed=seed).alpha
+            alpha = compute_alpha(pencil).alpha
             res = locate_real_eigenvalues(
                 pencil, IntervalDelta(lower=alpha + 1e-6 * abs(alpha)), 1e-10,
                 alpha_estimate=alpha,
