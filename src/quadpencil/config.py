@@ -24,7 +24,6 @@ SYMMETRY_TOL = 1e-12
 @dataclass(frozen=True)
 class Tolerances:
     eigen: float = 1e-8
-    inertia: float = 1e-12
     verify: float = 1e-7
 
 
@@ -113,7 +112,7 @@ def parse_config(doc: dict) -> ProblemConfig:
     defaults = Tolerances()
     tolerances = Tolerances(**{
         key: parse_number(tol_doc.get(key, getattr(defaults, key)), f"tolerances.{key}")
-        for key in ("eigen", "inertia", "verify")
+        for key in ("eigen", "verify")
     })
     seed = parse_number(doc.get("seed", 0), "seed", integer=True, minimum=0)
 

@@ -257,25 +257,6 @@ def evaluate_form(pencil: QuadraticPencil, lam: complex, x, y=None) -> complex:
     )
 
 
-def _stable_real_roots(a: float, b: float, c: float) -> tuple[float, float] | None:
-    """Real roots of a q^2 + b q + c with a, c > 0, b >= 0, cancellation-free.
-
-    Returns (smaller, larger) or None when the (clamped) discriminant is
-    negative. Discriminants within -DISC_CLAMP_TOL * scale of zero count as
-    double roots; the cone boundary is measure-zero but numerically reachable.
-    """
-    disc = b * b - 4.0 * a * c
-    scale = max(b * b, abs(4.0 * a * c))
-    if disc < 0.0:
-        if disc >= -DISC_CLAMP_TOL * scale:
-            disc = 0.0
-        else:
-            return None
-    q = -(b + np.sqrt(disc)) / 2.0
-    # b > 0 whenever disc >= 0 (since a, c > 0), so q < 0 and no cancellation.
-    return q / a, c / q
-
-
 def rayleigh_pair(pencil: QuadraticPencil, x) -> RayleighPair:
     """Solve t(lam)[x] = 0 for real lam.
 
@@ -291,10 +272,8 @@ def rayleigh_pair(pencil: QuadraticPencil, x) -> RayleighPair:
     a, b, c = pencil.scalar_coefficients(x)
     if a == 0.0:
         raise InvalidArgumentError("rayleigh_pair requires a nonzero vector")
-    roots = _stable_real_roots(a, b, c)
-    if roots is None:
-        return RayleighPair(np.inf, -np.inf, False)
-    return RayleighPair(roots[0], roots[1], True)
+    p_minus, p_plus, feasible = _roots_from_forms(np.array([a]), np.array([b]), np.array([c]))
+    return RayleighPair(p_minus[0], p_plus[0], bool(feasible[0]))
 
 
 def rayleigh_batch(
@@ -321,7 +300,12 @@ def rayleigh_batch(
 def _roots_from_forms(
     a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """rayleigh_batch on the form values (|x|^2, d[x], a0[x]) themselves."""
+    """The one scalar root solver of p-/p+, on the form values
+    (|x|^2, d[x], a0[x]) themselves; cancellation-free for b = d[x] >= 0.
+
+    Discriminants within -DISC_CLAMP_TOL * scale of zero count as double
+    roots; the cone boundary is measure-zero but numerically reachable.
+    """
     disc = b * b - 4.0 * a * c
     scale = np.maximum(b * b, np.abs(4.0 * a * c))
     disc = np.where((disc < 0.0) & (disc >= -DISC_CLAMP_TOL * scale), 0.0, disc)
@@ -384,28 +368,9 @@ def verify_gamma_as_form_ratio(
 
 
 def dstar_empty_certificate(pencil: QuadraticPencil) -> DstarCertificate:
-    """Decide emptiness of the real-root cone when one of two criteria applies.
-
-    empty:    whitened damping < 2 A0^{-1/2} in the operator order;
-    nonempty: |whitened damping| > 2 |A0^{-1/2}| in spectral norm, witnessed
-              by mapping a top eigenvector back through A0^{-1/2}.
-    The two criteria are not exhaustive; the boundary case is inconclusive.
-    """
-    s = pencil.whitened_damping
-    r = pencil.a0_inv_sqrt
-    s_norm = float(np.max(np.abs(np.linalg.eigvalsh(s))))
-    r_norm = float(np.sqrt(pencil.a0_inv_norm))
-    scale = max(s_norm, 2.0 * r_norm)
-    gap = np.linalg.eigvalsh(s - 2.0 * r)
-    if gap[-1] < -1e-12 * scale:
-        return DstarCertificate(DstarVerdict.EMPTY_CERTIFIED, None)
-    if s_norm > 2.0 * r_norm + 1e-12 * scale:
-        w, v = np.linalg.eigh(s)
-        x = r @ v[:, -1]
-        pair = rayleigh_pair(pencil, x)
-        if pair.in_dstar:
-            return DstarCertificate(DstarVerdict.NONEMPTY_CERTIFIED, x)
-    return DstarCertificate(DstarVerdict.INCONCLUSIVE, None)
+    """The real-root cone verdict of compute_alpha with its witness."""
+    alpha = compute_alpha(pencil)
+    return DstarCertificate(alpha.certificate, alpha.witness)
 
 
 def _support(d_unit: np.ndarray, a_unit: np.ndarray, thetas: np.ndarray):

@@ -4,8 +4,11 @@ The ground truth is the inertia count of the symmetric matrix T(lam): moving
 left from zero inside (alpha, 0], the number of negative eigenvalues of
 T(lam) increases exactly by the multiplicity of every pencil eigenvalue
 crossed. Bisection on that step function brackets each eigenvalue; a
-safeguarded root-functional iteration polishes it. Subspace sampling then
-*verifies* the max-min formulas; it is never used to locate eigenvalues.
+safeguarded root-functional iteration polishes it. Compressed pencils
+B^T T(lam) B then *verify* the max-min formulas on explicit subspaces (the
+min and the sup of p_plus on a subspace are eigenvalues of its compression);
+each compared value is p_plus at an explicit vector and carries a
+certificate or a witness. The compressions never locate eigenvalues.
 
 A small generic layer (MatrixQuadraticFamily) runs the same counting and
 classification machinery on raw symmetric matrix families without positivity
@@ -27,6 +30,10 @@ from .reports import Report
 
 BOUNDARY_TOL = 1e-12
 KERNEL_REL_TOL = 1e-8
+# min_p_plus: bisection steps at most, and the margin below zero that
+# lambda_max(B^T T(mu) B) must clear, in units of k * eps * |T(mu)|.
+MINMAX_MAX_BISECTIONS = 64
+HYPERBOLIC_SLACK = 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +150,14 @@ class IntervalDelta:
     """Half-open interval (lower, 0] on which the counting argument is valid."""
 
     lower: float
-    upper: float = 0.0
-    open_lower: bool = True
-    closed_upper: bool = True
 
     def __post_init__(self):
-        if not np.isfinite(self.lower) or not (self.lower < self.upper):
-            raise InvalidArgumentError(
-                f"need finite lower < upper, got ({self.lower}, {self.upper}]"
-            )
-        if self.upper != 0.0 or not self.open_lower or not self.closed_upper:
-            raise InvalidArgumentError("only intervals of the form (lower, 0] are supported")
+        if not np.isfinite(self.lower) or not self.lower < 0.0:
+            raise InvalidArgumentError(f"need finite lower < 0, got ({self.lower}, 0]")
+
+    @property
+    def upper(self) -> float:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -390,127 +394,149 @@ def _orth(columns: np.ndarray) -> np.ndarray:
     return q[:, keep]
 
 
-def _sphere_samples(rng, k: int, count: int) -> np.ndarray:
-    c = rng.standard_normal((k, count))
-    return c / np.linalg.norm(c, axis=0, keepdims=True)
+def _complement(n: int, constraint: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of the given columns."""
+    if constraint.size == 0:
+        return np.eye(n)
+    q = _orth(constraint)
+    w, v = np.linalg.eigh(np.eye(n) - q @ q.T)
+    return v[:, w > 0.5]
 
 
-def _min_p_plus_on_subspace(
-    pencil: QuadraticPencil,
-    basis: np.ndarray,
-    rng,
-    samples: int = 256,
-    refine_starts: int = 2,
-    extra_points: np.ndarray | None = None,
-    stop_below: float | None = None,
-    witness_hint_at: float | None = None,
-) -> float:
-    """Minimum of p_plus over the unit sphere of span(basis); -inf as soon as
-    a direction without real roots is seen.
+@dataclass(frozen=True)
+class SubspaceValue:
+    """An extremum of p_plus over a subspace, evaluated at an explicit vector.
 
-    With stop_below given, sampling alone may settle the answer: any value at
-    or below that threshold is returned without local refinement (sound for
-    one-sided upper-bound checks, since refinement only decreases the min).
-    witness_hint_at adds one candidate direction, the top eigenvector of the
-    compressed matrix B^T T(lam) B: by eigenvalue interlacing its form value
-    is nonnegative there, so its root functional sits at or below lam. The
-    check itself still evaluates the root functional at that explicit vector.
+    value is rayleigh_pair(witness).p_plus, or -inf for a witness outside
+    the real-root cone. certificate is a mu at which B^T T(mu) B is negative
+    definite, so the whole subspace lies inside the cone; eigenvalue is the
+    compressed eigenvalue that proposed the witness. A min with neither a
+    certificate nor a witness outside the cone is inconclusive: value nan.
+    """
+
+    value: float
+    witness: np.ndarray | None
+    certificate: float | None = None
+    eigenvalue: float | None = None
+
+    @property
+    def inconclusive(self) -> bool:
+        return bool(np.isnan(self.value))
+
+    def data(self) -> dict:
+        return {"certificate_mu": self.certificate,
+                "compressed_eigenvalue": self.eigenvalue,
+                "witness": self.witness, "inconclusive": self.inconclusive}
+
+
+def _compress(pencil: QuadraticPencil, basis: np.ndarray):
+    """The compression B^T T(lam) B = lam^2 I + lam dc + ac as (dc, ac)."""
+    dc = basis.T @ pencil.d_matrix @ basis
+    ac = basis.T @ pencil.a0_matrix @ basis
+    return (dc + dc.T) / 2.0, (ac + ac.T) / 2.0
+
+
+def _compressed_eigenvalues(dc: np.ndarray, ac: np.ndarray) -> np.ndarray:
+    """Real parts of the eigenvalues of lam^2 I + lam dc + ac, descending."""
+    k = dc.shape[0]
+    companion = np.block([[np.zeros((k, k)), np.eye(k)], [-ac, -dc]])
+    return np.sort(np.linalg.eigvals(companion).real)[::-1]
+
+
+def _top_eigenpair(dc: np.ndarray, ac: np.ndarray, lam: float):
+    w, v = np.linalg.eigh(lam * lam * np.eye(dc.shape[0]) + lam * dc + ac)
+    return float(w[-1]), v[:, -1]
+
+
+def min_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
+    """Minimum of p_plus over the unit sphere of span(basis), orthonormal columns.
+
+    f(mu) = lambda_max(B^T T(mu) B) is convex with its minimum in
+    [-|dc|/2, 0]. Bisection on the sign of its slope 2 mu + dc[y] (y the top
+    eigenvector) stops at a certificate f(mu) < 0, beyond the rounding of
+    eigh: the compression is then hyperbolic, the subspace lies inside the
+    cone and min p_plus is the smallest of the k compressed eigenvalues above
+    mu (Duffin's minimax). It also stops at a top eigenvector outside the
+    cone, a witness of min p_plus = -inf.
     """
     k = basis.shape[1]
-    coeffs = _sphere_samples(rng, k, samples)
-    if witness_hint_at is not None:
-        compressed = basis.T @ pencil.t_matrix(witness_hint_at) @ basis
-        _, vecs = np.linalg.eigh((compressed + compressed.T) / 2.0)
-        coeffs = np.hstack([coeffs, vecs[:, -1:]])
-    if extra_points is not None and extra_points.size:
-        extra = basis.T @ extra_points
-        norms = np.linalg.norm(extra, axis=0, keepdims=True)
-        good = norms[0] > 1e-12
-        if np.any(good):
-            coeffs = np.hstack([coeffs, extra[:, good] / norms[:, good]])
-    _, pp, feasible = rayleigh_batch(pencil, basis @ coeffs)
-    if not np.all(feasible):
-        return -np.inf
-    best_idx = int(np.argmin(pp))
-    best = float(pp[best_idx])
-    if stop_below is not None and best <= stop_below:
-        return best
-
-    from scipy.optimize import minimize
-
-    hit_infeasible = [False]
-
-    def objective(c):
-        nc = np.linalg.norm(c)
-        if nc < 1e-12:
-            return 1e12
-        x = basis @ (c / nc)
-        pair = rayleigh_pair(pencil, x)
-        if not pair.in_dstar:
-            hit_infeasible[0] = True
-            return -1e12
-        return pair.p_plus
-
-    starts = [coeffs[:, best_idx]]
-    starts += [_sphere_samples(rng, k, 1)[:, 0] for _ in range(refine_starts - 1)]
-    for c0 in starts:
-        res = minimize(objective, c0, method="Nelder-Mead",
-                       options={"xatol": 1e-11, "fatol": 1e-13, "maxiter": 2000})
-        if hit_infeasible[0]:
-            return -np.inf
-        best = min(best, float(res.fun))
-    return best
+    dc, ac = _compress(pencil, basis)
+    lo, hi = -0.5 * float(np.linalg.eigvalsh(dc)[-1]), 0.0
+    for _ in range(MINMAX_MAX_BISECTIONS):
+        mu = 0.5 * (lo + hi)
+        top, y = _top_eigenpair(dc, ac, mu)
+        slack = HYPERBOLIC_SLACK * k * np.finfo(float).eps * (
+            mu * mu + abs(mu) * pencil.d_norm + pencil.a0_norm)
+        if top < -slack:
+            lam = float(_compressed_eigenvalues(dc, ac)[k - 1])
+            x = basis @ _top_eigenpair(dc, ac, lam)[1]
+            return SubspaceValue(rayleigh_pair(pencil, x).p_plus, x, mu, lam)
+        x = basis @ y
+        if not rayleigh_pair(pencil, x).in_dstar:
+            return SubspaceValue(-np.inf, x)
+        if 2.0 * mu + y @ dc @ y > 0.0:
+            hi = mu
+        else:
+            lo = mu
+    return SubspaceValue(np.nan, None)
 
 
-def _max_p_plus_orthogonal_to(
-    pencil: QuadraticPencil,
-    constraint_basis: np.ndarray | None,
-    rng,
-    samples: int = 512,
-    starts: list[np.ndarray] | None = None,
-) -> float:
-    """Supremum of p_plus over the unit sphere orthogonal to the given columns."""
-    n = pencil.dim
-    if constraint_basis is None or constraint_basis.size == 0:
-        comp = np.eye(n)
-    else:
-        q = _orth(constraint_basis)
-        proj = np.eye(n) - q @ q.T
-        w, v = np.linalg.eigh(proj)
-        comp = v[:, w > 0.5]
-    k = comp.shape[1]
+def sup_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
+    """Supremum of p_plus over the unit sphere of span(basis), orthonormal
+    columns: the largest real compressed eigenvalue, -inf when there is none.
+
+    An interior maximiser is a critical point of p_plus, so a compressed
+    eigenvalue. Where the subspace meets the cone's boundary at a double
+    root r, lambda_min(B^T T(.) B) changes sign on [r, 0], so a compressed
+    eigenvalue lies at or above r. The real part of every compressed
+    eigenvalue proposes the kernel vector of B^T T(.) B there, so no
+    threshold on imaginary parts is needed: each proposal is evaluated by
+    rayleigh_pair and the largest p_plus is kept.
+    """
+    k = basis.shape[1]
     if k == 0:
-        return -np.inf
-    coeffs = _sphere_samples(rng, k, samples)
-    _, pp, feasible = rayleigh_batch(pencil, comp @ coeffs)
-    best = float(np.max(pp[feasible])) if np.any(feasible) else -np.inf
+        return SubspaceValue(-np.inf, None)
+    dc, ac = _compress(pencil, basis)
+    lams = _compressed_eigenvalues(dc, ac)
+    w, v = np.linalg.eigh(lams[:, None, None] ** 2 * np.eye(k)
+                          + lams[:, None, None] * dc + ac)
+    nearest = np.argmin(np.abs(w), axis=1)
+    xs = basis @ v[np.arange(lams.size), :, nearest].T
+    _, p_plus, _ = rayleigh_batch(pencil, xs)
+    best = int(np.argmax(p_plus))
+    if p_plus[best] == -np.inf:
+        return SubspaceValue(-np.inf, None)
+    x = xs[:, best]
+    return SubspaceValue(rayleigh_pair(pencil, x).p_plus, x, eigenvalue=float(lams[best]))
 
-    from scipy.optimize import minimize
 
-    def objective(c):
-        nc = np.linalg.norm(c)
-        if nc < 1e-12:
-            return 1e12
-        x = comp @ (c / nc)
-        a, b, cc = pencil.scalar_coefficients(x)
-        disc = b * b - 4.0 * a * cc
-        if disc < 0.0:
-            return 1e6 * (1.0 - disc / max(4.0 * a * cc, 1e-300))
-        q = -(b + np.sqrt(disc)) / 2.0
-        return -(cc / q)
+def _random_minima(pencil, rng, dim, count, bound, tol) -> dict:
+    """The clause min p_plus <= bound on `count` seeded random dim-dimensional
+    subspaces: the check data of a random-subspace clause.
 
-    cands = [comp.T @ s for s in (starts or [])]
-    if np.any(feasible):
-        cands.append(coeffs[:, int(np.argmax(pp))])
-    for c0 in cands:
-        nc = np.linalg.norm(c0)
-        if nc < 1e-12:
+    The top eigenvector y of B^T T(bound) B decides each subspace. If its
+    eigenvalue is >= 0, then t[By](bound) >= 0 and bound > alpha >= p_minus,
+    so By lies outside the cone or has p_plus(By) <= bound; if it is < 0, the
+    subspace lies inside the cone with min p_plus > bound. p_plus(By) is the
+    compared value; only where it exceeds the bound does min_p_plus supply
+    the smallest p_plus found, for the reported excess.
+    """
+    excess = []
+    for _ in range(count):
+        basis = _orth(rng.standard_normal((pencil.dim, dim)))
+        if basis.shape[1] != dim:
             continue
-        res = minimize(objective, c0 / nc, method="Nelder-Mead",
-                       options={"xatol": 1e-11, "fatol": 1e-13, "maxiter": 2000})
-        if res.fun < 1e5:
-            best = max(best, -float(res.fun))
-    return best
+        dc, ac = _compress(pencil, basis)
+        value = rayleigh_pair(pencil, basis @ _top_eigenpair(dc, ac, bound)[1]).p_plus
+        if value - bound > tol:
+            value = np.fmin(value, min_p_plus(pencil, basis).value)
+        excess.append(value - bound)
+    excess = np.array(excess)
+    return {
+        "subspaces": count,
+        "violations": int(np.sum(excess > tol)),
+        "worst_excess": float(np.max(excess[excess > tol], initial=-np.inf)),
+    }
 
 
 def verify_minmax(
@@ -528,8 +554,15 @@ def verify_minmax(
     push min p_plus above lambda_n; (c) the dual form: the supremum of
     p_plus orthogonal to the first n-1 negative-subspace directions equals
     lambda_n, and orthogonal to the pencil-eigenvector span it stays
-    >= lambda_n. For n = N+1 <= dim, every sampled subspace has
+    >= lambda_n. For n = N+1 <= dim, every random subspace has
     min p_plus <= interval.lower (the no-more-eigenvalues clause).
+
+    Each extremum comes from the compressed pencil B^T T(lam) B (min_p_plus,
+    sup_p_plus) and is compared as p_plus at an explicit vector; the check
+    data carries the certificate mu or the witness, and an inconclusive
+    minimum fails its achievement check. The one-sided random-subspace
+    clauses need no minimum: p_plus at the top eigenvector of B^T T(bound) B
+    settles each subspace.
     """
     if random_subspaces < 0:
         raise InvalidArgumentError(
@@ -557,38 +590,22 @@ def verify_minmax(
     for n in range(1, big_n + 1):
         lam_n = float(result.eigenvalues[n - 1])
 
-        span = _orth(eigvec_matrix[:, :n])
-        kernel_cols = eigvec_matrix[:, max(0, n - 1):n]
-        mn = _min_p_plus_on_subspace(pencil, span, rng, extra_points=kernel_cols)
-        report.add("achievement_eigenvector_span", abs(mn - lam_n) <= tol,
-                   n=n, eigenvalue=lam_n, min_p_plus=mn)
+        mn = min_p_plus(pencil, _orth(eigvec_matrix[:, :n]))
+        report.add("achievement_eigenvector_span", abs(mn.value - lam_n) <= tol,
+                   n=n, eigenvalue=lam_n, min_p_plus=mn.value, **mn.data())
 
         w, v = np.linalg.eigh(pencil.t_matrix(lam_n))
         t_scale = float(np.max(np.abs(w)))
         nonpos = v[:, w <= KERNEL_REL_TOL * t_scale]
         report.add("nonpositive_subspace_dimension", nonpos.shape[1] == n,
                    n=n, dimension=nonpos.shape[1])
-        mn_op = _min_p_plus_on_subspace(pencil, nonpos, rng,
-                                        extra_points=kernel_cols)
-        report.add("achievement_spectral_subspace", abs(mn_op - lam_n) <= tol,
-                   n=n, eigenvalue=lam_n, min_p_plus=mn_op)
+        mn = min_p_plus(pencil, nonpos)
+        report.add("achievement_spectral_subspace", abs(mn.value - lam_n) <= tol,
+                   n=n, eigenvalue=lam_n, min_p_plus=mn.value, **mn.data())
 
-        bad = 0
-        worst = -np.inf
-        for _ in range(random_subspaces):
-            basis = _orth(rng.standard_normal((n_dim, n)))
-            if basis.shape[1] < n:
-                continue
-            mn_r = _min_p_plus_on_subspace(pencil, basis, rng, samples=192,
-                                           refine_starts=1,
-                                           stop_below=lam_n + 0.5 * tol,
-                                           witness_hint_at=lam_n)
-            if mn_r > lam_n + tol:
-                bad += 1
-                worst = max(worst, mn_r - lam_n)
-        report.add("random_subspaces_below_eigenvalue", bad == 0,
-                   n=n, eigenvalue=lam_n, subspaces=random_subspaces,
-                   violations=bad, worst_excess=worst)
+        data = _random_minima(pencil, rng, n, random_subspaces, lam_n, tol)
+        report.add("random_subspaces_below_eigenvalue",
+                   data["violations"] == 0, n=n, eigenvalue=lam_n, **data)
 
         # Dual form. The guaranteed minimizing constraint is the strictly
         # negative spectral subspace of T(lambda_n), padded with kernel
@@ -598,37 +615,20 @@ def verify_minmax(
         if pad_needed > 0:
             kern = _kernel_basis(pencil, lam_n)[:, :pad_needed]
             neg = np.column_stack([neg, kern])
-        kernel_start = [eigvec_matrix[:, n - 1]]
-        sup_spec = _max_p_plus_orthogonal_to(pencil, neg, rng, starts=kernel_start)
-        report.add("dual_spectral_subspace", abs(sup_spec - lam_n) <= tol,
-                   n=n, eigenvalue=lam_n, sup_p_plus=sup_spec,
-                   constraint_dim=neg.shape[1])
+        sup = sup_p_plus(pencil, _complement(n_dim, neg))
+        report.add("dual_spectral_subspace", abs(sup.value - lam_n) <= tol,
+                   n=n, eigenvalue=lam_n, sup_p_plus=sup.value,
+                   constraint_dim=neg.shape[1], **sup.data())
 
-        span_prev = eigvec_matrix[:, : n - 1] if n > 1 else None
-        sup_pencil = _max_p_plus_orthogonal_to(pencil, span_prev, rng,
-                                               starts=kernel_start)
-        report.add("dual_eigenvector_span_lower", sup_pencil >= lam_n - tol,
-                   n=n, eigenvalue=lam_n, sup_p_plus=sup_pencil)
+        sup = sup_p_plus(pencil, _complement(n_dim, eigvec_matrix[:, : n - 1]))
+        report.add("dual_eigenvector_span_lower", sup.value >= lam_n - tol,
+                   n=n, eigenvalue=lam_n, sup_p_plus=sup.value, **sup.data())
 
     n_above = big_n + 1
     if n_above <= n_dim:
-        bad = 0
-        worst = -np.inf
-        for _ in range(random_subspaces):
-            basis = _orth(rng.standard_normal((n_dim, n_above)))
-            if basis.shape[1] < n_above:
-                continue
-            mn_r = _min_p_plus_on_subspace(pencil, basis, rng, samples=192,
-                                           refine_starts=1,
-                                           stop_below=lower + 0.5 * tol,
-                                           witness_hint_at=lower)
-            if mn_r > lower + tol:
-                bad += 1
-                worst = max(worst, mn_r - lower)
-        report.add("exhaustion_above_n", bad == 0,
-                   n=n_above, interval_lower=lower,
-                   subspaces=random_subspaces, violations=bad,
-                   worst_excess=worst)
+        data = _random_minima(pencil, rng, n_above, random_subspaces, lower, tol)
+        report.add("exhaustion_above_n",
+                   data["violations"] == 0, n=n_above, interval_lower=lower, **data)
     return report
 
 

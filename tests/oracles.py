@@ -2,12 +2,15 @@
 
 Every oracle here avoids the code paths it checks: scalar roots come from
 the companion matrix (numpy.roots), pencil spectra from the interpolated
-determinant polynomial, supremum searches from dense direction grids, beam
-entries from adaptive quadrature, and evolution references from an explicit
-modal decomposition.
+determinant polynomial, extremum searches from dense direction grids (where
+a grid searches over p_plus, rayleigh_batch evaluates it), beam entries from
+adaptive quadrature, and evolution references from an explicit modal
+decomposition.
 """
 import numpy as np
 from scipy.integrate import quad
+
+from quadpencil import rayleigh_batch
 
 
 def quad_roots(a, b, c):
@@ -53,6 +56,14 @@ def p_minus_grid_2d(a0, d, points=400001):
     if not np.any(ok):
         return -np.inf
     return float(np.max((-b[ok] - np.sqrt(disc[ok])) / (2.0 * a[ok])))
+
+
+def p_plus_on_plane(pencil, basis, points=20001):
+    """p_plus on a dense angle grid of the unit circle of span(basis), two
+    orthonormal columns; -inf where the direction has no real roots."""
+    theta = np.linspace(0.0, np.pi, points)
+    _, p_plus, _ = rayleigh_batch(pencil, basis @ np.vstack([np.cos(theta), np.sin(theta)]))
+    return p_plus
 
 
 def damping_entry_adaptive(profile, m, n):

@@ -125,6 +125,38 @@ class TestVariationalCommand:
         assert doc["alpha"] is None
         assert doc["alpha_bracket"] is None
 
+    def test_rescaled_diag_fixture(self, tmp_path):
+        # A0 * 1e12, D * 1e6: the same pencil with every eigenvalue times 1e6.
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "dense",
+            "dense": {"a0": [[2e12, 0.0], [0.0, 8e12]], "d": [[6e6, 0.0], [0.0, 2e6]]},
+        })
+        out = tmp_path / "var.json"
+        assert main(["variational", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["eigenvalues"][0]["value"] == pytest.approx(1e6 * (-3.0 + SQRT7), rel=1e-12)
+        checks = doc["minmax_report"]["checks"]
+        assert all(c["ok"] for c in checks)
+        for c in checks:
+            if "min_p_plus" in c or "sup_p_plus" in c:
+                assert c["witness"] is not None and not c["inconclusive"]
+
+    def test_critical_and_overdamped_modes(self, tmp_path):
+        # D = diag(2, 10): mode 1 is critically damped (double root -1 = alpha),
+        # so R^2 touches the cone's boundary in the exhaustion clause.
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "dense",
+            "dense": {"a0": [[1.0, 0.0], [0.0, 1.0]], "d": [[2.0, 0.0], [0.0, 10.0]]},
+        })
+        out = tmp_path / "var.json"
+        assert main(["variational", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["n_found"] == 1
+        assert doc["eigenvalues"][0]["value"] == pytest.approx(-5.0 + np.sqrt(24.0), rel=1e-12)
+        checks = {c["label"]: c for c in doc["minmax_report"]["checks"]}
+        assert checks["exhaustion_above_n"]["ok"]
+        assert checks["exhaustion_above_n"]["violations"] == 0
+
     def test_rerun_byte_identical_except_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["variational", str(CONFIGS / "dense_diag.json"), "--subspaces", "10"]

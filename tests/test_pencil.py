@@ -354,11 +354,12 @@ class TestDstarCertificate:
         assert cert.verdict is DstarVerdict.NONEMPTY_CERTIFIED
         assert rayleigh_pair(diag_pencil, cert.witness).in_dstar
 
-    def test_boundary_inconclusive(self, critical_1x1):
+    def test_boundary_witnessed(self, critical_1x1):
+        # the cone is everything: d[x] = 2 |x| sqrt(a0[x]) exactly
         cert = dstar_empty_certificate(critical_1x1)
-        assert cert.verdict is DstarVerdict.INCONCLUSIVE
-        # the cone is actually everything: d[x] = 2 |x| sqrt(a0[x]) exactly
-        assert rayleigh_pair(critical_1x1, [1.0]).in_dstar
+        assert cert.verdict is DstarVerdict.NONEMPTY_CERTIFIED
+        assert np.array_equal(cert.witness, [1.0])
+        assert rayleigh_pair(critical_1x1, cert.witness).in_dstar
 
     def test_weak_damping_empty(self):
         pencil = QuadraticPencil.from_matrices(np.diag([2.0, 8.0]), 0.05 * np.eye(2))

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadpencil import (
     BeamConfig,
@@ -21,9 +25,9 @@ from quadpencil import (
 )
 from quadpencil import rayleigh_pair
 from quadpencil.config import random_pencil
-from quadpencil.variational import _counted, _polish
+from quadpencil.variational import _counted, _orth, _polish, min_p_plus, sup_p_plus
 
-from oracles import quad_roots
+from oracles import p_plus_on_plane, quad_roots
 
 SQRT7 = np.sqrt(7.0)
 
@@ -116,8 +120,6 @@ class TestLocate:
     def test_interval_validation(self):
         with pytest.raises(InvalidArgumentError):
             IntervalDelta(lower=1.0)
-        with pytest.raises(InvalidArgumentError):
-            IntervalDelta(lower=-1.0, upper=-0.5)
 
     def test_tol_validation(self, diag_pencil):
         with pytest.raises(InvalidArgumentError):
@@ -196,6 +198,92 @@ class TestVerifyMinmax:
             assert res.n_found >= 1
             report = verify_minmax(pencil, res, random_subspaces=40, seed=seed)
             assert report.ok, report.failures()
+
+
+class TestCompressedExtrema:
+    def test_plane_grid_oracle(self):
+        rng = np.random.default_rng(11)
+        kinds = {"certified": 0, "outside": 0, "sup": 0}
+        for seed in range(12):
+            pencil = random_pencil(3 + seed % 4, 1200 + seed, damping_scale=8.0,
+                                   ensure_real_root_cone=True)
+            for _ in range(10):
+                basis = _orth(rng.standard_normal((pencil.dim, 2)))
+                grid = p_plus_on_plane(pencil, basis)
+                finite = grid[np.isfinite(grid)]
+                pad = 1e-12 * max(1.0, np.max(np.abs(finite), initial=0.0))
+                low, high = min_p_plus(pencil, basis), sup_p_plus(pencil, basis)
+                assert not low.inconclusive
+                for ext in (low, high):
+                    if ext.value == -np.inf and ext.witness is not None:
+                        assert not rayleigh_pair(pencil, ext.witness).in_dstar
+                    elif ext.witness is not None:
+                        assert rayleigh_pair(pencil, ext.witness).p_plus == ext.value
+                assert low.value <= np.min(grid) + pad
+                assert high.value >= np.max(grid) - pad
+                # the grid misses an interior extremum by (half-spacing)^2 x curvature
+                if low.certificate is not None:
+                    kinds["certified"] += 1
+                    assert np.all(np.isfinite(grid))
+                    assert np.min(grid) - low.value <= 1e-6 * abs(low.value)
+                else:
+                    kinds["outside"] += 1
+                    assert low.value == -np.inf and low.witness is not None
+                if high.value > -np.inf:
+                    kinds["sup"] += 1
+                    assert high.value - np.max(grid) <= 1e-6 * abs(high.value)
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_cone_boundary_settled_by_top_eigenvector(self, critical_1x1):
+        # R^1 touches the cone's boundary (double root -1): no mu makes the
+        # compression negative definite and no vector leaves the cone, so the
+        # exact minimum is inconclusive, but the one-sided exhaustion clause
+        # is settled by p_plus(1) = -1 <= bound.
+        assert min_p_plus(critical_1x1, np.eye(1)).inconclusive
+        res = locate_real_eigenvalues(critical_1x1, IntervalDelta(lower=-0.999999), 1e-10)
+        assert res.n_found == 0
+        report = verify_minmax(critical_1x1, res, random_subspaces=3, seed=0)
+        assert report.ok, report.failures()
+        (check,) = report.checks
+        assert check.label == "exhaustion_above_n"
+        assert check.data["violations"] == 0 and check.data["subspaces"] == 3
+
+    def test_missed_eigenvalue_is_a_violation(self):
+        # A0 = I, D = diag(3, 4): eigenvalues (-4+sqrt12)/2 > (-3+sqrt5)/2 in
+        # (alpha, 0] with alpha = (-3-sqrt5)/2. Dropping the second from the
+        # result leaves R^2, inside the cone, with min p_plus above the bound.
+        pencil = QuadraticPencil.from_matrices(np.eye(2), np.diag([3.0, 4.0]))
+        lower = (-3.0 - np.sqrt(5.0)) / 2.0 + 1e-6
+        res = locate_real_eigenvalues(pencil, IntervalDelta(lower=lower), 1e-10)
+        assert res.n_found == 2
+        first = res.per_eigenvalue[0]
+        res = dataclasses.replace(res, eigenvalues=res.eigenvalues[:1], n_found=1,
+                                  per_eigenvalue=(first,))
+        report = verify_minmax(pencil, res, random_subspaces=4, seed=0)
+        (check,) = report.failures()
+        assert check.label == "exhaustion_above_n"
+        assert check.data["violations"] == 4
+        assert check.data["worst_excess"] == pytest.approx(
+            (-3.0 + np.sqrt(5.0)) / 2.0 - lower, rel=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), dim=st.integers(2, 5),
+           c=st.floats(1e-3, 1e3))
+    def test_verdicts_survive_rescaling(self, seed, dim, c):
+        # A0 -> c^2 A0, D -> c D multiplies every eigenvalue by c.
+        pencil = random_pencil(dim, seed, damping_scale=6.0, ensure_real_root_cone=True)
+        scaled = QuadraticPencil.from_matrices(c * c * pencil.a0_matrix, c * pencil.d_matrix)
+        verdicts = []
+        for p in (pencil, scaled):
+            alpha = compute_alpha(p).alpha
+            res = locate_real_eigenvalues(
+                p, IntervalDelta(lower=alpha + 1e-6 * abs(alpha)), 1e-10 * max(1.0, c),
+                alpha_estimate=alpha,
+            )
+            report = verify_minmax(p, res, random_subspaces=10, seed=seed)
+            verdicts.append([(check.label, check.ok) for check in report.checks])
+        assert verdicts[0] == verdicts[1]
+        assert all(ok for _, ok in verdicts[0])
 
 
 class TestGenericEngine:
