@@ -155,7 +155,7 @@ def cmd_variational(args) -> int:
                 "value": diag.value,
                 "multiplicity": diag.multiplicity,
                 "residual": diag.residual,
-                "bracket_width": diag.bracket_width,
+                "bracket": list(diag.bracket),
                 "iterations": diag.iterations,
                 "semisimple": diag.semisimple,
             }

@@ -16,8 +16,8 @@ class ConfigError(QuadPencilError, ValueError):
 class ComputationError(QuadPencilError, RuntimeError):
     """A numerical routine failed to converge or a solver broke down.
 
-    Carries optional diagnostics in ``details`` (e.g. the active bisection
-    bracket or condition estimates).
+    Carries optional diagnostics in ``details`` (e.g. an eigenvalue bracket
+    whose inertia counts do not certify it, or condition estimates).
     """
 
     def __init__(self, message, **details):

@@ -8,6 +8,7 @@ plain dense-matrix statements checkable by ordinary eigensolvers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -35,7 +36,7 @@ class LinearizedSystem:
     inverse_matrix: np.ndarray
     dim: int
 
-    @property
+    @cached_property
     def norm(self) -> float:
         return float(np.linalg.norm(self.a_matrix, 2))
 
@@ -92,27 +93,16 @@ def build_linearization(pencil: QuadraticPencil) -> LinearizedSystem:
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Single-linkage clustering of complex points; merges while any pair
-    of clusters comes within tol."""
-    clusters = [[i] for i in range(len(values))]
-    merged = True
-    while merged and len(clusters) > 1:
-        merged = False
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                d = min(
-                    abs(values[p] - values[q])
-                    for p in clusters[i]
-                    for q in clusters[j]
-                )
-                if d <= tol:
-                    clusters[i] = clusters[i] + clusters[j]
-                    del clusters[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return [np.array(c, dtype=int) for c in clusters]
+    """Single-linkage clustering of complex points: the connected components
+    of the graph joining every pair within tol, by min-label propagation."""
+    near = np.abs(values[:, None] - values[None, :]) <= tol
+    labels = np.arange(len(values))
+    while True:
+        spread = np.min(np.where(near, labels, len(values)), axis=1, initial=len(values))
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    return [np.flatnonzero(labels == label) for label in np.unique(labels)]
 
 
 def _nullity(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
@@ -235,7 +225,7 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
             s = np.sort(np.abs(np.linalg.eigvalsh(t.real)))[::-1]
         else:
             s = np.linalg.svd(t, compute_uv=False)
-        t_scale = float(abs(lam) ** 2 + abs(lam) * pencil.d_norm + pencil.a0_norm)
+        t_scale = pencil.term_scale(lam)
         sigma_min = float(s[-1])
         kernel_dim = int(np.sum(s < RANK_REL_TOL * t_scale))
         ok = sigma_min <= 1e-8 * t_scale and kernel_dim == int(mult)

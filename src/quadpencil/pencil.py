@@ -166,6 +166,12 @@ class QuadraticPencil:
         n = self.dim
         return lam * lam * np.eye(n) + lam * self.d_matrix + self.a0_matrix
 
+    def term_scale(self, lam: complex) -> float:
+        """|lam|^2 + |lam| |D| + |A0|, the size of the three terms of T(lam):
+        the yardstick for its rank (|T(lam)| vanishes where the whole space
+        is its kernel)."""
+        return float(abs(lam) ** 2 + abs(lam) * self.d_norm + self.a0_norm)
+
     def form_stiffness(self, x: np.ndarray) -> float:
         x = np.asarray(x)
         return float(np.real(np.vdot(x, self.a0_matrix @ x)))

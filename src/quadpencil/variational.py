@@ -1,14 +1,17 @@
 """Real-eigenvalue extraction on (alpha, 0] and min-max verification.
 
-The ground truth is the inertia count of the symmetric matrix T(lam): moving
-left from zero inside (alpha, 0], the number of negative eigenvalues of
-T(lam) increases exactly by the multiplicity of every pencil eigenvalue
-crossed. Bisection on that step function brackets each eigenvalue; a
-safeguarded root-functional iteration polishes it. Compressed pencils
-B^T T(lam) B then *verify* the max-min formulas on explicit subspaces (the
-min and the sup of p_plus on a subspace are eigenvalues of its compression);
-each compared value is p_plus at an explicit vector and carries a
-certificate or a witness. The compressions never locate eigenvalues.
+The companion spectrum (linearization.full_spectrum) proposes every real
+eigenvalue in (lower, 0]; a root-functional iteration polishes each one, and
+the inertia count of the symmetric matrix T(lam) certifies it. By Sylvester's
+law the number of negative eigenvalues of T(lam) jumps by the multiplicity of
+every pencil eigenvalue crossed inside (alpha, 0], so the counts at 0, at the
+midpoints between neighbouring eigenvalues and at lower must step by exactly
+the reported multiplicities; each eigenvalue carries its isolating bracket.
+Compressed pencils B^T T(lam) B then *verify* the max-min formulas on
+explicit subspaces (the min and the sup of p_plus on a subspace are
+eigenvalues of its compression); each compared value is p_plus at an explicit
+vector and carries a certificate or a witness. The compressions never locate
+eigenvalues.
 
 A small generic layer (MatrixQuadraticFamily) runs the same counting and
 classification machinery on raw symmetric matrix families without positivity
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, InvalidArgumentError
+from .linearization import _cluster, build_linearization, full_spectrum
 from .pencil import (
     QuadraticPencil,
     rayleigh_batch,
@@ -30,6 +34,9 @@ from .reports import Report
 
 BOUNDARY_TOL = 1e-12
 KERNEL_REL_TOL = 1e-8
+# Root steps at most when polishing a companion eigenvalue; each step is
+# kept only while the residual of T(lam) decreases.
+MAX_ROOT_STEPS = 8
 # min_p_plus: bisection steps at most, and the margin below zero that
 # lambda_max(B^T T(mu) B) must clear, in units of k * eps * |T(mu)|.
 MINMAX_MAX_BISECTIONS = 64
@@ -164,8 +171,8 @@ class IntervalDelta:
 class EigenvalueDiagnostics:
     value: float
     multiplicity: int
-    bracket_width: float
-    iterations: int
+    bracket: tuple[float, float]  # (lo, hi): inertia counts differ by multiplicity
+    iterations: int               # root steps from the companion eigenvalue
     residual: float          # smallest |eigenvalue| of T(value)
     t_scale: float           # largest |eigenvalue| of T(value)
     semisimple: bool
@@ -180,24 +187,11 @@ class VariationalResult:
     interval: IntervalDelta
 
 
-def _counted(problem, lam, nudge, boundary_tol=BOUNDARY_TOL) -> tuple[float, int]:
-    """Inertia count with the half-tolerance nudge applied while lam sits
-    numerically on a pencil eigenvalue."""
-    ic = inertia_negative(problem, lam, boundary_tol)
-    tries = 0
-    while ic.boundary > 0 and tries < 8:
-        lam = lam + nudge
-        ic = inertia_negative(problem, lam, boundary_tol)
-        tries += 1
-    return lam, ic.negative
-
-
 def _kernel_basis(pencil: QuadraticPencil, lam: float, count: int | None = None):
     """Eigenvectors of T(lam) for the numerically vanishing eigenvalues."""
     w, v = np.linalg.eigh(pencil.t_matrix(lam))
-    scale = float(np.max(np.abs(w)))
     if count is None:
-        sel = np.abs(w) <= KERNEL_REL_TOL * scale
+        sel = np.abs(w) <= KERNEL_REL_TOL * pencil.term_scale(lam)
         if not np.any(sel):
             sel = np.zeros_like(w, dtype=bool)
             sel[int(np.argmin(np.abs(w)))] = True
@@ -233,70 +227,23 @@ def _root_step(pencil: QuadraticPencil, lam: float) -> tuple[float | None, float
     return float(nxt), abs(float(w[j])), scale
 
 
-def _polish(
-    pencil: QuadraticPencil,
-    lo: float,
-    hi: float,
-    count_lo: int,
-    count_hi: int,
-    max_iterations: int,
-    width_trace: list | None = None,
-) -> tuple[float, int, float]:
-    """Safeguarded root-functional iteration inside an isolating bracket.
+def _refine(pencil: QuadraticPencil, lam: float, lo: float, hi: float):
+    """Root steps from lam, kept while they stay inside (lo, hi) and lower the
+    residual; returns (lam, steps, residual, |T(lam)|)."""
+    nxt, residual, t_scale = _root_step(pencil, lam)
+    steps = 0
+    while steps < MAX_ROOT_STEPS and nxt is not None and lo < nxt < hi and nxt != lam:
+        after, r, s = _root_step(pencil, nxt)
+        if r >= residual:
+            break
+        lam, nxt, residual, t_scale = nxt, after, r, s
+        steps += 1
+    return lam, steps, residual, t_scale
 
-    Phase one alternates root steps with inertia-count bracket updates, so
-    the bracket width decreases strictly; once the iterate sits inside the
-    counting boundary zone, a short free phase pushes the residual to
-    machine level (the count is blind there by construction).
-    """
-    width0 = hi - lo
-    lam = 0.5 * (lo + hi)
-    prev = None
-    iterations = 0
-    for _ in range(max_iterations):
-        iterations += 1
-        if width_trace is not None:
-            width_trace.append(hi - lo)
-        nxt, mu, scale = _root_step(pencil, lam)
-        if mu <= 10.0 * BOUNDARY_TOL * scale or hi - lo <= 8.0 * np.spacing(
-            max(abs(lo), abs(hi))
-        ):
-            break
-        if nxt is None or not (lo < nxt < hi) or (prev is not None and nxt == prev):
-            nxt = 0.5 * (lo + hi)
-        nudge = min(0.25 * (hi - lo), 0.25 * (hi - nxt) + 1e-300)
-        _, cnt = _counted(pencil, nxt, nudge)
-        if cnt == count_lo:
-            lo = nxt
-        else:
-            hi = nxt
-        prev, lam = lam, nxt
-        lam = min(max(lam, lo), hi)
-    else:
-        raise ComputationError(
-            "eigenvalue polish did not converge", bracket=(lo, hi),
-            iterations=max_iterations,
-        )
 
-    # Free phase: pure root iteration, accepted only while the residual
-    # decreases, so it cannot wander off to the companion root.
-    nxt, mu_here, _ = _root_step(pencil, lam)
-    best_lam, best_mu = lam, mu_here
-    sanity = 0.1 * max(1.0, abs(lam)) + 4.0 * width0
-    for _ in range(8):
-        if nxt is None or abs(nxt - lam) > sanity:
-            break
-        iterations += 1
-        step = abs(nxt - lam)
-        lam = nxt
-        nxt, mu_here, _ = _root_step(pencil, lam)
-        if mu_here < best_mu:
-            best_mu, best_lam = mu_here, lam
-        else:
-            break
-        if step <= np.spacing(max(1.0, abs(lam))):
-            break
-    return best_lam, iterations, hi - lo
+def _separators(values: list[float], lower: float) -> list[float]:
+    """0, the midpoints between neighbouring descending values, and lower."""
+    return [0.0, *(0.5 * (a + b) for a, b in zip(values, values[1:])), lower]
 
 
 def locate_real_eigenvalues(
@@ -304,16 +251,19 @@ def locate_real_eigenvalues(
     interval: IntervalDelta,
     tol: float,
     alpha_estimate: float | None = None,
-    max_iterations: int = 200,
 ) -> VariationalResult:
     """All pencil eigenvalues in (interval.lower, 0] with multiplicities.
 
-    Jumps of the inertia count are bracketed to width `tol` by bisection on
-    a seeded grid, then polished. Count changes of either sign are honored,
-    so root-branch eigenvalues below the p_minus supremum are still found
-    when a caller passes a wider interval; zeros of even local multiplicity
-    in lam (possible only at or below that supremum) do not move the count
-    and stay invisible to this method.
+    The real companion eigenvalues in the interval are polished by root
+    steps inside the midpoints to their neighbours; values closer than `tol`
+    merge into one entry whose multiplicity is the sum. Each entry is then
+    certified by inertia counts at its separators (0, the midpoints between
+    neighbouring entries, lower): they must differ by its multiplicity, and
+    every separator but the open end lower must lie off the spectrum.
+    Inside (alpha, 0] this holds for every eigenvalue; below alpha a
+    caller's wider interval may hold a zero of even local multiplicity in
+    lam, which moves no count. A failed certificate raises ComputationError
+    with the bracket and its counts.
     """
     if tol <= 0.0:
         raise InvalidArgumentError("tol must be positive")
@@ -326,60 +276,46 @@ def locate_real_eigenvalues(
             )
 
     lower = interval.lower
-    nudge = 0.5 * tol
-    grid = np.linspace(lower, 0.0, max(17, 2 * pencil.dim + 5))
-    pts = []
-    for g in grid:
-        lam_eff, cnt = _counted(pencil, g, nudge)
-        pts.append((lam_eff, cnt))
-    kappa = pts[-1][1]
+    found = full_spectrum(build_linearization(pencil)).real_eigenvalues_in(lower)
+    cuts = _separators([lam for lam, _ in found], lower)
+    polished = [_refine(pencil, lam, cuts[i + 1], cuts[i])
+                for i, (lam, _) in enumerate(found)]
+    entries = []
+    for group in _cluster(np.array([p[0] for p in polished]), tol):
+        best = min(group, key=lambda i: polished[i][2])
+        entries.append((*polished[best], sum(found[i][1] for i in group)))
 
-    brackets = []
-    stack = [
-        (pts[i][0], pts[i + 1][0], pts[i][1], pts[i + 1][1])
-        for i in range(len(pts) - 1)
-        if pts[i][1] != pts[i + 1][1]
-    ]
-    while stack:
-        lo, hi, c_lo, c_hi = stack.pop()
-        if hi - lo <= tol:
-            brackets.append((lo, hi, c_lo, c_hi))
-            continue
-        mid, c_mid = _counted(pencil, 0.5 * (lo + hi), nudge)
-        if not (lo < mid < hi):
-            mid, c_mid = 0.5 * (lo + hi), inertia_negative(pencil, 0.5 * (lo + hi)).negative
-        if c_lo != c_mid:
-            stack.append((lo, mid, c_lo, c_mid))
-        if c_mid != c_hi:
-            stack.append((mid, hi, c_mid, c_hi))
-
-    diags = []
-    for lo, hi, c_lo, c_hi in brackets:
-        mult = abs(c_lo - c_hi)
-        lam, iters, width = _polish(pencil, lo, hi, c_lo, c_hi, max_iterations)
-        w = np.linalg.eigvalsh(pencil.t_matrix(lam))
-        residual = float(np.min(np.abs(w)))
-        t_scale = float(np.max(np.abs(w)))
-        diags.append(
-            EigenvalueDiagnostics(
-                value=float(lam),
-                multiplicity=int(mult),
-                bracket_width=float(width),
-                iterations=int(iters),
-                residual=residual,
-                t_scale=t_scale,
-                semisimple=_is_semisimple(pencil, lam, mult),
+    cuts = _separators([e[0] for e in entries], lower)
+    counts = [inertia_negative(pencil, cut) for cut in cuts]
+    for k, mult in enumerate([e[4] for e in entries] or [0]):
+        c_hi, c_lo = counts[k], counts[k + 1]
+        on_spectrum = c_hi.boundary or (k + 2 < len(cuts) and c_lo.boundary)
+        if on_spectrum or abs(c_lo.negative - c_hi.negative) != mult:
+            raise ComputationError(
+                "inertia counts do not certify the eigenvalue bracket",
+                bracket=(cuts[k + 1], cuts[k]), multiplicity=mult,
+                counts=(c_lo.negative, c_hi.negative),
+                boundary=(c_lo.boundary, c_hi.boundary),
             )
+
+    diags = tuple(
+        EigenvalueDiagnostics(
+            value=float(lam),
+            multiplicity=int(mult),
+            bracket=(float(cuts[k + 1]), float(cuts[k])),
+            iterations=int(steps),
+            residual=residual,
+            t_scale=t_scale,
+            semisimple=_is_semisimple(pencil, lam, mult),
         )
-    diags.sort(key=lambda d: -d.value)
-    expanded = np.array(
-        [d.value for d in diags for _ in range(d.multiplicity)], dtype=float
+        for k, (lam, steps, residual, t_scale, mult) in enumerate(entries)
     )
+    expanded = np.array([d.value for d in diags for _ in range(d.multiplicity)], dtype=float)
     return VariationalResult(
         eigenvalues=expanded,
-        kappa=int(kappa),
+        kappa=counts[0].negative,
         n_found=int(expanded.size),
-        per_eigenvalue=tuple(diags),
+        per_eigenvalue=diags,
         interval=interval,
     )
 
@@ -465,8 +401,7 @@ def min_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
     for _ in range(MINMAX_MAX_BISECTIONS):
         mu = 0.5 * (lo + hi)
         top, y = _top_eigenpair(dc, ac, mu)
-        slack = HYPERBOLIC_SLACK * k * np.finfo(float).eps * (
-            mu * mu + abs(mu) * pencil.d_norm + pencil.a0_norm)
+        slack = HYPERBOLIC_SLACK * k * np.finfo(float).eps * pencil.term_scale(mu)
         if top < -slack:
             lam = float(_compressed_eigenvalues(dc, ac)[k - 1])
             x = basis @ _top_eigenpair(dc, ac, lam)[1]
@@ -595,10 +530,11 @@ def verify_minmax(
                    n=n, eigenvalue=lam_n, min_p_plus=mn.value, **mn.data())
 
         w, v = np.linalg.eigh(pencil.t_matrix(lam_n))
-        t_scale = float(np.max(np.abs(w)))
-        nonpos = v[:, w <= KERNEL_REL_TOL * t_scale]
-        report.add("nonpositive_subspace_dimension", nonpos.shape[1] == n,
-                   n=n, dimension=nonpos.shape[1])
+        cut = KERNEL_REL_TOL * pencil.term_scale(lam_n)
+        nonpos = v[:, w <= cut]
+        expected = int(np.sum(result.eigenvalues >= lam_n))
+        report.add("nonpositive_subspace_dimension", nonpos.shape[1] == expected,
+                   n=n, dimension=nonpos.shape[1], expected=expected)
         mn = min_p_plus(pencil, nonpos)
         report.add("achievement_spectral_subspace", abs(mn.value - lam_n) <= tol,
                    n=n, eigenvalue=lam_n, min_p_plus=mn.value, **mn.data())
@@ -610,7 +546,7 @@ def verify_minmax(
         # Dual form. The guaranteed minimizing constraint is the strictly
         # negative spectral subspace of T(lambda_n), padded with kernel
         # vectors when the eigenvalue is multiple.
-        neg = v[:, w < -KERNEL_REL_TOL * t_scale]
+        neg = v[:, w < -cut]
         pad_needed = n - 1 - neg.shape[1]
         if pad_needed > 0:
             kern = _kernel_basis(pencil, lam_n)[:, :pad_needed]

@@ -85,3 +85,45 @@ def modal_energy(a_matrix, u0, times):
         u = v @ (np.exp(w * t) * coeff)
         energies.append(float(np.real(np.vdot(u, u))))
     return np.array(energies)
+
+
+def det_poly_real_roots_mp(a0, d, digits=50):
+    """Real roots of det(z^2 I + z D + A0) at `digits` significant digits,
+    repeated by multiplicity and sorted descending.
+
+    The entries z^2 delta_ij + z d_ij + a0_ij are coefficient lists of exact
+    binary-to-decimal conversions; the Leibniz expansion over all n!
+    permutations (n <= 4 here) gives the determinant polynomial, and
+    mpmath.polyroots its roots. A multiple root splits by about the square
+    root of the working precision, so a root is real when its imaginary part
+    is below 10^(-digits/3) of its size.
+    """
+    import itertools
+
+    import mpmath
+
+    a0 = np.asarray(a0, float)
+    d = np.asarray(d, float)
+    n = a0.shape[0]
+    with mpmath.workdps(digits):
+        def entry(i, j):
+            return [mpmath.mpf(a0[i, j]), mpmath.mpf(d[i, j]), mpmath.mpf(int(i == j))]
+
+        def times(p, q):
+            out = [mpmath.mpf(0)] * (len(p) + len(q) - 1)
+            for i, pi in enumerate(p):
+                for j, qj in enumerate(q):
+                    out[i + j] += pi * qj
+            return out
+
+        det = [mpmath.mpf(0)] * (2 * n + 1)
+        for perm in itertools.permutations(range(n)):
+            sign = (-1) ** sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+            term = [mpmath.mpf(sign)]
+            for i in range(n):
+                term = times(term, entry(i, perm[i]))
+            det = [c + t for c, t in zip(det, term)]
+        roots = mpmath.polyroots(det[::-1], maxsteps=400, extraprec=4 * digits)
+        cut = mpmath.mpf(10) ** (-digits // 3)
+        real = [float(r.real) for r in roots if abs(mpmath.im(r)) <= cut * max(1, abs(r))]
+    return sorted(real, reverse=True)

@@ -157,6 +157,27 @@ class TestVariationalCommand:
         assert checks["exhaustion_above_n"]["ok"]
         assert checks["exhaustion_above_n"]["violations"] == 0
 
+    @pytest.mark.parametrize("a0, d, double", [
+        ([3.0, 3.0], [7.0, 7.0], (-7.0 + np.sqrt(37.0)) / 2.0),
+        ([2.0, 2.0, 8.0], [6.0, 6.0, 2.0], -3.0 + SQRT7),
+    ])
+    def test_semisimple_double_eigenvalue(self, tmp_path, a0, d, double):
+        # T(double) vanishes on a 2-D kernel, which the min-max checks must
+        # measure against the size of T's terms, not against |T(double)|.
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "dense",
+            "dense": {"a0": np.diag(a0).tolist(), "d": np.diag(d).tolist()},
+        })
+        out = tmp_path / "var.json"
+        assert main(["variational", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        (entry,) = doc["eigenvalues"]
+        assert entry["multiplicity"] == 2 and doc["n_found"] == 2
+        assert entry["value"] == pytest.approx(double, rel=1e-12)
+        lo, hi = entry["bracket"]
+        assert lo == doc["interval"]["lower"] and hi == 0.0
+        assert all(c["ok"] for c in doc["minmax_report"]["checks"])
+
     def test_rerun_byte_identical_except_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["variational", str(CONFIGS / "dense_diag.json"), "--subspaces", "10"]

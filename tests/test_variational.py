@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from quadpencil import (
     BeamConfig,
+    ComputationError,
     IntervalDelta,
     InvalidArgumentError,
     MatrixQuadraticFamily,
     QuadraticPencil,
+    beam_closed_form,
     build_linearization,
     compute_alpha,
     discretize_beam,
@@ -25,9 +27,9 @@ from quadpencil import (
 )
 from quadpencil import rayleigh_pair
 from quadpencil.config import random_pencil
-from quadpencil.variational import _counted, _orth, _polish, min_p_plus, sup_p_plus
+from quadpencil.variational import _orth, min_p_plus, sup_p_plus
 
-from oracles import p_plus_on_plane, quad_roots
+from oracles import det_poly_real_roots_mp, p_plus_on_plane, quad_roots
 
 SQRT7 = np.sqrt(7.0)
 
@@ -125,6 +127,15 @@ class TestLocate:
         with pytest.raises(InvalidArgumentError):
             locate_real_eigenvalues(diag_pencil, IntervalDelta(lower=-1.0), 0.0)
 
+    def test_uncertified_bracket_raises(self, critical_1x1):
+        # Below alpha = -1 the interval holds the critical double root -1, a
+        # zero of even order of T(lam) = (lam + 1)^2: no count moves across it.
+        with pytest.raises(ComputationError) as info:
+            locate_real_eigenvalues(critical_1x1, IntervalDelta(lower=-2.0), 1e-10)
+        details = info.value.details
+        assert details["bracket"] == (-2.0, 0.0) and details["multiplicity"] == 2
+        assert details["counts"] == (0, 0)
+
     def test_matches_linearization_random(self):
         for seed in range(8):
             pencil = random_pencil(3 + seed % 6, 700 + seed, damping_scale=5.0,
@@ -140,6 +151,33 @@ class TestLocate:
                 expected.extend([lam] * mult)
             assert len(expected) == res.n_found
             assert np.allclose(res.eigenvalues, expected, atol=1e-7)
+
+    def test_matches_mpmath_determinant_oracle(self):
+        # Independent of the companion matrix: real roots of det T(lam) at 50
+        # digits, on the acceptance ensemble's pencils of dim <= 4 and on two
+        # semisimple double eigenvalues.
+        pencils = [
+            random_pencil(2 + seed % 5, seed, damping_scale=4.0 + seed % 3,
+                          ensure_real_root_cone=True)
+            for seed in range(50) if seed % 5 <= 2
+        ]
+        pencils += [
+            QuadraticPencil.from_matrices(np.diag([3.0, 3.0]), np.diag([7.0, 7.0])),
+            QuadraticPencil.from_matrices(np.diag([2.0, 2.0, 8.0]), np.diag([6.0, 6.0, 2.0])),
+        ]
+        found = 0
+        for pencil in pencils:
+            alpha = compute_alpha(pencil).alpha
+            lower = alpha + 1e-6 * abs(alpha)
+            res = locate_real_eigenvalues(
+                pencil, IntervalDelta(lower=lower), 1e-10, alpha_estimate=alpha
+            )
+            exact = [r for r in det_poly_real_roots_mp(pencil.a0_matrix, pencil.d_matrix)
+                     if lower < r <= 0.0]
+            assert res.n_found == len(exact)
+            assert np.allclose(res.eigenvalues, exact, rtol=1e-10, atol=0.0)
+            found += res.n_found
+        assert found >= len(pencils)
 
     def test_semisimple_and_derivative_positive_in_open_interval(self):
         for seed in range(6):
@@ -162,15 +200,47 @@ class TestLocate:
                 slope = 2.0 * diag.value * (x @ x) + pencil.form_damping(x)
                 assert slope > 0.0
 
-    def test_polish_bracket_width_decreases(self, diag_pencil):
-        target = -3.0 + SQRT7
-        lo, hi = target - 0.21, target + 0.17
-        _, c_lo = _counted(diag_pencil, lo, 1e-10)
-        _, c_hi = _counted(diag_pencil, hi, 1e-10)
-        widths = []
-        lam, _, _ = _polish(diag_pencil, lo, hi, c_lo, c_hi, 200, width_trace=widths)
-        assert lam == pytest.approx(target, abs=1e-12)
-        assert all(w1 > w2 for w1, w2 in zip(widths, widths[1:]))
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), dim=st.integers(2, 5),
+           c=st.floats(1e-3, 1e3))
+    def test_rescaling_scales_eigenvalues_and_brackets(self, seed, dim, c):
+        # A0 -> c^2 A0, D -> c D multiplies every eigenvalue by c.
+        pencil = random_pencil(dim, seed, damping_scale=6.0, ensure_real_root_cone=True)
+        scaled = QuadraticPencil.from_matrices(c * c * pencil.a0_matrix, c * pencil.d_matrix)
+        alpha = compute_alpha(pencil).alpha
+        lower = alpha + 1e-6 * abs(alpha)
+        base = locate_real_eigenvalues(pencil, IntervalDelta(lower=lower), 1e-10)
+        res = locate_real_eigenvalues(scaled, IntervalDelta(lower=c * lower), 1e-10 * c)
+        assert res.n_found == base.n_found
+        assert ([d.multiplicity for d in res.per_eigenvalue]
+                == [d.multiplicity for d in base.per_eigenvalue])
+        assert np.allclose(res.eigenvalues, c * base.eigenvalues, rtol=1e-10, atol=0.0)
+        for d, d_base in zip(res.per_eigenvalue, base.per_eigenvalue):
+            assert np.allclose(d.bracket, c * np.array(d_base.bracket), rtol=1e-10, atol=0.0)
+
+    def test_brackets_contain_closed_form_beam_50(self):
+        # 50 modes, constant d = 4: the eigenvalues in (-2 pi^2, 0] are
+        # (-2 + sqrt3) pi^2 k^2 for k = 1, 2. Each bracket must hold its
+        # closed-form value and carry a count jump of its multiplicity.
+        cfg = BeamConfig(
+            a0=1.0,
+            damping=make_damping_profile({"profile": "constant", "params": {"value": 4.0}}),
+            n_modes=50,
+        )
+        pencil = discretize_beam(cfg)
+        exact = beam_closed_form(cfg).real
+        res = locate_real_eigenvalues(pencil, IntervalDelta(lower=-2.0 * np.pi**2), 1e-8)
+        assert res.n_found == 2
+        for diag in res.per_eigenvalue:
+            lo, hi = diag.bracket
+            inside = exact[(lo < exact) & (exact < hi)]
+            assert inside.size == diag.multiplicity == 1
+            assert diag.value == pytest.approx(inside[0], rel=1e-12)
+            jump = (inertia_negative(pencil, lo).negative
+                    - inertia_negative(pencil, hi).negative)
+            assert jump == diag.multiplicity
+        assert res.per_eigenvalue[0].bracket[1] == 0.0
+        assert res.per_eigenvalue[-1].bracket[0] == -2.0 * np.pi**2
 
 
 class TestVerifyMinmax:
