@@ -94,15 +94,27 @@ def build_linearization(pencil: QuadraticPencil) -> LinearizedSystem:
 
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Single-linkage clustering of complex points: the connected components
-    of the graph joining every pair within tol, by min-label propagation."""
-    near = np.abs(values[:, None] - values[None, :]) <= tol
-    labels = np.arange(len(values))
-    while True:
-        spread = np.min(np.where(near, labels, len(values)), axis=1, initial=len(values))
-        if np.array_equal(spread, labels):
-            break
-        labels = spread
-    return [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    of the graph joining every pair within tol. In real-part order a point's
+    partners lie in the window of real parts up to tol above its own, so only
+    those pairs are compared and joined in a union-find forest."""
+    order = np.argsort(values.real, kind="stable")
+    w = values[order]
+    ends = np.searchsorted(w.real, w.real + tol, side="right")
+    parent = list(range(len(w)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(w)):
+        for j in np.flatnonzero(np.abs(w[i + 1:ends[i]] - w[i]) <= tol) + i + 1:
+            a, b = root(i), root(int(j))
+            parent[max(a, b)] = min(a, b)
+    labels = np.array([root(i) for i in range(len(w))], dtype=int)
+    return sorted((np.sort(order[labels == r]) for r in np.unique(labels)),
+                  key=lambda c: c[0])
 
 
 def _nullity(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:

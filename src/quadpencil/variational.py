@@ -1,8 +1,9 @@
 """Real-eigenvalue extraction on (alpha, 0] and min-max verification.
 
-The companion spectrum (linearization.full_spectrum) proposes every real
-eigenvalue in (lower, 0]; a root-functional iteration polishes each one, and
-the inertia count of the symmetric matrix T(lam) certifies it. By Sylvester's
+The eigenvalues of the companion matrix (linearization.build_linearization)
+that are real at the caller's resolution tol propose every real eigenvalue in
+(lower, 0]; a root-functional iteration polishes each one, and the inertia
+count of the symmetric matrix T(lam) certifies it. By Sylvester's
 law the number of negative eigenvalues of T(lam) jumps by the multiplicity of
 every pencil eigenvalue crossed inside (alpha, 0], so the counts at 0, at the
 midpoints between neighbouring eigenvalues and at lower must step by exactly
@@ -22,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ComputationError, InvalidArgumentError
-from .linearization import _cluster, build_linearization, full_spectrum
+from .linearization import build_linearization
 from .pencil import (
     QuadraticPencil,
     rayleigh_batch,
@@ -241,6 +243,14 @@ def _refine(pencil: QuadraticPencil, lam: float, lo: float, hi: float):
     return lam, steps, residual, t_scale
 
 
+def _runs(values: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Single linkage of sorted reals: index runs split where neighbours lie
+    more than tol apart."""
+    if values.size == 0:
+        return []
+    return np.split(np.arange(values.size), np.flatnonzero(np.abs(np.diff(values)) > tol) + 1)
+
+
 def _separators(values: list[float], lower: float) -> list[float]:
     """0, the midpoints between neighbouring descending values, and lower."""
     return [0.0, *(0.5 * (a + b) for a, b in zip(values, values[1:])), lower]
@@ -254,12 +264,15 @@ def locate_real_eigenvalues(
 ) -> VariationalResult:
     """All pencil eigenvalues in (interval.lower, 0] with multiplicities.
 
-    The real companion eigenvalues in the interval are polished by root
-    steps inside the midpoints to their neighbours; values closer than `tol`
-    merge into one entry whose multiplicity is the sum. Each entry is then
-    certified by inertia counts at its separators (0, the midpoints between
-    neighbouring entries, lower): they must differ by its multiplicity, and
-    every separator but the open end lower must lie off the spectrum.
+    The companion eigenvalues in the interval that are real at resolution
+    `tol` (a conjugate pair closer than `tol` is one real point) are merged
+    where closer than `tol` and polished by root steps inside the midpoints
+    to their neighbours; polished values closer than `tol`, or whose
+    midpoint is numerically an eigenvalue, merge into one entry whose
+    multiplicity is the sum. Each entry is then certified by inertia counts
+    at its separators (0, the midpoints between neighbouring entries,
+    lower): they must differ by its multiplicity, and every separator but
+    the open end lower lies off the spectrum.
     Inside (alpha, 0] this holds for every eigenvalue; below alpha a
     caller's wider interval may hold a zero of even local multiplicity in
     lam, which moves no count. A failed certificate raises ComputationError
@@ -276,21 +289,29 @@ def locate_real_eigenvalues(
             )
 
     lower = interval.lower
-    found = full_spectrum(build_linearization(pencil)).real_eigenvalues_in(lower)
+    w = scipy.linalg.eigvals(build_linearization(pencil).a_matrix)
+    real = -np.sort(-w.real[(np.abs(w.imag) <= tol / 2) & (lower < w.real) & (w.real <= 0.0)])
+    found = [(float(np.mean(real[g])), g.size) for g in _runs(real, tol)]
     cuts = _separators([lam for lam, _ in found], lower)
     polished = [_refine(pencil, lam, cuts[i + 1], cuts[i])
                 for i, (lam, _) in enumerate(found)]
     entries = []
-    for group in _cluster(np.array([p[0] for p in polished]), tol):
+    for group in _runs(np.array([p[0] for p in polished]), tol):
         best = min(group, key=lambda i: polished[i][2])
         entries.append((*polished[best], sum(found[i][1] for i in group)))
 
     cuts = _separators([e[0] for e in entries], lower)
     counts = [inertia_negative(pencil, cut) for cut in cuts]
+    # A midpoint on the spectrum separates nothing: the eigensolver split
+    # one eigenvalue wider than tol, so its neighbours merge.
+    for k in reversed(range(1, len(entries))):
+        if counts[k].boundary:
+            best = min(entries[k - 1], entries[k], key=lambda e: e[2])
+            entries[k - 1] = (*best[:4], entries[k - 1][4] + entries[k][4])
+            del entries[k], cuts[k], counts[k]
     for k, mult in enumerate([e[4] for e in entries] or [0]):
         c_hi, c_lo = counts[k], counts[k + 1]
-        on_spectrum = c_hi.boundary or (k + 2 < len(cuts) and c_lo.boundary)
-        if on_spectrum or abs(c_lo.negative - c_hi.negative) != mult:
+        if c_hi.boundary or abs(c_lo.negative - c_hi.negative) != mult:
             raise ComputationError(
                 "inertia counts do not certify the eigenvalue bracket",
                 bracket=(cuts[k + 1], cuts[k]), multiplicity=mult,

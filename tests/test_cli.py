@@ -178,6 +178,21 @@ class TestVariationalCommand:
         assert lo == doc["interval"]["lower"] and hi == 0.0
         assert all(c["ok"] for c in doc["minmax_report"]["checks"])
 
+    def test_roots_closer_than_companion_scale_stay_apart(self, tmp_path):
+        # Upper roots -0.5 and -0.5 - 3e-8 are farther apart than the
+        # default eigen tolerance 1e-8: two entries, both verified.
+        r = np.array([-0.5, -0.5 - 3e-8])
+        d = np.array([5.0, 6.0])
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "dense",
+            "dense": {"a0": np.diag(-r * r - d * r).tolist(), "d": np.diag(d).tolist()},
+        })
+        out = tmp_path / "var.json"
+        assert main(["variational", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert [e["multiplicity"] for e in doc["eigenvalues"]] == [1, 1]
+        assert np.allclose([e["value"] for e in doc["eigenvalues"]], r, rtol=0.0, atol=1e-12)
+
     def test_rerun_byte_identical_except_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["variational", str(CONFIGS / "dense_diag.json"), "--subspaces", "10"]

@@ -133,6 +133,26 @@ class TestFullSpectrum:
         spec = full_spectrum(build_linearization(critical_1x1))
         assert calls == [(2, 2)] and spec.geometric_multiplicities[0] == 1
 
+    def test_cluster_matches_connected_components(self):
+        # Oracle: components of the dense graph |w_i - w_j| <= tol by
+        # repeated boolean closure, including points that share a real part
+        # (proportional damping puts every complex eigenvalue on one line).
+        rng = np.random.default_rng(5)
+        clouds = [rng.standard_normal(60) + 1j * rng.standard_normal(60) for _ in range(20)]
+        clouds += [-1.0 + 1j * rng.standard_normal(60) for _ in range(5)]
+        for w in clouds:
+            tol = rng.uniform(0.05, 0.5)
+            near = np.abs(w[:, None] - w[None, :]) <= tol
+            reach = near.copy()
+            while True:
+                grown = (reach.astype(int) @ near.astype(int)) > 0
+                if np.array_equal(grown, reach):
+                    break
+                reach = grown
+            expected = sorted({tuple(np.flatnonzero(row)) for row in reach})
+            found = [tuple(c) for c in linearization_mod._cluster(w, tol)]
+            assert found == expected
+
     def test_structural_report_random(self):
         for seed in range(10):
             pencil = random_pencil(4 + seed % 4, 50 + seed, damping_scale=3.0)

@@ -136,6 +136,31 @@ class TestLocate:
         assert details["bracket"] == (-2.0, 0.0) and details["multiplicity"] == 2
         assert details["counts"] == (0, 0)
 
+    def test_near_critical_complex_pair_is_skipped(self):
+        # The first mode's roots are -1 +- 3.2e-5 i: complex at tol 1e-8,
+        # though within 1e-8 |A| (about 3e-4) of each other.
+        pencil = QuadraticPencil.from_matrices(np.diag([1.0, 1e8]),
+                                               np.diag([2.0 - 1e-9, 3e4]))
+        roots = -1.5e4 + np.array([1.0, -1.0]) * np.sqrt(1.25e8)
+        for lower, expected in ((-7e3, roots[:1]), (-3e4, roots)):
+            res = locate_real_eigenvalues(pencil, IntervalDelta(lower=lower), 1e-8)
+            assert res.n_found == expected.size
+            assert [d.multiplicity for d in res.per_eigenvalue] == [1] * expected.size
+            assert np.allclose(res.eigenvalues, expected, rtol=1e-12, atol=0.0)
+
+    def test_semisimple_double_split_wider_than_tol(self):
+        # A double eigenvalue in a stiff coupled pencil: the eigensolver may
+        # split it by more than tol = 1e-12, which no inertia count can
+        # separate; it is one entry of multiplicity 2.
+        a = np.array([4.0, 4.0, 4e6])
+        d = np.array([5.0, 5.0, 5e3])
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        pencil = QuadraticPencil.from_matrices(q @ np.diag(a) @ q.T, q @ np.diag(d) @ q.T)
+        res = locate_real_eigenvalues(pencil, IntervalDelta(lower=-2.0), 1e-12)
+        (entry,) = res.per_eigenvalue
+        assert entry.multiplicity == 2
+        assert entry.value == pytest.approx(-1.0, rel=1e-10)
+
     def test_matches_linearization_random(self):
         for seed in range(8):
             pencil = random_pencil(3 + seed % 6, 700 + seed, damping_scale=5.0,
