@@ -147,7 +147,7 @@ def cmd_variational(args) -> int:
         "delta": scalars.delta,
         "gamma": scalars.gamma,
         "disc_radius": scalars.disc_radius,
-        "interval": {"lower": interval.lower, "upper": interval.upper},
+        "interval": {"lower": interval.lower, "upper": 0.0},
         "kappa": result.kappa,
         "n_found": result.n_found,
         "eigenvalues": [

@@ -17,7 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .reports import Report
 
 # Relative eigenvalue threshold for definiteness checks at construction.
 DEFINITENESS_TOL = 1e-12
@@ -337,40 +336,6 @@ def disc_radius(pencil: QuadraticPencil) -> float:
     """Radius of the eigenvalue-free open disc around zero."""
     _, gamma = compute_delta_gamma(pencil)
     return 2.0 / (gamma + np.sqrt(gamma * gamma + 4.0 * pencil.a0_inv_norm))
-
-
-def verify_gamma_as_form_ratio(
-    pencil: QuadraticPencil, samples: int, seed: int, tol: float = 1e-10
-) -> Report:
-    """Check delta <= d[y]/a0[y] <= gamma on random vectors plus attainment.
-
-    The sup/inf must be attained (within tol) at the whitened eigenvectors
-    mapped back by A0^{-1/2}.
-    """
-    if samples < 1:
-        raise InvalidArgumentError("samples must be >= 1")
-    delta, gamma = compute_delta_gamma(pencil)
-    rng = np.random.default_rng(seed)
-    report = Report("gamma_as_form_ratio")
-    pad = 1e-12 * max(1.0, gamma)
-    for k in range(samples):
-        y = rng.standard_normal(pencil.dim)
-        while np.linalg.norm(y) < 1e-6:
-            y = rng.standard_normal(pencil.dim)
-        ratio = pencil.form_damping(y) / pencil.form_stiffness(y)
-        ok = (delta - pad) <= ratio <= (gamma + pad)
-        if not ok:
-            report.add("ratio_in_range", False, sample=k, ratio=ratio,
-                       delta=delta, gamma=gamma, witness=y)
-    report.add("ratio_in_range", True, samples=samples, delta=delta, gamma=gamma)
-    w, v = np.linalg.eigh(pencil.whitened_damping)
-    scale = max(1.0, gamma)
-    for label, idx, target in (("inf_attained", 0, delta), ("sup_attained", -1, gamma)):
-        y = pencil.a0_inv_sqrt @ v[:, idx]
-        ratio = pencil.form_damping(y) / pencil.form_stiffness(y)
-        report.add(label, abs(ratio - target) <= tol * scale,
-                   ratio=ratio, target=target, witness=y)
-    return report
 
 
 def dstar_empty_certificate(pencil: QuadraticPencil) -> DstarCertificate:

@@ -13,10 +13,6 @@ explicit subspaces (the min and the sup of p_plus on a subspace are
 eigenvalues of its compression); each compared value is p_plus at an explicit
 vector and carries a certificate or a witness. The compressions never locate
 eigenvalues.
-
-A small generic layer (MatrixQuadraticFamily) runs the same counting and
-classification machinery on raw symmetric matrix families without positivity
-constraints, which the fixed 2x2 self-check fixture exercises.
 """
 from __future__ import annotations
 
@@ -45,85 +41,6 @@ MINMAX_MAX_BISECTIONS = 64
 HYPERBOLIC_SLACK = 16.0
 
 
-# ---------------------------------------------------------------------------
-# Generic symmetric matrix families T(lam) = lam^2 m2 + lam m1 + m0
-
-
-@dataclass(frozen=True)
-class MatrixQuadraticFamily:
-    """Symmetric matrix polynomial of degree <= 2 with no positivity contract."""
-
-    m2: np.ndarray
-    m1: np.ndarray
-    m0: np.ndarray
-
-    def __post_init__(self):
-        for name in ("m2", "m1", "m0"):
-            m = np.asarray(getattr(self, name), dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise InvalidArgumentError(f"{name} must be square, got {m.shape}")
-            m = (m + m.T) / 2.0
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-        if not (self.m2.shape == self.m1.shape == self.m0.shape):
-            raise InvalidArgumentError("coefficient matrices must share one shape")
-
-    @classmethod
-    def from_pencil(cls, pencil: QuadraticPencil) -> "MatrixQuadraticFamily":
-        n = pencil.dim
-        return cls(np.eye(n), pencil.d_matrix, pencil.a0_matrix)
-
-    @property
-    def dim(self) -> int:
-        return self.m0.shape[0]
-
-    def t_matrix(self, lam: float) -> np.ndarray:
-        return lam * lam * self.m2 + lam * self.m1 + self.m0
-
-    def reflected(self) -> "MatrixQuadraticFamily":
-        """The family lam -> T(-lam); mirrors the spectrum across zero."""
-        return MatrixQuadraticFamily(self.m2, -self.m1, self.m0)
-
-    def scalar_coefficients(self, x) -> tuple[float, float, float]:
-        x = np.asarray(x)
-        return (
-            float(np.real(np.vdot(x, self.m2 @ x))),
-            float(np.real(np.vdot(x, self.m1 @ x))),
-            float(np.real(np.vdot(x, self.m0 @ x))),
-        )
-
-    def evaluate_form(self, lam: complex, x, y=None) -> complex:
-        x = np.asarray(x)
-        y = x if y is None else np.asarray(y)
-        lam = complex(lam)
-        return (
-            lam * lam * complex(np.vdot(y, self.m2 @ x))
-            + lam * complex(np.vdot(y, self.m1 @ x))
-            + complex(np.vdot(y, self.m0 @ x))
-        )
-
-
-def scalar_real_roots(a: float, b: float, c: float) -> tuple[float, ...] | None:
-    """Sorted real roots of a t^2 + b t + c, handling the affine case a == 0.
-
-    Returns None when no real root exists. Uses the cancellation-free form
-    q = -(b + sign(b) sqrt(disc)) / 2 with roots q/a and c/q.
-    """
-    if a == 0.0:
-        if b == 0.0:
-            return None
-        return (-c / b,)
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return None
-    s = np.sqrt(disc)
-    q = -(b + s) / 2.0 if b >= 0.0 else -(b - s) / 2.0
-    if q == 0.0:
-        # b == 0 and disc == 0 force c == 0: double root at the origin.
-        return (0.0, 0.0)
-    return tuple(sorted((q / a, c / q)))
-
-
 @dataclass(frozen=True)
 class InertiaCount:
     negative: int
@@ -132,7 +49,7 @@ class InertiaCount:
 
 
 def inertia_negative(
-    problem: QuadraticPencil | MatrixQuadraticFamily,
+    pencil: QuadraticPencil,
     lam: float,
     boundary_tol: float = BOUNDARY_TOL,
 ) -> InertiaCount:
@@ -142,7 +59,7 @@ def inertia_negative(
     separate boundary slot: they flag lam as (numerically) a pencil
     eigenvalue, where the count is ill-defined.
     """
-    w = np.linalg.eigvalsh(problem.t_matrix(float(lam)))
+    w = np.linalg.eigvalsh(pencil.t_matrix(float(lam)))
     scale = float(np.max(np.abs(w)))
     cut = boundary_tol * scale
     negative = int(np.sum(w < -cut))
@@ -163,10 +80,6 @@ class IntervalDelta:
     def __post_init__(self):
         if not np.isfinite(self.lower) or not self.lower < 0.0:
             raise InvalidArgumentError(f"need finite lower < 0, got ({self.lower}, 0]")
-
-    @property
-    def upper(self) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -219,13 +132,10 @@ def _root_step(pencil: QuadraticPencil, lam: float) -> tuple[float | None, float
     w, v = np.linalg.eigh(pencil.t_matrix(lam))
     j = int(np.argmin(np.abs(w)))
     scale = float(np.max(np.abs(w)))
-    x = v[:, j]
-    b = float(x @ (pencil.d_matrix @ x))
-    c = float(x @ (pencil.a0_matrix @ x))
-    roots = scalar_real_roots(1.0, b, c)
-    if roots is None:
+    pair = rayleigh_pair(pencil, v[:, j])
+    if not pair.in_dstar:
         return None, abs(float(w[j])), scale
-    nxt = min(roots, key=lambda r: abs(r - lam))
+    nxt = min((pair.p_minus, pair.p_plus), key=lambda r: abs(r - lam))
     return float(nxt), abs(float(w[j])), scale
 
 
@@ -586,107 +496,4 @@ def verify_minmax(
         data = _random_minima(pencil, rng, n_above, random_subspaces, lower, tol)
         report.add("exhaustion_above_n",
                    data["violations"] == 0, n=n_above, interval_lower=lower, **data)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Fixed 2x2 self-check of the generic engine
-
-
-def _classify_on_negative_axis(family: MatrixQuadraticFamily, x):
-    """Classify the scalar quadratic t(.)[x] relative to (-inf, 0).
-
-    Returns (label, rayleigh_value, roots): the generalized Rayleigh value is
-    the zero in the interval when one exists, +inf when the form stays
-    positive on the interval, and the smaller (positive) root when both
-    zeros sit at or right of zero.
-    """
-    a, b, c = family.scalar_coefficients(x)
-    roots = scalar_real_roots(a, b, c)
-    if roots is None:
-        return "no_real_roots", np.inf, None
-    lo, hi = roots[0], roots[-1]
-    if lo < 0.0 <= hi or (lo < 0.0 and hi < 0.0):
-        # For the families handled here at most one zero lies left of zero.
-        return "negative_root", lo, roots
-    return "nonnegative_roots", lo, roots
-
-
-def generic_engine_fixture_2x2() -> Report:
-    """Self-check of the scalar classification engine on two fixed families.
-
-    Family one is an indefinite 2x2 quadratic family (its damping coefficient
-    is not PSD, so it exercises the raw-matrix code path); family two is the
-    affine family A - lam I whose root functional is the classical Rayleigh
-    quotient.
-    """
-    report = Report("generic_engine_fixture_2x2")
-    fam = MatrixQuadraticFamily(
-        np.eye(2), np.diag([-2.0, 0.0]), np.array([[1.0, -2.0], [-2.0, 1.0]])
-    )
-
-    # t(0)[(1,1)] probes the constant coefficient alone.
-    val = fam.evaluate_form(0.0, np.array([1.0, 1.0]))
-    report.add("form_at_zero", abs(val - (-2.0)) < 1e-14, value=val, expected=-2.0)
-
-    label, p, roots = _classify_on_negative_axis(fam, np.array([1.0, 1.0]))
-    expected = (1.0 - np.sqrt(5.0)) / 2.0
-    report.add(
-        "vector_1_1_negative_root",
-        label == "negative_root" and abs(p - expected) < 1e-12,
-        classification=label, value=p, expected=expected, roots=roots,
-    )
-
-    # (2,-1): the quadratic 5 t^2 - 8 t + 13 has negative discriminant, so
-    # the form is positive on the whole interval and the Rayleigh value sits
-    # above sup = 0. (A closed-form classification that put a real root here
-    # fails the direct discriminant test: 64 - 260 < 0.)
-    a, b, c = fam.scalar_coefficients(np.array([2.0, -1.0]))
-    disc = b * b - 4 * a * c
-    label, p, roots = _classify_on_negative_axis(fam, np.array([2.0, -1.0]))
-    report.add(
-        "vector_2_m1_above_interval",
-        label == "no_real_roots" and p == np.inf and disc < 0.0,
-        classification=label, value=p, discriminant=disc,
-    )
-
-    label, p, roots = _classify_on_negative_axis(fam, np.array([1.0, -1.0]))
-    report.add(
-        "vector_1_m1_no_real_roots",
-        label == "no_real_roots" and p == np.inf,
-        classification=label, value=p,
-    )
-
-    # A direction with two genuine positive roots, so all three classification
-    # branches are exercised.
-    x_b = np.array([2.0, 0.1])
-    label, p, roots = _classify_on_negative_axis(fam, x_b)
-    ok = (
-        label == "nonnegative_roots"
-        and roots is not None
-        and all(r > 0.0 for r in roots)
-        and p > 0.0
-        and abs(fam.evaluate_form(roots[0], x_b)) < 1e-10
-    )
-    report.add("two_positive_roots_branch", ok, classification=label, value=p, roots=roots)
-
-    # Affine family: the root functional collapses to the Rayleigh quotient.
-    aff = MatrixQuadraticFamily(
-        np.zeros((2, 2)), -np.eye(2), np.diag([1.0, 2.0])
-    )
-    for vec, expected in ((np.array([1.0, 0.0]), 1.0),
-                          (np.array([0.0, 1.0]), 2.0),
-                          (np.array([1.0, 1.0]), 1.5)):
-        a, b, c = aff.scalar_coefficients(vec)
-        roots = scalar_real_roots(a, b, c)
-        report.add(
-            "rayleigh_quotient_value",
-            roots is not None and len(roots) == 1 and abs(roots[0] - expected) < 1e-14,
-            vector=vec, value=None if roots is None else roots[0], expected=expected,
-        )
-
-    # Inertia sample on the quadratic family: positive definite at lam = -1.
-    ic = inertia_negative(fam, -1.0)
-    report.add("inertia_sample", ic.negative == 0 and ic.boundary == 0,
-               negatives=ic.negative, boundary=ic.boundary)
     return report

@@ -3,9 +3,9 @@
 Every oracle here avoids the code paths it checks: scalar roots come from
 the companion matrix (numpy.roots), pencil spectra from the interpolated
 determinant polynomial, extremum searches from dense direction grids (where
-a grid searches over p_plus, rayleigh_batch evaluates it), beam entries from
-adaptive quadrature, and evolution references from an explicit modal
-decomposition.
+a grid searches over p_plus, rayleigh_batch evaluates it), semisimplicity
+from kernel ranks of the companion matrix, beam entries from adaptive
+quadrature, and evolution references from an explicit modal decomposition.
 """
 import numpy as np
 from scipy.integrate import quad
@@ -64,6 +64,45 @@ def p_plus_on_plane(pencil, basis, points=20001):
     theta = np.linspace(0.0, np.pi, points)
     _, p_plus, _ = rayleigh_batch(pencil, basis @ np.vstack([np.cos(theta), np.sin(theta)]))
     return p_plus
+
+
+def semisimplicity_check(system, lam, tol=1e-8):
+    """True iff (A - lam) and (A - lam)^2 have equal numerical kernel
+    dimension, A the companion matrix of the linearized system: the
+    reference for the library's test on the derivative form of T."""
+    m = system.a_matrix - lam * np.eye(2 * system.dim)
+
+    def nullity(x):
+        s = np.linalg.svd(x, compute_uv=False)
+        return int(np.sum(s < tol * s[0]))
+
+    return nullity(m) == nullity(m @ m)
+
+
+def conjugate_pairing(values, tol):
+    """(paired, worst): each value more than tol off the real axis, in turn,
+    takes the nearest other unmatched value to its conjugate as partner when
+    it lies within tol; paired is False when some value finds none, and
+    worst is the largest nearest distance met (inf when no candidate)."""
+    values = list(values)
+    used = [False] * len(values)
+    paired, worst = True, 0.0
+    for i, lam in enumerate(values):
+        if used[i]:
+            continue
+        if abs(lam.imag) <= tol:
+            used[i] = True
+            continue
+        free = [j for j in range(len(values)) if j != i and not used[j]]
+        dist = [abs(values[j] - np.conj(lam)) for j in free]
+        best = int(np.argmin(dist)) if free else -1
+        best_d = dist[best] if free else np.inf
+        if best_d <= tol:
+            used[i] = used[free[best]] = True
+        else:
+            paired = False
+        worst = max(worst, best_d)
+    return paired, worst
 
 
 def damping_entry_adaptive(profile, m, n):

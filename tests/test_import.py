@@ -1,8 +1,13 @@
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import quadpencil
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_import_loads_no_optimizer_or_interpolation():
@@ -24,3 +29,21 @@ def test_minmax_verification_loads_no_optimizer():
     done = subprocess.run([sys.executable, "-c", code, str(SRC)],
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "1 False"
+
+
+def test_benchmark_traced_functions_exist():
+    # The benchmark's tracer wraps these functions by module and name, so
+    # deleting or renaming one breaks `perfbench/run.py --trace 1`.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{name}" for module, names in tracing.TRACED.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"quadpencil.{module}"),
+                                       name, None))]
+    assert missing == []
+
+
+def test_all_names_resolve():
+    assert [name for name in quadpencil.__all__ if not hasattr(quadpencil, name)] == []

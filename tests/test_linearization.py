@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,11 @@ from quadpencil import (
     full_spectrum,
     make_damping_profile,
     resolvent_region_check,
-    semisimplicity_check,
     structural_report,
 )
 from quadpencil.config import random_pencil
 
-from oracles import det_poly_eigenvalues
+from oracles import conjugate_pairing, det_poly_eigenvalues, semisimplicity_check
 
 SQRT7 = np.sqrt(7.0)
 
@@ -161,6 +162,25 @@ class TestFullSpectrum:
             report = structural_report(system, spec)
             assert report.ok, report.failures()
 
+    def test_conjugation_symmetry_matches_pairing_loop(self):
+        # Exact spectra, one value of a pair moved by 1e-3, and one value
+        # dropped; the loop reports a finite nearest distance for the last.
+        for seed in range(8):
+            pencil = random_pencil(3 + seed % 4, 60 + seed, damping_scale=0.5)
+            system = build_linearization(pencil)
+            spec = full_spectrum(system)
+            w = spec.raw_eigenvalues
+            k = int(np.argmax(w.imag))
+            for case, broken in enumerate((w, w + 1e-3 * (np.arange(w.size) == k),
+                                           np.delete(w, k))):
+                report = structural_report(
+                    system, dataclasses.replace(spec, raw_eigenvalues=broken))
+                check = {c.label: c for c in report.checks}["conjugation_symmetry"]
+                paired, worst = conjugate_pairing(broken, spec.cluster_tolerance)
+                assert check.ok == paired == (case == 0)
+                if case < 2:
+                    assert check.data["worst_pair_distance"] == worst
+
     def test_spectrum_matches_det_polynomial_oracle(self):
         for seed in range(8):
             dim = 2 + seed % 3
@@ -187,7 +207,7 @@ class TestPencilEquivalence:
         else:
             pencil = overdamped_pencil(int(case[-1]))
         spec = full_spectrum(build_linearization(pencil))
-        checks = check_pencil_equivalence(pencil, spec).checks[:-1]
+        checks = check_pencil_equivalence(pencil, spec).checks
         assert len(checks) == len(spec.eigenvalues)
         n_real = 0
         for lam, check in zip(spec.eigenvalues, checks):
@@ -212,7 +232,7 @@ class TestPencilEquivalence:
         pencil = QuadraticPencil.from_matrices(np.diag([2.0, 2.0]), np.diag([6.0, 6.0]))
         spec = full_spectrum(build_linearization(pencil))
         report = check_pencil_equivalence(pencil, spec)
-        checks = report.checks[:-1]
+        checks = report.checks
         assert len(checks) == 2
         for check in checks:
             assert check.data["kernel_dim"] == check.data["geometric_multiplicity"] == 2
@@ -222,6 +242,18 @@ class TestPencilEquivalence:
     def test_zero_is_regular(self, diag_pencil):
         t0 = diag_pencil.a0_matrix
         assert np.linalg.svd(t0, compute_uv=False)[-1] > 0.1
+
+    @pytest.mark.parametrize("profile", [
+        {"profile": "constant", "params": {"value": 4.0}},
+        {"profile": "four_plus_sin", "params": {}},
+    ])
+    def test_graded_beam_at_n100(self, profile):
+        # cond(A0) = n^4 = 1e8: a rank cut relative to sigma_max(A0) would
+        # call T(0) singular, though A0 is certified definite at construction.
+        pencil = discretize_beam(BeamConfig(
+            a0=1.0, damping=make_damping_profile(profile), n_modes=100))
+        report = check_pencil_equivalence(pencil, full_spectrum(build_linearization(pencil)))
+        assert report.ok, report.failures()
 
     def test_random_property(self):
         for seed in range(8):

@@ -10,52 +10,47 @@ from quadpencil import (
     ComputationError,
     IntervalDelta,
     InvalidArgumentError,
-    MatrixQuadraticFamily,
     QuadraticPencil,
     beam_closed_form,
     build_linearization,
     compute_alpha,
     discretize_beam,
     full_spectrum,
-    generic_engine_fixture_2x2,
     inertia_negative,
     locate_real_eigenvalues,
     make_damping_profile,
-    scalar_real_roots,
-    semisimplicity_check,
     verify_minmax,
 )
 from quadpencil import rayleigh_pair
 from quadpencil.config import random_pencil
 from quadpencil.variational import _orth, min_p_plus, sup_p_plus
 
-from oracles import det_poly_real_roots_mp, p_plus_on_plane, quad_roots
+from oracles import det_poly_real_roots_mp, p_plus_on_plane, quad_roots, semisimplicity_check
 
 SQRT7 = np.sqrt(7.0)
 
 
 class TestScalarRoots:
+    """rayleigh_pair on 1x1 pencils [[c]], [[b]] at x = [s]: the roots of
+    t^2 + b t + c, whatever the scale s of the vector."""
+
     def test_matches_companion_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            a = rng.uniform(0.1, 5.0)
-            b = rng.uniform(-10.0, 10.0)
-            c = rng.uniform(-10.0, 10.0)
-            mine = scalar_real_roots(a, b, c)
-            ref = quad_roots(a, b, c)
-            if mine is None:
+            s = rng.uniform(0.1, 5.0)
+            b = rng.uniform(0.0, 10.0)
+            c = rng.uniform(0.01, 10.0)
+            pair = rayleigh_pair(QuadraticPencil.from_matrices([[c]], [[b]]), [s])
+            ref = quad_roots(1.0, b, c)
+            if not pair.in_dstar:
                 assert ref.size == 0
             else:
-                assert np.allclose(sorted(mine), ref, rtol=1e-10, atol=1e-12)
-
-    def test_affine_case(self):
-        assert scalar_real_roots(0.0, 2.0, -6.0) == (3.0,)
-        assert scalar_real_roots(0.0, 0.0, 1.0) is None
+                assert np.allclose([pair.p_minus, pair.p_plus], ref, rtol=1e-10, atol=1e-12)
 
     def test_cancellation_free(self):
         # huge b dwarfing 4ac: the small root must keep full precision
-        roots = scalar_real_roots(1.0, 1e8, 1.0)
-        assert roots[1] == pytest.approx(-1e-8, rel=1e-12)
+        pair = rayleigh_pair(QuadraticPencil.from_matrices([[1.0]], [[1e8]]), [1.0])
+        assert pair.p_plus == pytest.approx(-1e-8, rel=1e-12)
 
 
 class TestInertia:
@@ -379,42 +374,3 @@ class TestCompressedExtrema:
             verdicts.append([(check.label, check.ok) for check in report.checks])
         assert verdicts[0] == verdicts[1]
         assert all(ok for _, ok in verdicts[0])
-
-
-class TestGenericEngine:
-    def test_fixture_report(self):
-        report = generic_engine_fixture_2x2()
-        assert report.ok, report.failures()
-        by_label = {c.label: c for c in report.checks}
-        assert by_label["vector_1_1_negative_root"].data["value"] == pytest.approx(
-            (1.0 - np.sqrt(5.0)) / 2.0, abs=1e-12
-        )
-        assert by_label["vector_2_m1_above_interval"].data["discriminant"] == pytest.approx(-196.0)
-        assert by_label["vector_1_m1_no_real_roots"].data["value"] == np.inf
-
-    def test_indefinite_family_form_value(self):
-        fam = MatrixQuadraticFamily(
-            np.eye(2), np.diag([-2.0, 0.0]), np.array([[1.0, -2.0], [-2.0, 1.0]])
-        )
-        assert fam.evaluate_form(0.0, [1.0, 1.0]) == -2.0 + 0.0j
-        # scalar coefficients reproduce |x|^2, -2|x1|^2, |x|^2 - 4 Re(x1 x2)
-        a, b, c = fam.scalar_coefficients([2.0, -1.0])
-        assert (a, b, c) == (5.0, -8.0, 13.0)
-
-    def test_reflection_mirrors_counts(self):
-        fam = MatrixQuadraticFamily(
-            np.zeros((2, 2)), -np.eye(2), np.diag([1.0, 2.0])
-        )
-        refl = fam.reflected()
-        for lam in (-3.0, -1.5, 0.5, 1.5, 3.0):
-            assert (
-                inertia_negative(fam, lam).negative
-                == inertia_negative(refl, -lam).negative
-            )
-
-    def test_reflection_on_pencil_family(self, diag_pencil):
-        fam = MatrixQuadraticFamily.from_pencil(diag_pencil)
-        refl = fam.reflected()
-        # eigenvalues of the reflected family are the mirrored pencil roots
-        w = np.linalg.eigvalsh(refl.t_matrix(3.0 - SQRT7))
-        assert np.min(np.abs(w)) < 1e-10 * np.max(np.abs(w))
