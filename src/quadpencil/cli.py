@@ -126,7 +126,7 @@ def cmd_variational(args) -> int:
     else:
         # Empty real-root cone: any interval works; take one holding every
         # possible real eigenvalue (the spectrum lies in |z| <= |A|).
-        lower = -(np.linalg.norm(build_linearization(pencil).a_matrix, 2) + 1.0)
+        lower = -(build_linearization(pencil).norm + 1.0)
     interval = IntervalDelta(lower=lower)
     alpha_gate = scalars.alpha if np.isfinite(scalars.alpha) else None
     bracket = None

@@ -47,7 +47,9 @@ class LinearizedSystem:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Clustered eigenvalues of the companion matrix with multiplicities."""
+    """Clustered eigenvalues of the companion matrix with multiplicities.
+    vectors[:, k] is the damping block w of one member's eigenvector (u, w)
+    in cluster k: A v = lam v gives T(lam) w = 0 at lam = eigenvalues[k]."""
 
     eigenvalues: np.ndarray          # one representative per cluster
     algebraic_multiplicities: np.ndarray
@@ -55,6 +57,7 @@ class SpectrumResult:
     residuals: np.ndarray            # max |A v - lam v| over cluster members
     cluster_tolerance: float
     raw_eigenvalues: np.ndarray      # all 2n values as returned by the solver
+    vectors: np.ndarray              # n x clusters, ordered like eigenvalues
 
     def real_eigenvalues_in(self, lower: float, upper: float = 0.0):
         """Cluster representatives that are real (within cluster tolerance)
@@ -173,6 +176,7 @@ def full_spectrum(
         residuals=np.array(res)[order],
         cluster_tolerance=float(cluster_tolerance),
         raw_eigenvalues=w,
+        vectors=v[system.dim:, [grp[0] for grp in groups]][:, order],
     )
 
 
@@ -208,33 +212,32 @@ def structural_report(system: LinearizedSystem, spectrum: SpectrumResult) -> Rep
 def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) -> Report:
     """Each companion eigenvalue must be a rank drop of T(lam) of the same depth.
 
-    Verifies sigma_min(T(lam)) <= 1e-8 * scale and numerical kernel dimension
-    == geometric multiplicity, per cluster, with the scale
-    |lam|^2 + |lam| |D| + |A0| of the three terms of T(lam) (not |T(lam)|,
-    which vanishes when the whole space is the kernel). At a real lam (exact
-    zero imaginary part, as LAPACK returns real eigenvalues of a real
-    matrix) T(lam) is real symmetric, so its singular values are the
-    absolute values of its eigenvalues and one symmetric eigensolve gives
-    them; complex lam takes a complex SVD. T(0) = A0 needs no check here:
-    SymmetricOperator certifies it positive definite at construction.
+    Per cluster, the backward error eta = |T(lam) x| / (scale |x|) of the
+    eigenpair (lam, x) from full_spectrum (Tisseur 2000) must be at most
+    1e-8, which bounds sigma_min(T(lam)) by 1e-8 * scale, and the kernel
+    dimension must equal the geometric multiplicity. scale is
+    |lam|^2 + |lam| |D| + |A0|, the size of the three terms of T(lam) (not
+    |T(lam)|, which vanishes when the whole space is the kernel). A simple
+    eigenvalue has kernel dimension 1 (1 <= geo <= alg = 1); only clusters
+    of two or more count the singular values of T(lam) below
+    RANK_REL_TOL * scale. T(0) = A0 needs no check here: SymmetricOperator
+    certifies it positive definite at construction.
     """
     report = Report("pencil_equivalence")
-    n = pencil.dim
-    eye = np.eye(n)
-    for lam, mult in zip(spectrum.eigenvalues, spectrum.geometric_multiplicities):
-        t = lam * lam * eye + lam * pencil.d_matrix + pencil.a0_matrix
-        if lam.imag == 0.0:
-            s = np.sort(np.abs(np.linalg.eigvalsh(t.real)))[::-1]
-        else:
+    lam, x = spectrum.eigenvalues, spectrum.vectors
+    t_x = x * lam ** 2 + (pencil.d_matrix @ x) * lam + pencil.a0_matrix @ x
+    scales = np.array([pencil.term_scale(z) for z in lam])
+    etas = np.linalg.norm(t_x, axis=0) / (scales * np.linalg.norm(x, axis=0))
+    for k, z in enumerate(lam):
+        kernel_dim, geo = 1, int(spectrum.geometric_multiplicities[k])
+        if spectrum.algebraic_multiplicities[k] > 1:
+            t = z * z * np.eye(pencil.dim) + z * pencil.d_matrix + pencil.a0_matrix
             s = np.linalg.svd(t, compute_uv=False)
-        t_scale = pencil.term_scale(lam)
-        sigma_min = float(s[-1])
-        kernel_dim = int(np.sum(s < RANK_REL_TOL * t_scale))
-        ok = sigma_min <= 1e-8 * t_scale and kernel_dim == int(mult)
+            kernel_dim = int(np.sum(s < RANK_REL_TOL * scales[k]))
         report.add(
-            "eigenvalue_matches_pencil", ok,
-            eigenvalue=complex(lam), sigma_min=sigma_min, scale=t_scale,
-            kernel_dim=kernel_dim, geometric_multiplicity=int(mult),
+            "eigenvalue_matches_pencil", etas[k] <= 1e-8 and kernel_dim == geo,
+            eigenvalue=complex(z), backward_error=float(etas[k]), scale=float(scales[k]),
+            kernel_dim=kernel_dim, geometric_multiplicity=geo,
         )
     return report
 

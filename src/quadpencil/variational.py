@@ -48,20 +48,16 @@ class InertiaCount:
     positive: int
 
 
-def inertia_negative(
-    pencil: QuadraticPencil,
-    lam: float,
-    boundary_tol: float = BOUNDARY_TOL,
-) -> InertiaCount:
+def inertia_negative(pencil: QuadraticPencil, lam: float) -> InertiaCount:
     """Count negative eigenvalues of the symmetric matrix T(lam).
 
-    Eigenvalues within boundary_tol * |T(lam)| of zero are reported in the
+    Eigenvalues within BOUNDARY_TOL * |T(lam)| of zero are reported in the
     separate boundary slot: they flag lam as (numerically) a pencil
     eigenvalue, where the count is ill-defined.
     """
     w = np.linalg.eigvalsh(pencil.t_matrix(float(lam)))
     scale = float(np.max(np.abs(w)))
-    cut = boundary_tol * scale
+    cut = BOUNDARY_TOL * scale
     negative = int(np.sum(w < -cut))
     boundary = int(np.sum(np.abs(w) <= cut))
     return InertiaCount(negative, boundary, len(w) - negative - boundary)

@@ -51,6 +51,21 @@ class TestSpectrumCommand:
         lam1 = (-2.0 + np.sqrt(3.0)) * np.pi**2
         assert min(abs(v - lam1) for v in values) < 1e-7
 
+    @pytest.mark.parametrize("n_modes", [150, 200])
+    @pytest.mark.parametrize("damping", [
+        {"profile": "constant", "params": {"value": 4.0}},
+        {"profile": "four_plus_sin", "params": {}},
+    ])
+    def test_large_graded_beam_ok(self, tmp_path, n_modes, damping):
+        # cond(A0) = n^4: no rank cut at a simple eigenvalue may call it double.
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "beam", "seed": 0,
+            "beam": {"a0": 1.0, "damping": damping, "n_modes": n_modes},
+        })
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ok"]
+
     def test_asymmetric_matrix_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {
             "schema": 1,

@@ -220,11 +220,30 @@ class TestPencilEquivalence:
                      + np.linalg.norm(pencil.a0_matrix, 2))
             kernel_dim = int(np.sum(s < 1e-8 * scale))
             ok = s[-1] <= 1e-8 * scale and kernel_dim == check.data["geometric_multiplicity"]
+            eta = check.data["backward_error"]
+            # sigma_min(T) <= |T x| / |x| = eta * scale for any x; both sides
+            # may sit at rounding level, so s[-1] keeps the SVD's 1e-13 * s[0].
+            assert s[-1] <= eta * check.data["scale"] * (1.0 + 1e-12) + 1e-13 * s[0]
+            assert eta <= 1e-8
             assert check.data["kernel_dim"] == kernel_dim
             assert check.ok == ok
-            assert abs(check.data["sigma_min"] - s[-1]) <= 1e-13 * s[0]
             assert abs(check.data["scale"] - scale) <= 1e-13 * scale
         assert n_real >= 2
+
+    @pytest.mark.parametrize("case", ["diag", "beam20"])
+    def test_moved_eigenvalue_fails(self, case, diag_pencil):
+        # Negative control: a simple eigenvalue moved by 1e-6 relative is no
+        # longer an eigenvalue of T to backward error 1e-8; the rest still are.
+        pencil = diag_pencil if case == "diag" else discretize_beam(beam_cfg(20))
+        spec = full_spectrum(build_linearization(pencil))
+        k = int(np.argmax(np.abs(spec.eigenvalues)))
+        assert spec.algebraic_multiplicities[k] == 1
+        moved = spec.eigenvalues.copy()
+        moved[k] *= 1.0 + 1e-6
+        moved_spec = dataclasses.replace(spec, eigenvalues=moved)
+        checks = check_pencil_equivalence(pencil, moved_spec).checks
+        assert checks[k].data["backward_error"] > 1e-8
+        assert [c.ok for c in checks] == [i != k for i in range(len(checks))]
 
     def test_full_kernel_counts_both_dimensions(self):
         # T(lam) = 0 at both double eigenvalues -3 +- sqrt7, so |T(lam)| is
