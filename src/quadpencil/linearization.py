@@ -218,10 +218,10 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
     dimension must equal the geometric multiplicity. scale is
     |lam|^2 + |lam| |D| + |A0|, the size of the three terms of T(lam) (not
     |T(lam)|, which vanishes when the whole space is the kernel). A simple
-    eigenvalue has kernel dimension 1 (1 <= geo <= alg = 1); only clusters
-    of two or more count the singular values of T(lam) below
-    RANK_REL_TOL * scale. T(0) = A0 needs no check here: SymmetricOperator
-    certifies it positive definite at construction.
+    eigenvalue has kernel dimension 1 (1 <= geo <= alg = 1). A cluster of
+    two or more counts the singular values of T(lam) below RANK_REL_TOL *
+    scale; its eta is sigma_min / scale, the minimum over x, as x is no
+    eigenvector at the cluster mean. T(0) = A0 is certified definite.
     """
     report = Report("pencil_equivalence")
     lam, x = spectrum.eigenvalues, spectrum.vectors
@@ -234,6 +234,7 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
             t = z * z * np.eye(pencil.dim) + z * pencil.d_matrix + pencil.a0_matrix
             s = np.linalg.svd(t, compute_uv=False)
             kernel_dim = int(np.sum(s < RANK_REL_TOL * scales[k]))
+            etas[k] = s[-1] / scales[k]
         report.add(
             "eigenvalue_matches_pencil", etas[k] <= 1e-8 and kernel_dim == geo,
             eigenvalue=complex(z), backward_error=float(etas[k]), scale=float(scales[k]),

@@ -258,6 +258,25 @@ class TestPencilEquivalence:
             assert check.ok
         assert report.ok
 
+    @pytest.mark.parametrize("c, a22, d22", [(6.0, 38.0, 108.0), (8.0, 96.0, 192.0)])
+    def test_coupled_jordan_cluster(self, c, a22, d22):
+        # T(-1) e1 = 0 and e1 . T'(-1) e1 = 0, so -1 is a defective double
+        # eigenvalue, but T'(-1) e1 = (0, c) != 0: at the cluster mean either
+        # member's eigenvector has backward error about 2e-9 here (sqrt(eps)
+        # times the coupling), while the members split by a tenth of the
+        # cluster tolerance. The cluster takes the minimum over x.
+        pencil = QuadraticPencil.from_matrices([[1.0, c], [c, a22]], [[2.0, c], [c, d22]])
+        spec = full_spectrum(build_linearization(pencil))
+        k = int(np.argmin(np.abs(spec.eigenvalues + 1.0)))
+        assert spec.algebraic_multiplicities[k] == 2
+        assert spec.geometric_multiplicities[k] == 1
+        check = check_pencil_equivalence(pencil, spec).checks[k]
+        s = np.linalg.svd(pencil.t_matrix(spec.eigenvalues[k].real), compute_uv=False)
+        assert check.data["kernel_dim"] == 1
+        assert check.data["backward_error"] <= 1e-14
+        assert abs(check.data["backward_error"] * check.data["scale"] - s[-1]) <= 1e-13 * s[0]
+        assert check.ok
+
     def test_zero_is_regular(self, diag_pencil):
         t0 = diag_pencil.a0_matrix
         assert np.linalg.svd(t0, compute_uv=False)[-1] > 0.1
