@@ -81,11 +81,12 @@ def build_linearization(pencil: QuadraticPencil) -> LinearizedSystem:
         [-pencil.whitened_damping, -pencil.a0_inv_sqrt],
         [pencil.a0_inv_sqrt, np.zeros((n, n))],
     ])
-    j = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-    ja = j @ a
+    # D is exactly symmetric, so J A - (J A)^T = [[0, K], [K, 0]] with
+    # K = s - s^T, whose 2-norm is that of K.
     system = LinearizedSystem(
-        a_matrix=a, j_signature=j, inverse_matrix=inv, dim=n,
-        symmetry_defect=float(np.linalg.norm(ja - ja.T, 2)),
+        a_matrix=a, j_signature=np.diag(np.concatenate([np.ones(n), -np.ones(n)])),
+        inverse_matrix=inv, dim=n,
+        symmetry_defect=float(np.linalg.norm(s - s.T, 2)),
         inverse_defect=float(np.linalg.norm(a @ inv - np.eye(2 * n), 2)),
     )
 

@@ -5,9 +5,11 @@ the companion matrix (numpy.roots), pencil spectra from the interpolated
 determinant polynomial, extremum searches from dense direction grids (where
 a grid searches over p_plus, rayleigh_batch evaluates it), semisimplicity
 from kernel ranks of the companion matrix, beam entries from adaptive
-quadrature, and evolution references from an explicit modal decomposition.
+quadrature, and evolution references from an explicit modal decomposition
+and from the trapezoidal scheme stepped one lu_solve at a time.
 """
 import numpy as np
+import scipy.linalg
 from scipy.integrate import quad
 
 from quadpencil import rayleigh_batch
@@ -124,6 +126,39 @@ def modal_energy(a_matrix, u0, times):
         u = v @ (np.exp(w * t) * coeff)
         energies.append(float(np.real(np.vdot(u, u))))
     return np.array(energies)
+
+
+def trapezoid_reference(pencil, z0, w0, steps, dt, snapshot_stride=0):
+    """(energies, dissipation, zs, ws) of `steps` trapezoidal steps, each a
+    scipy lu_solve of (I - dt/2 A) u_{k+1} = (I + dt/2 A) u_k whose energy,
+    dissipation rate and (every snapshot_stride-th) state are recorded right
+    after the step; zs and ws are None when snapshot_stride is 0."""
+    n = pencil.dim
+    s = pencil.a0_sqrt
+    a = np.block([[np.zeros((n, n)), s], [-s, -pencil.d_matrix]])
+    eye = np.eye(2 * n)
+    lu = scipy.linalg.lu_factor(eye - (dt / 2.0) * a)
+    forward = eye + (dt / 2.0) * a
+    energies = np.empty(steps + 1)
+    dissipation = np.empty(steps + 1)
+    zs, ws = [], []
+
+    def record(k, u_now):
+        energies[k] = float(u_now @ u_now)
+        w = u_now[n:]
+        dissipation[k] = 2.0 * float(w @ (pencil.d_matrix @ w))
+        if snapshot_stride > 0 and k % snapshot_stride == 0:
+            zs.append(pencil.a0_inv_sqrt @ u_now[:n])
+            ws.append(w.copy())
+
+    u = np.concatenate([s @ np.asarray(z0, float), np.asarray(w0, float)])
+    record(0, u)
+    for k in range(1, steps + 1):
+        u = scipy.linalg.lu_solve(lu, forward @ u)
+        record(k, u)
+    if snapshot_stride > 0:
+        return energies, dissipation, np.array(zs), np.array(ws)
+    return energies, dissipation, None, None
 
 
 def det_poly_real_roots_mp(a0, d, digits=50):

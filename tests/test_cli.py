@@ -4,7 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quadpencil import build_pencil, load_config
 from quadpencil.cli import main
+
+from oracles import trapezoid_reference
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SQRT7 = np.sqrt(7.0)
@@ -264,6 +267,21 @@ class TestSimulateCommand:
         assert len(rows) == 101
         energies = np.array([float(r[1]) for r in rows])
         assert np.all(np.diff(energies) <= 1e-10 * energies[0])
+
+    def test_csv_matches_reference_loop(self, tmp_path):
+        path = CONFIGS / "dense_diag.json"
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", str(path), "--t-final", "10", "--dt", "0.001",
+                     "--out", str(out)]) == 0
+        energies, dissipation, _, _ = trapezoid_reference(
+            build_pencil(load_config(path)), [1.0, 0.0], [0.0, 0.0], 10000, 0.001)
+        times = 0.001 * np.arange(10001)
+        lines = ["time,energy,dissipation"]
+        lines += [f"{t:.12g},{e:.16g},{d:.16g}"
+                  for t, e, d in zip(times, energies, dissipation)]
+        text = out.read_text()
+        assert text.startswith("# generated_at=")
+        assert text.split("\n", 1)[1] == "\n".join(lines) + "\n"
 
     def test_initial_data_from_config(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -12,10 +12,12 @@ from quadpencil import (
     simulate,
     spectral_abscissa_consistency,
 )
+from quadpencil import evolution
 
-from oracles import modal_energy
+from oracles import modal_energy, trapezoid_reference
 
 SQRT7 = np.sqrt(7.0)
+EPS = np.finfo(float).eps
 
 
 class TestSimulate:
@@ -61,6 +63,68 @@ class TestSimulate:
         assert np.allclose(zs[0], [1.0, 0.0])
 
 
+def _beam12():
+    cfg = BeamConfig(
+        a0=1.0,
+        damping=make_damping_profile({"profile": "four_plus_sin"}),
+        n_modes=12,
+    )
+    return discretize_beam(cfg)
+
+
+def _reference_case(name, request):
+    """(pencil, z0, w0, dt) of one fixture; dt is a power of two, so
+    t_final = steps * dt gives exactly `steps` steps."""
+    if name == "beam12":
+        rng = np.random.default_rng(12)
+        return _beam12(), rng.standard_normal(12), rng.standard_normal(12), 2.0**-14
+    pencil = request.getfixturevalue(name)
+    return pencil, [1.0, -0.4], [0.3, 0.7], 2.0**-10
+
+
+class TestMatchesReferenceLoop:
+    """simulate takes the same steps as the one-lu_solve-per-step loop in
+    oracles.py, across the boundaries of its state blocks."""
+
+    @pytest.mark.parametrize("name", ["diag_pencil", "undamped_pencil", "beam12"])
+    @pytest.mark.parametrize("offset", ["zero", "one", "block-1", "block", "block+1"])
+    def test_bitwise_states_and_dissipation(self, name, offset, request):
+        pencil, z0, w0, dt = _reference_case(name, request)
+        rows = evolution.block_rows(pencil.dim)
+        steps = {"zero": 0, "one": 1, "block-1": rows - 1, "block": rows,
+                 "block+1": rows + 1}[offset]
+        energies, dissipation, zs, ws = trapezoid_reference(
+            pencil, z0, w0, steps, dt, snapshot_stride=1)
+        for stride in (1, 7, rows + 5):
+            trace = simulate(pencil, z0, w0, steps * dt, dt, snapshot_stride=stride)
+            assert len(trace.times) == steps + 1
+            assert np.array_equal(trace.dissipation, dissipation)
+            assert np.all(np.abs(trace.energies - energies) <= 2 * EPS * np.abs(energies))
+            assert trace.snapshot_stride == stride
+            assert np.array_equal(trace.states[0], zs[::stride])
+            assert np.array_equal(trace.states[1], ws[::stride])
+        assert simulate(pencil, z0, w0, steps * dt, dt).states is None
+
+    @pytest.mark.parametrize("name", ["diag_pencil", "beam12"])
+    def test_many_small_blocks(self, name, request, monkeypatch):
+        # Blocks of 3 states, so snapshots fall at every offset into a block.
+        pencil, z0, w0, dt = _reference_case(name, request)
+        monkeypatch.setattr(evolution, "STATE_BLOCK_BYTES", 3 * 16 * pencil.dim)
+        assert evolution.block_rows(pencil.dim) == 3
+        energies, dissipation, zs, ws = trapezoid_reference(
+            pencil, z0, w0, 50, dt, snapshot_stride=1)
+        for stride in (1, 2, 3, 4, 7, 50):
+            trace = simulate(pencil, z0, w0, 50 * dt, dt, snapshot_stride=stride)
+            assert np.array_equal(trace.dissipation, dissipation)
+            assert np.all(np.abs(trace.energies - energies) <= 2 * EPS * np.abs(energies))
+            assert np.array_equal(trace.states[0], zs[::stride])
+            assert np.array_equal(trace.states[1], ws[::stride])
+
+    def test_nonfinite_initial_data_rejected(self, diag_pencil):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            simulate(diag_pencil, [np.nan, 0.0], [0.0, 0.0], 0.01, 1e-3)
+
+
 class TestEnergyLaws:
     def test_monotonicity_report(self, diag_pencil):
         trace = simulate(diag_pencil, [1.0, 1.0], [0.3, -0.2], 5.0, 1e-3)
@@ -71,6 +135,21 @@ class TestEnergyLaws:
                          snapshot_stride=1)
         report = discrete_energy_identity_report(diag_pencil, trace)
         assert report.ok, report.failures()
+
+    def test_identity_defect_matches_step_loop(self):
+        pencil = _beam12()
+        rng = np.random.default_rng(3)
+        trace = simulate(pencil, rng.standard_normal(12), rng.standard_normal(12),
+                         0.01, 1e-4, snapshot_stride=1)
+        _, ws = trace.states
+        worst = 0.0
+        for k in range(len(trace.times) - 1):
+            w_mid = (ws[k] + ws[k + 1]) / 2.0
+            balance = (trace.energies[k + 1] - trace.energies[k]
+                       + 2.0 * 1e-4 * float(w_mid @ (pencil.d_matrix @ w_mid)))
+            worst = max(worst, abs(balance))
+        report = discrete_energy_identity_report(pencil, trace)
+        assert report.checks[0].data["worst_defect"] == worst
 
     def test_identity_requires_full_states(self, diag_pencil):
         trace = simulate(diag_pencil, [1.0, 0.0], [0.0, 0.0], 0.1, 1e-3)
