@@ -39,6 +39,9 @@ MAX_ROOT_STEPS = 8
 # lambda_max(B^T T(mu) B) must clear, in units of k * eps * |T(mu)|.
 MINMAX_MAX_BISECTIONS = 64
 HYPERBOLIC_SLACK = 16.0
+# Bytes of the random bases that _random_minima draws and decides at once:
+# memory stays flat in the subspace count and the dimension.
+SUBSPACE_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -98,9 +101,10 @@ class VariationalResult:
     interval: IntervalDelta
 
 
-def _kernel_basis(pencil: QuadraticPencil, lam: float, count: int | None = None):
-    """Eigenvectors of T(lam) for the numerically vanishing eigenvalues."""
-    w, v = np.linalg.eigh(pencil.t_matrix(lam))
+def _kernel_basis(pencil: QuadraticPencil, lam: float, eig, count: int | None = None):
+    """Eigenvectors of T(lam) for the numerically vanishing eigenvalues, from
+    eig = np.linalg.eigh(T(lam))."""
+    w, v = eig
     if count is None:
         sel = np.abs(w) <= KERNEL_REL_TOL * pencil.term_scale(lam)
         if not np.any(sel):
@@ -113,7 +117,7 @@ def _kernel_basis(pencil: QuadraticPencil, lam: float, count: int | None = None)
 
 def _is_semisimple(pencil: QuadraticPencil, lam: float, mult: int) -> bool:
     """Nondegeneracy of the derivative form x -> 2 lam |x|^2 + d[x] on the kernel."""
-    basis = _kernel_basis(pencil, lam, mult)
+    basis = _kernel_basis(pencil, lam, np.linalg.eigh(pencil.t_matrix(lam)), mult)
     g = basis.T @ (2.0 * lam * np.eye(pencil.dim) + pencil.d_matrix) @ basis
     g = (g + g.T) / 2.0
     gscale = 2.0 * abs(lam) + float(np.linalg.norm(pencil.d_matrix, 2))
@@ -251,10 +255,16 @@ def locate_real_eigenvalues(
 # Subspace verification of the max-min / min-sup formulas
 
 
+def _independent(r: np.ndarray) -> np.ndarray:
+    """Columns of the QR factor r (or of each in a stack) that are
+    numerically independent."""
+    scale = np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
+    return np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > 1e-12 * scale[..., None]
+
+
 def _orth(columns: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(columns)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
-    return q[:, keep]
+    return q[:, _independent(r)]
 
 
 def _complement(n: int, constraint: np.ndarray) -> np.ndarray:
@@ -293,10 +303,12 @@ class SubspaceValue:
 
 
 def _compress(pencil: QuadraticPencil, basis: np.ndarray):
-    """The compression B^T T(lam) B = lam^2 I + lam dc + ac as (dc, ac)."""
-    dc = basis.T @ pencil.d_matrix @ basis
-    ac = basis.T @ pencil.a0_matrix @ basis
-    return (dc + dc.T) / 2.0, (ac + ac.T) / 2.0
+    """The compression B^T T(lam) B = lam^2 I + lam dc + ac as (dc, ac), of
+    one basis or of each in a stack."""
+    bt = np.swapaxes(basis, -1, -2)
+    dc = bt @ pencil.d_matrix @ basis
+    ac = bt @ pencil.a0_matrix @ basis
+    return (dc + np.swapaxes(dc, -1, -2)) / 2.0, (ac + np.swapaxes(ac, -1, -2)) / 2.0
 
 
 def _compressed_eigenvalues(dc: np.ndarray, ac: np.ndarray) -> np.ndarray:
@@ -307,8 +319,10 @@ def _compressed_eigenvalues(dc: np.ndarray, ac: np.ndarray) -> np.ndarray:
 
 
 def _top_eigenpair(dc: np.ndarray, ac: np.ndarray, lam: float):
-    w, v = np.linalg.eigh(lam * lam * np.eye(dc.shape[0]) + lam * dc + ac)
-    return float(w[-1]), v[:, -1]
+    """Top eigenpair of lam^2 I + lam dc + ac, of one compression or of each
+    in a stack."""
+    w, v = np.linalg.eigh(lam * lam * np.eye(dc.shape[-1]) + lam * dc + ac)
+    return w[..., -1], v[..., -1]
 
 
 def min_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
@@ -382,17 +396,22 @@ def _random_minima(pencil, rng, dim, count, bound, tol) -> dict:
     subspace lies inside the cone with min p_plus > bound. p_plus(By) is the
     compared value; only where it exceeds the bound does min_p_plus supply
     the smallest p_plus found, for the reported excess.
+
+    The subspaces are drawn and decided in stacks of SUBSPACE_BLOCK_BYTES of
+    bases; a stack of m draws takes the same numbers from rng as m single
+    draws. A rank-deficient draw is counted in subspaces and not decided.
     """
+    per_block = max(1, SUBSPACE_BLOCK_BYTES // (8 * pencil.dim * dim))
     excess = []
-    for _ in range(count):
-        basis = _orth(rng.standard_normal((pencil.dim, dim)))
-        if basis.shape[1] != dim:
-            continue
-        dc, ac = _compress(pencil, basis)
-        value = rayleigh_pair(pencil, basis @ _top_eigenpair(dc, ac, bound)[1]).p_plus
-        if value - bound > tol:
-            value = np.fmin(value, min_p_plus(pencil, basis).value)
-        excess.append(value - bound)
+    for start in range(0, count, per_block):
+        draws = rng.standard_normal((min(per_block, count - start), pencil.dim, dim))
+        q, r = np.linalg.qr(draws)
+        bases = q[np.all(_independent(r), axis=-1)]
+        tops = _top_eigenpair(*_compress(pencil, bases), bound)[1]
+        _, values, _ = rayleigh_batch(pencil, (bases @ tops[..., None])[..., 0].T)
+        for i in np.flatnonzero(values - bound > tol):
+            values[i] = np.fmin(values[i], min_p_plus(pencil, bases[i]).value)
+        excess.extend(values - bound)
     excess = np.array(excess)
     return {
         "subspaces": count,
@@ -434,11 +453,13 @@ def verify_minmax(
     n_dim = pencil.dim
     lower = result.interval.lower
 
-    # Kernel bases per distinct eigenvalue, expanded in eigenvalue order.
-    vectors = []
+    # One eigh of T(lam) per distinct eigenvalue; kernel bases and the
+    # decompositions expanded in eigenvalue order.
+    vectors, eigs = [], []
     for diag in result.per_eigenvalue:
-        basis = _kernel_basis(pencil, diag.value, diag.multiplicity)
-        kernel_dim = _kernel_basis(pencil, diag.value).shape[1]
+        eig = np.linalg.eigh(pencil.t_matrix(diag.value))
+        basis = _kernel_basis(pencil, diag.value, eig, diag.multiplicity)
+        kernel_dim = _kernel_basis(pencil, diag.value, eig).shape[1]
         report.add(
             "kernel_dimension_matches_multiplicity",
             kernel_dim == diag.multiplicity,
@@ -446,6 +467,7 @@ def verify_minmax(
             multiplicity=diag.multiplicity,
         )
         vectors.extend(basis.T)
+        eigs.extend([eig] * diag.multiplicity)
     eigvec_matrix = np.column_stack(vectors) if vectors else np.zeros((n_dim, 0))
 
     big_n = result.n_found
@@ -456,7 +478,7 @@ def verify_minmax(
         report.add("achievement_eigenvector_span", abs(mn.value - lam_n) <= tol,
                    n=n, eigenvalue=lam_n, min_p_plus=mn.value, **mn.data())
 
-        w, v = np.linalg.eigh(pencil.t_matrix(lam_n))
+        w, v = eigs[n - 1]
         cut = KERNEL_REL_TOL * pencil.term_scale(lam_n)
         nonpos = v[:, w <= cut]
         expected = int(np.sum(result.eigenvalues >= lam_n))
@@ -476,7 +498,7 @@ def verify_minmax(
         neg = v[:, w < -cut]
         pad_needed = n - 1 - neg.shape[1]
         if pad_needed > 0:
-            kern = _kernel_basis(pencil, lam_n)[:, :pad_needed]
+            kern = _kernel_basis(pencil, lam_n, eigs[n - 1])[:, :pad_needed]
             neg = np.column_stack([neg, kern])
         sup = sup_p_plus(pencil, _complement(n_dim, neg))
         report.add("dual_spectral_subspace", abs(sup.value - lam_n) <= tol,

@@ -5,14 +5,16 @@ the companion matrix (numpy.roots), pencil spectra from the interpolated
 determinant polynomial, extremum searches from dense direction grids (where
 a grid searches over p_plus, rayleigh_batch evaluates it), semisimplicity
 from kernel ranks of the companion matrix, beam entries from adaptive
-quadrature, and evolution references from an explicit modal decomposition
-and from the trapezoidal scheme stepped one lu_solve at a time.
+quadrature, evolution references from an explicit modal decomposition
+and from the trapezoidal scheme stepped one lu_solve at a time, and the
+random-subspace clause of the min-max check decided one subspace at a time.
 """
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad
 
-from quadpencil import rayleigh_batch
+from quadpencil import rayleigh_batch, rayleigh_pair
+from quadpencil.variational import min_p_plus
 
 
 def quad_roots(a, b, c):
@@ -201,3 +203,31 @@ def det_poly_real_roots_mp(a0, d, digits=50):
         cut = mpmath.mpf(10) ** (-digits // 3)
         real = [float(r.real) for r in roots if abs(mpmath.im(r)) <= cut * max(1, abs(r))]
     return sorted(real, reverse=True)
+
+
+def random_minima_loop(pencil, rng, dim, count, bound, tol):
+    """The clause min p_plus <= bound on `count` random dim-dimensional
+    subspaces, one subspace at a time: the reference for the stacked
+    variational._random_minima. Each subspace is one draw from rng and one
+    QR; a rank-deficient draw is skipped but counted. p_plus at the top
+    eigenvector of B^T T(bound) B (rayleigh_pair) decides it, and min_p_plus
+    supplies the minimum where that value exceeds the bound by more than tol.
+    """
+    excess = []
+    for _ in range(count):
+        q, r = np.linalg.qr(rng.standard_normal((pencil.dim, dim)))
+        if not np.all(np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())):
+            continue
+        dc = q.T @ pencil.d_matrix @ q
+        ac = q.T @ pencil.a0_matrix @ q
+        t = bound * bound * np.eye(dim) + bound * (dc + dc.T) / 2.0 + (ac + ac.T) / 2.0
+        value = rayleigh_pair(pencil, q @ np.linalg.eigh(t)[1][:, -1]).p_plus
+        if value - bound > tol:
+            value = np.fmin(value, min_p_plus(pencil, q).value)
+        excess.append(value - bound)
+    excess = np.array(excess)
+    return {
+        "subspaces": count,
+        "violations": int(np.sum(excess > tol)),
+        "worst_excess": float(np.max(excess[excess > tol], initial=-np.inf)),
+    }

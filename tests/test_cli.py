@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quadpencil import build_pencil, load_config
-from quadpencil.cli import main
+from quadpencil.cli import CSV_CHUNK_ROWS, main
 
 from oracles import trapezoid_reference
 
@@ -123,6 +123,17 @@ class TestVariationalCommand:
         code = main(["variational", str(CONFIGS / "dense_diag.json"),
                      "--delta-lower", "-50.0", "--subspaces", "5"])
         assert code == 2
+
+    def test_zero_subspaces(self, tmp_path):
+        out = tmp_path / "var.json"
+        assert main(["variational", str(CONFIGS / "dense_diag.json"),
+                     "--subspaces", "0", "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["minmax_report"]["checks"]
+        clauses = [c for c in checks
+                   if c["label"] in ("random_subspaces_below_eigenvalue", "exhaustion_above_n")]
+        assert [c["label"] for c in clauses] == [
+            "random_subspaces_below_eigenvalue", "exhaustion_above_n"]
+        assert all(c["ok"] and c["subspaces"] == 0 and c["violations"] == 0 for c in clauses)
 
     def test_negative_subspaces_exits_2(self, capsys):
         code = main(["variational", str(CONFIGS / "dense_diag.json"),
@@ -282,6 +293,20 @@ class TestSimulateCommand:
         text = out.read_text()
         assert text.startswith("# generated_at=")
         assert text.split("\n", 1)[1] == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("rows", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    def test_stdout_matches_out_file(self, tmp_path, capsys, rows):
+        dt = 1.0 / 1024.0  # binary, so t_final / dt is exactly rows - 1
+        argv = ["simulate", str(CONFIGS / "dense_diag.json"),
+                "--t-final", repr((rows - 1) * dt), "--dt", repr(dt)]
+        out = tmp_path / "trace.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        stdout, text = capsys.readouterr().out, out.read_text()
+        assert stdout.startswith("# generated_at=") and text.startswith("# generated_at=")
+        assert stdout.split("\n", 1)[1] == text.split("\n", 1)[1]
+        assert text.endswith("\n") and text.count("\n") == rows + 2
 
     def test_initial_data_from_config(self, tmp_path):
         cfg = write_config(tmp_path, {

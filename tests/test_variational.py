@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,13 +22,20 @@ from quadpencil import (
     make_damping_profile,
     verify_minmax,
 )
-from quadpencil import rayleigh_pair
+from quadpencil import build_pencil, load_config, rayleigh_pair, variational
 from quadpencil.config import random_pencil
-from quadpencil.variational import _orth, min_p_plus, sup_p_plus
+from quadpencil.variational import _orth, _random_minima, min_p_plus, sup_p_plus
 
-from oracles import det_poly_real_roots_mp, p_plus_on_plane, quad_roots, semisimplicity_check
+from oracles import (
+    det_poly_real_roots_mp,
+    p_plus_on_plane,
+    quad_roots,
+    random_minima_loop,
+    semisimplicity_check,
+)
 
 SQRT7 = np.sqrt(7.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestScalarRoots:
@@ -355,6 +363,70 @@ class TestCompressedExtrema:
         assert check.data["violations"] == 4
         assert check.data["worst_excess"] == pytest.approx(
             (-3.0 + np.sqrt(5.0)) / 2.0 - lower, rel=1e-12)
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("count", [0, 1, 50])
+    @pytest.mark.parametrize("name", ["diag", "dense", "random_dim4"])
+    def test_random_minima_matches_per_subspace_loop(self, monkeypatch, name, count, chunked):
+        pencil = {
+            "diag": lambda: QuadraticPencil.from_matrices(np.diag([2.0, 8.0]),
+                                                          np.diag([6.0, 2.0])),
+            "dense": lambda: QuadraticPencil.from_matrices([[2.0, 1.0], [1.0, 8.0]],
+                                                           [[6.0, 1.5], [1.5, 3.0]]),
+            "random_dim4": lambda: build_pencil(load_config(CONFIGS / "random_dim4.json")),
+        }[name]()
+        alpha = compute_alpha(pencil).alpha
+        lower = alpha + 1e-6 * abs(alpha)
+        res = locate_real_eigenvalues(pencil, IntervalDelta(lower=lower), 1e-10)
+        violations = 0
+        for dim in range(1, pencil.dim + 1):
+            if chunked:  # three subspaces per stack
+                monkeypatch.setattr(variational, "SUBSPACE_BLOCK_BYTES", 3 * 8 * pencil.dim * dim)
+            lam = res.eigenvalues[dim - 1] if dim <= res.n_found else lower
+            # at the eigenvalue the clause holds; below it, violations make
+            # min_p_plus supply the reported minimum
+            for bound in (lam, lam - 1.0):
+                batched, looped = np.random.default_rng(dim), np.random.default_rng(dim)
+                got = _random_minima(pencil, batched, dim, count, bound, 1e-6)
+                want = random_minima_loop(pencil, looped, dim, count, bound, 1e-6)
+                assert batched.bit_generator.state == looped.bit_generator.state
+                assert (got["subspaces"], got["violations"]) == (
+                    want["subspaces"], want["violations"])
+                assert got["worst_excess"] == pytest.approx(want["worst_excess"], rel=1e-12)
+                violations += got["violations"]
+        assert res.n_found >= 1
+        if count == 50:  # the min_p_plus fallback ran
+            assert violations > 0
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_rank_deficient_draws_are_counted_not_decided(self, monkeypatch, chunked):
+        class RepeatedColumns:
+            """A normal stream in which every other subspace repeats its
+            first column."""
+
+            def __init__(self):
+                self.rng, self.drawn = np.random.default_rng(2), 0
+
+            def standard_normal(self, shape):
+                draws = self.rng.standard_normal(shape)
+                for i, draw in enumerate(draws.reshape((-1, *shape[-2:])), self.drawn):
+                    if i % 2 == 0:
+                        draw[:, 1:] = draw[:, :1]
+                    self.drawn += 1
+                return draws
+
+        # Overdamped: every subspace lies inside the cone with p_plus in
+        # [-0.31, -0.1], so each decided plane violates the bound -1.
+        pencil = QuadraticPencil.from_matrices(np.diag([1.0, 2.0, 3.0]), 10.0 * np.eye(3))
+        if chunked:
+            monkeypatch.setattr(variational, "SUBSPACE_BLOCK_BYTES", 3 * 8 * pencil.dim * 2)
+        batched, looped = RepeatedColumns(), RepeatedColumns()
+        got = _random_minima(pencil, batched, 2, 40, -1.0, 1e-6)
+        want = random_minima_loop(pencil, looped, 2, 40, -1.0, 1e-6)
+        assert batched.drawn == looped.drawn == 40
+        assert got["subspaces"] == want["subspaces"] == 40
+        assert got["violations"] == want["violations"] == 20
+        assert got["worst_excess"] == pytest.approx(want["worst_excess"], rel=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), dim=st.integers(2, 5),
