@@ -120,7 +120,7 @@ def _is_semisimple(pencil: QuadraticPencil, lam: float, mult: int) -> bool:
     basis = _kernel_basis(pencil, lam, np.linalg.eigh(pencil.t_matrix(lam)), mult)
     g = basis.T @ (2.0 * lam * np.eye(pencil.dim) + pencil.d_matrix) @ basis
     g = (g + g.T) / 2.0
-    gscale = 2.0 * abs(lam) + float(np.linalg.norm(pencil.d_matrix, 2))
+    gscale = 2.0 * abs(lam) + pencil.d_norm
     return bool(np.min(np.abs(np.linalg.eigvalsh(g))) > KERNEL_REL_TOL * gscale)
 
 

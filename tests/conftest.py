@@ -24,3 +24,14 @@ def critical_1x1():
 @pytest.fixture
 def overdamped_1x1():
     return QuadraticPencil.from_matrices([[2.0]], [[6.0]])
+
+
+@pytest.fixture
+def rotated_pencil():
+    """A0 = Q diag(1e-6, 1) Q^T with Q the rotation by 0.3, D = 3 I: valid,
+    cond(A0) = 1e6, all four eigenvalues real (-3.33e-7 and -0.382 above
+    alpha). The rounding of A0^{1/2} A0^{-1/2} here is about 2e-10."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    q = np.array([[c, -s], [s, c]])
+    a0 = q @ np.diag([1e-6, 1.0]) @ q.T
+    return QuadraticPencil.from_matrices((a0 + a0.T) / 2.0, 3.0 * np.eye(2))

@@ -109,6 +109,31 @@ def conjugate_pairing(values, tol):
     return paired, worst
 
 
+def resolvent_regions_loop(values, gamma, radius, margin=1e-9):
+    """(disc_ok, worst_depth, triangle_ok, violations): one eigenvalue at a
+    time, the disc test and the wedge test of resolvent_region_check, with
+    eigenvalues within eps of an exceptional point excused."""
+    inv_g = 1.0 / gamma
+    exceptional = [complex(-inv_g, 0.0), complex(-inv_g, inv_g), complex(-inv_g, -inv_g)]
+    eps = margin * max(1.0, inv_g)
+    disc_ok, worst = True, 0.0
+    for lam in values:
+        depth = radius - abs(lam)
+        if depth > margin * radius:
+            disc_ok, worst = False, max(worst, depth)
+    violations = []
+    for lam in values:
+        if min(abs(lam - e) for e in exceptional) <= eps:
+            continue
+        if -inv_g + eps <= lam.real <= -eps and abs(lam.imag) <= -lam.real - eps:
+            violations.append({
+                "eigenvalue": complex(lam),
+                "distance_to_vertical_edge": float(lam.real + inv_g),
+                "distance_to_wedge_edge": float(-lam.real - abs(lam.imag)),
+            })
+    return disc_ok, worst, not violations, violations
+
+
 def damping_entry_adaptive(profile, m, n):
     """Beam damping matrix entry by adaptive quadrature."""
     val, err = quad(

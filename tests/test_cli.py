@@ -359,6 +359,46 @@ class TestBeamReportCommand:
         assert main(["beam-report", str(CONFIGS / "dense_diag.json")]) == 2
 
 
+class TestIllConditionedStiffness:
+    """The rotated cond(A0) = 1e6 pencil: a rounding defect of the
+    companion's closed-form inverse is a check of `spectrum`, and the
+    commands that never use that inverse exit 0."""
+
+    @pytest.fixture
+    def cfg(self, tmp_path, rotated_pencil):
+        return write_config(tmp_path, {
+            "schema": 1, "source": "dense",
+            "dense": {"a0": rotated_pencil.a0_matrix.tolist(),
+                      "d": rotated_pencil.d_matrix.tolist()},
+        })
+
+    def test_variational_exits_0(self, tmp_path, cfg):
+        out = tmp_path / "var.json"
+        assert main(["variational", cfg, "--out", str(out)]) == 0
+        found = [e["value"] for e in json.loads(out.read_text())["eigenvalues"]]
+        assert found == pytest.approx([-(3.0 - np.sqrt(9.0 - 4e-6)) / 2.0,
+                                       -(3.0 - np.sqrt(5.0)) / 2.0], rel=1e-8)
+
+    def test_simulate_exits_0(self, tmp_path, cfg):
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", cfg, "--t-final", "0.1", "--dt", "0.01",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2 + 11
+
+    def test_interlace_with_itself_exits_0(self, tmp_path, cfg):
+        assert main(["interlace", cfg, cfg, "--out", str(tmp_path / "cmp.json")]) == 0
+
+    def test_spectrum_reports_inverse_identity(self, tmp_path, cfg):
+        out = tmp_path / "spec.json"
+        code = main(["spectrum", cfg, "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert code == (0 if doc["ok"] else 1)
+        checks = {c["label"]: c for c in doc["reports"]["structural"]["checks"]}
+        check = checks["inverse_identity"]
+        assert check["bound"] == 1e-10
+        assert check["ok"] == (check["defect"] <= check["bound"])
+
+
 class TestNumericalFailureExit:
     def test_computation_error_exits_3(self, monkeypatch):
         import quadpencil.cli as cli_mod

@@ -44,6 +44,15 @@ class TestSimulate:
         exact = modal_energy(system.a_matrix, u0, trace.times[::2000])
         assert np.allclose(trace.energies[::2000], exact, rtol=1e-7)
 
+    def test_rotated_ill_conditioned_pencil(self, rotated_pencil):
+        # cond(A0) = 1e6; the step reads only the companion, never its
+        # closed-form inverse, whose rounding defect here is about 2e-10.
+        trace = simulate(rotated_pencil, [1.0, 0.0], [0.0, 1.0], 0.5, 1e-3)
+        energies, _, _, _ = trapezoid_reference(rotated_pencil, [1.0, 0.0], [0.0, 1.0],
+                                                500, 1e-3)
+        assert np.allclose(trace.energies, energies, rtol=1e-12, atol=0.0)
+        assert np.all(np.diff(trace.energies) <= 0.0)
+
     def test_zero_time_single_record(self, diag_pencil):
         trace = simulate(diag_pencil, [1.0, 0.0], [0.0, 0.0], 0.0, 1e-3)
         assert len(trace.times) == 1

@@ -10,6 +10,8 @@ from quadpencil import (
     QuadraticPencil,
     build_linearization,
     check_pencil_equivalence,
+    compute_delta_gamma,
+    disc_radius,
     discretize_beam,
     full_spectrum,
     make_damping_profile,
@@ -17,8 +19,14 @@ from quadpencil import (
     structural_report,
 )
 from quadpencil.config import random_pencil
+from quadpencil.linearization import INVERSE_IDENTITY_TOL
 
-from oracles import conjugate_pairing, det_poly_eigenvalues, semisimplicity_check
+from oracles import (
+    conjugate_pairing,
+    det_poly_eigenvalues,
+    resolvent_regions_loop,
+    semisimplicity_check,
+)
 
 SQRT7 = np.sqrt(7.0)
 
@@ -85,11 +93,52 @@ class TestBuild:
         for seed, dim in enumerate((3, 4, 5, 6, 8, 10, 12, 12)):
             pencil = random_pencil(dim, seed, damping_scale=2.0)
             system = build_linearization(pencil)
-            ja = system.j_signature @ system.a_matrix
+            j_signature = np.diag(np.concatenate([np.ones(dim), -np.ones(dim)]))
+            ja = j_signature @ system.a_matrix
             assert np.linalg.norm(ja - ja.T, 2) <= 1e-12 * system.norm
             assert np.linalg.norm(
                 system.a_matrix @ system.inverse_matrix - np.eye(2 * dim), 2
             ) <= 1e-10
+
+
+class TestStructuralChecks:
+    """structural_report alone measures the two identities, on whatever
+    a_matrix the system holds; build_linearization decides nothing."""
+
+    @staticmethod
+    def _checks(system, spectrum):
+        return {c.label: c for c in structural_report(system, spectrum).checks}
+
+    def test_perturbed_sqrt_block_fails_j_symmetry(self, diag_pencil):
+        system = build_linearization(diag_pencil)
+        spec = full_spectrum(system)
+        assert structural_report(system, spec).ok
+        a = system.a_matrix.copy()
+        a[0, 3] += 1e-6             # an off-diagonal entry of the A0^{1/2} block
+        checks = self._checks(dataclasses.replace(system, a_matrix=a), spec)
+        assert not checks["j_symmetry"].ok
+        assert checks["j_symmetry"].data["defect"] == pytest.approx(1e-6, rel=1e-6)
+
+    def test_perturbed_damping_block_fails_inverse_only(self, diag_pencil):
+        system = build_linearization(diag_pencil)
+        spec = full_spectrum(system)
+        a = system.a_matrix.copy()
+        a[2, 2] += 1e-6             # a diagonal entry of the -D block
+        checks = self._checks(dataclasses.replace(system, a_matrix=a), spec)
+        assert checks["j_symmetry"].ok
+        assert not checks["inverse_identity"].ok
+        # (A + E) A^{-1} - I = E A^{-1}, whose only row is 1e-6 A0^{-1/2}[0]
+        assert checks["inverse_identity"].data["defect"] == pytest.approx(
+            1e-6 / np.sqrt(2.0), rel=1e-6)
+
+    def test_rotated_ill_conditioned_pencil_reports_inverse(self, rotated_pencil):
+        # cond(A0) = 1e6 rounds A0^{1/2} A0^{-1/2} to about the absolute bound;
+        # the defect is a check with its witness, whichever side it falls on.
+        system = build_linearization(rotated_pencil)
+        check = self._checks(system, full_spectrum(system))["inverse_identity"]
+        defect = np.linalg.norm(system.a_matrix @ system.inverse_matrix - np.eye(4), 2)
+        assert check.data == {"defect": defect, "bound": INVERSE_IDENTITY_TOL}
+        assert check.ok == (defect <= INVERSE_IDENTITY_TOL)
 
 
 class TestFullSpectrum:
@@ -335,6 +384,31 @@ class TestResolventRegions:
             assert abs(a - b) < 1e-12
         report = resolvent_region_check(pencil, spec)
         assert report.ok, report.failures()
+
+    def test_matches_loop_oracle_with_injected_values(self):
+        # Random spectra with points injected into the disc, the wedge, onto
+        # its edge and next to an exceptional point, in shuffled order.
+        rng = np.random.default_rng(11)
+        for seed in range(6):
+            pencil = random_pencil(3 + seed % 4, 420 + seed, damping_scale=3.0)
+            spec = full_spectrum(build_linearization(pencil))
+            _, gamma = compute_delta_gamma(pencil)
+            inv_g, radius = 1.0 / gamma, disc_radius(pencil)
+            re = -inv_g * rng.uniform(0.05, 0.95, 4)
+            injected = np.concatenate([
+                re + 1j * re * rng.uniform(-0.9, 0.9, 4),
+                radius * rng.uniform(0.1, 0.9, 2) * np.exp(2j * np.pi * rng.uniform(size=2)),
+                [complex(-inv_g, -inv_g) + 1e-12, complex(re[0], -re[0])],
+            ])
+            w = rng.permutation(np.concatenate([spec.raw_eigenvalues, injected]))
+            report = resolvent_region_check(
+                pencil, dataclasses.replace(spec, raw_eigenvalues=w))
+            disc_ok, worst, triangle_ok, violations = resolvent_regions_loop(
+                w, gamma, radius)
+            disc, triangle = report.checks
+            assert (disc.ok, disc.data["worst_violation_depth"]) == (disc_ok, worst)
+            assert (triangle.ok, triangle.data["violations"]) == (triangle_ok, violations)
+            assert len(violations) >= 4
 
     def test_requires_damping(self, undamped_pencil):
         spec = full_spectrum(build_linearization(undamped_pencil))

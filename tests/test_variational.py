@@ -180,6 +180,20 @@ class TestLocate:
             assert len(expected) == res.n_found
             assert np.allclose(res.eigenvalues, expected, atol=1e-7)
 
+    def test_rotated_ill_conditioned_pencil(self, rotated_pencil):
+        # cond(A0) = 1e6; locate reads only the companion, never its
+        # closed-form inverse, whose rounding defect here is about 2e-10.
+        n, alpha = rotated_pencil.dim, compute_alpha(rotated_pencil).alpha
+        lower = alpha + 1e-6 * abs(alpha)
+        res = locate_real_eigenvalues(rotated_pencil, IntervalDelta(lower=lower), 1e-10,
+                                      alpha_estimate=alpha)
+        raw = np.block([[np.zeros((n, n)), np.eye(n)],
+                        [-rotated_pencil.a0_matrix, -rotated_pencil.d_matrix]])
+        w = np.linalg.eigvals(raw)
+        expected = np.sort(w.real[(np.abs(w.imag) <= 1e-12) & (w.real > lower)])[::-1]
+        assert expected.size == 2
+        assert np.allclose(res.eigenvalues, expected, rtol=1e-8, atol=1e-14)
+
     def test_matches_mpmath_determinant_oracle(self):
         # Independent of the companion matrix: real roots of det T(lam) at 50
         # digits, on the acceptance ensemble's pencils of dim <= 4 and on two
