@@ -19,6 +19,8 @@ from .reports import Report
 from .variational import IntervalDelta, locate_real_eigenvalues
 
 PROFILE_SCAN_POINTS = 4097
+# Nodes per panel of the composite Gauss-Legendre rule.
+GAUSS_PANEL_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,10 @@ class BeamBounds:
     lower_n: tuple[float, ...]
 
 
-def _gauss_nodes(total_points: int, panel_order: int = 16):
+def _gauss_nodes(total_points: int):
     """Composite Gauss-Legendre rule on [0,1] with at least total_points nodes."""
-    panels = max(1, int(np.ceil(total_points / panel_order)))
-    base_x, base_w = np.polynomial.legendre.leggauss(panel_order)
+    panels = max(1, int(np.ceil(total_points / GAUSS_PANEL_ORDER)))
+    base_x, base_w = np.polynomial.legendre.leggauss(GAUSS_PANEL_ORDER)
     edges = np.linspace(0.0, 1.0, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
@@ -152,7 +154,7 @@ def discretize_beam(cfg: BeamConfig) -> QuadraticPencil:
     integrals = weighted @ cosines.T
     d_matrix = 2.0 * np.outer(modes, modes) * np.pi**2 * integrals
     d_matrix = (d_matrix + d_matrix.T) / 2.0
-    return QuadraticPencil.from_matrices(a0_matrix, d_matrix)
+    return QuadraticPencil(a0_matrix, d_matrix)
 
 
 def beam_closed_form(cfg: BeamConfig) -> np.ndarray:

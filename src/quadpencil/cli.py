@@ -92,7 +92,7 @@ def cmd_spectrum(args) -> int:
     config = _load(args.config)
     pencil = build_pencil(config)
     system = build_linearization(pencil)
-    spectrum = full_spectrum(system, cluster_tolerance=args.cluster_tol)
+    spectrum = full_spectrum(system)
     reports = {
         "structural": structural_report(system, spectrum).to_dict(),
         "pencil_equivalence": check_pencil_equivalence(pencil, spectrum).to_dict(),
@@ -275,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="full complex spectrum plus structure checks")
     p.add_argument("config")
     p.add_argument("--out", default=None)
-    p.add_argument("--cluster-tol", type=float, default=None)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("variational", help="real eigenvalues on (alpha, 0] plus min-max checks")

@@ -207,14 +207,14 @@ def random_pencil(
         needed = 2.5 / np.sqrt(w_a[0])
         if s_norm < needed:
             d = d * (needed / max(s_norm, 1e-300))
-    return QuadraticPencil.from_matrices(a0, d)
+    return QuadraticPencil(a0, d)
 
 
 def build_pencil(config: ProblemConfig) -> QuadraticPencil:
     if config.source == "dense":
         a0, d = config.dense
         try:
-            return QuadraticPencil.from_matrices(a0, d)
+            return QuadraticPencil(a0, d)
         except InvalidArgumentError as exc:
             raise ConfigError(f"invalid dense pencil: {exc}") from exc
     if config.source == "beam":

@@ -27,6 +27,13 @@ from .reports import Report
 # Bytes of the block of states the step loop fills before their energies are
 # taken: memory stays flat in the step count.
 STATE_BLOCK_BYTES = 1 << 18
+# Energy rise and per-step identity defect allowed, relative to E(0).
+ENERGY_REL_TOL = 1e-10
+# spectral_abscissa_consistency: the tail share of the trace that is fitted,
+# and the relative and absolute slack of the fitted slope.
+ABSCISSA_FIT_FRACTION = 0.3
+ABSCISSA_REL_TOL = 0.05
+ABSCISSA_SLOPE_ATOL = 1e-6
 
 
 def block_rows(dim: int) -> int:
@@ -137,15 +144,15 @@ def simulate(
     )
 
 
-def energy_monotonicity_report(trace: SimulationTrace, tol: float = 1e-10) -> Report:
-    """Per-step non-increase of the energy and nonnegativity of the
-    dissipation rate."""
+def energy_monotonicity_report(trace: SimulationTrace) -> Report:
+    """Per-step non-increase of the energy, to ENERGY_REL_TOL * E(0), and
+    nonnegativity of the dissipation rate."""
     report = Report("energy_monotonicity")
     e0 = float(trace.energies[0]) if trace.energies.size else 0.0
     rises = np.diff(trace.energies)
     worst = float(np.max(rises)) if rises.size else 0.0
-    report.add("energy_non_increasing", worst <= tol * max(e0, 1e-300),
-               worst_rise=worst, initial_energy=e0, bound=tol * e0)
+    report.add("energy_non_increasing", worst <= ENERGY_REL_TOL * max(e0, 1e-300),
+               worst_rise=worst, initial_energy=e0, bound=ENERGY_REL_TOL * e0)
     d_scale = float(np.max(np.abs(trace.dissipation))) if trace.dissipation.size else 0.0
     d_min = float(np.min(trace.dissipation)) if trace.dissipation.size else 0.0
     report.add("dissipation_nonnegative", d_min >= -1e-12 * max(d_scale, 1e-300),
@@ -153,10 +160,9 @@ def energy_monotonicity_report(trace: SimulationTrace, tol: float = 1e-10) -> Re
     return report
 
 
-def discrete_energy_identity_report(
-    pencil: QuadraticPencil, trace: SimulationTrace, tol: float = 1e-10
-) -> Report:
-    """Signed per-step balance E_{k+1} - E_k = -2 dt d[w_{k+1/2}].
+def discrete_energy_identity_report(pencil: QuadraticPencil, trace: SimulationTrace) -> Report:
+    """Signed per-step balance E_{k+1} - E_k = -2 dt d[w_{k+1/2}], to
+    ENERGY_REL_TOL * E(0).
 
     Requires a trace recorded with snapshot_stride == 1.
     """
@@ -170,19 +176,14 @@ def discrete_energy_identity_report(
     balance = (np.diff(trace.energies)
                + 2.0 * dt * _row_dots(w_mid, _row_matvecs(pencil.d_matrix, w_mid)))
     worst = float(np.max(np.abs(balance))) if balance.size else 0.0
-    report.add("per_step_identity", worst <= tol * max(e0, 1e-300),
-               worst_defect=worst, initial_energy=e0, bound=tol * e0)
+    report.add("per_step_identity", worst <= ENERGY_REL_TOL * max(e0, 1e-300),
+               worst_defect=worst, initial_energy=e0, bound=ENERGY_REL_TOL * e0)
     return report
 
 
-def spectral_abscissa_consistency(
-    pencil: QuadraticPencil,
-    trace: SimulationTrace,
-    fit_fraction: float = 0.3,
-    rel_tol: float = 0.05,
-    slope_atol: float = 1e-6,
-) -> Report:
-    """Fit the tail slope of log E(t) against twice the spectral abscissa.
+def spectral_abscissa_consistency(pencil: QuadraticPencil, trace: SimulationTrace) -> Report:
+    """Fit the tail slope of log E(t), over the last ABSCISSA_FIT_FRACTION of
+    the trace, against twice the spectral abscissa.
 
     The heuristic pre-condition t_final >= 10 / |abscissa| keeps the fit in
     the regime where the slowest mode dominates; it is reported as its own
@@ -198,14 +199,14 @@ def spectral_abscissa_consistency(
         drift = 0.0
         if tail.size >= 2:
             drift = abs(np.log(float(trace.energies[-1]) / float(trace.energies[0]))) / max(t_final, 1e-300)
-        report.add("undamped_energy_flat", drift <= slope_atol,
+        report.add("undamped_energy_flat", drift <= ABSCISSA_SLOPE_ATOL,
                    abscissa=abscissa, log_drift_rate=drift)
         return report
 
     needed = 10.0 / abs(abscissa)
     report.add("trace_long_enough", t_final >= needed,
                t_final=t_final, needed=needed)
-    k0 = int(np.floor((1.0 - fit_fraction) * (trace.times.size - 1)))
+    k0 = int(np.floor((1.0 - ABSCISSA_FIT_FRACTION) * (trace.times.size - 1)))
     t_tail = trace.times[k0:]
     e_tail = trace.energies[k0:]
     positive = e_tail > 0.0
@@ -214,7 +215,7 @@ def spectral_abscissa_consistency(
         return report
     slope = float(np.polyfit(t_tail[positive], np.log(e_tail[positive]), 1)[0])
     target = 2.0 * abscissa
-    bound = rel_tol * abs(target) + slope_atol
+    bound = ABSCISSA_REL_TOL * abs(target) + ABSCISSA_SLOPE_ATOL
     report.add("decay_not_slower_than_abscissa", slope <= target + bound,
                slope=slope, target=target, tolerance=bound)
     report.add("slope_matches_abscissa", abs(slope - target) <= bound,

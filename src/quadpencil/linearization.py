@@ -21,8 +21,12 @@ from .pencil import QuadraticPencil, compute_delta_gamma, disc_radius
 from .reports import Report
 
 J_SYMMETRY_TOL = 1e-12
-INVERSE_IDENTITY_TOL = 1e-10
 RANK_REL_TOL = 1e-8
+# full_spectrum joins eigenvalues closer than CLUSTER_REL_TOL * |A|.
+CLUSTER_REL_TOL = 1e-8
+# resolvent_region_check excuses eigenvalues within REGION_MARGIN (relative)
+# of an exceptional point or of the region boundary.
+REGION_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,16 +69,6 @@ class SpectrumResult:
     raw_eigenvalues: np.ndarray      # all 2n values as returned by the solver
     vectors: np.ndarray              # n x clusters, ordered like eigenvalues
 
-    def real_eigenvalues_in(self, lower: float, upper: float = 0.0):
-        """Cluster representatives that are real (within cluster tolerance)
-        and lie in (lower, upper], with their algebraic multiplicities."""
-        out = []
-        for lam, mult in zip(self.eigenvalues, self.algebraic_multiplicities):
-            if abs(lam.imag) <= self.cluster_tolerance and lower < lam.real <= upper:
-                out.append((float(lam.real), int(mult)))
-        out.sort(key=lambda t: -t[0])
-        return out
-
 
 def build_linearization(pencil: QuadraticPencil) -> LinearizedSystem:
     n = pencil.dim
@@ -111,25 +105,23 @@ def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
                   key=lambda c: c[0])
 
 
-def _nullity(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
+def _nullity(m: np.ndarray) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return m.shape[1]
-    return int(np.sum(s < rel_tol * s[0]))
+    return int(np.sum(s < RANK_REL_TOL * s[0]))
 
 
-def full_spectrum(
-    system: LinearizedSystem, cluster_tolerance: float | None = None
-) -> SpectrumResult:
-    """All 2n eigenvalues with residuals, clustered into multiplicity groups.
+def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
+    """All 2n eigenvalues with residuals, clustered into multiplicity groups
+    at CLUSTER_REL_TOL * |A|.
 
     Algebraic multiplicity is the cluster size. Geometric multiplicity is
     the numerical kernel dimension of (A - lam I), computed only for
     clusters of two or more: a simple eigenvalue has 1 <= geo <= alg = 1,
     so one eigensolve plus O(n^2) residual work per eigenvalue covers it.
     """
-    if cluster_tolerance is None:
-        cluster_tolerance = 1e-8 * system.norm
+    cluster_tolerance = CLUSTER_REL_TOL * system.norm
     try:
         w, v = scipy.linalg.eig(system.a_matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
@@ -169,17 +161,22 @@ def structural_report(system: LinearizedSystem, spectrum: SpectrumResult) -> Rep
 
     With J = diag(I, -I) and the blocks 0, s, -s, -D of a_matrix (D exactly
     symmetric), J A - (J A)^T = [[0, K], [K, 0]] with K = s - s^T, whose
-    2-norm is that of K. The inverse defect is |A A^{-1} - I| in the 2-norm.
+    2-norm is that of K. The inverse defect is |A A^{-1} - I| in the 2-norm;
+    the rounding of the product bounds it by 2n eps |A| |A^{-1}|, and the
+    blocks of the closed form give |A^{-1}| <= gamma + |A0^{-1}|^{1/2}, so
+    the bound is twice 2n eps |A| (gamma + |A0^{-1}|^{1/2}).
     """
     report = Report("structural_identities")
-    scale, n = system.norm, system.dim
+    scale, n, pencil = system.norm, system.dim, system.pencil
     s = system.a_matrix[:n, n:]
     sym = float(np.linalg.norm(s - s.T, 2))
     report.add("j_symmetry", sym <= J_SYMMETRY_TOL * scale,
                defect=sym, bound=J_SYMMETRY_TOL * scale)
     inv = float(np.linalg.norm(system.a_matrix @ system.inverse_matrix - np.eye(2 * n), 2))
-    report.add("inverse_identity", inv <= INVERSE_IDENTITY_TOL,
-               defect=inv, bound=INVERSE_IDENTITY_TOL)
+    _, gamma = compute_delta_gamma(pencil)
+    inv_bound = (2.0 * 2 * n * np.finfo(float).eps * scale
+                 * (gamma + np.sqrt(pencil.a0_inv_norm)))
+    report.add("inverse_identity", inv <= inv_bound, defect=inv, bound=inv_bound)
     w, tol = spectrum.raw_eigenvalues, spectrum.cluster_tolerance
     max_re = float(np.max(w.real))
     report.add("left_half_plane", max_re <= 1e-10 * scale,
@@ -233,17 +230,13 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
     return report
 
 
-def resolvent_region_check(
-    pencil: QuadraticPencil,
-    spectrum: SpectrumResult,
-    margin: float = 1e-9,
-) -> Report:
+def resolvent_region_check(pencil: QuadraticPencil, spectrum: SpectrumResult) -> Report:
     """No eigenvalue may enter the open disc around zero or the left wedge.
 
     The wedge is { -1/gamma <= Re z < 0, |Im z| <= |Re z| } minus the three
     exceptional points -1/gamma and -1/gamma +- i/gamma, which genuinely can
-    carry spectrum; eigenvalues within `margin` of an exceptional point or of
-    the region boundary are excused.
+    carry spectrum; eigenvalues within REGION_MARGIN of an exceptional point
+    or of the region boundary are excused.
     """
     _, gamma = compute_delta_gamma(pencil)
     if gamma == 0.0:
@@ -253,11 +246,11 @@ def resolvent_region_check(
     inv_g = 1.0 / gamma
     exceptional = np.array([complex(-inv_g, 0.0), complex(-inv_g, inv_g),
                             complex(-inv_g, -inv_g)])
-    eps = margin * max(1.0, inv_g)
+    eps = REGION_MARGIN * max(1.0, inv_g)
     w = spectrum.raw_eigenvalues
 
     depth = radius - np.abs(w)
-    deep = depth > margin * radius
+    deep = depth > REGION_MARGIN * radius
     report.add("open_disc_excluded", not deep.any(), radius=radius,
                worst_violation_depth=float(np.max(depth[deep], initial=0.0)))
 

@@ -33,11 +33,6 @@ ALPHA_MIN_GAP = 1e-12
 ALPHA_SLACK = 16.0
 
 
-class OperatorKind(str, Enum):
-    POSITIVE_DEFINITE = "positive_definite"
-    POSITIVE_SEMIDEFINITE = "positive_semidefinite"
-
-
 class DstarVerdict(str, Enum):
     EMPTY_CERTIFIED = "empty_certified"
     NONEMPTY_CERTIFIED = "nonempty_certified"
@@ -45,79 +40,46 @@ class DstarVerdict(str, Enum):
 
 
 @dataclass(frozen=True)
-class SymmetricOperator:
-    """Dense real symmetric matrix with a positivity contract.
+class QuadraticPencil:
+    """The pair (A0, D) with identity mass; all analysis runs on this object.
 
-    Construction symmetrizes the input exactly and verifies the contract
-    through an eigenvalue check relative to the matrix norm.
+    Construction symmetrizes both matrices exactly, makes them read-only and
+    checks, relative to each matrix's norm, that A0 is positive definite and
+    D positive semidefinite, from the eigenvalues the pencil caches anyway.
     """
 
-    entries: np.ndarray
-    kind: OperatorKind
+    a0_matrix: np.ndarray
+    d_matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
-        m = (m + m.T) / 2.0
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "kind", OperatorKind(self.kind))
-        w = np.linalg.eigvalsh(m)
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
-        tol = DEFINITENESS_TOL * scale
-        if self.kind is OperatorKind.POSITIVE_DEFINITE:
-            if w[0] <= tol:
-                raise InvalidArgumentError(
-                    f"matrix is not positive definite: min eigenvalue {w[0]:.3e} "
-                    f"(threshold {tol:.3e})"
-                )
-        else:
-            if w[0] < -tol:
-                raise InvalidArgumentError(
-                    f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class QuadraticPencil:
-    """The pair (A0, D) with identity mass; all analysis runs on this object."""
-
-    a0: SymmetricOperator
-    d: SymmetricOperator
-
-    def __post_init__(self):
-        if self.a0.kind is not OperatorKind.POSITIVE_DEFINITE:
-            raise InvalidArgumentError("stiffness operator must be positive definite")
-        if self.d.kind is not OperatorKind.POSITIVE_SEMIDEFINITE:
-            raise InvalidArgumentError("damping operator must be positive semidefinite")
-        if self.a0.dim != self.d.dim:
+        for name in ("a0_matrix", "d_matrix"):
+            m = np.asarray(getattr(self, name), dtype=float)
+            if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+                raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
+            m = (m + m.T) / 2.0
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
+        if self.a0_matrix.shape != self.d_matrix.shape:
             raise InvalidArgumentError(
-                f"dimension mismatch: stiffness {self.a0.dim}, damping {self.d.dim}"
+                f"dimension mismatch: stiffness {self.a0_matrix.shape[0]}, "
+                f"damping {self.d_matrix.shape[0]}"
+            )
+        w = self._a0_eig[0]
+        tol = DEFINITENESS_TOL * float(np.max(np.abs(w)))
+        if w[0] <= tol:
+            raise InvalidArgumentError(
+                f"matrix is not positive definite: min eigenvalue {w[0]:.3e} "
+                f"(threshold {tol:.3e})"
+            )
+        w = self._d_eigvals
+        if w[0] < -DEFINITENESS_TOL * float(np.max(np.abs(w))):
+            raise InvalidArgumentError(
+                f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
             )
 
-    @classmethod
-    def from_matrices(cls, a0, d) -> "QuadraticPencil":
-        return cls(
-            SymmetricOperator(np.asarray(a0, float), OperatorKind.POSITIVE_DEFINITE),
-            SymmetricOperator(np.asarray(d, float), OperatorKind.POSITIVE_SEMIDEFINITE),
-        )
-
     @property
     def dim(self) -> int:
-        return self.a0.dim
-
-    @property
-    def a0_matrix(self) -> np.ndarray:
-        return self.a0.entries
-
-    @property
-    def d_matrix(self) -> np.ndarray:
-        return self.d.entries
+        return self.a0_matrix.shape[0]
 
     @cached_property
     def _a0_eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -135,19 +97,18 @@ class QuadraticPencil:
         return (v / np.sqrt(w)) @ v.T
 
     @cached_property
-    def a0_inv(self) -> np.ndarray:
-        w, v = self._a0_eig
-        return (v / w) @ v.T
-
-    @cached_property
     def a0_norm(self) -> float:
         """Spectral norm of A0, i.e. max eig(A0)."""
         return float(self._a0_eig[0][-1])
 
     @cached_property
+    def _d_eigvals(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.d_matrix)
+
+    @cached_property
     def d_norm(self) -> float:
         """Spectral norm of D, i.e. max eig(D) (0 for zero damping)."""
-        return max(float(np.linalg.eigvalsh(self.d_matrix)[-1]), 0.0)
+        return max(float(self._d_eigvals[-1]), 0.0)
 
     @cached_property
     def a0_inv_norm(self) -> float:
@@ -159,6 +120,10 @@ class QuadraticPencil:
         """A0^{-1/2} D A0^{-1/2}, symmetric PSD; carries delta and gamma."""
         s = self.a0_inv_sqrt @ self.d_matrix @ self.a0_inv_sqrt
         return (s + s.T) / 2.0
+
+    @cached_property
+    def _whitened_eigvals(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.whitened_damping)
 
     def t_matrix(self, lam: float) -> np.ndarray:
         """The symmetric matrix T(lam) = lam^2 I + lam D + A0 for real lam."""
@@ -326,7 +291,7 @@ def _roots_from_forms(
 
 def compute_delta_gamma(pencil: QuadraticPencil) -> tuple[float, float]:
     """Extreme eigenvalues (min, max) of the whitened damping A0^{-1/2} D A0^{-1/2}."""
-    w = np.linalg.eigvalsh(pencil.whitened_damping)
+    w = pencil._whitened_eigvals
     delta = max(float(w[0]), 0.0)
     gamma = max(float(w[-1]), 0.0)
     return delta, gamma

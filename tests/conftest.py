@@ -7,23 +7,23 @@ from quadpencil import QuadraticPencil
 @pytest.fixture
 def diag_pencil():
     """Two uncoupled modes: one overdamped (roots -3 +- sqrt7), one not."""
-    return QuadraticPencil.from_matrices(np.diag([2.0, 8.0]), np.diag([6.0, 2.0]))
+    return QuadraticPencil(np.diag([2.0, 8.0]), np.diag([6.0, 2.0]))
 
 
 @pytest.fixture
 def undamped_pencil():
-    return QuadraticPencil.from_matrices(np.diag([2.0, 8.0]), np.zeros((2, 2)))
+    return QuadraticPencil(np.diag([2.0, 8.0]), np.zeros((2, 2)))
 
 
 @pytest.fixture
 def critical_1x1():
     """Double root at -1 sitting exactly at the p-minus supremum."""
-    return QuadraticPencil.from_matrices([[1.0]], [[2.0]])
+    return QuadraticPencil([[1.0]], [[2.0]])
 
 
 @pytest.fixture
 def overdamped_1x1():
-    return QuadraticPencil.from_matrices([[2.0]], [[6.0]])
+    return QuadraticPencil([[2.0]], [[6.0]])
 
 
 @pytest.fixture
@@ -34,4 +34,4 @@ def rotated_pencil():
     c, s = np.cos(0.3), np.sin(0.3)
     q = np.array([[c, -s], [s, c]])
     a0 = q @ np.diag([1e-6, 1.0]) @ q.T
-    return QuadraticPencil.from_matrices((a0 + a0.T) / 2.0, 3.0 * np.eye(2))
+    return QuadraticPencil((a0 + a0.T) / 2.0, 3.0 * np.eye(2))

@@ -109,6 +109,18 @@ def conjugate_pairing(values, tol):
     return paired, worst
 
 
+def real_eigenvalues_in(spectrum, lower, upper=0.0):
+    """Cluster representatives of a full_spectrum result that are real
+    (within its cluster tolerance) and lie in (lower, upper], with their
+    algebraic multiplicities, in descending order."""
+    out = []
+    for lam, mult in zip(spectrum.eigenvalues, spectrum.algebraic_multiplicities):
+        if abs(lam.imag) <= spectrum.cluster_tolerance and lower < lam.real <= upper:
+            out.append((float(lam.real), int(mult)))
+    out.sort(key=lambda t: -t[0])
+    return out
+
+
 def resolvent_regions_loop(values, gamma, radius, margin=1e-9):
     """(disc_ok, worst_depth, triangle_ok, violations): one eigenvalue at a
     time, the disc test and the wedge test of resolvent_region_check, with

@@ -21,7 +21,7 @@ def test_import_loads_no_optimizer_or_interpolation():
 
 def test_minmax_verification_loads_no_optimizer():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import quadpencil as qp; "
-            "p = qp.QuadraticPencil.from_matrices([[2.0, 0.0], [0.0, 8.0]], "
+            "p = qp.QuadraticPencil([[2.0, 0.0], [0.0, 8.0]], "
             "[[6.0, 0.0], [0.0, 2.0]]); "
             "res = qp.locate_real_eigenvalues(p, qp.IntervalDelta(lower=-2.1), 1e-10); "
             "assert qp.verify_minmax(p, res, random_subspaces=20, seed=0).ok; "

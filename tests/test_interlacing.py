@@ -24,7 +24,7 @@ def ordered_pair(seed, dim=4, eps=0.05):
     strengthen = eps * (b2 @ b2.T) / dim
     w_min = np.linalg.eigvalsh(p.a0_matrix)[0]
     soften *= 0.5 * w_min / max(np.linalg.norm(soften, 2), 1e-12)
-    p_hat = QuadraticPencil.from_matrices(
+    p_hat = QuadraticPencil(
         p.a0_matrix - soften, p.d_matrix + strengthen
     )
     return p, p_hat
@@ -35,7 +35,7 @@ class TestFormOrder:
         assert check_form_order(diag_pencil, diag_pencil)
 
     def test_softened_stiffness(self, diag_pencil):
-        softer = QuadraticPencil.from_matrices(np.diag([1.0, 8.0]), np.diag([6.0, 2.0]))
+        softer = QuadraticPencil(np.diag([1.0, 8.0]), np.diag([6.0, 2.0]))
         assert check_form_order(diag_pencil, softer)
         assert not check_form_order(softer, diag_pencil)
 
@@ -81,7 +81,7 @@ class TestCompare:
             assert report.ok, report.to_dict()
 
     def test_order_violation_rejected(self, diag_pencil):
-        stiffer = QuadraticPencil.from_matrices(np.diag([3.0, 8.0]), np.diag([6.0, 2.0]))
+        stiffer = QuadraticPencil(np.diag([3.0, 8.0]), np.diag([6.0, 2.0]))
         with pytest.raises(InvalidArgumentError):
             compare_eigenvalues(diag_pencil, stiffer)
 

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from quadpencil import (
     build_linearization,
     check_pencil_equivalence,
     compute_delta_gamma,
+    compute_scalars,
     disc_radius,
     discretize_beam,
     full_spectrum,
@@ -18,8 +20,7 @@ from quadpencil import (
     resolvent_region_check,
     structural_report,
 )
-from quadpencil.config import random_pencil
-from quadpencil.linearization import INVERSE_IDENTITY_TOL
+from quadpencil.config import build_pencil, load_config, random_pencil
 
 from oracles import (
     conjugate_pairing,
@@ -29,6 +30,7 @@ from oracles import (
 )
 
 SQRT7 = np.sqrt(7.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def match_multisets(left, right, tol):
@@ -55,7 +57,7 @@ def overdamped_pencil(seed, dim=6):
     base = random_pencil(dim, 500 + seed)
     a0_top = np.linalg.eigvalsh(base.a0_matrix)[-1]
     d = base.d_matrix + 2.5 * np.sqrt(a0_top) * np.eye(dim)
-    return QuadraticPencil.from_matrices(base.a0_matrix, d)
+    return QuadraticPencil(base.a0_matrix, d)
 
 
 class TestBuild:
@@ -75,8 +77,9 @@ class TestBuild:
             system.a_matrix @ system.inverse_matrix - np.eye(2 * n), 2
         ) <= 1e-10
         # the stored inverse is the whitened image of the block closed form
+        a0_inv = np.linalg.inv(diag_pencil.a0_matrix)
         raw = np.block([
-            [-diag_pencil.a0_inv @ diag_pencil.d_matrix, -diag_pencil.a0_inv],
+            [-a0_inv @ diag_pencil.d_matrix, -a0_inv],
             [np.eye(n), np.zeros((n, n))],
         ])
         w = np.block([
@@ -99,6 +102,30 @@ class TestBuild:
             assert np.linalg.norm(
                 system.a_matrix @ system.inverse_matrix - np.eye(2 * dim), 2
             ) <= 1e-10
+
+
+def test_each_matrix_is_eigensolved_once(monkeypatch):
+    # The spectrum command's call sequence plus compute_scalars solves A0, D
+    # and the whitened damping A0^{-1/2} D A0^{-1/2} once each.
+    solved = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _original=original, **kwargs):
+            solved.append(np.array(a, copy=True))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    pencil = build_pencil(load_config(CONFIGS / "beam_sin.json"))
+    system = build_linearization(pencil)
+    spectrum = full_spectrum(system)
+    structural_report(system, spectrum)
+    check_pencil_equivalence(pencil, spectrum)
+    assert compute_delta_gamma(pencil)[1] > 0.0
+    resolvent_region_check(pencil, spectrum)
+    compute_scalars(pencil)
+    for matrix in (pencil.a0_matrix, pencil.d_matrix, pencil.whitened_damping):
+        assert sum(np.array_equal(m, matrix) for m in solved) == 1
 
 
 class TestStructuralChecks:
@@ -132,13 +159,32 @@ class TestStructuralChecks:
             1e-6 / np.sqrt(2.0), rel=1e-6)
 
     def test_rotated_ill_conditioned_pencil_reports_inverse(self, rotated_pencil):
-        # cond(A0) = 1e6 rounds A0^{1/2} A0^{-1/2} to about the absolute bound;
-        # the defect is a check with its witness, whichever side it falls on.
+        # cond(A0) = 1e6 rounds A0^{1/2} A0^{-1/2} to about 2e-10; the bound
+        # 2 * 2n eps |A| (gamma + |A0^{-1}|^{1/2}) grows with that rounding.
         system = build_linearization(rotated_pencil)
         check = self._checks(system, full_spectrum(system))["inverse_identity"]
         defect = np.linalg.norm(system.a_matrix @ system.inverse_matrix - np.eye(4), 2)
-        assert check.data == {"defect": defect, "bound": INVERSE_IDENTITY_TOL}
-        assert check.ok == (defect <= INVERSE_IDENTITY_TOL)
+        assert check.data["defect"] == defect
+        assert check.ok
+        # the block bound on |A^{-1}| is no smaller than its exact 2-norm
+        exact = 2.0 * 4 * np.finfo(float).eps * system.norm * np.linalg.norm(
+            system.inverse_matrix, 2)
+        assert exact <= check.data["bound"] <= 1.5 * exact
+
+    @pytest.mark.parametrize("name", ["beam_const4", "beam_const5", "beam_sin",
+                                      "dense_diag", "interlace_violation_a",
+                                      "interlace_violation_b", "random_dim4"])
+    def test_inverse_perturbed_relatively_fails(self, name):
+        # The shipped configs pass; an inverse off by 1e-8 relative fails.
+        pencil = build_pencil(load_config(CONFIGS / f"{name}.json"))
+        system = build_linearization(pencil)
+        spec = full_spectrum(system)
+        assert self._checks(system, spec)["inverse_identity"].ok
+        broken = dataclasses.replace(system)
+        vars(broken)["inverse_matrix"] = system.inverse_matrix * (1.0 + 1e-8)
+        check = self._checks(broken, spec)["inverse_identity"]
+        assert not check.ok
+        assert check.data["defect"] == pytest.approx(1e-8, rel=1e-3)
 
 
 class TestFullSpectrum:
@@ -163,7 +209,7 @@ class TestFullSpectrum:
     def test_semisimple_double_keeps_kernel_count(self):
         # two identical overdamped modes: each of -3 +- sqrt7 is a double,
         # semisimple eigenvalue, so the kernel count must report geo = 2
-        pencil = QuadraticPencil.from_matrices(np.diag([2.0, 2.0]), np.diag([6.0, 6.0]))
+        pencil = QuadraticPencil(np.diag([2.0, 2.0]), np.diag([6.0, 6.0]))
         spec = full_spectrum(build_linearization(pencil))
         match_multisets(spec.eigenvalues, [-3.0 + SQRT7, -3.0 - SQRT7], 1e-7)
         assert list(spec.algebraic_multiplicities) == [2, 2]
@@ -297,7 +343,7 @@ class TestPencilEquivalence:
     def test_full_kernel_counts_both_dimensions(self):
         # T(lam) = 0 at both double eigenvalues -3 +- sqrt7, so |T(lam)| is
         # no measure of rank there.
-        pencil = QuadraticPencil.from_matrices(np.diag([2.0, 2.0]), np.diag([6.0, 6.0]))
+        pencil = QuadraticPencil(np.diag([2.0, 2.0]), np.diag([6.0, 6.0]))
         spec = full_spectrum(build_linearization(pencil))
         report = check_pencil_equivalence(pencil, spec)
         checks = report.checks
@@ -314,7 +360,7 @@ class TestPencilEquivalence:
         # member's eigenvector has backward error about 2e-9 here (sqrt(eps)
         # times the coupling), while the members split by a tenth of the
         # cluster tolerance. The cluster takes the minimum over x.
-        pencil = QuadraticPencil.from_matrices([[1.0, c], [c, a22]], [[2.0, c], [c, d22]])
+        pencil = QuadraticPencil([[1.0, c], [c, a22]], [[2.0, c], [c, d22]])
         spec = full_spectrum(build_linearization(pencil))
         k = int(np.argmin(np.abs(spec.eigenvalues + 1.0)))
         assert spec.algebraic_multiplicities[k] == 2
@@ -372,7 +418,7 @@ class TestResolventRegions:
         # points -1 +- i, while the mode at 1/2 sits outside the wedge with
         # arg in (pi/2, 3pi/4).
         a0 = np.diag([0.5, 2.0])
-        pencil = QuadraticPencil.from_matrices(a0, a0)
+        pencil = QuadraticPencil(a0, a0)
         spec = full_spectrum(build_linearization(pencil))
         expected = [
             complex(-0.25, np.sqrt(7) / 4), complex(-0.25, -np.sqrt(7) / 4),

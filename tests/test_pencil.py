@@ -8,7 +8,6 @@ from quadpencil import (
     DstarVerdict,
     InvalidArgumentError,
     QuadraticPencil,
-    SymmetricOperator,
     compute_alpha,
     compute_delta_gamma,
     compute_scalars,
@@ -50,31 +49,46 @@ def sample_cone_points(pencil, count, seed):
     return np.array(out)
 
 
-class TestSymmetricOperator:
+class TestConstruction:
     def test_symmetrizes_exactly(self):
         m = np.array([[2.0, 1.0], [0.0, 3.0]])
-        op = SymmetricOperator(m, "positive_definite")
-        assert np.array_equal(op.entries, op.entries.T)
+        pencil = QuadraticPencil(m, m.T)
+        for sym in (pencil.a0_matrix, pencil.d_matrix):
+            assert np.array_equal(sym, sym.T)
+            assert np.array_equal(sym, [[2.0, 0.5], [0.5, 3.0]])
 
-    def test_rejects_indefinite_as_definite(self):
-        with pytest.raises(InvalidArgumentError):
-            SymmetricOperator(np.diag([1.0, -1.0]), "positive_definite")
+    def test_rejects_indefinite_stiffness(self):
+        with pytest.raises(InvalidArgumentError, match="not positive definite"):
+            QuadraticPencil(np.diag([1.0, -1.0]), np.eye(2))
 
-    def test_rejects_negative_as_semidefinite(self):
-        with pytest.raises(InvalidArgumentError):
-            SymmetricOperator(np.diag([1.0, -1e-3]), "positive_semidefinite")
+    def test_rejects_negative_damping(self):
+        with pytest.raises(InvalidArgumentError, match="not positive semidefinite"):
+            QuadraticPencil(np.eye(2), np.diag([1.0, -1e-3]))
 
-    def test_zero_matrix_is_semidefinite(self):
-        op = SymmetricOperator(np.zeros((3, 3)), "positive_semidefinite")
-        assert op.dim == 3
+    def test_zero_damping_is_semidefinite(self):
+        pencil = QuadraticPencil(np.eye(3), np.zeros((3, 3)))
+        assert pencil.dim == 3
+        assert pencil.d_norm == 0.0
 
-    def test_pencil_dimension_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            QuadraticPencil.from_matrices(np.eye(2), np.zeros((3, 3)))
+    def test_dimension_mismatch(self):
+        with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
+            QuadraticPencil(np.eye(2), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("a0, d", [
+        (np.ones((2, 3)), np.ones((2, 3))),
+        (np.eye(2), np.ones(2)),
+        (np.zeros((0, 0)), np.zeros((0, 0))),
+        (np.eye(2), np.zeros((0, 0))),
+    ])
+    def test_rejects_non_square_or_empty(self, a0, d):
+        with pytest.raises(InvalidArgumentError, match="expected a square matrix"):
+            QuadraticPencil(a0, d)
 
     def test_entries_read_only(self, diag_pencil):
         with pytest.raises(ValueError):
             diag_pencil.a0_matrix[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            diag_pencil.d_matrix[0, 0] = 5.0
 
 
 class TestEvaluateForm:
@@ -110,7 +124,7 @@ class TestRayleighPair:
         assert pair.p_plus == pytest.approx(-3.0 + SQRT7, abs=1e-12)
 
     def test_underdamped_direction(self):
-        pencil = QuadraticPencil.from_matrices(np.diag([2.0, 8.0]), np.diag([2.0, 2.0]))
+        pencil = QuadraticPencil(np.diag([2.0, 8.0]), np.diag([2.0, 2.0]))
         pair = rayleigh_pair(pencil, [1.0, 0.0])
         assert not pair.in_dstar
         assert pair.p_minus == np.inf and pair.p_plus == -np.inf
@@ -170,7 +184,7 @@ class TestDerivedScalars:
 
     def test_delta_gamma_matched_damping(self):
         a0 = np.array([[2.0, 0.3], [0.3, 1.0]])
-        pencil = QuadraticPencil.from_matrices(a0, a0)
+        pencil = QuadraticPencil(a0, a0)
         delta, gamma = compute_delta_gamma(pencil)
         assert delta == pytest.approx(1.0, abs=1e-12)
         assert gamma == pytest.approx(1.0, abs=1e-12)
@@ -244,7 +258,7 @@ class TestAlpha:
         assert res.certificate is DstarVerdict.EMPTY_CERTIFIED
 
     def test_weak_damping_empty_cone(self):
-        pencil = QuadraticPencil.from_matrices(np.diag([2.0, 8.0]), 0.05 * np.eye(2))
+        pencil = QuadraticPencil(np.diag([2.0, 8.0]), 0.05 * np.eye(2))
         res = compute_alpha(pencil)
         assert res.upper == -np.inf and res.witness is None
 
@@ -326,7 +340,7 @@ class TestAlphaBracket:
            c=st.floats(1e-3, 1e3))
     def test_bracket_scales_with_the_pencil(self, seed, dim, c):
         pencil = random_pencil(dim, seed, damping_scale=5.0, ensure_real_root_cone=True)
-        scaled = QuadraticPencil.from_matrices(c * c * pencil.a0_matrix, c * pencil.d_matrix)
+        scaled = QuadraticPencil(c * c * pencil.a0_matrix, c * pencil.d_matrix)
         base, res = compute_alpha(pencil), compute_alpha(scaled)
         slack = max(res.upper - res.lower, c * (base.upper - base.lower)) + 1e-12 * abs(res.upper)
         assert abs(res.lower - c * base.lower) <= slack
@@ -350,5 +364,5 @@ class TestDstarCertificate:
         assert rayleigh_pair(critical_1x1, cert.witness).in_dstar
 
     def test_weak_damping_empty(self):
-        pencil = QuadraticPencil.from_matrices(np.diag([2.0, 8.0]), 0.05 * np.eye(2))
+        pencil = QuadraticPencil(np.diag([2.0, 8.0]), 0.05 * np.eye(2))
         assert dstar_empty_certificate(pencil).verdict is DstarVerdict.EMPTY_CERTIFIED
