@@ -41,9 +41,6 @@ class DampingProfile:
     def __call__(self, r):
         return self.func(np.asarray(r, dtype=float))
 
-    def spec(self) -> dict:
-        return {"profile": self.name, "params": self.params}
-
 
 def make_damping_profile(spec: dict) -> DampingProfile:
     name = spec.get("profile")
@@ -85,11 +82,8 @@ def make_damping_profile(spec: dict) -> DampingProfile:
 @dataclass(frozen=True)
 class QuadratureSpec:
     points_per_mode_pair: int = 8
-    rule: str = "gauss"
 
     def __post_init__(self):
-        if self.rule != "gauss":
-            raise InvalidArgumentError(f"unknown quadrature rule {self.rule!r}")
         if self.points_per_mode_pair < 1:
             raise InvalidArgumentError("points_per_mode_pair must be >= 1")
 

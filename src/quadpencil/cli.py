@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -265,7 +266,10 @@ def cmd_beam_report(args) -> int:
     return EXIT_OK if report.ok else EXIT_PROPERTY
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; main dispatches
+    `command` to the cmd_* function of that name."""
     parser = argparse.ArgumentParser(
         prog="quadpencil",
         description="Spectral checks for damped second-order systems",
@@ -275,41 +279,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="full complex spectrum plus structure checks")
     p.add_argument("config")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("variational", help="real eigenvalues on (alpha, 0] plus min-max checks")
     p.add_argument("config")
     p.add_argument("--delta-lower", type=float, default=None)
     p.add_argument("--subspaces", type=int, default=50)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_variational)
 
     p = sub.add_parser("interlace", help="eigenvalue comparison of an ordered pencil pair")
     p.add_argument("config_a")
     p.add_argument("config_b")
     p.add_argument("--delta-lower", type=float, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_interlace)
 
     p = sub.add_parser("simulate", help="trapezoidal energy trace as CSV")
     p.add_argument("config")
     p.add_argument("--t-final", type=float, required=True)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("beam-report", help="beam spectrum bounds and count checks")
     p.add_argument("config")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_beam_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -132,9 +132,11 @@ def parse_config(doc: dict) -> ProblemConfig:
         try:
             profile = make_damping_profile(section.get("damping", {}))
             quad_doc = section.get("quadrature", {})
+            rule = str(quad_doc.get("rule", "gauss"))
+            if rule != "gauss":
+                raise InvalidArgumentError(f"unknown quadrature rule {rule!r}")
             quadrature = QuadratureSpec(
                 points_per_mode_pair=int(quad_doc.get("points_per_mode_pair", 8)),
-                rule=str(quad_doc.get("rule", "gauss")),
             )
             beam = BeamConfig(
                 a0=float(section.get("a0", 1.0)),

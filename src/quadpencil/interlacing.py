@@ -21,25 +21,26 @@ FORM_ORDER_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    form_order_ok: bool
+    """The orderings of a pencil pair that passed check_form_order, on the
+    shared interval (interval_lower, 0]; per_n holds
+    (lambda_n, lambda_hat_n, ordered) for n up to the smaller count."""
+
     gamma_order_ok: bool
     delta_order_ok: bool
     n_ok: bool
-    n_common: int
     per_n: tuple[tuple[float, float, bool], ...]
-    interval: IntervalDelta | None
-    n_left: int = 0
-    n_right: int = 0
-    gamma: float = 0.0
-    gamma_hat: float = 0.0
-    delta: float = 0.0
-    delta_hat: float = 0.0
+    interval_lower: float
+    n_left: int
+    n_right: int
+    gamma: float
+    gamma_hat: float
+    delta: float
+    delta_hat: float
 
     @property
     def ok(self) -> bool:
         return (
-            self.form_order_ok
-            and self.gamma_order_ok
+            self.gamma_order_ok
             and self.delta_order_ok
             and self.n_ok
             and all(entry[2] for entry in self.per_n)
@@ -48,18 +49,18 @@ class ComparisonReport:
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "form_order_ok": self.form_order_ok,
+            "form_order_ok": True,
             "gamma_order_ok": self.gamma_order_ok,
             "delta_order_ok": self.delta_order_ok,
             "n_ok": self.n_ok,
             "n_left": self.n_left,
             "n_right": self.n_right,
-            "n_common": self.n_common,
+            "n_common": len(self.per_n),
             "gamma": self.gamma,
             "gamma_hat": self.gamma_hat,
             "delta": self.delta,
             "delta_hat": self.delta_hat,
-            "interval_lower": None if self.interval is None else self.interval.lower,
+            "interval_lower": self.interval_lower,
             "per_n": [
                 {"lambda": a, "lambda_hat": b, "ok": ok} for a, b, ok in self.per_n
             ],
@@ -123,23 +124,20 @@ def compare_eigenvalues(
     pad = 1e-12
     n = res.n_found
     n_hat = res_hat.n_found
-    n_common = min(n, n_hat)
     per_n = tuple(
         (
             float(res.eigenvalues[i]),
             float(res_hat.eigenvalues[i]),
             bool(res.eigenvalues[i] <= res_hat.eigenvalues[i] + tol),
         )
-        for i in range(n_common)
+        for i in range(min(n, n_hat))
     )
     return ComparisonReport(
-        form_order_ok=True,
         gamma_order_ok=gamma <= gamma_hat + pad * max(1.0, gamma_hat),
         delta_order_ok=delta <= delta_hat + pad * max(1.0, delta_hat),
         n_ok=n <= n_hat,
-        n_common=n_common,
         per_n=per_n,
-        interval=interval,
+        interval_lower=interval.lower,
         n_left=n,
         n_right=n_hat,
         gamma=gamma,

@@ -17,11 +17,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ComputationError, InvalidArgumentError
-from .pencil import QuadraticPencil, compute_delta_gamma, disc_radius
+from .pencil import KERNEL_REL_TOL, QuadraticPencil, compute_delta_gamma, disc_radius
 from .reports import Report
 
 J_SYMMETRY_TOL = 1e-12
-RANK_REL_TOL = 1e-8
 # full_spectrum joins eigenvalues closer than CLUSTER_REL_TOL * |A|.
 CLUSTER_REL_TOL = 1e-8
 # resolvent_region_check excuses eigenvalues within REGION_MARGIN (relative)
@@ -81,10 +80,12 @@ def build_linearization(pencil: QuadraticPencil) -> LinearizedSystem:
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Single-linkage clustering of complex points: the connected components
-    of the graph joining every pair within tol. In real-part order a point's
-    partners lie in the window of real parts up to tol above its own, so only
-    those pairs are compared and joined in a union-find forest."""
+    """Single-linkage clustering of real or complex points: the connected
+    components of the graph joining every pair within tol. On sorted reals
+    these are the runs split where neighbours lie more than tol apart. In
+    real-part order a point's partners lie in the window of real parts up to
+    tol above its own, so only those pairs are compared and joined in a
+    union-find forest."""
     order = np.argsort(values.real, kind="stable")
     w = values[order]
     ends = np.searchsorted(w.real, w.real + tol, side="right")
@@ -109,7 +110,7 @@ def _nullity(m: np.ndarray) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return m.shape[1]
-    return int(np.sum(s < RANK_REL_TOL * s[0]))
+    return int(np.sum(s < KERNEL_REL_TOL * s[0]))
 
 
 def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
@@ -206,7 +207,7 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
     |lam|^2 + |lam| |D| + |A0|, the size of the three terms of T(lam) (not
     |T(lam)|, which vanishes when the whole space is the kernel). A simple
     eigenvalue has kernel dimension 1 (1 <= geo <= alg = 1). A cluster of
-    two or more counts the singular values of T(lam) below RANK_REL_TOL *
+    two or more counts the singular values of T(lam) below KERNEL_REL_TOL *
     scale; its eta is sigma_min / scale, the minimum over x, as x is no
     eigenvector at the cluster mean. T(0) = A0 is certified definite.
     """
@@ -218,9 +219,8 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
     for k, z in enumerate(lam):
         kernel_dim, geo = 1, int(spectrum.geometric_multiplicities[k])
         if spectrum.algebraic_multiplicities[k] > 1:
-            t = z * z * np.eye(pencil.dim) + z * pencil.d_matrix + pencil.a0_matrix
-            s = np.linalg.svd(t, compute_uv=False)
-            kernel_dim = int(np.sum(s < RANK_REL_TOL * scales[k]))
+            s = np.linalg.svd(pencil.t_matrix(z), compute_uv=False)
+            kernel_dim = int(np.sum(s < KERNEL_REL_TOL * scales[k]))
             etas[k] = s[-1] / scales[k]
         report.add(
             "eigenvalue_matches_pencil", etas[k] <= 1e-8 and kernel_dim == geo,

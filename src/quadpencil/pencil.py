@@ -6,7 +6,8 @@ the scalar machinery built on the quadratic form
 t(lam)[x] = lam^2 |x|^2 + lam d[x] + a0[x]: the root functionals p-/p+, the
 cone of vectors with real roots, the damping-to-stiffness ratio extremes
 (delta, gamma), a certified bracket on the left endpoint alpha = sup p-
-and the resolvent disc radius.
+and the resolvent disc radius, and the compressed pencils
+B^T T(lam) B = lam^2 I + lam B^T D B + B^T A0 B on subspaces span(B).
 """
 from __future__ import annotations
 
@@ -20,6 +21,9 @@ from .errors import InvalidArgumentError
 
 # Relative eigenvalue threshold for definiteness checks at construction.
 DEFINITENESS_TOL = 1e-12
+# An eigenvalue or singular value of T(lam) (or of a form on its kernel)
+# below KERNEL_REL_TOL times its scale counts as zero.
+KERNEL_REL_TOL = 1e-8
 # Discriminants in [-DISC_CLAMP_TOL * scale, 0) are treated as exact double roots.
 DISC_CLAMP_TOL = 1e-12
 # compute_alpha: directions of the first sweep of support lines, bracket
@@ -39,13 +43,14 @@ class DstarVerdict(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticPencil:
     """The pair (A0, D) with identity mass; all analysis runs on this object.
 
     Construction symmetrizes both matrices exactly, makes them read-only and
     checks, relative to each matrix's norm, that A0 is positive definite and
     D positive semidefinite, from the eigenvalues the pencil caches anyway.
+    Pencils compare and hash by identity.
     """
 
     a0_matrix: np.ndarray
@@ -126,7 +131,7 @@ class QuadraticPencil:
         return np.linalg.eigvalsh(self.whitened_damping)
 
     def t_matrix(self, lam: float) -> np.ndarray:
-        """The symmetric matrix T(lam) = lam^2 I + lam D + A0 for real lam."""
+        """The matrix T(lam) = lam^2 I + lam D + A0, symmetric for real lam."""
         n = self.dim
         return lam * lam * np.eye(n) + lam * self.d_matrix + self.a0_matrix
 
@@ -388,6 +393,42 @@ def _polygon_max(thetas, heights, points, sigma_d, sigma_a):
     return float(on_edge[i_e]), i_e, False
 
 
+def _independent(r: np.ndarray) -> np.ndarray:
+    """Columns of the QR factor r (or of each in a stack) that are
+    numerically independent."""
+    scale = np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
+    return np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > 1e-12 * scale[..., None]
+
+
+def _orth(columns: np.ndarray) -> np.ndarray:
+    q, r = np.linalg.qr(columns)
+    return q[:, _independent(r)]
+
+
+def _compress(pencil: QuadraticPencil, basis: np.ndarray):
+    """The compression B^T T(lam) B = lam^2 I + lam dc + ac as (dc, ac), of
+    one basis or of each in a stack."""
+    bt = np.swapaxes(basis, -1, -2)
+    dc = bt @ pencil.d_matrix @ basis
+    ac = bt @ pencil.a0_matrix @ basis
+    return (dc + np.swapaxes(dc, -1, -2)) / 2.0, (ac + np.swapaxes(ac, -1, -2)) / 2.0
+
+
+def _compressed_eigenvalues(dc: np.ndarray, ac: np.ndarray) -> np.ndarray:
+    """Real parts of the eigenvalues of lam^2 I + lam dc + ac, descending."""
+    k = dc.shape[0]
+    companion = np.block([[np.zeros((k, k)), np.eye(k)], [-ac, -dc]])
+    return np.sort(np.linalg.eigvals(companion).real)[::-1]
+
+
+def _kernel_vectors(dc: np.ndarray, ac: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Columns: for each lam, the eigenvector of lam^2 I + lam dc + ac whose
+    eigenvalue is smallest in modulus."""
+    lam = lams[:, None, None]
+    w, v = np.linalg.eigh(lam ** 2 * np.eye(dc.shape[0]) + lam * dc + ac)
+    return v[np.arange(lams.size), :, np.argmin(np.abs(w), axis=1)].T
+
+
 def _span_candidates(pencil: QuadraticPencil, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Unit vectors in span(u, v) where p- can peak: the points where the
     compressed quadratic form crosses into the cone, and the real
@@ -397,11 +438,10 @@ def _span_candidates(pencil: QuadraticPencil, u: np.ndarray, v: np.ndarray) -> n
     z = exp(2i phi), so the crossings are roots of a quartic in z. They are
     taken half-way into the clamped band of rayleigh_pair, where p- = -d[x]/2.
     """
-    q, r = np.linalg.qr(np.column_stack([u, v]))
-    if abs(r[1, 1]) <= 1e-12 * abs(r[0, 0]):
+    q = _orth(np.column_stack([u, v]))
+    if q.shape[1] < 2:
         return np.empty((pencil.dim, 0))
-    dc = q.T @ pencil.d_matrix @ q
-    ac = q.T @ pencil.a0_matrix @ q
+    dc, ac = _compress(pencil, q)
     m_s, sig = (dc[0, 0] + dc[1, 1]) / 2.0, complex((dc[0, 0] - dc[1, 1]) / 2.0, -dc[0, 1])
     m_a, rho = (ac[0, 0] + ac[1, 1]) / 2.0, complex((ac[0, 0] - ac[1, 1]) / 2.0, -ac[0, 1])
     k = 4.0 * (1.0 - DISC_CLAMP_TOL / 2.0)
@@ -409,13 +449,10 @@ def _span_candidates(pencil: QuadraticPencil, u: np.ndarray, v: np.ndarray) -> n
                m_s * m_s + abs(sig) ** 2 / 2.0 - k * m_a,
                m_s * sig.conjugate() - k * rho.conjugate() / 2.0,
                sig.conjugate() ** 2 / 4.0]
-    phis = [np.angle(z) / 2.0 for z in np.roots(quartic)] if any(quartic) else []
-    coords = [np.array([np.cos(phi), np.sin(phi)]) for phi in phis]
-    companion = np.block([[np.zeros((2, 2)), np.eye(2)], [-ac, -dc]])
-    for lam in np.linalg.eigvals(companion).real:
-        w, y = np.linalg.eigh(lam * lam * np.eye(2) + lam * dc + ac)
-        coords.append(y[:, int(np.argmin(np.abs(w)))])
-    return q @ np.column_stack(coords)
+    phis = np.angle(np.roots(quartic)) / 2.0 if any(quartic) else np.empty(0)
+    crossings = np.stack([np.cos(phis), np.sin(phis)])
+    critical = _kernel_vectors(dc, ac, _compressed_eigenvalues(dc, ac))
+    return q @ np.hstack([crossings, critical])
 
 
 def compute_alpha(pencil: QuadraticPencil) -> AlphaResult:

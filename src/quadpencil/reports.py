@@ -47,9 +47,6 @@ class Report:
     def add(self, label: str, ok, **data) -> None:
         self.checks.append(Check(label, bool(ok), data))
 
-    def extend(self, other: "Report") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)

@@ -22,16 +22,21 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ComputationError, InvalidArgumentError
-from .linearization import build_linearization
+from .linearization import _cluster, build_linearization
 from .pencil import (
+    KERNEL_REL_TOL,
     QuadraticPencil,
+    _compress,
+    _compressed_eigenvalues,
+    _independent,
+    _kernel_vectors,
+    _orth,
     rayleigh_batch,
     rayleigh_pair,
 )
 from .reports import Report
 
 BOUNDARY_TOL = 1e-12
-KERNEL_REL_TOL = 1e-8
 # Root steps at most when polishing a companion eigenvalue; each step is
 # kept only while the residual of T(lam) decreases.
 MAX_ROOT_STEPS = 8
@@ -101,64 +106,52 @@ class VariationalResult:
     interval: IntervalDelta
 
 
-def _kernel_basis(pencil: QuadraticPencil, lam: float, eig, count: int | None = None):
-    """Eigenvectors of T(lam) for the numerically vanishing eigenvalues, from
-    eig = np.linalg.eigh(T(lam))."""
+def _kernel_basis(eig, count: int) -> np.ndarray:
+    """The count eigenvectors of eig = np.linalg.eigh(T(lam)) whose
+    eigenvalues are smallest in modulus."""
     w, v = eig
-    if count is None:
-        sel = np.abs(w) <= KERNEL_REL_TOL * pencil.term_scale(lam)
-        if not np.any(sel):
-            sel = np.zeros_like(w, dtype=bool)
-            sel[int(np.argmin(np.abs(w)))] = True
-        return v[:, sel]
-    order = np.argsort(np.abs(w))
-    return v[:, order[:count]]
+    return v[:, np.argsort(np.abs(w))[:count]]
 
 
-def _is_semisimple(pencil: QuadraticPencil, lam: float, mult: int) -> bool:
-    """Nondegeneracy of the derivative form x -> 2 lam |x|^2 + d[x] on the kernel."""
-    basis = _kernel_basis(pencil, lam, np.linalg.eigh(pencil.t_matrix(lam)), mult)
+def _is_semisimple(pencil: QuadraticPencil, lam: float, mult: int, eig) -> bool:
+    """Nondegeneracy of the derivative form x -> 2 lam |x|^2 + d[x] on the
+    kernel, from eig = np.linalg.eigh(T(lam))."""
+    basis = _kernel_basis(eig, mult)
     g = basis.T @ (2.0 * lam * np.eye(pencil.dim) + pencil.d_matrix) @ basis
     g = (g + g.T) / 2.0
     gscale = 2.0 * abs(lam) + pencil.d_norm
     return bool(np.min(np.abs(np.linalg.eigvalsh(g))) > KERNEL_REL_TOL * gscale)
 
 
-def _root_step(pencil: QuadraticPencil, lam: float) -> tuple[float | None, float, float]:
+def _residual(eig) -> float:
+    """Smallest |eigenvalue| of T(lam), from eig = np.linalg.eigh(T(lam))."""
+    return float(np.min(np.abs(eig[0])))
+
+
+def _root_step(pencil: QuadraticPencil, lam: float):
     """One root-functional step: the real root of the scalar quadratic of the
     smallest-|eigenvalue| eigenvector of T(lam) nearest to lam.
 
-    Returns (next_lam_or_None, |mu_min|, |T| scale)."""
-    w, v = np.linalg.eigh(pencil.t_matrix(lam))
-    j = int(np.argmin(np.abs(w)))
-    scale = float(np.max(np.abs(w)))
-    pair = rayleigh_pair(pencil, v[:, j])
+    Returns (next_lam_or_None, np.linalg.eigh(T(lam)))."""
+    w, v = eig = np.linalg.eigh(pencil.t_matrix(lam))
+    pair = rayleigh_pair(pencil, v[:, int(np.argmin(np.abs(w)))])
     if not pair.in_dstar:
-        return None, abs(float(w[j])), scale
-    nxt = min((pair.p_minus, pair.p_plus), key=lambda r: abs(r - lam))
-    return float(nxt), abs(float(w[j])), scale
+        return None, eig
+    return float(min((pair.p_minus, pair.p_plus), key=lambda r: abs(r - lam))), eig
 
 
 def _refine(pencil: QuadraticPencil, lam: float, lo: float, hi: float):
     """Root steps from lam, kept while they stay inside (lo, hi) and lower the
-    residual; returns (lam, steps, residual, |T(lam)|)."""
-    nxt, residual, t_scale = _root_step(pencil, lam)
+    residual; returns (lam, steps, np.linalg.eigh(T(lam)))."""
+    nxt, eig = _root_step(pencil, lam)
     steps = 0
     while steps < MAX_ROOT_STEPS and nxt is not None and lo < nxt < hi and nxt != lam:
-        after, r, s = _root_step(pencil, nxt)
-        if r >= residual:
+        after, eig_next = _root_step(pencil, nxt)
+        if _residual(eig_next) >= _residual(eig):
             break
-        lam, nxt, residual, t_scale = nxt, after, r, s
+        lam, nxt, eig = nxt, after, eig_next
         steps += 1
-    return lam, steps, residual, t_scale
-
-
-def _runs(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Single linkage of sorted reals: index runs split where neighbours lie
-    more than tol apart."""
-    if values.size == 0:
-        return []
-    return np.split(np.arange(values.size), np.flatnonzero(np.abs(np.diff(values)) > tol) + 1)
+    return lam, steps, eig
 
 
 def _separators(values: list[float], lower: float) -> list[float]:
@@ -201,13 +194,13 @@ def locate_real_eigenvalues(
     lower = interval.lower
     w = scipy.linalg.eigvals(build_linearization(pencil).a_matrix)
     real = -np.sort(-w.real[(np.abs(w.imag) <= tol / 2) & (lower < w.real) & (w.real <= 0.0)])
-    found = [(float(np.mean(real[g])), g.size) for g in _runs(real, tol)]
+    found = [(float(np.mean(real[g])), g.size) for g in _cluster(real, tol)]
     cuts = _separators([lam for lam, _ in found], lower)
     polished = [_refine(pencil, lam, cuts[i + 1], cuts[i])
                 for i, (lam, _) in enumerate(found)]
     entries = []
-    for group in _runs(np.array([p[0] for p in polished]), tol):
-        best = min(group, key=lambda i: polished[i][2])
+    for group in _cluster(np.array([p[0] for p in polished]), tol):
+        best = min(group, key=lambda i: _residual(polished[i][2]))
         entries.append((*polished[best], sum(found[i][1] for i in group)))
 
     cuts = _separators([e[0] for e in entries], lower)
@@ -216,10 +209,10 @@ def locate_real_eigenvalues(
     # one eigenvalue wider than tol, so its neighbours merge.
     for k in reversed(range(1, len(entries))):
         if counts[k].boundary:
-            best = min(entries[k - 1], entries[k], key=lambda e: e[2])
-            entries[k - 1] = (*best[:4], entries[k - 1][4] + entries[k][4])
+            best = min(entries[k - 1], entries[k], key=lambda e: _residual(e[2]))
+            entries[k - 1] = (*best[:3], entries[k - 1][3] + entries[k][3])
             del entries[k], cuts[k], counts[k]
-    for k, mult in enumerate([e[4] for e in entries] or [0]):
+    for k, mult in enumerate([e[3] for e in entries] or [0]):
         c_hi, c_lo = counts[k], counts[k + 1]
         if c_hi.boundary or abs(c_lo.negative - c_hi.negative) != mult:
             raise ComputationError(
@@ -235,11 +228,11 @@ def locate_real_eigenvalues(
             multiplicity=int(mult),
             bracket=(float(cuts[k + 1]), float(cuts[k])),
             iterations=int(steps),
-            residual=residual,
-            t_scale=t_scale,
-            semisimple=_is_semisimple(pencil, lam, mult),
+            residual=_residual(eig),
+            t_scale=float(np.max(np.abs(eig[0]))),
+            semisimple=_is_semisimple(pencil, lam, mult, eig),
         )
-        for k, (lam, steps, residual, t_scale, mult) in enumerate(entries)
+        for k, (lam, steps, eig, mult) in enumerate(entries)
     )
     expanded = np.array([d.value for d in diags for _ in range(d.multiplicity)], dtype=float)
     return VariationalResult(
@@ -253,18 +246,6 @@ def locate_real_eigenvalues(
 
 # ---------------------------------------------------------------------------
 # Subspace verification of the max-min / min-sup formulas
-
-
-def _independent(r: np.ndarray) -> np.ndarray:
-    """Columns of the QR factor r (or of each in a stack) that are
-    numerically independent."""
-    scale = np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
-    return np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > 1e-12 * scale[..., None]
-
-
-def _orth(columns: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(columns)
-    return q[:, _independent(r)]
 
 
 def _complement(n: int, constraint: np.ndarray) -> np.ndarray:
@@ -302,22 +283,6 @@ class SubspaceValue:
                 "witness": self.witness, "inconclusive": self.inconclusive}
 
 
-def _compress(pencil: QuadraticPencil, basis: np.ndarray):
-    """The compression B^T T(lam) B = lam^2 I + lam dc + ac as (dc, ac), of
-    one basis or of each in a stack."""
-    bt = np.swapaxes(basis, -1, -2)
-    dc = bt @ pencil.d_matrix @ basis
-    ac = bt @ pencil.a0_matrix @ basis
-    return (dc + np.swapaxes(dc, -1, -2)) / 2.0, (ac + np.swapaxes(ac, -1, -2)) / 2.0
-
-
-def _compressed_eigenvalues(dc: np.ndarray, ac: np.ndarray) -> np.ndarray:
-    """Real parts of the eigenvalues of lam^2 I + lam dc + ac, descending."""
-    k = dc.shape[0]
-    companion = np.block([[np.zeros((k, k)), np.eye(k)], [-ac, -dc]])
-    return np.sort(np.linalg.eigvals(companion).real)[::-1]
-
-
 def _top_eigenpair(dc: np.ndarray, ac: np.ndarray, lam: float):
     """Top eigenpair of lam^2 I + lam dc + ac, of one compression or of each
     in a stack."""
@@ -334,9 +299,11 @@ def min_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
     eigh: the compression is then hyperbolic, the subspace lies inside the
     cone and min p_plus is the smallest of the k compressed eigenvalues above
     mu (Duffin's minimax). It also stops at a top eigenvector outside the
-    cone, a witness of min p_plus = -inf.
+    cone, a witness of min p_plus = -inf. The empty subspace has min +inf.
     """
     k = basis.shape[1]
+    if k == 0:
+        return SubspaceValue(np.inf, None)
     dc, ac = _compress(pencil, basis)
     lo, hi = -0.5 * float(np.linalg.eigvalsh(dc)[-1]), 0.0
     for _ in range(MINMAX_MAX_BISECTIONS):
@@ -374,10 +341,7 @@ def sup_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
         return SubspaceValue(-np.inf, None)
     dc, ac = _compress(pencil, basis)
     lams = _compressed_eigenvalues(dc, ac)
-    w, v = np.linalg.eigh(lams[:, None, None] ** 2 * np.eye(k)
-                          + lams[:, None, None] * dc + ac)
-    nearest = np.argmin(np.abs(w), axis=1)
-    xs = basis @ v[np.arange(lams.size), :, nearest].T
+    xs = basis @ _kernel_vectors(dc, ac, lams)
     _, p_plus, _ = rayleigh_batch(pencil, xs)
     best = int(np.argmax(p_plus))
     if p_plus[best] == -np.inf:
@@ -458,15 +422,15 @@ def verify_minmax(
     vectors, eigs = [], []
     for diag in result.per_eigenvalue:
         eig = np.linalg.eigh(pencil.t_matrix(diag.value))
-        basis = _kernel_basis(pencil, diag.value, eig, diag.multiplicity)
-        kernel_dim = _kernel_basis(pencil, diag.value, eig).shape[1]
+        cut = KERNEL_REL_TOL * pencil.term_scale(diag.value)
+        kernel_dim = int(np.sum(np.abs(eig[0]) <= cut))
         report.add(
             "kernel_dimension_matches_multiplicity",
             kernel_dim == diag.multiplicity,
             eigenvalue=diag.value, kernel_dim=kernel_dim,
             multiplicity=diag.multiplicity,
         )
-        vectors.extend(basis.T)
+        vectors.extend(_kernel_basis(eig, diag.multiplicity).T)
         eigs.extend([eig] * diag.multiplicity)
     eigvec_matrix = np.column_stack(vectors) if vectors else np.zeros((n_dim, 0))
 
@@ -494,12 +458,15 @@ def verify_minmax(
 
         # Dual form. The guaranteed minimizing constraint is the strictly
         # negative spectral subspace of T(lambda_n), padded with kernel
-        # vectors when the eigenvalue is multiple.
+        # vectors (the smallest in modulus if none is below the cut) when
+        # the eigenvalue is multiple.
         neg = v[:, w < -cut]
         pad_needed = n - 1 - neg.shape[1]
         if pad_needed > 0:
-            kern = _kernel_basis(pencil, lam_n, eigs[n - 1])[:, :pad_needed]
-            neg = np.column_stack([neg, kern])
+            kern = v[:, np.abs(w) <= cut]
+            if kern.shape[1] == 0:
+                kern = _kernel_basis(eigs[n - 1], 1)
+            neg = np.column_stack([neg, kern[:, :pad_needed]])
         sup = sup_p_plus(pencil, _complement(n_dim, neg))
         report.add("dual_spectral_subspace", abs(sup.value - lam_n) <= tol,
                    n=n, eigenvalue=lam_n, sup_p_plus=sup.value,

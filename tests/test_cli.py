@@ -406,6 +406,31 @@ class TestIllConditionedStiffness:
         assert check["ok"] and check["defect"] <= check["bound"]
 
 
+class TestDispatch:
+    def test_consecutive_calls_with_different_subcommands(self, tmp_path, capsys):
+        # One parser serves every call in the process; each call parses its
+        # own arguments and runs its own command.
+        spectrum, variational = tmp_path / "s.json", tmp_path / "v.json"
+        cfg = str(CONFIGS / "dense_diag.json")
+        assert main(["spectrum", cfg, "--out", str(spectrum)]) == 0
+        assert main(["variational", cfg, "--subspaces", "3", "--out", str(variational)]) == 0
+        assert main(["simulate", cfg, "--t-final", "0.1", "--dt", "0.05"]) == 0
+        assert json.loads(spectrum.read_text())["command"] == "spectrum"
+        doc = json.loads(variational.read_text())
+        assert doc["command"] == "variational"
+        assert doc["minmax_report"]["checks"][-1]["subspaces"] == 3
+        assert capsys.readouterr().out.splitlines()[1] == "time,energy,dissipation"
+
+    def test_unknown_quadrature_rule_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "beam",
+            "beam": {"damping": {"profile": "constant", "params": {"value": 4.0}},
+                     "quadrature": {"rule": "simpson"}},
+        })
+        assert main(["spectrum", cfg]) == 2
+        assert "unknown quadrature rule 'simpson'" in capsys.readouterr().err
+
+
 class TestNumericalFailureExit:
     def test_computation_error_exits_3(self, monkeypatch):
         import quadpencil.cli as cli_mod

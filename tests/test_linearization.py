@@ -236,6 +236,11 @@ class TestFullSpectrum:
         rng = np.random.default_rng(5)
         clouds = [rng.standard_normal(60) + 1j * rng.standard_normal(60) for _ in range(20)]
         clouds += [-1.0 + 1j * rng.standard_normal(60) for _ in range(5)]
+        # Real points, unsorted and sorted descending as the locator groups
+        # them, with exact ties and chains of steps just inside tol.
+        clouds += [rng.standard_normal(60) for _ in range(5)]
+        clouds += [-np.sort(-rng.uniform(-3.0, 0.0, 60).round(1)) for _ in range(5)]
+        clouds += [np.cumsum(rng.choice([0.09, 0.11], 60)) for _ in range(5)]
         for w in clouds:
             tol = rng.uniform(0.05, 0.5)
             near = np.abs(w[:, None] - w[None, :]) <= tol

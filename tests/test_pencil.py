@@ -91,6 +91,13 @@ class TestConstruction:
             diag_pencil.d_matrix[0, 0] = 5.0
 
 
+    def test_compares_and_hashes_by_identity(self, diag_pencil):
+        twin = QuadraticPencil(diag_pencil.a0_matrix, diag_pencil.d_matrix)
+        assert diag_pencil == diag_pencil and diag_pencil != twin
+        assert len({diag_pencil, twin, diag_pencil}) == 2
+        assert hash(diag_pencil) == hash(diag_pencil)
+
+
 class TestEvaluateForm:
     def test_at_zero_is_stiffness_form(self, diag_pencil):
         assert evaluate_form(diag_pencil, 0.0, [1.0, 0.0]) == 2.0 + 0.0j

@@ -24,7 +24,8 @@ from quadpencil import (
 )
 from quadpencil import build_pencil, load_config, rayleigh_pair, variational
 from quadpencil.config import random_pencil
-from quadpencil.variational import _orth, _random_minima, min_p_plus, sup_p_plus
+from quadpencil.pencil import _orth
+from quadpencil.variational import _random_minima, min_p_plus, sup_p_plus
 
 from oracles import (
     det_poly_real_roots_mp,
@@ -284,6 +285,29 @@ class TestLocate:
         assert res.per_eigenvalue[0].bracket[1] == 0.0
         assert res.per_eigenvalue[-1].bracket[0] == -2.0 * np.pi**2
 
+    @pytest.mark.parametrize("profile", [
+        {"profile": "constant", "params": {"value": 4.0}},
+        {"profile": "four_plus_sin", "params": {}},
+    ])
+    def test_each_t_matrix_eigensolved_once(self, monkeypatch, profile):
+        # Polishing, residual, |T| and the semisimplicity test share one
+        # eigh of T(lam) per root step: no n x n input is decomposed twice.
+        pencil = discretize_beam(BeamConfig(
+            a0=1.0, damping=make_damping_profile(profile), n_modes=40))
+        inputs = []
+        original = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            if np.shape(a) == (pencil.dim, pencil.dim):
+                inputs.append(np.array(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        res = locate_real_eigenvalues(pencil, IntervalDelta(lower=-2.0 * np.pi**2), 1e-8)
+        assert res.n_found == 2 and inputs
+        for i, a in enumerate(inputs):
+            assert not any(np.array_equal(a, b) for b in inputs[:i])
+
 
 class TestVerifyMinmax:
     def test_diag_fixture(self, diag_pencil):
@@ -297,6 +321,28 @@ class TestVerifyMinmax:
         assert rayleigh_pair(diag_pencil, [1.0, 0.0]).p_plus == pytest.approx(
             res.eigenvalues[0], abs=1e-12
         )
+
+    @pytest.mark.parametrize("shift", [-1e-3, 1e-3])
+    def test_kernel_count_of_a_missed_eigenvalue_is_zero(self, diag_pencil, shift):
+        # Negative control: a located value 1e-3 off the eigenvalue -3 + sqrt7
+        # leaves T(value) nonsingular, so no eigenvalue of T is below the
+        # kernel cut and the kernel dimension is 0, not the multiplicity.
+        # Above the eigenvalue T(value) is positive definite: the
+        # nonpositive subspace is empty and its min p_plus is +inf.
+        alpha = compute_alpha(diag_pencil).alpha
+        res = locate_real_eigenvalues(
+            diag_pencil, IntervalDelta(lower=alpha + 1e-6 * abs(alpha)), 1e-10)
+        (diag,) = res.per_eigenvalue
+        off = diag.value + shift
+        res = dataclasses.replace(
+            res, eigenvalues=np.array([off]),
+            per_eigenvalue=(dataclasses.replace(diag, value=off),))
+        report = verify_minmax(diag_pencil, res, random_subspaces=4, seed=0)
+        checks = {c.label: c for c in report.checks}
+        check = checks["kernel_dimension_matches_multiplicity"]
+        assert not check.ok and check.data["kernel_dim"] == 0
+        assert checks["nonpositive_subspace_dimension"].data["dimension"] == (shift < 0)
+        assert not checks["achievement_spectral_subspace"].ok
 
     def test_random_coupled(self):
         for seed in (1, 4):
