@@ -16,7 +16,8 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .pencil import QuadraticPencil, compute_alpha
 from .reports import Report
-from .variational import IntervalDelta, locate_real_eigenvalues
+from .variational import (EIGEN_TOL, VERIFY_TOL, IntervalDelta, locate_real_eigenvalues,
+                          within_alpha)
 
 PROFILE_SCAN_POINTS = 4097
 # Nodes per panel of the composite Gauss-Legendre rule.
@@ -193,11 +194,12 @@ def beam_bounds(cfg: BeamConfig) -> BeamBounds:
 
 def verify_beam_theorem(
     cfg: BeamConfig,
-    tol: float = 1e-7,
-    locate_tol: float = 1e-10,
+    tol: float = VERIFY_TOL,
+    locate_tol: float = EIGEN_TOL,
 ) -> Report:
     """Run the variational solver on (-d_min pi^2 / 2, 0] and check the
-    guaranteed count, the per-mode enclosures and semi-simplicity."""
+    guaranteed count, the per-mode enclosures and semi-simplicity. A failed
+    hypothesis (d_min^2 >= 4 a0, alpha at or left of the interval) ends it."""
     bounds = beam_bounds(cfg)
     report = Report("beam_spectrum_bounds")
     if not bounds.applicable:
@@ -208,11 +210,11 @@ def verify_beam_theorem(
     pencil = discretize_beam(cfg)
     alpha = compute_alpha(pencil)
     lower = -bounds.d_min * np.pi**2 / 2.0
-    report.add("alpha_below_interval", alpha.alpha <= lower + 1e-9 * abs(lower),
-               alpha=alpha.alpha, interval_lower=lower)
-    interval = IntervalDelta(lower=lower)
-    result = locate_real_eigenvalues(pencil, interval, locate_tol,
-                                     alpha_estimate=alpha.alpha)
+    inside = within_alpha(lower, alpha.alpha)
+    report.add("alpha_below_interval", inside, alpha=alpha.alpha, interval_lower=lower)
+    if not inside:
+        return report
+    result = locate_real_eigenvalues(pencil, IntervalDelta(lower=lower), locate_tol)
 
     report.add("spectrum_nonempty", result.n_found >= 1, n_found=result.n_found)
     report.add("count_at_least_guaranteed", result.n_found >= bounds.n_min_count,

@@ -133,22 +133,16 @@ def cmd_variational(args) -> int:
     config = _load(args.config)
     pencil = build_pencil(config)
     scalars = compute_scalars(pencil)
-    if args.delta_lower is not None:
-        lower = float(args.delta_lower)
-    elif np.isfinite(scalars.alpha):
-        lower = scalars.alpha + 1e-6 * abs(scalars.alpha)
-    else:
-        # Empty real-root cone: any interval works; take one holding every
-        # possible real eigenvalue (the spectrum lies in |z| <= |A|).
-        lower = -(build_linearization(pencil).norm + 1.0)
-    interval = IntervalDelta(lower=lower)
-    alpha_gate = scalars.alpha if np.isfinite(scalars.alpha) else None
+    lower = args.delta_lower
+    if lower is None and not np.isfinite(scalars.alpha):
+        # A real eigenvalue is a root of |x|^2 lam^2 + d[x] lam + a0[x]: |lam| <= d[x]/|x|^2 <= |D|.
+        lower = -(pencil.d_norm + 1.0)
+    interval = IntervalDelta.inside(scalars.alpha, lower)
+    alpha = scalars.alpha if np.isfinite(scalars.alpha) else None
     bracket = None
-    if alpha_gate is not None:
-        bracket = [scalars.alpha_lower if np.isfinite(scalars.alpha_lower) else None, alpha_gate]
-    result = locate_real_eigenvalues(
-        pencil, interval, config.tolerances.eigen, alpha_estimate=alpha_gate
-    )
+    if alpha is not None:
+        bracket = [scalars.alpha_lower if np.isfinite(scalars.alpha_lower) else None, alpha]
+    result = locate_real_eigenvalues(pencil, interval, config.tolerances.eigen)
     minmax = verify_minmax(
         pencil, result, args.subspaces, config.seed, tol=config.tolerances.verify
     )
@@ -156,7 +150,7 @@ def cmd_variational(args) -> int:
     payload = {
         "schema": 1,
         "command": "variational",
-        "alpha": alpha_gate,
+        "alpha": alpha,
         "alpha_bracket": bracket,
         "delta": scalars.delta,
         "gamma": scalars.gamma,
@@ -187,10 +181,6 @@ def cmd_interlace(args) -> int:
     config_b = _load(args.config_b)
     pencil_a = build_pencil(config_a)
     pencil_b = build_pencil(config_b)
-    if pencil_a.dim != pencil_b.dim:
-        raise ConfigError(
-            f"configs have different dimensions: {pencil_a.dim} vs {pencil_b.dim}"
-        )
     payload = {"schema": 1, "command": "interlace"}
     if not check_form_order(pencil_a, pencil_b):
         payload["comparison"] = {"ok": False, "form_order_ok": False}
@@ -215,10 +205,6 @@ def cmd_simulate(args) -> int:
     n = pencil.dim
     if config.initial is not None:
         z0, w0 = config.initial
-        if z0.shape != (n,):
-            raise ConfigError(
-                f"initial data length {z0.shape[0]} does not match dimension {n}"
-            )
     else:
         z0 = np.zeros(n)
         z0[0] = 1.0

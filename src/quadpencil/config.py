@@ -15,7 +15,8 @@ import numpy as np
 
 from .beam import BeamConfig, QuadratureSpec, make_damping_profile
 from .errors import ConfigError, InvalidArgumentError
-from .pencil import QuadraticPencil
+from .pencil import QuadraticPencil, compute_delta_gamma
+from .variational import EIGEN_TOL, VERIFY_TOL
 
 SCHEMA_VERSION = 1
 SYMMETRY_TOL = 1e-12
@@ -23,8 +24,8 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Tolerances:
-    eigen: float = 1e-8
-    verify: float = 1e-7
+    eigen: float = EIGEN_TOL
+    verify: float = VERIFY_TOL
 
 
 @dataclass(frozen=True)
@@ -201,15 +202,13 @@ def random_pencil(
     b = rng.standard_normal((dim, dim))
     d = damping_scale * (b @ b.T) / dim
     d = (d + d.T) / 2.0
+    pencil = QuadraticPencil(a0, d)
     if ensure_real_root_cone:
-        w_a, v_a = np.linalg.eigh(a0)
-        inv_sqrt = (v_a / np.sqrt(w_a)) @ v_a.T
-        whitened = inv_sqrt @ d @ inv_sqrt
-        s_norm = float(np.max(np.abs(np.linalg.eigvalsh(whitened))))
-        needed = 2.5 / np.sqrt(w_a[0])
-        if s_norm < needed:
-            d = d * (needed / max(s_norm, 1e-300))
-    return QuadraticPencil(a0, d)
+        _, gamma = compute_delta_gamma(pencil)
+        needed = 2.5 * np.sqrt(pencil.a0_inv_norm)
+        if gamma < needed:
+            return QuadraticPencil(a0, d * (needed / max(gamma, 1e-300)))
+    return pencil
 
 
 def build_pencil(config: ProblemConfig) -> QuadraticPencil:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .pencil import QuadraticPencil, compute_alpha, compute_delta_gamma
-from .variational import IntervalDelta, locate_real_eigenvalues
+from .variational import EIGEN_TOL, VERIFY_TOL, IntervalDelta, locate_real_eigenvalues
 
 FORM_ORDER_TOL = 1e-12
 
@@ -88,36 +88,22 @@ def compare_eigenvalues(
     p: QuadraticPencil,
     p_hat: QuadraticPencil,
     a: float | None = None,
-    tol: float = 1e-7,
-    locate_tol: float = 1e-10,
+    tol: float = VERIFY_TOL,
+    locate_tol: float = EIGEN_TOL,
 ) -> ComparisonReport:
     """Locate both spectra on a shared (a, 0] and verify the full ordering.
 
-    With a omitted, the left endpoint is the larger of the two alphas (the
-    certified upper ends of their brackets) pushed toward zero by a relative
-    1e-6 margin, so (a, 0] lies inside both pencils' (alpha, 0].
+    The interval is IntervalDelta.inside the larger of the two alphas (the
+    certified upper ends of their brackets), so (a, 0] lies inside both
+    pencils' (alpha, 0]; a omitted takes its default lower end.
     """
     if not check_form_order(p, p_hat):
         raise InvalidArgumentError(
             "form order violated: need a0 >= a0_hat and d <= d_hat as quadratic forms"
         )
-    alpha = compute_alpha(p).alpha
-    alpha_hat = compute_alpha(p_hat).alpha
-    alpha_max = max(alpha, alpha_hat)
-    if a is None:
-        if not np.isfinite(alpha_max):
-            raise InvalidArgumentError(
-                "both real-root cones are empty; no comparison interval exists"
-            )
-        a = alpha_max + 1e-6 * abs(alpha_max)
-    elif np.isfinite(alpha_max) and a < alpha_max - 1e-9 * max(1.0, abs(alpha_max)):
-        raise InvalidArgumentError(
-            f"left endpoint {a} lies below the larger alpha {alpha_max}"
-        )
-
-    interval = IntervalDelta(lower=float(a))
-    res = locate_real_eigenvalues(p, interval, locate_tol, alpha_estimate=alpha)
-    res_hat = locate_real_eigenvalues(p_hat, interval, locate_tol, alpha_estimate=alpha_hat)
+    interval = IntervalDelta.inside(max(compute_alpha(p).alpha, compute_alpha(p_hat).alpha), a)
+    res = locate_real_eigenvalues(p, interval, locate_tol)
+    res_hat = locate_real_eigenvalues(p_hat, interval, locate_tol)
 
     delta, gamma = compute_delta_gamma(p)
     delta_hat, gamma_hat = compute_delta_gamma(p_hat)

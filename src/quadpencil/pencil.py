@@ -132,8 +132,7 @@ class QuadraticPencil:
 
     def t_matrix(self, lam: float) -> np.ndarray:
         """The matrix T(lam) = lam^2 I + lam D + A0, symmetric for real lam."""
-        n = self.dim
-        return lam * lam * np.eye(n) + lam * self.d_matrix + self.a0_matrix
+        return _t(self.d_matrix, self.a0_matrix, lam)
 
     def term_scale(self, lam: complex) -> float:
         """|lam|^2 + |lam| |D| + |A0|, the size of the three terms of T(lam):
@@ -414,6 +413,12 @@ def _compress(pencil: QuadraticPencil, basis: np.ndarray):
     return (dc + np.swapaxes(dc, -1, -2)) / 2.0, (ac + np.swapaxes(ac, -1, -2)) / 2.0
 
 
+def _t(d: np.ndarray, a0: np.ndarray, lam) -> np.ndarray:
+    """lam^2 I + lam d + a0: the one builder of T(lam), of the pencil or of
+    a compression, for each lam and matrix of broadcastable stacks."""
+    return lam * lam * np.eye(d.shape[-1]) + lam * d + a0
+
+
 def _compressed_eigenvalues(dc: np.ndarray, ac: np.ndarray) -> np.ndarray:
     """Real parts of the eigenvalues of lam^2 I + lam dc + ac, descending."""
     k = dc.shape[0]
@@ -424,8 +429,7 @@ def _compressed_eigenvalues(dc: np.ndarray, ac: np.ndarray) -> np.ndarray:
 def _kernel_vectors(dc: np.ndarray, ac: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Columns: for each lam, the eigenvector of lam^2 I + lam dc + ac whose
     eigenvalue is smallest in modulus."""
-    lam = lams[:, None, None]
-    w, v = np.linalg.eigh(lam ** 2 * np.eye(dc.shape[0]) + lam * dc + ac)
+    w, v = np.linalg.eigh(_t(dc, ac, lams[:, None, None]))
     return v[np.arange(lams.size), :, np.argmin(np.abs(w), axis=1)].T
 
 

@@ -31,6 +31,7 @@ from .pencil import (
     _independent,
     _kernel_vectors,
     _orth,
+    _t,
     rayleigh_batch,
     rayleigh_pair,
 )
@@ -47,6 +48,14 @@ HYPERBOLIC_SLACK = 16.0
 # Bytes of the random bases that _random_minima draws and decides at once:
 # memory stays flat in the subspace count and the dimension.
 SUBSPACE_BLOCK_BYTES = 1 << 18
+# The default tolerances of the config and of every verifier: the resolution
+# of locate_real_eigenvalues, and the slack of each verified comparison.
+EIGEN_TOL = 1e-8
+VERIFY_TOL = 1e-7
+# IntervalDelta.inside: the default lower end's margin right of alpha, in
+# units of |alpha|, and the gate's slack left of it, in max(1, |alpha|).
+ALPHA_MARGIN = 1e-6
+ALPHA_GATE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,27 @@ class IntervalDelta:
     def __post_init__(self):
         if not np.isfinite(self.lower) or not self.lower < 0.0:
             raise InvalidArgumentError(f"need finite lower < 0, got ({self.lower}, 0]")
+
+    @classmethod
+    def inside(cls, alpha: float, lower: float | None = None) -> IntervalDelta:
+        """The counting interval inside (alpha, 0], alpha the certified upper
+        end of the bracket: lower defaults to alpha + ALPHA_MARGIN |alpha|
+        and must pass within_alpha; an empty cone (alpha = -inf) has no
+        default."""
+        if lower is None:
+            if not np.isfinite(alpha):
+                raise InvalidArgumentError("the real-root cone is empty: give a lower end")
+            lower = alpha + ALPHA_MARGIN * abs(alpha)
+        interval = cls(lower=float(lower))
+        if not within_alpha(interval.lower, alpha):
+            raise InvalidArgumentError(f"interval lower end {lower} lies below alpha {alpha}")
+        return interval
+
+
+def within_alpha(lower: float, alpha: float) -> bool:
+    """The alpha gate: lower lies at most ALPHA_GATE_SLACK max(1, |alpha|)
+    left of alpha; every lower end passes for an empty cone (alpha = -inf)."""
+    return not lower < alpha - ALPHA_GATE_SLACK * max(1.0, abs(alpha))
 
 
 @dataclass(frozen=True)
@@ -163,7 +193,6 @@ def locate_real_eigenvalues(
     pencil: QuadraticPencil,
     interval: IntervalDelta,
     tol: float,
-    alpha_estimate: float | None = None,
 ) -> VariationalResult:
     """All pencil eigenvalues in (interval.lower, 0] with multiplicities.
 
@@ -176,20 +205,13 @@ def locate_real_eigenvalues(
     at its separators (0, the midpoints between neighbouring entries,
     lower): they must differ by its multiplicity, and every separator but
     the open end lower lies off the spectrum.
-    Inside (alpha, 0] this holds for every eigenvalue; below alpha a
-    caller's wider interval may hold a zero of even local multiplicity in
-    lam, which moves no count. A failed certificate raises ComputationError
-    with the bracket and its counts.
+    Inside (alpha, 0] (an interval from IntervalDelta.inside) this holds
+    for every eigenvalue; below alpha a caller's wider interval may hold a
+    zero of even local multiplicity in lam, which moves no count. A failed
+    certificate raises ComputationError with the bracket and its counts.
     """
     if tol <= 0.0:
         raise InvalidArgumentError("tol must be positive")
-    if alpha_estimate is not None and np.isfinite(alpha_estimate):
-        slack = 1e-9 * max(1.0, abs(alpha_estimate))
-        if interval.lower < alpha_estimate - slack:
-            raise InvalidArgumentError(
-                f"interval lower end {interval.lower} lies below the alpha "
-                f"estimate {alpha_estimate}"
-            )
 
     lower = interval.lower
     w = scipy.linalg.eigvals(build_linearization(pencil).a_matrix)
@@ -286,7 +308,7 @@ class SubspaceValue:
 def _top_eigenpair(dc: np.ndarray, ac: np.ndarray, lam: float):
     """Top eigenpair of lam^2 I + lam dc + ac, of one compression or of each
     in a stack."""
-    w, v = np.linalg.eigh(lam * lam * np.eye(dc.shape[-1]) + lam * dc + ac)
+    w, v = np.linalg.eigh(_t(dc, ac, lam))
     return w[..., -1], v[..., -1]
 
 
@@ -389,7 +411,7 @@ def verify_minmax(
     result: VariationalResult,
     random_subspaces: int,
     seed: int,
-    tol: float = 1e-6,
+    tol: float = VERIFY_TOL,
 ) -> Report:
     """Executable form of the max-min and min-sup eigenvalue formulas.
 

@@ -70,10 +70,9 @@ def ensemble():
         pencil = random_pencil(dim, seed, damping_scale=4.0 + (seed % 3),
                                ensure_real_root_cone=True)
         alpha = compute_alpha(pencil).alpha
-        lower = alpha + 1e-6 * abs(alpha)
-        result = locate_real_eigenvalues(
-            pencil, IntervalDelta(lower=lower), 1e-10, alpha_estimate=alpha
-        )
+        interval = IntervalDelta.inside(alpha)
+        lower = interval.lower
+        result = locate_real_eigenvalues(pencil, interval, 1e-10)
         system = build_linearization(pencil)
         spectrum = full_spectrum(system)
         entries.append(EnsembleEntry(seed, pencil, alpha, lower, result,

@@ -162,6 +162,8 @@ class TestVariationalCommand:
         assert doc["n_found"] == 0
         assert doc["alpha"] is None
         assert doc["alpha_bracket"] is None
+        # Every real eigenvalue has |lam| <= |D| = 0.
+        assert doc["interval"]["lower"] == -1.0
 
     def test_rescaled_diag_fixture(self, tmp_path):
         # A0 * 1e12, D * 1e6: the same pencil with every eigenvalue times 1e6.
@@ -266,12 +268,14 @@ class TestInterlaceCommand:
         doc = json.loads(out.read_text())
         assert not doc["ok"] and not doc["comparison"]["form_order_ok"]
 
-    def test_dimension_mismatch_exits_2(self, tmp_path):
+    def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         cfg1 = write_config(tmp_path, {
             "schema": 1, "source": "dense",
             "dense": {"a0": [[1.0]], "d": [[0.0]]},
         }, "one.json")
         assert main(["interlace", cfg1, str(CONFIGS / "dense_diag.json")]) == 2
+        err = capsys.readouterr().err
+        assert "dimension mismatch: 1 vs 2" in err and "Traceback" not in err
 
 
 class TestSimulateCommand:
@@ -343,6 +347,17 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_initial_data_of_wrong_length_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "dense",
+            "dense": {"a0": [[2.0, 0.0], [0.0, 8.0]], "d": [[6.0, 0.0], [0.0, 2.0]]},
+            "initial": {"z0": [1.0, 0.0, 0.0], "w0": [0.0, 0.0, 0.0]},
+        })
+        assert main(["simulate", cfg, "--t-final", "0.01", "--dt", "0.001"]) == 2
+        captured = capsys.readouterr()
+        assert "do not match dimension 2" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_rerun_identical_except_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["simulate", str(CONFIGS / "dense_diag.json"),
@@ -366,6 +381,22 @@ class TestBeamReportCommand:
 
     def test_requires_beam_source(self):
         assert main(["beam-report", str(CONFIGS / "dense_diag.json")]) == 2
+
+    def test_alpha_right_of_interval_is_a_failed_check(self, tmp_path, monkeypatch):
+        # Negative control: an alpha above -d_min pi^2 / 2 fails the
+        # hypothesis check, and the report ends there with exit 1.
+        from quadpencil import beam
+        from quadpencil.pencil import AlphaResult
+
+        monkeypatch.setattr(beam, "compute_alpha",
+                            lambda pencil: AlphaResult(-1.0, -1.0, None))
+        out = tmp_path / "beam.json"
+        code = main(["beam-report", str(CONFIGS / "beam_const4.json"),
+                     "--out", str(out)])
+        assert code == 1
+        checks = json.loads(out.read_text())["report"]["checks"]
+        assert checks[-1]["label"] == "alpha_below_interval"
+        assert not checks[-1]["ok"] and checks[-1]["alpha"] == -1.0
 
 
 class TestIllConditionedStiffness:

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,16 @@ def test_benchmark_traced_functions_exist():
 
 def test_all_names_resolve():
     assert [name for name in quadpencil.__all__ if not hasattr(quadpencil, name)] == []
+
+
+def test_verifier_defaults_are_the_config_tolerances():
+    tolerances = quadpencil.Tolerances()
+    defaults = {
+        f.__name__: {k: p.default for k, p in inspect.signature(f).parameters.items()
+                     if k in ("tol", "locate_tol")}
+        for f in (quadpencil.verify_minmax, quadpencil.compare_eigenvalues,
+                  quadpencil.verify_beam_theorem)
+    }
+    both = {"tol": tolerances.verify, "locate_tol": tolerances.eigen}
+    assert defaults == {"verify_minmax": {"tol": tolerances.verify},
+                        "compare_eigenvalues": both, "verify_beam_theorem": both}

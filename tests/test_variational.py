@@ -118,11 +118,26 @@ class TestLocate:
         # the n = 3 branch value sits left of the window
         assert (-2.0 + np.sqrt(3.0)) * 9.0 * np.pi**2 < -2.0 * np.pi**2
 
-    def test_alpha_gate(self, diag_pencil):
+    def test_alpha_gate(self):
+        with pytest.raises(InvalidArgumentError, match="below alpha"):
+            IntervalDelta.inside(-2.14, -5.0)
+
+    def test_inside_default_margin(self):
+        assert IntervalDelta.inside(-2.0).lower == -2.0 + 1e-6 * 2.0
+        assert IntervalDelta.inside(-2.0, -1.5).lower == -1.5
+
+    @pytest.mark.parametrize("alpha", [-0.5, -1e-3, -100.0])
+    def test_inside_gate_slack(self, alpha):
+        # 1e-9 max(1, |alpha|): a full 1e-9 at |alpha| < 1, relative above.
+        slack = 1e-9 * max(1.0, abs(alpha))
+        assert IntervalDelta.inside(alpha, alpha - 0.9 * slack).lower == alpha - 0.9 * slack
         with pytest.raises(InvalidArgumentError):
-            locate_real_eigenvalues(
-                diag_pencil, IntervalDelta(lower=-5.0), 1e-10, alpha_estimate=-2.14
-            )
+            IntervalDelta.inside(alpha, alpha - 1.1 * slack)
+
+    def test_inside_empty_cone(self):
+        with pytest.raises(InvalidArgumentError, match="empty"):
+            IntervalDelta.inside(-np.inf)
+        assert IntervalDelta.inside(-np.inf, -1e6).lower == -1e6
 
     def test_interval_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -169,11 +184,9 @@ class TestLocate:
         for seed in range(8):
             pencil = random_pencil(3 + seed % 6, 700 + seed, damping_scale=5.0,
                                    ensure_real_root_cone=True)
-            alpha = compute_alpha(pencil).alpha
-            lower = alpha + 1e-6 * abs(alpha)
-            res = locate_real_eigenvalues(
-                pencil, IntervalDelta(lower=lower), 1e-10, alpha_estimate=alpha
-            )
+            interval = IntervalDelta.inside(compute_alpha(pencil).alpha)
+            lower = interval.lower
+            res = locate_real_eigenvalues(pencil, interval, 1e-10)
             spec = full_spectrum(build_linearization(pencil))
             expected = []
             for lam, mult in real_eigenvalues_in(spec, lower):
@@ -184,10 +197,10 @@ class TestLocate:
     def test_rotated_ill_conditioned_pencil(self, rotated_pencil):
         # cond(A0) = 1e6; locate reads only the companion, never its
         # closed-form inverse, whose rounding defect here is about 2e-10.
-        n, alpha = rotated_pencil.dim, compute_alpha(rotated_pencil).alpha
-        lower = alpha + 1e-6 * abs(alpha)
-        res = locate_real_eigenvalues(rotated_pencil, IntervalDelta(lower=lower), 1e-10,
-                                      alpha_estimate=alpha)
+        n = rotated_pencil.dim
+        interval = IntervalDelta.inside(compute_alpha(rotated_pencil).alpha)
+        lower = interval.lower
+        res = locate_real_eigenvalues(rotated_pencil, interval, 1e-10)
         raw = np.block([[np.zeros((n, n)), np.eye(n)],
                         [-rotated_pencil.a0_matrix, -rotated_pencil.d_matrix]])
         w = np.linalg.eigvals(raw)
@@ -210,11 +223,9 @@ class TestLocate:
         ]
         found = 0
         for pencil in pencils:
-            alpha = compute_alpha(pencil).alpha
-            lower = alpha + 1e-6 * abs(alpha)
-            res = locate_real_eigenvalues(
-                pencil, IntervalDelta(lower=lower), 1e-10, alpha_estimate=alpha
-            )
+            interval = IntervalDelta.inside(compute_alpha(pencil).alpha)
+            lower = interval.lower
+            res = locate_real_eigenvalues(pencil, interval, 1e-10)
             exact = [r for r in det_poly_real_roots_mp(pencil.a0_matrix, pencil.d_matrix)
                      if lower < r <= 0.0]
             assert res.n_found == len(exact)
@@ -226,11 +237,9 @@ class TestLocate:
         for seed in range(6):
             pencil = random_pencil(4, 900 + seed, damping_scale=5.0,
                                    ensure_real_root_cone=True)
-            alpha = compute_alpha(pencil).alpha
-            lower = alpha + 1e-6 * abs(alpha)
-            res = locate_real_eigenvalues(
-                pencil, IntervalDelta(lower=lower), 1e-10, alpha_estimate=alpha
-            )
+            interval = IntervalDelta.inside(compute_alpha(pencil).alpha)
+            lower = interval.lower
+            res = locate_real_eigenvalues(pencil, interval, 1e-10)
             system = build_linearization(pencil)
             for diag in res.per_eigenvalue:
                 if diag.value <= lower or diag.value >= 0.0:
@@ -348,11 +357,8 @@ class TestVerifyMinmax:
         for seed in (1, 4):
             pencil = random_pencil(5, 1000 + seed, damping_scale=8.0,
                                    ensure_real_root_cone=True)
-            alpha = compute_alpha(pencil).alpha
             res = locate_real_eigenvalues(
-                pencil, IntervalDelta(lower=alpha + 1e-6 * abs(alpha)), 1e-10,
-                alpha_estimate=alpha,
-            )
+                pencil, IntervalDelta.inside(compute_alpha(pencil).alpha), 1e-10)
             assert res.n_found >= 1
             report = verify_minmax(pencil, res, random_subspaces=40, seed=seed)
             assert report.ok, report.failures()
@@ -496,11 +502,8 @@ class TestCompressedExtrema:
         scaled = QuadraticPencil(c * c * pencil.a0_matrix, c * pencil.d_matrix)
         verdicts = []
         for p in (pencil, scaled):
-            alpha = compute_alpha(p).alpha
             res = locate_real_eigenvalues(
-                p, IntervalDelta(lower=alpha + 1e-6 * abs(alpha)), 1e-10 * max(1.0, c),
-                alpha_estimate=alpha,
-            )
+                p, IntervalDelta.inside(compute_alpha(p).alpha), 1e-10 * max(1.0, c))
             report = verify_minmax(p, res, random_subspaces=10, seed=seed)
             verdicts.append([(check.label, check.ok) for check in report.checks])
         assert verdicts[0] == verdicts[1]
