@@ -22,9 +22,9 @@ import numpy as np
 
 from . import beam as beam_mod
 from .config import ProblemConfig, build_pencil, load_config, parse_number
-from .errors import ComputationError, ConfigError, InvalidArgumentError
+from .errors import ComputationError, ConfigError, FormOrderError, InvalidArgumentError
 from .evolution import energy_monotonicity_report, simulate
-from .interlacing import check_form_order, compare_eigenvalues
+from .interlacing import compare_eigenvalues
 from .linearization import (
     build_linearization,
     check_pencil_equivalence,
@@ -182,17 +182,18 @@ def cmd_interlace(args) -> int:
     pencil_a = build_pencil(config_a)
     pencil_b = build_pencil(config_b)
     payload = {"schema": 1, "command": "interlace"}
-    if not check_form_order(pencil_a, pencil_b):
+    try:
+        comparison = compare_eigenvalues(
+            pencil_a, pencil_b,
+            a=args.delta_lower,
+            tol=config_a.tolerances.verify,
+            locate_tol=config_a.tolerances.eigen,
+        )
+    except FormOrderError:
         payload["comparison"] = {"ok": False, "form_order_ok": False}
         payload["ok"] = False
         _emit_json(payload, args.out)
         return EXIT_PROPERTY
-    comparison = compare_eigenvalues(
-        pencil_a, pencil_b,
-        a=args.delta_lower,
-        tol=config_a.tolerances.verify,
-        locate_tol=config_a.tolerances.eigen,
-    )
     payload["comparison"] = comparison.to_dict()
     payload["ok"] = comparison.ok
     _emit_json(payload, args.out)

@@ -9,6 +9,11 @@ class InvalidArgumentError(QuadPencilError, ValueError):
     """Inputs violate a documented precondition (bad dimensions, zero vectors, ...)."""
 
 
+class FormOrderError(InvalidArgumentError):
+    """A pencil pair is not ordered as compare_eigenvalues requires
+    (a0 >= a0_hat and d <= d_hat as quadratic forms)."""
+
+
 class ConfigError(QuadPencilError, ValueError):
     """Problem configuration failed to parse or validate."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import FormOrderError, InvalidArgumentError
 from .pencil import QuadraticPencil, compute_alpha, compute_delta_gamma
 from .variational import EIGEN_TOL, VERIFY_TOL, IntervalDelta, locate_real_eigenvalues
 
@@ -95,10 +95,11 @@ def compare_eigenvalues(
 
     The interval is IntervalDelta.inside the larger of the two alphas (the
     certified upper ends of their brackets), so (a, 0] lies inside both
-    pencils' (alpha, 0]; a omitted takes its default lower end.
+    pencils' (alpha, 0]; a omitted takes its default lower end. A pair out
+    of form order raises FormOrderError.
     """
     if not check_form_order(p, p_hat):
-        raise InvalidArgumentError(
+        raise FormOrderError(
             "form order violated: need a0 >= a0_hat and d <= d_hat as quadratic forms"
         )
     interval = IntervalDelta.inside(max(compute_alpha(p).alpha, compute_alpha(p_hat).alpha), a)

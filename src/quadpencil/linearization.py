@@ -131,19 +131,19 @@ def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
         ) from exc
 
     groups = _cluster(w, cluster_tolerance)
-    reps, alg, geo, res = [], [], [], []
+    reps, alg, geo = [], [], []
+    at = np.empty(w.size, dtype=complex)
     eye = np.eye(2 * system.dim)
     for grp in groups:
         lam = complex(np.mean(w[grp]))
         reps.append(lam)
         alg.append(len(grp))
         geo.append(1 if len(grp) == 1 else _nullity(system.a_matrix - lam * eye))
-        r = 0.0
-        for i in grp:
-            vec = v[:, i]
-            r = max(r, float(np.linalg.norm(system.a_matrix @ vec - lam * vec)
-                             / np.linalg.norm(vec)))
-        res.append(r)
+        at[grp] = lam
+    # |A v - lam v| / |v| of every eigenvector at its cluster's representative.
+    defect = (np.linalg.norm(system.a_matrix @ v - v * at, axis=0)
+              / np.linalg.norm(v, axis=0))
+    res = [float(defect[grp].max()) for grp in groups]
     order = np.lexsort((np.abs(np.imag(reps)), -np.real(reps)))
     return SpectrumResult(
         eigenvalues=np.array(reps)[order],

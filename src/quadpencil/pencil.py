@@ -11,6 +11,7 @@ B^T T(lam) B = lam^2 I + lam B^T D B + B^T A0 B on subspaces span(B).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -246,7 +247,7 @@ def rayleigh_pair(pencil: QuadraticPencil, x) -> RayleighPair:
     a, b, c = pencil.scalar_coefficients(x)
     if a == 0.0:
         raise InvalidArgumentError("rayleigh_pair requires a nonzero vector")
-    p_minus, p_plus, feasible = _roots_from_forms(np.array([a]), np.array([b]), np.array([c]))
+    p_minus, p_plus, feasible = _roots_from_forms(*np.array([[a], [b], [c]]))
     return RayleighPair(p_minus[0], p_plus[0], bool(feasible[0]))
 
 
@@ -264,7 +265,7 @@ def rayleigh_batch(
             f"expected shape ({pencil.dim}, m), got {X.shape}"
         )
     a = np.einsum("ij,ij->j", X, X)
-    if np.any(a == 0.0):
+    if (a == 0.0).any():
         raise InvalidArgumentError("rayleigh_batch requires nonzero columns")
     b = np.einsum("ij,ij->j", X, pencil.d_matrix @ X)
     c = np.einsum("ij,ij->j", X, pencil.a0_matrix @ X)
@@ -280,17 +281,12 @@ def _roots_from_forms(
     Discriminants within -DISC_CLAMP_TOL * scale of zero count as double
     roots; the cone boundary is measure-zero but numerically reachable.
     """
-    disc = b * b - 4.0 * a * c
-    scale = np.maximum(b * b, np.abs(4.0 * a * c))
-    disc = np.where((disc < 0.0) & (disc >= -DISC_CLAMP_TOL * scale), 0.0, disc)
-    feasible = disc >= 0.0
-    p_minus = np.full(disc.shape, np.inf)
-    p_plus = np.full(disc.shape, -np.inf)
-    if np.any(feasible):
-        q = -(b[feasible] + np.sqrt(disc[feasible])) / 2.0
-        p_minus[feasible] = q / a[feasible]
-        p_plus[feasible] = c[feasible] / q
-    return p_minus, p_plus, feasible
+    b2, ac4 = b * b, 4.0 * a * c
+    disc = b2 - ac4
+    feasible = disc >= -DISC_CLAMP_TOL * np.maximum(b2, np.abs(ac4))
+    q = -(b + np.sqrt(np.maximum(disc, 0.0))) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(feasible, q / a, np.inf), np.where(feasible, c / q, -np.inf), feasible
 
 
 def compute_delta_gamma(pencil: QuadraticPencil) -> tuple[float, float]:
@@ -325,21 +321,24 @@ def _support(d_unit: np.ndarray, a_unit: np.ndarray, thetas: np.ndarray):
     c, s = np.cos(thetas), np.sin(thetas)
     w, v = np.linalg.eigh(c[:, None, None] * d_unit + s[:, None, None] * a_unit)
     top = v[:, :, -1].T
-    points = np.stack([np.einsum("ij,ij->j", top, d_unit @ top),
+    points = np.array([np.einsum("ij,ij->j", top, d_unit @ top),
                        np.einsum("ij,ij->j", top, a_unit @ top)])
     slack = ALPHA_SLACK * d_unit.shape[0] * np.finfo(float).eps * (np.abs(c) + np.abs(s))
     return w[:, -1] + slack, top, points
 
 
-def _split(theta_j: float, theta_k: float, p_j: np.ndarray, p_k: np.ndarray) -> float | None:
+def _split(theta_j: float, theta_k: float, p_j, p_k) -> float | None:
     """Next direction between neighbouring directions theta_j < theta_k: the
-    normal of the chord between their support points, which finds a flat
-    piece of W's boundary in one step; the mid-angle when the chord is
-    degenerate. None when the two directions can no longer be split."""
-    gap = (theta_k - theta_j) % (2.0 * np.pi)
-    chord = p_k - p_j
-    offset = (np.arctan2(-chord[0], chord[1]) - theta_j) % (2.0 * np.pi)
-    if np.any(chord != 0.0) and ALPHA_MIN_GAP < offset < gap - ALPHA_MIN_GAP:
+    normal of the chord between their support points p_j, p_k (pairs of
+    floats), which finds a flat piece of W's boundary in one step; the
+    mid-angle when the chord is degenerate. None when the two directions can
+    no longer be split."""
+    gap = (theta_k - theta_j) % (2.0 * math.pi)
+    chord_s, chord_a = p_k[0] - p_j[0], p_k[1] - p_j[1]
+    # np.arctan2 and math.atan2 can differ in the last bit; the support
+    # directions, and with them the upper end, take numpy's rounding.
+    offset = (float(np.arctan2(-chord_s, chord_a)) - theta_j) % (2.0 * math.pi)
+    if (chord_s != 0.0 or chord_a != 0.0) and ALPHA_MIN_GAP < offset < gap - ALPHA_MIN_GAP:
         return theta_j + offset
     if gap > 2.0 * ALPHA_MIN_GAP:
         return theta_j + gap / 2.0
@@ -360,32 +359,32 @@ def _polygon_max(thetas, heights, points, sigma_d, sigma_a):
     line and then along it, so the rounding of nearly parallel neighbours
     shifts it along line i only, never out of it.
     """
-    normal = np.stack([np.cos(thetas), np.sin(thetas)])
+    m = thetas.size
+    nxt, prev = np.arange(1, m + 1) % m, np.arange(-1, m - 1)
+    normal = np.array([np.cos(thetas), np.sin(thetas)])
     on_line = points + (heights - np.einsum("ij,ij->j", normal, points)) * normal
-    nxt = np.roll(np.arange(thetas.size), -1)
     along = ((heights[nxt] - np.einsum("ij,ij->j", normal[:, nxt], on_line))
              / np.sin(thetas[nxt] - thetas))
     vs = sigma_d * (on_line[0] - along * normal[1])
     va = sigma_a * (on_line[1] + along * normal[0])
     p_minus, _, feasible = _roots_from_forms(np.ones_like(vs), vs, va)
     at_vertex = np.where(feasible, p_minus, -np.inf)
-    # The edge of line i runs from vertex i-1 to vertex i.
-    s0, a0 = np.roll(vs, 1), np.roll(va, 1)
+    # The edge of line i runs from vertex i-1 to vertex i. Rows: the
+    # clamped parabola and the parabola itself.
+    s0, a0 = vs[prev], va[prev]
     ds, da = vs - s0, va - a0
-    on_edge = np.full(vs.shape, -np.inf)
+    k = np.array([[4.0 * (1.0 - DISC_CLAMP_TOL)], [4.0]])
+    qa, qb, qc = ds * ds, 2.0 * s0 * ds - k * da, s0 * s0 - k * a0
+    # An edge that touches the parabola within the rounding of qc counts as
+    # touching it, so no crossing is lost.
+    qb2 = qb * qb
+    disc = qb2 - 4.0 * qa * qc
+    tiny = 8.0 * np.finfo(float).eps * (qb2 + 4.0 * qa * (s0 * s0 + k * np.abs(a0)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in (4.0 * (1.0 - DISC_CLAMP_TOL), 4.0):
-            qa, qb, qc = ds * ds, 2.0 * s0 * ds - k * da, s0 * s0 - k * a0
-            # An edge that touches the parabola within the rounding of qc
-            # counts as touching it, so no crossing is lost.
-            disc = qb * qb - 4.0 * qa * qc
-            tiny = 8.0 * np.finfo(float).eps * (qb * qb + 4.0 * qa * (s0 * s0 + k * np.abs(a0)))
-            root = np.sqrt(np.where(disc >= -tiny, np.maximum(disc, 0.0), np.nan))
-            q = -(qb + np.copysign(root, qb)) / 2.0
-            for t in (q / qa, qc / q):
-                inside = (t >= 0.0) & (t <= 1.0)
-                value = np.where(inside, -(s0 + t * ds) / 2.0, -np.inf)
-                on_edge = np.maximum(on_edge, value)
+        root = np.sqrt(np.where(disc >= -tiny, np.maximum(disc, 0.0), np.nan))
+        q = -(qb + np.copysign(root, qb)) / 2.0
+        t = np.array([q / qa, qc / q])
+        on_edge = np.where((t >= 0.0) & (t <= 1.0), -(s0 + t * ds) / 2.0, -np.inf).max(axis=(0, 1))
     i_v, i_e = int(np.argmax(at_vertex)), int(np.argmax(on_edge))
     if at_vertex[i_v] >= on_edge[i_e]:
         return float(at_vertex[i_v]), i_v, True
@@ -419,44 +418,75 @@ def _t(d: np.ndarray, a0: np.ndarray, lam) -> np.ndarray:
     return lam * lam * np.eye(d.shape[-1]) + lam * d + a0
 
 
+def _companion(dc: np.ndarray, ac: np.ndarray) -> np.ndarray:
+    """[[0, I], [-ac, -dc]], the companion of lam^2 I + lam dc + ac, of one
+    pencil or of each in a stack: the one builder of the compressed
+    companions."""
+    k = dc.shape[-1]
+    companion = np.zeros(dc.shape[:-2] + (2 * k, 2 * k))
+    companion[..., :k, k:] = np.eye(k)
+    companion[..., k:, :k] = -ac
+    companion[..., k:, k:] = -dc
+    return companion
+
+
 def _compressed_eigenvalues(dc: np.ndarray, ac: np.ndarray) -> np.ndarray:
     """Real parts of the eigenvalues of lam^2 I + lam dc + ac, descending."""
-    k = dc.shape[0]
-    companion = np.block([[np.zeros((k, k)), np.eye(k)], [-ac, -dc]])
-    return np.sort(np.linalg.eigvals(companion).real)[::-1]
+    return np.sort(np.linalg.eigvals(_companion(dc, ac)).real)[::-1]
 
 
 def _kernel_vectors(dc: np.ndarray, ac: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Columns: for each lam, the eigenvector of lam^2 I + lam dc + ac whose
-    eigenvalue is smallest in modulus."""
-    w, v = np.linalg.eigh(_t(dc, ac, lams[:, None, None]))
-    return v[np.arange(lams.size), :, np.argmin(np.abs(w), axis=1)].T
+    eigenvalue is smallest in modulus; for a stack of pencils (..., k, k)
+    and of lams (..., m), a stack (..., k, m)."""
+    w, v = np.linalg.eigh(_t(dc[..., None, :, :], ac[..., None, :, :], lams[..., None, None]))
+    k = dc.shape[-1]
+    v = v.reshape(-1, k, k)
+    x = v[np.arange(v.shape[0]), :, np.argmin(np.abs(w), axis=-1).ravel()]
+    return np.swapaxes(x.reshape(lams.shape + (k,)), -1, -2)
 
 
-def _span_candidates(pencil: QuadraticPencil, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Unit vectors in span(u, v) where p- can peak: the points where the
-    compressed quadratic form crosses into the cone, and the real
-    eigenvectors of the compressed 2x2 pencil (the critical points of p-).
+def _span_candidates(pencil: QuadraticPencil, spans: np.ndarray) -> np.ndarray:
+    """Columns: unit vectors where p- can peak in the plane of each n x 2
+    matrix of the stack spans: the points where the compressed quadratic
+    form crosses into the cone, and the real eigenvectors of the compressed
+    2x2 pencil (the critical points of p-). A plane of two dependent vectors
+    gives none.
 
     With x = cos(phi) q1 + sin(phi) q2, d[x] and a0[x] are affine in
     z = exp(2i phi), so the crossings are roots of a quartic in z. They are
     taken half-way into the clamped band of rayleigh_pair, where p- = -d[x]/2.
+    All planes share one QR, one eigvals (the 4x4 companions of the
+    compressed pencils and of the quartics, the latter built as numpy.roots
+    builds them) and one eigh; a quartic whose leading coefficient is 0
+    drops its degree in numpy.roots.
     """
-    q = _orth(np.column_stack([u, v]))
-    if q.shape[1] < 2:
+    q, r = np.linalg.qr(spans)
+    q = q[_independent(r).all(axis=-1)]
+    if q.shape[0] == 0:
         return np.empty((pencil.dim, 0))
     dc, ac = _compress(pencil, q)
-    m_s, sig = (dc[0, 0] + dc[1, 1]) / 2.0, complex((dc[0, 0] - dc[1, 1]) / 2.0, -dc[0, 1])
-    m_a, rho = (ac[0, 0] + ac[1, 1]) / 2.0, complex((ac[0, 0] - ac[1, 1]) / 2.0, -ac[0, 1])
+    # On each plane d[x] = m_s + Re(sig z) and a0[x] = m_a + Re(rho z).
+    forms = np.array([dc, ac])
+    m_s, m_a = (forms[..., 0, 0] + forms[..., 1, 1]) / 2.0
+    sig, rho = (forms[..., 0, 0] - forms[..., 1, 1]) / 2.0 - 1j * forms[..., 0, 1]
     k = 4.0 * (1.0 - DISC_CLAMP_TOL / 2.0)
-    quartic = [sig * sig / 4.0, m_s * sig - k * rho / 2.0,
-               m_s * m_s + abs(sig) ** 2 / 2.0 - k * m_a,
-               m_s * sig.conjugate() - k * rho.conjugate() / 2.0,
-               sig.conjugate() ** 2 / 4.0]
-    phis = np.angle(np.roots(quartic)) / 2.0 if any(quartic) else np.empty(0)
-    crossings = np.stack([np.cos(phis), np.sin(phis)])
-    critical = _kernel_vectors(dc, ac, _compressed_eigenvalues(dc, ac))
-    return q @ np.hstack([crossings, critical])
+    c0, c1 = sig * sig / 4.0, m_s * sig - k * rho / 2.0
+    quartic = np.array([c0, c1, m_s * m_s + np.abs(sig) ** 2 / 2.0 - k * m_a,
+                        c1.conj(), c0.conj()]).T
+    degree4 = c0 != 0.0
+    top = quartic[degree4]
+    companions = np.zeros((top.shape[0], 4, 4), dtype=complex)
+    companions[:, 0] = -top[:, 1:] / top[:, :1]
+    companions[:, 1:, :3] = np.eye(3)
+    planes = dc.shape[0]
+    eigs = np.linalg.eigvals(np.concatenate([_companion(dc, ac), companions]))
+    critical = _kernel_vectors(dc, ac, np.sort(eigs[:planes].real)[:, ::-1])
+    roots, columns = iter(eigs[planes:]), []
+    for basis, full, coeffs, kernel in zip(q, degree4, quartic, critical):
+        phi = np.angle(next(roots) if full else np.roots(coeffs)) / 2.0
+        columns.append(basis @ np.concatenate([[np.cos(phi), np.sin(phi)], kernel], axis=1))
+    return np.concatenate(columns, axis=1)
 
 
 def compute_alpha(pencil: QuadraticPencil) -> AlphaResult:
@@ -469,10 +499,14 @@ def compute_alpha(pencil: QuadraticPencil) -> AlphaResult:
     eigenvectors cut out an outer polygon whose largest p- is the upper
     end; the lower end is rayleigh_pair(witness).p_minus for the best of
     the support vectors and of the maximisers in the 2-D spans of
-    neighbouring support vectors where the polygon peaks. New directions split the neighbours there until the
-    bracket is ALPHA_RTOL wide or ALPHA_MAX_ROUNDS rounds have run; without
-    a witness by then the lower end is -inf. upper = -inf decides an empty
-    cone.
+    neighbouring support vectors where the polygon peaks. New directions
+    split the neighbours there until the bracket is ALPHA_RTOL wide or
+    ALPHA_MAX_ROUNDS rounds have run; without a witness by then the lower
+    end is -inf. upper = -inf decides an empty cone.
+
+    Each round offers its span candidates together with the support vectors
+    of the round before in one rayleigh_batch; the support vectors still
+    pending when the rounds end are offered before the bracket is returned.
     """
     if pencil.dim == 1:
         x = np.ones(1)
@@ -488,6 +522,7 @@ def compute_alpha(pencil: QuadraticPencil) -> AlphaResult:
 
     thetas = np.linspace(0.0, 2.0 * np.pi, ALPHA_SWEEP, endpoint=False)
     heights, vectors, points = _support(d_unit, a_unit, thetas)
+    pending = vectors
     lower, witness = -np.inf, None
 
     def offer(columns):
@@ -501,28 +536,30 @@ def compute_alpha(pencil: QuadraticPencil) -> AlphaResult:
         if pair.in_dstar and pair.p_minus > lower:
             lower, witness = float(pair.p_minus), columns[:, best]
 
-    offer(vectors)
     for _ in range(ALPHA_MAX_ROUNDS):
         upper, i, at_vertex = _polygon_max(thetas, heights, points, sigma_d, sigma_a)
         if upper == -np.inf:
             return AlphaResult(-np.inf, -np.inf, None)
         m = thetas.size
         pairs = [(i, (i + 1) % m)] if at_vertex else [((i - 1) % m, i), (i, (i + 1) % m)]
-        for j, k in pairs:
-            offer(_span_candidates(pencil, vectors[:, j], vectors[:, k]))
+        candidates = _span_candidates(pencil, vectors[:, pairs].transpose(1, 0, 2))
+        offer(np.concatenate([pending, candidates], axis=1))
+        pending = np.empty((pencil.dim, 0))
         if upper - lower <= ALPHA_RTOL * abs(upper):
             break
-        new = [_split(thetas[j], thetas[k], points[:, j], points[:, k]) for j, k in pairs]
+        angles, corners = thetas.tolist(), points.T.tolist()
+        new = [_split(angles[a], angles[b], corners[a], corners[b]) for a, b in pairs]
         new = np.mod([t for t in new if t is not None], 2.0 * np.pi)
         if new.size == 0:
             break
         new_heights, new_vectors, new_points = _support(d_unit, a_unit, new)
-        offer(new_vectors)
+        pending = new_vectors
         order = np.argsort(np.concatenate([thetas, new]))
         thetas = np.concatenate([thetas, new])[order]
         heights = np.concatenate([heights, new_heights])[order]
         vectors = np.hstack([vectors, new_vectors])[:, order]
         points = np.hstack([points, new_points])[:, order]
+    offer(pending)
     return AlphaResult(lower, upper, witness)
 
 

@@ -6,14 +6,16 @@ determinant polynomial, extremum searches from dense direction grids (where
 a grid searches over p_plus, rayleigh_batch evaluates it), semisimplicity
 from kernel ranks of the companion matrix, beam entries from adaptive
 quadrature, evolution references from an explicit modal decomposition
-and from the trapezoidal scheme stepped one lu_solve at a time, and the
-random-subspace clause of the min-max check decided one subspace at a time.
+and from the trapezoidal scheme stepped one lu_solve at a time, the
+random-subspace clause of the min-max check decided one subspace at a time,
+and the alpha search's span candidates found one plane at a time.
 """
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad
 
 from quadpencil import rayleigh_batch, rayleigh_pair
+from quadpencil.pencil import DISC_CLAMP_TOL
 from quadpencil.variational import min_p_plus
 
 
@@ -268,3 +270,33 @@ def random_minima_loop(pencil, rng, dim, count, bound, tol):
         "violations": int(np.sum(excess > tol)),
         "worst_excess": float(np.max(excess[excess > tol], initial=-np.inf)),
     }
+
+
+def span_candidates_pair(pencil, u, v):
+    """The candidates of pencil._span_candidates in one plane span(u, v),
+    one plane at a time: the reference for the stacked version. One QR (no
+    candidates when u and v are dependent), the cone crossings from
+    numpy.roots of the quartic in z = exp(2i phi), the eigenvalues of the
+    compressed 2x2 pencil from its np.block companion, and at the real part
+    of each the eigenvector of the compressed T of smallest |eigenvalue|.
+    Columns are unit vectors: crossings first, then critical points."""
+    q, r = np.linalg.qr(np.column_stack([u, v]))
+    if not np.all(np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())):
+        return np.empty((pencil.dim, 0))
+    dc = q.T @ pencil.d_matrix @ q
+    ac = q.T @ pencil.a0_matrix @ q
+    dc, ac = (dc + dc.T) / 2.0, (ac + ac.T) / 2.0
+    m_s, sig = (dc[0, 0] + dc[1, 1]) / 2.0, complex((dc[0, 0] - dc[1, 1]) / 2.0, -dc[0, 1])
+    m_a, rho = (ac[0, 0] + ac[1, 1]) / 2.0, complex((ac[0, 0] - ac[1, 1]) / 2.0, -ac[0, 1])
+    k = 4.0 * (1.0 - DISC_CLAMP_TOL / 2.0)
+    quartic = [sig * sig / 4.0, m_s * sig - k * rho / 2.0,
+               m_s * m_s + abs(sig) ** 2 / 2.0 - k * m_a,
+               m_s * sig.conjugate() - k * rho.conjugate() / 2.0,
+               sig.conjugate() ** 2 / 4.0]
+    phis = np.angle(np.roots(quartic)) / 2.0 if any(quartic) else np.empty(0)
+    companion = np.block([[np.zeros((2, 2)), np.eye(2)], [-ac, -dc]])
+    critical = []
+    for lam in np.sort(np.linalg.eigvals(companion).real)[::-1]:
+        w, vecs = np.linalg.eigh(lam * lam * np.eye(2) + lam * dc + ac)
+        critical.append(vecs[:, np.argmin(np.abs(w))])
+    return q @ np.hstack([np.stack([np.cos(phis), np.sin(phis)]), np.column_stack(critical)])

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadpencil import build_pencil, load_config
+from quadpencil import build_pencil, interlacing, load_config
 from quadpencil.cli import CSV_CHUNK_ROWS, main
 
 from oracles import trapezoid_reference
@@ -267,6 +267,24 @@ class TestInterlaceCommand:
         assert code == 1
         doc = json.loads(out.read_text())
         assert not doc["ok"] and not doc["comparison"]["form_order_ok"]
+
+    @pytest.mark.parametrize("pair, code", [
+        (("interlace_violation_a", "interlace_violation_b"), 1),
+        (("beam_const4", "beam_const5"), 0),
+    ])
+    def test_form_order_checked_once(self, tmp_path, monkeypatch, pair, code):
+        calls = []
+        original = interlacing.check_form_order
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(interlacing, "check_form_order", counting)
+        argv = ["interlace", *(str(CONFIGS / f"{name}.json") for name in pair),
+                "--out", str(tmp_path / "cmp.json")]
+        assert main(argv) == code
+        assert len(calls) == 1
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         cfg1 = write_config(tmp_path, {

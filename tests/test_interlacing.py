@@ -3,6 +3,7 @@ import pytest
 
 from quadpencil import (
     BeamConfig,
+    FormOrderError,
     InvalidArgumentError,
     QuadraticPencil,
     check_form_order,
@@ -82,8 +83,9 @@ class TestCompare:
 
     def test_order_violation_rejected(self, diag_pencil):
         stiffer = QuadraticPencil(np.diag([3.0, 8.0]), np.diag([6.0, 2.0]))
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(FormOrderError):
             compare_eigenvalues(diag_pencil, stiffer)
+        assert issubclass(FormOrderError, InvalidArgumentError)
 
     def test_left_endpoint_gate(self, diag_pencil):
         with pytest.raises(InvalidArgumentError):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import quadpencil.linearization as linearization_mod
 from quadpencil import (
@@ -198,6 +199,27 @@ class TestFullSpectrum:
         assert all(m == 1 for m in spec.algebraic_multiplicities)
         assert all(m == 1 for m in spec.geometric_multiplicities)
         assert np.max(spec.residuals) < 1e-12
+
+    def test_residuals_match_per_vector_loop(self, critical_1x1):
+        # Reference: |A v - lam v| / |v| one eigenvector at a time, at its
+        # cluster's mean, the largest over the cluster; the two differ by
+        # the rounding of the products.
+        # The coupled Jordan pencil is a cluster of two split members.
+        for pencil in (discretize_beam(beam_cfg(20)), critical_1x1,
+                       QuadraticPencil([[1.0, 6.0], [6.0, 38.0]], [[2.0, 6.0], [6.0, 108.0]])):
+            system = build_linearization(pencil)
+            spec = full_spectrum(system)
+            a = system.a_matrix
+            w, v = scipy.linalg.eig(a)
+            want = {}
+            for grp in linearization_mod._cluster(w, spec.cluster_tolerance):
+                lam = complex(np.mean(w[grp]))
+                want[lam] = max(np.linalg.norm(a @ v[:, i] - lam * v[:, i])
+                                / np.linalg.norm(v[:, i]) for i in grp)
+            rounding = 8 * a.shape[0] * np.finfo(float).eps * system.norm
+            assert len(want) == len(spec.eigenvalues)
+            for lam, got in zip(spec.eigenvalues, spec.residuals):
+                assert abs(got - want[complex(lam)]) <= rounding
 
     def test_critical_1x1_jordan(self, critical_1x1):
         spec = full_spectrum(build_linearization(critical_1x1))

@@ -1,8 +1,12 @@
+import collections
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadpencil.pencil as pencil_mod
 from quadpencil import (
     BeamConfig,
     DstarVerdict,
@@ -19,9 +23,12 @@ from quadpencil import (
     rayleigh_batch,
     rayleigh_pair,
 )
-from quadpencil.config import random_pencil
+from quadpencil.config import build_pencil, load_config, random_pencil
+from quadpencil.pencil import _span_candidates
 
-from oracles import p_minus_grid_2d, quad_roots
+from oracles import p_minus_grid_2d, quad_roots, span_candidates_pair
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SQRT7 = np.sqrt(7.0)
 # sup of p_minus for the diag(2,8)/diag(6,2) pencil. Derived independently:
@@ -352,6 +359,135 @@ class TestAlphaBracket:
         slack = max(res.upper - res.lower, c * (base.upper - base.lower)) + 1e-12 * abs(res.upper)
         assert abs(res.lower - c * base.lower) <= slack
         assert abs(res.upper - c * base.upper) <= slack
+
+
+def config_pencil(name):
+    return build_pencil(load_config(CONFIGS / f"{name}.json"))
+
+
+def same_directions(got, want, tol=1e-9):
+    """True when the unit columns of got and want are the same directions up
+    to sign and rounding: as many of each, and each column of one parallel
+    to a column of the other."""
+    if got.shape != want.shape:
+        return False
+    overlap = np.abs(got.T @ want)
+    return bool(np.all(overlap.max(axis=0, initial=0.0) >= 1.0 - tol)
+                and np.all(overlap.max(axis=1, initial=0.0) >= 1.0 - tol))
+
+
+class TestSpanCandidates:
+    """The stacked _span_candidates against the one-plane loop of oracles."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_planes_match_one_plane_loop(self, seed):
+        pencil = ensemble_pencil(seed)
+        spans = np.random.default_rng(seed).standard_normal((2, pencil.dim, 2))
+        want = np.hstack([span_candidates_pair(pencil, *span.T) for span in spans])
+        assert same_directions(_span_candidates(pencil, spans), want)
+        assert same_directions(_span_candidates(pencil, spans[:1]),
+                               span_candidates_pair(pencil, *spans[0].T))
+
+    @pytest.mark.parametrize("name", ["random_dim4", "beam_sin"])
+    def test_planes_of_the_alpha_search_match(self, monkeypatch, name):
+        pencil, seen = config_pencil(name), []
+
+        def checked(pencil, spans):
+            got = _span_candidates(pencil, spans)
+            want = np.hstack([span_candidates_pair(pencil, *span.T) for span in spans])
+            seen.append(same_directions(got, want))
+            return got
+
+        monkeypatch.setattr(pencil_mod, "_span_candidates", checked)
+        compute_alpha(pencil)
+        assert len(seen) >= 2 and all(seen)
+
+    def test_dependent_vectors_give_none(self):
+        pencil = config_pencil("random_dim4")
+        u, v = np.random.default_rng(3).standard_normal((2, pencil.dim))
+        parallel = np.column_stack([u, -2.5 * u])
+        assert _span_candidates(pencil, parallel[None]).shape == (pencil.dim, 0)
+        got = _span_candidates(pencil, np.array([parallel, np.column_stack([u, v])]))
+        assert same_directions(got, span_candidates_pair(pencil, u, v))
+
+    # On span(e1, e2) of diagonal pencils the compressed damping is exact:
+    # D = cI there (sig = 0) drops the quartic's degree, zero damping there
+    # leaves a quadratic, and s^2 = k a with k = 4 (1 - DISC_CLAMP_TOL / 2)
+    # (exact in floating point for these s, a) zeroes the whole quartic.
+    @pytest.mark.parametrize("d, a0, crossings", [
+        ([3.0, 3.0, 1.0, 2.0], [2.0, 5.0, 3.0, 4.0], True),
+        ([0.0, 0.0, 1.0, 2.0], [2.0, 5.0, 3.0, 4.0], True),
+        ([2.0615528128083147, 2.0615528128083147, 1.0, 2.0], [1.0625, 1.0625, 3.0, 4.0], False),
+    ], ids=["constant_damping", "zero_damping", "zero_quartic"])
+    def test_degree_drop_spans(self, d, a0, crossings):
+        pencil = QuadraticPencil(np.diag(a0), np.diag(d))
+        e = np.eye(4)
+        q = np.linalg.qr(e[:, :2])[0]
+        dc = q.T @ pencil.d_matrix @ q
+        assert dc[0, 0] == dc[1, 1] and dc[0, 1] == 0.0
+        want = span_candidates_pair(pencil, e[:, 0], e[:, 1])
+        assert (want.shape[1] > 4) == crossings
+        assert same_directions(_span_candidates(pencil, e[None, :, :2]), want)
+        # a degree-4 plane in the same stack keeps its own candidates
+        spans = np.array([e[:, :2], np.column_stack([e[:, 2], e[:, 0] + e[:, 3]])])
+        want = np.hstack([want, span_candidates_pair(pencil, e[:, 2], e[:, 0] + e[:, 3])])
+        assert same_directions(_span_candidates(pencil, spans), want)
+
+
+class TestAlphaRounds:
+    @pytest.mark.parametrize("with_spans", [True, False])
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_rounds_cut_short_still_offer_every_support_vector(
+            self, monkeypatch, rounds, with_spans):
+        # Without the span candidates the support vectors are all that is
+        # offered, so one left unoffered when the rounds run out shows.
+        pencil, returned = config_pencil("random_dim4"), []
+        support = pencil_mod._support
+
+        def recording(*args):
+            out = support(*args)
+            returned.append(out[1])
+            return out
+
+        monkeypatch.setattr(pencil_mod, "_support", recording)
+        monkeypatch.setattr(pencil_mod, "ALPHA_MAX_ROUNDS", rounds)
+        if not with_spans:
+            monkeypatch.setattr(pencil_mod, "_span_candidates",
+                                lambda pencil, spans: np.empty((pencil.dim, 0)))
+        res = compute_alpha(pencil)
+        assert len(returned) == rounds + 1
+        columns = np.hstack(returned)
+        p_minus, _, feasible = rayleigh_batch(pencil, columns / np.linalg.norm(columns, axis=0))
+        best = p_minus[feasible].max()
+        # rayleigh_pair and rayleigh_batch round the forms differently
+        assert res.lower >= best - 1e-12 * abs(best)
+        assert rayleigh_pair(pencil, res.witness).p_minus == res.lower
+
+    @pytest.mark.parametrize("name", ["random_dim4", "beam_sin"])
+    def test_call_budget_per_round(self, monkeypatch, name):
+        # Per refinement round: one qr, one eigvals and one eigh for the
+        # span candidates, one eigh for the new support lines, and one
+        # rayleigh_batch; the first sweep of support lines is one eigh.
+        pencil, calls = config_pencil(name), collections.Counter()
+
+        def count(module, attr, key):
+            original = getattr(module, attr)
+
+            def counting(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counting)
+
+        for attr in ("qr", "eigvals", "eigh"):
+            count(np.linalg, attr, "lapack")
+        count(np, "roots", "lapack")  # one eigvals inside
+        count(pencil_mod, "rayleigh_batch", "rayleigh_batch")
+        count(pencil_mod, "_polygon_max", "rounds")
+        compute_alpha(pencil)
+        assert calls["rounds"] >= 2
+        assert calls["lapack"] <= 4 * calls["rounds"] + 1
+        assert calls["rayleigh_batch"] <= calls["rounds"]
 
 
 class TestDstarCertificate:
