@@ -6,7 +6,8 @@ determinant polynomial, extremum searches from dense direction grids (where
 a grid searches over p_plus, rayleigh_batch evaluates it), semisimplicity
 from kernel ranks of the companion matrix, beam entries from adaptive
 quadrature, evolution references from an explicit modal decomposition
-and from the trapezoidal scheme stepped one lu_solve at a time, the
+and from the trapezoidal scheme stepped one lu_solve at a time (with the
+forward-error bounds that separate it from simulate's propagator powers), the
 random-subspace clause of the min-max check decided one subspace at a time,
 and the alpha search's span candidates found one plane at a time.
 """
@@ -200,6 +201,28 @@ def trapezoid_reference(pencil, z0, w0, steps, dt, snapshot_stride=0):
     if snapshot_stride > 0:
         return energies, dissipation, np.array(zs), np.array(ws)
     return energies, dissipation, None, None
+
+
+def trapezoid_error_bounds(pencil, z0, w0, steps, dt):
+    """(state, energy, dissipation): bounds for k = 0..steps on how far
+    simulate's trace may lie from trapezoid_reference's.
+
+    simulate's forward-error bound is b_k = (k+1) 2n eps cond2(I - dt/2 A)
+    |u_0| on the whitened states u = (A0^{1/2} z, w); c_k = b_k + b_0 adds
+    each side's own rounding of the products below. With |.| on a matrix
+    the 2-norm of its entrywise absolute value: |u_k - u_k^ref| <= c_k,
+    |E_k - E_k^ref| <= c_k (2 |u_0| + c_k) for E = |u|^2, and
+    |d_k - d_k^ref| <= 2 |D| c_k (2 |u_0| + c_k) for d = 2 w^T D w.
+    """
+    n = pencil.dim
+    s = pencil.a0_sqrt
+    a = np.block([[np.zeros((n, n)), s], [-s, -pencil.d_matrix]])
+    u0 = np.linalg.norm(np.concatenate([s @ np.asarray(z0, float), np.asarray(w0, float)]))
+    cond = np.linalg.cond(np.eye(2 * n) - (dt / 2.0) * a)
+    b = (np.arange(steps + 1) + 1) * 2 * n * np.finfo(float).eps * cond * u0
+    c = b + b[0]
+    energy = c * (2.0 * u0 + c)
+    return c, energy, 2.0 * np.linalg.norm(np.abs(pencil.d_matrix), 2) * energy
 
 
 def det_poly_real_roots_mp(a0, d, digits=50):

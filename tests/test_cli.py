@@ -7,7 +7,7 @@ import pytest
 from quadpencil import build_pencil, interlacing, load_config
 from quadpencil.cli import CSV_CHUNK_ROWS, main
 
-from oracles import trapezoid_reference
+from oracles import trapezoid_error_bounds, trapezoid_reference
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SQRT7 = np.sqrt(7.0)
@@ -24,6 +24,16 @@ def strip_timestamp(text: str) -> str:
         line for line in text.splitlines()
         if "generated_at" not in line
     )
+
+
+def assert_same_rows(got: list[str], want: list[str]) -> None:
+    """Equal row lists; a failure names the first row that differs instead
+    of diffing the whole text."""
+    for i, (g, w) in enumerate(zip(got, want)):
+        if g != w:
+            pytest.fail(f"row {i} differs: {g!r} != {w!r}")
+    if len(got) != len(want):
+        pytest.fail(f"{len(got)} rows, expected {len(want)}")
 
 
 class TestSpectrumCommand:
@@ -311,19 +321,27 @@ class TestSimulateCommand:
         assert np.all(np.diff(energies) <= 1e-10 * energies[0])
 
     def test_csv_matches_reference_loop(self, tmp_path):
+        # Within oracles.trapezoid_error_bounds, plus half a unit in the
+        # 16th digit of the %.16g format.
         path = CONFIGS / "dense_diag.json"
         out = tmp_path / "trace.csv"
         assert main(["simulate", str(path), "--t-final", "10", "--dt", "0.001",
                      "--out", str(out)]) == 0
+        pencil = build_pencil(load_config(path))
         energies, dissipation, _, _ = trapezoid_reference(
-            build_pencil(load_config(path)), [1.0, 0.0], [0.0, 0.0], 10000, 0.001)
+            pencil, [1.0, 0.0], [0.0, 0.0], 10000, 0.001)
+        _, energy_bound, rate_bound = trapezoid_error_bounds(
+            pencil, [1.0, 0.0], [0.0, 0.0], 10000, 0.001)
+        lines = out.read_text().split("\n")
+        assert lines[0].startswith("# generated_at=") and lines[-1] == ""
+        assert lines[1] == "time,energy,dissipation"
+        rows = [line.split(",") for line in lines[2:-1]]
         times = 0.001 * np.arange(10001)
-        lines = ["time,energy,dissipation"]
-        lines += [f"{t:.12g},{e:.16g},{d:.16g}"
-                  for t, e, d in zip(times, energies, dissipation)]
-        text = out.read_text()
-        assert text.startswith("# generated_at=")
-        assert text.split("\n", 1)[1] == "\n".join(lines) + "\n"
+        assert_same_rows([r[0] for r in rows], [f"{t:.12g}" for t in times])
+        for column, want, bound in ((1, energies, energy_bound), (2, dissipation, rate_bound)):
+            got = np.array([float(r[column]) for r in rows])
+            off = np.flatnonzero(np.abs(got - want) > bound + 5e-16 * np.abs(want))
+            assert off.size == 0, f"column {column} first off at row {off[0]}"
 
     @pytest.mark.parametrize("rows", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
     def test_stdout_matches_out_file(self, tmp_path, capsys, rows):
@@ -336,7 +354,7 @@ class TestSimulateCommand:
         assert main(argv) == 0
         stdout, text = capsys.readouterr().out, out.read_text()
         assert stdout.startswith("# generated_at=") and text.startswith("# generated_at=")
-        assert stdout.split("\n", 1)[1] == text.split("\n", 1)[1]
+        assert_same_rows(stdout.split("\n")[1:], text.split("\n")[1:])
         assert text.endswith("\n") and text.count("\n") == rows + 2
 
     def test_initial_data_from_config(self, tmp_path):
@@ -376,13 +394,23 @@ class TestSimulateCommand:
         assert "do not match dimension 2" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("t_final, dt", [("nan", "0.001"), ("inf", "0.001"),
+                                             ("1", "nan"), ("1", "inf")])
+    def test_nonfinite_times_exit_2(self, capsys, t_final, dt):
+        assert main(["simulate", str(CONFIGS / "dense_diag.json"),
+                     "--t-final", t_final, "--dt", dt]) == 2
+        captured = capsys.readouterr()
+        assert "t_final and dt must be finite" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_rerun_identical_except_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["simulate", str(CONFIGS / "dense_diag.json"),
                 "--t-final", "0.05", "--dt", "0.001"]
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
-        assert strip_timestamp(out1.read_text()) == strip_timestamp(out2.read_text())
+        assert_same_rows(strip_timestamp(out1.read_text()).split("\n"),
+                         strip_timestamp(out2.read_text()).split("\n"))
 
 
 class TestBeamReportCommand:
