@@ -4,7 +4,12 @@ The transverse model is u_tt + a0 u_rrrr + (d(r) u_r)_rt = 0 on (0,1) with
 pinned ends. Projecting onto e_n(r) = sqrt(2) sin(n pi r) makes the
 stiffness exactly diagonal, diag(a0 n^4 pi^4), so numerical quadrature of
 the damping profile is the only discretization error:
-D[m,n] = 2 m n pi^2 * integral d(r) cos(m pi r) cos(n pi r) dr.
+D[m,n] = 2 m n pi^2 * integral d(r) cos(m pi r) cos(n pi r) dr
+       = m n pi^2 (c_|m-n| + c_(m+n)),  c_k = integral d(r) cos(k pi r) dr.
+The 2n + 1 moments c_k come from one composite Gauss-Legendre rule of
+K = 16 P nodes (16 n by default) in two (2n+1) x 16 x P products, so the
+assembly costs O(n K) flops and memory, not the O(n^2 K) of a product of
+n x K cosine matrices.
 """
 from __future__ import annotations
 
@@ -20,8 +25,9 @@ from .variational import (EIGEN_TOL, VERIFY_TOL, IntervalDelta, locate_real_eige
                           within_alpha)
 
 PROFILE_SCAN_POINTS = 4097
-# Nodes per panel of the composite Gauss-Legendre rule.
+# Nodes per panel of the composite Gauss-Legendre rule, and the rule on [-1, 1].
 GAUSS_PANEL_ORDER = 16
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_PANEL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -116,39 +122,42 @@ class BeamBounds:
     lower_n: tuple[float, ...]
 
 
-def _gauss_nodes(total_points: int):
-    """Composite Gauss-Legendre rule on [0,1] with at least total_points nodes."""
-    panels = max(1, int(np.ceil(total_points / GAUSS_PANEL_ORDER)))
-    base_x, base_w = np.polynomial.legendre.leggauss(GAUSS_PANEL_ORDER)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
-
-
 def discretize_beam(cfg: BeamConfig) -> QuadraticPencil:
     """Galerkin projection onto the first n_modes sine modes.
 
-    The damping entries oscillate with frequency m + n, so the composite
-    rule allocates points_per_mode_pair * (m + n) nodes per entry.
+    The damping entries oscillate with frequency m + n, so one shared
+    composite Gauss-Legendre rule of P panels with GAUSS_PANEL_ORDER nodes
+    each, at least points_per_mode_pair * 2 n nodes in all, covers every
+    pair. cos(a) cos(b) = (cos(a - b) + cos(a + b)) / 2 turns the entries
+    into D[m,n] = pi^2 m n (c_|m-n| + c_(m+n)) with the 2n + 1 cosine
+    moments c_k = sum_j w_j d(r_j) cos(k pi r_j). On panel p the nodes are
+    r = mid_p + h x_i (mid_p = (p + 1/2) / P, h = 1 / (2P)), so
+    cos(k pi r) = cos(k pi mid_p) cos(k pi h x_i) - sin(k pi mid_p) sin(k pi h x_i),
+    and the moments are two (2n+1) x 16 x P products. k pi mid_p is
+    pi j / (2P) with the integer j = k (2p + 1) mod 4P, so its cosines and
+    sines are read from a table of 4P angles in [0, 2 pi): no n x K matrix
+    is built and no argument exceeds 2 pi.
     """
     n = cfg.n_modes
     modes = np.arange(1, n + 1)
     a0_matrix = np.diag(cfg.a0 * modes.astype(float) ** 4 * np.pi**4)
 
-    # One shared high-resolution rule covers every (m, n) pair.
     total = max(32, cfg.quadrature.points_per_mode_pair * 2 * n)
-    nodes, weights = _gauss_nodes(total)
-    d_vals = cfg.damping(nodes)
+    panels = -(-total // GAUSS_PANEL_ORDER)
+    h = 0.5 / panels
+    mid = (np.arange(panels) + 0.5) / panels
+    d_vals = cfg.damping(mid[:, None] + h * _GAUSS_X)  # (P, 16)
     if np.any(d_vals <= 0.0):
         raise InvalidArgumentError("damping profile is non-positive at a quadrature node")
-    cosines = np.cos(np.outer(modes, np.pi * nodes))  # (n, K)
-    weighted = cosines * (weights * d_vals)[None, :]
-    integrals = weighted @ cosines.T
-    d_matrix = 2.0 * np.outer(modes, modes) * np.pi**2 * integrals
-    d_matrix = (d_matrix + d_matrix.T) / 2.0
+    weighted = (d_vals * (h * _GAUSS_W)).T  # (16, P)
+    k = np.arange(2 * n + 1)
+    local = np.outer(np.pi * h * k, _GAUSS_X)  # (2n+1, 16)
+    turns = np.outer(k, 2 * np.arange(panels) + 1) % (4 * panels)  # (2n+1, P)
+    angles = np.pi * np.arange(4 * panels) / (2 * panels)
+    moments = (np.einsum("kp,kp->k", np.cos(angles)[turns], np.cos(local) @ weighted)
+               - np.einsum("kp,kp->k", np.sin(angles)[turns], np.sin(local) @ weighted))
+    d_matrix = np.pi**2 * np.outer(modes, modes) * (
+        moments[np.abs(modes[:, None] - modes)] + moments[modes[:, None] + modes])
     return QuadraticPencil(a0_matrix, d_matrix)
 
 

@@ -25,6 +25,9 @@ from .linearization import build_linearization
 from .pencil import QuadraticPencil
 from .reports import Report
 
+# Steps a run may take: its times, energies and dissipation rates alone are
+# 24 bytes a step, so 1e8 steps hold 2.4 GB before any state is computed.
+MAX_STEPS = 10**8
 # Bytes of a block of states, whose energies are taken together; simulate
 # holds the current and the previous block, so memory stays flat in the step
 # count.
@@ -84,7 +87,9 @@ def simulate(
 ) -> SimulationTrace:
     """Integrate from (z0, w0) to t_final with fixed step dt.
 
-    A t_final below dt (including zero) yields the single initial record.
+    A t_final below dt (including zero) yields the single initial record;
+    a run of more than MAX_STEPS steps is rejected before anything is
+    allocated.
 
     The states are those of one LU solve per step up to rounding. In
     whitened coordinates u = (A0^{1/2} z, w), state k is held to the
@@ -99,6 +104,11 @@ def simulate(
         raise InvalidArgumentError("dt must be positive")
     if t_final < 0.0:
         raise InvalidArgumentError("t_final must be nonnegative")
+    ratio = t_final / dt + 1e-12  # inf when the quotient overflows
+    if not ratio < MAX_STEPS + 1:
+        raise InvalidArgumentError(
+            f"t_final / dt = {t_final / dt:.3g} steps exceeds the limit of {MAX_STEPS}")
+    steps = int(ratio)
     z0 = np.asarray(z0, dtype=float)
     w0 = np.asarray(w0, dtype=float)
     n = pencil.dim
@@ -121,7 +131,6 @@ def simulate(
     if info != 0:
         raise ComputationError("trapezoidal step solve failed", info=info)
 
-    steps = int(np.floor(t_final / dt + 1e-12))
     times = dt * np.arange(steps + 1)
     energies = np.empty(steps + 1)
     dissipation = np.empty(steps + 1)

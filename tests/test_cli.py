@@ -307,6 +307,16 @@ class TestInterlaceCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("t_final, dt", [("1e300", "1e-300"), ("1", "1e-320"),
+                                             ("1e12", "1e-3")])
+    def test_step_count_over_limit_exits_2(self, tmp_path, capsys, t_final, dt):
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", str(CONFIGS / "dense_diag.json"),
+                     "--t-final", t_final, "--dt", dt, "--out", str(out)])
+        assert code == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = main(["simulate", str(CONFIGS / "dense_diag.json"),

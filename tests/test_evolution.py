@@ -70,6 +70,19 @@ class TestSimulate:
         with pytest.raises(InvalidArgumentError, match="finite"):
             simulate(diag_pencil, [1.0, 0.0], [0.0, 0.0], t_final, dt)
 
+    @pytest.mark.parametrize("t_final, dt", [(1e300, 1e-300), (1.0, 1e-320), (1e12, 1e-3)])
+    def test_step_count_over_limit_rejected(self, diag_pencil, t_final, dt):
+        # The first two quotients overflow to inf, the last is 1e15 steps.
+        with pytest.raises(InvalidArgumentError, match="exceeds the limit"):
+            simulate(diag_pencil, [1.0, 0.0], [0.0, 0.0], t_final, dt)
+
+    def test_step_limit_is_inclusive(self, diag_pencil, monkeypatch):
+        monkeypatch.setattr(evolution, "MAX_STEPS", 10)
+        trace = simulate(diag_pencil, [1.0, 0.0], [0.0, 0.0], 0.01, 1e-3)
+        assert len(trace.times) == 11
+        with pytest.raises(InvalidArgumentError, match="exceeds the limit of 10"):
+            simulate(diag_pencil, [1.0, 0.0], [0.0, 0.0], 0.011, 1e-3)
+
     def test_snapshots(self, diag_pencil):
         trace = simulate(diag_pencil, [1.0, 0.0], [0.0, 0.0], 0.01, 1e-3,
                          snapshot_stride=5)

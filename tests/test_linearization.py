@@ -28,9 +28,11 @@ from oracles import (
     det_poly_eigenvalues,
     resolvent_regions_loop,
     semisimplicity_check,
+    single_linkage_groups,
 )
 
 SQRT7 = np.sqrt(7.0)
+EPS = np.finfo(float).eps
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -42,6 +44,11 @@ def match_multisets(left, right, tol):
         j = int(np.argmin([abs(a - b) for b in right]))
         assert abs(a - right[j]) <= tol, (a, right[j])
         right.pop(j)
+
+
+# A0 = [[1, 1], [1, 3]], D = [[2, 1], [1, 2]]: a defective double
+# eigenvalue -1 that the eigensolver splits into -1 +- 2e-8 i.
+SPLIT_JORDAN = ([[1.0, 1.0], [1.0, 3.0]], [[2.0, 1.0], [1.0, 2.0]])
 
 
 def beam_cfg(n_modes):
@@ -103,6 +110,32 @@ class TestBuild:
             assert np.linalg.norm(
                 system.a_matrix @ system.inverse_matrix - np.eye(2 * dim), 2
             ) <= 1e-10
+
+    def test_norm_matches_svd(self, rotated_pencil):
+        # |A|_2 from the symmetric part of J A lies within |S - S^T|_2 / 2 of
+        # the SVD's |A|_2, plus 4n eps |A| for the rounding of both solvers;
+        # also where the block S = A0^{1/2} is made unsymmetric on purpose.
+        pencils = [build_pencil(load_config(path)) for path in sorted(CONFIGS.glob("*.json"))]
+        pencils += [random_pencil(dim, seed, damping_scale=scale)
+                    for seed, (dim, scale) in enumerate([(2, 0.5), (3, 1.0), (5, 3.0),
+                                                         (8, 10.0), (12, 2.0), (20, 4.0)])]
+        pencils.append(rotated_pencil)
+        assert len(pencils) == 14
+        for pencil in pencils:
+            system = build_linearization(pencil)
+            n = pencil.dim
+            # The same unsymmetric error in both A0^{1/2} blocks, along the
+            # top singular vectors of A, so that |A|_2 moves to first order.
+            u, _, vt = np.linalg.svd(system.a_matrix)
+            e = 1e-3 * system.norm * np.outer(u[:n, 0], vt[0, n:])
+            skewed = system.a_matrix + np.block([[np.zeros((n, n)), e],
+                                                 [-e, np.zeros((n, n))]])
+            for a in (system.a_matrix, skewed):
+                s = a[:n, n:]
+                want = np.linalg.norm(a, 2)
+                bound = np.linalg.norm(s - s.T, 2) / 2.0 + 4 * n * EPS * want
+                got = dataclasses.replace(system, a_matrix=a).norm
+                assert abs(got - want) <= bound
 
 
 def test_each_matrix_is_eigensolved_once(monkeypatch):
@@ -252,29 +285,63 @@ class TestFullSpectrum:
         assert calls == [(2, 2)] and spec.geometric_multiplicities[0] == 1
 
     def test_cluster_matches_connected_components(self):
-        # Oracle: components of the dense graph |w_i - w_j| <= tol by
-        # repeated boolean closure, including points that share a real part
-        # (proportional damping puts every complex eigenvalue on one line).
+        # Oracle: components of the dense graph |w_i - w_j| <= tol, including
+        # points that share a real part (proportional damping puts every
+        # complex eigenvalue on one line) and conjugate pairs inside and
+        # outside tol of each other.
         rng = np.random.default_rng(5)
-        clouds = [rng.standard_normal(60) + 1j * rng.standard_normal(60) for _ in range(20)]
-        clouds += [-1.0 + 1j * rng.standard_normal(60) for _ in range(5)]
+        clouds = [(rng.standard_normal(60) + 1j * rng.standard_normal(60), None)
+                  for _ in range(20)]
+        clouds += [(-1.0 + 1j * rng.standard_normal(60), None) for _ in range(5)]
+        for _ in range(5):
+            z = rng.standard_normal(30) + 1j * rng.uniform(0.0, 0.3, 30)
+            clouds.append((rng.permutation(np.concatenate([z, z.conj()])), None))
         # Real points, unsorted and sorted descending as the locator groups
         # them, with exact ties and chains of steps just inside tol.
-        clouds += [rng.standard_normal(60) for _ in range(5)]
-        clouds += [-np.sort(-rng.uniform(-3.0, 0.0, 60).round(1)) for _ in range(5)]
-        clouds += [np.cumsum(rng.choice([0.09, 0.11], 60)) for _ in range(5)]
-        for w in clouds:
-            tol = rng.uniform(0.05, 0.5)
-            near = np.abs(w[:, None] - w[None, :]) <= tol
-            reach = near.copy()
-            while True:
-                grown = (reach.astype(int) @ near.astype(int)) > 0
-                if np.array_equal(grown, reach):
-                    break
-                reach = grown
-            expected = sorted({tuple(np.flatnonzero(row)) for row in reach})
+        clouds += [(rng.standard_normal(60), None) for _ in range(5)]
+        clouds += [(-np.sort(-rng.uniform(-3.0, 0.0, 60).round(1)), None) for _ in range(5)]
+        clouds += [(np.cumsum(rng.choice([0.09, 0.11], 60)), None) for _ in range(5)]
+        # Companion spectra with split multiple eigenvalues (the split
+        # Jordan pair -1 +- 2e-8 i, a 1x1 critical root, a coupled Jordan
+        # block, a semisimple double) at tolerances around the split.
+        for a0, d in (SPLIT_JORDAN, ([[1.0]], [[2.0]]),
+                      ([[1.0, 6.0], [6.0, 38.0]], [[2.0, 6.0], [6.0, 108.0]]),
+                      (np.diag([2.0, 2.0]), np.diag([6.0, 6.0]))):
+            system = build_linearization(QuadraticPencil(a0, d))
+            w = scipy.linalg.eigvals(system.a_matrix)
+            clouds += [(w, rel * system.norm) for rel in (1e-10, 1e-8, 1e-7, 1e-5)]
+        for w, tol in clouds:
+            tol = rng.uniform(0.05, 0.5) if tol is None else tol
             found = [tuple(c) for c in linearization_mod._cluster(w, tol)]
-            assert found == expected
+            assert found == single_linkage_groups(w, tol)
+        assert linearization_mod._cluster(np.empty(0), 1.0) == []
+
+    @pytest.mark.parametrize("case", ["beam", "random", "critical", "jordan", "split_jordan",
+                                      "semisimple"])
+    def test_label_reductions_match_group_loop(self, case, critical_1x1):
+        # Reference: one cluster at a time from the all-pairs groups; the
+        # mean of its members (a singleton's eigenvalue exactly), its size
+        # and the damping block of its first member, sorted like
+        # full_spectrum sorts.
+        pencil = {
+            "beam": lambda: discretize_beam(beam_cfg(20)),
+            "random": lambda: random_pencil(12, 3, damping_scale=1.0),
+            "critical": lambda: critical_1x1,
+            "jordan": lambda: QuadraticPencil([[1.0, 6.0], [6.0, 38.0]],
+                                              [[2.0, 6.0], [6.0, 108.0]]),
+            "split_jordan": lambda: QuadraticPencil(*SPLIT_JORDAN),
+            "semisimple": lambda: QuadraticPencil(np.diag([2.0, 2.0]), np.diag([6.0, 6.0])),
+        }[case]()
+        system = build_linearization(pencil)
+        spec = full_spectrum(system)
+        w, v = scipy.linalg.eig(system.a_matrix)
+        groups = single_linkage_groups(w, spec.cluster_tolerance)
+        reps = np.array([w[g[0]] if len(g) == 1 else np.mean(w[list(g)]) for g in groups])
+        order = np.lexsort((np.abs(reps.imag), -reps.real))
+        assert np.array_equal(spec.raw_eigenvalues, w)
+        assert np.array_equal(spec.eigenvalues, reps[order])
+        assert list(spec.algebraic_multiplicities) == [len(groups[k]) for k in order]
+        assert np.array_equal(spec.vectors, v[pencil.dim:, [groups[k][0] for k in order]])
 
     def test_structural_report_random(self):
         for seed in range(10):

@@ -18,7 +18,6 @@ from quadpencil import (
     disc_radius,
     discretize_beam,
     dstar_empty_certificate,
-    evaluate_form,
     make_damping_profile,
     rayleigh_batch,
     rayleigh_pair,
@@ -105,28 +104,6 @@ class TestConstruction:
         assert hash(diag_pencil) == hash(diag_pencil)
 
 
-class TestEvaluateForm:
-    def test_at_zero_is_stiffness_form(self, diag_pencil):
-        assert evaluate_form(diag_pencil, 0.0, [1.0, 0.0]) == 2.0 + 0.0j
-
-    def test_at_minus_one(self, diag_pencil):
-        assert evaluate_form(diag_pencil, -1.0, [1.0, 0.0]) == -3.0 + 0.0j
-
-    def test_sesquilinear_slots(self, diag_pencil):
-        x = np.array([1.0, 2.0])
-        y = np.array([0.5, -1.0])
-        val = evaluate_form(diag_pencil, 1.5, x, y)
-        lam = 1.5
-        direct = lam**2 * (y @ x) + lam * (y @ diag_pencil.d_matrix @ x) + (
-            y @ diag_pencil.a0_matrix @ x
-        )
-        assert val == pytest.approx(direct)
-
-    def test_dimension_mismatch(self, diag_pencil):
-        with pytest.raises(InvalidArgumentError):
-            evaluate_form(diag_pencil, 0.0, [1.0, 0.0, 0.0])
-
-
 class TestRayleighPair:
     def test_overdamped_direction(self, diag_pencil):
         expected = quad_roots(1.0, 6.0, 2.0)
@@ -159,7 +136,7 @@ class TestRayleighPair:
             assert pair.p_minus <= pair.p_plus < 0.0
             for root in (pair.p_minus, pair.p_plus):
                 scale = (x @ x) * max(1.0, root * root) + diag_pencil.form_stiffness(x)
-                assert abs(evaluate_form(diag_pencil, root, x)) <= 1e-10 * scale
+                assert abs(x @ diag_pencil.t_matrix(root) @ x) <= 1e-10 * scale
 
     def test_scale_invariance_exact_for_binary_scales(self, diag_pencil):
         x = np.array([0.3, -1.7])
@@ -253,7 +230,7 @@ class TestLemmaAndSignLaws:
         for _ in range(2000):
             x = rng.standard_normal(2)
             lam = rng.uniform(alpha * (1.0 - 1e-9), 0.0)
-            val = evaluate_form(diag_pencil, lam, x).real
+            val = x @ diag_pencil.t_matrix(lam) @ x
             p_plus = rayleigh_pair(diag_pencil, x).p_plus
             scale = (x @ x) * lam * lam + diag_pencil.form_stiffness(x)
             if abs(val) <= 1e-12 * scale:
