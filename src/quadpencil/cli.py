@@ -122,6 +122,7 @@ def cmd_spectrum(args) -> int:
             )
         ],
         "cluster_tolerance": spectrum.cluster_tolerance,
+        "block_sizes": list(spectrum.block_sizes),
         "reports": reports,
         "ok": ok,
     }

@@ -89,8 +89,14 @@ class QuadraticPencil:
 
     @cached_property
     def _a0_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        w, v = np.linalg.eigh(self.a0_matrix)
-        return w, v
+        """Eigenpairs of A0, ascending. A diagonal A0 (no nonzero entry off
+        the diagonal, as every beam's) is read directly: its sorted diagonal
+        and the matching permutation of I."""
+        diag = np.diagonal(self.a0_matrix)
+        if np.count_nonzero(self.a0_matrix) == np.count_nonzero(diag):
+            order = np.argsort(diag, kind="stable")
+            return diag[order], np.eye(self.dim)[:, order]
+        return np.linalg.eigh(self.a0_matrix)
 
     @cached_property
     def a0_sqrt(self) -> np.ndarray:

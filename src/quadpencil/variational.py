@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ComputationError, InvalidArgumentError
-from .linearization import _cluster, build_linearization
+from .linearization import _cluster, build_linearization, companion_eig
 from .pencil import (
     KERNEL_REL_TOL,
     QuadraticPencil,
@@ -41,6 +40,10 @@ BOUNDARY_TOL = 1e-12
 # Root steps at most when polishing a companion eigenvalue; each step is
 # kept only while the residual of T(lam) decreases.
 MAX_ROOT_STEPS = 8
+# The rounding of an n x n symmetric eigensolve, in units of n eps times its
+# largest |eigenvalue|: a residual below it stops the root steps, and p_plus
+# values within it of the best tie in sup_p_plus.
+ROUNDING_ULPS = 4.0
 # min_p_plus: bisection steps at most, and the margin below zero that
 # lambda_max(B^T T(mu) B) must clear, in units of k * eps * |T(mu)|.
 MINMAX_MAX_BISECTIONS = 64
@@ -170,12 +173,22 @@ def _root_step(pencil: QuadraticPencil, lam: float):
     return float(min((pair.p_minus, pair.p_plus), key=lambda r: abs(r - lam))), eig
 
 
+def _rounding(pencil: QuadraticPencil) -> float:
+    """ROUNDING_ULPS n eps: the relative rounding of an eigh of size n."""
+    return ROUNDING_ULPS * pencil.dim * np.finfo(float).eps
+
+
 def _refine(pencil: QuadraticPencil, lam: float, lo: float, hi: float):
     """Root steps from lam, kept while they stay inside (lo, hi) and lower the
-    residual; returns (lam, steps, np.linalg.eigh(T(lam)))."""
+    residual; returns (lam, steps, np.linalg.eigh(T(lam))).
+
+    No step is taken from a residual at the rounding of the eigh that
+    measured it (_rounding times |T(lam)|): below it the residual is noise,
+    and a step would make steps and residual depend on the last bits."""
     nxt, eig = _root_step(pencil, lam)
     steps = 0
-    while steps < MAX_ROOT_STEPS and nxt is not None and lo < nxt < hi and nxt != lam:
+    while (steps < MAX_ROOT_STEPS and nxt is not None and lo < nxt < hi and nxt != lam
+           and _residual(eig) > _rounding(pencil) * np.max(np.abs(eig[0]))):
         after, eig_next = _root_step(pencil, nxt)
         if _residual(eig_next) >= _residual(eig):
             break
@@ -214,7 +227,7 @@ def locate_real_eigenvalues(
         raise InvalidArgumentError("tol must be positive")
 
     lower = interval.lower
-    w = scipy.linalg.eigvals(build_linearization(pencil).a_matrix)
+    w = companion_eig(build_linearization(pencil).a_matrix).values
     real = -np.sort(-w.real[(np.abs(w.imag) <= tol / 2) & (lower < w.real) & (w.real <= 0.0)])
     found = [(float(np.mean(real[g])), g.size) for g in _cluster(real, tol)]
     cuts = _separators([lam for lam, _ in found], lower)
@@ -356,7 +369,11 @@ def sup_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
     eigenvalue lies at or above r. The real part of every compressed
     eigenvalue proposes the kernel vector of B^T T(.) B there, so no
     threshold on imaginary parts is needed: each proposal is evaluated by
-    rayleigh_pair and the largest p_plus is kept.
+    rayleigh_pair and the largest p_plus is kept. Proposals whose p_plus
+    lies within _rounding (relative) of the largest are tied, as when both
+    roots of one vector propose it; the sup is attained where p_plus =
+    lam*, so of those the one whose compressed eigenvalue lies closest to
+    its own p_plus is reported.
     """
     k = basis.shape[1]
     if k == 0:
@@ -365,9 +382,11 @@ def sup_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
     lams = _compressed_eigenvalues(dc, ac)
     xs = basis @ _kernel_vectors(dc, ac, lams)
     _, p_plus, _ = rayleigh_batch(pencil, xs)
-    best = int(np.argmax(p_plus))
-    if p_plus[best] == -np.inf:
+    top = float(np.max(p_plus))
+    if top == -np.inf:
         return SubspaceValue(-np.inf, None)
+    tied = np.flatnonzero(p_plus >= top - _rounding(pencil) * abs(top))
+    best = int(tied[np.argmin(np.abs(lams[tied] - p_plus[tied]))])
     x = xs[:, best]
     return SubspaceValue(rayleigh_pair(pencil, x).p_plus, x, eigenvalue=float(lams[best]))
 

@@ -227,6 +227,29 @@ def single_linkage_groups(values, tol):
     return sorted({tuple(int(i) for i in np.flatnonzero(row)) for row in reach})
 
 
+def components_bfs(adjacency):
+    """Connected components of a symmetric boolean adjacency matrix by
+    breadth-first search from each unvisited vertex in index order: one
+    label per vertex, numbered in the order of each component's smallest
+    vertex."""
+    adjacency = np.asarray(adjacency, dtype=bool)
+    labels = [-1] * adjacency.shape[0]
+    count = 0
+    for start in range(len(labels)):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        queue = [start]
+        while queue:
+            i = queue.pop(0)
+            for j in np.flatnonzero(adjacency[i]):
+                if labels[j] < 0:
+                    labels[j] = count
+                    queue.append(int(j))
+        count += 1
+    return np.array(labels, dtype=int)
+
+
 def modal_energy(a_matrix, u0, times):
     """Exact squared-norm history of u' = A u from the eigendecomposition."""
     w, v = np.linalg.eig(a_matrix)

@@ -64,6 +64,15 @@ class TestSpectrumCommand:
         lam1 = (-2.0 + np.sqrt(3.0)) * np.pi**2
         assert min(abs(v - lam1) for v in values) < 1e-7
 
+    @pytest.mark.parametrize("name, sizes", [("beam_sin", [12, 12]), ("random_dim4", [8])])
+    def test_block_sizes_reported_and_rerun_byte_identical(self, tmp_path, name, sizes):
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["spectrum", str(CONFIGS / f"{name}.json")]
+        assert main(argv + ["--out", str(out1)]) == 0
+        assert main(argv + ["--out", str(out2)]) == 0
+        assert json.loads(out1.read_text())["block_sizes"] == sizes
+        assert strip_timestamp(out1.read_text()) == strip_timestamp(out2.read_text())
+
     @pytest.mark.parametrize("n_modes", [150, 200])
     @pytest.mark.parametrize("damping", [
         {"profile": "constant", "params": {"value": 4.0}},

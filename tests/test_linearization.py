@@ -22,8 +22,10 @@ from quadpencil import (
     structural_report,
 )
 from quadpencil.config import build_pencil, load_config, random_pencil
+from quadpencil.linearization import companion_eig
 
 from oracles import (
+    components_bfs,
     conjugate_pairing,
     det_poly_eigenvalues,
     resolvent_regions_loop,
@@ -140,7 +142,8 @@ class TestBuild:
 
 def test_each_matrix_is_eigensolved_once(monkeypatch):
     # The spectrum command's call sequence plus compute_scalars solves A0, D
-    # and the whitened damping A0^{-1/2} D A0^{-1/2} once each.
+    # and the whitened damping A0^{-1/2} D A0^{-1/2} once each; a diagonal
+    # A0 (every beam's) is read directly and never eigensolved.
     solved = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -150,16 +153,19 @@ def test_each_matrix_is_eigensolved_once(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    pencil = build_pencil(load_config(CONFIGS / "beam_sin.json"))
-    system = build_linearization(pencil)
-    spectrum = full_spectrum(system)
-    structural_report(system, spectrum)
-    check_pencil_equivalence(pencil, spectrum)
-    assert compute_delta_gamma(pencil)[1] > 0.0
-    resolvent_region_check(pencil, spectrum)
-    compute_scalars(pencil)
-    for matrix in (pencil.a0_matrix, pencil.d_matrix, pencil.whitened_damping):
-        assert sum(np.array_equal(m, matrix) for m in solved) == 1
+    for config, a0_solves in (("beam_sin", 0), ("random_dim4", 1)):
+        solved.clear()
+        pencil = build_pencil(load_config(CONFIGS / f"{config}.json"))
+        system = build_linearization(pencil)
+        spectrum = full_spectrum(system)
+        structural_report(system, spectrum)
+        check_pencil_equivalence(pencil, spectrum)
+        assert compute_delta_gamma(pencil)[1] > 0.0
+        resolvent_region_check(pencil, spectrum)
+        compute_scalars(pencil)
+        assert sum(np.array_equal(m, pencil.a0_matrix) for m in solved) == a0_solves
+        for matrix in (pencil.d_matrix, pencil.whitened_damping):
+            assert sum(np.array_equal(m, matrix) for m in solved) == 1
 
 
 class TestStructuralChecks:
@@ -221,6 +227,122 @@ class TestStructuralChecks:
         assert check.data["defect"] == pytest.approx(1e-8, rel=1e-3)
 
 
+def assert_blocks_match_whole_companion(pencil):
+    """companion_eig's eigenvalues against scipy.linalg.eig of the whole
+    companion. Bound fixed from first-order perturbation theory: the two
+    solves are exact for A - E + F1 and A + F2, with |E| <= 4n eps |A| the
+    dropped coupling and |F1|, |F2| <= N eps |A| the backward errors of
+    dgeev (N = 2n), so |dlam| <= cond(lam) 4 N eps |A|; twice that covers
+    higher-order terms. cond(lam) = 1 / |y^H x| from the whole solve's unit
+    left and right eigenvectors; the best-conditioned are matched first."""
+    system = build_linearization(pencil)
+    a = system.a_matrix
+    w, vl, vr = scipy.linalg.eig(a, left=True)
+    cond = 1.0 / np.abs(np.sum(vl.conj() * vr, axis=0))
+    bound = 8.0 * a.shape[0] * EPS * system.norm * cond
+    got = list(companion_eig(a).values)
+    assert len(got) == a.shape[0]
+    for k in np.argsort(cond):
+        j = int(np.argmin(np.abs(np.array(got) - w[k])))
+        assert abs(got[j] - w[k]) <= bound[k], (w[k], got[j], bound[k])
+        got.pop(j)
+
+
+def profile_beam(profile, n_modes):
+    specs = {
+        "constant": {"profile": "constant", "params": {"value": 4.0}},
+        "four_plus_sin": {"profile": "four_plus_sin", "params": {}},
+        "affine": {"profile": "affine", "params": {"intercept": 2.0, "slope": 1.5}},
+    }
+    return discretize_beam(BeamConfig(a0=1.0, damping=make_damping_profile(specs[profile]),
+                                      n_modes=n_modes))
+
+
+def block_cases():
+    """The block-solve inputs, one pytest.param each: the shipped configs,
+    beams whose damping decouples modes exactly (constant: pairs;
+    four_plus_sin: odd and even) or not at all (affine), and dense pencils."""
+    cases = [pytest.param(build_pencil(load_config(path)), id=path.stem)
+             for path in sorted(CONFIGS.glob("*.json"))]
+    cases += [pytest.param(profile_beam(profile, n), id=f"{profile}-{n}")
+              for profile in ("constant", "four_plus_sin", "affine") for n in (12, 50, 150)]
+    cases += [pytest.param(random_pencil(3 + seed % 6, 200 + seed, damping_scale=2.0),
+                           id=f"random-{seed}") for seed in range(8)]
+    return cases
+
+
+class TestCompanionBlocks:
+    @pytest.mark.parametrize("pencil", block_cases())
+    def test_eigenvalues_match_whole_companion(self, pencil):
+        assert_blocks_match_whole_companion(pencil)
+
+    def test_rotated_pencil_matches_whole_companion(self, rotated_pencil):
+        assert_blocks_match_whole_companion(rotated_pencil)
+
+    @pytest.mark.parametrize("profile, sizes", [
+        ("constant", lambda n: (2,) * n),
+        ("four_plus_sin", lambda n: (n, n)),
+        ("affine", lambda n: (2 * n,)),
+    ])
+    @pytest.mark.parametrize("n_modes", [12, 50, 150])
+    def test_beam_block_sizes(self, profile, sizes, n_modes):
+        system = build_linearization(profile_beam(profile, n_modes))
+        assert full_spectrum(system).block_sizes == sizes(n_modes)
+
+    def test_config_block_sizes(self):
+        sizes = {path.stem: full_spectrum(build_linearization(
+            build_pencil(load_config(path)))).block_sizes for path in CONFIGS.glob("*.json")}
+        assert sizes == {
+            "beam_const4": (2,) * 12, "beam_const5": (2,) * 12, "beam_sin": (12, 12),
+            "dense_diag": (2, 2), "interlace_violation_a": (2, 2),
+            "interlace_violation_b": (2, 2), "random_dim4": (8,),
+        }
+
+    def test_components_match_bfs_oracle(self):
+        rng = np.random.default_rng(17)
+        patterns = []
+        for size in (1, 2, 5, 17, 40, 120):
+            for density in (0.0, 0.01, 0.05, 0.2, 0.6):
+                upper = np.triu(rng.random((size, size)) < density, 1)
+                patterns.append(upper | upper.T)
+        # Paths in index order, reversed and shuffled, and two interleaved
+        # paths: the longest chains min-label propagation has to cross.
+        for size in (2, 3, 64, 301):
+            for perm in (np.arange(size), np.arange(size)[::-1], rng.permutation(size)):
+                path = np.zeros((size, size), dtype=bool)
+                path[perm[:-1], perm[1:]] = True
+                patterns.append(path | path.T)
+        two = np.zeros((100, 100), dtype=bool)
+        two[np.arange(0, 98), np.arange(2, 100)] = True
+        patterns.append(two | two.T)
+        for adjacency in patterns:
+            labels = linearization_mod._components(adjacency)
+            assert np.array_equal(labels, components_bfs(adjacency))
+
+    @pytest.mark.parametrize("pencil", block_cases())
+    def test_blocks_invariant_under_rescaling(self, pencil):
+        # lam -> c lam: A0 -> c^2 A0, D -> c D scales the companion by c.
+        def blocks(p):
+            return linearization_mod._components(
+                linearization_mod._deflation_graph(build_linearization(p).a_matrix))
+
+        want = blocks(pencil)
+        for c in 10.0 ** np.arange(-6, 7):
+            scaled = QuadraticPencil(c**2 * pencil.a0_matrix, c * pencil.d_matrix)
+            assert np.array_equal(blocks(scaled), want), c
+
+    def test_coupling_at_threshold(self):
+        # D couples the two modes by delta; the damping block's diagonal is
+        # 6 and 2, so the deflation threshold is eps (6 + 2) = 8 eps.
+        threshold = EPS * 8.0
+        for delta, sizes in ((np.nextafter(threshold, 0.0), (2, 2)), (threshold, (2, 2)),
+                             (np.nextafter(threshold, 1.0), (4,))):
+            pencil = QuadraticPencil(np.diag([2.0, 8.0]), [[6.0, delta], [delta, 2.0]])
+            eig = companion_eig(build_linearization(pencil).a_matrix, vectors=True)
+            assert eig.block_sizes == sizes, delta
+            assert eig.vectors.shape == eig.products.shape == (4, 4)
+
+
 class TestFullSpectrum:
     def test_diag_fixture_values(self, diag_pencil):
         spec = full_spectrum(build_linearization(diag_pencil))
@@ -234,16 +356,18 @@ class TestFullSpectrum:
         assert np.max(spec.residuals) < 1e-12
 
     def test_residuals_match_per_vector_loop(self, critical_1x1):
-        # Reference: |A v - lam v| / |v| one eigenvector at a time, at its
-        # cluster's mean, the largest over the cluster; the two differ by
-        # the rounding of the products.
+        # Reference: |A v - lam v| / |v| one eigenvector at a time, with the
+        # whole A, at its cluster's mean, the largest over the cluster; the
+        # two differ by the rounding of the products and the coupling that
+        # the block solve drops (at most 4n eps |A|).
         # The coupled Jordan pencil is a cluster of two split members.
         for pencil in (discretize_beam(beam_cfg(20)), critical_1x1,
                        QuadraticPencil([[1.0, 6.0], [6.0, 38.0]], [[2.0, 6.0], [6.0, 108.0]])):
             system = build_linearization(pencil)
             spec = full_spectrum(system)
             a = system.a_matrix
-            w, v = scipy.linalg.eig(a)
+            eig = companion_eig(a, vectors=True)
+            w, v = eig.values, eig.vectors
             want = {}
             for grp in linearization_mod._cluster(w, spec.cluster_tolerance):
                 lam = complex(np.mean(w[grp]))
@@ -334,7 +458,8 @@ class TestFullSpectrum:
         }[case]()
         system = build_linearization(pencil)
         spec = full_spectrum(system)
-        w, v = scipy.linalg.eig(system.a_matrix)
+        eig = companion_eig(system.a_matrix, vectors=True)
+        w, v = eig.values, eig.vectors
         groups = single_linkage_groups(w, spec.cluster_tolerance)
         reps = np.array([w[g[0]] if len(g) == 1 else np.mean(w[list(g)]) for g in groups])
         order = np.lexsort((np.abs(reps.imag), -reps.real))

@@ -97,6 +97,32 @@ class TestConstruction:
             diag_pencil.d_matrix[0, 0] = 5.0
 
 
+    @pytest.mark.parametrize("pencil", [
+        *(discretize_beam(BeamConfig(a0=1.0, damping=make_damping_profile(spec), n_modes=n))
+          for spec in ({"profile": "constant", "params": {"value": 4.0}},
+                       {"profile": "four_plus_sin", "params": {}})
+          for n in (12, 50, 150)),
+        build_pencil(load_config(CONFIGS / "dense_diag.json")),
+    ])
+    def test_diagonal_a0_eigenpairs_are_eighs(self, pencil):
+        w, v = pencil._a0_eig
+        want_w, want_v = np.linalg.eigh(pencil.a0_matrix)
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+
+    def test_unsorted_repeated_diagonal_a0(self):
+        diag = np.array([3.0, 1.0, 3.0, 2.0, 1.0, 1e-4])
+        pencil = QuadraticPencil(np.diag(diag), np.eye(6))
+        w, v = pencil._a0_eig
+        assert np.array_equal(w, np.sort(diag))
+        assert np.array_equal((v * w) @ v.T, np.diag(diag))
+        # Against the eigh route within its rounding, 4 n eps times the norm.
+        ew, ev = np.linalg.eigh(np.diag(diag))
+        eps = np.finfo(float).eps
+        for got, want in ((pencil.a0_sqrt, (ev * np.sqrt(ew)) @ ev.T),
+                          (pencil.a0_inv_sqrt, (ev / np.sqrt(ew)) @ ev.T)):
+            assert np.max(np.abs(got - want)) <= 4 * 6 * eps * np.max(np.abs(want))
+        assert np.array_equal(pencil.a0_sqrt, np.diag(np.sqrt(diag)))
+
     def test_compares_and_hashes_by_identity(self, diag_pencil):
         twin = QuadraticPencil(diag_pencil.a0_matrix, diag_pencil.d_matrix)
         assert diag_pencil == diag_pencil and diag_pencil != twin

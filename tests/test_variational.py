@@ -318,6 +318,42 @@ class TestLocate:
             assert not any(np.array_equal(a, b) for b in inputs[:i])
 
 
+class TestRefine:
+    @staticmethod
+    def located(name):
+        pencil = build_pencil(load_config(CONFIGS / f"{name}.json"))
+        interval = IntervalDelta.inside(compute_alpha(pencil).upper)
+        return pencil, locate_real_eigenvalues(pencil, interval, 1e-8).per_eigenvalue
+
+    @pytest.mark.parametrize("name", ["beam_const4", "beam_const5", "beam_sin", "random_dim4"])
+    def test_one_ulp_start_change_takes_the_same_steps(self, name):
+        # At a residual within the rounding of its eigh no root step is
+        # taken, so a 1-ulp move of the start moves neither the step count
+        # nor the value; the residual's own bits are that rounding.
+        pencil, diags = self.located(name)
+        for diag in diags:
+            assert diag.iterations == 0
+            lo, hi = diag.bracket
+            for start in (diag.value, np.nextafter(diag.value, 0.0),
+                          np.nextafter(diag.value, -np.inf)):
+                lam, steps, eig = variational._refine(pencil, start, lo, hi)
+                assert (lam, steps) == (start, 0)
+                floor = variational._rounding(pencil) * np.max(np.abs(eig[0]))
+                assert variational._residual(eig) <= floor
+
+    @pytest.mark.parametrize("name, value", [("beam_const4", 4.0), ("beam_const5", 5.0)])
+    def test_moved_start_still_steps_and_converges(self, name, value):
+        pencil, diags = self.located(name)
+        closed = beam_closed_form(BeamConfig(
+            a0=1.0, damping=make_damping_profile({"profile": "constant", "params": {"value": value}}),
+            n_modes=pencil.dim))
+        for diag in diags:
+            lo, hi = diag.bracket
+            lam, steps, _ = variational._refine(pencil, diag.value * (1.0 + 1e-6), lo, hi)
+            exact = closed[np.argmin(np.abs(closed - lam))].real
+            assert steps >= 1 and abs(lam - exact) <= 1e-12 * abs(exact)
+
+
 class TestVerifyMinmax:
     def test_diag_fixture(self, diag_pencil):
         alpha = compute_alpha(diag_pencil).alpha
@@ -365,6 +401,23 @@ class TestVerifyMinmax:
 
 
 class TestCompressedExtrema:
+    def test_sup_reports_the_eigenvalue_that_attains_it(self):
+        # beam_const5, n = 3: the kernel vector of mode 3 is proposed by
+        # both its roots, -18.539 and -425.593, with the same p_plus; the
+        # sup is attained at the root equal to p_plus, before and after a
+        # 1-ulp change of D (which swapped a plain argmax).
+        base = build_pencil(load_config(CONFIGS / "beam_const5.json"))
+        lam3 = 9.0 * np.pi**2 * (-5.0 + np.sqrt(21.0)) / 2.0
+        for direction in (None, np.inf, 0.0):
+            d = np.array(base.d_matrix)
+            if direction is not None:
+                d[0, 0] = np.nextafter(d[0, 0], direction)
+            pencil = QuadraticPencil(base.a0_matrix, d)
+            interval = IntervalDelta.inside(compute_alpha(pencil).upper)
+            report = verify_minmax(pencil, locate_real_eigenvalues(pencil, interval, 1e-8), 0, 0)
+            dual = [c for c in report.checks if c.label == "dual_spectral_subspace"]
+            assert dual[2].data["compressed_eigenvalue"] == pytest.approx(lam3, rel=1e-12)
+
     def test_plane_grid_oracle(self):
         rng = np.random.default_rng(11)
         kinds = {"certified": 0, "outside": 0, "sup": 0}
