@@ -1,0 +1,120 @@
+"""Diagonal blocks of a square matrix, and the symmetric eigensolver that
+solves them one block size at a time.
+
+Indices i and j of an N x N matrix M are joined where |m_ij| or |m_ji|
+exceeds eps (|m_ii| + |m_jj|): the QR algorithm's deflation test (Golub &
+Van Loan 7.5), applied up front. The blocks are the connected components.
+The test is homogeneous, so M -> c M gives the same blocks. Every dense
+solve on the beam path takes its blocks from partition: the companion's
+eigensolve, norm and trapezoid propagator (linearization, evolution), and
+T(lam), D and the whitened damping through eigh and eigvalsh below. Modes
+that a symmetric damping profile decouples exactly (odd from even, or each
+from every other under constant damping) then cost one small solve each.
+
+Soundness: the dropped coupling E (the entries between blocks) has
+|E_ij| <= eps (|m_ii| + |m_jj|) <= 2 eps |M|_2, so its 1- and inf-norms are
+at most 2N eps |M|_2 and |E|_2 <= sqrt(|E|_1 |E|_inf) <= 2N eps |M|_2: the
+order of the backward error of the whole dgeev, dsyevd or dgetrf that the
+block solves replace.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class Partition:
+    """The blocks of a square matrix. sizes are the block sizes in the order
+    of each block's smallest index. groups holds, per distinct block size,
+    the pair (slots, rows) of its blocks: rows[b] are the ascending indices
+    of block b, and slots[b] their positions when all indices are laid out
+    block by block in that order."""
+
+    sizes: tuple[int, ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def stacks(self, m: np.ndarray):
+        """(slots, rows, stack) per block size, stack a new (blocks, size,
+        size) array of m restricted to each block."""
+        for slots, rows in self.groups:
+            yield slots, rows, m[rows[:, :, None], rows[:, None, :]]
+
+
+def _deflation_graph(m: np.ndarray) -> np.ndarray:
+    """Symmetric boolean adjacency joining i and j where |m_ij| or |m_ji|
+    exceeds eps (|m_ii| + |m_jj|), tested as |m_ij| - eps |m_jj| > eps |m_ii|
+    (eps |m| is exact, the difference one rounding) so that no N x N
+    temporary is made beyond |M|."""
+    mag = np.abs(m)
+    cut = np.finfo(float).eps * np.diagonal(mag)
+    np.subtract(mag, cut, out=mag)
+    edge = mag > cut[:, None]
+    edge |= edge.T
+    return edge
+
+
+def _components(adjacency: np.ndarray) -> np.ndarray:
+    """Connected components of a symmetric boolean adjacency matrix, as one
+    label per vertex, numbered in the order of each component's smallest
+    vertex.
+
+    Min-label propagation with pointer jumping: each vertex takes the
+    smallest label among its own and its neighbours', then its label's
+    label. Labels only decrease and stay inside the component, so the
+    fixed point labels every vertex with its component's smallest vertex.
+    A vertex's neighbour of smallest label is its first neighbour with the
+    columns in label order, one argmax over booleans per pass.
+    """
+    size = adjacency.shape[0]
+    index = np.arange(size)
+    labels = index
+    near = np.argmax(adjacency, axis=1)  # the labels are in index order
+    while True:
+        low = np.where(adjacency[index, near], np.minimum(labels, labels[near]), labels)
+        low = low[low]
+        if np.array_equal(low, labels):  # number the smallest vertices in order
+            return (np.cumsum(labels == index) - 1)[labels]
+        labels = low
+        order = np.argsort(labels, kind="stable")
+        near = order[np.argmax(adjacency[:, order], axis=1)]
+
+
+def partition(m: np.ndarray) -> Partition:
+    """The blocks that _deflation_graph leaves connected in m."""
+    labels = _components(_deflation_graph(m))
+    sizes = np.bincount(labels)
+    members = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for size in np.unique(sizes):
+        slots = starts[sizes == size][:, None] + np.arange(size)
+        groups.append((slots, members[slots]))
+    return Partition(tuple(sizes.tolist()), tuple(groups))
+
+
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a symmetric matrix from one stacked eigh per block
+    size: eigenvalues ascending, each eigenvector zero off its block.
+
+    The blocks' eigenpairs are exact for M - E + F, E the dropped coupling
+    (|E|_2 <= 2N eps |M|_2) and F dsyevd's backward error on the blocks,
+    so by Weyl every eigenvalue lies within |E|_2 + |F|_2 of M's. A matrix
+    with one block is solved whole, so there is no second code path.
+    """
+    part = partition(m)
+    w, v = np.empty(m.shape[0]), np.zeros(m.shape)
+    for slots, rows, stack in part.stacks(m):
+        w[slots], v[rows[:, :, None], slots[:, None, :]] = np.linalg.eigh(stack)
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
+
+
+def eigvalsh(m: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh of a symmetric matrix from one stacked eigvalsh
+    per block size, ascending; the bound of eigh holds."""
+    w = np.empty(m.shape[0])
+    for slots, _, stack in partition(m).stacks(m):
+        w[slots] = np.linalg.eigvalsh(stack)
+    return np.sort(w)

@@ -6,19 +6,21 @@ whitened coordinates. For the skew part the scheme is a Cayley transform
 contractive, so the squared energy norm obeys the discrete identity
 E_{k+1} - E_k = -2 dt d[w_{k+1/2}] up to the roundoff of the propagator.
 
-The step matrix I - dt/2 A is LU-factorised once and one solve with
-I + dt/2 A as right-hand side gives the propagator M of one step. States are
-rows of a block: the first block is filled by doubling, rows[f:2f] =
-rows[:f] @ (M^f)^T, and each later block is one product of the block before
-it with (M^B)^T, so no Python code runs per step. The energies, dissipation
-rates and snapshots of a full block are taken together by batched products.
+The run is taken on the companion's diagonal blocks (the partition of
+linearization.LinearizedSystem): per block size, one batched solve of
+I - dt/2 A_b with I + dt/2 A_b as right-hand side gives the propagators M_b
+of one step. The states of a block size are rows of a block of states, one
+stack per companion block: the first block is filled by doubling,
+rows[f:2f] = rows[:f] @ (M_b^f)^T, and each later block is one product of
+the block before it with (M_b^B)^T, so no Python code runs per step. The
+energies and dissipation rates of a full block are taken together by
+batched products and summed over the companion blocks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ComputationError, InvalidArgumentError
 from .linearization import build_linearization, companion_eig
@@ -29,8 +31,8 @@ from .reports import Report
 # 24 bytes a step, so 1e8 steps hold 2.4 GB before any state is computed.
 MAX_STEPS = 10**8
 # Bytes of a block of states, whose energies are taken together; simulate
-# holds the current and the previous block, so memory stays flat in the step
-# count.
+# holds the current and the previous block of one block size at a time, so
+# memory stays flat in the step count.
 STATE_BLOCK_BYTES = 1 << 18
 # Energy rise and per-step identity defect allowed, relative to E(0).
 ENERGY_REL_TOL = 1e-10
@@ -41,14 +43,16 @@ ABSCISSA_REL_TOL = 0.05
 ABSCISSA_SLOPE_ATOL = 1e-6
 
 
-def block_length(dim: int, steps: int) -> int:
-    """States per block of a run of `steps` steps: the largest power of two B
-    that fits STATE_BLOCK_BYTES as rows of 2 dim floats, is no longer than
-    the smallest power of two holding the run's steps + 1 states, and whose
-    log2(B) squarings of the 2 dim x 2 dim propagator cost no more flops
-    than the `steps` products with it (log2(B) 2 dim <= steps)."""
-    rows = max(1, STATE_BLOCK_BYTES // (16 * dim))
-    return 1 << min(rows.bit_length() - 1, steps.bit_length(), steps // (2 * dim))
+def block_length(width: int, size: int, steps: int) -> int:
+    """States per block of a run of `steps` steps, for the companion blocks
+    of one size `size` whose states together hold `width` floats: the
+    largest power of two B that fits STATE_BLOCK_BYTES as rows of `width`
+    floats, is no longer than the smallest power of two holding the run's
+    steps + 1 states, and whose log2(B) squarings of the size x size
+    propagators cost no more flops than the `steps` products with them
+    (log2(B) size <= steps)."""
+    rows = max(1, STATE_BLOCK_BYTES // (8 * width))
+    return 1 << min(rows.bit_length() - 1, steps.bit_length(), steps // size)
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -91,12 +95,20 @@ def simulate(
     a run of more than MAX_STEPS steps is rejected before anything is
     allocated.
 
-    The states are those of one LU solve per step up to rounding. In
+    The states are those of one LU solve per step up to rounding and the
+    coupling between the companion's blocks, which the run drops. In
     whitened coordinates u = (A0^{1/2} z, w), state k is held to the
-    forward-error bound |u_k - u_k^ref| <= (k + 1) 2n eps cond2(I - dt/2 A)
-    |u_0|: M carries the rounding of one solve, every power of the exact M
-    is a contraction, and the power of M that reaches state k is formed by
-    at most k + 1 rounded products.
+    forward-error bound |u_k - u_k^ref| <= [(k + 1) 2n eps cond2(I - dt/2 A)
+    + k dt |E|_2] |u_0|. The first term: each M_b carries the rounding of
+    one solve, every power of the exact M is a contraction, and the power
+    that reaches state k is formed by at most k + 1 rounded products. The
+    second: the blocks' A_b make up A - E, E the dropped coupling with
+    |E|_2 <= 4n eps |A| (blocks); A - E is dissipative like A (its
+    symmetric part holds diagonal blocks of -D), so both propagators are
+    contractions, they differ by at most dt |E|_2, and their k-th powers by
+    k dt |E|_2. The energies and dissipation rates are sums over the blocks,
+    so the dissipation omits the cross terms of D between blocks, at most
+    2 |E|_2 |w|^2.
     """
     if not (np.isfinite(t_final) and np.isfinite(dt)):
         raise InvalidArgumentError("t_final and dt must be finite")
@@ -120,50 +132,58 @@ def simulate(
         raise InvalidArgumentError("initial data must be finite")
 
     system = build_linearization(pencil)
-    a = system.a_matrix
-    eye = np.eye(2 * n)
-    try:
-        lu, piv = scipy.linalg.lu_factor(eye - (dt / 2.0) * a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - matrix is regular
-        raise ComputationError("trapezoidal step matrix is singular") from exc
-    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
-    propagator, info = getrs(lu, piv, eye + (dt / 2.0) * a, overwrite_b=True)
-    if info != 0:
-        raise ComputationError("trapezoidal step solve failed", info=info)
+    u0 = np.concatenate([pencil.a0_sqrt @ z0, w0])
 
     times = dt * np.arange(steps + 1)
-    energies = np.empty(steps + 1)
-    dissipation = np.empty(steps + 1)
+    energies = np.zeros(steps + 1)
+    dissipation = np.zeros(steps + 1)
     keep = snapshot_stride > 0
     if keep:
-        zs = np.empty((steps // snapshot_stride + 1, n))
-        ws = np.empty_like(zs)
+        snaps = np.empty((steps // snapshot_stride + 1, 2 * n))  # whitened states
 
-    size = block_length(n, steps)
-    block = np.empty((size, 2 * n))
-    before = np.empty_like(block)  # the previous block
-    block[0] = np.concatenate([pencil.a0_sqrt @ z0, w0])
-    power, filled = propagator.T, 1  # power = (M^filled)^T
-    while filled < size:
-        np.matmul(block[:filled], power, out=block[filled:2 * filled])
-        filled *= 2
-        if filled < size or steps >= size:  # the next fill or block needs it
-            power = power @ power
-    for start in range(0, steps + 1, size):
-        rows = block[: min(size, steps + 1 - start)]
-        if start:
-            np.matmul(before[: len(rows)], power, out=rows)
-        stop = start + len(rows)
-        w = rows[:, n:]
-        energies[start:stop] = np.einsum("ij,ij->i", rows, rows)
-        dissipation[start:stop] = 2.0 * np.einsum("ij,ij->i", w @ pencil.d_matrix, w)
-        if keep:
-            picked = rows[(-start) % snapshot_stride::snapshot_stride]
-            j = -(-start // snapshot_stride)  # snapshots taken before this block
-            zs[j:j + len(picked)] = picked[:, :n] @ pencil.a0_inv_sqrt.T
-            ws[j:j + len(picked)] = picked[:, n:]
-        block, before = before, block
+    for _, rows, stack in system.partition.stacks(system.a_matrix):
+        count, size = rows.shape
+        eye = np.eye(size)
+        try:
+            propagator = np.linalg.solve(eye - (dt / 2.0) * stack, eye + (dt / 2.0) * stack)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - matrices are regular
+            raise ComputationError("trapezoidal step matrix is singular") from exc
+        # 2 w^T D w of each block from its indices `tail` and up, which hold
+        # all its w (the indices >= n, after its z): D on them, zero on a z.
+        tail = int(np.min(np.sum(rows < n, axis=1)))
+        w_rows = rows[:, tail:] - n
+        is_w = w_rows >= 0
+        d_stack = np.where(is_w[:, :, None] & is_w[:, None, :],
+                           pencil.d_matrix[w_rows[:, :, None], w_rows[:, None, :]], 0.0)
+        length = block_length(count * size, size, steps)
+        block = np.empty((count, length, size))
+        before = np.empty_like(block)  # the previous block
+        block[:, 0] = u0[rows]
+        power, filled = np.swapaxes(propagator, 1, 2), 1  # power = (M_b^filled)^T
+        while filled < length:
+            np.matmul(block[:, :filled], power, out=block[:, filled:2 * filled])
+            filled *= 2
+            if filled < length or steps >= length:  # the next fill or block needs it
+                power = power @ power
+        for start in range(0, steps + 1, length):
+            stop = min(start + length, steps + 1)
+            current = block[:, : stop - start]
+            if start:
+                np.matmul(before[:, : stop - start], power, out=current)
+            energies[start:stop] += np.einsum("kli,kli->l", current, current)
+            w_part = current[:, :, tail:]
+            dissipation[start:stop] += 2.0 * np.einsum("kli,kli->l", w_part @ d_stack, w_part)
+            if keep:
+                picked = current[:, (-start) % snapshot_stride::snapshot_stride]
+                j = -(-start // snapshot_stride)  # snapshots taken before this block
+                snaps[j:j + picked.shape[1], rows.ravel()] = (
+                    picked.transpose(1, 0, 2).reshape(-1, rows.size))
+            block, before = before, block
+        del block, before  # freed before the next block size allocates its own
 
+    if keep:
+        snaps[:, :n] = snaps[:, :n] @ pencil.a0_inv_sqrt.T
+        zs, ws = snaps[:, :n], snaps[:, n:]
     states = (zs, ws) if keep else None
     return SimulationTrace(
         times=times,

@@ -9,13 +9,12 @@ one place that measures and decides its signature symmetry and closed-form
 inverse, so a defect is a failed check with its witness, not an exception.
 
 Every eigensolve of the companion goes through companion_eig, which first
-deflates it into its diagonal blocks by the QR algorithm's deflation test
-(Golub & Van Loan 7.5), applied up front: indices i and j are joined where
-|A_ij| or |A_ji| exceeds eps (|A_ii| + |A_jj|), and the blocks are the
-connected components. Modes that a symmetric damping profile decouples
-exactly (odd from even, or each from every other under constant damping)
-then cost one small eigensolve each instead of a share of one 2n x 2n
-eigensolve. The test is homogeneous, so lam -> c lam gives the same blocks.
+deflates it into its diagonal blocks (blocks.partition); each
+LinearizedSystem takes its partition once, and its norm and the trapezoid
+propagator of evolution.simulate use the same blocks. Modes that a
+symmetric damping profile decouples exactly (odd from even, or each from
+every other under constant damping) then cost one small eigensolve each
+instead of a share of one 2n x 2n eigensolve.
 """
 from __future__ import annotations
 
@@ -24,11 +23,15 @@ from functools import cached_property
 
 import numpy as np
 
+from . import blocks
 from .errors import ComputationError, InvalidArgumentError
 from .pencil import KERNEL_REL_TOL, QuadraticPencil, compute_delta_gamma, disc_radius
 from .reports import Report
 
 J_SYMMETRY_TOL = 1e-12
+# How structural_report measures its defects (_norm_bound), as its check
+# data names it.
+DEFECT_NORM = "sqrt(|R|_1 |R|_inf)"
 # full_spectrum joins eigenvalues closer than CLUSTER_REL_TOL * |A|.
 CLUSTER_REL_TOL = 1e-8
 # resolvent_region_check excuses eigenvalues within REGION_MARGIN (relative)
@@ -42,8 +45,9 @@ class LinearizedSystem:
 
     a_matrix is [[0, A0^{1/2}], [-A0^{1/2}, -D]] for pencil; inverse_matrix
     is the closed-form inverse [[-A0^{-1/2} D A0^{-1/2}, -A0^{-1/2}],
-    [A0^{-1/2}, 0]], assembled on first use; norm is |A|_2 from one
-    symmetric eigensolve, not an SVD.
+    [A0^{-1/2}, 0]], assembled on first use; partition is the companion's
+    blocks (blocks.partition), taken once; norm is |A|_2 from the blocks'
+    symmetric eigensolves, not an SVD.
     """
 
     a_matrix: np.ndarray
@@ -51,17 +55,32 @@ class LinearizedSystem:
     pencil: QuadraticPencil
 
     @cached_property
+    def partition(self) -> blocks.Partition:
+        return blocks.partition(self.a_matrix)
+
+    @cached_property
     def norm(self) -> float:
-        """|A|_2 from one symmetric eigensolve. With J = diag(I, -I),
-        J A = [[0, S], [S, D]] for S = A0^{1/2}; J is orthogonal, so
-        |A|_2 = |J A|_2, the largest |eigenvalue| of its symmetric part
-        (J A + (J A)^T) / 2 when S is symmetric. Rounding leaves S - S^T
-        nonzero, and the value then differs from the SVD's |A|_2 by at most
-        |S - S^T|_2 / 2, which structural_report's j_symmetry check bounds.
+        """|A|_2 from one stacked eigvalsh per block size. With
+        J = diag(I, -I), J A = [[0, S], [S, D]] for S = A0^{1/2}; J is
+        orthogonal, so |A|_2 = |J A|_2, the largest |eigenvalue| of its
+        symmetric part (J A + (J A)^T) / 2 when S is symmetric. Rounding
+        leaves S - S^T nonzero, and the value then differs from the SVD's
+        |A|_2 by at most |S - S^T|_2 / 2, which structural_report's
+        j_symmetry check bounds.
+
+        The eigenvalues are taken on the companion's blocks: an entry of
+        the symmetric part between two blocks is at most the larger of
+        |a_ij| and |a_ji|, below the deflation threshold, and its diagonal
+        is that of A up to sign, so the dropped coupling E has
+        |E|_2 <= 2N eps |A| (N = 2n) and moves the value by at most that
+        (Weyl): the order of the backward error of the whole eigvalsh.
         """
-        ja = self.a_matrix.copy()
-        ja[self.dim:] *= -1.0
-        return float(np.max(np.abs(np.linalg.eigvalsh((ja + ja.T) / 2.0))))
+        top = 0.0
+        for _, rows, stack in self.partition.stacks(self.a_matrix):
+            stack[rows >= self.dim] *= -1.0  # the rows of J A
+            sym = (stack + np.swapaxes(stack, 1, 2)) / 2.0
+            top = max(top, float(np.max(np.abs(np.linalg.eigvalsh(sym)))))
+        return top
 
     @cached_property
     def inverse_matrix(self) -> np.ndarray:
@@ -90,11 +109,10 @@ class SpectrumResult:
 
 def build_linearization(pencil: QuadraticPencil) -> LinearizedSystem:
     n = pencil.dim
-    s = pencil.a0_sqrt
-    a = np.block([
-        [np.zeros((n, n)), s],
-        [-s, -pencil.d_matrix],
-    ])
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = pencil.a0_sqrt
+    np.negative(pencil.a0_sqrt, out=a[n:, :n])
+    np.negative(pencil.d_matrix, out=a[n:, n:])
     return LinearizedSystem(a_matrix=a, dim=n, pencil=pencil)
 
 
@@ -103,75 +121,51 @@ class BlockEig:
     """Eigenvalues of a matrix solved block by block (companion_eig).
 
     values[k] belongs to the eigenvector vectors[:, k], which is zero off
-    its block; products is the matrix restricted to the blocks times
-    vectors. Both are None unless vectors were asked for. block_sizes are
-    in the order of each block's smallest index, and values, vectors and
-    products are laid out block by block in that order.
+    its block; vectors is None unless vectors were asked for. block_sizes
+    are in the order of each block's smallest index, and values and vectors
+    are laid out block by block in that order. pairs holds, per block size,
+    the (slots, stack, eigenvectors) of its blocks that residuals reads.
     """
 
     values: np.ndarray
     vectors: np.ndarray | None
-    products: np.ndarray | None
     block_sizes: tuple[int, ...]
+    pairs: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def residuals(self, shifts: np.ndarray) -> np.ndarray:
+        """|B v_k - shifts[k] v_k| / |v_k| for every eigenvector v_k, B its
+        block: one product per block size, and no N x N array."""
+        out = np.empty(self.values.size)
+        for slots, stack, v in self.pairs:
+            r = stack @ v - v * shifts[slots][:, None, :]
+            out[slots] = np.linalg.norm(r, axis=1) / np.linalg.norm(v, axis=1)
+        return out
 
 
-def _deflation_graph(a: np.ndarray) -> np.ndarray:
-    """Symmetric boolean adjacency joining i and j where |a_ij| or |a_ji|
-    exceeds eps (|a_ii| + |a_jj|)."""
-    mag = np.abs(a)
-    diag = np.diagonal(mag)
-    edge = mag > np.finfo(float).eps * (diag[:, None] + diag)
-    return edge | edge.T
-
-
-def _components(adjacency: np.ndarray) -> np.ndarray:
-    """Connected components of a symmetric boolean adjacency matrix, as one
-    label per vertex, numbered in the order of each component's smallest
-    vertex.
-
-    Min-label propagation with pointer jumping: each vertex takes the
-    smallest label among its own and its neighbours', then its label's
-    label. Labels only decrease and stay inside the component, so the
-    fixed point labels every vertex with its component's smallest vertex.
-    """
-    size = adjacency.shape[0]
-    labels = np.arange(size)
-    while True:
-        low = np.minimum(labels, np.where(adjacency, labels, size).min(axis=1, initial=size))
-        low = low[low]
-        if np.array_equal(low, labels):
-            return np.unique(labels, return_inverse=True)[1]
-        labels = low
-
-
-def companion_eig(a: np.ndarray, vectors: bool = False) -> BlockEig:
+def companion_eig(a: np.ndarray, vectors: bool = False,
+                  partition: blocks.Partition | None = None) -> BlockEig:
     """Eigenvalues, and with vectors=True eigenvectors, of a square matrix,
     from one np.linalg.eig (or eigvals) call per block size on the stack of
-    the diagonal blocks that _deflation_graph leaves connected. A matrix
-    with one block is solved whole, so there is no second code path.
+    its diagonal blocks: partition, or blocks.partition(a) when none is
+    given. A matrix with one block is solved whole, so there is no second
+    code path.
 
-    Soundness: the dropped coupling E (the entries between blocks) has
-    |E_ij| <= eps (|a_ii| + |a_jj|) <= 2 eps |a|_2, so its 1- and inf-norms
-    are at most 4n eps |a|_2 for a 2n x 2n matrix and |E|_2 <=
-    sqrt(|E|_1 |E|_inf) <= 4n eps |a|_2: the order of dgeev's own backward
-    error. Verdicts are decided on the true matrices, not on the blocks.
+    Soundness: the dropped coupling E has |E|_2 <= 2N eps |a|_2 for an
+    N x N matrix (4n eps |a|_2 for the 2n x 2n companion), the order of
+    dgeev's own backward error. Verdicts are decided on the true matrices,
+    not on the blocks.
     """
-    labels = _components(_deflation_graph(a))
-    sizes = np.bincount(labels)
-    members = np.argsort(labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
+    part = blocks.partition(a) if partition is None else partition
     values = np.empty(a.shape[0], dtype=complex)
-    pairs = []  # (where, eigenvectors, products) of each block size
-    for size in np.unique(sizes):
-        # slots: the positions of each block of this size in members, which
-        # are also the columns of its eigenpairs.
-        slots = starts[sizes == size][:, None] + np.arange(size)
-        rows = members[slots]
-        stack = a[rows[:, :, None], rows[:, None, :]]
+    pairs, vecs = [], None
+    for slots, rows, stack in part.stacks(a):
+        # slots: the positions of each block of this size when the indices
+        # are laid out block by block, which are also the columns of its
+        # eigenpairs.
         try:
             if vectors:
                 w, v = np.linalg.eig(stack)
-                pairs.append(((rows[:, :, None], slots[:, None, :]), v, stack @ v))
+                pairs.append((slots, stack, v))
             else:
                 w = np.linalg.eigvals(stack)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
@@ -179,15 +173,13 @@ def companion_eig(a: np.ndarray, vectors: bool = False) -> BlockEig:
                 "eigensolver failed", condition=float(np.linalg.cond(a))
             ) from exc
         values[slots] = w
-    vecs = prods = None
     if vectors:
         # Real when every eigenvalue is, as from LAPACK: products with the
         # vectors downstream stay real GEMMs.
-        dtype = np.result_type(*(v for _, v, _ in pairs))
-        vecs, prods = np.zeros(a.shape, dtype), np.zeros(a.shape, dtype)
-        for where, v, av in pairs:
-            vecs[where], prods[where] = v, av
-    return BlockEig(values, vecs, prods, tuple(int(s) for s in sizes))
+        vecs = np.zeros(a.shape, np.result_type(*(v for _, _, v in pairs)))
+        for (slots, _, v), (_, rows) in zip(pairs, part.groups):
+            vecs[rows[:, :, None], slots[:, None, :]] = v
+    return BlockEig(values, vecs, part.sizes, tuple(pairs))
 
 
 def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
@@ -252,15 +244,16 @@ def _nullity(m: np.ndarray) -> int:
 
 def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
     """All 2n eigenvalues with residuals, clustered into multiplicity groups
-    at CLUSTER_REL_TOL * |A|, |A| = system.norm from one symmetric
-    eigensolve.
+    at CLUSTER_REL_TOL * |A|, |A| = system.norm from the blocks' symmetric
+    eigensolves.
 
-    The eigenpairs come from companion_eig, block by block: A is split
-    where an entry |A_ij| is at most eps (|A_ii| + |A_jj|), and the dropped
-    coupling E has |E|_2 <= 4n eps |A|, the order of dgeev's backward
-    error. The residuals |A v - lam v| are taken from the blocks' A v, so
-    they omit |E v| <= 4n eps |A| |v|; the geometric multiplicities below,
-    structural_report and check_pencil_equivalence use the true matrices.
+    The eigenpairs come from companion_eig on system.partition, block by
+    block: A is split where an entry |A_ij| is at most eps (|A_ii| +
+    |A_jj|), and the dropped coupling E has |E|_2 <= 4n eps |A|, the order
+    of dgeev's backward error. The residuals |A v - lam v| are taken on the
+    blocks (BlockEig.residuals), so they omit |E v| <= 4n eps |A| |v|; the
+    geometric multiplicities below, structural_report and
+    check_pencil_equivalence use the true matrices.
 
     Algebraic multiplicity is the cluster size. Geometric multiplicity is
     the numerical kernel dimension of (A - lam I), computed only for
@@ -271,7 +264,7 @@ def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
     the cluster labels by array reductions, not a loop over eigenvalues.
     """
     cluster_tolerance = CLUSTER_REL_TOL * system.norm
-    eig = companion_eig(system.a_matrix, vectors=True)
+    eig = companion_eig(system.a_matrix, vectors=True, partition=system.partition)
     w, v = eig.values, eig.vectors
 
     labels = _cluster_labels(w, cluster_tolerance)
@@ -282,12 +275,10 @@ def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
     reps[multiple] = (np.bincount(labels, w.real)[multiple]
                       + 1j * np.bincount(labels, w.imag)[multiple]) / alg[multiple]
     geo = np.ones_like(alg)
-    eye = np.eye(2 * system.dim)
     for k in multiple:
-        geo[k] = _nullity(system.a_matrix - reps[k] * eye)
+        geo[k] = _nullity(system.a_matrix - reps[k] * np.eye(2 * system.dim))
     # |A v - lam v| / |v| of every eigenvector at its cluster's representative.
-    defect = (np.linalg.norm(eig.products - v * reps[labels], axis=0)
-              / np.linalg.norm(v, axis=0))
+    defect = eig.residuals(reps[labels])
     res = np.zeros(alg.size)
     np.maximum.at(res, labels, defect)
     order = np.lexsort((np.abs(reps.imag), -reps.real))
@@ -303,28 +294,42 @@ def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
     )
 
 
+def _norm_bound(r: np.ndarray) -> float:
+    """sqrt(|R|_1 |R|_inf), an upper bound on |R|_2 (|R|_2^2 = rho(R^T R)
+    <= |R^T R|_1 <= |R^T|_1 |R|_1), equal to it when each row and column
+    of R holds at most one nonzero entry (a single entry, a multiple of I):
+    two O(N^2) sums in place of an SVD."""
+    mag = np.abs(r)
+    return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
+
+
 def structural_report(system: LinearizedSystem, spectrum: SpectrumResult) -> Report:
     """Signature symmetry, closed-form inverse, half-plane location,
     conjugation symmetry and invertibility, as one pass/fail report.
 
     With J = diag(I, -I) and the blocks 0, s, -s, -D of a_matrix (D exactly
     symmetric), J A - (J A)^T = [[0, K], [K, 0]] with K = s - s^T, whose
-    2-norm is that of K. The inverse defect is |A A^{-1} - I| in the 2-norm;
-    the rounding of the product bounds it by 2n eps |A| |A^{-1}|, and the
+    2-norm is that of K. The inverse defect is R = A A^{-1} - I; the
+    rounding of the product bounds |R|_2 by 2n eps |A| |A^{-1}|, and the
     blocks of the closed form give |A^{-1}| <= gamma + |A0^{-1}|^{1/2}, so
-    the bound is twice 2n eps |A| (gamma + |A0^{-1}|^{1/2}).
+    the bound is twice 2n eps |A| (gamma + |A0^{-1}|^{1/2}). Both defects
+    are measured by _norm_bound, which is no smaller than the 2-norm, so a
+    pass certifies the 2-norm bound; the check data names the norm.
     """
     report = Report("structural_identities")
     scale, n, pencil = system.norm, system.dim, system.pencil
     s = system.a_matrix[:n, n:]
-    sym = float(np.linalg.norm(s - s.T, 2))
+    sym = _norm_bound(s - s.T)
     report.add("j_symmetry", sym <= J_SYMMETRY_TOL * scale,
-               defect=sym, bound=J_SYMMETRY_TOL * scale)
-    inv = float(np.linalg.norm(system.a_matrix @ system.inverse_matrix - np.eye(2 * n), 2))
+               defect=sym, bound=J_SYMMETRY_TOL * scale, norm=DEFECT_NORM)
+    residual = system.a_matrix @ system.inverse_matrix
+    residual[np.diag_indices(2 * n)] -= 1.0  # A A^{-1} - I
+    inv = _norm_bound(residual)
     _, gamma = compute_delta_gamma(pencil)
     inv_bound = (2.0 * 2 * n * np.finfo(float).eps * scale
                  * (gamma + np.sqrt(pencil.a0_inv_norm)))
-    report.add("inverse_identity", inv <= inv_bound, defect=inv, bound=inv_bound)
+    report.add("inverse_identity", inv <= inv_bound, defect=inv, bound=inv_bound,
+               norm=DEFECT_NORM)
     w, tol = spectrum.raw_eigenvalues, spectrum.cluster_tolerance
     max_re = float(np.max(w.real))
     report.add("left_half_plane", max_re <= 1e-10 * scale,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blocks
 from .errors import ComputationError, InvalidArgumentError
 from .linearization import _cluster, build_linearization, companion_eig
 from .pencil import (
@@ -73,9 +74,11 @@ def inertia_negative(pencil: QuadraticPencil, lam: float) -> InertiaCount:
 
     Eigenvalues within BOUNDARY_TOL * |T(lam)| of zero are reported in the
     separate boundary slot: they flag lam as (numerically) a pencil
-    eigenvalue, where the count is ill-defined.
+    eigenvalue, where the count is ill-defined. They come block by block
+    (blocks.eigvalsh); the dropped coupling moves each by at most
+    2n eps |T(lam)|, below the boundary cut while 2n eps < BOUNDARY_TOL.
     """
-    w = np.linalg.eigvalsh(pencil.t_matrix(float(lam)))
+    w = blocks.eigvalsh(pencil.t_matrix(float(lam)))
     scale = float(np.max(np.abs(w)))
     cut = BOUNDARY_TOL * scale
     negative = int(np.sum(w < -cut))
@@ -140,7 +143,7 @@ class VariationalResult:
 
 
 def _kernel_basis(eig, count: int) -> np.ndarray:
-    """The count eigenvectors of eig = np.linalg.eigh(T(lam)) whose
+    """The count eigenvectors of eig = blocks.eigh(T(lam)) whose
     eigenvalues are smallest in modulus."""
     w, v = eig
     return v[:, np.argsort(np.abs(w))[:count]]
@@ -148,7 +151,7 @@ def _kernel_basis(eig, count: int) -> np.ndarray:
 
 def _is_semisimple(pencil: QuadraticPencil, lam: float, mult: int, eig) -> bool:
     """Nondegeneracy of the derivative form x -> 2 lam |x|^2 + d[x] on the
-    kernel, from eig = np.linalg.eigh(T(lam))."""
+    kernel, from eig = blocks.eigh(T(lam))."""
     basis = _kernel_basis(eig, mult)
     g = basis.T @ (2.0 * lam * np.eye(pencil.dim) + pencil.d_matrix) @ basis
     g = (g + g.T) / 2.0
@@ -157,7 +160,7 @@ def _is_semisimple(pencil: QuadraticPencil, lam: float, mult: int, eig) -> bool:
 
 
 def _residual(eig) -> float:
-    """Smallest |eigenvalue| of T(lam), from eig = np.linalg.eigh(T(lam))."""
+    """Smallest |eigenvalue| of T(lam), from eig = blocks.eigh(T(lam))."""
     return float(np.min(np.abs(eig[0])))
 
 
@@ -165,8 +168,10 @@ def _root_step(pencil: QuadraticPencil, lam: float):
     """One root-functional step: the real root of the scalar quadratic of the
     smallest-|eigenvalue| eigenvector of T(lam) nearest to lam.
 
-    Returns (next_lam_or_None, np.linalg.eigh(T(lam)))."""
-    w, v = eig = np.linalg.eigh(pencil.t_matrix(lam))
+    Returns (next_lam_or_None, blocks.eigh(T(lam))), T(lam) solved block by
+    block: the dropped coupling moves its eigenvalues by at most
+    2n eps |T(lam)|, inside the _rounding floor of _refine."""
+    w, v = eig = blocks.eigh(pencil.t_matrix(lam))
     pair = rayleigh_pair(pencil, v[:, int(np.argmin(np.abs(w)))])
     if not pair.in_dstar:
         return None, eig
@@ -180,7 +185,7 @@ def _rounding(pencil: QuadraticPencil) -> float:
 
 def _refine(pencil: QuadraticPencil, lam: float, lo: float, hi: float):
     """Root steps from lam, kept while they stay inside (lo, hi) and lower the
-    residual; returns (lam, steps, np.linalg.eigh(T(lam))).
+    residual; returns (lam, steps, blocks.eigh(T(lam))).
 
     No step is taken from a residual at the rounding of the eigh that
     measured it (_rounding times |T(lam)|): below it the residual is noise,
@@ -458,11 +463,12 @@ def verify_minmax(
     n_dim = pencil.dim
     lower = result.interval.lower
 
-    # One eigh of T(lam) per distinct eigenvalue; kernel bases and the
-    # decompositions expanded in eigenvalue order.
+    # One eigh of T(lam) per distinct eigenvalue, block by block (the
+    # dropped coupling is at most 2n eps |T(lam)|, far below the kernel
+    # cut); kernel bases and the decompositions expanded in eigenvalue order.
     vectors, eigs = [], []
     for diag in result.per_eigenvalue:
-        eig = np.linalg.eigh(pencil.t_matrix(diag.value))
+        eig = blocks.eigh(pencil.t_matrix(diag.value))
         cut = KERNEL_REL_TOL * pencil.term_scale(diag.value)
         kernel_dim = int(np.sum(np.abs(eig[0]) <= cut))
         report.add(

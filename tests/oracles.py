@@ -6,7 +6,8 @@ determinant polynomial, extremum searches from dense direction grids (where
 a grid searches over p_plus, rayleigh_batch evaluates it), semisimplicity
 from kernel ranks of the companion matrix, beam entries from adaptive
 quadrature, closed-form cosine moments and (for sampled profiles) the n x K
-cosine-matrix product, clusters from all-pairs adjacency, evolution
+cosine-matrix product, clusters from all-pairs adjacency, inertia counts
+from one eigvalsh of the whole matrix, evolution
 references from an explicit modal decomposition
 and from the trapezoidal scheme stepped one lu_solve at a time (with the
 forward-error bounds that separate it from simulate's propagator powers), the
@@ -19,7 +20,7 @@ from scipy.integrate import quad
 
 from quadpencil import rayleigh_batch, rayleigh_pair
 from quadpencil.pencil import DISC_CLAMP_TOL
-from quadpencil.variational import min_p_plus
+from quadpencil.variational import InertiaCount, min_p_plus
 
 
 def quad_roots(a, b, c):
@@ -248,6 +249,16 @@ def components_bfs(adjacency):
                     queue.append(int(j))
         count += 1
     return np.array(labels, dtype=int)
+
+
+def inertia_whole(t, boundary_tol):
+    """variational.InertiaCount of the symmetric matrix t from one
+    np.linalg.eigvalsh of the whole matrix: eigenvalues within boundary_tol
+    times the largest |eigenvalue| of zero in the boundary slot."""
+    w = np.linalg.eigvalsh(t)
+    cut = boundary_tol * float(np.max(np.abs(w)))
+    negative, boundary = int(np.sum(w < -cut)), int(np.sum(np.abs(w) <= cut))
+    return InertiaCount(negative, boundary, len(w) - negative - boundary)
 
 
 def modal_energy(a_matrix, u0, times):

@@ -115,6 +115,20 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert "dense.a0 must be finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["spectrum"], ["variational"],
+                                         ["simulate", "--t-final", "0.01", "--dt", "0.001"]])
+    def test_overflowing_beam_damping_exits_2(self, tmp_path, capsys, command):
+        # A damping level of 1e306 overflows the Galerkin damping matrix.
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "beam",
+            "beam": {"a0": 1.0, "n_modes": 12,
+                     "damping": {"profile": "constant", "params": {"value": 1e306}}},
+        })
+        with np.errstate(over="ignore"):
+            assert main([command[0], cfg, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
+
     def test_two_sources_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {
             "schema": 1, "source": "dense",

@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,12 +15,14 @@ from quadpencil import (
     simulate,
     spectral_abscissa_consistency,
 )
-from quadpencil import evolution
+from quadpencil import QuadraticPencil, evolution
+from quadpencil.config import build_pencil, load_config
 
 from oracles import modal_energy, trapezoid_error_bounds, trapezoid_reference
 
 SQRT7 = np.sqrt(7.0)
 EPS = np.finfo(float).eps
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestSimulate:
@@ -110,6 +115,13 @@ def _reference_case(name, request):
     return pencil, [1.0, -0.4], [0.3, 0.7], 2.0**-10
 
 
+def _block_lengths(pencil, steps):
+    """simulate's states per block of a `steps`-step run, one per companion
+    block size, in ascending size."""
+    return [evolution.block_length(rows.size, rows.shape[1], steps)
+            for _, rows in build_linearization(pencil).partition.groups]
+
+
 def _assert_within_forward_error(pencil, z0, w0, dt, trace, reference):
     """trace against trapezoid_reference(..., snapshot_stride=1) by
     oracles.trapezoid_error_bounds; snapshots z = A0^{-1/2} u_z by
@@ -141,18 +153,20 @@ def _assert_energies_are_state_norms(pencil, trace):
 class TestMatchesReferenceLoop:
     """simulate takes the steps of the one-lu_solve-per-step loop in
     oracles.py, up to the forward-error bound of its propagator powers,
-    across the boundaries of its state blocks."""
+    across the boundaries of its state blocks. The companions of the
+    fixtures split into blocks of one size each, except the two-size
+    pencil of test_two_block_sizes."""
 
     @pytest.mark.parametrize("name", ["diag_pencil", "undamped_pencil", "beam12"])
     @pytest.mark.parametrize("offset", ["zero", "one", "block-1", "block", "block+1",
                                         "2block+1"])
     def test_bitwise_states_and_dissipation(self, name, offset, request):
         pencil, z0, w0, dt = _reference_case(name, request)
-        rows = evolution.block_length(pencil.dim, 10**6)
+        rows, = _block_lengths(pencil, 10**6)
         steps = {"zero": 0, "one": 1, "block-1": rows - 1, "block": rows,
                  "block+1": rows + 1, "2block+1": 2 * rows + 1}[offset]
         if steps >= rows - 1:
-            assert evolution.block_length(pencil.dim, steps) == rows
+            assert _block_lengths(pencil, steps) == [rows]
         reference = trapezoid_reference(pencil, z0, w0, steps, dt, snapshot_stride=1)
         for stride in (1, 7, rows + 5):
             trace = simulate(pencil, z0, w0, steps * dt, dt, snapshot_stride=stride)
@@ -168,13 +182,62 @@ class TestMatchesReferenceLoop:
         # Blocks of 4 states, so snapshots fall at every offset into a block.
         pencil, z0, w0, dt = _reference_case(name, request)
         monkeypatch.setattr(evolution, "STATE_BLOCK_BYTES", 4 * 16 * pencil.dim)
-        assert evolution.block_length(pencil.dim, 50) == 4
+        assert _block_lengths(pencil, 50) == [4]
         reference = trapezoid_reference(pencil, z0, w0, 50, dt, snapshot_stride=1)
         for stride in (1, 2, 3, 4, 7, 50):
             trace = simulate(pencil, z0, w0, 50 * dt, dt, snapshot_stride=stride)
             _assert_within_forward_error(pencil, z0, w0, dt, trace, reference)
             if stride == 1:
                 _assert_energies_are_state_norms(pencil, trace)
+
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("offset", ["zero", "one", "block-1", "block", "block+1",
+                                        "2block+1"])
+    def test_two_block_sizes(self, size, offset, monkeypatch):
+        # A0 = diag(1, 2, 3) with D coupling modes 1 and 2 only: the
+        # companion splits into a block of 4 (z1, z2, w1, w2) and one of 2
+        # (z3, w3), whose state blocks end at different steps. Blocks of 32
+        # and 64 states keep the reference loop short.
+        pencil = QuadraticPencil(np.diag([1.0, 2.0, 3.0]),
+                                 [[2.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 1.0]])
+        assert build_linearization(pencil).partition.sizes == (4, 2)
+        monkeypatch.setattr(evolution, "STATE_BLOCK_BYTES", 1 << 10)
+        assert _block_lengths(pencil, 10**6) == [64, 32]
+        rows = {2: 64, 4: 32}[size]
+        steps = {"zero": 0, "one": 1, "block-1": rows - 1, "block": rows,
+                 "block+1": rows + 1, "2block+1": 2 * rows + 1}[offset]
+        if steps >= 63:
+            assert _block_lengths(pencil, steps) == [64, 32]
+        elif steps >= 31:
+            assert _block_lengths(pencil, steps)[1] == 32
+        z0, w0, dt = [1.0, -0.4, 0.25], [0.3, 0.7, -0.5], 2.0**-8
+        reference = trapezoid_reference(pencil, z0, w0, steps, dt, snapshot_stride=1)
+        for stride in (1, 7, 69):
+            trace = simulate(pencil, z0, w0, steps * dt, dt, snapshot_stride=stride)
+            assert len(trace.times) == steps + 1
+            _assert_within_forward_error(pencil, z0, w0, dt, trace, reference)
+            if stride == 1:
+                _assert_energies_are_state_norms(pencil, trace)
+
+    def test_memory_flat_in_step_count(self):
+        # The peak of a 1e5-step run exceeds that of a 1e4-step run by the
+        # 24 bytes a step of times, energies and dissipation, plus at most
+        # one state block.
+        pencil = build_pencil(load_config(CONFIGS / "beam_sin.json"))
+        z0, w0, dt = np.eye(pencil.dim)[0], np.zeros(pencil.dim), 2.0**-14
+        peaks = []
+        tracemalloc.start()
+        try:
+            for steps in (10**4, 10**5):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                trace = simulate(pencil, z0, w0, steps * dt, dt)
+                assert len(trace.times) == steps + 1
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                del trace
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 24 * (10**5 - 10**4) + evolution.STATE_BLOCK_BYTES
 
     def test_nonfinite_initial_data_rejected(self, diag_pencil):
         with pytest.raises(InvalidArgumentError, match="finite"):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -8,26 +9,33 @@ import scipy.linalg
 import quadpencil.linearization as linearization_mod
 from quadpencil import (
     BeamConfig,
+    IntervalDelta,
     InvalidArgumentError,
     QuadraticPencil,
+    blocks,
     build_linearization,
     check_pencil_equivalence,
+    compute_alpha,
     compute_delta_gamma,
     compute_scalars,
     disc_radius,
     discretize_beam,
     full_spectrum,
+    inertia_negative,
+    locate_real_eigenvalues,
     make_damping_profile,
     resolvent_region_check,
     structural_report,
 )
 from quadpencil.config import build_pencil, load_config, random_pencil
 from quadpencil.linearization import companion_eig
+from quadpencil.variational import BOUNDARY_TOL, EIGEN_TOL
 
 from oracles import (
     components_bfs,
     conjugate_pairing,
     det_poly_eigenvalues,
+    inertia_whole,
     resolvent_regions_loop,
     semisimplicity_check,
     single_linkage_groups,
@@ -143,16 +151,20 @@ class TestBuild:
 def test_each_matrix_is_eigensolved_once(monkeypatch):
     # The spectrum command's call sequence plus compute_scalars solves A0, D
     # and the whitened damping A0^{-1/2} D A0^{-1/2} once each; a diagonal
-    # A0 (every beam's) is read directly and never eigensolved.
+    # A0 (every beam's) is read directly and never eigensolved. Inputs are
+    # recorded at the entries of the block solver (D and the whitened
+    # damping) and of numpy's (a dense A0; the block solver hands numpy
+    # stacks of blocks, never a whole matrix).
     solved = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                         (blocks, "eigh"), (blocks, "eigvalsh")):
+        original = getattr(module, name)
 
         def counting(a, *args, _original=original, **kwargs):
             solved.append(np.array(a, copy=True))
             return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(module, name, counting)
     for config, a0_solves in (("beam_sin", 0), ("random_dim4", 1)):
         solved.clear()
         pencil = build_pencil(load_config(CONFIGS / f"{config}.json"))
@@ -185,6 +197,7 @@ class TestStructuralChecks:
         checks = self._checks(dataclasses.replace(system, a_matrix=a), spec)
         assert not checks["j_symmetry"].ok
         assert checks["j_symmetry"].data["defect"] == pytest.approx(1e-6, rel=1e-6)
+        assert checks["j_symmetry"].data["norm"] == "sqrt(|R|_1 |R|_inf)"
 
     def test_perturbed_damping_block_fails_inverse_only(self, diag_pencil):
         system = build_linearization(diag_pencil)
@@ -201,10 +214,15 @@ class TestStructuralChecks:
     def test_rotated_ill_conditioned_pencil_reports_inverse(self, rotated_pencil):
         # cond(A0) = 1e6 rounds A0^{1/2} A0^{-1/2} to about 2e-10; the bound
         # 2 * 2n eps |A| (gamma + |A0^{-1}|^{1/2}) grows with that rounding.
+        # The defect is sqrt(|R|_1 |R|_inf) of R = A A^{-1} - I, which lies
+        # between |R|_2 and sqrt(2n) |R|_2.
         system = build_linearization(rotated_pencil)
         check = self._checks(system, full_spectrum(system))["inverse_identity"]
-        defect = np.linalg.norm(system.a_matrix @ system.inverse_matrix - np.eye(4), 2)
-        assert check.data["defect"] == defect
+        r = system.a_matrix @ system.inverse_matrix - np.eye(4)
+        two_norm = np.linalg.norm(r, 2)
+        assert check.data["norm"] == "sqrt(|R|_1 |R|_inf)"
+        assert check.data["defect"] == np.sqrt(np.linalg.norm(r, 1) * np.linalg.norm(r, np.inf))
+        assert two_norm <= check.data["defect"] <= np.sqrt(4) * two_norm
         assert check.ok
         # the block bound on |A^{-1}| is no smaller than its exact 2-norm
         exact = 2.0 * 4 * np.finfo(float).eps * system.norm * np.linalg.norm(
@@ -248,6 +266,57 @@ def assert_blocks_match_whole_companion(pencil):
         got.pop(j)
 
 
+@functools.cache
+def _separators(a0_bytes, d_bytes, dim):
+    pencil = QuadraticPencil(np.frombuffer(a0_bytes).reshape(dim, dim),
+                             np.frombuffer(d_bytes).reshape(dim, dim))
+    alpha = compute_alpha(pencil).upper
+    if alpha == -np.inf:  # an empty cone: no real eigenvalue
+        return (0.0,)
+    result = locate_real_eigenvalues(pencil, IntervalDelta.inside(alpha), EIGEN_TOL)
+    return tuple(sorted({0.0, result.interval.lower}
+                        | {end for d in result.per_eigenvalue for end in d.bracket}))
+
+
+def locate_separators(pencil):
+    """The points where locate_real_eigenvalues counts the inertia of T(lam)
+    on (alpha, 0]: 0, its brackets' ends and the interval's lower end."""
+    return _separators(pencil.a0_matrix.tobytes(), pencil.d_matrix.tobytes(), pencil.dim)
+
+
+def symmetric_inputs(pencil):
+    """The symmetric matrices the block solver decomposes for pencil: D,
+    the whitened damping and T(lam) at locate's separators."""
+    return ([("D", pencil.d_matrix), ("whitened", pencil.whitened_damping)]
+            + [(f"T({lam})", pencil.t_matrix(lam)) for lam in locate_separators(pencil)])
+
+
+def assert_symmetric_blocks_match_whole(pencil):
+    """blocks.eigvalsh and blocks.eigh against np.linalg.eigvalsh of the
+    whole matrix M (N x N). Bound fixed from Weyl's theorem: the two solves
+    are exact for M - E + F1 and M + F2, with |E| <= 2N eps |M| the dropped
+    coupling and |F1|, |F2| <= N eps |M| the backward errors of dsyevd, so
+    the sorted eigenvalues differ by at most 4N eps |M|. eigh's vectors are
+    orthonormal eigenvectors of the blocks, zero off their block. The
+    inertia counts of inertia_negative equal those of the whole solve."""
+    for name, m in symmetric_inputs(pencil):
+        whole = np.linalg.eigvalsh(m)
+        size = m.shape[0]
+        bound = 4.0 * size * EPS * np.max(np.abs(whole))
+        got = blocks.eigvalsh(m)
+        assert np.all(np.abs(got - whole) <= bound), (name, np.max(np.abs(got - whole)), bound)
+        w, v = blocks.eigh(m)
+        assert np.array_equal(w, np.sort(w))
+        assert np.all(np.abs(w - whole) <= bound), name
+        assert np.linalg.norm(v.T @ v - np.eye(size), 2) <= 4.0 * size * EPS
+        assert np.linalg.norm(m @ v - v * w, 2) <= bound + 4.0 * size * EPS * np.max(np.abs(w))
+        labels = blocks._components(blocks._deflation_graph(m))
+        off_block = labels[:, None] != labels[np.argmax(np.abs(v), axis=0)][None, :]
+        assert np.all(v[off_block] == 0.0), name
+    for lam in locate_separators(pencil):
+        assert inertia_negative(pencil, lam) == inertia_whole(pencil.t_matrix(lam), BOUNDARY_TOL)
+
+
 def profile_beam(profile, n_modes):
     specs = {
         "constant": {"profile": "constant", "params": {"value": 4.0}},
@@ -272,12 +341,17 @@ def block_cases():
 
 
 class TestCompanionBlocks:
+    """The block solves, companion_eig and the symmetric blocks.eigh and
+    blocks.eigvalsh, against the whole solves on the same inputs."""
+
     @pytest.mark.parametrize("pencil", block_cases())
     def test_eigenvalues_match_whole_companion(self, pencil):
         assert_blocks_match_whole_companion(pencil)
+        assert_symmetric_blocks_match_whole(pencil)
 
     def test_rotated_pencil_matches_whole_companion(self, rotated_pencil):
         assert_blocks_match_whole_companion(rotated_pencil)
+        assert_symmetric_blocks_match_whole(rotated_pencil)
 
     @pytest.mark.parametrize("profile, sizes", [
         ("constant", lambda n: (2,) * n),
@@ -316,20 +390,25 @@ class TestCompanionBlocks:
         two[np.arange(0, 98), np.arange(2, 100)] = True
         patterns.append(two | two.T)
         for adjacency in patterns:
-            labels = linearization_mod._components(adjacency)
+            labels = blocks._components(adjacency)
             assert np.array_equal(labels, components_bfs(adjacency))
 
     @pytest.mark.parametrize("pencil", block_cases())
     def test_blocks_invariant_under_rescaling(self, pencil):
-        # lam -> c lam: A0 -> c^2 A0, D -> c D scales the companion by c.
-        def blocks(p):
-            return linearization_mod._components(
-                linearization_mod._deflation_graph(build_linearization(p).a_matrix))
+        # lam -> c lam: A0 -> c^2 A0, D -> c D scales the companion by c,
+        # D by c, T(c lam) by c^2 and leaves the whitened damping alone.
+        def labels(m):
+            return blocks._components(blocks._deflation_graph(m))
 
-        want = blocks(pencil)
+        def matrices(p, c):
+            return ([build_linearization(p).a_matrix, p.d_matrix, p.whitened_damping]
+                    + [p.t_matrix(c * lam) for lam in locate_separators(pencil)])
+
+        want = [labels(m) for m in matrices(pencil, 1.0)]
         for c in 10.0 ** np.arange(-6, 7):
             scaled = QuadraticPencil(c**2 * pencil.a0_matrix, c * pencil.d_matrix)
-            assert np.array_equal(blocks(scaled), want), c
+            for k, m in enumerate(matrices(scaled, c)):
+                assert np.array_equal(labels(m), want[k]), (c, k)
 
     def test_coupling_at_threshold(self):
         # D couples the two modes by delta; the damping block's diagonal is
@@ -340,7 +419,13 @@ class TestCompanionBlocks:
             pencil = QuadraticPencil(np.diag([2.0, 8.0]), [[6.0, delta], [delta, 2.0]])
             eig = companion_eig(build_linearization(pencil).a_matrix, vectors=True)
             assert eig.block_sizes == sizes, delta
-            assert eig.vectors.shape == eig.products.shape == (4, 4)
+            assert eig.vectors.shape == (4, 4)
+            assert eig.residuals(eig.values).shape == (4,)
+            # The symmetric driver on D itself: the same threshold 8 eps.
+            assert blocks.partition(pencil.d_matrix).sizes == ((1, 1) if sizes == (2, 2)
+                                                               else (2,)), delta
+            _, v = blocks.eigh(pencil.d_matrix)
+            assert np.count_nonzero(v) == (2 if sizes == (2, 2) else 4), delta
 
 
 class TestFullSpectrum:

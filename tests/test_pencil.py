@@ -90,6 +90,16 @@ class TestConstruction:
         with pytest.raises(InvalidArgumentError, match="expected a square matrix"):
             QuadraticPencil(a0, d)
 
+    @pytest.mark.parametrize("a0, d", [
+        (np.eye(2), np.diag([1.0, np.inf])),
+        (np.diag([1.0, np.nan]), np.eye(2)),
+        # Finite entries whose symmetrization overflows.
+        (np.eye(2), [[1.0, 1.5e308], [1.5e308, 1.0]]),
+    ])
+    def test_rejects_non_finite(self, a0, d):
+        with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError, match="not finite"):
+            QuadraticPencil(a0, d)
+
     def test_entries_read_only(self, diag_pencil):
         with pytest.raises(ValueError):
             diag_pencil.a0_matrix[0, 0] = 5.0

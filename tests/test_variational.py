@@ -22,7 +22,7 @@ from quadpencil import (
     make_damping_profile,
     verify_minmax,
 )
-from quadpencil import build_pencil, load_config, rayleigh_pair, variational
+from quadpencil import blocks, build_pencil, load_config, rayleigh_pair, variational
 from quadpencil.config import random_pencil
 from quadpencil.pencil import _orth
 from quadpencil.variational import _random_minima, min_p_plus, sup_p_plus
@@ -300,20 +300,24 @@ class TestLocate:
     ])
     def test_each_t_matrix_eigensolved_once(self, monkeypatch, profile):
         # Polishing, residual, |T| and the semisimplicity test share one
-        # eigh of T(lam) per root step: no n x n input is decomposed twice.
+        # eigh of T(lam) per root step, and the inertia counts take one
+        # eigvalsh per separator: no n x n input is decomposed twice.
+        # Inputs are recorded at the block solver's entries, where every
+        # T(lam) arrives whole; numpy gets stacks of its blocks.
         pencil = discretize_beam(BeamConfig(
             a0=1.0, damping=make_damping_profile(profile), n_modes=40))
         inputs = []
-        original = np.linalg.eigh
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(blocks, name)
 
-        def recording(a, *args, **kwargs):
-            if np.shape(a) == (pencil.dim, pencil.dim):
-                inputs.append(np.array(a))
-            return original(a, *args, **kwargs)
+            def recording(a, *args, _original=original, **kwargs):
+                if np.shape(a) == (pencil.dim, pencil.dim):
+                    inputs.append(np.array(a))
+                return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", recording)
+            monkeypatch.setattr(blocks, name, recording)
         res = locate_real_eigenvalues(pencil, IntervalDelta(lower=-2.0 * np.pi**2), 1e-8)
-        assert res.n_found == 2 and inputs
+        assert res.n_found == 2 and len(inputs) >= 5
         for i, a in enumerate(inputs):
             assert not any(np.array_equal(a, b) for b in inputs[:i])
 
