@@ -13,8 +13,9 @@ n x K cosine matrices.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,13 +26,21 @@ from .variational import (EIGEN_TOL, VERIFY_TOL, IntervalDelta, locate_real_eige
                           within_alpha)
 
 PROFILE_SCAN_POINTS = 4097
-# Nodes per panel of the composite Gauss-Legendre rule, and the rule on [-1, 1].
+# Nodes per panel of the composite Gauss-Legendre rule, and the rule on [-1, 1]:
+# the positive nodes and their weights, mirrored, bitwise equal to
+# np.polynomial.legendre.leggauss(16) (whose import costs every process ~5 ms).
 GAUSS_PANEL_ORDER = 16
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_PANEL_ORDER)
+_HALF_X = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_HALF_W = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
+_GAUSS_X = np.concatenate([-_HALF_X[::-1], _HALF_X])
+_GAUSS_W = np.concatenate([_HALF_W[::-1], _HALF_W])
 
 
-@dataclass(frozen=True)
-class DampingProfile:
+class DampingProfile(NamedTuple):
     """Positive C^1 damping coefficient on [0,1].
 
     Built through `make_damping_profile` from a registry name plus
@@ -109,8 +118,7 @@ class BeamConfig:
             raise InvalidArgumentError("n_modes must be >= 1")
 
 
-@dataclass(frozen=True)
-class BeamBounds:
+class BeamBounds(NamedTuple):
     """Per-mode enclosures for eigenvalues near zero, valid when
     d_min^2 >= 4 a0. `applicable` is the not-applicable marker."""
 
@@ -179,13 +187,19 @@ def beam_closed_form(cfg: BeamConfig) -> np.ndarray:
 def beam_bounds(cfg: BeamConfig) -> BeamBounds:
     """Evaluate the per-mode eigenvalue enclosures and the guaranteed count.
 
-    Not applicable (marker with empty bounds) when d_min^2 < 4 a0.
+    Not applicable (marker with empty bounds) when d_min^2 < 4 a0; a
+    damping whose square or guaranteed count overflows is an input error.
     """
     d_min, d_max = cfg.damping.d_min, cfg.damping.d_max
     if d_min * d_min < 4.0 * cfg.a0:
         return BeamBounds(False, d_min, d_max, 0, (), ())
     ratio = 4.0 * cfg.a0 / (d_min * d_min)
-    bound = 1.0 / (1.0 - np.sqrt(1.0 - ratio)) if ratio < 1.0 else 1.0
+    # 1 / (1 - sqrt(1 - ratio)) without its cancellation, which makes it
+    # 1 / 0 once 1 - ratio rounds to 1.
+    bound = (1.0 + math.sqrt(1.0 - ratio)) / ratio if ratio > 0.0 else math.inf
+    if not (math.isfinite(d_max * d_max) and math.isfinite(bound)):
+        raise InvalidArgumentError(
+            f"beam bounds are not finite for damping up to {d_max} and a0 = {cfg.a0}")
     n_min = max(1, int(np.floor(np.sqrt(bound) + 1e-9)))
     modes = np.arange(1, cfg.n_modes + 1, dtype=float)
     upper = (-d_max + np.sqrt(d_max * d_max - 4.0 * cfg.a0)) / 2.0 * np.pi**2 * modes**2

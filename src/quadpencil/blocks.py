@@ -19,13 +19,12 @@ block solves replace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """The blocks of a square matrix. sizes are the block sizes in the order
     of each block's smallest index. groups holds, per distinct block size,
     the pair (slots, rows) of its blocks: rows[b] are the ascending indices
@@ -88,7 +87,7 @@ def partition(m: np.ndarray) -> Partition:
     members = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
     groups = []
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):  # np.unique would import numpy.ma
         slots = starts[sizes == size][:, None] + np.arange(size)
         groups.append((slots, members[slots]))
     return Partition(tuple(sizes.tolist()), tuple(groups))

@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,7 @@ SCHEMA_VERSION = 1
 SYMMETRY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     eigen: float = EIGEN_TOL
     verify: float = VERIFY_TOL
 

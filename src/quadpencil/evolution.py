@@ -7,7 +7,8 @@ contractive, so the squared energy norm obeys the discrete identity
 E_{k+1} - E_k = -2 dt d[w_{k+1/2}] up to the roundoff of the propagator.
 
 The run is taken on the companion's diagonal blocks (the partition of
-linearization.LinearizedSystem): per block size, one batched solve of
+linearization.LinearizedSystem) that the initial state excites; a block
+that starts at zero stays at zero. Per block size, one batched solve of
 I - dt/2 A_b with I + dt/2 A_b as right-hand side gives the propagators M_b
 of one step. The states of a block size are rows of a block of states, one
 stack per companion block: the first block is filled by doubling,
@@ -18,7 +19,7 @@ batched products and summed over the companion blocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +66,7 @@ def _row_matvecs(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(m, x[:, :, None])[:, :, 0]
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
+class SimulationTrace(NamedTuple):
     """Energy history of one trapezoidal run.
 
     energies holds E(t) = |A0^{1/2} z|^2 + |w|^2; dissipation holds the
@@ -139,10 +139,16 @@ def simulate(
     dissipation = np.zeros(steps + 1)
     keep = snapshot_stride > 0
     if keep:
-        snaps = np.empty((steps // snapshot_stride + 1, 2 * n))  # whitened states
+        snaps = np.zeros((steps // snapshot_stride + 1, 2 * n))  # whitened states
 
-    for _, rows, stack in system.partition.stacks(system.a_matrix):
+    for _, rows in system.partition.groups:
+        # A block that starts at rest stays there (M_b 0 = 0): it adds +0.0
+        # to every energy and dissipation rate, and its snapshots stay 0.
+        rows = rows[np.any(u0[rows] != 0.0, axis=1)]
+        if not rows.size:
+            continue
         count, size = rows.shape
+        stack = system.a_matrix[rows[:, :, None], rows[:, None, :]]
         eye = np.eye(size)
         try:
             propagator = np.linalg.solve(eye - (dt / 2.0) * stack, eye + (dt / 2.0) * stack)

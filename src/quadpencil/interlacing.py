@@ -8,7 +8,7 @@ lambda_n <= lambda_hat_n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .variational import EIGEN_TOL, VERIFY_TOL, IntervalDelta, locate_real_eigen
 FORM_ORDER_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """The orderings of a pencil pair that passed check_form_order, on the
     shared interval (interval_lower, 0]; per_n holds
     (lambda_n, lambda_hat_n, ordered) for n up to the smaller count."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,8 +117,7 @@ def build_linearization(pencil: QuadraticPencil) -> LinearizedSystem:
     return LinearizedSystem(a_matrix=a, dim=n, pencil=pencil)
 
 
-@dataclass(frozen=True)
-class BlockEig:
+class BlockEig(NamedTuple):
     """Eigenvalues of a matrix solved block by block (companion_eig).
 
     values[k] belongs to the eigenvector vectors[:, k], which is zero off

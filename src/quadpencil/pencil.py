@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,8 +174,7 @@ class QuadraticPencil:
         return a, self.form_damping(x), self.form_stiffness(x)
 
 
-@dataclass(frozen=True)
-class RayleighPair:
+class RayleighPair(NamedTuple):
     """Real roots of t(.)[x] = 0, or the (+inf, -inf) convention when none exist."""
 
     p_minus: float
@@ -182,8 +182,7 @@ class RayleighPair:
     in_dstar: bool
 
 
-@dataclass(frozen=True)
-class PencilScalars:
+class PencilScalars(NamedTuple):
     """Derived constants of the pencil; alpha is the certified upper end of
     the alpha bracket and alpha_lower its witnessed lower end."""
 
@@ -194,8 +193,7 @@ class PencilScalars:
     disc_radius: float
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(NamedTuple):
     """Bracket lower <= sup p- <= upper over the real-root cone.
 
     lower is rayleigh_pair(witness).p_minus for an explicit unit witness;
@@ -223,8 +221,7 @@ class AlphaResult:
         return DstarVerdict.NONEMPTY_CERTIFIED
 
 
-@dataclass(frozen=True)
-class DstarCertificate:
+class DstarCertificate(NamedTuple):
     verdict: DstarVerdict
     witness: np.ndarray | None
 

@@ -17,6 +17,7 @@ eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +63,7 @@ ALPHA_MARGIN = 1e-6
 ALPHA_GATE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class InertiaCount:
+class InertiaCount(NamedTuple):
     negative: int
     boundary: int
     positive: int
@@ -297,8 +297,7 @@ def _complement(n: int, constraint: np.ndarray) -> np.ndarray:
     return v[:, w > 0.5]
 
 
-@dataclass(frozen=True)
-class SubspaceValue:
+class SubspaceValue(NamedTuple):
     """An extremum of p_plus over a subspace, evaluated at an explicit vector.
 
     value is rayleigh_pair(witness).p_plus, or -inf for a witness outside

@@ -14,6 +14,7 @@ from quadpencil import (
     make_damping_profile,
     verify_beam_theorem,
 )
+from quadpencil import beam
 
 from oracles import (
     damping_entry_adaptive,
@@ -138,6 +139,12 @@ class TestDiscretization:
         d = discretize_beam(cfg).d_matrix
         assert np.linalg.norm(d - ref, 2) <= 1e-13 * np.linalg.norm(ref, 2)
 
+    def test_gauss_rule_is_leggauss(self):
+        # The literal table spares every process the numpy.polynomial import.
+        x, w = np.polynomial.legendre.leggauss(beam.GAUSS_PANEL_ORDER)
+        assert beam._GAUSS_X.tobytes() == x.tobytes()
+        assert beam._GAUSS_W.tobytes() == w.tobytes()
+
     def test_nonpositive_node_rejected(self):
         # A profile built around make_damping_profile's scan, negative on
         # the right half of the beam.
@@ -219,6 +226,15 @@ class TestBounds:
         bounds = beam_bounds(constant_cfg(value=1.0, n_modes=4))
         assert not bounds.applicable
         assert bounds.upper_n == () and bounds.lower_n == ()
+
+    def test_large_damping_count_without_cancellation(self):
+        # 1 - sqrt(1 - 4 a0 / d^2) is 0 in floating point at d = 1e9; the
+        # count is floor(sqrt(bound)) for bound ~ d^2 / (2 a0).
+        assert beam_bounds(constant_cfg(value=1e9, n_modes=4)).n_min_count == 707106781
+
+    def test_overflowing_damping_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            beam_bounds(constant_cfg(value=1e306, n_modes=4))
 
     def test_variable_profile_uses_both_ends(self):
         bounds = beam_bounds(sine_cfg(n_modes=12))

@@ -115,10 +115,11 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert "dense.a0 must be finite" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", [["spectrum"], ["variational"],
+    @pytest.mark.parametrize("command", [["spectrum"], ["variational"], ["beam-report"],
                                          ["simulate", "--t-final", "0.01", "--dt", "0.001"]])
     def test_overflowing_beam_damping_exits_2(self, tmp_path, capsys, command):
-        # A damping level of 1e306 overflows the Galerkin damping matrix.
+        # A damping level of 1e306 overflows the Galerkin damping matrix and
+        # the squares in the beam bounds.
         cfg = write_config(tmp_path, {
             "schema": 1, "source": "beam",
             "beam": {"a0": 1.0, "n_modes": 12,

@@ -190,14 +190,17 @@ class TestMatchesReferenceLoop:
             if stride == 1:
                 _assert_energies_are_state_norms(pencil, trace)
 
+    @pytest.mark.parametrize("excited", ["both", "one"])
     @pytest.mark.parametrize("size", [2, 4])
     @pytest.mark.parametrize("offset", ["zero", "one", "block-1", "block", "block+1",
                                         "2block+1"])
-    def test_two_block_sizes(self, size, offset, monkeypatch):
+    def test_two_block_sizes(self, size, offset, excited, monkeypatch):
         # A0 = diag(1, 2, 3) with D coupling modes 1 and 2 only: the
         # companion splits into a block of 4 (z1, z2, w1, w2) and one of 2
         # (z3, w3), whose state blocks end at different steps. Blocks of 32
-        # and 64 states keep the reference loop short.
+        # and 64 states keep the reference loop short. With `excited` one,
+        # the initial state lies on the block of `size` alone, and the
+        # other block, which simulate skips, stays exactly at rest.
         pencil = QuadraticPencil(np.diag([1.0, 2.0, 3.0]),
                                  [[2.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 1.0]])
         assert build_linearization(pencil).partition.sizes == (4, 2)
@@ -210,7 +213,9 @@ class TestMatchesReferenceLoop:
             assert _block_lengths(pencil, steps) == [64, 32]
         elif steps >= 31:
             assert _block_lengths(pencil, steps)[1] == 32
-        z0, w0, dt = [1.0, -0.4, 0.25], [0.3, 0.7, -0.5], 2.0**-8
+        z0, w0, dt = np.array([1.0, -0.4, 0.25]), np.array([0.3, 0.7, -0.5]), 2.0**-8
+        rest = {2: [0, 1], 4: [2]}[size] if excited == "one" else []
+        z0[rest] = w0[rest] = 0.0
         reference = trapezoid_reference(pencil, z0, w0, steps, dt, snapshot_stride=1)
         for stride in (1, 7, 69):
             trace = simulate(pencil, z0, w0, steps * dt, dt, snapshot_stride=stride)
@@ -218,6 +223,8 @@ class TestMatchesReferenceLoop:
             _assert_within_forward_error(pencil, z0, w0, dt, trace, reference)
             if stride == 1:
                 _assert_energies_are_state_norms(pencil, trace)
+            for states in trace.states:
+                assert np.all(states[:, rest] == 0.0)
 
     def test_memory_flat_in_step_count(self):
         # The peak of a 1e5-step run exceeds that of a 1e4-step run by the

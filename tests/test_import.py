@@ -21,15 +21,21 @@ def test_import_loads_no_optimizer_or_interpolation():
 
 
 def test_minmax_verification_loads_no_optimizer():
+    # Nor numpy.ma (np.unique without indices imports it) or numpy.polynomial
+    # on the way to a beam's spectrum: each costs every process milliseconds.
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import quadpencil as qp; "
             "p = qp.QuadraticPencil([[2.0, 0.0], [0.0, 8.0]], "
             "[[6.0, 0.0], [0.0, 2.0]]); "
             "res = qp.locate_real_eigenvalues(p, qp.IntervalDelta(lower=-2.1), 1e-10); "
             "assert qp.verify_minmax(p, res, random_subspaces=20, seed=0).ok; "
-            "print(res.n_found, 'scipy.optimize' in sys.modules)")
+            "cfg = qp.BeamConfig(a0=1.0, n_modes=12, damping=qp.make_damping_profile("
+            "{'profile': 'four_plus_sin'})); "
+            "qp.full_spectrum(qp.build_linearization(qp.discretize_beam(cfg))); "
+            "print(res.n_found, *(m in sys.modules for m in "
+            "('scipy.optimize', 'numpy.ma', 'numpy.polynomial')))")
     done = subprocess.run([sys.executable, "-c", code, str(SRC)],
                           capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "1 False"
+    assert done.stdout.strip() == "1 False False False"
 
 
 def test_benchmark_traced_functions_exist():

@@ -1,0 +1,105 @@
+"""The result records that are typing.NamedTuples: their fields are
+read-only, and none is part of a report's check data, where
+reports._jsonable would write a tuple as a JSON list."""
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from quadpencil import (
+    AlphaResult,
+    BeamBounds,
+    ComparisonReport,
+    DampingProfile,
+    DstarCertificate,
+    InertiaCount,
+    PencilScalars,
+    RayleighPair,
+    SimulationTrace,
+    Tolerances,
+    beam_bounds,
+    blocks,
+    build_linearization,
+    cli,
+    compare_eigenvalues,
+    compute_alpha,
+    compute_scalars,
+    dstar_empty_certificate,
+    inertia_negative,
+    load_config,
+    rayleigh_pair,
+    reports,
+    simulate,
+)
+from quadpencil.blocks import Partition
+from quadpencil.config import build_pencil
+from quadpencil.linearization import BlockEig, companion_eig
+from quadpencil.variational import SubspaceValue, min_p_plus
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+RECORDS = (DampingProfile, BeamBounds, Partition, Tolerances, SimulationTrace,
+           ComparisonReport, BlockEig, RayleighPair, PencilScalars, AlphaResult,
+           DstarCertificate, InertiaCount, SubspaceValue)
+
+
+@pytest.fixture(scope="module")
+def instances():
+    config = load_config(CONFIGS / "beam_const4.json")
+    pencil = build_pencil(config)
+    other = build_pencil(load_config(CONFIGS / "beam_const5.json"))
+    a = build_linearization(pencil).a_matrix
+    e1 = np.eye(pencil.dim)[0]
+    return {
+        DampingProfile: config.beam.damping,
+        BeamBounds: beam_bounds(config.beam),
+        Partition: blocks.partition(a),
+        Tolerances: config.tolerances,
+        SimulationTrace: simulate(pencil, e1, 0.0 * e1, 0.01, 0.001),
+        ComparisonReport: compare_eigenvalues(pencil, other),
+        BlockEig: companion_eig(a),
+        RayleighPair: rayleigh_pair(pencil, e1),
+        PencilScalars: compute_scalars(pencil),
+        AlphaResult: compute_alpha(pencil),
+        DstarCertificate: dstar_empty_certificate(pencil),
+        InertiaCount: inertia_negative(pencil, -1.0),
+        SubspaceValue: min_p_plus(pencil, np.eye(pencil.dim)[:, :2]),
+    }
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
+def test_fields_are_read_only(record, instances):
+    value = instances[record]
+    assert type(value) is record
+    with pytest.raises(AttributeError):
+        setattr(value, record._fields[0], None)
+
+
+def _records_in(value):
+    if isinstance(value, RECORDS):
+        return [type(value).__name__]
+    if isinstance(value, (list, tuple)):
+        return [name for v in value for name in _records_in(v)]
+    if isinstance(value, dict):
+        return [name for v in value.values() for name in _records_in(v)]
+    return []
+
+
+def test_no_record_in_check_data(tmp_path, monkeypatch):
+    seen = []
+    add = reports.Report.add
+
+    def recording(self, label, ok, **data):
+        seen.extend(_records_in(data))
+        add(self, label, ok, **data)
+
+    monkeypatch.setattr(reports.Report, "add", recording)
+    out = str(tmp_path / "out")
+    for config in sorted(CONFIGS.glob("*.json")):
+        for command in (["spectrum"], ["variational"], ["beam-report"],
+                        ["simulate", "--t-final", "0.01", "--dt", "0.001"]):
+            assert cli.main([command[0], str(config), *command[1:], "--out", out]) in (0, 2)
+    for pair in (("beam_const4", "beam_const5"),
+                 ("interlace_violation_a", "interlace_violation_b")):
+        cli.main(["interlace", *(str(CONFIGS / f"{name}.json") for name in pair),
+                  "--out", out])
+    assert seen == []
