@@ -10,6 +10,9 @@ eigensolve, norm and trapezoid propagator (linearization, evolution), and
 T(lam), D and the whitened damping through eigh and eigvalsh below. Modes
 that a symmetric damping profile decouples exactly (odd from even, or each
 from every other under constant damping) then cost one small solve each.
+_components is the one connected-components routine: it also gives the
+eigenvalue clusters of full_spectrum and locate_real_eigenvalues
+(linearization._cluster_labels), on the graph of pairs within tol.
 
 Soundness: the dropped coupling E (the entries between blocks) has
 |E_ij| <= eps (|m_ii| + |m_jj|) <= 2 eps |M|_2, so its 1- and inf-norms are

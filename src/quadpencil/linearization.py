@@ -184,55 +184,19 @@ def companion_eig(a: np.ndarray, vectors: bool = False,
 
 def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     """Single-linkage clustering of real or complex points: the connected
-    components of the graph joining every pair within tol, as one label per
-    point, the clusters numbered in the order of their smallest index.
-
-    On sorted reals the components are the runs split where neighbours lie
-    more than tol apart. In real-part order a point's partners lie in the
-    window of real parts up to tol above its own, so only the pairs in those
-    windows are compared, together, and only the pairs within tol are
-    joined in a union-find forest whose roots are the smallest positions.
-    """
-    order = np.argsort(values.real, kind="stable")
-    w = values[order]
-    size = len(w)
-    span = np.searchsorted(w.real, w.real + tol, side="right") - np.arange(size) - 1
-    # Every pair (left, right) with right in the window above left.
-    left = np.repeat(np.arange(size), span)
-    offset = np.arange(left.size) - np.repeat(np.cumsum(span) - span, span)
-    right = left + 1 + offset
-    near = np.abs(w[right] - w[left]) <= tol
-    parent = np.arange(size)
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in zip(left[near].tolist(), right[near].tolist()):
-        a, b = root(i), root(j)
-        parent[max(a, b)] = min(a, b)
-    while True:  # point every position at its root
-        up = parent[parent]
-        if np.array_equal(up, parent):
-            break
-        parent = up
-    smallest = np.full(size, size)  # each root's smallest index
-    np.minimum.at(smallest, parent, order)
-    labels = np.empty(size, dtype=int)
-    labels[order] = smallest[parent]
-    return np.unique(labels, return_inverse=True)[1]
+    components (blocks._components) of the dense graph joining every pair
+    within tol, as one label per point, the clusters numbered in the order
+    of their smallest index. An empty input has no labels."""
+    if values.size == 0:
+        return np.empty(0, dtype=int)
+    return blocks._components(np.abs(values[:, None] - values) <= tol)
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """The clusters of _cluster_labels as ascending index arrays, ordered by
     their smallest index."""
     labels = _cluster_labels(values, tol)
-    if labels.size == 0:
-        return []
-    members = np.argsort(labels, kind="stable")
-    return np.split(members, np.cumsum(np.bincount(labels))[:-1])
+    return [np.flatnonzero(labels == c) for c in range(np.max(labels, initial=-1) + 1)]
 
 
 def _nullity(m: np.ndarray) -> int:

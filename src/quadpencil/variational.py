@@ -28,9 +28,8 @@ from .pencil import (
     KERNEL_REL_TOL,
     QuadraticPencil,
     _compress,
-    _compressed_eigenvalues,
+    _compressed_eigenpairs,
     _independent,
-    _kernel_vectors,
     _orth,
     _t,
     rayleigh_batch,
@@ -337,8 +336,11 @@ def min_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
     eigenvector) stops at a certificate f(mu) < 0, beyond the rounding of
     eigh: the compression is then hyperbolic, the subspace lies inside the
     cone and min p_plus is the smallest of the k compressed eigenvalues above
-    mu (Duffin's minimax). It also stops at a top eigenvector outside the
-    cone, a witness of min p_plus = -inf. The empty subspace has min +inf.
+    mu (Duffin's minimax), all real. Its witness is B y, y that eigenvalue's
+    kernel vector from the same one eig of the compressed companion
+    (_compressed_eigenpairs). The bisection also stops at a top eigenvector
+    outside the cone, a witness of min p_plus = -inf. The empty subspace
+    has min +inf.
     """
     k = basis.shape[1]
     if k == 0:
@@ -350,9 +352,9 @@ def min_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
         top, y = _top_eigenpair(dc, ac, mu)
         slack = HYPERBOLIC_SLACK * k * np.finfo(float).eps * pencil.term_scale(mu)
         if top < -slack:
-            lam = float(_compressed_eigenvalues(dc, ac)[k - 1])
-            x = basis @ _top_eigenpair(dc, ac, lam)[1]
-            return SubspaceValue(rayleigh_pair(pencil, x).p_plus, x, mu, lam)
+            lams, ys = _compressed_eigenpairs(dc, ac)
+            x = basis @ ys[:, k - 1]
+            return SubspaceValue(rayleigh_pair(pencil, x).p_plus, x, mu, float(lams[k - 1]))
         x = basis @ y
         if not rayleigh_pair(pencil, x).in_dstar:
             return SubspaceValue(-np.inf, x)
@@ -370,21 +372,32 @@ def sup_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
     An interior maximiser is a critical point of p_plus, so a compressed
     eigenvalue. Where the subspace meets the cone's boundary at a double
     root r, lambda_min(B^T T(.) B) changes sign on [r, 0], so a compressed
-    eigenvalue lies at or above r. The real part of every compressed
-    eigenvalue proposes the kernel vector of B^T T(.) B there, so no
-    threshold on imaginary parts is needed: each proposal is evaluated by
-    rayleigh_pair and the largest p_plus is kept. Proposals whose p_plus
-    lies within _rounding (relative) of the largest are tied, as when both
-    roots of one vector propose it; the sup is attained where p_plus =
-    lam*, so of those the one whose compressed eigenvalue lies closest to
-    its own p_plus is reported.
+    eigenvalue lies at or above r. Every compressed eigenvalue proposes B y,
+    y its real vector from one eig of the compressed companion
+    (_compressed_eigenpairs), so no threshold on imaginary parts is needed:
+    each proposal is evaluated by rayleigh_batch and the largest p_plus is
+    kept.
+
+    The sup lam* is attained at its own proposal. For a real compressed
+    eigenvalue LAPACK returns a real y with B^T T(lam) B y = 0, so
+    t(lam)[By] = 0 and lam is p- or p+ of By; at lam* that gives
+    lam* <= p+(By) <= lam*. A double root at the cone's boundary is
+    computed as a near-real pair, whose y is a phase multiple of the real
+    kernel vector up to rounding, so its real vector is that kernel vector.
+    A Jordan root is sqrt(eps)-sensitive, so there the value is good to
+    about sqrt(eps), not to the rounding of eig.
+
+    Proposals whose p_plus lies within _rounding (relative) of the largest
+    are tied, as when both roots of one vector propose it; the sup is
+    attained where p_plus = lam*, so of those the one whose compressed
+    eigenvalue lies closest to its own p_plus is reported.
     """
     k = basis.shape[1]
     if k == 0:
         return SubspaceValue(-np.inf, None)
     dc, ac = _compress(pencil, basis)
-    lams = _compressed_eigenvalues(dc, ac)
-    xs = basis @ _kernel_vectors(dc, ac, lams)
+    lams, ys = _compressed_eigenpairs(dc, ac)
+    xs = basis @ ys
     _, p_plus, _ = rayleigh_batch(pencil, xs)
     top = float(np.max(p_plus))
     if top == -np.inf:

@@ -12,7 +12,9 @@ references from an explicit modal decomposition
 and from the trapezoidal scheme stepped one lu_solve at a time (with the
 forward-error bounds that separate it from simulate's propagator powers), the
 random-subspace clause of the min-max check decided one subspace at a time,
-and the alpha search's span candidates found one plane at a time.
+the alpha search's span candidates found one plane at a time, and the
+sup of p_plus on a subspace from one kernel-vector eigh per compressed
+eigenvalue.
 """
 import numpy as np
 import scipy.linalg
@@ -425,3 +427,21 @@ def span_candidates_pair(pencil, u, v):
         w, vecs = np.linalg.eigh(lam * lam * np.eye(2) + lam * dc + ac)
         critical.append(vecs[:, np.argmin(np.abs(w))])
     return q @ np.hstack([np.stack([np.cos(phis), np.sin(phis)]), np.column_stack(critical)])
+
+
+def sup_p_plus_reference(pencil, basis):
+    """The largest p_plus over the proposals of variational.sup_p_plus made
+    one eigenvalue at a time: the eigenvalues of the compressed companion
+    (np.block, eigvals), and at the real part of each the eigenvector of the
+    compressed T of smallest |eigenvalue| (one eigh each), evaluated by
+    rayleigh_pair; -inf when no proposal lies in the cone."""
+    k = basis.shape[1]
+    dc = basis.T @ pencil.d_matrix @ basis
+    ac = basis.T @ pencil.a0_matrix @ basis
+    dc, ac = (dc + dc.T) / 2.0, (ac + ac.T) / 2.0
+    companion = np.block([[np.zeros((k, k)), np.eye(k)], [-ac, -dc]])
+    best = -np.inf
+    for lam in np.linalg.eigvals(companion).real:
+        w, vecs = np.linalg.eigh(lam * lam * np.eye(k) + lam * dc + ac)
+        best = max(best, rayleigh_pair(pencil, basis @ vecs[:, np.argmin(np.abs(w))]).p_plus)
+    return float(best)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadpencil import build_pencil, interlacing, load_config
+from quadpencil import beam_closed_form, build_pencil, interlacing, load_config
 from quadpencil.cli import CSV_CHUNK_ROWS, main
 
 from oracles import trapezoid_error_bounds, trapezoid_reference
@@ -161,6 +161,30 @@ class TestVariationalCommand:
         assert doc["alpha"] == pytest.approx((3.0 - np.sqrt(53.0)) / 2.0, abs=1e-8)
         lower, upper = doc["alpha_bracket"]
         assert lower <= upper == doc["alpha"]
+
+    @pytest.mark.parametrize("damping", [
+        {"profile": "constant", "params": {"value": 4.0}},
+        {"profile": "four_plus_sin", "params": {}},
+    ])
+    def test_beam_100_minmax_ok(self, tmp_path, damping):
+        # cond(A0) = 1e8; every min-max check holds, and under constant
+        # damping the located eigenvalues are the closed-form ones in the
+        # interval.
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "beam", "seed": 0,
+            "beam": {"a0": 1.0, "damping": damping, "n_modes": 100},
+        })
+        out = tmp_path / "var.json"
+        assert main(["variational", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        checks = doc["minmax_report"]["checks"]
+        assert doc["ok"] and doc["n_found"] >= 1
+        assert checks and all(c["ok"] for c in checks)
+        if damping["profile"] == "constant":
+            exact = beam_closed_form(load_config(cfg).beam).real
+            exact = -np.sort(-exact[(doc["interval"]["lower"] < exact) & (exact <= 0.0)])
+            found = [e["value"] for e in doc["eigenvalues"] for _ in range(e["multiplicity"])]
+            assert found == pytest.approx(exact.tolist(), rel=1e-12)
 
     def test_delta_lower_below_alpha_exits_2(self):
         code = main(["variational", str(CONFIGS / "dense_diag.json"),

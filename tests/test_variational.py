@@ -34,6 +34,7 @@ from oracles import (
     random_minima_loop,
     real_eigenvalues_in,
     semisimplicity_check,
+    sup_p_plus_reference,
 )
 
 SQRT7 = np.sqrt(7.0)
@@ -454,6 +455,60 @@ class TestCompressedExtrema:
                     kinds["sup"] += 1
                     assert high.value - np.max(grid) <= 1e-6 * abs(high.value)
         assert min(kinds.values()) >= 10, kinds
+
+    def test_sup_matches_per_eigenvalue_reference(self, critical_1x1):
+        # Random subspaces of every dimension of random pencils, with and
+        # without a certified real-root cone, and the cone-boundary
+        # fixtures: a double root on the boundary (critical_1x1, the first
+        # mode of A0 = I, D = diag(2, 10)) is computed as a near-real pair.
+        cases = [(critical_1x1, 0), (QuadraticPencil(np.eye(2), np.diag([2.0, 10.0])), 1)]
+        cases += [(random_pencil(dim, seed, damping_scale=6.0,
+                                 ensure_real_root_cone=seed % 2 == 0), 100 * dim + seed)
+                  for dim in (2, 3, 5, 8) for seed in range(25)]
+        finite = 0
+        for pencil, seed in cases:
+            rng = np.random.default_rng(seed)
+            unit = variational._rounding(pencil)
+            for k in range(1, pencil.dim + 1):
+                for _ in range(4):
+                    basis = _orth(rng.standard_normal((pencil.dim, k)))
+                    got = sup_p_plus(pencil, basis).value
+                    want = sup_p_plus_reference(pencil, basis)
+                    assert (got == -np.inf) == (want == -np.inf)
+                    if want > -np.inf:
+                        finite += 1
+                        assert got >= want - unit * abs(want)
+        assert finite >= 1000
+
+    def test_sup_at_a_jordan_root(self):
+        # A0 = [[1, 1], [1, 3]], D = [[2, 1], [1, 2]]: -1 is a defective
+        # double eigenvalue, the sup of p_plus over R^2. A Jordan root moves
+        # by sqrt(eps) under rounding, so no bound in units of the rounding
+        # holds; both proposal rules land within VERIFY_TOL of it.
+        pencil = QuadraticPencil([[1.0, 1.0], [1.0, 3.0]], [[2.0, 1.0], [1.0, 2.0]])
+        got = sup_p_plus(pencil, np.eye(2)).value
+        want = sup_p_plus_reference(pencil, np.eye(2))
+        assert abs(got + 1.0) <= variational.VERIFY_TOL
+        assert abs(want + 1.0) <= variational.VERIFY_TOL
+
+    def test_sup_solves_its_compression_once(self, monkeypatch):
+        # One eig of the compressed companion gives every proposal: no
+        # per-eigenvalue eigh of the compressed T.
+        pencil = discretize_beam(BeamConfig(
+            a0=1.0, damping=make_damping_profile({"profile": "four_plus_sin", "params": {}}),
+            n_modes=40))
+        basis = _orth(np.random.default_rng(3).standard_normal((40, 30)))
+        calls = []
+        for name in ("eig", "eigh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        sup = sup_p_plus(pencil, basis)
+        assert calls == ["eig"] and sup.value > -np.inf
 
     def test_cone_boundary_settled_by_top_eigenvector(self, critical_1x1):
         # R^1 touches the cone's boundary (double root -1): no mu makes the
