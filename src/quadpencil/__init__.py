@@ -1,124 +1,52 @@
-"""Spectral analysis of damped second-order systems via quadratic pencils."""
+"""Spectral analysis of damped second-order systems via quadratic pencils.
 
-from .beam import (
-    BeamBounds,
-    BeamConfig,
-    DampingProfile,
-    QuadratureSpec,
-    beam_bounds,
-    beam_closed_form,
-    discretize_beam,
-    make_damping_profile,
-    verify_beam_theorem,
-)
-from .config import ProblemConfig, Tolerances, build_pencil, load_config, random_pencil
-from .errors import (
-    ComputationError,
-    ConfigError,
-    FormOrderError,
-    InvalidArgumentError,
-    QuadPencilError,
-)
-from .evolution import (
-    SimulationTrace,
-    discrete_energy_identity_report,
-    energy_monotonicity_report,
-    simulate,
-    spectral_abscissa_consistency,
-)
-from .interlacing import ComparisonReport, check_form_order, compare_eigenvalues
-from .linearization import (
-    LinearizedSystem,
-    SpectrumResult,
-    build_linearization,
-    check_pencil_equivalence,
-    full_spectrum,
-    resolvent_region_check,
-    structural_report,
-)
-from .pencil import (
-    AlphaResult,
-    DstarCertificate,
-    DstarVerdict,
-    PencilScalars,
-    QuadraticPencil,
-    RayleighPair,
-    compute_alpha,
-    compute_delta_gamma,
-    compute_scalars,
-    disc_radius,
-    dstar_empty_certificate,
-    rayleigh_batch,
-    rayleigh_pair,
-)
-from .reports import Check, Report
-from .variational import (
-    EigenvalueDiagnostics,
-    InertiaCount,
-    IntervalDelta,
-    VariationalResult,
-    inertia_negative,
-    locate_real_eigenvalues,
-    verify_minmax,
-)
+`import quadpencil` loads none of its modules: each public name below, and
+each submodule name (`quadpencil.linearization`), imports its module on
+first access (PEP 562), so a process compiles and runs only the modules it
+uses.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaResult",
-    "BeamBounds",
-    "BeamConfig",
-    "Check",
-    "ComparisonReport",
-    "ComputationError",
-    "ConfigError",
-    "DampingProfile",
-    "DstarCertificate",
-    "DstarVerdict",
-    "EigenvalueDiagnostics",
-    "FormOrderError",
-    "InertiaCount",
-    "IntervalDelta",
-    "InvalidArgumentError",
-    "LinearizedSystem",
-    "PencilScalars",
-    "ProblemConfig",
-    "QuadPencilError",
-    "QuadraticPencil",
-    "QuadratureSpec",
-    "RayleighPair",
-    "Report",
-    "SimulationTrace",
-    "SpectrumResult",
-    "Tolerances",
-    "VariationalResult",
-    "beam_bounds",
-    "beam_closed_form",
-    "build_linearization",
-    "build_pencil",
-    "check_form_order",
-    "check_pencil_equivalence",
-    "compare_eigenvalues",
-    "compute_alpha",
-    "compute_delta_gamma",
-    "compute_scalars",
-    "disc_radius",
-    "discretize_beam",
-    "discrete_energy_identity_report",
-    "dstar_empty_certificate",
-    "energy_monotonicity_report",
-    "full_spectrum",
-    "inertia_negative",
-    "load_config",
-    "locate_real_eigenvalues",
-    "make_damping_profile",
-    "random_pencil",
-    "rayleigh_batch",
-    "rayleigh_pair",
-    "resolvent_region_check",
-    "simulate",
-    "spectral_abscissa_consistency",
-    "structural_report",
-    "verify_beam_theorem",
-    "verify_minmax",
-]
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "beam": ("BeamBounds", "BeamConfig", "DampingProfile", "QuadratureSpec", "beam_bounds",
+             "beam_closed_form", "discretize_beam", "make_damping_profile",
+             "verify_beam_theorem"),
+    "config": ("ProblemConfig", "Tolerances", "build_pencil", "load_config", "random_pencil"),
+    "errors": ("ComputationError", "ConfigError", "FormOrderError", "InvalidArgumentError",
+               "QuadPencilError"),
+    "evolution": ("SimulationTrace", "discrete_energy_identity_report",
+                  "energy_monotonicity_report", "simulate", "spectral_abscissa_consistency"),
+    "interlacing": ("ComparisonReport", "check_form_order", "compare_eigenvalues"),
+    "linearization": ("LinearizedSystem", "SpectrumResult", "build_linearization",
+                      "check_pencil_equivalence", "full_spectrum", "resolvent_region_check",
+                      "structural_report"),
+    "pencil": ("AlphaResult", "DstarCertificate", "DstarVerdict", "PencilScalars",
+               "QuadraticPencil", "RayleighPair", "compute_alpha", "compute_delta_gamma",
+               "compute_scalars", "disc_radius", "dstar_empty_certificate", "rayleigh_batch",
+               "rayleigh_pair"),
+    "reports": ("Check", "Report"),
+    "variational": ("EigenvalueDiagnostics", "InertiaCount", "IntervalDelta",
+                    "VariationalResult", "inertia_negative", "locate_real_eigenvalues",
+                    "verify_minmax"),
+}
+_SUBMODULES = frozenset(_EXPORTS) | {"blocks", "cli"}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SUBMODULES | set(__all__))

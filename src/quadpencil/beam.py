@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .pencil import QuadraticPencil, compute_alpha
-from .reports import Report
-from .variational import (EIGEN_TOL, VERIFY_TOL, IntervalDelta, locate_real_eigenvalues,
-                          within_alpha)
+from .pencil import EIGEN_TOL, VERIFY_TOL, QuadraticPencil, compute_alpha
+
+if TYPE_CHECKING:
+    from .reports import Report
 
 PROFILE_SCAN_POINTS = 4097
 # Nodes per panel of the composite Gauss-Legendre rule, and the rule on [-1, 1]:
@@ -223,6 +223,9 @@ def verify_beam_theorem(
     """Run the variational solver on (-d_min pi^2 / 2, 0] and check the
     guaranteed count, the per-mode enclosures and semi-simplicity. A failed
     hypothesis (d_min^2 >= 4 a0, alpha at or left of the interval) ends it."""
+    from .reports import Report
+    from .variational import IntervalDelta, locate_real_eigenvalues, within_alpha
+
     bounds = beam_bounds(cfg)
     report = Report("beam_spectrum_bounds")
     if not bounds.applicable:

@@ -7,33 +7,23 @@ QUADPENCIL_SEED environment variable overrides config seeds.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import replace
-from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import beam as beam_mod
-from .config import ProblemConfig, build_pencil, load_config, parse_number
 from .errors import ComputationError, ConfigError, FormOrderError, InvalidArgumentError
-from .evolution import energy_monotonicity_report, simulate
-from .interlacing import compare_eigenvalues
-from .linearization import (
-    build_linearization,
-    check_pencil_equivalence,
-    full_spectrum,
-    resolvent_region_check,
-    structural_report,
-)
-from .pencil import compute_delta_gamma, compute_scalars
-from .variational import IntervalDelta, locate_real_eigenvalues, verify_minmax
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .config import ProblemConfig
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -45,10 +35,14 @@ CSV_CHUNK_ROWS = 4096
 
 
 def _timestamp() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).isoformat()
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
+    import json
+
     payload = dict(payload)
     payload["generated_at"] = _timestamp()
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -75,6 +69,8 @@ def _csv_chunks(trace) -> Iterator[str]:
 
 
 def _load(path: str) -> ProblemConfig:
+    from .config import load_config, parse_number
+
     config = load_config(path)
     env_seed = os.environ.get("QUADPENCIL_SEED")
     if env_seed is not None:
@@ -90,6 +86,11 @@ def _complex_entry(z: complex) -> dict:
 
 
 def cmd_spectrum(args) -> int:
+    from .config import build_pencil
+    from .linearization import (build_linearization, check_pencil_equivalence, full_spectrum,
+                                resolvent_region_check, structural_report)
+    from .pencil import compute_delta_gamma
+
     config = _load(args.config)
     pencil = build_pencil(config)
     system = build_linearization(pencil)
@@ -131,6 +132,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_variational(args) -> int:
+    from .config import build_pencil
+    from .pencil import compute_scalars
+    from .variational import IntervalDelta, locate_real_eigenvalues, verify_minmax
+
     config = _load(args.config)
     pencil = build_pencil(config)
     scalars = compute_scalars(pencil)
@@ -178,6 +183,9 @@ def cmd_variational(args) -> int:
 
 
 def cmd_interlace(args) -> int:
+    from .config import build_pencil
+    from .interlacing import compare_eigenvalues
+
     config_a = _load(args.config_a)
     config_b = _load(args.config_b)
     pencil_a = build_pencil(config_a)
@@ -202,6 +210,9 @@ def cmd_interlace(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .config import build_pencil
+    from .evolution import energy_monotonicity_report, simulate
+
     config = _load(args.config)
     pencil = build_pencil(config)
     n = pencil.dim
@@ -223,12 +234,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_beam_report(args) -> int:
+    from .beam import beam_bounds, beam_closed_form, verify_beam_theorem
+
     config = _load(args.config)
     if config.source != "beam":
         raise ConfigError("beam-report requires a config with source = beam")
     cfg = config.beam
-    bounds = beam_mod.beam_bounds(cfg)
-    report = beam_mod.verify_beam_theorem(
+    bounds = beam_bounds(cfg)
+    report = verify_beam_theorem(
         cfg, tol=config.tolerances.verify,
         locate_tol=config.tolerances.eigen,
     )
@@ -248,7 +261,7 @@ def cmd_beam_report(args) -> int:
     }
     if cfg.damping.d_min == cfg.damping.d_max:
         payload["closed_form"] = [
-            _complex_entry(z) for z in beam_mod.beam_closed_form(cfg)
+            _complex_entry(z) for z in beam_closed_form(cfg)
         ]
     _emit_json(payload, args.out)
     return EXIT_OK if report.ok else EXIT_PROPERTY
@@ -257,7 +270,10 @@ def cmd_beam_report(args) -> int:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; main dispatches
-    `command` to the cmd_* function of that name."""
+    `command` to the cmd_* function of that name, which imports the
+    modules it runs."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="quadpencil",
         description="Spectral checks for damped second-order systems",
@@ -305,6 +321,15 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+
+
+def __getattr__(name: str):
+    # The package's public names resolve on this module too
+    # (quadpencil.cli.full_spectrum), each imported on first access.
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -10,14 +10,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .beam import BeamConfig, QuadratureSpec, make_damping_profile
 from .errors import ConfigError, InvalidArgumentError
-from .pencil import QuadraticPencil, compute_delta_gamma
-from .variational import EIGEN_TOL, VERIFY_TOL
+from .pencil import EIGEN_TOL, VERIFY_TOL, QuadraticPencil, compute_delta_gamma
+
+if TYPE_CHECKING:
+    from .beam import BeamConfig
 
 SCHEMA_VERSION = 1
 SYMMETRY_TOL = 1e-12
@@ -128,6 +129,8 @@ def parse_config(doc: dict) -> ProblemConfig:
         _require(a0.shape == d.shape, "dense.a0 and dense.d must have equal shape")
         dense = (a0, d)
     elif source == "beam":
+        from .beam import BeamConfig, QuadratureSpec, make_damping_profile
+
         section = doc["beam"]
         _require(isinstance(section, dict), "beam section must be an object")
         try:

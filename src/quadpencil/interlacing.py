@@ -13,8 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormOrderError, InvalidArgumentError
-from .pencil import QuadraticPencil, compute_alpha, compute_delta_gamma
-from .variational import EIGEN_TOL, VERIFY_TOL, IntervalDelta, locate_real_eigenvalues
+from .pencil import EIGEN_TOL, VERIFY_TOL, QuadraticPencil, compute_alpha, compute_delta_gamma
+from .variational import IntervalDelta, locate_real_eigenvalues
 
 FORM_ORDER_TOL = 1e-12
 

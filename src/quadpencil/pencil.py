@@ -27,6 +27,10 @@ DEFINITENESS_TOL = 1e-12
 # An eigenvalue or singular value of T(lam) (or of a form on its kernel)
 # below KERNEL_REL_TOL times its scale counts as zero.
 KERNEL_REL_TOL = 1e-8
+# The default tolerances of the config and of every verifier: the resolution
+# of locate_real_eigenvalues, and the slack of each verified comparison.
+EIGEN_TOL = 1e-8
+VERIFY_TOL = 1e-7
 # Discriminants in [-DISC_CLAMP_TOL * scale, 0) are treated as exact double roots.
 DISC_CLAMP_TOL = 1e-12
 # compute_alpha: directions of the first sweep of support lines, bracket

@@ -26,6 +26,7 @@ from .errors import ComputationError, InvalidArgumentError
 from .linearization import _cluster, build_linearization, companion_eig
 from .pencil import (
     KERNEL_REL_TOL,
+    VERIFY_TOL,
     QuadraticPencil,
     _compress,
     _compressed_eigenpairs,
@@ -52,10 +53,6 @@ HYPERBOLIC_SLACK = 16.0
 # Bytes of the random bases that _random_minima draws and decides at once:
 # memory stays flat in the subspace count and the dimension.
 SUBSPACE_BLOCK_BYTES = 1 << 18
-# The default tolerances of the config and of every verifier: the resolution
-# of locate_real_eigenvalues, and the slack of each verified comparison.
-EIGEN_TOL = 1e-8
-VERIFY_TOL = 1e-7
 # IntervalDelta.inside: the default lower end's margin right of alpha, in
 # units of |alpha|, and the gate's slack left of it, in max(1, |alpha|).
 ALPHA_MARGIN = 1e-6

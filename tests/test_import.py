@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import quadpencil
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,3 +69,87 @@ def test_verifier_defaults_are_the_config_tolerances():
     both = {"tol": tolerances.verify, "locate_tol": tolerances.eigen}
     assert defaults == {"verify_minmax": {"tol": tolerances.verify},
                         "compare_eigenvalues": both, "verify_beam_theorem": both}
+
+
+# The modules that setting up the benchmark's inputs (beams discretized,
+# configs loaded and pencils built) has no use for.
+CHECKERS = ("variational", "linearization", "evolution", "interlacing", "reports")
+# The modules a command should load only when it runs them.
+WATCHED = ("quadpencil.beam", "quadpencil.variational", "quadpencil.evolution",
+           "quadpencil.interlacing", "scipy.optimize", "numpy.ma", "numpy.polynomial",
+           "numpy.random")
+
+
+def _fresh(code, *args):
+    """Run `code` in a fresh interpreter with src/ on its path; its stdout."""
+    done = subprocess.run([sys.executable, "-c", code, str(SRC), *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_setup_loads_no_checker_module():
+    # What a benchmark workload sets up: n = 50 beams of both profiles, and
+    # every shipped config loaded and its pencil built.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from pathlib import Path; "
+            "import quadpencil as qp, quadpencil.cli; "
+            "[qp.discretize_beam(qp.BeamConfig(a0=1.0, n_modes=50, "
+            "damping=qp.make_damping_profile(spec))) for spec in "
+            "({'profile': 'constant', 'params': {'value': 4.0}}, "
+            "{'profile': 'four_plus_sin', 'params': {}})]; "
+            "paths = sorted(Path(sys.argv[2]).glob('*.json')); "
+            "[qp.build_pencil(qp.load_config(p)) for p in paths]; "
+            f"print(len(paths), [m for m in {CHECKERS!r} if 'quadpencil.' + m in sys.modules])")
+    assert _fresh(code, ROOT / "configs").strip() == "7 []"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["spectrum", "dense_diag.json"], []),
+    (["spectrum", "beam_sin.json"], ["quadpencil.beam"]),
+    (["simulate", "dense_diag.json", "--t-final", "1", "--dt", "0.01"],
+     ["quadpencil.evolution"]),
+    (["variational", "dense_diag.json"], ["quadpencil.variational", "numpy.random"]),
+    (["interlace", "beam_const4.json", "beam_const5.json"],
+     ["quadpencil.beam", "quadpencil.variational", "quadpencil.interlacing"]),
+    (["beam-report", "beam_sin.json"], ["quadpencil.beam", "quadpencil.variational"]),
+])
+def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
+    # Each command in a fresh process: of WATCHED, it loads exactly `loaded`.
+    # No command loads scipy.optimize, numpy.ma or numpy.polynomial, and on
+    # these non-random configs only the min-max check loads numpy.random.
+    argv = [str(ROOT / "configs" / a) if a.endswith(".json") else a for a in argv]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from quadpencil.cli import main; "
+            "rc = main(sys.argv[2:]); "
+            f"print(rc, [m for m in {WATCHED!r} if m in sys.modules])")
+    out = _fresh(code, *argv, "--out", tmp_path / "out")
+    assert out.strip() == f"0 {loaded!r}"
+
+
+def test_lazy_namespace():
+    # In a fresh process: every submodule resolves as an attribute before
+    # anything imported it, every public name resolves, and star-imports
+    # bind __all__; the CLI module resolves the library names too.
+    code = """
+import pkgutil, sys, types
+sys.path.insert(0, sys.argv[1])
+import quadpencil
+names = [m.name for m in pkgutil.iter_modules(quadpencil.__path__)]
+assert not [m for m in sys.modules if m.startswith('quadpencil.')]
+for name in names:
+    module = getattr(quadpencil, name)
+    assert isinstance(module, types.ModuleType) and module.__name__ == 'quadpencil.' + name
+assert set(quadpencil.__all__) | set(names) <= set(dir(quadpencil))
+assert all(getattr(quadpencil, name) is not None for name in quadpencil.__all__)
+star = {}
+exec('from quadpencil import *', star)
+assert set(quadpencil.__all__) <= set(star)
+try:
+    quadpencil.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError('quadpencil.no_such_name resolved')
+assert quadpencil.cli.full_spectrum is quadpencil.linearization.full_spectrum
+print(len(names), len(quadpencil.__all__))
+"""
+    assert _fresh(code).strip() == "11 56"

@@ -29,7 +29,8 @@ from quadpencil import (
 )
 from quadpencil.config import build_pencil, load_config, random_pencil
 from quadpencil.linearization import companion_eig
-from quadpencil.variational import BOUNDARY_TOL, EIGEN_TOL
+from quadpencil.pencil import EIGEN_TOL
+from quadpencil.variational import BOUNDARY_TOL
 
 from oracles import (
     components_bfs,
