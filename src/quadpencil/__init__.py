@@ -14,7 +14,7 @@ _EXPORTS = {
     "beam": ("BeamBounds", "BeamConfig", "DampingProfile", "QuadratureSpec", "beam_bounds",
              "beam_closed_form", "discretize_beam", "make_damping_profile",
              "verify_beam_theorem"),
-    "config": ("ProblemConfig", "Tolerances", "build_pencil", "load_config", "random_pencil"),
+    "config": ("ProblemConfig", "build_pencil", "load_config", "random_pencil"),
     "errors": ("ComputationError", "ConfigError", "FormOrderError", "InvalidArgumentError",
                "QuadPencilError"),
     "evolution": ("SimulationTrace", "discrete_energy_identity_report",

@@ -215,14 +215,11 @@ def beam_bounds(cfg: BeamConfig) -> BeamBounds:
     )
 
 
-def verify_beam_theorem(
-    cfg: BeamConfig,
-    tol: float = VERIFY_TOL,
-    locate_tol: float = EIGEN_TOL,
-) -> Report:
-    """Run the variational solver on (-d_min pi^2 / 2, 0] and check the
-    guaranteed count, the per-mode enclosures and semi-simplicity. A failed
-    hypothesis (d_min^2 >= 4 a0, alpha at or left of the interval) ends it."""
+def verify_beam_theorem(cfg: BeamConfig) -> Report:
+    """Run the variational solver on (-d_min pi^2 / 2, 0] at EIGEN_TOL and
+    check the guaranteed count, the per-mode enclosures (with the slack
+    VERIFY_TOL) and semi-simplicity. A failed hypothesis (d_min^2 >= 4 a0,
+    alpha at or left of the interval) ends it."""
     from .reports import Report
     from .variational import IntervalDelta, locate_real_eigenvalues, within_alpha
 
@@ -240,17 +237,17 @@ def verify_beam_theorem(
     report.add("alpha_below_interval", inside, alpha=alpha.alpha, interval_lower=lower)
     if not inside:
         return report
-    result = locate_real_eigenvalues(pencil, IntervalDelta(lower=lower), locate_tol)
+    result = locate_real_eigenvalues(pencil, IntervalDelta(lower=lower), EIGEN_TOL)
 
     report.add("spectrum_nonempty", result.n_found >= 1, n_found=result.n_found)
     report.add("count_at_least_guaranteed", result.n_found >= bounds.n_min_count,
                n_found=result.n_found, n_min=bounds.n_min_count)
     for i, lam in enumerate(result.eigenvalues, start=1):
         if i <= len(bounds.upper_n):
-            report.add("upper_bound", lam <= bounds.upper_n[i - 1] + tol,
+            report.add("upper_bound", lam <= bounds.upper_n[i - 1] + VERIFY_TOL,
                        n=i, value=float(lam), bound=bounds.upper_n[i - 1])
         if i <= len(bounds.lower_n):
-            report.add("lower_bound", lam >= bounds.lower_n[i - 1] - tol,
+            report.add("lower_bound", lam >= bounds.lower_n[i - 1] - VERIFY_TOL,
                        n=i, value=float(lam), bound=bounds.lower_n[i - 1])
     for diag in result.per_eigenvalue:
         report.add("semisimple", diag.semisimple,

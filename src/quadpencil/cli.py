@@ -133,7 +133,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_variational(args) -> int:
     from .config import build_pencil
-    from .pencil import compute_scalars
+    from .pencil import EIGEN_TOL, compute_scalars
     from .variational import IntervalDelta, locate_real_eigenvalues, verify_minmax
 
     config = _load(args.config)
@@ -148,10 +148,8 @@ def cmd_variational(args) -> int:
     bracket = None
     if alpha is not None:
         bracket = [scalars.alpha_lower if np.isfinite(scalars.alpha_lower) else None, alpha]
-    result = locate_real_eigenvalues(pencil, interval, config.tolerances.eigen)
-    minmax = verify_minmax(
-        pencil, result, args.subspaces, config.seed, tol=config.tolerances.verify
-    )
+    result = locate_real_eigenvalues(pencil, interval, EIGEN_TOL)
+    minmax = verify_minmax(pencil, result, args.subspaces, config.seed)
     ok = minmax.ok
     payload = {
         "schema": 1,
@@ -192,12 +190,7 @@ def cmd_interlace(args) -> int:
     pencil_b = build_pencil(config_b)
     payload = {"schema": 1, "command": "interlace"}
     try:
-        comparison = compare_eigenvalues(
-            pencil_a, pencil_b,
-            a=args.delta_lower,
-            tol=config_a.tolerances.verify,
-            locate_tol=config_a.tolerances.eigen,
-        )
+        comparison = compare_eigenvalues(pencil_a, pencil_b, a=args.delta_lower)
     except FormOrderError:
         payload["comparison"] = {"ok": False, "form_order_ok": False}
         payload["ok"] = False
@@ -241,10 +234,7 @@ def cmd_beam_report(args) -> int:
         raise ConfigError("beam-report requires a config with source = beam")
     cfg = config.beam
     bounds = beam_bounds(cfg)
-    report = verify_beam_theorem(
-        cfg, tol=config.tolerances.verify,
-        locate_tol=config.tolerances.eigen,
-    )
+    report = verify_beam_theorem(cfg)
     payload = {
         "schema": 1,
         "command": "beam-report",

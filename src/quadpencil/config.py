@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
-from .pencil import EIGEN_TOL, VERIFY_TOL, QuadraticPencil, compute_delta_gamma
+from .pencil import QuadraticPencil, compute_delta_gamma
 
 if TYPE_CHECKING:
     from .beam import BeamConfig
@@ -24,18 +24,12 @@ SCHEMA_VERSION = 1
 SYMMETRY_TOL = 1e-12
 
 
-class Tolerances(NamedTuple):
-    eigen: float = EIGEN_TOL
-    verify: float = VERIFY_TOL
-
-
 @dataclass(frozen=True)
 class ProblemConfig:
     source: str
     dense: tuple[np.ndarray, np.ndarray] | None = None
     beam: BeamConfig | None = None
     random: dict | None = None
-    tolerances: Tolerances = field(default_factory=Tolerances)
     seed: int = 0
     initial: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -100,6 +94,8 @@ def load_config(path: str | Path) -> ProblemConfig:
 
 def parse_config(doc: dict) -> ProblemConfig:
     _require(isinstance(doc, dict), "config document must be a JSON object")
+    unknown = sorted(set(doc) - {"schema", "source", "dense", "beam", "random", "seed", "initial"})
+    _require(not unknown, f"unknown config keys {unknown}")
     _require(doc.get("schema") == SCHEMA_VERSION,
              f"config schema must be {SCHEMA_VERSION}")
     source = doc.get("source")
@@ -109,13 +105,6 @@ def parse_config(doc: dict) -> ProblemConfig:
     _require(populated == [source],
              f"exactly the {source!r} section must be populated, found {populated}")
 
-    tol_doc = doc.get("tolerances", {})
-    _require(isinstance(tol_doc, dict), "tolerances must be an object")
-    defaults = Tolerances()
-    tolerances = Tolerances(**{
-        key: parse_number(tol_doc.get(key, getattr(defaults, key)), f"tolerances.{key}")
-        for key in ("eigen", "verify")
-    })
     seed = parse_number(doc.get("seed", 0), "seed", integer=True, minimum=0)
 
     dense = beam = None
@@ -133,19 +122,26 @@ def parse_config(doc: dict) -> ProblemConfig:
 
         section = doc["beam"]
         _require(isinstance(section, dict), "beam section must be an object")
+        damping, quad_doc = section.get("damping", {}), section.get("quadrature", {})
+        _require(isinstance(damping, dict) and isinstance(quad_doc, dict),
+                 "beam.damping and beam.quadrature must be objects")
         try:
-            profile = make_damping_profile(section.get("damping", {}))
-            quad_doc = section.get("quadrature", {})
+            # Every damping parameter is a number but the `samples` array.
+            damping = {**damping, "params": {
+                key: raw if key == "values" else parse_number(raw, f"beam.damping.params.{key}")
+                for key, raw in dict(damping.get("params", {})).items()
+            }}
+            profile = make_damping_profile(damping)
             rule = str(quad_doc.get("rule", "gauss"))
             if rule != "gauss":
                 raise InvalidArgumentError(f"unknown quadrature rule {rule!r}")
-            quadrature = QuadratureSpec(
-                points_per_mode_pair=int(quad_doc.get("points_per_mode_pair", 8)),
-            )
+            quadrature = QuadratureSpec(points_per_mode_pair=parse_number(
+                quad_doc.get("points_per_mode_pair", 8),
+                "beam.quadrature.points_per_mode_pair", integer=True))
             beam = BeamConfig(
-                a0=float(section.get("a0", 1.0)),
+                a0=parse_number(section.get("a0", 1.0), "beam.a0"),
                 damping=profile,
-                n_modes=int(section.get("n_modes", 12)),
+                n_modes=parse_number(section.get("n_modes", 12), "beam.n_modes", integer=True),
                 quadrature=quadrature,
             )
         except (InvalidArgumentError, KeyError, TypeError, ValueError) as exc:
@@ -154,13 +150,16 @@ def parse_config(doc: dict) -> ProblemConfig:
         section = doc["random"]
         _require(isinstance(section, dict) and "dim" in section,
                  "random section needs at least 'dim'")
+        cone = section.get("ensure_real_root_cone", False)
+        _require(isinstance(cone, bool),
+                 f"random.ensure_real_root_cone must be true or false, got {cone!r}")
         random_spec = {
             "dim": parse_number(section["dim"], "random.dim", integer=True, minimum=1),
             "seed": parse_number(section.get("seed", seed), "random.seed",
                                  integer=True, minimum=0),
             "damping_scale": parse_number(section.get("damping_scale", 1.0),
                                           "random.damping_scale"),
-            "ensure_real_root_cone": bool(section.get("ensure_real_root_cone", False)),
+            "ensure_real_root_cone": cone,
         }
 
     initial = None
@@ -179,7 +178,6 @@ def parse_config(doc: dict) -> ProblemConfig:
         dense=dense,
         beam=beam,
         random=random_spec,
-        tolerances=tolerances,
         seed=seed,
         initial=initial,
     )

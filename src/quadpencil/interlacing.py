@@ -83,27 +83,23 @@ def check_form_order(p: QuadraticPencil, p_hat: QuadraticPencil) -> bool:
     return ok
 
 
-def compare_eigenvalues(
-    p: QuadraticPencil,
-    p_hat: QuadraticPencil,
-    a: float | None = None,
-    tol: float = VERIFY_TOL,
-    locate_tol: float = EIGEN_TOL,
-) -> ComparisonReport:
+def compare_eigenvalues(p: QuadraticPencil, p_hat: QuadraticPencil,
+                        a: float | None = None) -> ComparisonReport:
     """Locate both spectra on a shared (a, 0] and verify the full ordering.
 
     The interval is IntervalDelta.inside the larger of the two alphas (the
     certified upper ends of their brackets), so (a, 0] lies inside both
-    pencils' (alpha, 0]; a omitted takes its default lower end. A pair out
-    of form order raises FormOrderError.
+    pencils' (alpha, 0]; a omitted takes its default lower end. Both spectra
+    are located at EIGEN_TOL, and lambda_n <= lambda_hat_n is checked with
+    the slack VERIFY_TOL. A pair out of form order raises FormOrderError.
     """
     if not check_form_order(p, p_hat):
         raise FormOrderError(
             "form order violated: need a0 >= a0_hat and d <= d_hat as quadratic forms"
         )
     interval = IntervalDelta.inside(max(compute_alpha(p).alpha, compute_alpha(p_hat).alpha), a)
-    res = locate_real_eigenvalues(p, interval, locate_tol)
-    res_hat = locate_real_eigenvalues(p_hat, interval, locate_tol)
+    res = locate_real_eigenvalues(p, interval, EIGEN_TOL)
+    res_hat = locate_real_eigenvalues(p_hat, interval, EIGEN_TOL)
 
     delta, gamma = compute_delta_gamma(p)
     delta_hat, gamma_hat = compute_delta_gamma(p_hat)
@@ -114,7 +110,7 @@ def compare_eigenvalues(
         (
             float(res.eigenvalues[i]),
             float(res_hat.eigenvalues[i]),
-            bool(res.eigenvalues[i] <= res_hat.eigenvalues[i] + tol),
+            bool(res.eigenvalues[i] <= res_hat.eigenvalues[i] + VERIFY_TOL),
         )
         for i in range(min(n, n_hat))
     )

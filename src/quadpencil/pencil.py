@@ -27,8 +27,8 @@ DEFINITENESS_TOL = 1e-12
 # An eigenvalue or singular value of T(lam) (or of a form on its kernel)
 # below KERNEL_REL_TOL times its scale counts as zero.
 KERNEL_REL_TOL = 1e-8
-# The default tolerances of the config and of every verifier: the resolution
-# of locate_real_eigenvalues, and the slack of each verified comparison.
+# The two thresholds of every verdict, set here only: the resolution at which
+# the verifiers locate real eigenvalues, and the slack of each comparison.
 EIGEN_TOL = 1e-8
 VERIFY_TOL = 1e-7
 # Discriminants in [-DISC_CLAMP_TOL * scale, 0) are treated as exact double roots.
@@ -163,20 +163,6 @@ class QuadraticPencil:
         is its kernel). Elementwise for an array of lam."""
         return np.abs(lam) ** 2 + np.abs(lam) * self.d_norm + self.a0_norm
 
-    def form_stiffness(self, x: np.ndarray) -> float:
-        x = np.asarray(x)
-        return float(np.real(np.vdot(x, self.a0_matrix @ x)))
-
-    def form_damping(self, x: np.ndarray) -> float:
-        x = np.asarray(x)
-        return float(np.real(np.vdot(x, self.d_matrix @ x)))
-
-    def scalar_coefficients(self, x: np.ndarray) -> tuple[float, float, float]:
-        """Coefficients (|x|^2, d[x], a0[x]) of the scalar quadratic t(.)[x]."""
-        x = np.asarray(x)
-        a = float(np.real(np.vdot(x, x)))
-        return a, self.form_damping(x), self.form_stiffness(x)
-
 
 class RayleighPair(NamedTuple):
     """Real roots of t(.)[x] = 0, or the (+inf, -inf) convention when none exist."""
@@ -242,10 +228,7 @@ def rayleigh_pair(pencil: QuadraticPencil, x) -> RayleighPair:
         raise InvalidArgumentError(
             f"vector shape {x.shape} does not match pencil dimension {pencil.dim}"
         )
-    a, b, c = pencil.scalar_coefficients(x)
-    if a == 0.0:
-        raise InvalidArgumentError("rayleigh_pair requires a nonzero vector")
-    p_minus, p_plus, feasible = _roots_from_forms(*np.array([[a], [b], [c]]))
+    p_minus, p_plus, feasible = _roots_from_forms(*_forms(pencil, x[:, None]))
     return RayleighPair(p_minus[0], p_plus[0], bool(feasible[0]))
 
 
@@ -257,17 +240,26 @@ def rayleigh_batch(
     Returns (p_minus, p_plus, in_dstar) arrays; columns outside the real-root
     cone get (+inf, -inf, False).
     """
-    X = np.asarray(columns, dtype=float)
+    X = np.asarray(columns)
     if X.ndim != 2 or X.shape[0] != pencil.dim:
         raise InvalidArgumentError(
             f"expected shape ({pencil.dim}, m), got {X.shape}"
         )
+    return _roots_from_forms(*_forms(pencil, X))
+
+
+def _forms(pencil: QuadraticPencil, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one evaluator of the form values (|x|^2, d[x], a0[x]) that p-/p+
+    solve for, at each column x of X. A complex X is an error, not its real
+    part."""
+    if np.iscomplexobj(X):
+        raise InvalidArgumentError("p-/p+ are defined for real vectors only")
+    X = X.astype(float, copy=False)
     a = np.einsum("ij,ij->j", X, X)
     if (a == 0.0).any():
-        raise InvalidArgumentError("rayleigh_batch requires nonzero columns")
-    b = np.einsum("ij,ij->j", X, pencil.d_matrix @ X)
-    c = np.einsum("ij,ij->j", X, pencil.a0_matrix @ X)
-    return _roots_from_forms(a, b, c)
+        raise InvalidArgumentError("p-/p+ require nonzero vectors")
+    return (a, np.einsum("ij,ij->j", X, pencil.d_matrix @ X),
+            np.einsum("ij,ij->j", X, pencil.a0_matrix @ X))
 
 
 def _roots_from_forms(

@@ -439,13 +439,8 @@ def _random_minima(pencil, rng, dim, count, bound, tol) -> dict:
     }
 
 
-def verify_minmax(
-    pencil: QuadraticPencil,
-    result: VariationalResult,
-    random_subspaces: int,
-    seed: int,
-    tol: float = VERIFY_TOL,
-) -> Report:
+def verify_minmax(pencil: QuadraticPencil, result: VariationalResult,
+                  random_subspaces: int, seed: int) -> Report:
     """Executable form of the max-min and min-sup eigenvalue formulas.
 
     For each n <= N: (a) the span of the first n pencil eigenvectors and the
@@ -462,7 +457,7 @@ def verify_minmax(
     data carries the certificate mu or the witness, and an inconclusive
     minimum fails its achievement check. The one-sided random-subspace
     clauses need no minimum: p_plus at the top eigenvector of B^T T(bound) B
-    settles each subspace.
+    settles each subspace. Every comparison allows the slack VERIFY_TOL.
     """
     if random_subspaces < 0:
         raise InvalidArgumentError(
@@ -495,7 +490,7 @@ def verify_minmax(
         lam_n = float(result.eigenvalues[n - 1])
 
         mn = min_p_plus(pencil, _orth(eigvec_matrix[:, :n]))
-        report.add("achievement_eigenvector_span", abs(mn.value - lam_n) <= tol,
+        report.add("achievement_eigenvector_span", abs(mn.value - lam_n) <= VERIFY_TOL,
                    n=n, eigenvalue=lam_n, min_p_plus=mn.value, **mn.data())
 
         w, v = eigs[n - 1]
@@ -505,10 +500,10 @@ def verify_minmax(
         report.add("nonpositive_subspace_dimension", nonpos.shape[1] == expected,
                    n=n, dimension=nonpos.shape[1], expected=expected)
         mn = min_p_plus(pencil, nonpos)
-        report.add("achievement_spectral_subspace", abs(mn.value - lam_n) <= tol,
+        report.add("achievement_spectral_subspace", abs(mn.value - lam_n) <= VERIFY_TOL,
                    n=n, eigenvalue=lam_n, min_p_plus=mn.value, **mn.data())
 
-        data = _random_minima(pencil, rng, n, random_subspaces, lam_n, tol)
+        data = _random_minima(pencil, rng, n, random_subspaces, lam_n, VERIFY_TOL)
         report.add("random_subspaces_below_eigenvalue",
                    data["violations"] == 0, n=n, eigenvalue=lam_n, **data)
 
@@ -524,17 +519,17 @@ def verify_minmax(
                 kern = _kernel_basis(eigs[n - 1], 1)
             neg = np.column_stack([neg, kern[:, :pad_needed]])
         sup = sup_p_plus(pencil, _complement(n_dim, neg))
-        report.add("dual_spectral_subspace", abs(sup.value - lam_n) <= tol,
+        report.add("dual_spectral_subspace", abs(sup.value - lam_n) <= VERIFY_TOL,
                    n=n, eigenvalue=lam_n, sup_p_plus=sup.value,
                    constraint_dim=neg.shape[1], **sup.data())
 
         sup = sup_p_plus(pencil, _complement(n_dim, eigvec_matrix[:, : n - 1]))
-        report.add("dual_eigenvector_span_lower", sup.value >= lam_n - tol,
+        report.add("dual_eigenvector_span_lower", sup.value >= lam_n - VERIFY_TOL,
                    n=n, eigenvalue=lam_n, sup_p_plus=sup.value, **sup.data())
 
     n_above = big_n + 1
     if n_above <= n_dim:
-        data = _random_minima(pencil, rng, n_above, random_subspaces, lower, tol)
+        data = _random_minima(pencil, rng, n_above, random_subspaces, lower, VERIFY_TOL)
         report.add("exhaustion_above_n",
                    data["violations"] == 0, n=n_above, interval_lower=lower, **data)
     return report

@@ -173,10 +173,10 @@ class TestDiscretization:
         rng = np.random.default_rng(0)
         for _ in range(200):
             x = rng.standard_normal(6)
-            a0_form = pencil.form_stiffness(x)
+            a0_form = x @ pencil.a0_matrix @ x
             assert a0_form >= cfg.a0 * np.pi**4 * (x @ x) * (1 - 1e-12)
             assert a0_form >= (cfg.a0 * np.pi**2 / cfg.damping.d_max) * (
-                pencil.form_damping(x)
+                x @ pencil.d_matrix @ x
             ) * (1 - 1e-12)
 
 

@@ -611,7 +611,25 @@ class TestMalformedNumbers:
          "random.dim must be an integer"),
         ({"source": "dense", "dense": {"a0": [[1.0]], "d": [[0.0]]},
           "tolerances": {"eigen": "tight"}},
-         "tolerances.eigen must be a finite number"),
+         "unknown config keys ['tolerances']"),
+        ({"source": "dense", "dense": {"a0": [[1.0]], "d": [[0.0]]}, "sead": 3},
+         "unknown config keys ['sead']"),
+        ({"source": "beam", "beam": {"n_modes": 12.7, "damping": {"profile": "four_plus_sin"}}},
+         "beam.n_modes must be an integer"),
+        ({"source": "beam", "beam": {"a0": True, "damping": {"profile": "four_plus_sin"}}},
+         "beam.a0 must be a finite number"),
+        ({"source": "beam", "beam": {"damping": {"profile": "four_plus_sin"},
+                                     "quadrature": {"points_per_mode_pair": 2.9}}},
+         "beam.quadrature.points_per_mode_pair must be an integer"),
+        ({"source": "beam",
+          "beam": {"damping": {"profile": "constant", "params": {"value": True}}}},
+         "beam.damping.params.value must be a finite number"),
+        ({"source": "random", "random": {"dim": 3, "ensure_real_root_cone": "no"}},
+         "random.ensure_real_root_cone must be true or false"),
+        ({"source": "beam", "beam": {"damping": "constant"}},
+         "beam.damping and beam.quadrature must be objects"),
+        ({"source": "beam", "beam": {"damping": {"profile": "four_plus_sin"}, "quadrature": 8}},
+         "beam.damping and beam.quadrature must be objects"),
     ])
     def test_exits_2_without_traceback(self, tmp_path, capsys, doc, message):
         cfg = write_config(tmp_path, {"schema": 1, **doc})

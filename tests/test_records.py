@@ -16,7 +16,6 @@ from quadpencil import (
     PencilScalars,
     RayleighPair,
     SimulationTrace,
-    Tolerances,
     beam_bounds,
     blocks,
     build_linearization,
@@ -37,7 +36,19 @@ from quadpencil.linearization import BlockEig, companion_eig
 from quadpencil.variational import SubspaceValue, min_p_plus
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-RECORDS = (DampingProfile, BeamBounds, Partition, Tolerances, SimulationTrace,
+CONFIG_NAMES = ("beam_const4", "beam_const5", "beam_sin", "dense_diag",
+                "interlace_violation_a", "interlace_violation_b", "random_dim4")
+# The exit code of each command on the shipped configs: every check passes,
+# but beam-report needs a beam (2, input error) and the violation pair is
+# out of form order (1). Interlace pairs are keyed by their first config.
+EXIT_CODES = {
+    **{(command, name): 0 for command in ("spectrum", "variational", "simulate")
+       for name in CONFIG_NAMES},
+    **{("beam-report", name): 0 if name.startswith("beam_") else 2 for name in CONFIG_NAMES},
+    ("interlace", "beam_const4"): 0,
+    ("interlace", "interlace_violation_a"): 1,
+}
+RECORDS = (DampingProfile, BeamBounds, Partition, SimulationTrace,
            ComparisonReport, BlockEig, RayleighPair, PencilScalars, AlphaResult,
            DstarCertificate, InertiaCount, SubspaceValue)
 
@@ -53,7 +64,6 @@ def instances():
         DampingProfile: config.beam.damping,
         BeamBounds: beam_bounds(config.beam),
         Partition: blocks.partition(a),
-        Tolerances: config.tolerances,
         SimulationTrace: simulate(pencil, e1, 0.0 * e1, 0.01, 0.001),
         ComparisonReport: compare_eigenvalues(pencil, other),
         BlockEig: companion_eig(a),
@@ -94,12 +104,16 @@ def test_no_record_in_check_data(tmp_path, monkeypatch):
 
     monkeypatch.setattr(reports.Report, "add", recording)
     out = str(tmp_path / "out")
-    for config in sorted(CONFIGS.glob("*.json")):
+    codes = {}
+    assert tuple(sorted(c.stem for c in CONFIGS.glob("*.json"))) == CONFIG_NAMES
+    for name in CONFIG_NAMES:
         for command in (["spectrum"], ["variational"], ["beam-report"],
                         ["simulate", "--t-final", "0.01", "--dt", "0.001"]):
-            assert cli.main([command[0], str(config), *command[1:], "--out", out]) in (0, 2)
+            codes[command[0], name] = cli.main(
+                [command[0], str(CONFIGS / f"{name}.json"), *command[1:], "--out", out])
     for pair in (("beam_const4", "beam_const5"),
                  ("interlace_violation_a", "interlace_violation_b")):
-        cli.main(["interlace", *(str(CONFIGS / f"{name}.json") for name in pair),
-                  "--out", out])
+        codes["interlace", pair[0]] = cli.main(
+            ["interlace", *(str(CONFIGS / f"{name}.json") for name in pair), "--out", out])
     assert seen == []
+    assert codes == EXIT_CODES
