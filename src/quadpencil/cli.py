@@ -188,18 +188,13 @@ def cmd_interlace(args) -> int:
     config_b = _load(args.config_b)
     pencil_a = build_pencil(config_a)
     pencil_b = build_pencil(config_b)
-    payload = {"schema": 1, "command": "interlace"}
     try:
-        comparison = compare_eigenvalues(pencil_a, pencil_b, a=args.delta_lower)
+        comparison = compare_eigenvalues(pencil_a, pencil_b, a=args.delta_lower).to_dict()
     except FormOrderError:
-        payload["comparison"] = {"ok": False, "form_order_ok": False}
-        payload["ok"] = False
-        _emit_json(payload, args.out)
-        return EXIT_PROPERTY
-    payload["comparison"] = comparison.to_dict()
-    payload["ok"] = comparison.ok
-    _emit_json(payload, args.out)
-    return EXIT_OK if comparison.ok else EXIT_PROPERTY
+        comparison = {"ok": False, "form_order_ok": False}
+    ok = comparison["ok"]
+    _emit_json({"schema": 1, "command": "interlace", "comparison": comparison, "ok": ok}, args.out)
+    return EXIT_OK if ok else EXIT_PROPERTY
 
 
 def cmd_simulate(args) -> int:
@@ -209,21 +204,13 @@ def cmd_simulate(args) -> int:
     config = _load(args.config)
     pencil = build_pencil(config)
     n = pencil.dim
-    if config.initial is not None:
-        z0, w0 = config.initial
-    else:
-        z0 = np.zeros(n)
-        z0[0] = 1.0
-        w0 = np.zeros(n)
+    z0, w0 = config.initial if config.initial is not None else (np.eye(n)[0], np.zeros(n))
     trace = simulate(pencil, z0, w0, args.t_final, args.dt)
-    monotone = energy_monotonicity_report(trace)
+    report = energy_monotonicity_report(trace)
     _emit_csv(_csv_chunks(trace), args.out)
-    if not monotone.ok:
-        for check in monotone.failures():
-            print(f"energy monotonicity violated: {check.label} {check.data}",
-                  file=sys.stderr)
-        return EXIT_PROPERTY
-    return EXIT_OK
+    for check in report.failures():
+        print(f"energy law violated: {check.label} {check.data}", file=sys.stderr)
+    return EXIT_OK if report.ok else EXIT_PROPERTY
 
 
 def cmd_beam_report(args) -> int:
@@ -311,6 +298,9 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # the --out file (config reads raise ConfigError)
+        print(f"input error: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def __getattr__(name: str):

@@ -62,11 +62,21 @@ def parse_number(raw, name: str, integer: bool = False, minimum: float | None = 
     return value
 
 
+def _require_keys(section: dict, allowed: tuple[str, ...], name: str) -> None:
+    """Reject the keys of a config object that the schema does not name."""
+    unknown = sorted(set(section) - set(allowed))
+    _require(not unknown, f"unknown config keys {unknown} in {name}")
+
+
 def _parse_array(raw, name: str) -> np.ndarray:
+    """A finite float array; like parse_number, a boolean entry is rejected."""
     try:
+        entries = np.asarray(raw, dtype=object)
         a = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} is not a numeric array") from exc
+    _require(not any(isinstance(x, bool) for x in entries.flat),
+             f"{name} must hold numbers, not booleans")
     _require(bool(np.all(np.isfinite(a))), f"{name} must be finite")
     return a
 
@@ -94,8 +104,7 @@ def load_config(path: str | Path) -> ProblemConfig:
 
 def parse_config(doc: dict) -> ProblemConfig:
     _require(isinstance(doc, dict), "config document must be a JSON object")
-    unknown = sorted(set(doc) - {"schema", "source", "dense", "beam", "random", "seed", "initial"})
-    _require(not unknown, f"unknown config keys {unknown}")
+    _require_keys(doc, ("schema", "source", "dense", "beam", "random", "seed", "initial"), "config")
     _require(doc.get("schema") == SCHEMA_VERSION,
              f"config schema must be {SCHEMA_VERSION}")
     source = doc.get("source")
@@ -113,6 +122,7 @@ def parse_config(doc: dict) -> ProblemConfig:
         section = doc["dense"]
         _require(isinstance(section, dict) and "a0" in section and "d" in section,
                  "dense section needs 'a0' and 'd' matrices")
+        _require_keys(section, ("a0", "d"), "dense")
         a0 = _parse_matrix(section["a0"], "dense.a0")
         d = _parse_matrix(section["d"], "dense.d")
         _require(a0.shape == d.shape, "dense.a0 and dense.d must have equal shape")
@@ -125,10 +135,14 @@ def parse_config(doc: dict) -> ProblemConfig:
         damping, quad_doc = section.get("damping", {}), section.get("quadrature", {})
         _require(isinstance(damping, dict) and isinstance(quad_doc, dict),
                  "beam.damping and beam.quadrature must be objects")
+        _require_keys(section, ("a0", "damping", "n_modes", "quadrature"), "beam")
+        _require_keys(damping, ("profile", "params"), "beam.damping")
+        _require_keys(quad_doc, ("rule", "points_per_mode_pair"), "beam.quadrature")
         try:
             # Every damping parameter is a number but the `samples` array.
             damping = {**damping, "params": {
-                key: raw if key == "values" else parse_number(raw, f"beam.damping.params.{key}")
+                key: (_parse_array if key == "values" else parse_number)(
+                    raw, f"beam.damping.params.{key}")
                 for key, raw in dict(damping.get("params", {})).items()
             }}
             profile = make_damping_profile(damping)
@@ -150,6 +164,7 @@ def parse_config(doc: dict) -> ProblemConfig:
         section = doc["random"]
         _require(isinstance(section, dict) and "dim" in section,
                  "random section needs at least 'dim'")
+        _require_keys(section, ("dim", "seed", "damping_scale", "ensure_real_root_cone"), "random")
         cone = section.get("ensure_real_root_cone", False)
         _require(isinstance(cone, bool),
                  f"random.ensure_real_root_cone must be true or false, got {cone!r}")
@@ -167,6 +182,7 @@ def parse_config(doc: dict) -> ProblemConfig:
         init = doc["initial"]
         _require(isinstance(init, dict) and "z0" in init and "w0" in init,
                  "initial section needs 'z0' and 'w0'")
+        _require_keys(init, ("z0", "w0"), "initial")
         z0 = _parse_array(init["z0"], "initial.z0")
         w0 = _parse_array(init["w0"], "initial.w0")
         _require(z0.ndim == 1 and w0.shape == z0.shape,

@@ -15,7 +15,8 @@ stack per companion block: the first block is filled by doubling,
 rows[f:2f] = rows[:f] @ (M_b^f)^T, and each later block is one product of
 the block before it with (M_b^B)^T, so no Python code runs per step. The
 energies and dissipation rates of a full block are taken together by
-batched products and summed over the companion blocks.
+batched products and summed over the companion blocks, and so are the
+defects of the discrete identity between consecutive states.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ComputationError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .linearization import build_linearization, companion_eig
 from .pencil import QuadraticPencil
 from .reports import Report
@@ -56,39 +57,21 @@ def block_length(width: int, size: int, steps: int) -> int:
     return 1 << min(rows.bit_length() - 1, steps.bit_length(), steps // size)
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[i] @ y[i] for every row i, each by the BLAS dot of that expression."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
-def _row_matvecs(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x[i] for every row i, each by the BLAS gemv of that expression."""
-    return np.matmul(m, x[:, :, None])[:, :, 0]
-
-
 class SimulationTrace(NamedTuple):
     """Energy history of one trapezoidal run.
 
     energies holds E(t) = |A0^{1/2} z|^2 + |w|^2; dissipation holds the
-    instantaneous rate 2 d[w(t)] at the sample times. states optionally
-    keeps (z, w) histories downsampled by snapshot_stride.
+    instantaneous rate 2 d[w(t)] at the sample times; identity_defect bounds
+    the worst |E_{k+1} - E_k + 2 dt d[w_{k+1/2}]| over the steps.
     """
 
     times: np.ndarray
     energies: np.ndarray
     dissipation: np.ndarray
-    snapshot_stride: int = 0
-    states: tuple[np.ndarray, np.ndarray] | None = None
+    identity_defect: float
 
 
-def simulate(
-    pencil: QuadraticPencil,
-    z0,
-    w0,
-    t_final: float,
-    dt: float,
-    snapshot_stride: int = 0,
-) -> SimulationTrace:
+def simulate(pencil: QuadraticPencil, z0, w0, t_final: float, dt: float) -> SimulationTrace:
     """Integrate from (z0, w0) to t_final with fixed step dt.
 
     A t_final below dt (including zero) yields the single initial record;
@@ -121,13 +104,11 @@ def simulate(
         raise InvalidArgumentError(
             f"t_final / dt = {t_final / dt:.3g} steps exceeds the limit of {MAX_STEPS}")
     steps = int(ratio)
-    z0 = np.asarray(z0, dtype=float)
-    w0 = np.asarray(w0, dtype=float)
+    z0, w0 = np.asarray(z0, dtype=float), np.asarray(w0, dtype=float)
     n = pencil.dim
     if z0.shape != (n,) or w0.shape != (n,):
         raise InvalidArgumentError(
-            f"initial data shapes {z0.shape}, {w0.shape} do not match dimension {n}"
-        )
+            f"initial data shapes {z0.shape}, {w0.shape} do not match dimension {n}")
     if not (np.isfinite(z0).all() and np.isfinite(w0).all()):
         raise InvalidArgumentError("initial data must be finite")
 
@@ -137,23 +118,18 @@ def simulate(
     times = dt * np.arange(steps + 1)
     energies = np.zeros(steps + 1)
     dissipation = np.zeros(steps + 1)
-    keep = snapshot_stride > 0
-    if keep:
-        snaps = np.zeros((steps // snapshot_stride + 1, 2 * n))  # whitened states
+    identity_defect = 0.0
 
     for _, rows in system.partition.groups:
         # A block that starts at rest stays there (M_b 0 = 0): it adds +0.0
-        # to every energy and dissipation rate, and its snapshots stay 0.
+        # to every energy, dissipation rate and identity defect.
         rows = rows[np.any(u0[rows] != 0.0, axis=1)]
         if not rows.size:
             continue
         count, size = rows.shape
         stack = system.a_matrix[rows[:, :, None], rows[:, None, :]]
-        eye = np.eye(size)
-        try:
-            propagator = np.linalg.solve(eye - (dt / 2.0) * stack, eye + (dt / 2.0) * stack)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - matrices are regular
-            raise ComputationError("trapezoidal step matrix is singular") from exc
+        eye = np.eye(size)  # I - dt/2 A_b is regular: A_b is dissipative
+        propagator = np.linalg.solve(eye - (dt / 2.0) * stack, eye + (dt / 2.0) * stack)
         # 2 w^T D w of each block from its indices `tail` and up, which hold
         # all its w (the indices >= n, after its z): D on them, zero on a z.
         tail = int(np.min(np.sum(rows < n, axis=1)))
@@ -171,69 +147,54 @@ def simulate(
             filled *= 2
             if filled < length or steps >= length:  # the next fill or block needs it
                 power = power @ power
+        worst = 0.0
         for start in range(0, steps + 1, length):
             stop = min(start + length, steps + 1)
             current = block[:, : stop - start]
             if start:
                 np.matmul(before[:, : stop - start], power, out=current)
-            energies[start:stop] += np.einsum("kli,kli->l", current, current)
             w_part = current[:, :, tail:]
-            dissipation[start:stop] += 2.0 * np.einsum("kli,kli->l", w_part @ d_stack, w_part)
-            if keep:
-                picked = current[:, (-start) % snapshot_stride::snapshot_stride]
-                j = -(-start // snapshot_stride)  # snapshots taken before this block
-                snaps[j:j + picked.shape[1], rows.ravel()] = (
-                    picked.transpose(1, 0, 2).reshape(-1, rows.size))
+            d_w = w_part @ d_stack
+            energy = np.einsum("kli,kli->l", current, current)
+            rate = 2.0 * np.einsum("kli,kli->l", d_w, w_part)
+            energies[start:stop] += energy
+            dissipation[start:stop] += rate
+            # The identity of each pair of consecutive states, by
+            # 2 d[w_{k+1/2}] = (r_k + r_{k+1}) / 4 + w_k^T D w_{k+1}; the
+            # first state of a block pairs with the last of the block before.
+            cross = np.einsum("kli,kli->l", d_w[:, :-1], w_part[:, 1:])
+            defect = energy[1:] - energy[:-1] + dt * ((rate[:-1] + rate[1:]) / 4.0 + cross)
+            worst = max(worst, float(np.abs(defect).max(initial=0.0)))
+            if start:
+                edge = energy[0] - e_last + dt * ((r_last + rate[0]) / 4.0
+                                                  + np.vdot(d_w_last, w_part[:, 0]))
+                worst = max(worst, abs(float(edge)))
+            e_last, r_last, d_w_last = energy[-1], rate[-1], d_w[:, -1].copy()
             block, before = before, block
+        # Per block size its worst defect: their sum bounds the worst of the
+        # summed defects, and is it when one block size is excited.
+        identity_defect += worst
         del block, before  # freed before the next block size allocates its own
 
-    if keep:
-        snaps[:, :n] = snaps[:, :n] @ pencil.a0_inv_sqrt.T
-        zs, ws = snaps[:, :n], snaps[:, n:]
-    states = (zs, ws) if keep else None
-    return SimulationTrace(
-        times=times,
-        energies=energies,
-        dissipation=dissipation,
-        snapshot_stride=snapshot_stride if keep else 0,
-        states=states,
-    )
+    return SimulationTrace(times, energies, dissipation, identity_defect)
 
 
 def energy_monotonicity_report(trace: SimulationTrace) -> Report:
-    """Per-step non-increase of the energy, to ENERGY_REL_TOL * E(0), and
+    """Per-step non-increase of the energy and the discrete energy identity
+    E_{k+1} - E_k = -2 dt d[w_{k+1/2}], each to ENERGY_REL_TOL * E(0), and
     nonnegativity of the dissipation rate."""
     report = Report("energy_monotonicity")
-    e0 = float(trace.energies[0]) if trace.energies.size else 0.0
+    e0 = float(trace.energies[0])
+    limit, bound = ENERGY_REL_TOL * max(e0, 1e-300), ENERGY_REL_TOL * e0
     rises = np.diff(trace.energies)
     worst = float(np.max(rises)) if rises.size else 0.0
-    report.add("energy_non_increasing", worst <= ENERGY_REL_TOL * max(e0, 1e-300),
-               worst_rise=worst, initial_energy=e0, bound=ENERGY_REL_TOL * e0)
-    d_scale = float(np.max(np.abs(trace.dissipation))) if trace.dissipation.size else 0.0
-    d_min = float(np.min(trace.dissipation)) if trace.dissipation.size else 0.0
+    report.add("energy_non_increasing", worst <= limit,
+               worst_rise=worst, initial_energy=e0, bound=bound)
+    report.add("per_step_identity", trace.identity_defect <= limit,
+               worst_defect=trace.identity_defect, initial_energy=e0, bound=bound)
+    d_scale, d_min = float(np.max(np.abs(trace.dissipation))), float(np.min(trace.dissipation))
     report.add("dissipation_nonnegative", d_min >= -1e-12 * max(d_scale, 1e-300),
                min_dissipation=d_min, scale=d_scale)
-    return report
-
-
-def discrete_energy_identity_report(pencil: QuadraticPencil, trace: SimulationTrace) -> Report:
-    """Signed per-step balance E_{k+1} - E_k = -2 dt d[w_{k+1/2}], to
-    ENERGY_REL_TOL * E(0).
-
-    Requires a trace recorded with snapshot_stride == 1.
-    """
-    if trace.states is None or trace.snapshot_stride != 1:
-        raise InvalidArgumentError("identity check needs snapshot_stride=1 states")
-    report = Report("discrete_energy_identity")
-    _, ws = trace.states
-    dt = float(trace.times[1] - trace.times[0]) if trace.times.size > 1 else 0.0
-    e0 = float(trace.energies[0])
-    w_mid = (ws[:-1] + ws[1:]) / 2.0
-    balance = (np.diff(trace.energies)
-               + 2.0 * dt * _row_dots(w_mid, _row_matvecs(pencil.d_matrix, w_mid)))
-    worst = float(np.max(np.abs(balance))) if balance.size else 0.0
-    report.add("per_step_identity", worst <= ENERGY_REL_TOL * max(e0, 1e-300),
-               worst_defect=worst, initial_energy=e0, bound=ENERGY_REL_TOL * e0)
     return report
 
 

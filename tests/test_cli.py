@@ -470,6 +470,17 @@ class TestSimulateCommand:
         assert_same_rows(strip_timestamp(out1.read_text()).split("\n"),
                          strip_timestamp(out2.read_text()).split("\n"))
 
+    def test_scaled_propagator_exits_1(self, tmp_path, monkeypatch, capsys):
+        # Each step shrinks by 1 - 1e-8 more than the scheme: the energy
+        # still decreases, but the per-step identity fails by about 4e-8
+        # against its bound of 1e-10 E(0) = 2e-10.
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: (1.0 - 1e-8) * solve(a, b))
+        assert main(["simulate", str(CONFIGS / "dense_diag.json"), "--t-final", "10",
+                     "--dt", "0.001", "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("energy law violated: per_step_identity")
+
 
 class TestBeamReportCommand:
     def test_const4(self, tmp_path):
@@ -556,6 +567,19 @@ class TestDispatch:
         assert doc["minmax_report"]["checks"][-1]["subspaces"] == 3
         assert capsys.readouterr().out.splitlines()[1] == "time,energy,dissipation"
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", str(CONFIGS / "dense_diag.json")],
+        ["variational", str(CONFIGS / "dense_diag.json"), "--subspaces", "3"],
+        ["interlace", str(CONFIGS / "beam_const4.json"), str(CONFIGS / "beam_const5.json")],
+        ["simulate", str(CONFIGS / "dense_diag.json"), "--t-final", "0.01", "--dt", "0.001"],
+        ["beam-report", str(CONFIGS / "beam_const4.json")],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: cannot write {out}" in err and "Traceback" not in err
+
     def test_unknown_quadrature_rule_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "schema": 1, "source": "beam",
@@ -630,6 +654,30 @@ class TestMalformedNumbers:
          "beam.damping and beam.quadrature must be objects"),
         ({"source": "beam", "beam": {"damping": {"profile": "four_plus_sin"}, "quadrature": 8}},
          "beam.damping and beam.quadrature must be objects"),
+        ({"source": "beam", "beam": {"damping": {"profile": "four_plus_sin"}, "n_mode": 3}},
+         "unknown config keys ['n_mode'] in beam"),
+        ({"source": "dense", "dense": {"a0": [[1.0]], "d": [[0.0]], "D": [[1.0]]}},
+         "unknown config keys ['D'] in dense"),
+        ({"source": "random", "random": {"dim": 3, "sed": 1}},
+         "unknown config keys ['sed'] in random"),
+        ({"source": "dense", "dense": {"a0": [[1.0]], "d": [[0.0]]},
+          "initial": {"z0": [1.0], "w0": [0.0], "v0": [0.0]}},
+         "unknown config keys ['v0'] in initial"),
+        ({"source": "beam", "beam": {"damping": {"profile": "four_plus_sin", "param": {}}}},
+         "unknown config keys ['param'] in beam.damping"),
+        ({"source": "beam", "beam": {"damping": {"profile": "four_plus_sin"},
+                                     "quadrature": {"points": 4}}},
+         "unknown config keys ['points'] in beam.quadrature"),
+        ({"source": "dense", "dense": {"a0": [[True]], "d": [[False]]}},
+         "dense.a0 must hold numbers, not booleans"),
+        ({"source": "dense", "dense": {"a0": [[1.0]], "d": [[True]]}},
+         "dense.d must hold numbers, not booleans"),
+        ({"source": "dense", "dense": {"a0": [[1.0]], "d": [[0.0]]},
+          "initial": {"z0": [1.0], "w0": [False]}},
+         "initial.w0 must hold numbers, not booleans"),
+        ({"source": "beam", "beam": {"damping": {"profile": "samples",
+                                                 "params": {"values": [4.0, True, 4.0, 4.0]}}}},
+         "beam.damping.params.values must hold numbers, not booleans"),
     ])
     def test_exits_2_without_traceback(self, tmp_path, capsys, doc, message):
         cfg = write_config(tmp_path, {"schema": 1, **doc})

@@ -8,7 +8,6 @@ from quadpencil import (
     BeamConfig,
     InvalidArgumentError,
     build_linearization,
-    discrete_energy_identity_report,
     discretize_beam,
     energy_monotonicity_report,
     make_damping_profile,
@@ -21,7 +20,6 @@ from quadpencil.config import build_pencil, load_config
 from oracles import modal_energy, trapezoid_error_bounds, trapezoid_reference
 
 SQRT7 = np.sqrt(7.0)
-EPS = np.finfo(float).eps
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -88,13 +86,6 @@ class TestSimulate:
         with pytest.raises(InvalidArgumentError, match="exceeds the limit of 10"):
             simulate(diag_pencil, [1.0, 0.0], [0.0, 0.0], 0.011, 1e-3)
 
-    def test_snapshots(self, diag_pencil):
-        trace = simulate(diag_pencil, [1.0, 0.0], [0.0, 0.0], 0.01, 1e-3,
-                         snapshot_stride=5)
-        zs, ws = trace.states
-        assert zs.shape == (3, 2) and ws.shape == (3, 2)
-        assert np.allclose(zs[0], [1.0, 0.0])
-
 
 def _beam12():
     cfg = BeamConfig(
@@ -122,32 +113,27 @@ def _block_lengths(pencil, steps):
             for _, rows in build_linearization(pencil).partition.groups]
 
 
+def _reference_defect(pencil, dt, reference):
+    """max_k |E_{k+1} - E_k + 2 dt d[w_{k+1/2}]| of trapezoid_reference's
+    stride-1 states, each midpoint form taken on its own."""
+    energies, _, _, ws = reference
+    w_mid = (ws[:-1] + ws[1:]) / 2.0
+    balance = [energies[k + 1] - energies[k] + 2.0 * dt * float(w @ (pencil.d_matrix @ w))
+               for k, w in enumerate(w_mid)]
+    return max(map(abs, balance), default=0.0)
+
+
 def _assert_within_forward_error(pencil, z0, w0, dt, trace, reference):
     """trace against trapezoid_reference(..., snapshot_stride=1) by
-    oracles.trapezoid_error_bounds; snapshots z = A0^{-1/2} u_z by
-    |A0^{-1/2}| times the state bound."""
-    energies, dissipation, zs, ws = reference
-    state, energy, rate = trapezoid_error_bounds(pencil, z0, w0, energies.size - 1, dt)
+    oracles.trapezoid_error_bounds. A defect moves with the two energies and
+    the midpoint form it is taken from: by at most 2 |dE| + dt |dr|, the
+    bounds at the last step."""
+    energies, dissipation, _, _ = reference
+    _, energy, rate = trapezoid_error_bounds(pencil, z0, w0, energies.size - 1, dt)
     assert np.all(np.abs(trace.energies - energies) <= energy)
     assert np.all(np.abs(trace.dissipation - dissipation) <= rate)
-    stride = trace.snapshot_stride
-    got_z, got_w = trace.states
-    assert np.all(np.linalg.norm(got_w - ws[::stride], axis=1) <= state[::stride])
-    s_norm = np.linalg.norm(np.abs(pencil.a0_inv_sqrt), 2)
-    assert np.all(np.linalg.norm(got_z - zs[::stride], axis=1) <= s_norm * state[::stride])
-
-
-def _assert_energies_are_state_norms(pencil, trace):
-    """E_k = |A0^{1/2} z_k|^2 + |w_k|^2 for the returned stride-1 states, to
-    the rounding of mapping z_k back to whitened coordinates: 6 n eps
-    |A0^{1/2}| |A0^{-1/2}| relative, |.| on a matrix the 2-norm of its
-    entrywise absolute value."""
-    zs, ws = trace.states
-    u = np.hstack([zs @ pencil.a0_sqrt.T, ws])
-    kappa = (np.linalg.norm(np.abs(pencil.a0_sqrt), 2)
-             * np.linalg.norm(np.abs(pencil.a0_inv_sqrt), 2))
-    tol = 6 * pencil.dim * EPS * kappa
-    assert np.all(np.abs(trace.energies - np.sum(u * u, axis=1)) <= tol * trace.energies)
+    defect = _reference_defect(pencil, dt, reference)
+    assert abs(trace.identity_defect - defect) <= 2.0 * energy[-1] + dt * rate[-1]
 
 
 class TestMatchesReferenceLoop:
@@ -168,27 +154,20 @@ class TestMatchesReferenceLoop:
         if steps >= rows - 1:
             assert _block_lengths(pencil, steps) == [rows]
         reference = trapezoid_reference(pencil, z0, w0, steps, dt, snapshot_stride=1)
-        for stride in (1, 7, rows + 5):
-            trace = simulate(pencil, z0, w0, steps * dt, dt, snapshot_stride=stride)
-            assert len(trace.times) == steps + 1
-            assert trace.snapshot_stride == stride
-            _assert_within_forward_error(pencil, z0, w0, dt, trace, reference)
-            if stride == 1:
-                _assert_energies_are_state_norms(pencil, trace)
-        assert simulate(pencil, z0, w0, steps * dt, dt).states is None
+        trace = simulate(pencil, z0, w0, steps * dt, dt)
+        assert len(trace.times) == steps + 1
+        _assert_within_forward_error(pencil, z0, w0, dt, trace, reference)
 
     @pytest.mark.parametrize("name", ["diag_pencil", "beam12"])
     def test_many_small_blocks(self, name, request, monkeypatch):
-        # Blocks of 4 states, so snapshots fall at every offset into a block.
+        # Blocks of 4 states: every fourth step of the identity pairs the
+        # last state of one block with the first of the next.
         pencil, z0, w0, dt = _reference_case(name, request)
         monkeypatch.setattr(evolution, "STATE_BLOCK_BYTES", 4 * 16 * pencil.dim)
         assert _block_lengths(pencil, 50) == [4]
         reference = trapezoid_reference(pencil, z0, w0, 50, dt, snapshot_stride=1)
-        for stride in (1, 2, 3, 4, 7, 50):
-            trace = simulate(pencil, z0, w0, 50 * dt, dt, snapshot_stride=stride)
-            _assert_within_forward_error(pencil, z0, w0, dt, trace, reference)
-            if stride == 1:
-                _assert_energies_are_state_norms(pencil, trace)
+        trace = simulate(pencil, z0, w0, 50 * dt, dt)
+        _assert_within_forward_error(pencil, z0, w0, dt, trace, reference)
 
     @pytest.mark.parametrize("excited", ["both", "one"])
     @pytest.mark.parametrize("size", [2, 4])
@@ -200,7 +179,8 @@ class TestMatchesReferenceLoop:
         # (z3, w3), whose state blocks end at different steps. Blocks of 32
         # and 64 states keep the reference loop short. With `excited` one,
         # the initial state lies on the block of `size` alone, and the
-        # other block, which simulate skips, stays exactly at rest.
+        # other block, which simulate skips, adds exactly 0: the trace and
+        # that of the other block's initial state sum to that of both.
         pencil = QuadraticPencil(np.diag([1.0, 2.0, 3.0]),
                                  [[2.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 1.0]])
         assert build_linearization(pencil).partition.sizes == (4, 2)
@@ -213,18 +193,20 @@ class TestMatchesReferenceLoop:
             assert _block_lengths(pencil, steps) == [64, 32]
         elif steps >= 31:
             assert _block_lengths(pencil, steps)[1] == 32
-        z0, w0, dt = np.array([1.0, -0.4, 0.25]), np.array([0.3, 0.7, -0.5]), 2.0**-8
+        z_all, w_all, dt = np.array([1.0, -0.4, 0.25]), np.array([0.3, 0.7, -0.5]), 2.0**-8
         rest = {2: [0, 1], 4: [2]}[size] if excited == "one" else []
+        z0, w0 = z_all.copy(), w_all.copy()
         z0[rest] = w0[rest] = 0.0
         reference = trapezoid_reference(pencil, z0, w0, steps, dt, snapshot_stride=1)
-        for stride in (1, 7, 69):
-            trace = simulate(pencil, z0, w0, steps * dt, dt, snapshot_stride=stride)
-            assert len(trace.times) == steps + 1
-            _assert_within_forward_error(pencil, z0, w0, dt, trace, reference)
-            if stride == 1:
-                _assert_energies_are_state_norms(pencil, trace)
-            for states in trace.states:
-                assert np.all(states[:, rest] == 0.0)
+        trace = simulate(pencil, z0, w0, steps * dt, dt)
+        assert len(trace.times) == steps + 1
+        _assert_within_forward_error(pencil, z0, w0, dt, trace, reference)
+        if rest:
+            other = simulate(pencil, z_all - z0, w_all - w0, steps * dt, dt)
+            both = simulate(pencil, z_all, w_all, steps * dt, dt)
+            assert np.array_equal(trace.energies + other.energies, both.energies)
+            assert np.array_equal(trace.dissipation + other.dissipation, both.dissipation)
+            assert trace.identity_defect + other.identity_defect == both.identity_defect
 
     def test_memory_flat_in_step_count(self):
         # The peak of a 1e5-step run exceeds that of a 1e4-step run by the
@@ -257,30 +239,42 @@ class TestEnergyLaws:
         assert energy_monotonicity_report(trace).ok
 
     def test_discrete_identity(self, diag_pencil):
-        trace = simulate(diag_pencil, [1.0, -0.4], [0.0, 0.7], 0.5, 1e-3,
-                         snapshot_stride=1)
-        report = discrete_energy_identity_report(diag_pencil, trace)
+        trace = simulate(diag_pencil, [1.0, -0.4], [0.0, 0.7], 0.5, 1e-3)
+        report = energy_monotonicity_report(trace)
         assert report.ok, report.failures()
+        identity = next(c for c in report.checks if c.label == "per_step_identity")
+        assert identity.data["worst_defect"] == trace.identity_defect
 
     def test_identity_defect_matches_step_loop(self):
         pencil = _beam12()
         rng = np.random.default_rng(3)
-        trace = simulate(pencil, rng.standard_normal(12), rng.standard_normal(12),
-                         0.01, 1e-4, snapshot_stride=1)
-        _, ws = trace.states
-        worst = 0.0
-        for k in range(len(trace.times) - 1):
-            w_mid = (ws[k] + ws[k + 1]) / 2.0
-            balance = (trace.energies[k + 1] - trace.energies[k]
-                       + 2.0 * 1e-4 * float(w_mid @ (pencil.d_matrix @ w_mid)))
-            worst = max(worst, abs(balance))
-        report = discrete_energy_identity_report(pencil, trace)
-        assert report.checks[0].data["worst_defect"] == worst
+        z0, w0, dt = rng.standard_normal(12), rng.standard_normal(12), 1e-4
+        trace = simulate(pencil, z0, w0, 0.01, dt)
+        reference = trapezoid_reference(pencil, z0, w0, 100, dt, snapshot_stride=1)
+        _assert_within_forward_error(pencil, z0, w0, dt, trace, reference)
 
-    def test_identity_requires_full_states(self, diag_pencil):
+    def test_at_rest_all_zero(self, diag_pencil):
+        trace = simulate(diag_pencil, [0.0, 0.0], [0.0, 0.0], 0.1, 1e-3)
+        assert not np.any(trace.energies) and not np.any(trace.dissipation)
+        assert trace.identity_defect == 0.0
+        assert energy_monotonicity_report(trace).ok
+
+    @pytest.mark.parametrize("one_state_blocks", [False, True])
+    def test_scaled_propagator_breaks_identity(self, diag_pencil, monkeypatch, one_state_blocks):
+        # Every step shrinks by 1 - 1e-8 more than the scheme: the energy
+        # still decreases, but each step loses about 2e-8 E_k more than the
+        # dissipation accounts for, 200 times the bound 1e-10 E(0). With
+        # blocks of one state every pair of consecutive states straddles
+        # two blocks.
+        if one_state_blocks:
+            monkeypatch.setattr(evolution, "STATE_BLOCK_BYTES", 1)
+            assert _block_lengths(diag_pencil, 100) == [1]
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: (1.0 - 1e-8) * solve(a, b))
         trace = simulate(diag_pencil, [1.0, 0.0], [0.0, 0.0], 0.1, 1e-3)
-        with pytest.raises(InvalidArgumentError):
-            discrete_energy_identity_report(diag_pencil, trace)
+        report = energy_monotonicity_report(trace)
+        assert [c.label for c in report.failures()] == ["per_step_identity"]
+        assert trace.identity_defect == pytest.approx(2e-8 * trace.energies[0], rel=1e-2)
 
     def test_step_refinement_second_order(self, diag_pencil):
         t_final = 1.0
