@@ -40,11 +40,12 @@ def _require(condition: bool, message: str) -> None:
 
 
 def parse_number(raw, name: str, integer: bool = False, minimum: float | None = None):
-    """One scalar of the input contract: a finite float, or with `integer`
-    an int (a JSON integer or a decimal string), at least `minimum`.
+    """One scalar of the input contract: a finite float (a JSON number), or
+    with `integer` an int (a JSON integer or a decimal string, as the
+    QUADPENCIL_SEED environment variable gives it), at least `minimum`.
 
-    Anything else, booleans and non-integral floats included, raises
-    ConfigError so that it exits with the input-error code.
+    Anything else, booleans, numeric strings and non-integral floats
+    included, raises ConfigError so that it exits with the input-error code.
     """
     kind = "an integer" if integer else "a finite number"
     try:
@@ -54,7 +55,7 @@ def parse_number(raw, name: str, integer: bool = False, minimum: float | None = 
     if integer:
         valid = value is not None and (isinstance(raw, str) or value == raw)
     else:
-        valid = value is not None and math.isfinite(value)
+        valid = value is not None and math.isfinite(value) and not isinstance(raw, str)
     valid = valid and not isinstance(raw, bool)
     _require(valid, f"{name} must be {kind}, got {raw!r}")
     _require(minimum is None or value >= minimum,
@@ -69,14 +70,15 @@ def _require_keys(section: dict, allowed: tuple[str, ...], name: str) -> None:
 
 
 def _parse_array(raw, name: str) -> np.ndarray:
-    """A finite float array; like parse_number, a boolean entry is rejected."""
+    """A finite float array; like parse_number, a boolean or string entry
+    is rejected."""
     try:
         entries = np.asarray(raw, dtype=object)
         a = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} is not a numeric array") from exc
-    _require(not any(isinstance(x, bool) for x in entries.flat),
-             f"{name} must hold numbers, not booleans")
+    _require(not any(isinstance(x, (bool, str)) for x in entries.flat),
+             f"{name} must hold numbers, not booleans or strings")
     _require(bool(np.all(np.isfinite(a))), f"{name} must be finite")
     return a
 

@@ -13,7 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormOrderError, InvalidArgumentError
-from .pencil import EIGEN_TOL, VERIFY_TOL, QuadraticPencil, compute_alpha, compute_delta_gamma
+from .pencil import (EIGEN_TOL, VERIFY_TOL, QuadraticPencil, alpha_brackets, compute_alpha,
+                     compute_delta_gamma)
 from .variational import IntervalDelta, locate_real_eigenvalues
 
 FORM_ORDER_TOL = 1e-12
@@ -89,7 +90,10 @@ def compare_eigenvalues(p: QuadraticPencil, p_hat: QuadraticPencil,
 
     The interval is IntervalDelta.inside the larger of the two alphas (the
     certified upper ends of their brackets), so (a, 0] lies inside both
-    pencils' (alpha, 0]; a omitted takes its default lower end. Both spectra
+    pencils' (alpha, 0]; a omitted takes its default lower end. p_hat's
+    bracket is refined only until its upper end falls to p's alpha: the
+    upper ends never increase, so the larger alpha is then p's either way.
+    Both spectra
     are located at EIGEN_TOL, and lambda_n <= lambda_hat_n is checked with
     the slack VERIFY_TOL. A pair out of form order raises FormOrderError.
     """
@@ -97,7 +101,11 @@ def compare_eigenvalues(p: QuadraticPencil, p_hat: QuadraticPencil,
         raise FormOrderError(
             "form order violated: need a0 >= a0_hat and d <= d_hat as quadratic forms"
         )
-    interval = IntervalDelta.inside(max(compute_alpha(p).alpha, compute_alpha(p_hat).alpha), a)
+    alpha = compute_alpha(p).alpha
+    for bracket in alpha_brackets(p_hat):
+        if bracket.upper <= alpha:
+            break
+    interval = IntervalDelta.inside(max(alpha, bracket.upper), a)
     res = locate_real_eigenvalues(p, interval, EIGEN_TOL)
     res_hat = locate_real_eigenvalues(p_hat, interval, EIGEN_TOL)
 

@@ -15,12 +15,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import blocks
 from .errors import InvalidArgumentError
+
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 # Relative eigenvalue threshold for definiteness checks at construction.
 DEFINITENESS_TOL = 1e-12
@@ -488,41 +491,66 @@ def _span_candidates(pencil: QuadraticPencil, spans: np.ndarray) -> np.ndarray:
     return np.concatenate(columns, axis=1)
 
 
-def compute_alpha(pencil: QuadraticPencil) -> AlphaResult:
+def _secant(theta_j: float, theta_k: float, g_j: float, g_k: float) -> float | None:
+    """Next direction between neighbouring directions theta_j < theta_k
+    whose support points lie on opposite sides of the parabola (g_j, g_k
+    of opposite signs, g = s^2 - 4a): the zero of g interpolated linearly
+    in the angle, where the boundary of W crosses into the cone. None when
+    there is no sign change or the zero is not inside the gap."""
+    if not g_j * g_k < 0.0:
+        return None
+    gap = (theta_k - theta_j) % (2.0 * math.pi)
+    offset = gap * g_j / (g_j - g_k)
+    if ALPHA_MIN_GAP < offset < gap - ALPHA_MIN_GAP:
+        return theta_j + offset
+    return None
+
+
+def alpha_brackets(pencil: QuadraticPencil) -> Iterator[AlphaResult]:
     """Bracket alpha = sup p- over the real-root cone from the joint
-    numerical range W = {(d[x], a0[x]) : |x| = 1}.
+    numerical range W = {(d[x], a0[x]) : |x| = 1}, yielding the certified
+    bracket after each outer polygon of W; the last bracket is
+    compute_alpha's. A caller that needs less than the stop width closes
+    the generator once a bracket decides its question.
 
     p- depends on x only through (d[x], a0[x]), rises with a0[x] and falls
     with d[x], so its supremum lies on the boundary of conv W (W is convex
     for n >= 3 and an ellipse for n = 2). Support lines from top
-    eigenvectors cut out an outer polygon whose largest p- is the upper
-    end; the lower end is rayleigh_pair(witness).p_minus for the best of
-    the support vectors and of the maximisers in the 2-D spans of
-    neighbouring support vectors where the polygon peaks. New directions
-    split the neighbours there until the bracket is ALPHA_RTOL wide or
-    ALPHA_MAX_ROUNDS rounds have run; without a witness by then the lower
-    end is -inf. upper = -inf decides an empty cone.
+    eigenvectors cut out an outer polygon whose largest p- bounds it from
+    above; each bracket's upper end is the least of these bounds so far, so
+    the upper ends never increase. The lower end is
+    rayleigh_pair(witness).p_minus for the best of the support vectors and
+    of the maximisers in the 2-D spans of neighbouring support vectors
+    where the polygon peaks (a plane already evaluated, keyed by its two
+    support vectors, is skipped). New directions split the neighbours
+    there: the chord normals of _split and, when the peak lies on an edge
+    crossing the parabola s^2 = 4a, the _secant zero of g = s^2 - 4a
+    between the neighbouring support points on opposite sides of it.
+    Refinement stops once the bracket is ALPHA_RTOL wide, no direction can
+    be split or ALPHA_MAX_ROUNDS rounds have run; without a witness the
+    lower end is -inf. upper = -inf decides an empty cone.
 
     Each round offers its span candidates together with the support vectors
     of the round before in one rayleigh_batch; the support vectors still
-    pending when the rounds end are offered before the bracket is returned.
+    pending when the rounds end are offered in a last bracket.
     """
     if pencil.dim == 1:
         x = np.ones(1)
         pair = rayleigh_pair(pencil, x)
-        if not pair.in_dstar:
-            return AlphaResult(-np.inf, -np.inf, None)
-        p_minus = float(pair.p_minus)
-        return AlphaResult(p_minus, p_minus, x)
+        p_minus = float(pair.p_minus) if pair.in_dstar else -np.inf
+        yield AlphaResult(p_minus, p_minus, x if pair.in_dstar else None)
+        return
     sigma_d, sigma_a = pencil.d_norm, pencil.a0_norm
     if sigma_d == 0.0:
-        return AlphaResult(-np.inf, -np.inf, None)
+        yield AlphaResult(-np.inf, -np.inf, None)
+        return
     d_unit, a_unit = pencil.d_matrix / sigma_d, pencil.a0_matrix / sigma_a
 
     thetas = np.linspace(0.0, 2.0 * np.pi, ALPHA_SWEEP, endpoint=False)
     heights, vectors, points = _support(d_unit, a_unit, thetas)
     pending = vectors
-    lower, witness = -np.inf, None
+    lower, upper, witness = -np.inf, np.inf, None
+    evaluated = set()
 
     def offer(columns):
         nonlocal lower, witness
@@ -536,21 +564,36 @@ def compute_alpha(pencil: QuadraticPencil) -> AlphaResult:
             lower, witness = float(pair.p_minus), columns[:, best]
 
     for _ in range(ALPHA_MAX_ROUNDS):
-        upper, i, at_vertex = _polygon_max(thetas, heights, points, sigma_d, sigma_a)
-        if upper == -np.inf:
-            return AlphaResult(-np.inf, -np.inf, None)
+        peak, i, at_vertex = _polygon_max(thetas, heights, points, sigma_d, sigma_a)
+        if peak == -np.inf:
+            yield AlphaResult(-np.inf, -np.inf, None)
+            return
+        upper = min(upper, peak)
         m = thetas.size
         pairs = [(i, (i + 1) % m)] if at_vertex else [((i - 1) % m, i), (i, (i + 1) % m)]
-        candidates = _span_candidates(pencil, vectors[:, pairs].transpose(1, 0, 2))
-        offer(np.concatenate([pending, candidates], axis=1))
+        keys = [frozenset((vectors[:, a].tobytes(), vectors[:, b].tobytes())) for a, b in pairs]
+        fresh = [pair for pair, key in zip(pairs, keys) if key not in evaluated]
+        evaluated.update(keys)
+        if fresh:
+            pending = np.concatenate(
+                [pending, _span_candidates(pencil, vectors[:, fresh].transpose(1, 0, 2))], axis=1)
+        offer(pending)
         pending = np.empty((pencil.dim, 0))
+        yield AlphaResult(lower, upper, witness)
         if upper - lower <= ALPHA_RTOL * abs(upper):
-            break
+            return
         angles, corners = thetas.tolist(), points.T.tolist()
         new = [_split(angles[a], angles[b], corners[a], corners[b]) for a, b in pairs]
-        new = np.mod([t for t in new if t is not None], 2.0 * np.pi)
+        new = [t for t in new if t is not None]
+        if not at_vertex:
+            g = ((sigma_d * points[0]) ** 2 - 4.0 * sigma_a * points[1]).tolist()
+            for a, b in pairs:
+                t = _secant(angles[a], angles[b], g[a], g[b])
+                if t is not None and all(abs(t - u) > ALPHA_MIN_GAP for u in new):
+                    new.append(t)
+        new = np.mod(new, 2.0 * np.pi)
         if new.size == 0:
-            break
+            return
         new_heights, new_vectors, new_points = _support(d_unit, a_unit, new)
         pending = new_vectors
         order = np.argsort(np.concatenate([thetas, new]))
@@ -559,7 +602,15 @@ def compute_alpha(pencil: QuadraticPencil) -> AlphaResult:
         vectors = np.hstack([vectors, new_vectors])[:, order]
         points = np.hstack([points, new_points])[:, order]
     offer(pending)
-    return AlphaResult(lower, upper, witness)
+    yield AlphaResult(lower, upper, witness)
+
+
+def compute_alpha(pencil: QuadraticPencil) -> AlphaResult:
+    """The alpha bracket refined to ALPHA_RTOL: the last bracket of
+    alpha_brackets, whose docstring gives the method."""
+    for bracket in alpha_brackets(pencil):
+        pass
+    return bracket
 
 
 def compute_scalars(pencil: QuadraticPencil) -> PencilScalars:

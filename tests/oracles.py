@@ -14,7 +14,7 @@ forward-error bounds that separate it from simulate's propagator powers), the
 random-subspace clause of the min-max check decided one subspace at a time,
 the alpha search's span candidates found one plane at a time, and the
 sup of p_plus on a subspace from one kernel-vector eigh per compressed
-eigenvalue.
+eigenvalue, and the simulate CSV formatted one row at a time.
 """
 import numpy as np
 import scipy.linalg
@@ -445,3 +445,9 @@ def sup_p_plus_reference(pencil, basis):
         w, vecs = np.linalg.eigh(lam * lam * np.eye(k) + lam * dc + ac)
         best = max(best, rayleigh_pair(pencil, basis @ vecs[:, np.argmin(np.abs(w))]).p_plus)
     return float(best)
+
+
+def csv_rows_reference(times, energies, dissipation):
+    """The simulate CSV rows, one `%` per row over plain Python floats."""
+    return "".join("%.12g,%.16g,%.16g\n" % row
+                   for row in zip(times.tolist(), energies.tolist(), dissipation.tolist()))

@@ -15,6 +15,9 @@ from quadpencil import (
     verify_beam_theorem,
 )
 from quadpencil import beam
+from quadpencil import pencil as pencil_mod
+from quadpencil.pencil import AlphaResult, compute_alpha
+from quadpencil.variational import within_alpha
 
 from oracles import (
     damping_entry_adaptive,
@@ -258,3 +261,38 @@ class TestTheorem:
         report = verify_beam_theorem(constant_cfg(value=1.0, n_modes=4))
         assert not report.ok
         assert report.checks[0].label == "hypothesis_d_min_sq_ge_4a0"
+
+
+class TestAlphaGate:
+    """verify_beam_theorem refines alpha only until the gate is decided."""
+
+    @pytest.mark.parametrize("n_modes", [12, 50, 100, 150, 200])
+    @pytest.mark.parametrize("profile", ["constant", "four_plus_sin"])
+    def test_verdict_is_the_fully_refined_one(self, monkeypatch, profile, n_modes):
+        cfg = constant_cfg(n_modes=n_modes) if profile == "constant" else sine_cfg(n_modes)
+        calls = []
+        support = pencil_mod._support
+        monkeypatch.setattr(pencil_mod, "_support", lambda *args: calls.append(1) or support(*args))
+        check = verify_beam_theorem(cfg).checks[0]
+        support_calls = len(calls)
+        refined = compute_alpha(discretize_beam(cfg))
+        assert check.label == "alpha_below_interval"
+        assert check.ok == within_alpha(check.data["interval_lower"], refined.upper)
+        lower, upper = check.data["alpha_bracket"]
+        assert upper == check.data["alpha"] >= refined.upper
+        assert lower is None or lower <= refined.lower
+        if (profile, n_modes) == ("four_plus_sin", 200):
+            # The first polygon of ALPHA_SWEEP support lines decides it.
+            assert support_calls == 1
+
+    def test_witnessed_lower_end_decides_a_failed_gate(self, monkeypatch):
+        def brackets(pencil):
+            yield AlphaResult(-19.0, -18.0, np.eye(pencil.dim)[0])
+            raise AssertionError("alpha refined past a decided gate")
+
+        monkeypatch.setattr(beam, "alpha_brackets", brackets)
+        report = verify_beam_theorem(constant_cfg())
+        assert [c.label for c in report.checks] == ["alpha_below_interval"]
+        assert not report.ok
+        assert report.checks[0].data["alpha_bracket"] == [-19.0, -18.0]
+

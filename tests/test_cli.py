@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from quadpencil import beam_closed_form, build_pencil, interlacing, load_config
-from quadpencil.cli import CSV_CHUNK_ROWS, main
+from quadpencil.cli import CSV_CHUNK_ROWS, _csv_chunks, main
+from quadpencil.evolution import SimulationTrace
 
-from oracles import trapezoid_error_bounds, trapezoid_reference
+from oracles import csv_rows_reference, trapezoid_error_bounds, trapezoid_reference
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SQRT7 = np.sqrt(7.0)
@@ -415,6 +416,24 @@ class TestSimulateCommand:
         assert_same_rows(stdout.split("\n")[1:], text.split("\n")[1:])
         assert text.endswith("\n") and text.count("\n") == rows + 2
 
+    def test_chunks_match_row_wise_formatter(self):
+        # Edge values of each format (signed zero, subnormal-adjacent and
+        # large magnitudes, a sum with a long repr, times around the %.12g
+        # switch to exponents) across a chunk boundary.
+        rows = CSV_CHUNK_ROWS + 5
+        rng = np.random.default_rng(5)
+        times = np.linspace(0.0, 1e-4, rows)
+        energies, dissipation = rng.standard_normal((2, rows)) * 10.0 ** rng.integers(-20, 20, rows)
+        special = [-0.0, 1e-300, 1e16, 0.1 + 0.2, -1e-300, 5e-324, 1.7976931348623157e308]
+        for start in (0, CSV_CHUNK_ROWS - 3):
+            energies[start:start + len(special)] = special
+            dissipation[start:start + len(special)] = special[::-1]
+        times[1:7] = [1e-5, 9.999999999999999e-06, 1.0000000000000001e-05, 1e-4, 0.0001000000000001, -0.0]
+        trace = SimulationTrace(times, energies, dissipation, 0.0)
+        got = "".join(_csv_chunks(trace))
+        want = "time,energy,dissipation\n" + csv_rows_reference(times, energies, dissipation)
+        assert_same_rows(got.split("\n"), want.split("\n"))
+
     def test_initial_data_from_config(self, tmp_path):
         cfg = write_config(tmp_path, {
             "schema": 1, "source": "dense",
@@ -503,8 +522,8 @@ class TestBeamReportCommand:
         from quadpencil import beam
         from quadpencil.pencil import AlphaResult
 
-        monkeypatch.setattr(beam, "compute_alpha",
-                            lambda pencil: AlphaResult(-1.0, -1.0, None))
+        monkeypatch.setattr(beam, "alpha_brackets",
+                            lambda pencil: iter([AlphaResult(-1.0, -1.0, None)]))
         out = tmp_path / "beam.json"
         code = main(["beam-report", str(CONFIGS / "beam_const4.json"),
                      "--out", str(out)])
@@ -678,6 +697,34 @@ class TestMalformedNumbers:
         ({"source": "beam", "beam": {"damping": {"profile": "samples",
                                                  "params": {"values": [4.0, True, 4.0, 4.0]}}}},
          "beam.damping.params.values must hold numbers, not booleans"),
+        # Each damping profile takes only the parameters it reads.
+        ({"source": "beam", "beam": {"damping": {"profile": "constant",
+                                                 "params": {"value": 4.0, "valeu": 5.0}}}},
+         "unknown params ['valeu'] for damping profile 'constant'"),
+        ({"source": "beam", "beam": {"damping": {"profile": "affine",
+                                                 "params": {"intercept": 4.0, "slop": 1.0}}}},
+         "unknown params ['slop'] for damping profile 'affine'"),
+        ({"source": "beam", "beam": {"damping": {"profile": "four_plus_sin",
+                                                 "params": {"value": 4.0}}}},
+         "unknown params ['value'] for damping profile 'four_plus_sin'"),
+        ({"source": "beam", "beam": {"damping": {"profile": "samples", "params": {
+            "values": [4.0, 4.5, 4.5, 4.0], "value": 4.0}}}},
+         "unknown params ['value'] for damping profile 'samples'"),
+        # A number is a JSON number; only integers (QUADPENCIL_SEED) may be strings.
+        ({"source": "beam", "beam": {"a0": "2.5", "damping": {"profile": "four_plus_sin"}}},
+         "beam.a0 must be a finite number"),
+        ({"source": "beam",
+          "beam": {"damping": {"profile": "constant", "params": {"value": "4.0"}}}},
+         "beam.damping.params.value must be a finite number"),
+        ({"source": "random", "random": {"dim": 3, "damping_scale": "4.0"}},
+         "random.damping_scale must be a finite number"),
+        ({"source": "dense", "dense": {"a0": [["2.0"]], "d": [[1.0]]}},
+         "dense.a0 must hold numbers, not booleans or strings"),
+        ({"source": "dense", "dense": {"a0": [[2.0]], "d": [["1"]]}},
+         "dense.d must hold numbers, not booleans or strings"),
+        ({"source": "beam", "beam": {"damping": {"profile": "samples",
+                                                 "params": {"values": [4.0, "4.5", 4.5, 4.0]}}}},
+         "beam.damping.params.values must hold numbers, not booleans or strings"),
     ])
     def test_exits_2_without_traceback(self, tmp_path, capsys, doc, message):
         cfg = write_config(tmp_path, {"schema": 1, **doc})

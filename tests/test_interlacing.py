@@ -6,8 +6,10 @@ from quadpencil import (
     FormOrderError,
     InvalidArgumentError,
     QuadraticPencil,
+    IntervalDelta,
     check_form_order,
     compare_eigenvalues,
+    compute_alpha,
     discretize_beam,
     make_damping_profile,
     rayleigh_batch,
@@ -80,6 +82,9 @@ class TestCompare:
             p, p_hat = ordered_pair(2000 + seed)
             report = compare_eigenvalues(p, p_hat)
             assert report.ok, report.to_dict()
+            # p_hat's alpha refined only as far as the larger alpha needs
+            alpha = max(compute_alpha(p).alpha, compute_alpha(p_hat).alpha)
+            assert report.interval_lower == IntervalDelta.inside(alpha).lower
 
     def test_order_violation_rejected(self, diag_pencil):
         stiffer = QuadraticPencil(np.diag([3.0, 8.0]), np.diag([6.0, 2.0]))

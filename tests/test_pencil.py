@@ -23,7 +23,7 @@ from quadpencil import (
     rayleigh_pair,
 )
 from quadpencil.config import build_pencil, load_config, random_pencil
-from quadpencil.pencil import _span_candidates
+from quadpencil.pencil import _span_candidates, alpha_brackets
 
 from oracles import p_minus_grid_2d, quad_roots, span_candidates_pair
 
@@ -506,6 +506,52 @@ class TestAlphaRounds:
         assert calls["rounds"] >= 2
         assert calls["lapack"] <= 4 * calls["rounds"] + 1
         assert calls["rayleigh_batch"] <= calls["rounds"]
+
+
+class TestAlphaBrackets:
+    CONFIGS = ["beam_const4", "beam_const5", "beam_sin", "dense_diag",
+               "interlace_violation_a", "interlace_violation_b", "random_dim4"]
+
+    @pytest.mark.parametrize("name", CONFIGS + ["ensemble", "beam_n50"])
+    def test_brackets_end_at_compute_alpha(self, name):
+        if name == "ensemble":
+            pencils = [ensemble_pencil(seed) for seed in range(12)]
+        elif name == "beam_n50":
+            pencils = [discretize_beam(BeamConfig(a0=1.0, damping=make_damping_profile(spec),
+                                                  n_modes=50))
+                       for spec in ({"profile": "constant", "params": {"value": 4.0}},
+                                    {"profile": "four_plus_sin"})]
+        else:
+            pencils = [config_pencil(name)]
+        for pencil in pencils:
+            brackets = list(alpha_brackets(pencil))
+            res = compute_alpha(pencil)
+            last = brackets[-1]
+            assert (last.lower, last.upper) == (res.lower, res.upper)
+            assert np.array_equal(last.witness, res.witness)
+            uppers = [b.upper for b in brackets]
+            assert all(b <= a for a, b in zip(uppers, uppers[1:]))
+            for b in brackets:
+                assert b.lower <= b.upper
+                if b.witness is None:
+                    assert b.lower == -np.inf
+                else:
+                    assert rayleigh_pair(pencil, b.witness).p_minus == b.lower
+
+    def test_random_dim4_rounds(self):
+        # The secant direction at the cone crossing (9 rounds without it).
+        assert len(list(alpha_brackets(config_pencil("random_dim4")))) <= 5
+
+    @pytest.mark.parametrize("name", ["dense_diag", "interlace_violation_a"])
+    def test_n2_planes_evaluated_once(self, monkeypatch, name):
+        # Both rounds peak on planes of the same two support vectors (e1, e2);
+        # the second round skips them.
+        pencil, calls = config_pencil(name), []
+        monkeypatch.setattr(pencil_mod, "_span_candidates",
+                            lambda pencil, spans: calls.append(spans) or _span_candidates(pencil, spans))
+        res = compute_alpha(pencil)
+        assert len(calls) == 1
+        assert res.upper - res.lower <= pencil_mod.ALPHA_RTOL * abs(res.upper)
 
 
 class TestDstarCertificate:
