@@ -3,22 +3,30 @@ solves them one block size at a time.
 
 Indices i and j of an N x N matrix M are joined where |m_ij| or |m_ji|
 exceeds eps (|m_ii| + |m_jj|): the QR algorithm's deflation test (Golub &
-Van Loan 7.5), applied up front. The blocks are the connected components.
-The test is homogeneous, so M -> c M gives the same blocks. Every dense
-solve on the beam path takes its blocks from partition: the companion's
-eigensolve, norm and trapezoid propagator (linearization, evolution), and
-T(lam), D and the whitened damping through eigh and eigvalsh below. Modes
-that a symmetric damping profile decouples exactly (odd from even, or each
-from every other under constant damping) then cost one small solve each.
-_components is the one connected-components routine: it also gives the
-eigenvalue clusters of full_spectrum and locate_real_eigenvalues
-(linearization._cluster_labels), on the graph of pairs within tol.
+Van Loan 7.5), applied up front. The blocks are the connected components;
+of several matrices, the components of the union of their graphs. The test
+is homogeneous, so M -> c M gives the same blocks. Every dense solve on the
+beam path takes its blocks from the pencil's one partition, of D and A0
+together (pencil.QuadraticPencil.partition): T(lam), D and the whitened
+damping through eigh and eigvalsh below, and, with each block r taken with
+r + n (companion), the companion's eigensolve, norm and trapezoid
+propagator (linearization, evolution). Modes that a symmetric damping
+profile decouples exactly (odd from even, or each from every other under
+constant damping) then cost one small solve each. _components is the one
+connected-components routine: it also gives the eigenvalue clusters of
+full_spectrum and locate_real_eigenvalues (linearization._cluster_labels),
+on the graph of pairs within tol.
 
-Soundness: the dropped coupling E (the entries between blocks) has
-|E_ij| <= eps (|m_ii| + |m_jj|) <= 2 eps |M|_2, so its 1- and inf-norms are
-at most 2N eps |M|_2 and |E|_2 <= sqrt(|E|_1 |E|_inf) <= 2N eps |M|_2: the
-order of the backward error of the whole dgeev, dsyevd or dgetrf that the
-block solves replace.
+Soundness: the dropped coupling E (the entries between blocks) of a matrix
+M whose own test splits it has |E_ij| <= eps (|m_ii| + |m_jj|) <= 2 eps |M|_2,
+so its 1- and inf-norms are at most 2N eps |M|_2 and
+|E|_2 <= sqrt(|E|_1 |E|_inf) <= 2N eps |M|_2: the order of the backward
+error of the whole dgeev, dsyevd or dgetrf that the block solves replace.
+On the pencil's partition the same holds for D and A0 each. T(lam) =
+lam^2 I + lam D + A0 has no identity term between blocks, so its dropped
+coupling is lam E_D + E_A0, of norm at most 2N eps (|lam| |D| + |A0|) <=
+2N eps term_scale(lam): the order of the rounding of forming T(lam) itself,
+even where T(lam) is much smaller than its terms.
 """
 from __future__ import annotations
 
@@ -83,9 +91,13 @@ def _components(adjacency: np.ndarray) -> np.ndarray:
         near = order[np.argmax(adjacency[:, order], axis=1)]
 
 
-def partition(m: np.ndarray) -> Partition:
-    """The blocks that _deflation_graph leaves connected in m."""
-    labels = _components(_deflation_graph(m))
+def partition(*matrices: np.ndarray) -> Partition:
+    """The blocks that _deflation_graph leaves connected in the given
+    matrices of one size, joined where any of them joins."""
+    edge = _deflation_graph(matrices[0])
+    for m in matrices[1:]:
+        edge |= _deflation_graph(m)
+    labels = _components(edge)
     sizes = np.bincount(labels)
     members = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
@@ -96,16 +108,25 @@ def partition(m: np.ndarray) -> Partition:
     return Partition(tuple(sizes.tolist()), tuple(groups))
 
 
-def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def companion(part: Partition, n: int) -> Partition:
+    """The partition of the 2n x 2n companion [[0, S], [-S, -D]] that part,
+    the partition of the n x n pencil, gives: block r becomes r with r + n.
+    Its blocks keep their order, so each slot row of part starts at twice
+    its start there."""
+    return Partition(tuple(2 * size for size in part.sizes), tuple(
+        (2 * slots[:, :1] + np.arange(2 * slots.shape[1]), np.hstack([rows, rows + n]))
+        for slots, rows in part.groups))
+
+
+def eigh(m: np.ndarray, part: Partition) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh of a symmetric matrix from one stacked eigh per block
-    size: eigenvalues ascending, each eigenvector zero off its block.
+    size of part: eigenvalues ascending, each eigenvector zero off its block.
 
     The blocks' eigenpairs are exact for M - E + F, E the dropped coupling
-    (|E|_2 <= 2N eps |M|_2) and F dsyevd's backward error on the blocks,
-    so by Weyl every eigenvalue lies within |E|_2 + |F|_2 of M's. A matrix
-    with one block is solved whole, so there is no second code path.
+    (the soundness note above bounds it) and F dsyevd's backward error on
+    the blocks, so by Weyl every eigenvalue lies within |E|_2 + |F|_2 of M's.
+    A matrix with one block is solved whole, so there is no second code path.
     """
-    part = partition(m)
     w, v = np.empty(m.shape[0]), np.zeros(m.shape)
     for slots, rows, stack in part.stacks(m):
         w[slots], v[rows[:, :, None], slots[:, None, :]] = np.linalg.eigh(stack)
@@ -113,10 +134,10 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
-def eigvalsh(m: np.ndarray) -> np.ndarray:
+def eigvalsh(m: np.ndarray, part: Partition) -> np.ndarray:
     """np.linalg.eigvalsh of a symmetric matrix from one stacked eigvalsh
-    per block size, ascending; the bound of eigh holds."""
+    per block size of part, ascending; the bound of eigh holds."""
     w = np.empty(m.shape[0])
-    for slots, _, stack in partition(m).stacks(m):
+    for slots, _, stack in part.stacks(m):
         w[slots] = np.linalg.eigvalsh(stack)
     return np.sort(w)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
-from .pencil import QuadraticPencil, compute_delta_gamma
+from .pencil import QuadraticPencil
 
 if TYPE_CHECKING:
     from .beam import BeamConfig
@@ -212,7 +212,9 @@ def random_pencil(
 
     With ensure_real_root_cone the damping is rescaled until the
     nonemptiness criterion |A0^{-1/2} D A0^{-1/2}| > 2 |A0^{-1/2}| holds
-    with a 25% margin, so the real-root cone is certified nonempty.
+    with a 25% margin, so the real-root cone is certified nonempty. The
+    scale is decided before the one construction
+    (QuadraticPencil._with_cone_margin).
     """
     rng = np.random.default_rng(seed)
     q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
@@ -221,13 +223,9 @@ def random_pencil(
     b = rng.standard_normal((dim, dim))
     d = damping_scale * (b @ b.T) / dim
     d = (d + d.T) / 2.0
-    pencil = QuadraticPencil(a0, d)
     if ensure_real_root_cone:
-        _, gamma = compute_delta_gamma(pencil)
-        needed = 2.5 * np.sqrt(pencil.a0_inv_norm)
-        if gamma < needed:
-            return QuadraticPencil(a0, d * (needed / max(gamma, 1e-300)))
-    return pencil
+        return QuadraticPencil._with_cone_margin(a0, d, 2.5)
+    return QuadraticPencil(a0, d)
 
 
 def build_pencil(config: ProblemConfig) -> QuadraticPencil:

@@ -207,7 +207,8 @@ def spectral_abscissa_consistency(pencil: QuadraticPencil, trace: SimulationTrac
     check (vacuous for the undamped case, whose abscissa is zero).
     """
     report = Report("spectral_abscissa_consistency")
-    abscissa = float(np.max(companion_eig(build_linearization(pencil).a_matrix).values.real))
+    system = build_linearization(pencil)
+    abscissa = float(np.max(companion_eig(system.a_matrix, partition=system.partition).values.real))
     t_final = float(trace.times[-1]) if trace.times.size else 0.0
 
     if abs(abscissa) < 1e-12:

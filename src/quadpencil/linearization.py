@@ -8,13 +8,13 @@ build_linearization only assembles the companion; structural_report is the
 one place that measures and decides its signature symmetry and closed-form
 inverse, so a defect is a failed check with its witness, not an exception.
 
-Every eigensolve of the companion goes through companion_eig, which first
-deflates it into its diagonal blocks (blocks.partition); each
-LinearizedSystem takes its partition once, and its norm and the trapezoid
-propagator of evolution.simulate use the same blocks. Modes that a
-symmetric damping profile decouples exactly (odd from even, or each from
-every other under constant damping) then cost one small eigensolve each
-instead of a share of one 2n x 2n eigensolve.
+Every eigensolve of the companion goes through companion_eig, on its
+diagonal blocks; each LinearizedSystem derives them from the pencil's
+partition (block r of the pencil with r + n, blocks.companion), and its
+norm and the trapezoid propagator of evolution.simulate use the same
+blocks. Modes that a symmetric damping profile decouples exactly (odd from
+even, or each from every other under constant damping) then cost one small
+eigensolve each instead of a share of one 2n x 2n eigensolve.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ class LinearizedSystem:
     a_matrix is [[0, A0^{1/2}], [-A0^{1/2}, -D]] for pencil; inverse_matrix
     is the closed-form inverse [[-A0^{-1/2} D A0^{-1/2}, -A0^{-1/2}],
     [A0^{-1/2}, 0]], assembled on first use; partition is the companion's
-    blocks (blocks.partition), taken once; norm is |A|_2 from the blocks'
+    blocks, derived from the pencil's; norm is |A|_2 from the blocks'
     symmetric eigensolves, not an SVD.
     """
 
@@ -57,7 +57,12 @@ class LinearizedSystem:
 
     @cached_property
     def partition(self) -> blocks.Partition:
-        return blocks.partition(self.a_matrix)
+        """The pencil's partition with each block r taken with r + n, with
+        no partition of the companion itself. A0^{1/2} is exactly zero
+        between the pencil's blocks (QuadraticPencil._a0_eig), so the
+        dropped coupling is that of -D, whose entries pass the deflation
+        test of the companion's own diagonal -D: |E|_2 <= 4n eps |A|."""
+        return blocks.companion(self.pencil.partition, self.dim)
 
     @cached_property
     def norm(self) -> float:

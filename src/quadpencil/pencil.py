@@ -101,15 +101,44 @@ class QuadraticPencil:
         return self.a0_matrix.shape[0]
 
     @cached_property
+    def partition(self) -> blocks.Partition:
+        """The pencil's blocks: the connected components of the union of the
+        deflation graphs of D and A0 (blocks.partition). Every block solve
+        of the pencil takes these, T(lam)'s with a dropped coupling of at
+        most 2n eps term_scale(lam) (blocks)."""
+        return blocks.partition(self.d_matrix, self.a0_matrix)
+
+    @cached_property
     def _a0_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs of A0, ascending. A diagonal A0 (no nonzero entry off
-        the diagonal, as every beam's) is read directly: its sorted diagonal
-        and the matching permutation of I."""
+        """Eigenpairs of A0, ascending, on A0's own blocks (blocks.eigh), so
+        the eigenvectors, A0^{1/2} and A0^{-1/2} are exactly zero between
+        them, and so between the pencil's blocks, which join A0's. A
+        diagonal A0 (no nonzero entry off the diagonal, as every beam's) is
+        read directly: its sorted diagonal and the matching permutation of I."""
         diag = np.diagonal(self.a0_matrix)
         if np.count_nonzero(self.a0_matrix) == np.count_nonzero(diag):
             order = np.argsort(diag, kind="stable")
             return diag[order], np.eye(self.dim)[:, order]
-        return np.linalg.eigh(self.a0_matrix)
+        return blocks.eigh(self.a0_matrix, blocks.partition(self.a0_matrix))
+
+    @classmethod
+    def _with_cone_margin(cls, a0_matrix: np.ndarray, d_matrix: np.ndarray,
+                          margin: float) -> QuadraticPencil:
+        """The pencil of (A0, c D), built once: c = 1 when gamma is at least
+        margin |A0^{-1}|^{1/2}, else the c that makes it so. gamma and
+        |A0^{-1}| are read from the cached properties of (A0, D), exactly
+        symmetric, before the construction checks run; the pencil of the
+        scaled damping starts from the eigenpairs of A0."""
+        pencil = cls.__new__(cls)
+        pencil.__dict__.update(a0_matrix=a0_matrix, d_matrix=d_matrix)
+        _, gamma = compute_delta_gamma(pencil)
+        needed = margin * np.sqrt(pencil.a0_inv_norm)
+        if gamma < needed:
+            cached, pencil = pencil._a0_eig, cls.__new__(cls)
+            pencil.__dict__["_a0_eig"] = cached
+            d_matrix = d_matrix * (needed / max(gamma, 1e-300))
+        pencil.__init__(a0_matrix, d_matrix)
+        return pencil
 
     @cached_property
     def a0_sqrt(self) -> np.ndarray:
@@ -128,11 +157,12 @@ class QuadraticPencil:
 
     @cached_property
     def _d_eigvals(self) -> np.ndarray:
-        """Eigenvalues of D, ascending, block by block (blocks.eigvalsh):
-        the dropped coupling moves each by at most 2n eps |D|, the order of
-        the whole eigvalsh's backward error. A constant beam damping is
-        diagonal, a mirror-symmetric one splits into odd and even modes."""
-        return blocks.eigvalsh(self.d_matrix)
+        """Eigenvalues of D, ascending, on the pencil's blocks
+        (blocks.eigvalsh): the dropped coupling moves each by at most
+        2n eps |D|, the order of the whole eigvalsh's backward error. A
+        constant beam damping is diagonal, a mirror-symmetric one splits
+        into odd and even modes."""
+        return blocks.eigvalsh(self.d_matrix, self.partition)
 
     @cached_property
     def d_norm(self) -> float:
@@ -152,9 +182,12 @@ class QuadraticPencil:
 
     @cached_property
     def _whitened_eigvals(self) -> np.ndarray:
-        """Eigenvalues of the whitened damping, ascending, block by block
-        (blocks.eigvalsh), each moved by at most 2n eps times its norm."""
-        return blocks.eigvalsh(self.whitened_damping)
+        """Eigenvalues of the whitened damping, ascending, on the pencil's
+        blocks (blocks.eigvalsh). A0^{-1/2} is exactly zero between them, so
+        the dropped coupling is A0^{-1/2} E_D A0^{-1/2}, E_D that of D, of
+        norm at most 2n eps |A0^{-1}| |D|: the order of the rounding of the
+        product that forms the whitened damping."""
+        return blocks.eigvalsh(self.whitened_damping, self.partition)
 
     def t_matrix(self, lam: float) -> np.ndarray:
         """The matrix T(lam) = lam^2 I + lam D + A0, symmetric for real lam."""
@@ -302,22 +335,38 @@ def dstar_empty_certificate(pencil: QuadraticPencil) -> DstarCertificate:
     return DstarCertificate(alpha.certificate, alpha.witness)
 
 
-def _support(d_unit: np.ndarray, a_unit: np.ndarray, thetas: np.ndarray):
+def _support(d_unit: np.ndarray, a_unit: np.ndarray, part: blocks.Partition,
+             thetas: np.ndarray):
     """Support lines of W in direction theta, for D and A0 scaled to unit
-    norm: the top eigenpair of cos(theta) D + sin(theta) A0.
+    norm: the top eigenpair of cos(theta) D + sin(theta) A0, taken on the
+    pencil's blocks from one stacked eigh per block size, of the block whose
+    top eigenvalue is largest.
 
-    Returns the line heights, the support vectors (columns) and their points
-    (d[v], a0[v]) on the boundary of W. Each height is raised by a slack
-    that covers the backward error of eigh and the rounding of the quadratic
-    forms in rayleigh_batch, so no evaluated point lies outside the line.
+    Returns the line heights, the support vectors (columns, zero off their
+    block) and their points (d[v], a0[v]) on the boundary of W. Each height
+    is raised by a slack that covers the backward error of eigh and the
+    rounding of the quadratic forms in rayleigh_batch, so no evaluated point
+    lies outside the line; on more than one block, also the dropped
+    coupling, at most 2n eps (|cos| + |sin|) in these units (blocks).
     """
     c, s = np.cos(thetas), np.sin(thetas)
-    w, v = np.linalg.eigh(c[:, None, None] * d_unit + s[:, None, None] * a_unit)
-    top = v[:, :, -1].T
+    n, m = d_unit.shape[0], thetas.size
+    heights, top = np.full(m, -np.inf), np.zeros((n, m))
+    for _, rows in part.groups:
+        pick = rows[:, :, None], rows[:, None, :]
+        w, v = np.linalg.eigh(c[:, None, None, None] * d_unit[pick]
+                              + s[:, None, None, None] * a_unit[pick])
+        best = np.argmax(w[:, :, -1], axis=1)
+        height = w[np.arange(m), best, -1]
+        cols = np.flatnonzero(height > heights)
+        heights[cols] = height[cols]
+        top[:, cols] = 0.0
+        top[rows[best[cols]].T, cols] = v[cols, best[cols], :, -1].T
     points = np.array([np.einsum("ij,ij->j", top, d_unit @ top),
                        np.einsum("ij,ij->j", top, a_unit @ top)])
-    slack = ALPHA_SLACK * d_unit.shape[0] * np.finfo(float).eps * (np.abs(c) + np.abs(s))
-    return w[:, -1] + slack, top, points
+    units = ALPHA_SLACK + (2.0 if len(part.sizes) > 1 else 0.0)
+    slack = units * n * np.finfo(float).eps * (np.abs(c) + np.abs(s))
+    return heights + slack, top, points
 
 
 def _split(theta_j: float, theta_k: float, p_j, p_k) -> float | None:
@@ -336,6 +385,35 @@ def _split(theta_j: float, theta_k: float, p_j, p_k) -> float | None:
     if gap > 2.0 * ALPHA_MIN_GAP:
         return theta_j + gap / 2.0
     return None
+
+
+def _crossings(s0, a0, s1, a1, k) -> np.ndarray:
+    """Where each segment from (s0, a0) to (s1, a1) crosses the parabola
+    s^2 = k a, for each row of the column k: the segment parameters t in
+    [0, 1], an array (2, rows, segments), nan where there is none. A
+    segment that touches the parabola within the rounding of its quadratic
+    counts as crossing it, so no crossing is lost."""
+    ds, da = s1 - s0, a1 - a0
+    qa, qb, qc = ds * ds, 2.0 * s0 * ds - k * da, s0 * s0 - k * a0
+    qb2 = qb * qb
+    disc = qb2 - 4.0 * qa * qc
+    tiny = 8.0 * np.finfo(float).eps * (qb2 + 4.0 * qa * (s0 * s0 + k * np.abs(a0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(np.where(disc >= -tiny, np.maximum(disc, 0.0), np.nan))
+        q = -(qb + np.copysign(root, qb)) / 2.0
+        t = np.array([q / qa, qc / q])
+        return np.where((t >= 0.0) & (t <= 1.0), t, np.nan)
+
+
+def _crossing_values(s0, s1, t) -> np.ndarray:
+    """p- = -s/2 at the crossings t of _crossings on the segments from s0 to
+    s1, -inf where there is none."""
+    return np.where(np.isnan(t), -np.inf, -(s0 + t * (s1 - s0)) / 2.0)
+
+
+# The parabola s^2 = k a of the cone's boundary (last row) and its twin at
+# the edge of rayleigh_pair's clamped band (first row).
+_CLAMPED_ROWS = np.array([[4.0 * (1.0 - DISC_CLAMP_TOL)], [4.0]])
 
 
 def _polygon_max(thetas, heights, points, sigma_d, sigma_a):
@@ -362,26 +440,71 @@ def _polygon_max(thetas, heights, points, sigma_d, sigma_a):
     va = sigma_a * (on_line[1] + along * normal[0])
     p_minus, _, feasible = _roots_from_forms(np.ones_like(vs), vs, va)
     at_vertex = np.where(feasible, p_minus, -np.inf)
-    # The edge of line i runs from vertex i-1 to vertex i. Rows: the
-    # clamped parabola and the parabola itself.
-    s0, a0 = vs[prev], va[prev]
-    ds, da = vs - s0, va - a0
-    k = np.array([[4.0 * (1.0 - DISC_CLAMP_TOL)], [4.0]])
-    qa, qb, qc = ds * ds, 2.0 * s0 * ds - k * da, s0 * s0 - k * a0
-    # An edge that touches the parabola within the rounding of qc counts as
-    # touching it, so no crossing is lost.
-    qb2 = qb * qb
-    disc = qb2 - 4.0 * qa * qc
-    tiny = 8.0 * np.finfo(float).eps * (qb2 + 4.0 * qa * (s0 * s0 + k * np.abs(a0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(np.where(disc >= -tiny, np.maximum(disc, 0.0), np.nan))
-        q = -(qb + np.copysign(root, qb)) / 2.0
-        t = np.array([q / qa, qc / q])
-        on_edge = np.where((t >= 0.0) & (t <= 1.0), -(s0 + t * ds) / 2.0, -np.inf).max(axis=(0, 1))
+    # The edge of line i runs from vertex i-1 to vertex i.
+    t = _crossings(vs[prev], va[prev], vs, va, _CLAMPED_ROWS)
+    on_edge = _crossing_values(vs[prev], vs, t).max(axis=(0, 1))
     i_v, i_e = int(np.argmax(at_vertex)), int(np.argmax(on_edge))
     if at_vertex[i_v] >= on_edge[i_e]:
         return float(at_vertex[i_v]), i_v, True
     return float(on_edge[i_e]), i_e, False
+
+
+def _point_max(s: np.ndarray, a: np.ndarray, k: np.ndarray):
+    """Largest p- over the convex hull of the points (s_i, a_i), clamped at
+    the parabolas of the rows of k, with no hull built: p- has straight level
+    lines (a = -p^2 - p s), so on a segment between two points it peaks at
+    an end or where the segment crosses a parabola, at -s/2 <= -min(s_i,
+    s_j)/2. Only pairs with an end at most -2 p of the best point's p are
+    searched. Returns (value, i, j, t): the maximum is at (1 - t) of point i
+    plus t of point j (i = j, t = 0 at a point)."""
+    p_minus, _, feasible = _roots_from_forms(np.ones_like(s), s, a)
+    at_point = np.where(feasible, p_minus, -np.inf)
+    best = int(np.argmax(at_point))
+    low = np.flatnonzero(s <= -2.0 * at_point[best])
+    i, j = np.repeat(low, s.size), np.tile(np.arange(s.size), low.size)
+    t = _crossings(s[i], a[i], s[j], a[j], k)
+    on_segment = _crossing_values(s[i], s[j], t)
+    if on_segment.size == 0 or at_point[best] >= on_segment.max():
+        return float(at_point[best]), best, best, 0.0
+    root, row, pair = np.unravel_index(np.argmax(on_segment), on_segment.shape)
+    return float(on_segment[root, row, pair]), int(i[pair]), int(j[pair]), float(t[root, row, pair])
+
+
+def _diagonal_alpha(pencil: QuadraticPencil) -> tuple[float, np.ndarray]:
+    """(upper, candidates): alpha of a pencil whose blocks are all 1 x 1.
+
+    W is then the convex hull of the points (d_kk, a_kk) (Horn & Johnson,
+    Topics in Matrix Analysis 1.2). The candidates are the e_k and
+    sqrt(1 - t) e_i + sqrt(t) e_j at the best crossing, taken half-way into
+    rayleigh_pair's clamped band so that it stays there after rounding.
+
+    upper is _point_max over the points and their copies moved by
+    (-delta_s, +delta_a), raised by ALPHA_SLACK n eps relative for the
+    root and crossing formulas. A point (d[x], a0[x]) / |x|^2 of
+    rayleigh_batch lies within that move of the hull: delta_s is
+    ALPHA_SLACK n eps d_kk (forms whose terms have one sign round
+    relatively) plus twice D's largest off-diagonal absolute row sum (the
+    dropped coupling); delta_a likewise. Moving a point to smaller s and
+    larger a raises p- while it stays in the cone, and the segment to its
+    copy holds the point where it leaves, so the 2n points bound p-.
+    """
+    d, a = np.diagonal(pencil.d_matrix), np.diagonal(pencil.a0_matrix)
+    n, eps = d.size, np.finfo(float).eps
+    rel = ALPHA_SLACK * n * eps
+
+    def coupling(m):
+        return 2.0 * float(np.max(np.abs(m).sum(axis=1) - np.abs(np.diagonal(m))))
+
+    moved_s = d - (rel * d + coupling(pencil.d_matrix))
+    moved_a = a + (rel * a + coupling(pencil.a0_matrix))
+    upper, *_ = _point_max(np.concatenate([d, moved_s]), np.concatenate([a, moved_a]),
+                           _CLAMPED_ROWS)
+    if upper == -np.inf:
+        return upper, np.empty((n, 0))
+    _, i, j, t = _point_max(d, a, np.array([[4.0 * (1.0 - DISC_CLAMP_TOL / 2.0)]]))
+    e = np.eye(n)
+    return upper + rel * abs(upper), np.column_stack([e, np.sqrt(1.0 - t) * e[:, i]
+                                                      + np.sqrt(t) * e[:, j]])
 
 
 def _independent(r: np.ndarray) -> np.ndarray:
@@ -533,6 +656,11 @@ def alpha_brackets(pencil: QuadraticPencil) -> Iterator[AlphaResult]:
     Each round offers its span candidates together with the support vectors
     of the round before in one rayleigh_batch; the support vectors still
     pending when the rounds end are offered in a last bracket.
+
+    The work runs on the pencil's blocks. W is the convex hull of the
+    blocks' ranges, so each support line is the highest of the blocks'
+    (_support). When every block is 1 x 1, W is the hull of n points and
+    the one bracket is _diagonal_alpha's, exact up to its stated bound.
     """
     if pencil.dim == 1:
         x = np.ones(1)
@@ -544,13 +672,7 @@ def alpha_brackets(pencil: QuadraticPencil) -> Iterator[AlphaResult]:
     if sigma_d == 0.0:
         yield AlphaResult(-np.inf, -np.inf, None)
         return
-    d_unit, a_unit = pencil.d_matrix / sigma_d, pencil.a0_matrix / sigma_a
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, ALPHA_SWEEP, endpoint=False)
-    heights, vectors, points = _support(d_unit, a_unit, thetas)
-    pending = vectors
     lower, upper, witness = -np.inf, np.inf, None
-    evaluated = set()
 
     def offer(columns):
         nonlocal lower, witness
@@ -562,6 +684,19 @@ def alpha_brackets(pencil: QuadraticPencil) -> Iterator[AlphaResult]:
         pair = rayleigh_pair(pencil, columns[:, best])
         if pair.in_dstar and pair.p_minus > lower:
             lower, witness = float(pair.p_minus), columns[:, best]
+
+    part = pencil.partition
+    if max(part.sizes) == 1:
+        upper, candidates = _diagonal_alpha(pencil)
+        offer(candidates)
+        yield AlphaResult(lower, upper, witness)
+        return
+    d_unit, a_unit = pencil.d_matrix / sigma_d, pencil.a0_matrix / sigma_a
+
+    thetas = np.linspace(0.0, 2.0 * np.pi, ALPHA_SWEEP, endpoint=False)
+    heights, vectors, points = _support(d_unit, a_unit, part, thetas)
+    pending = vectors
+    evaluated = set()
 
     for _ in range(ALPHA_MAX_ROUNDS):
         peak, i, at_vertex = _polygon_max(thetas, heights, points, sigma_d, sigma_a)
@@ -594,7 +729,7 @@ def alpha_brackets(pencil: QuadraticPencil) -> Iterator[AlphaResult]:
         new = np.mod(new, 2.0 * np.pi)
         if new.size == 0:
             return
-        new_heights, new_vectors, new_points = _support(d_unit, a_unit, new)
+        new_heights, new_vectors, new_points = _support(d_unit, a_unit, part, new)
         pending = new_vectors
         order = np.argsort(np.concatenate([thetas, new]))
         thetas = np.concatenate([thetas, new])[order]

@@ -70,11 +70,11 @@ def inertia_negative(pencil: QuadraticPencil, lam: float) -> InertiaCount:
 
     Eigenvalues within BOUNDARY_TOL * |T(lam)| of zero are reported in the
     separate boundary slot: they flag lam as (numerically) a pencil
-    eigenvalue, where the count is ill-defined. They come block by block
-    (blocks.eigvalsh); the dropped coupling moves each by at most
-    2n eps |T(lam)|, below the boundary cut while 2n eps < BOUNDARY_TOL.
+    eigenvalue, where the count is ill-defined. They come on the pencil's
+    blocks (blocks.eigvalsh); the dropped coupling moves each by at most
+    2n eps term_scale(lam), the rounding of forming T(lam) itself.
     """
-    w = blocks.eigvalsh(pencil.t_matrix(float(lam)))
+    w = blocks.eigvalsh(pencil.t_matrix(float(lam)), pencil.partition)
     scale = float(np.max(np.abs(w)))
     cut = BOUNDARY_TOL * scale
     negative = int(np.sum(w < -cut))
@@ -164,10 +164,10 @@ def _root_step(pencil: QuadraticPencil, lam: float):
     """One root-functional step: the real root of the scalar quadratic of the
     smallest-|eigenvalue| eigenvector of T(lam) nearest to lam.
 
-    Returns (next_lam_or_None, blocks.eigh(T(lam))), T(lam) solved block by
-    block: the dropped coupling moves its eigenvalues by at most
-    2n eps |T(lam)|, inside the _rounding floor of _refine."""
-    w, v = eig = blocks.eigh(pencil.t_matrix(lam))
+    Returns (next_lam_or_None, blocks.eigh(T(lam))), T(lam) solved on the
+    pencil's blocks: the dropped coupling moves its eigenvalues by at most
+    2n eps term_scale(lam), the rounding of forming T(lam)."""
+    w, v = eig = blocks.eigh(pencil.t_matrix(lam), pencil.partition)
     pair = rayleigh_pair(pencil, v[:, int(np.argmin(np.abs(w)))])
     if not pair.in_dstar:
         return None, eig
@@ -228,7 +228,8 @@ def locate_real_eigenvalues(
         raise InvalidArgumentError("tol must be positive")
 
     lower = interval.lower
-    w = companion_eig(build_linearization(pencil).a_matrix).values
+    system = build_linearization(pencil)
+    w = companion_eig(system.a_matrix, partition=system.partition).values
     real = -np.sort(-w.real[(np.abs(w.imag) <= tol / 2) & (lower < w.real) & (w.real <= 0.0)])
     found = [(float(np.mean(real[g])), g.size) for g in _cluster(real, tol)]
     cuts = _separators([lam for lam, _ in found], lower)
@@ -467,12 +468,13 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult,
     n_dim = pencil.dim
     lower = result.interval.lower
 
-    # One eigh of T(lam) per distinct eigenvalue, block by block (the
-    # dropped coupling is at most 2n eps |T(lam)|, far below the kernel
-    # cut); kernel bases and the decompositions expanded in eigenvalue order.
+    # One eigh of T(lam) per distinct eigenvalue, on the pencil's blocks
+    # (the dropped coupling is at most 2n eps term_scale(lam), far below the
+    # kernel cut); kernel bases and the decompositions expanded in
+    # eigenvalue order.
     vectors, eigs = [], []
     for diag in result.per_eigenvalue:
-        eig = blocks.eigh(pencil.t_matrix(diag.value))
+        eig = blocks.eigh(pencil.t_matrix(diag.value), pencil.partition)
         cut = KERNEL_REL_TOL * pencil.term_scale(diag.value)
         kernel_dim = int(np.sum(np.abs(eig[0]) <= cut))
         report.add(

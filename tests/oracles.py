@@ -14,13 +14,16 @@ forward-error bounds that separate it from simulate's propagator powers), the
 random-subspace clause of the min-max check decided one subspace at a time,
 the alpha search's span candidates found one plane at a time, and the
 sup of p_plus on a subspace from one kernel-vector eigh per compressed
-eigenvalue, and the simulate CSV formatted one row at a time.
+eigenvalue, and the simulate CSV formatted one row at a time; alpha of the
+constant beam from its closed form, and the random pencil built twice, as
+the seeded ensemble was built before its damping scale was decided first.
 """
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad
 
-from quadpencil import rayleigh_batch, rayleigh_pair
+from quadpencil import QuadraticPencil, compute_delta_gamma, rayleigh_batch, rayleigh_pair
+from quadpencil.config import random_pencil
 from quadpencil.pencil import DISC_CLAMP_TOL
 from quadpencil.variational import InertiaCount, min_p_plus
 
@@ -451,3 +454,23 @@ def csv_rows_reference(times, energies, dissipation):
     """The simulate CSV rows, one `%` per row over plain Python floats."""
     return "".join("%.12g,%.16g,%.16g\n" % row
                    for row in zip(times.tolist(), energies.tolist(), dissipation.tolist()))
+
+
+def beam_alpha_closed_form(n_modes):
+    """alpha of the n_modes-mode beam with constant damping d = 4 and
+    a0 = 1: the chord of W between modes 1 and N crosses s^2 = 4a at
+    -(pi^2/4) [(N^2 + 1) - sqrt(N^4 - 14 N^2 + 1)]."""
+    n = float(n_modes)
+    return -(np.pi**2 / 4.0) * ((n * n + 1.0) - np.sqrt(n**4 - 14.0 * n * n + 1.0))
+
+
+def random_pencil_built_twice(dim, seed, damping_scale):
+    """random_pencil(..., ensure_real_root_cone=True) as two constructions:
+    the pencil of the unscaled damping, whose gamma and |A0^{-1}| decide
+    the scale, then the pencil of the scaled damping."""
+    pencil = random_pencil(dim, seed, damping_scale)
+    _, gamma = compute_delta_gamma(pencil)
+    needed = 2.5 * np.sqrt(pencil.a0_inv_norm)
+    if gamma < needed:
+        return QuadraticPencil(pencil.a0_matrix, pencil.d_matrix * (needed / max(gamma, 1e-300)))
+    return pencil

@@ -72,8 +72,8 @@ def test_verifiers_take_no_tolerance():
 CHECKERS = ("variational", "linearization", "evolution", "interlacing", "reports")
 # The modules a command should load only when it runs them.
 WATCHED = ("quadpencil.beam", "quadpencil.variational", "quadpencil.evolution",
-           "quadpencil.interlacing", "scipy.optimize", "numpy.ma", "numpy.polynomial",
-           "numpy.random")
+           "quadpencil.interlacing", "scipy.optimize", "scipy.spatial", "numpy.ma",
+           "numpy.polynomial", "numpy.random")
 
 
 def _fresh(code, *args):
@@ -111,14 +111,56 @@ def test_setup_loads_no_checker_module():
 ])
 def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
     # Each command in a fresh process: of WATCHED, it loads exactly `loaded`.
-    # No command loads scipy.optimize, numpy.ma or numpy.polynomial, and on
-    # these non-random configs only the min-max check loads numpy.random.
+    # No command loads scipy.optimize, scipy.spatial (alpha's hulls are
+    # numpy), numpy.ma or numpy.polynomial, and on these non-random configs
+    # only the min-max check loads numpy.random.
     argv = [str(ROOT / "configs" / a) if a.endswith(".json") else a for a in argv]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from quadpencil.cli import main; "
             "rc = main(sys.argv[2:]); "
             f"print(rc, [m for m in {WATCHED!r} if m in sys.modules])")
     out = _fresh(code, *argv, "--out", tmp_path / "out")
     assert out.strip() == f"0 {loaded!r}"
+
+
+# What every command loads after numpy and quadpencil.cli: its argument
+# parsing, JSON and the modules of a pencil's spectrum.
+COMMAND_BASE = ["argparse", "gettext", "json", "json.decoder", "json.encoder", "json.scanner",
+                "locale", "quadpencil.blocks", "quadpencil.config", "quadpencil.linearization",
+                "quadpencil.pencil", "quadpencil.reports"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["spectrum", "dense_diag.json"], []),
+    (["spectrum", "beam_sin.json"], ["quadpencil.beam"]),
+    (["simulate", "dense_diag.json", "--t-final", "1", "--dt", "0.01"], ["quadpencil.evolution"]),
+    (["variational", "dense_diag.json"],
+     ["base64", "hashlib", "hmac", "quadpencil.variational", "secrets"]),
+    (["interlace", "beam_const4.json", "beam_const5.json"],
+     ["quadpencil.beam", "quadpencil.interlacing", "quadpencil.variational"]),
+    (["beam-report", "beam_const4.json"], ["quadpencil.beam", "quadpencil.variational"]),
+])
+def test_command_loads_no_other_module(tmp_path, argv, extra):
+    # Every public module a command loads after numpy and quadpencil.cli
+    # (numpy's own submodules are WATCHED above): the pencil's blocks and
+    # alpha add none. base64 to secrets come with numpy.random.
+    argv = [str(ROOT / "configs" / a) if a.endswith(".json") else a for a in argv]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy, quadpencil.cli; "
+            "before = set(sys.modules); quadpencil.cli.main(sys.argv[2:]); "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if not m.startswith(('_', 'numpy.', 'cython'))))")
+    out = _fresh(code, *argv, "--out", tmp_path / "out")
+    assert out.strip() == repr(sorted(COMMAND_BASE + extra))
+
+
+def test_pencil_module_loads_no_other_module():
+    # After numpy, quadpencil.pencil loads only the standard library's
+    # dataclasses (with copy and __future__) and its own package.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy; "
+            "before = set(sys.modules); import quadpencil.pencil; "
+            "print(sorted(set(sys.modules) - before))")
+    assert _fresh(code).strip() == repr(["__future__", "copy", "dataclasses", "quadpencil",
+                                        "quadpencil.blocks", "quadpencil.errors",
+                                        "quadpencil.pencil"])
 
 
 def test_lazy_namespace():

@@ -292,26 +292,38 @@ def symmetric_inputs(pencil):
             + [(f"T({lam})", pencil.t_matrix(lam)) for lam in locate_separators(pencil)])
 
 
+def partition_labels(part):
+    """One label per index: the number of its block in part."""
+    labels = np.empty(sum(part.sizes), dtype=int)
+    for block, rows in enumerate(rows for _, group in part.groups for rows in group):
+        labels[rows] = block
+    return labels
+
+
 def assert_symmetric_blocks_match_whole(pencil):
-    """blocks.eigvalsh and blocks.eigh against np.linalg.eigvalsh of the
-    whole matrix M (N x N). Bound fixed from Weyl's theorem: the two solves
-    are exact for M - E + F1 and M + F2, with |E| <= 2N eps |M| the dropped
-    coupling and |F1|, |F2| <= N eps |M| the backward errors of dsyevd, so
-    the sorted eigenvalues differ by at most 4N eps |M|. eigh's vectors are
-    orthonormal eigenvectors of the blocks, zero off their block. The
-    inertia counts of inertia_negative equal those of the whole solve."""
+    """blocks.eigvalsh and blocks.eigh on the pencil's partition against
+    np.linalg.eigvalsh of the whole matrix M (N x N). Bound fixed from
+    Weyl's theorem: the two solves are exact for M - E + F1 and M + F2,
+    with E the dropped coupling and |F1|, |F2| <= N eps |M| the backward
+    errors of dsyevd, so the sorted eigenvalues differ by at most
+    4N eps |M| where |E| <= 2N eps |M|. That holds for D; for T(lam) the
+    pencil's partition bounds |E| by 2N eps term_scale(lam) only, and the
+    tighter bound is kept here. eigh's vectors are orthonormal eigenvectors
+    of the blocks, zero off their block. The inertia counts of
+    inertia_negative equal those of the whole solve."""
+    part = pencil.partition
+    labels = partition_labels(part)
     for name, m in symmetric_inputs(pencil):
         whole = np.linalg.eigvalsh(m)
         size = m.shape[0]
         bound = 4.0 * size * EPS * np.max(np.abs(whole))
-        got = blocks.eigvalsh(m)
+        got = blocks.eigvalsh(m, part)
         assert np.all(np.abs(got - whole) <= bound), (name, np.max(np.abs(got - whole)), bound)
-        w, v = blocks.eigh(m)
+        w, v = blocks.eigh(m, part)
         assert np.array_equal(w, np.sort(w))
         assert np.all(np.abs(w - whole) <= bound), name
         assert np.linalg.norm(v.T @ v - np.eye(size), 2) <= 4.0 * size * EPS
         assert np.linalg.norm(m @ v - v * w, 2) <= bound + 4.0 * size * EPS * np.max(np.abs(w))
-        labels = blocks._components(blocks._deflation_graph(m))
         off_block = labels[:, None] != labels[np.argmax(np.abs(v), axis=0)][None, :]
         assert np.all(v[off_block] == 0.0), name
     for lam in locate_separators(pencil):
@@ -349,6 +361,16 @@ class TestCompanionBlocks:
     def test_eigenvalues_match_whole_companion(self, pencil):
         assert_blocks_match_whole_companion(pencil)
         assert_symmetric_blocks_match_whole(pencil)
+
+    @pytest.mark.parametrize("pencil", block_cases())
+    def test_companion_partition_is_derived_from_the_pencils(self, pencil):
+        # Block r of the pencil with r + n is the companion's own partition.
+        system = build_linearization(pencil)
+        derived, own = system.partition, blocks.partition(system.a_matrix)
+        assert derived.sizes == own.sizes
+        assert len(derived.groups) == len(own.groups)
+        for (slots, rows), (own_slots, own_rows) in zip(derived.groups, own.groups):
+            assert np.array_equal(slots, own_slots) and np.array_equal(rows, own_rows)
 
     def test_rotated_pencil_matches_whole_companion(self, rotated_pencil):
         assert_blocks_match_whole_companion(rotated_pencil)
@@ -425,8 +447,9 @@ class TestCompanionBlocks:
             # The symmetric driver on D itself: the same threshold 8 eps.
             assert blocks.partition(pencil.d_matrix).sizes == ((1, 1) if sizes == (2, 2)
                                                                else (2,)), delta
-            _, v = blocks.eigh(pencil.d_matrix)
+            _, v = blocks.eigh(pencil.d_matrix, pencil.partition)
             assert np.count_nonzero(v) == (2 if sizes == (2, 2) else 4), delta
+            assert build_linearization(pencil).partition.sizes == sizes, delta
 
 
 class TestFullSpectrum:

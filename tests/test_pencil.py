@@ -12,6 +12,7 @@ from quadpencil import (
     DstarVerdict,
     InvalidArgumentError,
     QuadraticPencil,
+    blocks,
     compute_alpha,
     compute_delta_gamma,
     compute_scalars,
@@ -25,7 +26,13 @@ from quadpencil import (
 from quadpencil.config import build_pencil, load_config, random_pencil
 from quadpencil.pencil import _span_candidates, alpha_brackets
 
-from oracles import p_minus_grid_2d, quad_roots, span_candidates_pair
+from oracles import (
+    beam_alpha_closed_form,
+    p_minus_grid_2d,
+    quad_roots,
+    random_pencil_built_twice,
+    span_candidates_pair,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -544,14 +551,127 @@ class TestAlphaBrackets:
 
     @pytest.mark.parametrize("name", ["dense_diag", "interlace_violation_a"])
     def test_n2_planes_evaluated_once(self, monkeypatch, name):
-        # Both rounds peak on planes of the same two support vectors (e1, e2);
-        # the second round skips them.
+        # The diagonal pencil taken as one block, so that it takes the
+        # support polygons as a pencil with coupled blocks does: both rounds
+        # peak on planes of the same two support vectors (e1, e2); the
+        # second round skips them. (Turned by a rotation, the pencil's
+        # support vectors differ in their last bits from round to round, so
+        # no plane repeats exactly.)
         pencil, calls = config_pencil(name), []
+        pencil.__dict__["partition"] = blocks.partition(np.ones((2, 2)))
         monkeypatch.setattr(pencil_mod, "_span_candidates",
                             lambda pencil, spans: calls.append(spans) or _span_candidates(pencil, spans))
         res = compute_alpha(pencil)
         assert len(calls) == 1
         assert res.upper - res.lower <= pencil_mod.ALPHA_RTOL * abs(res.upper)
+
+
+def constant_beam(n_modes):
+    return discretize_beam(BeamConfig(
+        a0=1.0, damping=make_damping_profile({"profile": "constant", "params": {"value": 4.0}}),
+        n_modes=n_modes))
+
+
+def block_pencil(seed, sizes):
+    """A pencil of dense random blocks of the given sizes (A0 with spectrum
+    in [0.5, 5], D a scaled Wishart block), its indices shuffled."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    a0, d = np.zeros((n, n)), np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        q = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        b = rng.standard_normal((size, size))
+        block = slice(start, start + size)
+        a0[block, block] = q @ np.diag(rng.uniform(0.5, 5.0, size)) @ q.T
+        d[block, block] = rng.uniform(1.0, 8.0) * (b @ b.T) / size + rng.uniform(0.0, 4.0) * np.eye(size)
+        start += size
+    order = rng.permutation(n)
+    return QuadraticPencil(a0[np.ix_(order, order)], d[np.ix_(order, order)])
+
+
+class TestPencilBlocks:
+    """alpha on the pencil's own blocks: one exact bracket when every block
+    is 1 x 1, support lines taken per block otherwise."""
+
+    @pytest.mark.parametrize("n_modes", [12, 30, 50, 100, 200])
+    def test_constant_beam_alpha_is_one_exact_bracket(self, n_modes):
+        pencil = constant_beam(n_modes)
+        assert set(pencil.partition.sizes) == {1}
+        brackets = list(alpha_brackets(pencil))
+        assert len(brackets) == 1
+        res, want = brackets[0], beam_alpha_closed_form(n_modes)
+        assert res.lower <= res.upper
+        assert abs(res.lower - want) <= pencil_mod.ALPHA_RTOL * abs(want)
+        assert abs(res.upper - want) <= pencil_mod.ALPHA_RTOL * abs(want)
+        assert rayleigh_pair(pencil, res.witness).p_minus == res.lower
+        assert np.count_nonzero(res.witness) == 2
+
+    @pytest.mark.parametrize("n_modes", [12, 50, 200])
+    def test_diagonal_upper_end_bounds_the_witness_neighbourhood(self, n_modes):
+        # The lower end is taken half-way into the clamped band, so vectors
+        # near its witness, on its segment and off it, probe the rounding
+        # that the upper end's bound covers.
+        pencil, rng = constant_beam(n_modes), np.random.default_rng(n_modes)
+        res = compute_alpha(pencil)
+        i, j = np.flatnonzero(res.witness)
+        t = np.clip(res.witness[j] ** 2 + 1e-11 * rng.standard_normal(4000), 0.0, 1.0)
+        on_segment = np.zeros((pencil.dim, t.size))
+        on_segment[i], on_segment[j] = np.sqrt(1.0 - t), np.sqrt(t)
+        near = res.witness[:, None] + 10.0 ** rng.uniform(-16, -6, 4000) * rng.standard_normal(
+            (pencil.dim, 4000))
+        p_minus, _, feasible = rayleigh_batch(pencil, np.hstack([on_segment, 3.7 * on_segment, near]))
+        assert feasible.any()
+        assert np.all(p_minus[feasible] <= res.upper)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           sizes=st.lists(st.sampled_from([1, 1, 2, 3, 4]), min_size=2, max_size=6))
+    def test_blocks_agree_with_the_rotated_pencil(self, seed, sizes):
+        # The same pencil under a random orthogonal similarity is one block
+        # and takes the one-block algorithm: the brackets overlap, and no
+        # rayleigh_batch value of either pencil exceeds its upper end.
+        pencil = block_pencil(seed, sizes)
+        rng = np.random.default_rng(seed + 1)
+        q = np.linalg.qr(rng.standard_normal((pencil.dim, pencil.dim)))[0]
+        turned = QuadraticPencil(q @ pencil.a0_matrix @ q.T, q @ pencil.d_matrix @ q.T)
+        assert sorted(pencil.partition.sizes) == sorted(sizes)
+        assert turned.partition.sizes == (pencil.dim,)
+        res, res_turned = compute_alpha(pencil), compute_alpha(turned)
+        assert max(res.lower, res_turned.lower) <= min(res.upper, res_turned.upper)
+        x = rng.standard_normal((pencil.dim, 2000))
+        for p, r, columns in ((pencil, res, x), (turned, res_turned, q @ x)):
+            if r.witness is not None:
+                columns = np.column_stack([columns, r.witness[:, None] + 1e-9 * columns[:, :500]])
+            p_minus, _, feasible = rayleigh_batch(p, columns)
+            assert np.all(p_minus[feasible] <= r.upper)
+
+
+class TestRandomPencil:
+    @staticmethod
+    def rescaled(seed):
+        return not np.array_equal(
+            random_pencil(2 + seed % 5, seed, damping_scale=4.0 + seed % 3).d_matrix,
+            ensemble_pencil(seed).d_matrix)
+
+    def test_rescaled_damping_builds_one_pencil(self, monkeypatch):
+        seed = next(seed for seed in range(60) if self.rescaled(seed))
+        built = []
+        post_init = QuadraticPencil.__post_init__
+        monkeypatch.setattr(QuadraticPencil, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        ensemble_pencil(seed)
+        assert len(built) == 1
+
+    def test_ensemble_matrices_as_built_twice(self):
+        # Bitwise the matrices of the two-construction build, on the seeded
+        # ensemble of the acceptance suite, rescaled or not.
+        assert any(self.rescaled(seed) for seed in range(60))
+        for seed in range(60):
+            got = ensemble_pencil(seed)
+            want = random_pencil_built_twice(2 + seed % 5, seed, 4.0 + seed % 3)
+            assert np.array_equal(got.a0_matrix, want.a0_matrix)
+            assert np.array_equal(got.d_matrix, want.d_matrix)
 
 
 class TestDstarCertificate:
