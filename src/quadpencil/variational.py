@@ -11,7 +11,8 @@ the reported multiplicities; each eigenvalue carries its isolating bracket.
 Compressed pencils B^T T(lam) B then *verify* the max-min formulas on
 explicit subspaces (the min and the sup of p_plus on a subspace are
 eigenvalues of its compression); each compared value is p_plus at an explicit
-vector and carries a certificate or a witness. The compressions never locate
+vector and carries a certificate or a witness. The clauses over every
+subspace read inertia counts, by the same law. The compressions never locate
 eigenvalues.
 """
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .pencil import (
     QuadraticPencil,
     _compress,
     _compressed_eigenpairs,
-    _independent,
     _orth,
     _t,
     rayleigh_batch,
@@ -50,9 +50,6 @@ ROUNDING_ULPS = 4.0
 # lambda_max(B^T T(mu) B) must clear, in units of k * eps * |T(mu)|.
 MINMAX_MAX_BISECTIONS = 64
 HYPERBOLIC_SLACK = 16.0
-# Bytes of the random bases that _random_minima draws and decides at once:
-# memory stays flat in the subspace count and the dimension.
-SUBSPACE_BLOCK_BYTES = 1 << 18
 # IntervalDelta.inside: the default lower end's margin right of alpha, in
 # units of |alpha|, and the gate's slack left of it, in max(1, |alpha|).
 ALPHA_MARGIN = 1e-6
@@ -320,10 +317,9 @@ class SubspaceValue(NamedTuple):
 
 
 def _top_eigenpair(dc: np.ndarray, ac: np.ndarray, lam: float):
-    """Top eigenpair of lam^2 I + lam dc + ac, of one compression or of each
-    in a stack."""
+    """Top eigenpair of the compression lam^2 I + lam dc + ac."""
     w, v = np.linalg.eigh(_t(dc, ac, lam))
-    return w[..., -1], v[..., -1]
+    return w[-1], v[:, -1]
 
 
 def min_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
@@ -406,73 +402,44 @@ def sup_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
     return SubspaceValue(rayleigh_pair(pencil, x).p_plus, x, eigenvalue=float(lams[best]))
 
 
-def _random_minima(pencil, rng, dim, count, bound, tol) -> dict:
-    """The clause min p_plus <= bound on `count` seeded random dim-dimensional
-    subspaces: the check data of a random-subspace clause.
-
-    The top eigenvector y of B^T T(bound) B decides each subspace. If its
-    eigenvalue is >= 0, then t[By](bound) >= 0 and bound > alpha >= p_minus,
-    so By lies outside the cone or has p_plus(By) <= bound; if it is < 0, the
-    subspace lies inside the cone with min p_plus > bound. p_plus(By) is the
-    compared value; only where it exceeds the bound does min_p_plus supply
-    the smallest p_plus found, for the reported excess.
-
-    The subspaces are drawn and decided in stacks of SUBSPACE_BLOCK_BYTES of
-    bases; a stack of m draws takes the same numbers from rng as m single
-    draws. A rank-deficient draw is counted in subspaces and not decided.
-    """
-    per_block = max(1, SUBSPACE_BLOCK_BYTES // (8 * pencil.dim * dim))
-    excess = []
-    for start in range(0, count, per_block):
-        draws = rng.standard_normal((min(per_block, count - start), pencil.dim, dim))
-        q, r = np.linalg.qr(draws)
-        bases = q[np.all(_independent(r), axis=-1)]
-        tops = _top_eigenpair(*_compress(pencil, bases), bound)[1]
-        _, values, _ = rayleigh_batch(pencil, (bases @ tops[..., None])[..., 0].T)
-        for i in np.flatnonzero(values - bound > tol):
-            values[i] = np.fmin(values[i], min_p_plus(pencil, bases[i]).value)
-        excess.extend(values - bound)
-    excess = np.array(excess)
-    return {
-        "subspaces": count,
-        "violations": int(np.sum(excess > tol)),
-        "worst_excess": float(np.max(excess[excess > tol], initial=-np.inf)),
-    }
-
-
-def verify_minmax(pencil: QuadraticPencil, result: VariationalResult,
-                  random_subspaces: int, seed: int) -> Report:
+def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
     """Executable form of the max-min and min-sup eigenvalue formulas.
 
     For each n <= N: (a) the span of the first n pencil eigenvectors and the
     nonpositive spectral subspace of T(lambda_n) both achieve
-    min p_plus = lambda_n; (b) seeded random n-dimensional subspaces never
-    push min p_plus above lambda_n; (c) the dual form: the supremum of
-    p_plus orthogonal to the first n-1 negative-subspace directions equals
-    lambda_n, and orthogonal to the pencil-eigenvector span it stays
-    >= lambda_n. For n = N+1 <= dim, every random subspace has
-    min p_plus <= interval.lower (the no-more-eigenvalues clause).
+    min p_plus = lambda_n; (b) no n-dimensional subspace pushes min p_plus
+    above lambda_n; (c) the dual form: the supremum of p_plus orthogonal to
+    the first n-1 negative-subspace directions equals lambda_n, and
+    orthogonal to the pencil-eigenvector span it stays >= lambda_n. For
+    n = N+1 <= dim, no subspace has min p_plus above interval.lower (the
+    no-more-eigenvalues clause).
 
-    Each extremum comes from the compressed pencil B^T T(lam) B (min_p_plus,
-    sup_p_plus) and is compared as p_plus at an explicit vector; the check
-    data carries the certificate mu or the witness, and an inconclusive
-    minimum fails its achievement check. The one-sided random-subspace
-    clauses need no minimum: p_plus at the top eigenvector of B^T T(bound) B
-    settles each subspace. Every comparison allows the slack VERIFY_TOL.
+    (a) and (c) compare extrema from the compressed pencil B^T T(lam) B
+    (min_p_plus, sup_p_plus) as p_plus at explicit vectors; the check data
+    carries the certificate mu or the witness, an inconclusive minimum fails
+    its achievement check, and every comparison allows the slack VERIFY_TOL.
+
+    (b) and the exhaustion clause read inertia counts. For mu in (alpha, 0]
+    every vector in the cone has p_minus <= alpha < mu, so t(mu)[x] < 0
+    exactly when p_plus(x) > mu: by compactness and Courant-Fischer, an
+    n-dimensional subspace with min p_plus > mu exists exactly when T(mu)
+    has at least n negative eigenvalues (Sylvester's law). One with
+    min p_plus > lambda_n would also beat every mu in (lambda_n, hi], hi
+    the upper end of lambda_n's bracket, where the count is constant and
+    equals the number of eigenvalues above lambda_n. So (b) holds when
+    inertia_negative(hi) has at most n - 1 negative and no boundary
+    eigenvalues, and the exhaustion clause when the count at interval.lower
+    is at most N.
     """
-    if random_subspaces < 0:
-        raise InvalidArgumentError(
-            f"random_subspaces must be >= 0, got {random_subspaces}")
-    rng = np.random.default_rng(seed)
     report = Report("minmax_verification")
     n_dim = pencil.dim
     lower = result.interval.lower
 
-    # One eigh of T(lam) per distinct eigenvalue, on the pencil's blocks
-    # (the dropped coupling is at most 2n eps term_scale(lam), far below the
-    # kernel cut); kernel bases and the decompositions expanded in
-    # eigenvalue order.
-    vectors, eigs = [], []
+    # One eigh of T(lam) and one inertia count at the bracket's upper end
+    # per distinct eigenvalue, on the pencil's blocks (the dropped coupling
+    # is at most 2n eps term_scale(lam), far below the kernel cut); kernel
+    # bases, decompositions and counts expanded in eigenvalue order.
+    vectors, eigs, uppers = [], [], []
     for diag in result.per_eigenvalue:
         eig = blocks.eigh(pencil.t_matrix(diag.value), pencil.partition)
         cut = KERNEL_REL_TOL * pencil.term_scale(diag.value)
@@ -485,6 +452,8 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult,
         )
         vectors.extend(_kernel_basis(eig, diag.multiplicity).T)
         eigs.extend([eig] * diag.multiplicity)
+        hi = diag.bracket[1]
+        uppers.extend([(hi, inertia_negative(pencil, hi))] * diag.multiplicity)
     eigvec_matrix = np.column_stack(vectors) if vectors else np.zeros((n_dim, 0))
 
     big_n = result.n_found
@@ -505,9 +474,9 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult,
         report.add("achievement_spectral_subspace", abs(mn.value - lam_n) <= VERIFY_TOL,
                    n=n, eigenvalue=lam_n, min_p_plus=mn.value, **mn.data())
 
-        data = _random_minima(pencil, rng, n, random_subspaces, lam_n, VERIFY_TOL)
-        report.add("random_subspaces_below_eigenvalue",
-                   data["violations"] == 0, n=n, eigenvalue=lam_n, **data)
+        hi, count = uppers[n - 1]
+        report.add("maxmin_upper_by_inertia", count.negative <= n - 1 and count.boundary == 0,
+                   n=n, eigenvalue=lam_n, mu=hi, negative_count=count.negative)
 
         # Dual form. The guaranteed minimizing constraint is the strictly
         # negative spectral subspace of T(lambda_n), padded with kernel
@@ -531,7 +500,7 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult,
 
     n_above = big_n + 1
     if n_above <= n_dim:
-        data = _random_minima(pencil, rng, n_above, random_subspaces, lower, VERIFY_TOL)
-        report.add("exhaustion_above_n",
-                   data["violations"] == 0, n=n_above, interval_lower=lower, **data)
+        count = inertia_negative(pencil, lower).negative
+        report.add("exhaustion_above_n", count <= big_n,
+                   n=n_above, mu=lower, negative_count=count)
     return report

@@ -11,7 +11,8 @@ from one eigvalsh of the whole matrix, evolution
 references from an explicit modal decomposition
 and from the trapezoidal scheme stepped one lu_solve at a time (with the
 forward-error bounds that separate it from simulate's propagator powers), the
-random-subspace clause of the min-max check decided one subspace at a time,
+max-min clauses that the min-max check decides by inertia counts probed on
+random subspaces, one at a time,
 the alpha search's span candidates found one plane at a time, and the
 sup of p_plus on a subspace from one kernel-vector eigh per compressed
 eigenvalue, and the simulate CSV formatted one row at a time; alpha of the
@@ -376,11 +377,12 @@ def det_poly_real_roots_mp(a0, d, digits=50):
 
 def random_minima_loop(pencil, rng, dim, count, bound, tol):
     """The clause min p_plus <= bound on `count` random dim-dimensional
-    subspaces, one subspace at a time: the reference for the stacked
-    variational._random_minima. Each subspace is one draw from rng and one
-    QR; a rank-deficient draw is skipped but counted. p_plus at the top
-    eigenvector of B^T T(bound) B (rayleigh_pair) decides it, and min_p_plus
-    supplies the minimum where that value exceeds the bound by more than tol.
+    subspaces, one subspace at a time: a random probe of the max-min clauses
+    that verify_minmax decides by inertia counts. Each subspace is one draw
+    from rng and one QR; a rank-deficient draw is skipped but counted.
+    p_plus at the top eigenvector of B^T T(bound) B (rayleigh_pair) decides
+    it, and min_p_plus supplies the minimum where that value exceeds the
+    bound by more than tol.
     """
     excess = []
     for _ in range(count):

@@ -166,8 +166,7 @@ def test_criterion_03_minmax_equality(ensemble):
             continue
         if got and np.max(np.abs(np.array(got) - np.array(expected))) > 1e-7:
             problems.append(f"seed {entry.seed}: eigenvalue mismatch above 1e-7")
-        report = verify_minmax(entry.pencil, entry.result, random_subspaces=200,
-                               seed=entry.seed)
+        report = verify_minmax(entry.pencil, entry.result)
         for check in report.failures():
             problems.append(f"seed {entry.seed}: {check.label} {check.data}")
     conclude(3, f"min-max equality on {len(ensemble)} seeded pencils",

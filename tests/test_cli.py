@@ -152,8 +152,7 @@ class TestSpectrumCommand:
 class TestVariationalCommand:
     def test_diag_fixture(self, tmp_path):
         out = tmp_path / "var.json"
-        code = main(["variational", str(CONFIGS / "dense_diag.json"),
-                     "--subspaces", "15", "--out", str(out)])
+        code = main(["variational", str(CONFIGS / "dense_diag.json"), "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["ok"] and doc["kappa"] == 0
@@ -189,25 +188,19 @@ class TestVariationalCommand:
 
     def test_delta_lower_below_alpha_exits_2(self):
         code = main(["variational", str(CONFIGS / "dense_diag.json"),
-                     "--delta-lower", "-50.0", "--subspaces", "5"])
+                     "--delta-lower", "-50.0"])
         assert code == 2
 
-    def test_zero_subspaces(self, tmp_path):
-        out = tmp_path / "var.json"
-        assert main(["variational", str(CONFIGS / "dense_diag.json"),
-                     "--subspaces", "0", "--out", str(out)]) == 0
-        checks = json.loads(out.read_text())["minmax_report"]["checks"]
-        clauses = [c for c in checks
-                   if c["label"] in ("random_subspaces_below_eigenvalue", "exhaustion_above_n")]
-        assert [c["label"] for c in clauses] == [
-            "random_subspaces_below_eigenvalue", "exhaustion_above_n"]
-        assert all(c["ok"] and c["subspaces"] == 0 and c["violations"] == 0 for c in clauses)
-
-    def test_negative_subspaces_exits_2(self, capsys):
-        code = main(["variational", str(CONFIGS / "dense_diag.json"),
-                     "--subspaces", "-3"])
-        assert code == 2
-        assert "random_subspaces must be >= 0" in capsys.readouterr().err
+    def test_subspaces_flag_is_gone(self, capsys):
+        # The clauses over every subspace are decided by inertia counts:
+        # there is no subspace count to set.
+        with pytest.raises(SystemExit) as exc:
+            main(["variational", str(CONFIGS / "dense_diag.json"), "--subspaces", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: quadpencil")
+        assert "unrecognized arguments: --subspaces 5" in err
+        assert "Traceback" not in err
 
     def test_undamped_source_finds_nothing(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -215,7 +208,7 @@ class TestVariationalCommand:
             "dense": {"a0": [[2.0, 0.0], [0.0, 8.0]], "d": [[0.0, 0.0], [0.0, 0.0]]},
         })
         out = tmp_path / "var.json"
-        code = main(["variational", cfg, "--subspaces", "5", "--out", str(out)])
+        code = main(["variational", cfg, "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["n_found"] == 0
@@ -254,7 +247,7 @@ class TestVariationalCommand:
         assert doc["eigenvalues"][0]["value"] == pytest.approx(-5.0 + np.sqrt(24.0), rel=1e-12)
         checks = {c["label"]: c for c in doc["minmax_report"]["checks"]}
         assert checks["exhaustion_above_n"]["ok"]
-        assert checks["exhaustion_above_n"]["violations"] == 0
+        assert checks["exhaustion_above_n"]["negative_count"] == 1
 
     @pytest.mark.parametrize("a0, d, double", [
         ([3.0, 3.0], [7.0, 7.0], (-7.0 + np.sqrt(37.0)) / 2.0),
@@ -294,7 +287,7 @@ class TestVariationalCommand:
 
     def test_rerun_byte_identical_except_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        argv = ["variational", str(CONFIGS / "dense_diag.json"), "--subspaces", "10"]
+        argv = ["variational", str(CONFIGS / "dense_diag.json")]
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
         assert strip_timestamp(out1.read_text()) == strip_timestamp(out2.read_text())
@@ -578,17 +571,17 @@ class TestDispatch:
         spectrum, variational = tmp_path / "s.json", tmp_path / "v.json"
         cfg = str(CONFIGS / "dense_diag.json")
         assert main(["spectrum", cfg, "--out", str(spectrum)]) == 0
-        assert main(["variational", cfg, "--subspaces", "3", "--out", str(variational)]) == 0
+        assert main(["variational", cfg, "--out", str(variational)]) == 0
         assert main(["simulate", cfg, "--t-final", "0.1", "--dt", "0.05"]) == 0
         assert json.loads(spectrum.read_text())["command"] == "spectrum"
         doc = json.loads(variational.read_text())
         assert doc["command"] == "variational"
-        assert doc["minmax_report"]["checks"][-1]["subspaces"] == 3
+        assert doc["minmax_report"]["checks"][-1]["negative_count"] == 1
         assert capsys.readouterr().out.splitlines()[1] == "time,energy,dissipation"
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", str(CONFIGS / "dense_diag.json")],
-        ["variational", str(CONFIGS / "dense_diag.json"), "--subspaces", "3"],
+        ["variational", str(CONFIGS / "dense_diag.json")],
         ["interlace", str(CONFIGS / "beam_const4.json"), str(CONFIGS / "beam_const5.json")],
         ["simulate", str(CONFIGS / "dense_diag.json"), "--t-final", "0.01", "--dt", "0.001"],
         ["beam-report", str(CONFIGS / "beam_const4.json")],

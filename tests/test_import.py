@@ -29,7 +29,7 @@ def test_minmax_verification_loads_no_optimizer():
             "p = qp.QuadraticPencil([[2.0, 0.0], [0.0, 8.0]], "
             "[[6.0, 0.0], [0.0, 2.0]]); "
             "res = qp.locate_real_eigenvalues(p, qp.IntervalDelta(lower=-2.1), 1e-10); "
-            "assert qp.verify_minmax(p, res, random_subspaces=20, seed=0).ok; "
+            "assert qp.verify_minmax(p, res).ok; "
             "cfg = qp.BeamConfig(a0=1.0, n_modes=12, damping=qp.make_damping_profile("
             "{'profile': 'four_plus_sin'})); "
             "qp.full_spectrum(qp.build_linearization(qp.discretize_beam(cfg))); "
@@ -104,7 +104,8 @@ def test_setup_loads_no_checker_module():
     (["spectrum", "beam_sin.json"], ["quadpencil.beam"]),
     (["simulate", "dense_diag.json", "--t-final", "1", "--dt", "0.01"],
      ["quadpencil.evolution"]),
-    (["variational", "dense_diag.json"], ["quadpencil.variational", "numpy.random"]),
+    (["variational", "dense_diag.json"], ["quadpencil.variational"]),
+    (["variational", "random_dim4.json"], ["quadpencil.variational", "numpy.random"]),
     (["interlace", "beam_const4.json", "beam_const5.json"],
      ["quadpencil.beam", "quadpencil.variational", "quadpencil.interlacing"]),
     (["beam-report", "beam_sin.json"], ["quadpencil.beam", "quadpencil.variational"]),
@@ -112,8 +113,8 @@ def test_setup_loads_no_checker_module():
 def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
     # Each command in a fresh process: of WATCHED, it loads exactly `loaded`.
     # No command loads scipy.optimize, scipy.spatial (alpha's hulls are
-    # numpy), numpy.ma or numpy.polynomial, and on these non-random configs
-    # only the min-max check loads numpy.random.
+    # numpy), numpy.ma or numpy.polynomial, and only a random-source config
+    # loads numpy.random (config.random_pencil draws the pencil).
     argv = [str(ROOT / "configs" / a) if a.endswith(".json") else a for a in argv]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from quadpencil.cli import main; "
             "rc = main(sys.argv[2:]); "
@@ -133,7 +134,8 @@ COMMAND_BASE = ["argparse", "gettext", "json", "json.decoder", "json.encoder", "
     (["spectrum", "dense_diag.json"], []),
     (["spectrum", "beam_sin.json"], ["quadpencil.beam"]),
     (["simulate", "dense_diag.json", "--t-final", "1", "--dt", "0.01"], ["quadpencil.evolution"]),
-    (["variational", "dense_diag.json"],
+    (["variational", "dense_diag.json"], ["quadpencil.variational"]),
+    (["variational", "random_dim4.json"],
      ["base64", "hashlib", "hmac", "quadpencil.variational", "secrets"]),
     (["interlace", "beam_const4.json", "beam_const5.json"],
      ["quadpencil.beam", "quadpencil.interlacing", "quadpencil.variational"]),

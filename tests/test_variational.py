@@ -25,7 +25,7 @@ from quadpencil import (
 from quadpencil import blocks, build_pencil, load_config, rayleigh_pair, variational
 from quadpencil.config import random_pencil
 from quadpencil.pencil import _orth
-from quadpencil.variational import _random_minima, min_p_plus, sup_p_plus
+from quadpencil.variational import min_p_plus, sup_p_plus
 
 from oracles import (
     det_poly_real_roots_mp,
@@ -365,7 +365,7 @@ class TestVerifyMinmax:
         res = locate_real_eigenvalues(
             diag_pencil, IntervalDelta(lower=alpha + 1e-6 * abs(alpha)), 1e-10
         )
-        report = verify_minmax(diag_pencil, res, random_subspaces=60, seed=3)
+        report = verify_minmax(diag_pencil, res)
         assert report.ok, report.failures()
         # achievement witness: the first eigenvector's root IS lambda_1
         assert rayleigh_pair(diag_pencil, [1.0, 0.0]).p_plus == pytest.approx(
@@ -387,7 +387,7 @@ class TestVerifyMinmax:
         res = dataclasses.replace(
             res, eigenvalues=np.array([off]),
             per_eigenvalue=(dataclasses.replace(diag, value=off),))
-        report = verify_minmax(diag_pencil, res, random_subspaces=4, seed=0)
+        report = verify_minmax(diag_pencil, res)
         checks = {c.label: c for c in report.checks}
         check = checks["kernel_dimension_matches_multiplicity"]
         assert not check.ok and check.data["kernel_dim"] == 0
@@ -401,8 +401,32 @@ class TestVerifyMinmax:
             res = locate_real_eigenvalues(
                 pencil, IntervalDelta.inside(compute_alpha(pencil).alpha), 1e-10)
             assert res.n_found >= 1
-            report = verify_minmax(pencil, res, random_subspaces=40, seed=seed)
+            report = verify_minmax(pencil, res)
             assert report.ok, report.failures()
+
+    @settings(max_examples=25, deadline=None)
+    @given(source=st.one_of(st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.json"))),
+                            st.tuples(st.integers(2, 6), st.integers(0, 10_000))),
+           draw_seed=st.integers(0, 2**32 - 1))
+    def test_random_subspaces_agree_with_inertia_counts(self, source, draw_seed):
+        # The random probe, independent of the counts: where the counts pass
+        # both clauses, no seeded random n-dimensional subspace has min p_plus
+        # above lambda_n, and none of dimension N + 1 above the lower end.
+        if isinstance(source, str):
+            pencil = build_pencil(load_config(CONFIGS / source))
+        else:
+            pencil = random_pencil(*source, damping_scale=8.0, ensure_real_root_cone=True)
+        res = locate_real_eigenvalues(
+            pencil, IntervalDelta.inside(compute_alpha(pencil).alpha), 1e-10)
+        counted = [c for c in verify_minmax(pencil, res).checks
+                   if c.label in ("maxmin_upper_by_inertia", "exhaustion_above_n")]
+        assert len(counted) == min(res.n_found + 1, pencil.dim)
+        assert all(c.ok for c in counted), counted
+        rng = np.random.default_rng(draw_seed)
+        bounds = [*res.eigenvalues, res.interval.lower][:pencil.dim]
+        for n, bound in enumerate(bounds, start=1):
+            oracle = random_minima_loop(pencil, rng, n, 10, bound, variational.VERIFY_TOL)
+            assert oracle["violations"] == 0, (n, oracle)
 
 
 class TestCompressedExtrema:
@@ -419,7 +443,7 @@ class TestCompressedExtrema:
                 d[0, 0] = np.nextafter(d[0, 0], direction)
             pencil = QuadraticPencil(base.a0_matrix, d)
             interval = IntervalDelta.inside(compute_alpha(pencil).upper)
-            report = verify_minmax(pencil, locate_real_eigenvalues(pencil, interval, 1e-8), 0, 0)
+            report = verify_minmax(pencil, locate_real_eigenvalues(pencil, interval, 1e-8))
             dual = [c for c in report.checks if c.label == "dual_spectral_subspace"]
             assert dual[2].data["compressed_eigenvalue"] == pytest.approx(lam3, rel=1e-12)
 
@@ -510,100 +534,66 @@ class TestCompressedExtrema:
         sup = sup_p_plus(pencil, basis)
         assert calls == ["eig"] and sup.value > -np.inf
 
-    def test_cone_boundary_settled_by_top_eigenvector(self, critical_1x1):
+    def test_cone_boundary_settled_by_inertia_count(self, critical_1x1):
         # R^1 touches the cone's boundary (double root -1): no mu makes the
         # compression negative definite and no vector leaves the cone, so the
-        # exact minimum is inconclusive, but the one-sided exhaustion clause
-        # is settled by p_plus(1) = -1 <= bound.
+        # exact minimum is inconclusive, but the exhaustion clause is settled
+        # by the count at the lower end: T(-0.999999) = 1e-12 > 0.
         assert min_p_plus(critical_1x1, np.eye(1)).inconclusive
         res = locate_real_eigenvalues(critical_1x1, IntervalDelta(lower=-0.999999), 1e-10)
         assert res.n_found == 0
-        report = verify_minmax(critical_1x1, res, random_subspaces=3, seed=0)
+        report = verify_minmax(critical_1x1, res)
         assert report.ok, report.failures()
         (check,) = report.checks
         assert check.label == "exhaustion_above_n"
-        assert check.data["violations"] == 0 and check.data["subspaces"] == 3
+        assert check.data == {"n": 1, "mu": -0.999999, "negative_count": 0}
 
-    def test_missed_eigenvalue_is_a_violation(self):
-        # A0 = I, D = diag(3, 4): eigenvalues (-4+sqrt12)/2 > (-3+sqrt5)/2 in
-        # (alpha, 0] with alpha = (-3-sqrt5)/2. Dropping the second from the
-        # result leaves R^2, inside the cone, with min p_plus above the bound.
+    @staticmethod
+    def dropped(keep):
+        """A0 = I, D = diag(3, 4): eigenvalues (-4+sqrt12)/2 > (-3+sqrt5)/2
+        in (alpha, 0], alpha = (-3-sqrt5)/2. The located result with only
+        the entry `keep` (0 or 1) left, and the interval's lower end."""
         pencil = QuadraticPencil(np.eye(2), np.diag([3.0, 4.0]))
         lower = (-3.0 - np.sqrt(5.0)) / 2.0 + 1e-6
         res = locate_real_eigenvalues(pencil, IntervalDelta(lower=lower), 1e-10)
         assert res.n_found == 2
-        first = res.per_eigenvalue[0]
-        res = dataclasses.replace(res, eigenvalues=res.eigenvalues[:1], n_found=1,
-                                  per_eigenvalue=(first,))
-        report = verify_minmax(pencil, res, random_subspaces=4, seed=0)
-        (check,) = report.failures()
+        entry = res.per_eigenvalue[keep]
+        res = dataclasses.replace(res, eigenvalues=np.array([entry.value]), n_found=1,
+                                  per_eigenvalue=(entry,))
+        return pencil, res, lower
+
+    def test_missed_eigenvalue_is_a_violation(self):
+        # Dropping the second eigenvalue leaves R^2, inside the cone, with
+        # min p_plus = (-3+sqrt5)/2 above the lower end: T(lower) has two
+        # negative eigenvalues against N = 1.
+        pencil, res, lower = self.dropped(0)
+        (check,) = verify_minmax(pencil, res).failures()
         assert check.label == "exhaustion_above_n"
-        assert check.data["violations"] == 4
-        assert check.data["worst_excess"] == pytest.approx(
+        assert check.data == {"n": 2, "mu": lower, "negative_count": 2}
+        # The random oracle agrees: every plane violates the clause.
+        oracle = random_minima_loop(pencil, np.random.default_rng(0), 2, 20, lower,
+                                    variational.VERIFY_TOL)
+        assert oracle["violations"] == 20
+        assert oracle["worst_excess"] == pytest.approx(
             (-3.0 + np.sqrt(5.0)) / 2.0 - lower, rel=1e-12)
 
-    @pytest.mark.parametrize("chunked", [False, True])
-    @pytest.mark.parametrize("count", [0, 1, 50])
-    @pytest.mark.parametrize("name", ["diag", "dense", "random_dim4"])
-    def test_random_minima_matches_per_subspace_loop(self, monkeypatch, name, count, chunked):
-        pencil = {
-            "diag": lambda: QuadraticPencil(np.diag([2.0, 8.0]), np.diag([6.0, 2.0])),
-            "dense": lambda: QuadraticPencil([[2.0, 1.0], [1.0, 8.0]],
-                                             [[6.0, 1.5], [1.5, 3.0]]),
-            "random_dim4": lambda: build_pencil(load_config(CONFIGS / "random_dim4.json")),
-        }[name]()
-        alpha = compute_alpha(pencil).alpha
-        lower = alpha + 1e-6 * abs(alpha)
-        res = locate_real_eigenvalues(pencil, IntervalDelta(lower=lower), 1e-10)
-        violations = 0
-        for dim in range(1, pencil.dim + 1):
-            if chunked:  # three subspaces per stack
-                monkeypatch.setattr(variational, "SUBSPACE_BLOCK_BYTES", 3 * 8 * pencil.dim * dim)
-            lam = res.eigenvalues[dim - 1] if dim <= res.n_found else lower
-            # at the eigenvalue the clause holds; below it, violations make
-            # min_p_plus supply the reported minimum
-            for bound in (lam, lam - 1.0):
-                batched, looped = np.random.default_rng(dim), np.random.default_rng(dim)
-                got = _random_minima(pencil, batched, dim, count, bound, 1e-6)
-                want = random_minima_loop(pencil, looped, dim, count, bound, 1e-6)
-                assert batched.bit_generator.state == looped.bit_generator.state
-                assert (got["subspaces"], got["violations"]) == (
-                    want["subspaces"], want["violations"])
-                assert got["worst_excess"] == pytest.approx(want["worst_excess"], rel=1e-12)
-                violations += got["violations"]
-        assert res.n_found >= 1
-        if count == 50:  # the min_p_plus fallback ran
-            assert violations > 0
-
-    @pytest.mark.parametrize("chunked", [False, True])
-    def test_rank_deficient_draws_are_counted_not_decided(self, monkeypatch, chunked):
-        class RepeatedColumns:
-            """A normal stream in which every other subspace repeats its
-            first column."""
-
-            def __init__(self):
-                self.rng, self.drawn = np.random.default_rng(2), 0
-
-            def standard_normal(self, shape):
-                draws = self.rng.standard_normal(shape)
-                for i, draw in enumerate(draws.reshape((-1, *shape[-2:])), self.drawn):
-                    if i % 2 == 0:
-                        draw[:, 1:] = draw[:, :1]
-                    self.drawn += 1
-                return draws
-
-        # Overdamped: every subspace lies inside the cone with p_plus in
-        # [-0.31, -0.1], so each decided plane violates the bound -1.
-        pencil = QuadraticPencil(np.diag([1.0, 2.0, 3.0]), 10.0 * np.eye(3))
-        if chunked:
-            monkeypatch.setattr(variational, "SUBSPACE_BLOCK_BYTES", 3 * 8 * pencil.dim * 2)
-        batched, looped = RepeatedColumns(), RepeatedColumns()
-        got = _random_minima(pencil, batched, 2, 40, -1.0, 1e-6)
-        want = random_minima_loop(pencil, looped, 2, 40, -1.0, 1e-6)
-        assert batched.drawn == looped.drawn == 40
-        assert got["subspaces"] == want["subspaces"] == 40
-        assert got["violations"] == want["violations"] == 20
-        assert got["worst_excess"] == pytest.approx(want["worst_excess"], rel=1e-12)
+    def test_missed_top_eigenvalue_is_a_violation(self):
+        # Dropping the first eigenvalue makes (-3+sqrt5)/2 lambda_1, but the
+        # line of the first mode has p_plus = (-4+sqrt12)/2 above it: at the
+        # upper end of its bracket, the midpoint -0.325, T has one negative
+        # eigenvalue against n - 1 = 0.
+        pencil, res, _ = self.dropped(1)
+        lam = float(res.eigenvalues[0])
+        checks = {c.label: c for c in verify_minmax(pencil, res).checks}
+        check = checks["maxmin_upper_by_inertia"]
+        assert not check.ok
+        assert check.data["n"] == 1 and check.data["eigenvalue"] == lam
+        assert check.data["negative_count"] == 1
+        assert check.data["mu"] == pytest.approx(-0.325, abs=1e-3)
+        assert check.data["mu"] == res.per_eigenvalue[0].bracket[1]
+        oracle = random_minima_loop(pencil, np.random.default_rng(0), 1, 20, lam,
+                                    variational.VERIFY_TOL)
+        assert oracle["violations"] > 0
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), dim=st.integers(2, 5),
@@ -616,7 +606,7 @@ class TestCompressedExtrema:
         for p in (pencil, scaled):
             res = locate_real_eigenvalues(
                 p, IntervalDelta.inside(compute_alpha(p).alpha), 1e-10 * max(1.0, c))
-            report = verify_minmax(p, res, random_subspaces=10, seed=seed)
+            report = verify_minmax(p, res)
             verdicts.append([(check.label, check.ok) for check in report.checks])
         assert verdicts[0] == verdicts[1]
         assert all(ok for _, ok in verdicts[0])
