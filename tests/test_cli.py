@@ -191,15 +191,16 @@ class TestVariationalCommand:
                      "--delta-lower", "-50.0"])
         assert code == 2
 
-    def test_subspaces_flag_is_gone(self, capsys):
+    @pytest.mark.parametrize("count", ["5", "0", "-3"])
+    def test_subspaces_flag_is_gone(self, capsys, count):
         # The clauses over every subspace are decided by inertia counts:
-        # there is no subspace count to set.
+        # there is no subspace count to set, not even the vacuous 0.
         with pytest.raises(SystemExit) as exc:
-            main(["variational", str(CONFIGS / "dense_diag.json"), "--subspaces", "5"])
+            main(["variational", str(CONFIGS / "dense_diag.json"), "--subspaces", count])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: quadpencil")
-        assert "unrecognized arguments: --subspaces 5" in err
+        assert f"unrecognized arguments: --subspaces {count}" in err
         assert "Traceback" not in err
 
     def test_undamped_source_finds_nothing(self, tmp_path):

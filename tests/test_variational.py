@@ -29,6 +29,7 @@ from quadpencil.variational import min_p_plus, sup_p_plus
 
 from oracles import (
     det_poly_real_roots_mp,
+    inertia_whole,
     p_plus_on_plane,
     quad_roots,
     random_minima_loop,
@@ -39,6 +40,12 @@ from oracles import (
 
 SQRT7 = np.sqrt(7.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# Simple eigenvalues in (IntervalDelta.inside(alpha), 0] on each shipped config.
+FOUND_ON_CONFIG = {
+    "beam_const4.json": 2, "beam_const5.json": 3, "beam_sin.json": 3,
+    "dense_diag.json": 1, "interlace_violation_a.json": 1,
+    "interlace_violation_b.json": 1, "random_dim4.json": 2,
+}
 
 
 class TestScalarRoots:
@@ -427,6 +434,58 @@ class TestVerifyMinmax:
         for n, bound in enumerate(bounds, start=1):
             oracle = random_minima_loop(pencil, rng, n, 10, bound, variational.VERIFY_TOL)
             assert oracle["violations"] == 0, (n, oracle)
+
+    @staticmethod
+    def located(name):
+        pencil = build_pencil(load_config(CONFIGS / name))
+        res = locate_real_eigenvalues(
+            pencil, IntervalDelta.inside(compute_alpha(pencil).alpha), 1e-10)
+        assert res.n_found == FOUND_ON_CONFIG[name]
+        return pencil, res
+
+    @staticmethod
+    def counted(pencil, res):
+        return [c for c in verify_minmax(pencil, res).checks
+                if c.label in ("maxmin_upper_by_inertia", "exhaustion_above_n")]
+
+    @pytest.mark.parametrize("name", sorted(FOUND_ON_CONFIG))
+    def test_counts_are_exact_and_match_whole_matrix(self, name):
+        # Above lambda_n's bracket end lie exactly the n - 1 larger
+        # eigenvalues, and above the lower end all N: the counts meet their
+        # bounds with equality, and one eigvalsh of the whole T(mu) agrees
+        # with the count on the pencil's blocks.
+        pencil, res = self.located(name)
+        counted = self.counted(pencil, res)
+        assert [c.data["n"] for c in counted] == list(
+            range(1, min(res.n_found + 1, pencil.dim) + 1))
+        for check in counted:
+            assert check.ok
+            assert check.data["negative_count"] == check.data["n"] - 1
+            whole = inertia_whole(pencil.t_matrix(check.data["mu"]), variational.BOUNDARY_TOL)
+            assert (whole.negative, whole.boundary) == (check.data["negative_count"], 0)
+        assert counted[-1].data["mu"] == res.interval.lower
+
+    @pytest.mark.parametrize("name, dropped", [
+        (name, k) for name, n_found in sorted(FOUND_ON_CONFIG.items()) for k in range(n_found)])
+    def test_every_dropped_eigenvalue_is_caught(self, name, dropped):
+        # Removing the k-th eigenvalue (0-based) from the result shifts every
+        # smaller one up a place: from n = k + 1 on, the count at the n-th
+        # bracket end, and at the lower end for n = N, is n > n - 1. The
+        # checks before place k + 1 still pass.
+        pencil, res = self.located(name)
+        kept = tuple(d for i, d in enumerate(res.per_eigenvalue) if i != dropped)
+        doctored = dataclasses.replace(
+            res, eigenvalues=np.array([d.value for d in kept]), n_found=len(kept),
+            per_eigenvalue=kept)
+        counted = self.counted(pencil, doctored)
+        assert [c.ok for c in counted] == [n <= dropped for n in range(1, res.n_found + 1)]
+        assert [c.label for c in counted[dropped:]] == (
+            ["maxmin_upper_by_inertia"] * (res.n_found - 1 - dropped) + ["exhaustion_above_n"])
+        for n, check in enumerate(counted[dropped:], start=dropped + 1):
+            assert check.data["n"] == n and check.data["negative_count"] == n
+            whole = inertia_whole(pencil.t_matrix(check.data["mu"]), variational.BOUNDARY_TOL)
+            assert whole.negative == n
+        assert counted[-1].data["mu"] == res.interval.lower
 
 
 class TestCompressedExtrema:
