@@ -8,12 +8,12 @@ law the number of negative eigenvalues of T(lam) jumps by the multiplicity of
 every pencil eigenvalue crossed inside (alpha, 0], so the counts at 0, at the
 midpoints between neighbouring eigenvalues and at lower must step by exactly
 the reported multiplicities; each eigenvalue carries its isolating bracket.
-Compressed pencils B^T T(lam) B then *verify* the max-min formulas on
-explicit subspaces (the min and the sup of p_plus on a subspace are
-eigenvalues of its compression); each compared value is p_plus at an explicit
-vector and carries a certificate or a witness. The clauses over every
-subspace read inertia counts, by the same law. The compressions never locate
-eigenvalues.
+Compressed pencils B^T T(lam) B then *verify* the max-min and min-sup
+formulas on their attaining subspaces (the min and the sup of p_plus on a
+subspace are eigenvalues of its compression); each compared value is p_plus
+at an explicit vector and carries a certificate or a witness. The clauses
+over every subspace and every constraint read inertia counts at the bracket
+ends, by the same law. The compressions never locate eigenvalues.
 """
 from __future__ import annotations
 
@@ -287,8 +287,7 @@ def _complement(n: int, constraint: np.ndarray) -> np.ndarray:
     if constraint.size == 0:
         return np.eye(n)
     q = _orth(constraint)
-    w, v = np.linalg.eigh(np.eye(n) - q @ q.T)
-    return v[:, w > 0.5]
+    return np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]
 
 
 class SubspaceValue(NamedTuple):
@@ -409,37 +408,45 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
     nonpositive spectral subspace of T(lambda_n) both achieve
     min p_plus = lambda_n; (b) no n-dimensional subspace pushes min p_plus
     above lambda_n; (c) the dual form: the supremum of p_plus orthogonal to
-    the first n-1 negative-subspace directions equals lambda_n, and
-    orthogonal to the pencil-eigenvector span it stays >= lambda_n. For
-    n = N+1 <= dim, no subspace has min p_plus above interval.lower (the
-    no-more-eigenvalues clause).
+    the eigenvectors of the n - 1 smallest eigenvalues of T(lambda_n)
+    equals lambda_n, and orthogonal to any n - 1 vectors it is >= lambda_n.
+    For n = N+1 <= dim, no subspace has min p_plus above interval.lower
+    (the no-more-eigenvalues clause).
 
-    (a) and (c) compare extrema from the compressed pencil B^T T(lam) B
-    (min_p_plus, sup_p_plus) as p_plus at explicit vectors; the check data
-    carries the certificate mu or the witness, an inconclusive minimum fails
-    its achievement check, and every comparison allows the slack VERIFY_TOL.
+    The attainers of (a) and (c) compare extrema from the compressed pencil
+    B^T T(lam) B (min_p_plus, sup_p_plus) as p_plus at explicit vectors; the
+    check data carries the certificate mu or the witness, an inconclusive
+    minimum fails its achievement check, and every comparison allows the
+    slack VERIFY_TOL.
 
-    (b) and the exhaustion clause read inertia counts. For mu in (alpha, 0]
-    every vector in the cone has p_minus <= alpha < mu, so t(mu)[x] < 0
-    exactly when p_plus(x) > mu: by compactness and Courant-Fischer, an
-    n-dimensional subspace with min p_plus > mu exists exactly when T(mu)
-    has at least n negative eigenvalues (Sylvester's law). One with
-    min p_plus > lambda_n would also beat every mu in (lambda_n, hi], hi
-    the upper end of lambda_n's bracket, where the count is constant and
-    equals the number of eigenvalues above lambda_n. So (b) holds when
-    inertia_negative(hi) has at most n - 1 negative and no boundary
-    eigenvalues, and the exhaustion clause when the count at interval.lower
-    is at most N.
+    The clauses over every subspace read inertia counts. For mu in
+    (alpha, 0] every vector in the cone has p_minus <= alpha < mu, so
+    t(mu)[x] < 0 exactly when p_plus(x) > mu: by compactness and
+    Courant-Fischer, an n-dimensional subspace with min p_plus > mu exists
+    exactly when T(mu) has at least n negative eigenvalues (Sylvester's
+    law), and then their span meets V^perp for every (n-1)-dimensional V,
+    at a nonzero x with p_plus(x) > mu. Locate's certificate leaves no other
+    eigenvalue in lambda_n's bracket (lo, hi), and every eigenvalue above
+    alpha raises the count, so the count is constant on [lo, lambda_n) and
+    on (lambda_n, hi]. Hence (b) holds when inertia_negative(hi) has at
+    most n - 1 negative and no boundary eigenvalues (a subspace with
+    min p_plus > lambda_n would beat every mu in (lambda_n, hi]); (c)'s
+    clause over every V when inertia_negative(lo) has at least n (the sup
+    over V^perp then exceeds every mu in [lo, lambda_n)); and the
+    exhaustion clause when the count at interval.lower is at most N.
     """
     report = Report("minmax_verification")
     n_dim = pencil.dim
     lower = result.interval.lower
+    # One count per distinct bracket end (neighbours share one), and at lower.
+    counts = {mu: inertia_negative(pencil, mu)
+              for mu in {lower, *(end for diag in result.per_eigenvalue for end in diag.bracket)}}
 
-    # One eigh of T(lam) and one inertia count at the bracket's upper end
-    # per distinct eigenvalue, on the pencil's blocks (the dropped coupling
-    # is at most 2n eps term_scale(lam), far below the kernel cut); kernel
-    # bases, decompositions and counts expanded in eigenvalue order.
-    vectors, eigs, uppers = [], [], []
+    # One eigh of T(lam) per distinct eigenvalue, on the pencil's blocks (the
+    # dropped coupling is at most 2n eps term_scale(lam), far below the
+    # kernel cut); kernel bases, and decompositions with brackets, expanded
+    # in eigenvalue order.
+    vectors, per_n = [], []
     for diag in result.per_eigenvalue:
         eig = blocks.eigh(pencil.t_matrix(diag.value), pencil.partition)
         cut = KERNEL_REL_TOL * pencil.term_scale(diag.value)
@@ -451,9 +458,7 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
             multiplicity=diag.multiplicity,
         )
         vectors.extend(_kernel_basis(eig, diag.multiplicity).T)
-        eigs.extend([eig] * diag.multiplicity)
-        hi = diag.bracket[1]
-        uppers.extend([(hi, inertia_negative(pencil, hi))] * diag.multiplicity)
+        per_n.extend([(eig, diag.bracket)] * diag.multiplicity)
     eigvec_matrix = np.column_stack(vectors) if vectors else np.zeros((n_dim, 0))
 
     big_n = result.n_found
@@ -464,7 +469,7 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
         report.add("achievement_eigenvector_span", abs(mn.value - lam_n) <= VERIFY_TOL,
                    n=n, eigenvalue=lam_n, min_p_plus=mn.value, **mn.data())
 
-        w, v = eigs[n - 1]
+        (w, v), (lo, hi) = per_n[n - 1]
         cut = KERNEL_REL_TOL * pencil.term_scale(lam_n)
         nonpos = v[:, w <= cut]
         expected = int(np.sum(result.eigenvalues >= lam_n))
@@ -474,33 +479,24 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
         report.add("achievement_spectral_subspace", abs(mn.value - lam_n) <= VERIFY_TOL,
                    n=n, eigenvalue=lam_n, min_p_plus=mn.value, **mn.data())
 
-        hi, count = uppers[n - 1]
+        count = counts[hi]
         report.add("maxmin_upper_by_inertia", count.negative <= n - 1 and count.boundary == 0,
                    n=n, eigenvalue=lam_n, mu=hi, negative_count=count.negative)
 
-        # Dual form. The guaranteed minimizing constraint is the strictly
-        # negative spectral subspace of T(lambda_n), padded with kernel
-        # vectors (the smallest in modulus if none is below the cut) when
-        # the eigenvalue is multiple.
-        neg = v[:, w < -cut]
-        pad_needed = n - 1 - neg.shape[1]
-        if pad_needed > 0:
-            kern = v[:, np.abs(w) <= cut]
-            if kern.shape[1] == 0:
-                kern = _kernel_basis(eigs[n - 1], 1)
-            neg = np.column_stack([neg, kern[:, :pad_needed]])
-        sup = sup_p_plus(pencil, _complement(n_dim, neg))
+        # Dual form: Courant-Fischer's constraint is spanned by the
+        # eigenvectors of the n - 1 smallest eigenvalues of T(lambda_n).
+        sup = sup_p_plus(pencil, _complement(n_dim, v[:, :n - 1]))
         report.add("dual_spectral_subspace", abs(sup.value - lam_n) <= VERIFY_TOL,
                    n=n, eigenvalue=lam_n, sup_p_plus=sup.value,
-                   constraint_dim=neg.shape[1], **sup.data())
+                   constraint_dim=n - 1, **sup.data())
 
-        sup = sup_p_plus(pencil, _complement(n_dim, eigvec_matrix[:, : n - 1]))
-        report.add("dual_eigenvector_span_lower", sup.value >= lam_n - VERIFY_TOL,
-                   n=n, eigenvalue=lam_n, sup_p_plus=sup.value, **sup.data())
+        count = counts[lo].negative
+        report.add("minsup_lower_by_inertia", count >= n,
+                   n=n, eigenvalue=lam_n, mu=lo, negative_count=count)
 
     n_above = big_n + 1
     if n_above <= n_dim:
-        count = inertia_negative(pencil, lower).negative
+        count = counts[lower].negative
         report.add("exhaustion_above_n", count <= big_n,
                    n=n_above, mu=lower, negative_count=count)
     return report

@@ -13,11 +13,13 @@ and from the trapezoidal scheme stepped one lu_solve at a time (with the
 forward-error bounds that separate it from simulate's propagator powers), the
 max-min clauses that the min-max check decides by inertia counts probed on
 random subspaces, one at a time,
-the alpha search's span candidates found one plane at a time, and the
-sup of p_plus on a subspace from one kernel-vector eigh per compressed
-eigenvalue, and the simulate CSV formatted one row at a time; alpha of the
-constant beam from its closed form, and the random pencil built twice, as
-the seeded ensemble was built before its damping scale was decided first.
+the min-sup clause that it decides by inertia counts probed on given
+constraints, the alpha search's span candidates found one plane at a time,
+and the sup of p_plus on a subspace from one kernel-vector eigh per
+compressed eigenvalue, and the simulate CSV formatted one row at a time;
+alpha of the constant beam from its closed form, and the random pencil built
+twice, as the seeded ensemble was built before its damping scale was decided
+first.
 """
 import numpy as np
 import scipy.linalg
@@ -402,6 +404,24 @@ def random_minima_loop(pencil, rng, dim, count, bound, tol):
         "violations": int(np.sum(excess > tol)),
         "worst_excess": float(np.max(excess[excess > tol], initial=-np.inf)),
     }
+
+
+def pencil_eigenvectors(pencil, result):
+    """Columns: at each located eigenvalue, its multiplicity eigenvectors of
+    the whole T(value) (one np.linalg.eigh) smallest in |eigenvalue|, in
+    the order of result.eigenvalues."""
+    columns = [np.zeros((pencil.dim, 0))]
+    for diag in result.per_eigenvalue:
+        w, v = np.linalg.eigh(pencil.t_matrix(diag.value))
+        columns.append(v[:, np.argsort(np.abs(w))[:diag.multiplicity]])
+    return np.column_stack(columns)
+
+
+def constrained_sups(pencil, constraints):
+    """The min-sup clause probed one constraint at a time: for each n x k
+    matrix V, sup_p_plus_reference on the orthogonal complement of its
+    columns, an orthonormal basis from scipy.linalg.null_space."""
+    return [sup_p_plus_reference(pencil, scipy.linalg.null_space(v.T)) for v in constraints]
 
 
 def span_candidates_pair(pencil, u, v):

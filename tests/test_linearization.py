@@ -137,11 +137,16 @@ class TestBuild:
             n = pencil.dim
             # The same unsymmetric error in both A0^{1/2} blocks, along the
             # top singular vectors of A, so that |A|_2 moves to first order.
+            # They lie in one block of the companion; off it their entries
+            # are rounding, which is cut so that no defect is dropped.
             u, _, vt = np.linalg.svd(system.a_matrix)
-            e = 1e-3 * system.norm * np.outer(u[:n, 0], vt[0, n:])
+            labels = partition_labels(system.partition)
+            block = labels[:n] == labels[np.argmax(np.abs(u[:, 0]))]
+            e = 1e-3 * system.norm * np.outer(u[:n, 0] * block, vt[0, n:] * block)
             skewed = system.a_matrix + np.block([[np.zeros((n, n)), e],
                                                  [-e, np.zeros((n, n))]])
             for a in (system.a_matrix, skewed):
+                assert_defect_inside_one_block(system, a)
                 s = a[:n, n:]
                 want = np.linalg.norm(a, 2)
                 bound = np.linalg.norm(s - s.T, 2) / 2.0 + 4 * n * EPS * want
@@ -181,6 +186,15 @@ def test_each_matrix_is_eigensolved_once(monkeypatch):
             assert sum(np.array_equal(m, matrix) for m in solved) == 1
 
 
+def assert_defect_inside_one_block(system, a):
+    """The entries where a differs from system.a_matrix lie in one block of
+    system.partition, where the block solvers (norm, full_spectrum) see all
+    of them: a defect across blocks would be dropped as coupling."""
+    rows, cols = np.nonzero(a != system.a_matrix)
+    labels = partition_labels(system.partition)
+    assert np.unique(labels[np.concatenate([rows, cols])]).size <= 1
+
+
 class TestStructuralChecks:
     """structural_report alone measures the two identities, on whatever
     a_matrix the system holds; build_linearization decides nothing."""
@@ -189,12 +203,15 @@ class TestStructuralChecks:
     def _checks(system, spectrum):
         return {c.label: c for c in structural_report(system, spectrum).checks}
 
-    def test_perturbed_sqrt_block_fails_j_symmetry(self, diag_pencil):
-        system = build_linearization(diag_pencil)
+    def test_perturbed_sqrt_block_fails_j_symmetry(self, rotated_pencil):
+        # rotated_pencil is one block: diag_pencil's A0^{1/2} block has no
+        # off-diagonal entry inside a block of its partition.
+        system = build_linearization(rotated_pencil)
         spec = full_spectrum(system)
         assert structural_report(system, spec).ok
         a = system.a_matrix.copy()
         a[0, 3] += 1e-6             # an off-diagonal entry of the A0^{1/2} block
+        assert_defect_inside_one_block(system, a)
         checks = self._checks(dataclasses.replace(system, a_matrix=a), spec)
         assert not checks["j_symmetry"].ok
         assert checks["j_symmetry"].data["defect"] == pytest.approx(1e-6, rel=1e-6)
@@ -205,6 +222,7 @@ class TestStructuralChecks:
         spec = full_spectrum(system)
         a = system.a_matrix.copy()
         a[2, 2] += 1e-6             # a diagonal entry of the -D block
+        assert_defect_inside_one_block(system, a)
         checks = self._checks(dataclasses.replace(system, a_matrix=a), spec)
         assert checks["j_symmetry"].ok
         assert not checks["inverse_identity"].ok

@@ -28,9 +28,11 @@ from quadpencil.pencil import _orth
 from quadpencil.variational import min_p_plus, sup_p_plus
 
 from oracles import (
+    constrained_sups,
     det_poly_real_roots_mp,
     inertia_whole,
     p_plus_on_plane,
+    pencil_eigenvectors,
     quad_roots,
     random_minima_loop,
     real_eigenvalues_in,
@@ -486,6 +488,87 @@ class TestVerifyMinmax:
             whole = inertia_whole(pencil.t_matrix(check.data["mu"]), variational.BOUNDARY_TOL)
             assert whole.negative == n
         assert counted[-1].data["mu"] == res.interval.lower
+
+
+    @pytest.mark.parametrize("name", sorted(FOUND_ON_CONFIG))
+    def test_fabricated_eigenvalue_fails_the_minsup_count(self, name):
+        # A fabricated eigenvalue below lambda_N, bracketed by (lower, m), m
+        # the midpoint between lower and lambda_N, whose bracket becomes
+        # (m, hi): no eigenvalue lies below lambda_N, so the count at lower
+        # is N = n - 1 for the fabricated n = N + 1 and the min-sup clause
+        # fails. The max-min count at m and the exhaustion count at lower
+        # are N, within their bounds, so only the min-sup count sees it.
+        pencil, res = self.located(name)
+        big_n, last, lower = res.n_found, res.per_eigenvalue[-1], res.interval.lower
+        mid = 0.5 * (lower + last.value)
+        fake = dataclasses.replace(last, value=0.5 * (lower + mid), bracket=(lower, mid))
+        entries = (*res.per_eigenvalue[:-1],
+                   dataclasses.replace(last, bracket=(mid, last.bracket[1])), fake)
+        doctored = dataclasses.replace(
+            res, eigenvalues=np.append(res.eigenvalues, fake.value), n_found=big_n + 1,
+            per_eigenvalue=entries)
+        report = verify_minmax(pencil, doctored)
+        minsup = [c for c in report.checks if c.label == "minsup_lower_by_inertia"]
+        assert [c.ok for c in minsup] == [True] * big_n + [False]
+        assert minsup[-1].data == {"n": big_n + 1, "eigenvalue": fake.value, "mu": lower,
+                                   "negative_count": big_n}
+        assert all(c.ok for c in self.counted(pencil, doctored))
+
+    @pytest.mark.parametrize("source", [*sorted(FOUND_ON_CONFIG), ("four_plus_sin", 50),
+                                        ("constant", 50), ("four_plus_sin", 100),
+                                        ("constant", 100)])
+    def test_dual_constraint_is_the_padded_negative_subspace(self, source):
+        # Courant-Fischer's constraint, the eigenvectors of the n - 1
+        # smallest eigenvalues of T(lambda_n), has n - 1 columns, and they
+        # are the strictly negative eigenvectors padded with kernel vectors:
+        # #negative <= n - 1 <= #negative + #kernel wherever counts certify.
+        if isinstance(source, str):
+            pencil, res = self.located(source)
+        else:
+            profile, n_modes = source
+            params = {"value": 4.0} if profile == "constant" else {}
+            pencil = discretize_beam(BeamConfig(a0=1.0, damping=make_damping_profile(
+                {"profile": profile, "params": params}), n_modes=n_modes))
+            res = locate_real_eigenvalues(
+                pencil, IntervalDelta.inside(compute_alpha(pencil).alpha), 1e-8)
+            assert res.n_found >= 2
+        duals = [c for c in verify_minmax(pencil, res).checks
+                 if c.label == "dual_spectral_subspace"]
+        assert [c.data["constraint_dim"] for c in duals] == list(range(res.n_found))
+        for n, lam in enumerate(res.eigenvalues, start=1):
+            w, v = blocks.eigh(pencil.t_matrix(lam), pencil.partition)
+            cut = variational.KERNEL_REL_TOL * pencil.term_scale(lam)
+            negative, kernel = v[:, w < -cut], v[:, np.abs(w) <= cut]
+            assert negative.shape[1] <= n - 1 <= negative.shape[1] + kernel.shape[1]
+            padded = np.column_stack([negative, kernel[:, :n - 1 - negative.shape[1]]])
+            assert np.array_equal(padded, v[:, :n - 1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(source=st.one_of(st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.json"))),
+                            st.tuples(st.integers(2, 6), st.integers(0, 10_000))),
+           draw_seed=st.integers(0, 2**32 - 1))
+    def test_constrained_sups_agree_with_the_minsup_count(self, source, draw_seed):
+        # The sampled min-sup check, kept as an oracle independent of the
+        # counts: where every count passes, sup p_plus orthogonal to the
+        # first n - 1 pencil eigenvectors, and orthogonal to seeded random
+        # (n-1)-dimensional constraints, is at least lambda_n.
+        if isinstance(source, str):
+            pencil = build_pencil(load_config(CONFIGS / source))
+        else:
+            pencil = random_pencil(*source, damping_scale=8.0, ensure_real_root_cone=True)
+        res = locate_real_eigenvalues(
+            pencil, IntervalDelta.inside(compute_alpha(pencil).alpha), 1e-10)
+        counted = [c for c in verify_minmax(pencil, res).checks
+                   if c.label == "minsup_lower_by_inertia"]
+        assert [c.data["n"] for c in counted] == list(range(1, res.n_found + 1))
+        assert all(c.ok for c in counted), counted
+        eigenvectors = pencil_eigenvectors(pencil, res)
+        rng = np.random.default_rng(draw_seed)
+        for n, lam in enumerate(res.eigenvalues, start=1):
+            constraints = [eigenvectors[:, :n - 1]]
+            constraints += [rng.standard_normal((pencil.dim, n - 1)) for _ in range(3)]
+            sups = constrained_sups(pencil, constraints)
+            assert all(sup >= lam - variational.VERIFY_TOL for sup in sups), (n, lam, sups)
 
 
 class TestCompressedExtrema:
