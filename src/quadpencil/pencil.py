@@ -546,20 +546,6 @@ def _companion(dc: np.ndarray, ac: np.ndarray) -> np.ndarray:
     return companion
 
 
-def _compressed_eigenpairs(dc: np.ndarray, ac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of lam^2 I + lam dc + ac from one np.linalg.eig of its
-    companion: the real parts of the eigenvalues, descending, and for each
-    a real unit vector (a column), the top half y of its eigenvector, which
-    solves (lam^2 I + lam dc + ac) y = 0, turned by the phase that makes
-    y^T y real and positive, real part taken. That part is the larger of
-    two orthogonal components, never zero, and y itself when y is real."""
-    w, v = np.linalg.eig(_companion(dc, ac))
-    order = np.argsort(w.real)[::-1]
-    y = v[:dc.shape[-1], order]
-    y = (y * np.exp(-0.5j * np.angle(np.einsum("ij,ij->j", y, y)))).real
-    return w.real[order], y / np.linalg.norm(y, axis=0)
-
-
 def _kernel_vectors(dc: np.ndarray, ac: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Columns: for each lam, the eigenvector of lam^2 I + lam dc + ac whose
     eigenvalue is smallest in modulus; for a stack of pencils (..., k, k)

@@ -8,12 +8,11 @@ law the number of negative eigenvalues of T(lam) jumps by the multiplicity of
 every pencil eigenvalue crossed inside (alpha, 0], so the counts at 0, at the
 midpoints between neighbouring eigenvalues and at lower must step by exactly
 the reported multiplicities; each eigenvalue carries its isolating bracket.
-Compressed pencils B^T T(lam) B then *verify* the max-min and min-sup
-formulas on their attaining subspaces (the min and the sup of p_plus on a
-subspace are eigenvalues of its compression); each compared value is p_plus
-at an explicit vector and carries a certificate or a witness. The clauses
-over every subspace and every constraint read inertia counts at the bracket
-ends, by the same law. The compressions never locate eigenvalues.
+The max-min and min-sup formulas are then verified from the signs of T(mu):
+on each attaining subspace span(B), B^T T(mu) B is definite at
+mu = lambda_n -+ VERIFY_TOL, and p_plus at a kernel vector of T(lambda_n)
+in the subspace is lambda_n; the clauses over every subspace and every
+constraint read inertia counts at the bracket ends, by the same law.
 """
 from __future__ import annotations
 
@@ -29,11 +28,8 @@ from .pencil import (
     KERNEL_REL_TOL,
     VERIFY_TOL,
     QuadraticPencil,
-    _compress,
-    _compressed_eigenpairs,
     _orth,
     _t,
-    rayleigh_batch,
     rayleigh_pair,
 )
 from .reports import Report
@@ -42,14 +38,10 @@ BOUNDARY_TOL = 1e-12
 # Root steps at most when polishing a companion eigenvalue; each step is
 # kept only while the residual of T(lam) decreases.
 MAX_ROOT_STEPS = 8
-# The rounding of an n x n symmetric eigensolve, in units of n eps times its
-# largest |eigenvalue|: a residual below it stops the root steps, and p_plus
-# values within it of the best tie in sup_p_plus.
+# The rounding of an n x n symmetric eigensolve or product, in units of n eps
+# times its scale: a residual below it stops the root steps, and a
+# compression B^T T(mu) B must clear it to count as definite.
 ROUNDING_ULPS = 4.0
-# min_p_plus: bisection steps at most, and the margin below zero that
-# lambda_max(B^T T(mu) B) must clear, in units of k * eps * |T(mu)|.
-MINMAX_MAX_BISECTIONS = 64
-HYPERBOLIC_SLACK = 16.0
 # IntervalDelta.inside: the default lower end's margin right of alpha, in
 # units of |alpha|, and the gate's slack left of it, in max(1, |alpha|).
 ALPHA_MARGIN = 1e-6
@@ -282,158 +274,75 @@ def locate_real_eigenvalues(
 # Subspace verification of the max-min / min-sup formulas
 
 
-def _complement(n: int, constraint: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the given columns."""
-    if constraint.size == 0:
-        return np.eye(n)
-    q = _orth(constraint)
-    return np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]
+def _definite_margin(pencil: QuadraticPencil, basis: np.ndarray, mu: float, sign: int) -> float:
+    """Smallest eigenvalue of sign B^T T(mu) B - _rounding |B|^T S(mu) |B|,
+    S(mu) = mu^2 I + |mu| |D| + |A0| >= |T(mu)| entrywise: positive when the
+    compression on span(basis) is definite of that sign (-1 negative, +1
+    positive) beyond the rounding of forming it. The subtracted term is a
+    first-order bound of that rounding on the compression's own graded
+    scale, not a proven one."""
+    a = np.abs(basis)
+    scale = a.T @ _t(np.abs(pencil.d_matrix), np.abs(pencil.a0_matrix), abs(mu)) @ a
+    compression = basis.T @ pencil.t_matrix(mu) @ basis
+    return float(np.linalg.eigvalsh(sign * compression - _rounding(pencil) * scale)[0])
 
 
-class SubspaceValue(NamedTuple):
-    """An extremum of p_plus over a subspace, evaluated at an explicit vector.
-
-    value is rayleigh_pair(witness).p_plus, or -inf for a witness outside
-    the real-root cone. certificate is a mu at which B^T T(mu) B is negative
-    definite, so the whole subspace lies inside the cone; eigenvalue is the
-    compressed eigenvalue that proposed the witness. A min with neither a
-    certificate nor a witness outside the cone is inconclusive: value nan.
-    """
-
-    value: float
-    witness: np.ndarray | None
-    certificate: float | None = None
-    eigenvalue: float | None = None
-
-    @property
-    def inconclusive(self) -> bool:
-        return bool(np.isnan(self.value))
-
-    def data(self) -> dict:
-        return {"certificate_mu": self.certificate,
-                "compressed_eigenvalue": self.eigenvalue,
-                "witness": self.witness, "inconclusive": self.inconclusive}
-
-
-def _top_eigenpair(dc: np.ndarray, ac: np.ndarray, lam: float):
-    """Top eigenpair of the compression lam^2 I + lam dc + ac."""
-    w, v = np.linalg.eigh(_t(dc, ac, lam))
-    return w[-1], v[:, -1]
-
-
-def min_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
-    """Minimum of p_plus over the unit sphere of span(basis), orthonormal columns.
-
-    f(mu) = lambda_max(B^T T(mu) B) is convex with its minimum in
-    [-|dc|/2, 0]. Bisection on the sign of its slope 2 mu + dc[y] (y the top
-    eigenvector) stops at a certificate f(mu) < 0, beyond the rounding of
-    eigh: the compression is then hyperbolic, the subspace lies inside the
-    cone and min p_plus is the smallest of the k compressed eigenvalues above
-    mu (Duffin's minimax), all real. Its witness is B y, y that eigenvalue's
-    kernel vector from the same one eig of the compressed companion
-    (_compressed_eigenpairs). The bisection also stops at a top eigenvector
-    outside the cone, a witness of min p_plus = -inf. The empty subspace
-    has min +inf.
-    """
-    k = basis.shape[1]
-    if k == 0:
-        return SubspaceValue(np.inf, None)
-    dc, ac = _compress(pencil, basis)
-    lo, hi = -0.5 * float(np.linalg.eigvalsh(dc)[-1]), 0.0
-    for _ in range(MINMAX_MAX_BISECTIONS):
-        mu = 0.5 * (lo + hi)
-        top, y = _top_eigenpair(dc, ac, mu)
-        slack = HYPERBOLIC_SLACK * k * np.finfo(float).eps * pencil.term_scale(mu)
-        if top < -slack:
-            lams, ys = _compressed_eigenpairs(dc, ac)
-            x = basis @ ys[:, k - 1]
-            return SubspaceValue(rayleigh_pair(pencil, x).p_plus, x, mu, float(lams[k - 1]))
-        x = basis @ y
-        if not rayleigh_pair(pencil, x).in_dstar:
-            return SubspaceValue(-np.inf, x)
-        if 2.0 * mu + y @ dc @ y > 0.0:
-            hi = mu
-        else:
-            lo = mu
-    return SubspaceValue(np.nan, None)
-
-
-def sup_p_plus(pencil: QuadraticPencil, basis: np.ndarray) -> SubspaceValue:
-    """Supremum of p_plus over the unit sphere of span(basis), orthonormal
-    columns: the largest real compressed eigenvalue, -inf when there is none.
-
-    An interior maximiser is a critical point of p_plus, so a compressed
-    eigenvalue. Where the subspace meets the cone's boundary at a double
-    root r, lambda_min(B^T T(.) B) changes sign on [r, 0], so a compressed
-    eigenvalue lies at or above r. Every compressed eigenvalue proposes B y,
-    y its real vector from one eig of the compressed companion
-    (_compressed_eigenpairs), so no threshold on imaginary parts is needed:
-    each proposal is evaluated by rayleigh_batch and the largest p_plus is
-    kept.
-
-    The sup lam* is attained at its own proposal. For a real compressed
-    eigenvalue LAPACK returns a real y with B^T T(lam) B y = 0, so
-    t(lam)[By] = 0 and lam is p- or p+ of By; at lam* that gives
-    lam* <= p+(By) <= lam*. A double root at the cone's boundary is
-    computed as a near-real pair, whose y is a phase multiple of the real
-    kernel vector up to rounding, so its real vector is that kernel vector.
-    A Jordan root is sqrt(eps)-sensitive, so there the value is good to
-    about sqrt(eps), not to the rounding of eig.
-
-    Proposals whose p_plus lies within _rounding (relative) of the largest
-    are tied, as when both roots of one vector propose it; the sup is
-    attained where p_plus = lam*, so of those the one whose compressed
-    eigenvalue lies closest to its own p_plus is reported.
-    """
-    k = basis.shape[1]
-    if k == 0:
-        return SubspaceValue(-np.inf, None)
-    dc, ac = _compress(pencil, basis)
-    lams, ys = _compressed_eigenpairs(dc, ac)
-    xs = basis @ ys
-    _, p_plus, _ = rayleigh_batch(pencil, xs)
-    top = float(np.max(p_plus))
-    if top == -np.inf:
-        return SubspaceValue(-np.inf, None)
-    tied = np.flatnonzero(p_plus >= top - _rounding(pencil) * abs(top))
-    best = int(tied[np.argmin(np.abs(lams[tied] - p_plus[tied]))])
-    x = xs[:, best]
-    return SubspaceValue(rayleigh_pair(pencil, x).p_plus, x, eigenvalue=float(lams[best]))
+def _attainer(pencil: QuadraticPencil, lam: float, basis: np.ndarray, witness: np.ndarray,
+              sign: int) -> tuple[bool, dict]:
+    """(ok, data) of the check that span(basis) attains min (sign -1) or sup
+    (+1) p_plus = lam, witness a kernel vector of T(lam) in it (verify_minmax)."""
+    mu = lam + sign * VERIFY_TOL
+    margin = _definite_margin(pencil, basis, mu, sign)
+    p_plus = rayleigh_pair(pencil, witness).p_plus
+    return (margin > 0.0 and abs(p_plus - lam) <= VERIFY_TOL,
+            {"mu": mu, "margin": margin, "witness": witness, "p_plus": p_plus})
 
 
 def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
     """Executable form of the max-min and min-sup eigenvalue formulas.
 
     For each n <= N: (a) the span of the first n pencil eigenvectors and the
-    nonpositive spectral subspace of T(lambda_n) both achieve
-    min p_plus = lambda_n; (b) no n-dimensional subspace pushes min p_plus
-    above lambda_n; (c) the dual form: the supremum of p_plus orthogonal to
-    the eigenvectors of the n - 1 smallest eigenvalues of T(lambda_n)
-    equals lambda_n, and orthogonal to any n - 1 vectors it is >= lambda_n.
-    For n = N+1 <= dim, no subspace has min p_plus above interval.lower
-    (the no-more-eigenvalues clause).
+    span of the eigenvectors of the n smallest eigenvalues of T(lambda_n)
+    (the Courant-Fischer subspace) both achieve min p_plus = lambda_n; (b)
+    no n-dimensional subspace pushes min p_plus above lambda_n; (c) the dual
+    form: the supremum of p_plus orthogonal to the eigenvectors of the
+    n - 1 smallest eigenvalues of T(lambda_n) equals lambda_n, and
+    orthogonal to any n - 1 vectors it is >= lambda_n. For n = N+1 <= dim,
+    no subspace has min p_plus above interval.lower (the no-more-eigenvalues
+    clause).
 
-    The attainers of (a) and (c) compare extrema from the compressed pencil
-    B^T T(lam) B (min_p_plus, sup_p_plus) as p_plus at explicit vectors; the
-    check data carries the certificate mu or the witness, an inconclusive
-    minimum fails its achievement check, and every comparison allows the
-    slack VERIFY_TOL.
+    Every clause rests on the scalar quadratic
+    t(mu)[x] = mu^2 |x|^2 + mu d[x] + a0[x] at real mu. t(mu)[x] < 0 puts mu
+    strictly between its two real roots, so p_plus(x) > mu. For mu > alpha,
+    t(mu)[x] > 0 gives p_plus(x) < mu or x outside the cone, because
+    p_minus(x) <= alpha < mu.
+
+    The attainers of (a) and (c) on span(B): B^T T(mu) B negative definite
+    at mu = lambda_n - VERIFY_TOL gives min p_plus >= mu, and positive
+    definite at mu = lambda_n + VERIFY_TOL (> alpha) gives sup p_plus <= mu
+    (decided by _definite_margin: the data's margin must be positive). The
+    other side of each equality is p_plus at a witness x in span(B) with
+    T(lambda_n) x = 0, which is lambda_n since p_minus(x) <= alpha <
+    lambda_n: the check asks |p_plus(x) - lambda_n| <= VERIFY_TOL. The
+    witness is the n-th pencil eigenvector for the eigenvector span, and for
+    the spectral subspaces, which come from the one eigh of T(lambda_n) and
+    not through the kernel cut, their eigenvector of smallest |eigenvalue|.
 
     The clauses over every subspace read inertia counts. For mu in
-    (alpha, 0] every vector in the cone has p_minus <= alpha < mu, so
-    t(mu)[x] < 0 exactly when p_plus(x) > mu: by compactness and
-    Courant-Fischer, an n-dimensional subspace with min p_plus > mu exists
-    exactly when T(mu) has at least n negative eigenvalues (Sylvester's
-    law), and then their span meets V^perp for every (n-1)-dimensional V,
-    at a nonzero x with p_plus(x) > mu. Locate's certificate leaves no other
-    eigenvalue in lambda_n's bracket (lo, hi), and every eigenvalue above
-    alpha raises the count, so the count is constant on [lo, lambda_n) and
-    on (lambda_n, hi]. Hence (b) holds when inertia_negative(hi) has at
-    most n - 1 negative and no boundary eigenvalues (a subspace with
-    min p_plus > lambda_n would beat every mu in (lambda_n, hi]); (c)'s
-    clause over every V when inertia_negative(lo) has at least n (the sup
-    over V^perp then exceeds every mu in [lo, lambda_n)); and the
-    exhaustion clause when the count at interval.lower is at most N.
+    (alpha, 0], by the same fact, t(mu)[x] < 0 exactly when p_plus(x) > mu:
+    by compactness and Courant-Fischer, an n-dimensional subspace with
+    min p_plus > mu exists exactly when T(mu) has at least n negative
+    eigenvalues (Sylvester's law), and then their span meets V^perp for
+    every (n-1)-dimensional V, at a nonzero x with p_plus(x) > mu. Locate's
+    certificate leaves no other eigenvalue in lambda_n's bracket (lo, hi),
+    and every eigenvalue above alpha raises the count, so the count is
+    constant on [lo, lambda_n) and on (lambda_n, hi]. Hence (b) holds when
+    inertia_negative(hi) has at most n - 1 negative and no boundary
+    eigenvalues (a subspace with min p_plus > lambda_n would beat every mu
+    in (lambda_n, hi]); (c)'s clause over every V when inertia_negative(lo)
+    has at least n (the sup over V^perp then exceeds every mu in
+    [lo, lambda_n)); and the exhaustion clause when the count at
+    interval.lower is at most N.
     """
     report = Report("minmax_verification")
     n_dim = pencil.dim
@@ -465,30 +374,30 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
     for n in range(1, big_n + 1):
         lam_n = float(result.eigenvalues[n - 1])
 
-        mn = min_p_plus(pencil, _orth(eigvec_matrix[:, :n]))
-        report.add("achievement_eigenvector_span", abs(mn.value - lam_n) <= VERIFY_TOL,
-                   n=n, eigenvalue=lam_n, min_p_plus=mn.value, **mn.data())
+        ok, data = _attainer(pencil, lam_n, _orth(eigvec_matrix[:, :n]),
+                             eigvec_matrix[:, n - 1], -1)
+        report.add("achievement_eigenvector_span", ok, n=n, eigenvalue=lam_n, **data)
 
         (w, v), (lo, hi) = per_n[n - 1]
         cut = KERNEL_REL_TOL * pencil.term_scale(lam_n)
-        nonpos = v[:, w <= cut]
+        dimension = int(np.sum(w <= cut))
         expected = int(np.sum(result.eigenvalues >= lam_n))
-        report.add("nonpositive_subspace_dimension", nonpos.shape[1] == expected,
-                   n=n, dimension=nonpos.shape[1], expected=expected)
-        mn = min_p_plus(pencil, nonpos)
-        report.add("achievement_spectral_subspace", abs(mn.value - lam_n) <= VERIFY_TOL,
-                   n=n, eigenvalue=lam_n, min_p_plus=mn.value, **mn.data())
+        report.add("nonpositive_subspace_dimension", dimension == expected,
+                   n=n, dimension=dimension, expected=expected)
+        ok, data = _attainer(pencil, lam_n, v[:, :n], v[:, np.argmin(np.abs(w[:n]))], -1)
+        report.add("achievement_spectral_subspace", ok, n=n, eigenvalue=lam_n, **data)
 
         count = counts[hi]
         report.add("maxmin_upper_by_inertia", count.negative <= n - 1 and count.boundary == 0,
                    n=n, eigenvalue=lam_n, mu=hi, negative_count=count.negative)
 
         # Dual form: Courant-Fischer's constraint is spanned by the
-        # eigenvectors of the n - 1 smallest eigenvalues of T(lambda_n).
-        sup = sup_p_plus(pencil, _complement(n_dim, v[:, :n - 1]))
-        report.add("dual_spectral_subspace", abs(sup.value - lam_n) <= VERIFY_TOL,
-                   n=n, eigenvalue=lam_n, sup_p_plus=sup.value,
-                   constraint_dim=n - 1, **sup.data())
+        # eigenvectors of the n - 1 smallest eigenvalues of T(lambda_n), so
+        # its orthogonal complement by the others.
+        ok, data = _attainer(pencil, lam_n, v[:, n - 1:],
+                             v[:, n - 1 + np.argmin(np.abs(w[n - 1:]))], 1)
+        report.add("dual_spectral_subspace", ok, n=n, eigenvalue=lam_n,
+                   constraint_dim=n - 1, **data)
 
         count = counts[lo].negative
         report.add("minsup_lower_by_inertia", count >= n,

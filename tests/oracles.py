@@ -15,8 +15,9 @@ max-min clauses that the min-max check decides by inertia counts probed on
 random subspaces, one at a time,
 the min-sup clause that it decides by inertia counts probed on given
 constraints, the alpha search's span candidates found one plane at a time,
-and the sup of p_plus on a subspace from one kernel-vector eigh per
-compressed eigenvalue, and the simulate CSV formatted one row at a time;
+the sup of p_plus on a subspace from one kernel-vector eigh per
+compressed eigenvalue, its min by bisection on the top eigenvalue of the
+compressed T, and the simulate CSV formatted one row at a time;
 alpha of the constant beam from its closed form, and the random pencil built
 twice, as the seeded ensemble was built before its damping scale was decided
 first.
@@ -28,7 +29,7 @@ from scipy.integrate import quad
 from quadpencil import QuadraticPencil, compute_delta_gamma, rayleigh_batch, rayleigh_pair
 from quadpencil.config import random_pencil
 from quadpencil.pencil import DISC_CLAMP_TOL
-from quadpencil.variational import InertiaCount, min_p_plus
+from quadpencil.variational import InertiaCount
 
 
 def quad_roots(a, b, c):
@@ -383,8 +384,8 @@ def random_minima_loop(pencil, rng, dim, count, bound, tol):
     that verify_minmax decides by inertia counts. Each subspace is one draw
     from rng and one QR; a rank-deficient draw is skipped but counted.
     p_plus at the top eigenvector of B^T T(bound) B (rayleigh_pair) decides
-    it, and min_p_plus supplies the minimum where that value exceeds the
-    bound by more than tol.
+    it, and min_p_plus_reference supplies the minimum where that value
+    exceeds the bound by more than tol.
     """
     excess = []
     for _ in range(count):
@@ -396,7 +397,7 @@ def random_minima_loop(pencil, rng, dim, count, bound, tol):
         t = bound * bound * np.eye(dim) + bound * (dc + dc.T) / 2.0 + (ac + ac.T) / 2.0
         value = rayleigh_pair(pencil, q @ np.linalg.eigh(t)[1][:, -1]).p_plus
         if value - bound > tol:
-            value = np.fmin(value, min_p_plus(pencil, q).value)
+            value = np.fmin(value, min_p_plus_reference(pencil, q)[0])
         excess.append(value - bound)
     excess = np.array(excess)
     return {
@@ -455,11 +456,12 @@ def span_candidates_pair(pencil, u, v):
 
 
 def sup_p_plus_reference(pencil, basis):
-    """The largest p_plus over the proposals of variational.sup_p_plus made
-    one eigenvalue at a time: the eigenvalues of the compressed companion
-    (np.block, eigvals), and at the real part of each the eigenvector of the
-    compressed T of smallest |eigenvalue| (one eigh each), evaluated by
-    rayleigh_pair; -inf when no proposal lies in the cone."""
+    """The supremum of p_plus over the unit sphere of span(basis), from the
+    proposals of the compressed pencil one eigenvalue at a time: the
+    eigenvalues of the compressed companion (np.block, eigvals), and at the
+    real part of each the eigenvector of the compressed T of smallest
+    |eigenvalue| (one eigh each), evaluated by rayleigh_pair; -inf when no
+    proposal lies in the cone."""
     k = basis.shape[1]
     dc = basis.T @ pencil.d_matrix @ basis
     ac = basis.T @ pencil.a0_matrix @ basis
@@ -470,6 +472,45 @@ def sup_p_plus_reference(pencil, basis):
         w, vecs = np.linalg.eigh(lam * lam * np.eye(k) + lam * dc + ac)
         best = max(best, rayleigh_pair(pencil, basis @ vecs[:, np.argmin(np.abs(w))]).p_plus)
     return float(best)
+
+
+def min_p_plus_reference(pencil, basis):
+    """The minimum of p_plus over the unit sphere of span(basis), orthonormal
+    columns, as (value, witness, certificate mu), by bisection on the
+    compressed pencil mu^2 I + mu dc + ac.
+
+    f(mu) = lambda_max of the compressed T(mu) is convex with its minimum in
+    [-|dc|/2, 0]. Bisection on the sign of its slope 2 mu + dc[y] (y the top
+    eigenvector) stops at a certificate f(mu) < 0 beyond 16 k eps
+    term_scale(mu): the subspace then lies inside the cone, and the minimum
+    is p_plus at the kernel vector (one eigh) of the k-th largest eigenvalue
+    of the compressed companion. It also stops at a top eigenvector outside
+    the cone, a witness of -inf. After 64 steps without either the value is
+    nan (inconclusive).
+    """
+    k = basis.shape[1]
+    dc = basis.T @ pencil.d_matrix @ basis
+    ac = basis.T @ pencil.a0_matrix @ basis
+    dc, ac = (dc + dc.T) / 2.0, (ac + ac.T) / 2.0
+    lo, hi = -0.5 * float(np.linalg.eigvalsh(dc)[-1]), 0.0
+    for _ in range(64):
+        mu = 0.5 * (lo + hi)
+        w, vecs = np.linalg.eigh(mu * mu * np.eye(k) + mu * dc + ac)
+        if w[-1] < -16.0 * k * np.finfo(float).eps * pencil.term_scale(mu):
+            companion = np.block([[np.zeros((k, k)), np.eye(k)], [-ac, -dc]])
+            lam = np.sort(np.linalg.eigvals(companion).real)[::-1][k - 1]
+            w, vecs = np.linalg.eigh(lam * lam * np.eye(k) + lam * dc + ac)
+            x = basis @ vecs[:, np.argmin(np.abs(w))]
+            return rayleigh_pair(pencil, x).p_plus, x, mu
+        y = vecs[:, -1]
+        x = basis @ y
+        if not rayleigh_pair(pencil, x).in_dstar:
+            return -np.inf, x, None
+        if 2.0 * mu + y @ dc @ y > 0.0:
+            hi = mu
+        else:
+            lo = mu
+    return np.nan, None, None
 
 
 def csv_rows_reference(times, energies, dissipation):

@@ -7,6 +7,7 @@ import pytest
 from quadpencil import beam_closed_form, build_pencil, interlacing, load_config
 from quadpencil.cli import CSV_CHUNK_ROWS, _csv_chunks, main
 from quadpencil.evolution import SimulationTrace
+from quadpencil.pencil import VERIFY_TOL
 
 from oracles import csv_rows_reference, trapezoid_error_bounds, trapezoid_reference
 
@@ -230,9 +231,13 @@ class TestVariationalCommand:
         assert doc["eigenvalues"][0]["value"] == pytest.approx(1e6 * (-3.0 + SQRT7), rel=1e-12)
         checks = doc["minmax_report"]["checks"]
         assert all(c["ok"] for c in checks)
-        for c in checks:
-            if "min_p_plus" in c or "sup_p_plus" in c:
-                assert c["witness"] is not None and not c["inconclusive"]
+        attainers = [c for c in checks if c["label"] in (
+            "achievement_eigenvector_span", "achievement_spectral_subspace",
+            "dual_spectral_subspace")]
+        assert len(attainers) == 3 * doc["n_found"] == 3
+        for c in attainers:
+            assert c["margin"] > 0.0
+            assert abs(c["p_plus"] - c["eigenvalue"]) <= VERIFY_TOL
 
     def test_critical_and_overdamped_modes(self, tmp_path):
         # D = diag(2, 10): mode 1 is critically damped (double root -1 = alpha),

@@ -33,7 +33,6 @@ from quadpencil import (
 from quadpencil.blocks import Partition
 from quadpencil.config import build_pencil
 from quadpencil.linearization import BlockEig, companion_eig
-from quadpencil.variational import SubspaceValue, min_p_plus
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CONFIG_NAMES = ("beam_const4", "beam_const5", "beam_sin", "dense_diag",
@@ -50,7 +49,7 @@ EXIT_CODES = {
 }
 RECORDS = (DampingProfile, BeamBounds, Partition, SimulationTrace,
            ComparisonReport, BlockEig, RayleighPair, PencilScalars, AlphaResult,
-           DstarCertificate, InertiaCount, SubspaceValue)
+           DstarCertificate, InertiaCount)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +71,6 @@ def instances():
         AlphaResult: compute_alpha(pencil),
         DstarCertificate: dstar_empty_certificate(pencil),
         InertiaCount: inertia_negative(pencil, -1.0),
-        SubspaceValue: min_p_plus(pencil, np.eye(pencil.dim)[:, :2]),
     }
 
 

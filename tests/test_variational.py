@@ -25,12 +25,12 @@ from quadpencil import (
 from quadpencil import blocks, build_pencil, load_config, rayleigh_pair, variational
 from quadpencil.config import random_pencil
 from quadpencil.pencil import _orth
-from quadpencil.variational import min_p_plus, sup_p_plus
 
 from oracles import (
     constrained_sups,
     det_poly_real_roots_mp,
     inertia_whole,
+    min_p_plus_reference,
     p_plus_on_plane,
     pencil_eigenvectors,
     quad_roots,
@@ -570,13 +570,38 @@ class TestVerifyMinmax:
             sups = constrained_sups(pencil, constraints)
             assert all(sup >= lam - variational.VERIFY_TOL for sup in sups), (n, lam, sups)
 
+    @pytest.mark.parametrize("name, sign", [
+        (name, sign) for name in sorted(FOUND_ON_CONFIG) for sign in (1, -1)])
+    def test_moved_eigenvalue_fails_every_attainer(self, name, sign):
+        # Each located eigenvalue moved by 10 VERIFY_TOL, up (sign 1) or
+        # down: all three attainers at its n fail. The definiteness half
+        # fails on the predicted side: a move up leaves a direction with
+        # p_plus below mu = moved - VERIFY_TOL in both achievement
+        # subspaces, a move down one with p_plus above moved + VERIFY_TOL in
+        # the dual's.
+        pencil, res = self.located(name)
+        attainers = ("achievement_eigenvector_span", "achievement_spectral_subspace",
+                     "dual_spectral_subspace")
+        for k, diag in enumerate(res.per_eigenvalue):
+            moved = diag.value + sign * 10.0 * variational.VERIFY_TOL
+            entries = list(res.per_eigenvalue)
+            entries[k] = dataclasses.replace(diag, value=moved)
+            values = res.eigenvalues.copy()
+            values[k] = moved
+            doctored = dataclasses.replace(res, eigenvalues=values, per_eigenvalue=tuple(entries))
+            checks = {c.label: c for c in verify_minmax(pencil, doctored).checks
+                      if c.label in attainers and c.data["n"] == k + 1}
+            assert sorted(checks) == sorted(attainers)
+            assert not any(c.ok for c in checks.values())
+            indefinite = {label for label, c in checks.items() if c.data["margin"] <= 0.0}
+            assert indefinite == (set(attainers[:2]) if sign > 0 else {attainers[2]})
+
 
 class TestCompressedExtrema:
     def test_sup_reports_the_eigenvalue_that_attains_it(self):
-        # beam_const5, n = 3: the kernel vector of mode 3 is proposed by
-        # both its roots, -18.539 and -425.593, with the same p_plus; the
-        # sup is attained at the root equal to p_plus, before and after a
-        # 1-ulp change of D (which swapped a plain argmax).
+        # beam_const5, n = 3: the kernel vector of mode 3 is a root of both
+        # -18.539 and -425.593, and its p_plus is lambda_3 = -18.539, before
+        # and after a 1-ulp change of D (which once swapped the two roots).
         base = build_pencil(load_config(CONFIGS / "beam_const5.json"))
         lam3 = 9.0 * np.pi**2 * (-5.0 + np.sqrt(21.0)) / 2.0
         for direction in (None, np.inf, 0.0):
@@ -587,9 +612,12 @@ class TestCompressedExtrema:
             interval = IntervalDelta.inside(compute_alpha(pencil).upper)
             report = verify_minmax(pencil, locate_real_eigenvalues(pencil, interval, 1e-8))
             dual = [c for c in report.checks if c.label == "dual_spectral_subspace"]
-            assert dual[2].data["compressed_eigenvalue"] == pytest.approx(lam3, rel=1e-12)
+            assert dual[2].ok
+            assert dual[2].data["p_plus"] == pytest.approx(lam3, rel=1e-12)
 
     def test_plane_grid_oracle(self):
+        # The references for min and sup p_plus on a subspace against a
+        # dense direction grid of random planes.
         rng = np.random.default_rng(11)
         kinds = {"certified": 0, "outside": 0, "sup": 0}
         for seed in range(12):
@@ -600,88 +628,95 @@ class TestCompressedExtrema:
                 grid = p_plus_on_plane(pencil, basis)
                 finite = grid[np.isfinite(grid)]
                 pad = 1e-12 * max(1.0, np.max(np.abs(finite), initial=0.0))
-                low, high = min_p_plus(pencil, basis), sup_p_plus(pencil, basis)
-                assert not low.inconclusive
-                for ext in (low, high):
-                    if ext.value == -np.inf and ext.witness is not None:
-                        assert not rayleigh_pair(pencil, ext.witness).in_dstar
-                    elif ext.witness is not None:
-                        assert rayleigh_pair(pencil, ext.witness).p_plus == ext.value
-                assert low.value <= np.min(grid) + pad
-                assert high.value >= np.max(grid) - pad
+                low, witness, certificate = min_p_plus_reference(pencil, basis)
+                high = sup_p_plus_reference(pencil, basis)
+                assert not np.isnan(low)
+                if low == -np.inf:
+                    assert not rayleigh_pair(pencil, witness).in_dstar
+                else:
+                    assert rayleigh_pair(pencil, witness).p_plus == low
+                assert low <= np.min(grid) + pad
+                assert high >= np.max(grid) - pad
                 # the grid misses an interior extremum by (half-spacing)^2 x curvature
-                if low.certificate is not None:
+                if certificate is not None:
                     kinds["certified"] += 1
                     assert np.all(np.isfinite(grid))
-                    assert np.min(grid) - low.value <= 1e-6 * abs(low.value)
+                    assert np.min(grid) - low <= 1e-6 * abs(low)
                 else:
                     kinds["outside"] += 1
-                    assert low.value == -np.inf and low.witness is not None
-                if high.value > -np.inf:
+                    assert low == -np.inf and witness is not None
+                if high > -np.inf:
                     kinds["sup"] += 1
-                    assert high.value - np.max(grid) <= 1e-6 * abs(high.value)
+                    assert high - np.max(grid) <= 1e-6 * abs(high)
         assert min(kinds.values()) >= 10, kinds
 
-    def test_sup_matches_per_eigenvalue_reference(self, critical_1x1):
-        # Random subspaces of every dimension of random pencils, with and
-        # without a certified real-root cone, and the cone-boundary
-        # fixtures: a double root on the boundary (critical_1x1, the first
-        # mode of A0 = I, D = diag(2, 10)) is computed as a near-real pair.
-        cases = [(critical_1x1, 0), (QuadraticPencil(np.eye(2), np.diag([2.0, 10.0])), 1)]
-        cases += [(random_pencil(dim, seed, damping_scale=6.0,
-                                 ensure_real_root_cone=seed % 2 == 0), 100 * dim + seed)
-                  for dim in (2, 3, 5, 8) for seed in range(25)]
-        finite = 0
-        for pencil, seed in cases:
-            rng = np.random.default_rng(seed)
-            unit = variational._rounding(pencil)
-            for k in range(1, pencil.dim + 1):
-                for _ in range(4):
-                    basis = _orth(rng.standard_normal((pencil.dim, k)))
-                    got = sup_p_plus(pencil, basis).value
-                    want = sup_p_plus_reference(pencil, basis)
-                    assert (got == -np.inf) == (want == -np.inf)
-                    if want > -np.inf:
-                        finite += 1
-                        assert got >= want - unit * abs(want)
-        assert finite >= 1000
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(2, 6), seed=st.integers(0, 10_000), k=st.integers(1, 6),
+           offsets=st.lists(st.floats(-1e-3, 1e-3), min_size=1, max_size=4))
+    def test_definite_margin_bounds_the_extrema(self, dim, seed, k, offsets):
+        # Where _definite_margin says B^T T(mu) B is negative definite, the
+        # min of p_plus over span(B) is at least mu; where it says positive
+        # definite at mu > alpha, the sup is at most mu. mu is placed at
+        # relative offsets from the reference extremum; each reference is
+        # p_plus at an explicit vector, good to the rounding of rayleigh_pair.
+        pencil = random_pencil(dim, seed, damping_scale=8.0, ensure_real_root_cone=True)
+        basis = _orth(np.random.default_rng(seed).standard_normal((dim, min(k, dim))))
+        alpha = compute_alpha(pencil).alpha
+        low = min_p_plus_reference(pencil, basis)[0]
+        high = sup_p_plus_reference(pencil, basis)
+        pad = variational._rounding(pencil)
+        for offset in offsets:
+            mu = low * (1.0 + offset)
+            if np.isfinite(low) and variational._definite_margin(pencil, basis, mu, -1) > 0.0:
+                assert low >= mu - pad * abs(mu), (low, mu)
+            mu = high * (1.0 + offset)
+            if (np.isfinite(high) and mu > alpha
+                    and variational._definite_margin(pencil, basis, mu, 1) > 0.0):
+                assert high <= mu + pad * abs(mu), (high, mu)
 
-    def test_sup_at_a_jordan_root(self):
+    def test_jordan_pencil(self):
         # A0 = [[1, 1], [1, 3]], D = [[2, 1], [1, 2]]: -1 is a defective
-        # double eigenvalue, the sup of p_plus over R^2. A Jordan root moves
-        # by sqrt(eps) under rounding, so no bound in units of the rounding
-        # holds; both proposal rules land within VERIFY_TOL of it.
+        # double eigenvalue at alpha and the sup of p_plus over R^2, so no
+        # eigenvalue lies in (alpha, 0] and the report is the exhaustion
+        # clause. The sign form still brackets the sup: T(mu) is positive
+        # definite at mu = -1 + 10 VERIFY_TOL, and the kernel vector e1 of
+        # T(-1) has p_plus = -1.
         pencil = QuadraticPencil([[1.0, 1.0], [1.0, 3.0]], [[2.0, 1.0], [1.0, 2.0]])
-        got = sup_p_plus(pencil, np.eye(2)).value
-        want = sup_p_plus_reference(pencil, np.eye(2))
-        assert abs(got + 1.0) <= variational.VERIFY_TOL
-        assert abs(want + 1.0) <= variational.VERIFY_TOL
+        res = locate_real_eigenvalues(
+            pencil, IntervalDelta.inside(compute_alpha(pencil).alpha), 1e-8)
+        report = verify_minmax(pencil, res)
+        assert report.ok, report.failures()
+        assert [c.label for c in report.checks] == ["exhaustion_above_n"]
+        mu = -1.0 + 10.0 * variational.VERIFY_TOL
+        assert variational._definite_margin(pencil, np.eye(2), mu, 1) > 0.0
+        assert rayleigh_pair(pencil, [1.0, 0.0]).p_plus == -1.0
 
-    def test_sup_solves_its_compression_once(self, monkeypatch):
-        # One eig of the compressed companion gives every proposal: no
-        # per-eigenvalue eigh of the compressed T.
+    def test_verify_minmax_makes_no_eig_call(self, monkeypatch):
+        # The attainers are decided by eigvalsh of the compressions: no
+        # general eig of a compressed companion.
         pencil = discretize_beam(BeamConfig(
             a0=1.0, damping=make_damping_profile({"profile": "four_plus_sin", "params": {}}),
             n_modes=40))
-        basis = _orth(np.random.default_rng(3).standard_normal((40, 30)))
+        res = locate_real_eigenvalues(
+            pencil, IntervalDelta.inside(compute_alpha(pencil).alpha), 1e-8)
         calls = []
-        for name in ("eig", "eigh"):
-            original = getattr(np.linalg, name)
+        original = np.linalg.eig
 
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counting)
-        sup = sup_p_plus(pencil, basis)
-        assert calls == ["eig"] and sup.value > -np.inf
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        report = verify_minmax(pencil, res)
+        assert res.n_found >= 2 and report.ok, report.failures()
+        assert calls == []
 
     def test_cone_boundary_settled_by_inertia_count(self, critical_1x1):
         # R^1 touches the cone's boundary (double root -1): no mu makes the
         # compression negative definite and no vector leaves the cone, so the
         # exact minimum is inconclusive, but the exhaustion clause is settled
         # by the count at the lower end: T(-0.999999) = 1e-12 > 0.
-        assert min_p_plus(critical_1x1, np.eye(1)).inconclusive
+        assert np.isnan(min_p_plus_reference(critical_1x1, np.eye(1))[0])
         res = locate_real_eigenvalues(critical_1x1, IntervalDelta(lower=-0.999999), 1e-10)
         assert res.n_found == 0
         report = verify_minmax(critical_1x1, res)
