@@ -30,9 +30,10 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-# Rows of the simulate CSV formatted and written at once: memory stays flat
-# in the step count.
-CSV_CHUNK_ROWS = 4096
+# Rows of the simulate CSV formatted and written at once: memory stays flat in
+# the step count, and a chunk's temporaries (under 1 MB) are reused, not faulted in again.
+CSV_CHUNK_ROWS = 1024
+CSV_PRECISION = (12, 16, 16)  # the %g digits (<= 16) of time, energy and dissipation
 
 
 def _timestamp() -> str:
@@ -59,15 +60,84 @@ def _emit_csv(chunks: Iterable[str], out: str | None) -> None:
         stream.writelines(chunks)
 
 
+@functools.cache
+def _csv_tables():
+    """_csv_records' tables, built on first use: the precisions, 0..9999 in ASCII (and without
+    trailing zeros), the first m of 16 bytes, '.' at byte m, [-][0.0…0], 10^k, its high half."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    chars = digits.astype(np.uint8) + 48
+    quads = np.concatenate([chars, chars * (np.cumsum(digits[:, ::-1], 1)[:, ::-1] > 0)])
+    m = np.arange(17)[:, None]
+    masks = ((np.arange(16) < m) * 255).astype(np.uint8).view("<u8").T.copy()
+    dots = ((np.arange(16) == m) * (m > 0) * 46).astype(np.uint8).view("<u8").T.copy()
+    prefixes = [b"-" * n + b"0.000"[:1 - e] * (e < 0) for n in (0, 1) for e in range(-4, 1)]
+    powers = np.array([float(10**k) for k in range(20)])
+    split = powers * 134217729.0  # 2^27 + 1: Veltkamp's split
+    return (np.array(CSV_PRECISION)[:, None], quads.view("<u4").ravel(), masks, dots,
+            np.array(prefixes, "S8").view("<u8"), np.stack([powers, split - (split - powers)]))
+
+
+# Python's own %g of a (precision, value) pair, at most 23 bytes: what _csv_records leaves.
+_percent_g = b"%.*g".__mod__
+
+
+def _csv_records(block: np.ndarray) -> np.ndarray:
+    """'%.{p}g' % v for each v of `block` (3 x rows, p from CSV_PRECISION) as rows x 3
+    records of 32 NUL-padded bytes, each ending in its separator. A fixed-point v (decimal
+    exponent e in [-4, p-1]) is rounded exactly: Dekker's TwoProduct (Numer. Math. 18, 1971;
+    no FMA) gives |v| 10^(p-1-e) as hi + lo, whose integer part q has p digits. Zero, inf,
+    nan, the exponent form, a misjudged e (q outside [10^(p-1), 10^p)) and a remainder
+    within 1e-9 of 1/2 (a tie, which % rounds half-even) go to _percent_g."""
+    p, quads, masks, dots, prefixes, powers = _csv_tables()
+    a = np.abs(block)
+    with np.errstate(all="ignore"):  # the values left to % compute garbage
+        e = np.floor(np.log10(a)).astype(np.int64)
+        scale, s_hi = powers.take(p - 1 - e, axis=1, mode="clip")  # 10^k is a double, k <= 22
+        hi = a * scale
+        c = a * 134217729.0  # Veltkamp's split, as for 10^k
+        a_hi = c - (c - a)
+        a_lo, s_lo = a - a_hi, scale - s_hi
+        lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+        q = np.floor(hi)
+        r = (hi - q) + lo
+        carry = np.floor(r)
+        q = q.astype(np.int64) + carry.astype(np.int64)
+        r -= carry
+    least, high = 10 ** (p - 1), 10 ** p
+    fast = (e >= -4) & (q >= least) & (q < high) & (np.abs(r - 0.5) > 1e-9)
+    q += r > 0.5
+    up = q == high  # 9.99…95 rounds up to the next exponent
+    e += up
+    fast &= e < p
+    q = np.where(up, least, q) * 10 ** (16 - p)  # 16 digits, the last 16 - p zeros
+    half = np.stack(np.divmod(q, 10**8), -1)
+    quad = np.stack(np.divmod(half, 10000), -1).reshape(*block.shape, 4)
+    low = half[..., 1] == 0  # the quads from the last nonzero one on drop their trailing zeros
+    after = np.stack([low & (quad[..., 1] == 0), low, quad[..., 3] == 0, np.ones_like(low)], -1)
+    full, stripped = quads.take(np.stack([quad, quad + 10000 * after]), mode="clip").view("<u8")
+    # The first m digits are the integer part; the fraction moves a byte up for the point.
+    m = np.maximum(e + 1, 0)
+    head, tail = masks[0].take(m, mode="clip"), masks[1].take(m, mode="clip")
+    frac0, frac1 = stripped[..., 0] & ~head, stripped[..., 1] & ~tail
+    point = m * ((frac0 | frac1) != 0)
+    out = np.empty((block.shape[1], 3, 4), "<u8").transpose(1, 0, 2)
+    out[..., 0] = prefixes.take(5 * (block < 0) + np.minimum(e, 0) + 4, mode="clip")
+    out[..., 1] = dots[0].take(point, mode="clip") | full[..., 0] & head | frac0 << 8
+    out[..., 2] = dots[1].take(point, mode="clip") | full[..., 1] & tail | frac1 << 8 | frac0 >> 56
+    out[..., 3] = np.where(fast, frac1 >> 56, 0) | np.array([[44], [44], [10]], "<u8") << 56
+    pairs = zip(p.repeat(block.shape[1], 1)[~fast].tolist(), block[~fast].tolist())
+    out[~fast, :3] = np.array(list(map(_percent_g, pairs)), "S24").view("<u8").reshape(-1, 3)
+    return out.transpose(1, 0, 2)
+
+
 def _csv_chunks(trace) -> Iterator[str]:
     """The simulate CSV below its timestamp line: the header, then the rows
-    in chunks of CSV_CHUNK_ROWS, each chunk formatted by one % of the row
-    format repeated over its rows, from plain Python floats."""
+    in chunks of CSV_CHUNK_ROWS, the records of _csv_records less their NULs."""
     yield "time,energy,dissipation\n"
     columns = (trace.times, trace.energies, trace.dissipation)
     for start in range(0, trace.times.size, CSV_CHUNK_ROWS):
-        chunk = np.column_stack([c[start:start + CSV_CHUNK_ROWS] for c in columns])
-        yield "%.12g,%.16g,%.16g\n" * chunk.shape[0] % tuple(chunk.ravel().tolist())
+        records = _csv_records(np.stack([c[start:start + CSV_CHUNK_ROWS] for c in columns]))
+        yield records.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _load(path: str) -> ProblemConfig:

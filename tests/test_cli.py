@@ -1,12 +1,18 @@
 import json
+import math
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadpencil import beam_closed_form, build_pencil, interlacing, load_config
+from quadpencil import beam_closed_form, build_pencil, cli, interlacing, load_config
 from quadpencil.cli import CSV_CHUNK_ROWS, _csv_chunks, main
-from quadpencil.evolution import SimulationTrace
+from quadpencil.evolution import SimulationTrace, simulate
 from quadpencil.pencil import VERIFY_TOL
 
 from oracles import csv_rows_reference, trapezoid_error_bounds, trapezoid_reference
@@ -26,6 +32,17 @@ def strip_timestamp(text: str) -> str:
         line for line in text.splitlines()
         if "generated_at" not in line
     )
+
+
+# Values at the edges of the CSV's %g kernel: signed zeros, non-finite values,
+# the smallest subnormal, the doubles next to every power of ten the fixed-point
+# form reaches, and exact halves, among them ties at 12 and at 16 digits.
+CSV_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 0.5, 2.5, 100000000000.5,
+             1000000000000000.5] + [float(np.nextafter(10.0**k, side))
+                                     for k in range(-5, 18) for side in (math.inf, -math.inf)]
+CSV_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from(CSV_EDGES), st.sampled_from(CSV_EDGES).map(lambda v: -v))
 
 
 def assert_same_rows(got: list[str], want: list[str]) -> None:
@@ -432,6 +449,64 @@ class TestSimulateCommand:
         got = "".join(_csv_chunks(trace))
         want = "time,energy,dissipation\n" + csv_rows_reference(times, energies, dissipation)
         assert_same_rows(got.split("\n"), want.split("\n"))
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(st.lists(CSV_VALUES, min_size=1, max_size=40), min_size=3, max_size=3),
+           st.integers(0, CSV_CHUNK_ROWS))
+    def test_chunks_match_percent_on_any_double(self, columns, shift):
+        # Each drawn column repeats over a chunk and a bit, rolled so that
+        # every value can land on either side of the chunk boundary.
+        rows = CSV_CHUNK_ROWS + 3
+        times, energies, dissipation = (np.roll(np.resize(np.array(c), rows), shift)
+                                        for c in columns)
+        got = "".join(_csv_chunks(SimulationTrace(times, energies, dissipation, 0.0)))
+        want = "time,energy,dissipation\n" + csv_rows_reference(times, energies, dissipation)
+        assert_same_rows(got.split("\n"), want.split("\n"))
+
+    @staticmethod
+    def spy_on_percent(monkeypatch):
+        """The (precision, value) pairs the kernel leaves to Python's %."""
+        calls, percent = [], cli._percent_g
+
+        def spy(pair):
+            calls.append(pair)
+            return percent(pair)
+        monkeypatch.setattr(cli, "_percent_g", spy)
+        return calls
+
+    def test_each_fallback_class_goes_to_percent(self, monkeypatch):
+        classes = {
+            "zero": [(12, 0.0), (16, -0.0)],
+            "non-finite": [(16, math.inf), (16, -math.inf), (12, math.nan)],
+            "exponent form": [(12, 1e-5), (16, -2.5e-7), (12, 1e12), (16, 3e17)],
+            "rounds up to the exponent form": [(12, 999999999999.7), (12, -999999999999.9)],
+            "log10 off by one": [(12, 999.9999999999999), (16, 0.09999999999999999)],
+            "tie": [(12, 100000000000.5), (12, -123456789012.5), (16, 1000000000000000.5)],
+        }
+        pairs = [pair for members in classes.values() for pair in members]
+        # One value a row, in the time column at 12 digits or the energy
+        # column at 16; 1.5 fills the rest.
+        times, energies = ([v if p == digits else 1.5 for p, v in pairs] for digits in (12, 16))
+        columns = np.array(times), np.array(energies), np.full(len(pairs), 1.5)
+        calls = self.spy_on_percent(monkeypatch)
+        got = "".join(_csv_chunks(SimulationTrace(*columns, 0.0)))
+        assert got == "time,energy,dissipation\n" + csv_rows_reference(*columns)
+        assert sorted(map(repr, calls)) == sorted(map(repr, pairs))
+
+    def test_cli_mix_trace_leaves_at_most_3_values_to_percent(self, monkeypatch):
+        pencil = build_pencil(load_config(CONFIGS / "dense_diag.json"))
+        trace = simulate(pencil, np.eye(2)[0], np.zeros(2), 10.0, 1e-3)
+        calls = self.spy_on_percent(monkeypatch)
+        assert "".join(_csv_chunks(trace)).count("\n") == 10002
+        assert len(calls) <= 3
+
+    def test_digit_tables_are_built_on_first_use(self):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import quadpencil.cli as cli; "
+                "print(cli._csv_tables.cache_info().currsize)")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", code, str(src)],
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "0"
 
     def test_initial_data_from_config(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -67,3 +67,18 @@ def test_exit_code(tmp_path, command, name):
     config.write_text(json.dumps(INPUTS[name]))
     code = main([command, str(config), "--out", str(tmp_path / "out")])
     assert code == KNOWN_FALSE_ALARMS.get((command, name), 0)
+
+
+# simulate on every beam of the table: 1000 trapezoidal steps of dt = 1e-4.
+# None is a known false alarm today.
+SIMULATE_RUNS = [f"{profile}_{n}" for profile in PROFILES for n in BEAM_MODES]
+
+
+@pytest.mark.parametrize("name", SIMULATE_RUNS)
+def test_simulate_exit_code(tmp_path, name):
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(INPUTS[name]))
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", str(config), "--t-final", "0.1", "--dt", "1e-4",
+                 "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 1003  # timestamp, header and 1001 rows
