@@ -258,8 +258,7 @@ def verify_beam_theorem(cfg: BeamConfig) -> Report:
             break
     inside = within_alpha(lower, alpha.upper)
     report.add("alpha_below_interval", inside, alpha=alpha.upper,
-               alpha_bracket=[alpha.lower if np.isfinite(alpha.lower) else None, alpha.upper],
-               interval_lower=lower)
+               alpha_bracket=[alpha.lower, alpha.upper], interval_lower=lower)
     if not inside:
         return report
     result = locate_real_eigenvalues(pencil, IntervalDelta(lower=lower), EIGEN_TOL)

@@ -153,15 +153,12 @@ def _load(path: str) -> ProblemConfig:
     return config
 
 
-def _complex_entry(z: complex) -> dict:
-    return {"re": float(np.real(z)), "im": float(np.imag(z))}
-
-
 def cmd_spectrum(args) -> int:
     from .config import build_pencil
     from .linearization import (build_linearization, check_pencil_equivalence, full_spectrum,
                                 resolvent_region_check, structural_report)
     from .pencil import compute_delta_gamma
+    from .reports import _jsonable
 
     config = _load(args.config)
     pencil = build_pencil(config)
@@ -181,18 +178,10 @@ def cmd_spectrum(args) -> int:
         "schema": 1,
         "command": "spectrum",
         "eigenvalues": [
-            {
-                **_complex_entry(lam),
-                "algebraic_multiplicity": int(am),
-                "geometric_multiplicity": int(gm),
-                "residual": float(res),
-            }
-            for lam, am, gm, res in zip(
-                spectrum.eigenvalues,
-                spectrum.algebraic_multiplicities,
-                spectrum.geometric_multiplicities,
-                spectrum.residuals,
-            )
+            {**lam, "algebraic_multiplicity": am, "geometric_multiplicity": gm, "residual": res}
+            for lam, am, gm, res in zip(*_jsonable([
+                spectrum.eigenvalues, spectrum.algebraic_multiplicities,
+                spectrum.geometric_multiplicities, spectrum.residuals]))
         ],
         "cluster_tolerance": spectrum.cluster_tolerance,
         "block_sizes": list(spectrum.block_sizes),
@@ -206,45 +195,29 @@ def cmd_spectrum(args) -> int:
 def cmd_variational(args) -> int:
     from .config import build_pencil
     from .pencil import EIGEN_TOL, compute_scalars
+    from .reports import _jsonable
     from .variational import IntervalDelta, locate_real_eigenvalues, verify_minmax
 
     config = _load(args.config)
     pencil = build_pencil(config)
     scalars = compute_scalars(pencil)
-    lower = args.delta_lower
-    if lower is None and not np.isfinite(scalars.alpha):
-        # A real eigenvalue is a root of |x|^2 lam^2 + d[x] lam + a0[x]: |lam| <= d[x]/|x|^2 <= |D|.
-        lower = -(pencil.d_norm + 1.0)
-    interval = IntervalDelta.inside(scalars.alpha, lower)
-    alpha = scalars.alpha if np.isfinite(scalars.alpha) else None
-    bracket = None
-    if alpha is not None:
-        bracket = [scalars.alpha_lower if np.isfinite(scalars.alpha_lower) else None, alpha]
+    interval = IntervalDelta.inside(scalars.alpha, args.delta_lower, pencil.d_norm)
     result = locate_real_eigenvalues(pencil, interval, EIGEN_TOL)
     minmax = verify_minmax(pencil, result)
     ok = minmax.ok
+    fields = _jsonable(scalars)  # alpha is null for an empty real-root cone
+    alpha_lower = fields.pop("alpha_lower")
     payload = {
         "schema": 1,
         "command": "variational",
-        "alpha": alpha,
-        "alpha_bracket": bracket,
-        "delta": scalars.delta,
-        "gamma": scalars.gamma,
-        "disc_radius": scalars.disc_radius,
+        **fields,
+        "alpha_bracket": None if fields["alpha"] is None else [alpha_lower, fields["alpha"]],
         "interval": {"lower": interval.lower, "upper": 0.0},
         "kappa": result.kappa,
         "n_found": result.n_found,
-        "eigenvalues": [
-            {
-                "value": diag.value,
-                "multiplicity": diag.multiplicity,
-                "residual": diag.residual,
-                "bracket": list(diag.bracket),
-                "iterations": diag.iterations,
-                "semisimple": diag.semisimple,
-            }
-            for diag in result.per_eigenvalue
-        ],
+        # Every field of the diagnostics but T(value)'s scale.
+        "eigenvalues": [_jsonable({k: v for k, v in vars(diag).items() if k != "t_scale"})
+                        for diag in result.per_eigenvalue],
         "minmax_report": minmax.to_dict(),
         "ok": ok,
     }
@@ -287,31 +260,22 @@ def cmd_simulate(args) -> int:
 
 def cmd_beam_report(args) -> int:
     from .beam import beam_bounds, beam_closed_form, verify_beam_theorem
+    from .reports import _jsonable
 
     config = _load(args.config)
     if config.source != "beam":
         raise ConfigError("beam-report requires a config with source = beam")
     cfg = config.beam
-    bounds = beam_bounds(cfg)
     report = verify_beam_theorem(cfg)
     payload = {
         "schema": 1,
         "command": "beam-report",
-        "bounds": {
-            "applicable": bounds.applicable,
-            "d_min": bounds.d_min,
-            "d_max": bounds.d_max,
-            "n_min_count": bounds.n_min_count,
-            "upper_n": list(bounds.upper_n),
-            "lower_n": list(bounds.lower_n),
-        },
+        "bounds": _jsonable(beam_bounds(cfg)),
         "report": report.to_dict(),
         "ok": report.ok,
     }
     if cfg.damping.d_min == cfg.damping.d_max:
-        payload["closed_form"] = [
-            _complex_entry(z) for z in beam_closed_form(cfg)
-        ]
+        payload["closed_form"] = _jsonable(beam_closed_form(cfg))
     _emit_json(payload, args.out)
     return EXIT_OK if report.ok else EXIT_PROPERTY
 
@@ -357,6 +321,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a token after an option for another option when it starts
+    # with '-' but is not of the form -2 or -.5 (so -2e0 and -inf), and every
+    # lower end is negative: pass the value (after the option or a prefix of
+    # it) in the one-token form it reads.
+    for i in reversed(range(len(argv) - 1)):
+        if (len(argv[i]) > 2 and "--delta-lower".startswith(argv[i])
+                and not argv[i + 1].startswith("--")):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = _parser().parse_args(argv)
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -22,6 +22,9 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 SYMMETRY_TOL = 1e-12
+# The largest beam.n_modes and random.dim: the pencil's real 2n x 2n companion
+# alone is 32 n^2 bytes, so n = 5000 holds 0.8 GB before it is solved.
+MAX_DIM = 5000
 
 
 @dataclass(frozen=True)
@@ -39,10 +42,12 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def parse_number(raw, name: str, integer: bool = False, minimum: float | None = None):
+def parse_number(raw, name: str, integer: bool = False, minimum: float | None = None,
+                 maximum: float | None = None):
     """One scalar of the input contract: a finite float (a JSON number), or
     with `integer` an int (a JSON integer or a decimal string, as the
-    QUADPENCIL_SEED environment variable gives it), at least `minimum`.
+    QUADPENCIL_SEED environment variable gives it), at least `minimum` and
+    at most `maximum`.
 
     Anything else, booleans, numeric strings and non-integral floats
     included, raises ConfigError so that it exits with the input-error code.
@@ -60,6 +65,8 @@ def parse_number(raw, name: str, integer: bool = False, minimum: float | None = 
     _require(valid, f"{name} must be {kind}, got {raw!r}")
     _require(minimum is None or value >= minimum,
              f"{name} must be >= {minimum}, got {raw!r}")
+    _require(maximum is None or value <= maximum,
+             f"{name} must be <= {maximum}, got {raw!r}")
     return value
 
 
@@ -157,7 +164,8 @@ def parse_config(doc: dict) -> ProblemConfig:
             beam = BeamConfig(
                 a0=parse_number(section.get("a0", 1.0), "beam.a0"),
                 damping=profile,
-                n_modes=parse_number(section.get("n_modes", 12), "beam.n_modes", integer=True),
+                n_modes=parse_number(section.get("n_modes", 12), "beam.n_modes", integer=True,
+                                     maximum=MAX_DIM),
                 quadrature=quadrature,
             )
         except (InvalidArgumentError, KeyError, TypeError, ValueError) as exc:
@@ -171,7 +179,8 @@ def parse_config(doc: dict) -> ProblemConfig:
         _require(isinstance(cone, bool),
                  f"random.ensure_real_root_cone must be true or false, got {cone!r}")
         random_spec = {
-            "dim": parse_number(section["dim"], "random.dim", integer=True, minimum=1),
+            "dim": parse_number(section["dim"], "random.dim", integer=True, minimum=1,
+                                maximum=MAX_DIM),
             "seed": parse_number(section.get("seed", seed), "random.seed",
                                  integer=True, minimum=0),
             "damping_scale": parse_number(section.get("damping_scale", 1.0),

@@ -130,13 +130,11 @@ def simulate(pencil: QuadraticPencil, z0, w0, t_final: float, dt: float) -> Simu
         stack = system.a_matrix[rows[:, :, None], rows[:, None, :]]
         eye = np.eye(size)  # I - dt/2 A_b is regular: A_b is dissipative
         propagator = np.linalg.solve(eye - (dt / 2.0) * stack, eye + (dt / 2.0) * stack)
-        # 2 w^T D w of each block from its indices `tail` and up, which hold
-        # all its w (the indices >= n, after its z): D on them, zero on a z.
-        tail = int(np.min(np.sum(rows < n, axis=1)))
+        # A companion block is pencil rows r, then r + n (blocks.companion):
+        # its w is its second half, and 2 w^T D w is taken with D on those rows.
+        tail = size // 2
         w_rows = rows[:, tail:] - n
-        is_w = w_rows >= 0
-        d_stack = np.where(is_w[:, :, None] & is_w[:, None, :],
-                           pencil.d_matrix[w_rows[:, :, None], w_rows[:, None, :]], 0.0)
+        d_stack = pencil.d_matrix[w_rows[:, :, None], w_rows[:, None, :]]
         length = block_length(count * size, size, steps)
         block = np.empty((count, length, size))
         before = np.empty_like(block)  # the previous block

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import FormOrderError, InvalidArgumentError
 from .pencil import (EIGEN_TOL, VERIFY_TOL, QuadraticPencil, alpha_brackets, compute_alpha,
                      compute_delta_gamma)
+from .reports import _jsonable
 from .variational import IntervalDelta, locate_real_eigenvalues
 
 FORM_ORDER_TOL = 1e-12
@@ -47,24 +48,13 @@ class ComparisonReport(NamedTuple):
         )
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "form_order_ok": True,
-            "gamma_order_ok": self.gamma_order_ok,
-            "delta_order_ok": self.delta_order_ok,
-            "n_ok": self.n_ok,
-            "n_left": self.n_left,
-            "n_right": self.n_right,
-            "n_common": len(self.per_n),
-            "gamma": self.gamma,
-            "gamma_hat": self.gamma_hat,
-            "delta": self.delta,
-            "delta_hat": self.delta_hat,
-            "interval_lower": self.interval_lower,
-            "per_n": [
-                {"lambda": a, "lambda_hat": b, "ok": ok} for a, b, ok in self.per_n
-            ],
-        }
+        """The fields, plus the verdict, the order (which compare_eigenvalues
+        raises on) and the common count; per_n as objects, since `lambda`
+        cannot be a field name."""
+        return _jsonable({**self._asdict(), "ok": self.ok, "form_order_ok": True,
+                          "n_common": len(self.per_n),
+                          "per_n": [{"lambda": a, "lambda_hat": b, "ok": ok}
+                                    for a, b, ok in self.per_n]})
 
 
 def check_form_order(p: QuadraticPencil, p_hat: QuadraticPencil) -> bool:
@@ -90,12 +80,12 @@ def compare_eigenvalues(p: QuadraticPencil, p_hat: QuadraticPencil,
 
     The interval is IntervalDelta.inside the larger of the two alphas (the
     certified upper ends of their brackets), so (a, 0] lies inside both
-    pencils' (alpha, 0]; a omitted takes its default lower end. p_hat's
-    bracket is refined only until its upper end falls to p's alpha: the
-    upper ends never increase, so the larger alpha is then p's either way.
-    Both spectra
-    are located at EIGEN_TOL, and lambda_n <= lambda_hat_n is checked with
-    the slack VERIFY_TOL. A pair out of form order raises FormOrderError.
+    pencils' (alpha, 0]; a omitted takes its default lower end, for two
+    empty cones the one of the larger |D|. p_hat's bracket is refined only
+    until its upper end falls to p's alpha: the upper ends never increase,
+    so the larger alpha is then p's either way. Both spectra are located at
+    EIGEN_TOL, and lambda_n <= lambda_hat_n is checked with the slack
+    VERIFY_TOL. A pair out of form order raises FormOrderError.
     """
     if not check_form_order(p, p_hat):
         raise FormOrderError(
@@ -105,7 +95,8 @@ def compare_eigenvalues(p: QuadraticPencil, p_hat: QuadraticPencil,
     for bracket in alpha_brackets(p_hat):
         if bracket.upper <= alpha:
             break
-    interval = IntervalDelta.inside(max(alpha, bracket.upper), a)
+    interval = IntervalDelta.inside(max(alpha, bracket.upper), a,
+                                    max(p.d_norm, p_hat.d_norm))
     res = locate_real_eigenvalues(p, interval, EIGEN_TOL)
     res_hat = locate_real_eigenvalues(p_hat, interval, EIGEN_TOL)
 

@@ -6,6 +6,7 @@ counts) needed to reproduce the failure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -13,16 +14,23 @@ import numpy as np
 
 
 def _jsonable(value: Any) -> Any:
+    """The one JSON encoder of the library's values: a NamedTuple record as
+    an object of its fields, a complex number as {re, im}, numpy scalars and
+    arrays as Python ones, and a non-finite float as None (JSON null)."""
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return [{"re": float(z.real), "im": float(z.imag)} for z in value.ravel()]
-        return value.tolist()
+        if value.dtype.kind == "c":  # a complex array is written flat
+            value = value.ravel()
+        elif value.dtype.kind != "f" or np.isfinite(value).all():
+            return value.tolist()
+        return _jsonable(value.tolist())
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.floating, np.integer)):
+        return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
+    if isinstance(value, (np.integer, np.bool_)):
         return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        return _jsonable(value._asdict())
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

@@ -86,15 +86,20 @@ class IntervalDelta:
             raise InvalidArgumentError(f"need finite lower < 0, got ({self.lower}, 0]")
 
     @classmethod
-    def inside(cls, alpha: float, lower: float | None = None) -> IntervalDelta:
+    def inside(cls, alpha: float, lower: float | None = None,
+               d_norm: float | None = None) -> IntervalDelta:
         """The counting interval inside (alpha, 0], alpha the certified upper
         end of the bracket: lower defaults to alpha + ALPHA_MARGIN |alpha|
-        and must pass within_alpha; an empty cone (alpha = -inf) has no
-        default."""
-        if lower is None:
-            if not np.isfinite(alpha):
-                raise InvalidArgumentError("the real-root cone is empty: give a lower end")
+        and must pass within_alpha. An empty cone (alpha = -inf) defaults to
+        -(d_norm + 1), d_norm = |D| (the larger of a pair's): it holds every
+        real eigenvalue, a root of |x|^2 lam^2 + d[x] lam + a0[x], so
+        |lam| <= d[x]/|x|^2 <= |D|."""
+        if lower is None and np.isfinite(alpha):
             lower = alpha + ALPHA_MARGIN * abs(alpha)
+        elif lower is None:
+            if d_norm is None:
+                raise InvalidArgumentError("the real-root cone is empty: give a lower end or |D|")
+            lower = -(d_norm + 1.0)
         interval = cls(lower=float(lower))
         if not within_alpha(interval.lower, alpha):
             raise InvalidArgumentError(f"interval lower end {lower} lies below alpha {alpha}")

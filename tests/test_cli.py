@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadpencil import beam_closed_form, build_pencil, cli, interlacing, load_config
+from quadpencil import beam_closed_form, build_pencil, cli, config, interlacing, load_config
+from quadpencil.errors import ConfigError
 from quadpencil.cli import CSV_CHUNK_ROWS, _csv_chunks, main
 from quadpencil.evolution import SimulationTrace, simulate
 from quadpencil.pencil import VERIFY_TOL
@@ -209,6 +210,22 @@ class TestVariationalCommand:
                      "--delta-lower", "-50.0"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["variational", str(CONFIGS / "dense_diag.json")],
+        ["interlace", str(CONFIGS / "beam_const4.json"), str(CONFIGS / "beam_const5.json")],
+    ], ids=["variational", "interlace"])
+    @pytest.mark.parametrize("value", ["-2e0", "-5e0", "-inf", "-50.0"])
+    def test_delta_lower_space_form_is_the_one_token_form(self, capsys, argv, value):
+        # argparse alone takes "-2e0" after an option for another option.
+        runs = []
+        for form in (["--delta-lower", value], [f"--delta-lower={value}"],
+                     ["--delta-l", value]):
+            code = main([*argv, *form])
+            out, err = capsys.readouterr()
+            runs.append((code, strip_timestamp(out), err))
+        assert runs[0] == runs[1] == runs[2]
+        assert "expected one argument" not in runs[0][2]
+
     @pytest.mark.parametrize("count", ["5", "0", "-3"])
     def test_subspaces_flag_is_gone(self, capsys, count):
         # The clauses over every subspace are decided by inertia counts:
@@ -360,6 +377,19 @@ class TestInterlaceCommand:
                 "--out", str(tmp_path / "cmp.json")]
         assert main(argv) == code
         assert len(calls) == 1
+
+    def test_empty_cones_take_the_larger_d_norm(self, tmp_path):
+        # Both real-root cones are empty: the shared interval is (-(|D_hat| + 1), 0],
+        # |D_hat| = 0.2 the larger |D|, and holds no real eigenvalue.
+        p = write_config(tmp_path, {"schema": 1, "source": "dense", "dense": {
+            "a0": [[2.0, 0.0], [0.0, 3.0]], "d": [[0.1, 0.0], [0.0, 0.1]]}}, "p.json")
+        p_hat = write_config(tmp_path, {"schema": 1, "source": "dense", "dense": {
+            "a0": [[1.0, 0.0], [0.0, 2.0]], "d": [[0.2, 0.0], [0.0, 0.2]]}}, "p_hat.json")
+        out = tmp_path / "cmp.json"
+        assert main(["interlace", p, p_hat, "--out", str(out)]) == 0
+        comparison = json.loads(out.read_text())["comparison"]
+        assert comparison["interval_lower"] == -1.2
+        assert comparison["n_left"] == comparison["n_right"] == 0
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         cfg1 = write_config(tmp_path, {
@@ -805,3 +835,32 @@ class TestMalformedNumbers:
         assert main(["spectrum", cfg]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "variational", "beam-report", "simulate"])
+    @pytest.mark.parametrize("source", ["beam", "random"])
+    def test_size_over_the_limit_exits_2(self, tmp_path, capsys, command, source):
+        # 10^8 modes would exhaust memory; the parse rejects them before
+        # anything is allocated.
+        section = ({"n_modes": 10**8, "damping": {"profile": "four_plus_sin"}}
+                   if source == "beam" else {"dim": 10**8})
+        cfg = write_config(tmp_path, {"schema": 1, "source": source, source: section})
+        extra = ["--t-final", "1", "--dt", "0.1"] if command == "simulate" else []
+        assert main([command, cfg, *extra]) == 2
+        err = capsys.readouterr().err
+        name = "beam.n_modes" if source == "beam" else "random.dim"
+        assert f"{name} must be <= {config.MAX_DIM}, got 100000000" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["beam", "random"])
+    def test_size_limit_admits_n_200(self, source):
+        key = "n_modes" if source == "beam" else "dim"
+        assert config.MAX_DIM >= 200
+        for n, ok in ((200, True), (config.MAX_DIM, True), (config.MAX_DIM + 1, False)):
+            doc = {"schema": 1, "source": source, source: {key: n}}
+            if source == "beam":
+                doc["beam"]["damping"] = {"profile": "four_plus_sin"}
+            if ok:
+                config.parse_config(doc)
+            else:
+                with pytest.raises(ConfigError, match="must be <="):
+                    config.parse_config(doc)

@@ -4,7 +4,8 @@ inputs through cli.main, in process.
 Every input is a valid pencil, so every run should exit 0. The runs that do
 not are the known false alarms, listed by name with the exit code they give
 today; a new false alarm, or a changed code, fails its case. The list only
-shrinks as the alarms are mended.
+shrinks as the alarms are mended. Every JSON output is strict JSON: no NaN
+or Infinity.
 """
 import json
 
@@ -56,6 +57,25 @@ KNOWN_FALSE_ALARMS = {
 }
 
 
+# interlace on ordered pairs (p, p_hat): beams of damping d = 4 against a
+# stronger one, and a pair whose real-root cones are both empty.
+PAIR_INPUTS = {
+    **INPUTS,
+    **{f"constant_d5_{n}": _beam("constant", n, 5.0) for n in (12, 50, 100)},
+    "empty_cone": _dense([[2.0, 0.0], [0.0, 3.0]], [[0.1, 0.0], [0.0, 0.1]]),
+    "empty_cone_hat": _dense([[1.0, 0.0], [0.0, 2.0]], [[0.2, 0.0], [0.0, 0.2]]),
+}
+INTERLACE_RUNS = [(f"constant_{n}", f"{hat}_{n}") for hat in ("four_plus_sin", "constant_d5")
+                  for n in (12, 50, 100)] + [("empty_cone", "empty_cone_hat")]
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_the_table_has_45_runs():
     assert len(RUNS) == 45
     assert set(KNOWN_FALSE_ALARMS) <= set(RUNS)
@@ -65,8 +85,23 @@ def test_the_table_has_45_runs():
 def test_exit_code(tmp_path, command, name):
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps(INPUTS[name]))
-    code = main([command, str(config), "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main([command, str(config), "--out", str(out)])
     assert code == KNOWN_FALSE_ALARMS.get((command, name), 0)
+    if code in (0, 1):
+        _strict_json(out.read_text())
+
+
+@pytest.mark.parametrize("pair", INTERLACE_RUNS, ids="-".join)
+def test_interlace_exit_code(tmp_path, pair):
+    configs = [tmp_path / f"{name}.json" for name in pair]
+    for path, name in zip(configs, pair):
+        path.write_text(json.dumps(PAIR_INPUTS[name]))
+    out = tmp_path / "out"
+    assert main(["interlace", *map(str, configs), "--out", str(out)]) == 0
+    comparison = _strict_json(out.read_text())["comparison"]
+    if pair[0] == "empty_cone":  # (-(|D_hat| + 1), 0], |D_hat| = 0.2 the larger |D|
+        assert comparison["interval_lower"] == -1.2
 
 
 # simulate on every beam of the table: 1000 trapezoidal steps of dt = 1e-4.

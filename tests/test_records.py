@@ -1,6 +1,7 @@
 """The result records that are typing.NamedTuples: their fields are
-read-only, and none is part of a report's check data, where
-reports._jsonable would write a tuple as a JSON list."""
+read-only, none is part of a report's check data, and reports._jsonable,
+the one JSON encoder, writes each as an object of its fields."""
+import math
 from pathlib import Path
 
 import numpy as np
@@ -115,3 +116,26 @@ def test_no_record_in_check_data(tmp_path, monkeypatch):
             ["interlace", *(str(CONFIGS / f"{name}.json") for name in pair), "--out", out])
     assert seen == []
     assert codes == EXIT_CODES
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
+def test_jsonable_writes_a_record_as_its_fields(record, instances):
+    value = instances[record]
+    written = reports._jsonable(value)
+    assert isinstance(written, dict) and list(written) == list(record._fields)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_jsonable_writes_a_nonfinite_float_as_null(bad):
+    import json
+
+    assert reports._jsonable(bad) is None
+    assert reports._jsonable(np.float64(bad)) is None
+    assert reports._jsonable(np.float32(bad)) is None
+    assert reports._jsonable(np.array([1.5, bad, -2.0])) == [1.5, None, -2.0]
+    assert reports._jsonable(np.array([[bad], [0.5]])) == [[None], [0.5]]
+    assert reports._jsonable(complex(bad, 1.0)) == {"re": None, "im": 1.0}
+    assert reports._jsonable(np.array([1j, bad])) == [{"re": 0.0, "im": 1.0},
+                                                       {"re": None, "im": 0.0}]
+    assert reports._jsonable({"a": [bad, (bad, 2)]}) == {"a": [None, [None, 2]]}
+    json.dumps(reports._jsonable([bad, np.array([bad])]), allow_nan=False)

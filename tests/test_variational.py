@@ -145,9 +145,16 @@ class TestLocate:
             IntervalDelta.inside(alpha, alpha - 1.1 * slack)
 
     def test_inside_empty_cone(self):
+        # An empty cone (alpha = -inf) defaults to -(|D| + 1); without |D|
+        # there is no default.
+        assert IntervalDelta.inside(-np.inf, d_norm=3.0).lower == -4.0
+        assert IntervalDelta.inside(-np.inf, d_norm=0.0).lower == -1.0
         with pytest.raises(InvalidArgumentError, match="empty"):
             IntervalDelta.inside(-np.inf)
         assert IntervalDelta.inside(-np.inf, -1e6).lower == -1e6
+        assert IntervalDelta.inside(-np.inf, -1e6, 3.0).lower == -1e6
+        # |D| sets only the empty cone's default.
+        assert IntervalDelta.inside(-2.0, d_norm=3.0).lower == -2.0 + 1e-6 * 2.0
 
     def test_interval_validation(self):
         with pytest.raises(InvalidArgumentError):
