@@ -17,8 +17,7 @@ _EXPORTS = {
     "config": ("ProblemConfig", "build_pencil", "load_config", "random_pencil"),
     "errors": ("ComputationError", "ConfigError", "FormOrderError", "InvalidArgumentError",
                "QuadPencilError"),
-    "evolution": ("SimulationTrace", "energy_monotonicity_report", "simulate",
-                  "spectral_abscissa_consistency"),
+    "evolution": ("SimulationTrace", "energy_monotonicity_report", "simulate"),
     "interlacing": ("ComparisonReport", "check_form_order", "compare_eigenvalues"),
     "linearization": ("LinearizedSystem", "SpectrumResult", "build_linearization",
                       "check_pencil_equivalence", "full_spectrum", "resolvent_region_check",

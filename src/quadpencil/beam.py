@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
+from .config import MAX_DIM
 from .errors import InvalidArgumentError
 from .pencil import EIGEN_TOL, VERIFY_TOL, QuadraticPencil, alpha_brackets
 # Not called here: perfbench/tracing.py patches compute_alpha at each module
@@ -125,6 +126,11 @@ class BeamConfig:
             raise InvalidArgumentError("stiffness coefficient a0 must be positive")
         if self.n_modes < 1:
             raise InvalidArgumentError("n_modes must be >= 1")
+        # discretize_beam's (2n + 1) x P n / 8 tables: as big as P = 8's at MAX_DIM.
+        size = self.quadrature.points_per_mode_pair * self.n_modes
+        if size > 8 * MAX_DIM:
+            raise InvalidArgumentError(
+                f"points_per_mode_pair * n_modes must be <= {8 * MAX_DIM}, got {size}")
 
 
 class BeamBounds(NamedTuple):

@@ -215,9 +215,7 @@ def cmd_variational(args) -> int:
         "interval": {"lower": interval.lower, "upper": 0.0},
         "kappa": result.kappa,
         "n_found": result.n_found,
-        # Every field of the diagnostics but T(value)'s scale.
-        "eigenvalues": [_jsonable({k: v for k, v in vars(diag).items() if k != "t_scale"})
-                        for diag in result.per_eigenvalue],
+        "eigenvalues": [_jsonable(vars(diag)) for diag in result.per_eigenvalue],
         "minmax_report": minmax.to_dict(),
         "ok": ok,
     }

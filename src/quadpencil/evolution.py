@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linearization import build_linearization, companion_eig
+from .linearization import build_linearization
 from .pencil import QuadraticPencil
 from .reports import Report
 
@@ -38,11 +38,6 @@ MAX_STEPS = 10**8
 STATE_BLOCK_BYTES = 1 << 18
 # Energy rise and per-step identity defect allowed, relative to E(0).
 ENERGY_REL_TOL = 1e-10
-# spectral_abscissa_consistency: the tail share of the trace that is fitted,
-# and the relative and absolute slack of the fitted slope.
-ABSCISSA_FIT_FRACTION = 0.3
-ABSCISSA_REL_TOL = 0.05
-ABSCISSA_SLOPE_ATOL = 1e-6
 
 
 def block_length(width: int, size: int, steps: int) -> int:
@@ -193,46 +188,4 @@ def energy_monotonicity_report(trace: SimulationTrace) -> Report:
     d_scale, d_min = float(np.max(np.abs(trace.dissipation))), float(np.min(trace.dissipation))
     report.add("dissipation_nonnegative", d_min >= -1e-12 * max(d_scale, 1e-300),
                min_dissipation=d_min, scale=d_scale)
-    return report
-
-
-def spectral_abscissa_consistency(pencil: QuadraticPencil, trace: SimulationTrace) -> Report:
-    """Fit the tail slope of log E(t), over the last ABSCISSA_FIT_FRACTION of
-    the trace, against twice the spectral abscissa.
-
-    The heuristic pre-condition t_final >= 10 / |abscissa| keeps the fit in
-    the regime where the slowest mode dominates; it is reported as its own
-    check (vacuous for the undamped case, whose abscissa is zero).
-    """
-    report = Report("spectral_abscissa_consistency")
-    system = build_linearization(pencil)
-    abscissa = float(np.max(companion_eig(system.a_matrix, partition=system.partition).values.real))
-    t_final = float(trace.times[-1]) if trace.times.size else 0.0
-
-    if abs(abscissa) < 1e-12:
-        tail = trace.energies[trace.energies > 0.0]
-        drift = 0.0
-        if tail.size >= 2:
-            drift = abs(np.log(float(trace.energies[-1]) / float(trace.energies[0]))) / max(t_final, 1e-300)
-        report.add("undamped_energy_flat", drift <= ABSCISSA_SLOPE_ATOL,
-                   abscissa=abscissa, log_drift_rate=drift)
-        return report
-
-    needed = 10.0 / abs(abscissa)
-    report.add("trace_long_enough", t_final >= needed,
-               t_final=t_final, needed=needed)
-    k0 = int(np.floor((1.0 - ABSCISSA_FIT_FRACTION) * (trace.times.size - 1)))
-    t_tail = trace.times[k0:]
-    e_tail = trace.energies[k0:]
-    positive = e_tail > 0.0
-    if np.sum(positive) < 3:
-        report.add("tail_fit_possible", False, positive_samples=int(np.sum(positive)))
-        return report
-    slope = float(np.polyfit(t_tail[positive], np.log(e_tail[positive]), 1)[0])
-    target = 2.0 * abscissa
-    bound = ABSCISSA_REL_TOL * abs(target) + ABSCISSA_SLOPE_ATOL
-    report.add("decay_not_slower_than_abscissa", slope <= target + bound,
-               slope=slope, target=target, tolerance=bound)
-    report.add("slope_matches_abscissa", abs(slope - target) <= bound,
-               slope=slope, target=target, relative_error=abs(slope - target) / abs(target))
     return report

@@ -6,7 +6,8 @@ so signature symmetry, dissipativity and the closed-form inverse all become
 plain dense-matrix statements checkable by ordinary eigensolvers.
 build_linearization only assembles the companion; structural_report is the
 one place that measures and decides its signature symmetry and closed-form
-inverse, so a defect is a failed check with its witness, not an exception.
+inverse (by the inverse's n x n blocks: no 2n x 2n inverse is formed), so a
+defect is a failed check with its witness, not an exception.
 
 Every eigensolve of the companion goes through companion_eig, on its
 diagonal blocks; each LinearizedSystem derives them from the pencil's
@@ -44,11 +45,10 @@ REGION_MARGIN = 1e-9
 class LinearizedSystem:
     """2n x 2n companion matrix in whitened coordinates.
 
-    a_matrix is [[0, A0^{1/2}], [-A0^{1/2}, -D]] for pencil; inverse_matrix
-    is the closed-form inverse [[-A0^{-1/2} D A0^{-1/2}, -A0^{-1/2}],
-    [A0^{-1/2}, 0]], assembled on first use; partition is the companion's
-    blocks, derived from the pencil's; norm is |A|_2 from the blocks'
-    symmetric eigensolves, not an SVD.
+    a_matrix is [[0, A0^{1/2}], [-A0^{1/2}, -D]] for pencil, whose inverse
+    [[-W, -A0^{-1/2}], [A0^{-1/2}, 0]] (W the pencil's whitened damping) is
+    never assembled; partition is the companion's blocks, derived from the
+    pencil's; norm is |A|_2 from the blocks' symmetric eigensolves, not an SVD.
     """
 
     a_matrix: np.ndarray
@@ -87,14 +87,6 @@ class LinearizedSystem:
             sym = (stack + np.swapaxes(stack, 1, 2)) / 2.0
             top = max(top, float(np.max(np.abs(np.linalg.eigvalsh(sym)))))
         return top
-
-    @cached_property
-    def inverse_matrix(self) -> np.ndarray:
-        p = self.pencil
-        return np.block([
-            [-p.whitened_damping, -p.a0_inv_sqrt],
-            [p.a0_inv_sqrt, np.zeros((self.dim, self.dim))],
-        ])
 
 
 @dataclass(frozen=True)
@@ -278,20 +270,25 @@ def structural_report(system: LinearizedSystem, spectrum: SpectrumResult) -> Rep
 
     With J = diag(I, -I) and the blocks 0, s, -s, -D of a_matrix (D exactly
     symmetric), J A - (J A)^T = [[0, K], [K, 0]] with K = s - s^T, whose
-    2-norm is that of K. The inverse defect is R = A A^{-1} - I; the
-    rounding of the product bounds |R|_2 by 2n eps |A| |A^{-1}|, and the
-    blocks of the closed form give |A^{-1}| <= gamma + |A0^{-1}|^{1/2}, so
-    the bound is twice 2n eps |A| (gamma + |A0^{-1}|^{1/2}). Both defects
-    are measured by _norm_bound, which is no smaller than the 2-norm, so a
-    pass certifies the 2-norm bound; the check data names the norm.
+    2-norm is that of K. The inverse defect is R = A A^{-1} - I for the
+    closed form A^{-1} (LinearizedSystem), taken by A's block columns
+    [A_1, A_2], the stored zero block too, as [A_2 s^{-1} - A_1 W, -A_1 s^{-1}] - I.
+    An entry is two inner products of length n and one subtraction, within
+    the rounding of one of length 2n, so |R|_2 <= 2n eps |A| |A^{-1}| as
+    for the full product; the blocks of the closed form give
+    |A^{-1}| <= gamma + |A0^{-1}|^{1/2}, so the bound is twice
+    2n eps |A| (gamma + |A0^{-1}|^{1/2}). Both defects are measured by
+    _norm_bound, which is no smaller than the 2-norm, so a pass certifies
+    the 2-norm bound; the check data names the norm.
     """
     report = Report("structural_identities")
-    scale, n, pencil = system.norm, system.dim, system.pencil
-    s = system.a_matrix[:n, n:]
+    a, scale, n, pencil = system.a_matrix, system.norm, system.dim, system.pencil
+    s = a[:n, n:]
     sym = _norm_bound(s - s.T)
     report.add("j_symmetry", sym <= J_SYMMETRY_TOL * scale,
                defect=sym, bound=J_SYMMETRY_TOL * scale, norm=DEFECT_NORM)
-    residual = system.a_matrix @ system.inverse_matrix
+    residual = -(a[:, :n] @ np.hstack([pencil.whitened_damping, pencil.a0_inv_sqrt]))
+    residual[:, :n] += a[:, n:] @ pencil.a0_inv_sqrt
     residual[np.diag_indices(2 * n)] -= 1.0  # A A^{-1} - I
     inv = _norm_bound(residual)
     _, gamma = compute_delta_gamma(pencil)

@@ -119,7 +119,6 @@ class EigenvalueDiagnostics:
     bracket: tuple[float, float]  # (lo, hi): inertia counts differ by multiplicity
     iterations: int               # root steps from the companion eigenvalue
     residual: float          # smallest |eigenvalue| of T(value)
-    t_scale: float           # largest |eigenvalue| of T(value)
     semisimple: bool
 
 
@@ -260,7 +259,6 @@ def locate_real_eigenvalues(
             bracket=(float(cuts[k + 1]), float(cuts[k])),
             iterations=int(steps),
             residual=_residual(eig),
-            t_scale=float(np.max(np.abs(eig[0]))),
             semisimple=_is_semisimple(pencil, lam, mult, eig),
         )
         for k, (lam, steps, eig, mult) in enumerate(entries)

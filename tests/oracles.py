@@ -18,6 +18,8 @@ constraints, the alpha search's span candidates found one plane at a time,
 the sup of p_plus on a subspace from one kernel-vector eigh per
 compressed eigenvalue, its min by bisection on the top eigenvalue of the
 compressed T, and the simulate CSV formatted one row at a time;
+the companion's closed-form inverse assembled as one 2n x 2n matrix, which
+structural_report only multiplies by block by block;
 alpha of the constant beam from its closed form, and the random pencil built
 twice, as the seeded ensemble was built before its damping scale was decided
 first.
@@ -537,3 +539,11 @@ def random_pencil_built_twice(dim, seed, damping_scale):
     if gamma < needed:
         return QuadraticPencil(pencil.a0_matrix, pencil.d_matrix * (needed / max(gamma, 1e-300)))
     return pencil
+
+
+def closed_form_inverse(pencil):
+    """The inverse [[-W, -A0^{-1/2}], [A0^{-1/2}, 0]] of the whitened
+    companion, W = A0^{-1/2} D A0^{-1/2}, from the pencil's cached factors."""
+    n = pencil.dim
+    return np.block([[-pencil.whitened_damping, -pencil.a0_inv_sqrt],
+                     [pencil.a0_inv_sqrt, np.zeros((n, n))]])

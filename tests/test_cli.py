@@ -3,6 +3,7 @@ import math
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -850,6 +851,37 @@ class TestMalformedNumbers:
         name = "beam.n_modes" if source == "beam" else "random.dim"
         assert f"{name} must be <= {config.MAX_DIM}, got 100000000" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "variational", "beam-report", "simulate"])
+    def test_quadrature_density_over_the_limit_exits_2(self, tmp_path, capsys, command):
+        # 10^15 points per mode pair would fill (2n + 1) x 10^15 n / 8
+        # tables; the parse rejects them before anything is allocated.
+        section = {"n_modes": 12, "damping": {"profile": "four_plus_sin"},
+                   "quadrature": {"rule": "gauss", "points_per_mode_pair": 10**15}}
+        cfg = write_config(tmp_path, {"schema": 1, "source": "beam", "beam": section})
+        extra = ["--t-final", "1", "--dt", "0.1"] if command == "simulate" else []
+        tracemalloc.start()
+        try:
+            assert main([command, cfg, *extra]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 22
+        err = capsys.readouterr().err
+        assert (f"points_per_mode_pair * n_modes must be <= {8 * config.MAX_DIM}, "
+                f"got {12 * 10**15}") in err
+        assert "Traceback" not in err
+
+    def test_quadrature_density_limit_admits_the_default_at_max_dim(self):
+        def doc(n_modes, points):
+            return {"schema": 1, "source": "beam", "beam": {
+                "n_modes": n_modes, "damping": {"profile": "four_plus_sin"},
+                "quadrature": {"rule": "gauss", "points_per_mode_pair": points}}}
+
+        config.parse_config(doc(config.MAX_DIM, 8))
+        config.parse_config(doc(1, 8 * config.MAX_DIM))
+        with pytest.raises(ConfigError, match="points_per_mode_pair \\* n_modes must be <="):
+            config.parse_config(doc(1, 8 * config.MAX_DIM + 1))
 
     @pytest.mark.parametrize("source", ["beam", "random"])
     def test_size_limit_admits_n_200(self, source):

@@ -12,7 +12,6 @@ from quadpencil import (
     energy_monotonicity_report,
     make_damping_profile,
     simulate,
-    spectral_abscissa_consistency,
 )
 from quadpencil import QuadraticPencil, evolution
 from quadpencil.config import build_pencil, load_config
@@ -287,34 +286,3 @@ class TestEnergyLaws:
             errors.append(abs(trace.energies[-1] - exact))
         orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert min(orders) >= 1.9
-
-
-class TestAbscissaFit:
-    def test_diag_fixture(self, diag_pencil):
-        trace = simulate(diag_pencil, [1.0, 0.0], [0.0, 0.0], 30.0, 1e-3)
-        report = spectral_abscissa_consistency(diag_pencil, trace)
-        assert report.ok, report.failures()
-        slope = next(c for c in report.checks if c.label == "slope_matches_abscissa")
-        assert slope.data["target"] == pytest.approx(2.0 * (-3.0 + SQRT7), abs=1e-9)
-
-    def test_undamped_flat(self, undamped_pencil):
-        trace = simulate(undamped_pencil, [1.0, 0.0], [0.0, 0.0], 10.0, 1e-3)
-        report = spectral_abscissa_consistency(undamped_pencil, trace)
-        assert report.ok, report.failures()
-
-    def test_beam_slope(self):
-        cfg = BeamConfig(
-            a0=1.0,
-            damping=make_damping_profile({"profile": "constant", "params": {"value": 4.0}}),
-            n_modes=6,
-        )
-        pencil = discretize_beam(cfg)
-        z0 = np.zeros(6)
-        z0[0] = 1.0
-        trace = simulate(pencil, z0, np.zeros(6), 4.0, 5e-4)
-        report = spectral_abscissa_consistency(pencil, trace)
-        assert report.ok, report.failures()
-        slope = next(c for c in report.checks if c.label == "slope_matches_abscissa")
-        assert slope.data["target"] == pytest.approx(
-            2.0 * (-2.0 + np.sqrt(3.0)) * np.pi**2, rel=1e-9
-        )

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 from pathlib import Path
@@ -33,6 +34,7 @@ from quadpencil.pencil import EIGEN_TOL
 from quadpencil.variational import BOUNDARY_TOL
 
 from oracles import (
+    closed_form_inverse,
     components_bfs,
     conjugate_pairing,
     det_poly_eigenvalues,
@@ -92,10 +94,9 @@ class TestBuild:
     def test_inverse_identity_whitened_and_raw(self, diag_pencil):
         system = build_linearization(diag_pencil)
         n = diag_pencil.dim
-        assert np.linalg.norm(
-            system.a_matrix @ system.inverse_matrix - np.eye(2 * n), 2
-        ) <= 1e-10
-        # the stored inverse is the whitened image of the block closed form
+        inverse = closed_form_inverse(diag_pencil)
+        assert np.linalg.norm(system.a_matrix @ inverse - np.eye(2 * n), 2) <= 1e-10
+        # the closed form is the whitened image of the raw block closed form
         a0_inv = np.linalg.inv(diag_pencil.a0_matrix)
         raw = np.block([
             [-a0_inv @ diag_pencil.d_matrix, -a0_inv],
@@ -109,7 +110,7 @@ class TestBuild:
             [diag_pencil.a0_inv_sqrt, np.zeros((n, n))],
             [np.zeros((n, n)), np.eye(n)],
         ])
-        assert np.linalg.norm(system.inverse_matrix - w @ raw @ w_inv, 2) <= 1e-10
+        assert np.linalg.norm(inverse - w @ raw @ w_inv, 2) <= 1e-10
 
     def test_j_symmetry_and_inverse_random(self):
         for seed, dim in enumerate((3, 4, 5, 6, 8, 10, 12, 12)):
@@ -119,7 +120,7 @@ class TestBuild:
             ja = j_signature @ system.a_matrix
             assert np.linalg.norm(ja - ja.T, 2) <= 1e-12 * system.norm
             assert np.linalg.norm(
-                system.a_matrix @ system.inverse_matrix - np.eye(2 * dim), 2
+                system.a_matrix @ closed_form_inverse(pencil) - np.eye(2 * dim), 2
             ) <= 1e-10
 
     def test_norm_matches_svd(self, rotated_pencil):
@@ -230,36 +231,55 @@ class TestStructuralChecks:
         assert checks["inverse_identity"].data["defect"] == pytest.approx(
             1e-6 / np.sqrt(2.0), rel=1e-6)
 
+    def test_perturbed_zero_block_fails_inverse(self, diag_pencil):
+        # The residual reads the stored zero block too: (A + E) A^{-1} - I
+        # = E A^{-1}, whose only row is 1e-6 times row 0 of the closed form.
+        system = build_linearization(diag_pencil)
+        spec = full_spectrum(system)
+        assert self._checks(system, spec)["inverse_identity"].ok
+        a = system.a_matrix.copy()
+        a[0, 0] = 1e-6              # an entry of the zero block
+        assert_defect_inside_one_block(system, a)
+        check = self._checks(dataclasses.replace(system, a_matrix=a), spec)["inverse_identity"]
+        assert not check.ok
+        row = np.abs(1e-6 * closed_form_inverse(diag_pencil)[0])
+        assert check.data["defect"] == pytest.approx(np.sqrt(row.max() * row.sum()), rel=1e-6)
+
     def test_rotated_ill_conditioned_pencil_reports_inverse(self, rotated_pencil):
         # cond(A0) = 1e6 rounds A0^{1/2} A0^{-1/2} to about 2e-10; the bound
         # 2 * 2n eps |A| (gamma + |A0^{-1}|^{1/2}) grows with that rounding.
         # The defect is sqrt(|R|_1 |R|_inf) of R = A A^{-1} - I, which lies
-        # between |R|_2 and sqrt(2n) |R|_2.
+        # between |R|_2 and sqrt(2n) |R|_2; R is taken by A's block columns
+        # [A_1, A_2] against the blocks of the closed form.
         system = build_linearization(rotated_pencil)
         check = self._checks(system, full_spectrum(system))["inverse_identity"]
-        r = system.a_matrix @ system.inverse_matrix - np.eye(4)
+        inverse = closed_form_inverse(rotated_pencil)
+        a_1, a_2 = system.a_matrix[:, :2], system.a_matrix[:, 2:]
+        r = np.hstack([a_2 @ inverse[2:, :2] + a_1 @ inverse[:2, :2],
+                       a_1 @ inverse[:2, 2:]]) - np.eye(4)
         two_norm = np.linalg.norm(r, 2)
         assert check.data["norm"] == "sqrt(|R|_1 |R|_inf)"
         assert check.data["defect"] == np.sqrt(np.linalg.norm(r, 1) * np.linalg.norm(r, np.inf))
         assert two_norm <= check.data["defect"] <= np.sqrt(4) * two_norm
         assert check.ok
         # the block bound on |A^{-1}| is no smaller than its exact 2-norm
-        exact = 2.0 * 4 * np.finfo(float).eps * system.norm * np.linalg.norm(
-            system.inverse_matrix, 2)
+        exact = 2.0 * 4 * np.finfo(float).eps * system.norm * np.linalg.norm(inverse, 2)
         assert exact <= check.data["bound"] <= 1.5 * exact
 
     @pytest.mark.parametrize("name", ["beam_const4", "beam_const5", "beam_sin",
                                       "dense_diag", "interlace_violation_a",
                                       "interlace_violation_b", "random_dim4"])
     def test_inverse_perturbed_relatively_fails(self, name):
-        # The shipped configs pass; an inverse off by 1e-8 relative fails.
+        # The shipped configs pass; an inverse off by 1e-8 relative fails:
+        # both factors of the closed form scaled by 1 + 1e-8 give R = 1e-8 I.
         pencil = build_pencil(load_config(CONFIGS / f"{name}.json"))
         system = build_linearization(pencil)
         spec = full_spectrum(system)
         assert self._checks(system, spec)["inverse_identity"].ok
-        broken = dataclasses.replace(system)
-        vars(broken)["inverse_matrix"] = system.inverse_matrix * (1.0 + 1e-8)
-        check = self._checks(broken, spec)["inverse_identity"]
+        scaled = copy.copy(pencil)  # with the caches the bound is taken from
+        for factor in ("a0_inv_sqrt", "whitened_damping"):
+            vars(scaled)[factor] = getattr(pencil, factor) * (1.0 + 1e-8)
+        check = self._checks(dataclasses.replace(system, pencil=scaled), spec)["inverse_identity"]
         assert not check.ok
         assert check.data["defect"] == pytest.approx(1e-8, rel=1e-3)
 

@@ -104,7 +104,9 @@ class TestLocate:
         diag = res.per_eigenvalue[0]
         assert diag.multiplicity == 1
         assert diag.semisimple
-        assert diag.residual <= 1e-8 * diag.t_scale
+        lam = diag.value
+        t = lam * lam * np.eye(2) + lam * diag_pencil.d_matrix + diag_pencil.a0_matrix
+        assert diag.residual <= 1e-8 * np.max(np.abs(np.linalg.eigvalsh(t)))
 
     def test_undamped_finds_nothing(self, undamped_pencil):
         res = locate_real_eigenvalues(undamped_pencil, IntervalDelta(lower=-50.0), 1e-10)
