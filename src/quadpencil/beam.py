@@ -185,13 +185,14 @@ def discretize_beam(cfg: BeamConfig) -> QuadraticPencil:
 
 
 def beam_closed_form(cfg: BeamConfig) -> np.ndarray:
-    """Exact spectrum for constant damping: (-d +- sqrt(d^2 - 4 a0))/2 * n^2 pi^2."""
+    """Exact spectrum for constant damping: (-d +- sqrt(d^2 - 4 a0))/2 * n^2 pi^2,
+    the + root as -2 a0 / (d + sqrt(d^2 - 4 a0)), which does not cancel."""
     if cfg.damping.d_min != cfg.damping.d_max:
         raise InvalidArgumentError("closed form requires a constant damping profile")
     d = cfg.damping.d_min
     root = np.sqrt(complex(d * d - 4.0 * cfg.a0))
     modes = np.arange(1, cfg.n_modes + 1, dtype=float)
-    lam_plus = (-d + root) / 2.0 * modes**2 * np.pi**2
+    lam_plus = -2.0 * cfg.a0 / (d + root) * modes**2 * np.pi**2
     lam_minus = (-d - root) / 2.0 * modes**2 * np.pi**2
     out = np.concatenate([lam_plus, lam_minus])
     if d * d >= 4.0 * cfg.a0:
@@ -217,9 +218,11 @@ def beam_bounds(cfg: BeamConfig) -> BeamBounds:
             f"beam bounds are not finite for damping up to {d_max} and a0 = {cfg.a0}")
     n_min = max(1, int(np.floor(np.sqrt(bound) + 1e-9)))
     modes = np.arange(1, cfg.n_modes + 1, dtype=float)
-    upper = (-d_max + np.sqrt(d_max * d_max - 4.0 * cfg.a0)) / 2.0 * np.pi**2 * modes**2
+    # Each mode's root (-d + sqrt(d^2 - 4 a0)) / 2 pi^2 k^2 as a quotient: the
+    # difference cancels (every digit at d = 1e9, a0 = 1), the sum does not.
+    upper = -2.0 * cfg.a0 * np.pi**2 * modes**2 / (d_max + math.sqrt(d_max**2 - 4.0 * cfg.a0))
     lower_modes = modes[: min(cfg.n_modes, n_min)]
-    lower = (-d_min + np.sqrt(d_min * d_min - 4.0 * cfg.a0)) / 2.0 * np.pi**2 * lower_modes**2
+    lower = -2.0 * cfg.a0 * np.pi**2 * lower_modes**2 / (d_min + math.sqrt(d_min**2 - 4.0 * cfg.a0))
     return BeamBounds(
         applicable=True,
         d_min=d_min,

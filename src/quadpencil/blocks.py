@@ -14,8 +14,8 @@ propagator (linearization, evolution). Modes that a symmetric damping
 profile decouples exactly (odd from even, or each from every other under
 constant damping) then cost one small solve each. _components is the one
 connected-components routine: it also gives the eigenvalue clusters of
-full_spectrum and locate_real_eigenvalues (linearization._cluster_labels),
-on the graph of pairs within tol.
+linearization.full_spectrum (_cluster_labels below), on the graph of pairs
+within tol.
 
 Soundness: the dropped coupling E (the entries between blocks) of a matrix
 M whose own test splits it has |E_ij| <= eps (|m_ii| + |m_jj|) <= 2 eps |M|_2,
@@ -89,6 +89,22 @@ def _components(adjacency: np.ndarray) -> np.ndarray:
         labels = low
         order = np.argsort(labels, kind="stable")
         near = order[np.argmax(adjacency[:, order], axis=1)]
+
+
+def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
+    """Single-linkage clustering of real or complex points: the connected
+    components of the dense graph joining every pair within tol, as one
+    label per point, the clusters numbered in the order of their smallest
+    index. An empty input has no labels."""
+    if values.size == 0:
+        return np.empty(0, dtype=int)
+    return _components(np.abs(values[:, None] - values) <= tol)
+
+
+def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
+    """The clusters of _cluster_labels as ascending index arrays, in order."""
+    labels = _cluster_labels(values, tol)
+    return [np.flatnonzero(labels == c) for c in range(np.max(labels, initial=-1) + 1)]
 
 
 def partition(*matrices: np.ndarray) -> Partition:

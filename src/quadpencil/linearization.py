@@ -118,14 +118,13 @@ class BlockEig(NamedTuple):
     """Eigenvalues of a matrix solved block by block (companion_eig).
 
     values[k] belongs to the eigenvector vectors[:, k], which is zero off
-    its block; vectors is None unless vectors were asked for. block_sizes
-    are in the order of each block's smallest index, and values and vectors
+    its block. block_sizes are in the order of each block's smallest index, and values and vectors
     are laid out block by block in that order. pairs holds, per block size,
     the (slots, stack, eigenvectors) of its blocks that residuals reads.
     """
 
     values: np.ndarray
-    vectors: np.ndarray | None
+    vectors: np.ndarray
     block_sizes: tuple[int, ...]
     pairs: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
@@ -139,13 +138,11 @@ class BlockEig(NamedTuple):
         return out
 
 
-def companion_eig(a: np.ndarray, vectors: bool = False,
-                  partition: blocks.Partition | None = None) -> BlockEig:
-    """Eigenvalues, and with vectors=True eigenvectors, of a square matrix,
-    from one np.linalg.eig (or eigvals) call per block size on the stack of
-    its diagonal blocks: partition, or blocks.partition(a) when none is
-    given. A matrix with one block is solved whole, so there is no second
-    code path.
+def companion_eig(a: np.ndarray, partition: blocks.Partition | None = None) -> BlockEig:
+    """Eigenpairs of a square matrix, from one np.linalg.eig call per block
+    size on the stack of its diagonal blocks: partition, or
+    blocks.partition(a) when none is given. A matrix with one block is
+    solved whole, so there is no second code path.
 
     Soundness: the dropped coupling E has |E|_2 <= 2N eps |a|_2 for an
     N x N matrix (4n eps |a|_2 for the 2n x 2n companion), the order of
@@ -154,46 +151,24 @@ def companion_eig(a: np.ndarray, vectors: bool = False,
     """
     part = blocks.partition(a) if partition is None else partition
     values = np.empty(a.shape[0], dtype=complex)
-    pairs, vecs = [], None
+    pairs = []
     for slots, rows, stack in part.stacks(a):
         # slots: the positions of each block of this size when the indices
         # are laid out block by block, which are also the columns of its
         # eigenpairs.
         try:
-            if vectors:
-                w, v = np.linalg.eig(stack)
-                pairs.append((slots, stack, v))
-            else:
-                w = np.linalg.eigvals(stack)
+            values[slots], v = np.linalg.eig(stack)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
             raise ComputationError(
                 "eigensolver failed", condition=float(np.linalg.cond(a))
             ) from exc
-        values[slots] = w
-    if vectors:
-        # Real when every eigenvalue is, as from LAPACK: products with the
-        # vectors downstream stay real GEMMs.
-        vecs = np.zeros(a.shape, np.result_type(*(v for _, _, v in pairs)))
-        for (slots, _, v), (_, rows) in zip(pairs, part.groups):
-            vecs[rows[:, :, None], slots[:, None, :]] = v
+        pairs.append((slots, stack, v))
+    # Real when every eigenvalue is, as from LAPACK: products with the
+    # vectors downstream stay real GEMMs.
+    vecs = np.zeros(a.shape, np.result_type(*(v for _, _, v in pairs)))
+    for (slots, _, v), (_, rows) in zip(pairs, part.groups):
+        vecs[rows[:, :, None], slots[:, None, :]] = v
     return BlockEig(values, vecs, part.sizes, tuple(pairs))
-
-
-def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
-    """Single-linkage clustering of real or complex points: the connected
-    components (blocks._components) of the dense graph joining every pair
-    within tol, as one label per point, the clusters numbered in the order
-    of their smallest index. An empty input has no labels."""
-    if values.size == 0:
-        return np.empty(0, dtype=int)
-    return blocks._components(np.abs(values[:, None] - values) <= tol)
-
-
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """The clusters of _cluster_labels as ascending index arrays, ordered by
-    their smallest index."""
-    labels = _cluster_labels(values, tol)
-    return [np.flatnonzero(labels == c) for c in range(np.max(labels, initial=-1) + 1)]
 
 
 def _nullity(m: np.ndarray) -> int:
@@ -225,10 +200,10 @@ def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
     the cluster labels by array reductions, not a loop over eigenvalues.
     """
     cluster_tolerance = CLUSTER_REL_TOL * system.norm
-    eig = companion_eig(system.a_matrix, vectors=True, partition=system.partition)
+    eig = companion_eig(system.a_matrix, system.partition)
     w, v = eig.values, eig.vectors
 
-    labels = _cluster_labels(w, cluster_tolerance)
+    labels = blocks._cluster_labels(w, cluster_tolerance)
     alg = np.bincount(labels)
     _, first = np.unique(labels, return_index=True)
     reps = w[first]
@@ -268,11 +243,13 @@ def structural_report(system: LinearizedSystem, spectrum: SpectrumResult) -> Rep
     """Signature symmetry, closed-form inverse, half-plane location,
     conjugation symmetry and invertibility, as one pass/fail report.
 
-    With J = diag(I, -I) and the blocks 0, s, -s, -D of a_matrix (D exactly
-    symmetric), J A - (J A)^T = [[0, K], [K, 0]] with K = s - s^T, whose
-    2-norm is that of K. The inverse defect is R = A A^{-1} - I for the
-    closed form A^{-1} (LinearizedSystem), taken by A's block columns
-    [A_1, A_2], the stored zero block too, as [A_2 s^{-1} - A_1 W, -A_1 s^{-1}] - I.
+    With J = diag(I, -I), the symmetry defect is J A - (J A)^T over all four
+    blocks of a_matrix. For the blocks 0, s, -s, -D of a valid companion (D
+    exactly symmetric) it is [[0, K], [K, 0]] with K = s - s^T, whose
+    measure (_norm_bound) is that of K. The inverse defect is
+    R = A A^{-1} - I for the closed form A^{-1} (LinearizedSystem), taken by
+    A's block columns [A_1, A_2], the stored zero block too, as
+    [A_2 s^{-1} - A_1 W, -A_1 s^{-1}] - I.
     An entry is two inner products of length n and one subtraction, within
     the rounding of one of length 2n, so |R|_2 <= 2n eps |A| |A^{-1}| as
     for the full product; the blocks of the closed form give
@@ -283,8 +260,9 @@ def structural_report(system: LinearizedSystem, spectrum: SpectrumResult) -> Rep
     """
     report = Report("structural_identities")
     a, scale, n, pencil = system.a_matrix, system.norm, system.dim, system.pencil
-    s = a[:n, n:]
-    sym = _norm_bound(s - s.T)
+    ja = a.copy()
+    ja[n:] *= -1.0
+    sym = _norm_bound(ja - ja.T)
     report.add("j_symmetry", sym <= J_SYMMETRY_TOL * scale,
                defect=sym, bound=J_SYMMETRY_TOL * scale, norm=DEFECT_NORM)
     residual = -(a[:, :n] @ np.hstack([pencil.whitened_damping, pencil.a0_inv_sqrt]))

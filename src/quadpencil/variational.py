@@ -1,13 +1,13 @@
 """Real-eigenvalue extraction on (alpha, 0] and min-max verification.
 
-The eigenvalues of the companion matrix (linearization.build_linearization)
-that are real at the caller's resolution tol propose every real eigenvalue in
-(lower, 0]; a root-functional iteration polishes each one, and the inertia
-count of the symmetric matrix T(lam) certifies it. By Sylvester's
-law the number of negative eigenvalues of T(lam) jumps by the multiplicity of
-every pencil eigenvalue crossed inside (alpha, 0], so the counts at 0, at the
-midpoints between neighbouring eigenvalues and at lower must step by exactly
-the reported multiplicities; each eigenvalue carries its isolating bracket.
+Every real eigenvalue in (alpha, 0] is located by counts. By Sylvester's
+law the number of negative eigenvalues of the symmetric matrix T(mu), mu in
+(alpha, 0], is the number of pencil eigenvalues in (mu, 0], so lambda_n is
+where the n-th smallest eigenvalue of T(mu) crosses zero, and p_plus of its
+eigenvector is the safeguarded iteration of the max-min principle (Voss &
+Werner 1982; Voss 2009). The counts at 0, at the midpoints between
+neighbouring eigenvalues and at the lower end must step by exactly the
+reported multiplicities; each eigenvalue carries its isolating bracket.
 The max-min and min-sup formulas are then verified from the signs of T(mu):
 on each attaining subspace span(B), B^T T(mu) B is definite at
 mu = lambda_n -+ VERIFY_TOL, and p_plus at a kernel vector of T(lambda_n)
@@ -23,24 +23,21 @@ import numpy as np
 
 from . import blocks
 from .errors import ComputationError, InvalidArgumentError
-from .linearization import _cluster, build_linearization, companion_eig
 from .pencil import (
     KERNEL_REL_TOL,
     VERIFY_TOL,
     QuadraticPencil,
     _orth,
+    _roots_from_forms,
     _t,
     rayleigh_pair,
 )
 from .reports import Report
 
 BOUNDARY_TOL = 1e-12
-# Root steps at most when polishing a companion eigenvalue; each step is
-# kept only while the residual of T(lam) decreases.
-MAX_ROOT_STEPS = 8
-# The rounding of an n x n symmetric eigensolve or product, in units of n eps
-# times its scale: a residual below it stops the root steps, and a
-# compression B^T T(mu) B must clear it to count as definite.
+# The rounding of an m x m symmetric eigensolve or product, in units of m eps
+# times its scale: a count step stops at a residual or a bracket below it,
+# and a compression B^T T(mu) B must clear it to count as definite.
 ROUNDING_ULPS = 4.0
 # IntervalDelta.inside: the default lower end's margin right of alpha, in
 # units of |alpha|, and the gate's slack left of it, in max(1, |alpha|).
@@ -117,7 +114,7 @@ class EigenvalueDiagnostics:
     value: float
     multiplicity: int
     bracket: tuple[float, float]  # (lo, hi): inertia counts differ by multiplicity
-    iterations: int               # root steps from the companion eigenvalue
+    iterations: int               # solves taken for its curves after the one at lower
     residual: float          # smallest |eigenvalue| of T(value)
     semisimple: bool
 
@@ -148,52 +145,110 @@ def _is_semisimple(pencil: QuadraticPencil, lam: float, mult: int, eig) -> bool:
     return bool(np.min(np.abs(np.linalg.eigvalsh(g))) > KERNEL_REL_TOL * gscale)
 
 
-def _residual(eig) -> float:
-    """Smallest |eigenvalue| of T(lam), from eig = blocks.eigh(T(lam))."""
-    return float(np.min(np.abs(eig[0])))
-
-
-def _root_step(pencil: QuadraticPencil, lam: float):
-    """One root-functional step: the real root of the scalar quadratic of the
-    smallest-|eigenvalue| eigenvector of T(lam) nearest to lam.
-
-    Returns (next_lam_or_None, blocks.eigh(T(lam))), T(lam) solved on the
-    pencil's blocks: the dropped coupling moves its eigenvalues by at most
-    2n eps term_scale(lam), the rounding of forming T(lam)."""
-    w, v = eig = blocks.eigh(pencil.t_matrix(lam), pencil.partition)
-    pair = rayleigh_pair(pencil, v[:, int(np.argmin(np.abs(w)))])
-    if not pair.in_dstar:
-        return None, eig
-    return float(min((pair.p_minus, pair.p_plus), key=lambda r: abs(r - lam))), eig
-
-
 def _rounding(pencil: QuadraticPencil) -> float:
     """ROUNDING_ULPS n eps: the relative rounding of an eigh of size n."""
     return ROUNDING_ULPS * pencil.dim * np.finfo(float).eps
 
 
-def _refine(pencil: QuadraticPencil, lam: float, lo: float, hi: float):
-    """Root steps from lam, kept while they stay inside (lo, hi) and lower the
-    residual; returns (lam, steps, blocks.eigh(T(lam))).
+def _curve_zeros(pencil: QuadraticPencil, lower: float) -> tuple[np.ndarray, np.ndarray]:
+    """The zero in (lower, 0] of each eigenvalue curve of T(mu) negative at
+    lower, and the count steps taken for it, one entry per curve.
 
-    No step is taken from a residual at the rounding of the eigh that
-    measured it (_rounding times |T(lam)|): below it the residual is noise,
-    and a step would make steps and residual depend on the last bits."""
-    nxt, eig = _root_step(pencil, lam)
-    steps = 0
-    while (steps < MAX_ROOT_STEPS and nxt is not None and lo < nxt < hi and nxt != lam
-           and _residual(eig) > _rounding(pencil) * np.max(np.abs(eig[0]))):
-        after, eig_next = _root_step(pencil, nxt)
-        if _residual(eig_next) >= _residual(eig):
-            break
-        lam, nxt, eig = nxt, after, eig_next
-        steps += 1
-    return lam, steps, eig
+    The curves are those of G T(mu) G, G = diag(A0)^{-1/2}, on the pencil's
+    blocks: a congruence, so every count is T's, on a scale of order one.
+    Each solve of a block at a shift mu serves all its curves: curve j
+    (0-based) narrows its bracket, from (lower, 0), by the sign of the j-th
+    eigenvalue e, and keeps p_plus of the j-th eigenvector (lambda at a
+    kernel vector, reached quadratically) as its proposal if it lies in the
+    cone and the bracket and its step |p_plus - mu| is shorter than the last
+    kept one. The next solve is for the block's first unfinished curve, at
+    its proposal if inside its bracket, else at the bracket's midpoint; the
+    blocks of one size take one stacked eigh per step, and each holds only
+    its own m x m matrices (m its size). A curve stops only when |e| is
+    within ROUNDING_ULPS m eps of the block's graded scale
+    mu^2 |G^2| + |mu| |G D G|_inf + |G A0 G|_inf, or p_plus inside its
+    bracket within that of |mu|, or the bracket within that of its lower
+    end: at p_plus if inside the bracket, else at mu.
+    """
+    g = 1.0 / np.sqrt(np.diagonal(pencil.a0_matrix))
+    grading = np.outer(g, g)
+    d_graded = pencil.d_matrix * grading
+    a0_graded = pencil.a0_matrix * grading
+    zeros = []
+    steps = []
+    for _, rows in pencil.partition.groups:
+        m = rows.shape[1]
+        diag = np.arange(m)
+        g2 = g[rows] ** 2
+        d = d_graded[rows[:, :, None], rows[:, None, :]]
+        a = a0_graded[rows[:, :, None], rows[:, None, :]]
+        g2_norm = g2.max(axis=1)
+        d_norm = np.abs(d).sum(axis=2).max(axis=1)
+        a_norm = np.abs(a).sum(axis=2).max(axis=1)
+        rounding = ROUNDING_ULPS * m * np.finfo(float).eps
 
+        def solve(solved, at):
+            """Eigenvalues of the solved blocks' graded T(at), the forms
+            (|G x|^2, x^T G D G x, x^T G A0 G x) of their eigenvectors x,
+            and the blocks' graded scales at `at`."""
+            d_solved = d[solved]
+            a_solved = a[solved]
+            t = at[:, None, None] * d_solved + a_solved
+            t[:, diag, diag] += (at * at)[:, None] * g2[solved]
+            w, v = np.linalg.eigh(t)
+            forms = (np.einsum("bi,bik->bk", g2[solved], v * v),
+                     np.einsum("bik,bik->bk", v, d_solved @ v),
+                     np.einsum("bik,bik->bk", v, a_solved @ v))
+            scale = at * at * g2_norm[solved] + np.abs(at) * d_norm[solved] + a_norm[solved]
+            return w, forms, scale
 
-def _separators(values: list[float], lower: float) -> list[float]:
-    """0, the midpoints between neighbouring descending values, and lower."""
-    return [0.0, *(0.5 * (a + b) for a, b in zip(values, values[1:])), lower]
+        solved = np.arange(len(rows))
+        at = np.full(len(rows), lower)
+        w, forms, scale = solve(solved, at)
+        count = np.sum(w < 0.0, axis=1)
+        blk = np.repeat(solved, count)
+        j = np.arange(blk.size) - np.repeat(np.cumsum(count) - count, count)
+        lo = np.full(blk.size, lower)
+        hi = np.zeros(blk.size)
+        proposal = np.full(blk.size, np.nan)
+        last = np.full(blk.size, np.inf)
+        zero = np.empty(blk.size)
+        taken = np.zeros(blk.size, dtype=int)
+        active = np.arange(blk.size)
+        while active.size:
+            row = np.searchsorted(solved, blk[active])
+            k = j[active]
+            mu = at[row]
+            e = w[row, k]
+            below = e < 0.0
+            lo_a = np.where(below, np.maximum(lo[active], mu), lo[active])
+            hi_a = np.where(below, hi[active], np.minimum(hi[active], mu))
+            _, p, cone = _roots_from_forms(forms[0][row, k], forms[1][row, k], forms[2][row, k])
+            inside = cone & (lo_a < p) & (p < hi_a)
+            step = np.abs(p - mu)
+            met = np.abs(e) <= rounding * scale[row]
+            met |= inside & (step <= rounding * np.abs(mu))
+            met |= hi_a - lo_a <= rounding * np.abs(lo_a)
+            zero[active[met]] = np.where(inside, p, mu)[met]
+            kept = inside & (step < last[active])
+            lo[active] = lo_a
+            hi[active] = hi_a
+            proposal[active[kept]] = p[kept]
+            last[active[kept]] = step[kept]
+            active = active[~met]
+            if active.size:
+                first = np.ones(active.size, dtype=bool)
+                first[1:] = blk[active[1:]] != blk[active[:-1]]
+                leads = active[first]
+                solved = blk[leads]
+                guess = proposal[leads]
+                midpoint = 0.5 * (lo[leads] + hi[leads])
+                at = np.where((lo[leads] < guess) & (guess < hi[leads]), guess, midpoint)
+                w, forms, scale = solve(solved, at)
+                taken[leads] += 1
+        zeros.append(zero)
+        steps.append(taken)
+    return np.concatenate(zeros), np.concatenate(steps)
 
 
 def locate_real_eigenvalues(
@@ -201,48 +256,43 @@ def locate_real_eigenvalues(
     interval: IntervalDelta,
     tol: float,
 ) -> VariationalResult:
-    """All pencil eigenvalues in (interval.lower, 0] with multiplicities.
+    """All pencil eigenvalues in (interval.lower, 0] with multiplicities,
+    located by counts.
 
-    The companion eigenvalues in the interval that are real at resolution
-    `tol` (a conjugate pair closer than `tol` is one real point) are merged
-    where closer than `tol` and polished by root steps inside the midpoints
-    to their neighbours; polished values closer than `tol`, or whose
-    midpoint is numerically an eigenvalue, merge into one entry whose
-    multiplicity is the sum. Each entry is then certified by inertia counts
-    at its separators (0, the midpoints between neighbouring entries,
-    lower): they must differ by its multiplicity, and every separator but
-    the open end lower lies off the spectrum.
-    Inside (alpha, 0] (an interval from IntervalDelta.inside) this holds
-    for every eigenvalue; below alpha a caller's wider interval may hold a
-    zero of even local multiplicity in lam, which moves no count. A failed
+    Each block of the pencil's partition holds as many as T(lower) has
+    negative eigenvalues on it, each the zero of an eigenvalue curve
+    (_curve_zeros). Neighbouring values closer than `tol` (the caller's
+    resolution), or whose midpoint is numerically an eigenvalue (the curves
+    of a multiple eigenvalue meet there), are one entry whose multiplicity
+    is the sum and whose value is their mean. Each entry is certified by
+    inertia counts at its separators (0, the midpoints between neighbouring
+    entries, lower): they must differ by its multiplicity, and every
+    separator but the open end lower lies off the spectrum; a failed
     certificate raises ComputationError with the bracket and its counts.
+
+    Scope: counts count eigenvalues only inside (alpha, 0], where every
+    interval from IntervalDelta.inside lies (up to ALPHA_GATE_SLACK). Below
+    alpha a root need not move the count (a zero of even order moves none),
+    so a wider interval is searched only as far as the count at lower shows.
     """
     if tol <= 0.0:
         raise InvalidArgumentError("tol must be positive")
 
     lower = interval.lower
-    system = build_linearization(pencil)
-    w = companion_eig(system.a_matrix, partition=system.partition).values
-    real = -np.sort(-w.real[(np.abs(w.imag) <= tol / 2) & (lower < w.real) & (w.real <= 0.0)])
-    found = [(float(np.mean(real[g])), g.size) for g in _cluster(real, tol)]
-    cuts = _separators([lam for lam, _ in found], lower)
-    polished = [_refine(pencil, lam, cuts[i + 1], cuts[i])
-                for i, (lam, _) in enumerate(found)]
-    entries = []
-    for group in _cluster(np.array([p[0] for p in polished]), tol):
-        best = min(group, key=lambda i: _residual(polished[i][2]))
-        entries.append((*polished[best], sum(found[i][1] for i in group)))
-
-    cuts = _separators([e[0] for e in entries], lower)
+    values, steps = _curve_zeros(pencil, lower)
+    order = np.argsort(-values, kind="stable")
+    entries = [(float(values[i]), int(steps[i]), 1) for i in order]
+    cuts = [0.0]
+    cuts += [0.5 * (upper[0] + below[0]) for upper, below in zip(entries, entries[1:])]
+    cuts.append(lower)
     counts = [inertia_negative(pencil, cut) for cut in cuts]
-    # A midpoint on the spectrum separates nothing: the eigensolver split
-    # one eigenvalue wider than tol, so its neighbours merge.
     for k in reversed(range(1, len(entries))):
-        if counts[k].boundary:
-            best = min(entries[k - 1], entries[k], key=lambda e: _residual(e[2]))
-            entries[k - 1] = (*best[:3], entries[k - 1][3] + entries[k][3])
+        (v_hi, s_hi, m_hi), (v_lo, s_lo, m_lo) = entries[k - 1], entries[k]
+        if counts[k].boundary or v_hi - v_lo < tol:
+            mult = m_hi + m_lo
+            entries[k - 1] = ((m_hi * v_hi + m_lo * v_lo) / mult, s_hi + s_lo, mult)
             del entries[k], cuts[k], counts[k]
-    for k, mult in enumerate([e[3] for e in entries] or [0]):
+    for k, mult in enumerate([e[2] for e in entries] or [0]):
         c_hi, c_lo = counts[k], counts[k + 1]
         if c_hi.boundary or abs(c_lo.negative - c_hi.negative) != mult:
             raise ComputationError(
@@ -252,25 +302,17 @@ def locate_real_eigenvalues(
                 boundary=(c_lo.boundary, c_hi.boundary),
             )
 
-    diags = tuple(
-        EigenvalueDiagnostics(
-            value=float(lam),
-            multiplicity=int(mult),
-            bracket=(float(cuts[k + 1]), float(cuts[k])),
-            iterations=int(steps),
-            residual=_residual(eig),
-            semisimple=_is_semisimple(pencil, lam, mult, eig),
-        )
-        for k, (lam, steps, eig, mult) in enumerate(entries)
-    )
+    diags = []
+    for k, (lam, taken, mult) in enumerate(entries):
+        eig = blocks.eigh(pencil.t_matrix(lam), pencil.partition)
+        diags.append(EigenvalueDiagnostics(
+            value=lam, multiplicity=mult, bracket=(cuts[k + 1], cuts[k]), iterations=taken,
+            residual=float(np.min(np.abs(eig[0]))),  # smallest |eigenvalue| of T(lam)
+            semisimple=_is_semisimple(pencil, lam, mult, eig)))
     expanded = np.array([d.value for d in diags for _ in range(d.multiplicity)], dtype=float)
-    return VariationalResult(
-        eigenvalues=expanded,
-        kappa=counts[0].negative,
-        n_found=int(expanded.size),
-        per_eigenvalue=diags,
-        interval=interval,
-    )
+    return VariationalResult(eigenvalues=expanded, kappa=counts[0].negative,
+                             n_found=int(expanded.size), per_eigenvalue=tuple(diags),
+                             interval=interval)
 
 
 # ---------------------------------------------------------------------------

@@ -547,3 +547,33 @@ def closed_form_inverse(pencil):
     n = pencil.dim
     return np.block([[-pencil.whitened_damping, -pencil.a0_inv_sqrt],
                      [pencil.a0_inv_sqrt, np.zeros((n, n))]])
+
+
+def real_roots_polished(pencil, lower, steps=50):
+    """Real eigenvalues in (lower, 0] of a pencil with positive definite A0
+    and D, sorted descending: the real eigenvalues of the whole 2n x 2n
+    companion [[0, S], [-S, -D]], S = A0^{1/2} (one scipy.linalg.eigvals),
+    each polished by root steps on the whole graded G T(lam) G,
+    G = diag(A0)^{-1/2}: lam <- p_plus(G x), x the eigenvector of the
+    eigenvalue smallest in modulus, until a step no longer shrinks."""
+    a0, d = pencil.a0_matrix, pencil.d_matrix
+    n = pencil.dim
+    w, v = np.linalg.eigh(a0)
+    s = (v * np.sqrt(w)) @ v.T
+    roots = scipy.linalg.eigvals(np.block([[np.zeros((n, n)), s], [-s, -d]]))
+    real = roots.real[np.abs(roots.imag) <= 1e-8 * np.abs(roots)]
+    real = np.sort(real[(real > lower) & (real <= 0.0)])[::-1]
+    g = 1.0 / np.sqrt(np.diagonal(a0))
+    polished = []
+    for lam in real:
+        step = np.inf
+        for _ in range(steps):
+            e, x = np.linalg.eigh((lam * lam * np.eye(n) + lam * d + a0) * np.outer(g, g))
+            y = g * x[:, np.argmin(np.abs(e))]
+            a, b, c = y @ y, y @ d @ y, y @ a0 @ y
+            nxt = -2.0 * c / (b + np.sqrt(b * b - 4.0 * a * c))
+            if not abs(nxt - lam) < step:
+                break
+            lam, step = nxt, abs(nxt - lam)
+        polished.append(lam)
+    return np.array(polished)

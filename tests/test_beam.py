@@ -235,6 +235,24 @@ class TestBounds:
         # count is floor(sqrt(bound)) for bound ~ d^2 / (2 a0).
         assert beam_bounds(constant_cfg(value=1e9, n_modes=4)).n_min_count == 707106781
 
+    @pytest.mark.parametrize("d", [1e3, 1e6, 1e9])
+    def test_mode_ends_match_mpmath(self, d):
+        # Every end is (-d + sqrt(d^2 - 4 a0)) / 2 pi^2 k^2, whose difference
+        # cancels (every digit at d = 1e9); formed as the quotient
+        # -2 a0 pi^2 k^2 / (d + sqrt(d^2 - 4 a0)) it is good to a few ulps.
+        # The closed form's + roots are the same values.
+        import mpmath
+
+        cfg = constant_cfg(value=d, n_modes=12)
+        bounds = beam_bounds(cfg)
+        with mpmath.workdps(50):
+            exact = [float((-d + mpmath.sqrt(mpmath.mpf(d) ** 2 - 4)) / 2 * mpmath.pi ** 2 * k * k)
+                     for k in range(1, 13)]
+        assert len(bounds.upper_n) == len(bounds.lower_n) == 12
+        for ends in (bounds.upper_n, bounds.lower_n, beam_closed_form(cfg)[:12].real):
+            err = np.abs(np.array(ends) - exact) / np.abs(exact)
+            assert np.max(err) <= 4 * np.finfo(float).eps, err
+
     def test_overflowing_damping_rejected(self):
         with pytest.raises(InvalidArgumentError, match="not finite"):
             beam_bounds(constant_cfg(value=1e306, n_modes=4))

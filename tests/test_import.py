@@ -124,16 +124,18 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
 
 
 # What every command loads after numpy and quadpencil.cli: its argument
-# parsing, JSON and the modules of a pencil's spectrum.
+# parsing, JSON and the modules of a pencil. Only spectrum and simulate load
+# the companion (quadpencil.linearization).
 COMMAND_BASE = ["argparse", "gettext", "json", "json.decoder", "json.encoder", "json.scanner",
-                "locale", "quadpencil.blocks", "quadpencil.config", "quadpencil.linearization",
-                "quadpencil.pencil", "quadpencil.reports"]
+                "locale", "quadpencil.blocks", "quadpencil.config", "quadpencil.pencil",
+                "quadpencil.reports"]
 
 
 @pytest.mark.parametrize("argv, extra", [
-    (["spectrum", "dense_diag.json"], []),
-    (["spectrum", "beam_sin.json"], ["quadpencil.beam"]),
-    (["simulate", "dense_diag.json", "--t-final", "1", "--dt", "0.01"], ["quadpencil.evolution"]),
+    (["spectrum", "dense_diag.json"], ["quadpencil.linearization"]),
+    (["spectrum", "beam_sin.json"], ["quadpencil.beam", "quadpencil.linearization"]),
+    (["simulate", "dense_diag.json", "--t-final", "1", "--dt", "0.01"],
+     ["quadpencil.evolution", "quadpencil.linearization"]),
     (["variational", "dense_diag.json"], ["quadpencil.variational"]),
     (["variational", "random_dim4.json"],
      ["base64", "hashlib", "hmac", "quadpencil.variational", "secrets"]),

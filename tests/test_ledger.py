@@ -45,15 +45,16 @@ KNOWN_FALSE_ALARMS = {
     # The kernel cut counts a second kernel vector of T(lam).
     **{("variational", f"{profile}_{n}"): 1 for profile in PROFILES for n in (150, 200)},
     # Heavy damping: spectrum fails zero_not_eigenvalue, an open disc of the
-    # resolvent regions and eigenvalue_matches_pencil; locate merges 10 of
-    # the 12 small eigenvalues into one entry that the counts do not certify.
+    # resolvent regions and eigenvalue_matches_pencil; beam-report fails
+    # count_at_least_guaranteed, which asks the 12-mode pencil for the
+    # infinite beam's 707106781 eigenvalues (ROADMAP item 5).
     ("spectrum", "constant_12_d1e9"): 1,
-    ("variational", "constant_12_d1e9"): 3,
-    ("beam-report", "constant_12_d1e9"): 3,
-    # locate's absolute imaginary-part cut joins a complex pair to the real
-    # eigenvalue: multiplicity 3 against counts (1, 0).
-    ("variational", "pair_c1e-10"): 3,
-    ("variational", "pair_c1e-09"): 3,
+    ("beam-report", "constant_12_d1e9"): 1,
+    # achievement_eigenvector_span and achievement_spectral_subspace fail:
+    # mu = lambda -+ VERIFY_TOL, absolute, lies far from an eigenvalue of
+    # about -1e-9 (ROADMAP item 8).
+    ("variational", "pair_c1e-10"): 1,
+    ("variational", "pair_c1e-09"): 1,
 }
 
 

@@ -218,6 +218,33 @@ class TestStructuralChecks:
         assert checks["j_symmetry"].data["defect"] == pytest.approx(1e-6, rel=1e-6)
         assert checks["j_symmetry"].data["norm"] == "sqrt(|R|_1 |R|_inf)"
 
+    @pytest.mark.parametrize("entry", [(0, 1), (3, 0), (2, 3)])
+    def test_perturbed_other_blocks_fail_j_symmetry(self, rotated_pencil, entry):
+        # J A - (J A)^T is measured over all four blocks: 1e-3 added to an
+        # entry of the zero block, the -A0^{1/2} block or the -D block is a
+        # defect of 1e-3 (the entry and its mirror, one per row and column).
+        system = build_linearization(rotated_pencil)
+        spec = full_spectrum(system)
+        a = system.a_matrix.copy()
+        a[entry] += 1e-3
+        assert_defect_inside_one_block(system, a)
+        check = self._checks(dataclasses.replace(system, a_matrix=a), spec)["j_symmetry"]
+        assert not check.ok
+        assert check.data["defect"] == pytest.approx(1e-3, rel=1e-9)
+
+    def test_j_symmetry_defect_of_a_valid_companion_is_that_of_its_sqrt_block(self):
+        # [[0, K], [K, 0]], K = s - s^T, has the measure of K itself.
+        pencils = [build_pencil(load_config(path)) for path in sorted(CONFIGS.glob("*.json"))]
+        pencils += [random_pencil(dim, seed, damping_scale=2.0)
+                    for seed, dim in enumerate((3, 5, 8, 12))]
+        for pencil in pencils:
+            system = build_linearization(pencil)
+            s = system.a_matrix[:pencil.dim, pencil.dim:]
+            k = np.abs(s - s.T)
+            check = self._checks(system, full_spectrum(system))["j_symmetry"]
+            assert check.ok
+            assert check.data["defect"] == np.sqrt(k.sum(axis=0).max() * k.sum(axis=1).max())
+
     def test_perturbed_damping_block_fails_inverse_only(self, diag_pencil):
         system = build_linearization(diag_pencil)
         spec = full_spectrum(system)
@@ -478,7 +505,7 @@ class TestCompanionBlocks:
         for delta, sizes in ((np.nextafter(threshold, 0.0), (2, 2)), (threshold, (2, 2)),
                              (np.nextafter(threshold, 1.0), (4,))):
             pencil = QuadraticPencil(np.diag([2.0, 8.0]), [[6.0, delta], [delta, 2.0]])
-            eig = companion_eig(build_linearization(pencil).a_matrix, vectors=True)
+            eig = companion_eig(build_linearization(pencil).a_matrix)
             assert eig.block_sizes == sizes, delta
             assert eig.vectors.shape == (4, 4)
             assert eig.residuals(eig.values).shape == (4,)
@@ -513,10 +540,10 @@ class TestFullSpectrum:
             system = build_linearization(pencil)
             spec = full_spectrum(system)
             a = system.a_matrix
-            eig = companion_eig(a, vectors=True)
+            eig = companion_eig(a)
             w, v = eig.values, eig.vectors
             want = {}
-            for grp in linearization_mod._cluster(w, spec.cluster_tolerance):
+            for grp in blocks._cluster(w, spec.cluster_tolerance):
                 lam = complex(np.mean(w[grp]))
                 want[lam] = max(np.linalg.norm(a @ v[:, i] - lam * v[:, i])
                                 / np.linalg.norm(v[:, i]) for i in grp)
@@ -583,9 +610,9 @@ class TestFullSpectrum:
             clouds += [(w, rel * system.norm) for rel in (1e-10, 1e-8, 1e-7, 1e-5)]
         for w, tol in clouds:
             tol = rng.uniform(0.05, 0.5) if tol is None else tol
-            found = [tuple(c) for c in linearization_mod._cluster(w, tol)]
+            found = [tuple(c) for c in blocks._cluster(w, tol)]
             assert found == single_linkage_groups(w, tol)
-        assert linearization_mod._cluster(np.empty(0), 1.0) == []
+        assert blocks._cluster(np.empty(0), 1.0) == []
 
     @pytest.mark.parametrize("case", ["beam", "random", "critical", "jordan", "split_jordan",
                                       "semisimple"])
@@ -605,7 +632,7 @@ class TestFullSpectrum:
         }[case]()
         system = build_linearization(pencil)
         spec = full_spectrum(system)
-        eig = companion_eig(system.a_matrix, vectors=True)
+        eig = companion_eig(system.a_matrix)
         w, v = eig.values, eig.vectors
         groups = single_linkage_groups(w, spec.cluster_tolerance)
         reps = np.array([w[g[0]] if len(g) == 1 else np.mean(w[list(g)]) for g in groups])

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from oracles import (
     quad_roots,
     random_minima_loop,
     real_eigenvalues_in,
+    real_roots_polished,
     semisimplicity_check,
     sup_p_plus_reference,
 )
@@ -112,10 +114,18 @@ class TestLocate:
         res = locate_real_eigenvalues(undamped_pencil, IntervalDelta(lower=-50.0), 1e-10)
         assert res.n_found == 0
 
-    def test_wide_interval_catches_companion_root(self, diag_pencil):
-        res = locate_real_eigenvalues(diag_pencil, IntervalDelta(lower=-7.0), 1e-10)
-        assert res.n_found == 2
-        assert np.allclose(res.eigenvalues, [-3.0 + SQRT7, -3.0 - SQRT7], atol=1e-10)
+    def test_below_alpha_the_count_is_no_eigenvalue_count(self, diag_pencil):
+        # The scope of locating by counts: (-7, 0] reaches below alpha
+        # (about -2.14) and holds both roots -3 +- sqrt7 of the first mode,
+        # but T(-7) is positive definite. Its count is 0, so locate finds
+        # neither, though -3 + sqrt7 lies above alpha. IntervalDelta.inside,
+        # the gate every caller takes, refuses -7.
+        alpha = compute_alpha(diag_pencil).alpha
+        assert -3.0 - SQRT7 < alpha < -3.0 + SQRT7
+        assert inertia_negative(diag_pencil, -7.0).negative == 0
+        assert locate_real_eigenvalues(diag_pencil, IntervalDelta(lower=-7.0), 1e-10).n_found == 0
+        with pytest.raises(InvalidArgumentError, match="below alpha"):
+            IntervalDelta.inside(alpha, -7.0)
 
     def test_beam_modes_inside_window(self):
         cfg = BeamConfig(
@@ -166,25 +176,44 @@ class TestLocate:
         with pytest.raises(InvalidArgumentError):
             locate_real_eigenvalues(diag_pencil, IntervalDelta(lower=-1.0), 0.0)
 
-    def test_uncertified_bracket_raises(self, critical_1x1):
-        # Below alpha = -1 the interval holds the critical double root -1, a
-        # zero of even order of T(lam) = (lam + 1)^2: no count moves across it.
+    def test_uncertified_bracket_raises(self, monkeypatch):
+        # The certificate fed curve zeros that miss an eigenvalue: A0 = I,
+        # D = diag(3, 4) has two in (lower, 0], and with the first block's
+        # zero alone the bracket (lower, 0) holds a count jump of 2 against
+        # multiplicity 1.
+        pencil = QuadraticPencil(np.eye(2), np.diag([3.0, 4.0]))
+        lower = (-3.0 - np.sqrt(5.0)) / 2.0 + 1e-6
+        zeros = variational._curve_zeros
+        monkeypatch.setattr(variational, "_curve_zeros",
+                            lambda p, end: tuple(a[:1] for a in zeros(p, end)))
         with pytest.raises(ComputationError) as info:
-            locate_real_eigenvalues(critical_1x1, IntervalDelta(lower=-2.0), 1e-10)
+            locate_real_eigenvalues(pencil, IntervalDelta(lower=lower), 1e-10)
         details = info.value.details
-        assert details["bracket"] == (-2.0, 0.0) and details["multiplicity"] == 2
-        assert details["counts"] == (0, 0)
+        assert details["bracket"] == (lower, 0.0) and details["multiplicity"] == 1
+        assert details["counts"] == (2, 0)
 
     def test_near_critical_complex_pair_is_skipped(self):
-        # The first mode's roots are -1 +- 3.2e-5 i: complex at tol 1e-8,
-        # though within 1e-8 |A| (about 3e-4) of each other.
+        # The first mode's roots are -1 +- 3.2e-5 i, within 1e-8 |A| (about
+        # 3e-4) of each other: they move no count, so only the second
+        # mode's root above lower is found.
         pencil = QuadraticPencil(np.diag([1.0, 1e8]), np.diag([2.0 - 1e-9, 3e4]))
-        roots = -1.5e4 + np.array([1.0, -1.0]) * np.sqrt(1.25e8)
-        for lower, expected in ((-7e3, roots[:1]), (-3e4, roots)):
-            res = locate_real_eigenvalues(pencil, IntervalDelta(lower=lower), 1e-8)
-            assert res.n_found == expected.size
-            assert [d.multiplicity for d in res.per_eigenvalue] == [1] * expected.size
-            assert np.allclose(res.eigenvalues, expected, rtol=1e-12, atol=0.0)
+        root = -1.5e4 + np.sqrt(1.25e8)
+        res = locate_real_eigenvalues(pencil, IntervalDelta(lower=-7e3), 1e-8)
+        assert [d.multiplicity for d in res.per_eigenvalue] == [1]
+        assert res.eigenvalues[0] == pytest.approx(root, rel=1e-12)
+
+    def test_values_closer_than_tol_are_one_entry(self):
+        # Two blocks whose eigenvalues near -1 lie about 1.3e-6 apart: one
+        # entry of multiplicity 2 at tol 1e-5 (their mean, certified by a
+        # count jump of 2), two entries at tol 1e-8.
+        pencil = QuadraticPencil(np.diag([4.0, 4.0 * (1.0 + 1e-6)]), np.diag([5.0, 5.0]))
+        exact = [(-5.0 + np.sqrt(25.0 - 16.0 * (1.0 + s))) / 2.0 for s in (0.0, 1e-6)]
+        (entry,) = locate_real_eigenvalues(pencil, IntervalDelta(lower=-2.0), 1e-5).per_eigenvalue
+        assert entry.multiplicity == 2
+        assert entry.value == pytest.approx(np.mean(exact), rel=1e-12)
+        res = locate_real_eigenvalues(pencil, IntervalDelta(lower=-2.0), 1e-8)
+        assert [d.multiplicity for d in res.per_eigenvalue] == [1, 1]
+        assert np.allclose(res.eigenvalues, exact, rtol=1e-12, atol=0.0)
 
     def test_semisimple_double_split_wider_than_tol(self):
         # A double eigenvalue in a stiff coupled pencil: the eigensolver may
@@ -214,7 +243,7 @@ class TestLocate:
             assert np.allclose(res.eigenvalues, expected, atol=1e-7)
 
     def test_rotated_ill_conditioned_pencil(self, rotated_pencil):
-        # cond(A0) = 1e6; locate reads only the companion, never its
+        # cond(A0) = 1e6; locate reads only T(mu), never the companion's
         # closed-form inverse, whose rounding defect here is about 2e-10.
         n = rotated_pencil.dim
         interval = IntervalDelta.inside(compute_alpha(rotated_pencil).alpha)
@@ -237,6 +266,11 @@ class TestLocate:
             for seed in range(50) if seed % 5 <= 2
         ]
         pencils += [
+            random_pencil(2 + seed % 3, 3000 + seed, damping_scale=3.0 + seed % 4,
+                          ensure_real_root_cone=True)
+            for seed in range(40)
+        ]
+        pencils += [
             QuadraticPencil(np.diag([3.0, 3.0]), np.diag([7.0, 7.0])),
             QuadraticPencil(np.diag([2.0, 2.0, 8.0]), np.diag([6.0, 6.0, 2.0])),
         ]
@@ -248,7 +282,7 @@ class TestLocate:
             exact = [r for r in det_poly_real_roots_mp(pencil.a0_matrix, pencil.d_matrix)
                      if lower < r <= 0.0]
             assert res.n_found == len(exact)
-            assert np.allclose(res.eigenvalues, exact, rtol=1e-10, atol=0.0)
+            assert np.allclose(res.eigenvalues, exact, rtol=1e-12, atol=0.0)
             found += res.n_found
         assert found >= len(pencils)
 
@@ -318,11 +352,11 @@ class TestLocate:
         {"profile": "four_plus_sin", "params": {}},
     ])
     def test_each_t_matrix_eigensolved_once(self, monkeypatch, profile):
-        # Polishing, residual, |T| and the semisimplicity test share one
-        # eigh of T(lam) per root step, and the inertia counts take one
-        # eigvalsh per separator: no n x n input is decomposed twice.
-        # Inputs are recorded at the block solver's entries, where every
-        # T(lam) arrives whole; numpy gets stacks of its blocks.
+        # The residual and the semisimplicity test share one eigh of T(lam)
+        # per entry, and the inertia counts take one eigvalsh per separator:
+        # no n x n input is decomposed twice. Inputs are recorded at the
+        # block solver's entries, where every T(lam) arrives whole; numpy
+        # gets stacks of its blocks, and the count steps' graded blocks.
         pencil = discretize_beam(BeamConfig(
             a0=1.0, damping=make_damping_profile(profile), n_modes=40))
         inputs = []
@@ -341,40 +375,92 @@ class TestLocate:
             assert not any(np.array_equal(a, b) for b in inputs[:i])
 
 
-class TestRefine:
-    @staticmethod
-    def located(name):
-        pencil = build_pencil(load_config(CONFIGS / f"{name}.json"))
-        interval = IntervalDelta.inside(compute_alpha(pencil).upper)
-        return pencil, locate_real_eigenvalues(pencil, interval, 1e-8).per_eigenvalue
+class TestCountSteps:
+    """The located values against independent ones: closed forms, polished
+    companion roots, bisection alone, and a second call; and the memory of
+    the shared solves."""
 
-    @pytest.mark.parametrize("name", ["beam_const4", "beam_const5", "beam_sin", "random_dim4"])
-    def test_one_ulp_start_change_takes_the_same_steps(self, name):
-        # At a residual within the rounding of its eigh no root step is
-        # taken, so a 1-ulp move of the start moves neither the step count
-        # nor the value; the residual's own bits are that rounding.
-        pencil, diags = self.located(name)
-        for diag in diags:
-            assert diag.iterations == 0
-            lo, hi = diag.bracket
-            for start in (diag.value, np.nextafter(diag.value, 0.0),
-                          np.nextafter(diag.value, -np.inf)):
-                lam, steps, eig = variational._refine(pencil, start, lo, hi)
-                assert (lam, steps) == (start, 0)
-                floor = variational._rounding(pencil) * np.max(np.abs(eig[0]))
-                assert variational._residual(eig) <= floor
+    @pytest.mark.parametrize("n_modes, d", [(12, 4.0), (50, 4.0), (100, 4.0), (150, 4.0),
+                                            (200, 4.0), (12, 1e3), (12, 1e6), (12, 1e9)])
+    def test_constant_beams_match_the_closed_form(self, n_modes, d):
+        # Constant damping makes every block 1 x 1, a scalar quadratic whose
+        # p_plus is its root: one count step per curve reaches it.
+        cfg = BeamConfig(a0=1.0, damping=make_damping_profile(
+            {"profile": "constant", "params": {"value": d}}), n_modes=n_modes)
+        pencil = discretize_beam(cfg)
+        interval = IntervalDelta.inside(compute_alpha(pencil).alpha)
+        res = locate_real_eigenvalues(pencil, interval, 1e-8)
+        closed = beam_closed_form(cfg).real
+        exact = -np.sort(-closed[(closed > interval.lower) & (closed <= 0.0)])
+        assert res.n_found == exact.size >= 2
+        assert np.max(np.abs(res.eigenvalues - exact) / np.abs(exact)) <= 1e-13
+        assert [diag.iterations for diag in res.per_eigenvalue] == [1] * exact.size
 
-    @pytest.mark.parametrize("name, value", [("beam_const4", 4.0), ("beam_const5", 5.0)])
-    def test_moved_start_still_steps_and_converges(self, name, value):
-        pencil, diags = self.located(name)
-        closed = beam_closed_form(BeamConfig(
-            a0=1.0, damping=make_damping_profile({"profile": "constant", "params": {"value": value}}),
-            n_modes=pencil.dim))
-        for diag in diags:
-            lo, hi = diag.bracket
-            lam, steps, _ = variational._refine(pencil, diag.value * (1.0 + 1e-6), lo, hi)
-            exact = closed[np.argmin(np.abs(closed - lam))].real
-            assert steps >= 1 and abs(lam - exact) <= 1e-12 * abs(exact)
+    @pytest.mark.parametrize("profile, n_modes", [("four_plus_sin", 50), ("four_plus_sin", 150),
+                                                  ("affine", 50), ("affine", 150)])
+    def test_graded_beams_match_polished_companion_roots(self, profile, n_modes):
+        # Coupled blocks, where one p_plus step is not exact: the real roots
+        # of the whole companion, polished by test-side root steps on the
+        # whole graded T, within 1e-12 relative (fixed before the first run).
+        params = {"intercept": 4.0, "slope": 1.0} if profile == "affine" else {}
+        pencil = discretize_beam(BeamConfig(a0=1.0, damping=make_damping_profile(
+            {"profile": profile, "params": params}), n_modes=n_modes))
+        interval = IntervalDelta.inside(compute_alpha(pencil).alpha)
+        res = locate_real_eigenvalues(pencil, interval, 1e-8)
+        exact = real_roots_polished(pencil, interval.lower)
+        assert res.n_found == exact.size >= 2
+        assert np.max(np.abs(res.eigenvalues - exact) / np.abs(exact)) <= 1e-12
+
+    def test_peak_memory_is_a_few_n_by_n_arrays(self):
+        # One dense 150 x 150 block with over 100 eigenvalues in (alpha, 0]:
+        # its curves share each solve, so the peak stays within 16 n x n
+        # float arrays; one m x m copy per curve would pass 20 MB per array.
+        pencil = random_pencil(150, 5, damping_scale=20.0, ensure_real_root_cone=True)
+        interval = IntervalDelta.inside(compute_alpha(pencil).alpha)
+        tracemalloc.start()
+        try:
+            res = locate_real_eigenvalues(pencil, interval, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_found >= 100
+        assert peak <= 16 * 8 * pencil.dim**2
+
+    def test_bisection_alone_locates_every_eigenvalue(self, monkeypatch):
+        # The fallback: with every p_plus step refused (outside the cone),
+        # each curve is bisected by its counts until its bracket is within
+        # the rounding of |mu|, and still lands on every eigenvalue.
+        monkeypatch.setattr(variational, "_roots_from_forms", lambda a, b, c: (
+            a, np.full(a.shape, -np.inf), np.zeros(a.shape, dtype=bool)))
+        pencils = [random_pencil(2 + seed % 3, 3100 + seed, damping_scale=5.0,
+                                 ensure_real_root_cone=True) for seed in range(6)]
+        pencils.append(QuadraticPencil(np.diag([2.0, 2.0, 8.0]), np.diag([6.0, 6.0, 2.0])))
+        for pencil in pencils:
+            interval = IntervalDelta.inside(compute_alpha(pencil).alpha)
+            res = locate_real_eigenvalues(pencil, interval, 1e-10)
+            exact = [r for r in det_poly_real_roots_mp(pencil.a0_matrix, pencil.d_matrix)
+                     if interval.lower < r <= 0.0]
+            assert res.n_found == len(exact) >= 1
+            assert np.allclose(res.eigenvalues, exact, rtol=1e-12, atol=0.0)
+            assert all(diag.iterations >= 20 * diag.multiplicity for diag in res.per_eigenvalue)
+
+    @pytest.mark.parametrize("source", [*sorted(FOUND_ON_CONFIG), ("four_plus_sin", 100)])
+    def test_two_calls_give_the_same_bits(self, source):
+        # Each call on a pencil built afresh: values, brackets, count steps,
+        # residuals and verdicts all equal, bit for bit.
+        def located():
+            if isinstance(source, str):
+                pencil = build_pencil(load_config(CONFIGS / source))
+            else:
+                pencil = discretize_beam(BeamConfig(a0=1.0, damping=make_damping_profile(
+                    {"profile": source[0], "params": {}}), n_modes=source[1]))
+            interval = IntervalDelta.inside(compute_alpha(pencil).alpha)
+            return locate_real_eigenvalues(pencil, interval, 1e-8)
+
+        first, second = located(), located()
+        assert first.n_found >= 1
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert first.per_eigenvalue == second.per_eigenvalue
 
 
 class TestVerifyMinmax:
