@@ -101,12 +101,6 @@ def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     return _components(np.abs(values[:, None] - values) <= tol)
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """The clusters of _cluster_labels as ascending index arrays, in order."""
-    labels = _cluster_labels(values, tol)
-    return [np.flatnonzero(labels == c) for c in range(np.max(labels, initial=-1) + 1)]
-
-
 def partition(*matrices: np.ndarray) -> Partition:
     """The blocks that _deflation_graph leaves connected in the given
     matrices of one size, joined where any of them joins."""

@@ -109,6 +109,21 @@ class QuadraticPencil:
         return blocks.partition(self.d_matrix, self.a0_matrix)
 
     @cached_property
+    def graded_blocks(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The partition's blocks of G T(mu) G, G = diag(A0)^{-1/2}: a
+        congruence of T(mu), of scale order one. Per block size, the rows,
+        diag(G^2), the stacks of G D G and G A0 G, and per block the norms
+        |G^2|, |G D G|_inf and |G A0 G|_inf, one row each."""
+        g = 1.0 / np.sqrt(np.diagonal(self.a0_matrix))
+        grading = np.outer(g, g)
+        graded = []
+        for (_, rows, d), (*_, a) in zip(self.partition.stacks(self.d_matrix * grading),
+                                         self.partition.stacks(self.a0_matrix * grading)):
+            norms = [np.abs(m).sum(axis=2).max(axis=1) for m in (d, a)]
+            graded.append((rows, g[rows] ** 2, d, a, np.array([g[rows].max(axis=1) ** 2, *norms])))
+        return tuple(graded)
+
+    @cached_property
     def _a0_eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of A0, ascending, on A0's own blocks (blocks.eigh), so
         the eigenvectors, A0^{1/2} and A0^{-1/2} are exactly zero between

@@ -5,9 +5,10 @@ law the number of negative eigenvalues of the symmetric matrix T(mu), mu in
 (alpha, 0], is the number of pencil eigenvalues in (mu, 0], so lambda_n is
 where the n-th smallest eigenvalue of T(mu) crosses zero, and p_plus of its
 eigenvector is the safeguarded iteration of the max-min principle (Voss &
-Werner 1982; Voss 2009). The counts at 0, at the midpoints between
+Werner 1982; Voss 2009). Every count is inertia_negative's, on the graded
+blocks G T(mu) G, G = diag(A0)^{-1/2}; those at 0, at the midpoints between
 neighbouring eigenvalues and at the lower end must step by exactly the
-reported multiplicities; each eigenvalue carries its isolating bracket.
+reported multiplicities, and each eigenvalue carries its isolating bracket.
 The max-min and min-sup formulas are then verified from the signs of T(mu):
 on each attaining subspace span(B), B^T T(mu) B is definite at
 mu = lambda_n -+ VERIFY_TOL, and p_plus at a kernel vector of T(lambda_n)
@@ -34,10 +35,9 @@ from .pencil import (
 )
 from .reports import Report
 
-BOUNDARY_TOL = 1e-12
 # The rounding of an m x m symmetric eigensolve or product, in units of m eps
-# times its scale: a count step stops at a residual or a bracket below it,
-# and a compression B^T T(mu) B must clear it to count as definite.
+# times its scale: an eigenvalue of a graded block of T(mu) within it counts
+# as zero, and a compression B^T T(mu) B must clear it to count as definite.
 ROUNDING_ULPS = 4.0
 # IntervalDelta.inside: the default lower end's margin right of alpha, in
 # units of |alpha|, and the gate's slack left of it, in max(1, |alpha|).
@@ -51,21 +51,33 @@ class InertiaCount(NamedTuple):
     positive: int
 
 
-def inertia_negative(pencil: QuadraticPencil, lam: float) -> InertiaCount:
-    """Count negative eigenvalues of the symmetric matrix T(lam).
+def _graded_t(block, at: np.ndarray, solved=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """G T(at) G on the blocks `solved` of one entry of pencil.graded_blocks,
+    at one shift per block, and each block's zero cut: ROUNDING_ULPS m eps of
+    its graded scale at^2 |G^2| + |at| |G D G|_inf + |G A0 G|_inf."""
+    _, g2, d, a, norms = block
+    m = g2.shape[1]
+    t = at[:, None, None] * d[solved] + a[solved]
+    t[:, np.arange(m), np.arange(m)] += (at * at)[:, None] * g2[solved]
+    scale = at * at * norms[0, solved] + np.abs(at) * norms[1, solved] + norms[2, solved]
+    return t, ROUNDING_ULPS * m * np.finfo(float).eps * scale
 
-    Eigenvalues within BOUNDARY_TOL * |T(lam)| of zero are reported in the
-    separate boundary slot: they flag lam as (numerically) a pencil
-    eigenvalue, where the count is ill-defined. They come on the pencil's
-    blocks (blocks.eigvalsh); the dropped coupling moves each by at most
-    2n eps term_scale(lam), the rounding of forming T(lam) itself.
-    """
-    w = blocks.eigvalsh(pencil.t_matrix(float(lam)), pencil.partition)
-    scale = float(np.max(np.abs(w)))
-    cut = BOUNDARY_TOL * scale
-    negative = int(np.sum(w < -cut))
-    boundary = int(np.sum(np.abs(w) <= cut))
-    return InertiaCount(negative, boundary, len(w) - negative - boundary)
+
+def _count(w: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """(negative, boundary, positive) counts of the eigenvalue rows w of
+    graded blocks against their zero cuts."""
+    cut = cut[:, None]
+    return np.array([np.sum(w < -cut), np.sum(np.abs(w) <= cut), np.sum(w > cut)])
+
+
+def inertia_negative(pencil: QuadraticPencil, lam: float) -> InertiaCount:
+    """The inertia of T(lam) (of T(lam) less its dropped coupling, blocks),
+    from one stacked eigvalsh per block size of pencil.graded_blocks.
+    Eigenvalues within their block's zero cut (_graded_t) go in the boundary
+    slot: they flag lam as numerically a pencil eigenvalue."""
+    counts = sum(_count(np.linalg.eigvalsh(t), cut) for t, cut in (
+        _graded_t(block, np.full(len(block[0]), float(lam))) for block in pencil.graded_blocks))
+    return InertiaCount(*counts.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -145,67 +157,46 @@ def _is_semisimple(pencil: QuadraticPencil, lam: float, mult: int, eig) -> bool:
     return bool(np.min(np.abs(np.linalg.eigvalsh(g))) > KERNEL_REL_TOL * gscale)
 
 
-def _rounding(pencil: QuadraticPencil) -> float:
-    """ROUNDING_ULPS n eps: the relative rounding of an eigh of size n."""
-    return ROUNDING_ULPS * pencil.dim * np.finfo(float).eps
-
-
-def _curve_zeros(pencil: QuadraticPencil, lower: float) -> tuple[np.ndarray, np.ndarray]:
+def _curve_zeros(pencil: QuadraticPencil,
+                 lower: float) -> tuple[np.ndarray, np.ndarray, InertiaCount]:
     """The zero in (lower, 0] of each eigenvalue curve of T(mu) negative at
-    lower, and the count steps taken for it, one entry per curve.
+    lower, the count steps taken for it, one entry per curve, and the
+    inertia count at lower from the first solve.
 
-    The curves are those of G T(mu) G, G = diag(A0)^{-1/2}, on the pencil's
-    blocks: a congruence, so every count is T's, on a scale of order one.
-    Each solve of a block at a shift mu serves all its curves: curve j
-    (0-based) narrows its bracket, from (lower, 0), by the sign of the j-th
+    The curves are those of G T(mu) G on pencil.graded_blocks. Each solve
+    of a block at a shift mu serves all its curves: curve j (0-based)
+    narrows its bracket, from (lower, 0), by the sign of the j-th
     eigenvalue e, and keeps p_plus of the j-th eigenvector (lambda at a
     kernel vector, reached quadratically) as its proposal if it lies in the
     cone and the bracket and its step |p_plus - mu| is shorter than the last
     kept one. The next solve is for the block's first unfinished curve, at
     its proposal if inside its bracket, else at the bracket's midpoint; the
     blocks of one size take one stacked eigh per step, and each holds only
-    its own m x m matrices (m its size). A curve stops only when |e| is
-    within ROUNDING_ULPS m eps of the block's graded scale
-    mu^2 |G^2| + |mu| |G D G|_inf + |G A0 G|_inf, or p_plus inside its
-    bracket within that of |mu|, or the bracket within that of its lower
-    end: at p_plus if inside the bracket, else at mu.
+    its own m x m matrices (m its size). A curve stops only when e is
+    within the block's zero cut (_graded_t), or p_plus inside its bracket
+    within ROUNDING_ULPS m eps of |mu|, or the bracket within that of its
+    lower end: at p_plus if inside the bracket, else at mu.
     """
-    g = 1.0 / np.sqrt(np.diagonal(pencil.a0_matrix))
-    grading = np.outer(g, g)
-    d_graded = pencil.d_matrix * grading
-    a0_graded = pencil.a0_matrix * grading
-    zeros = []
-    steps = []
-    for _, rows in pencil.partition.groups:
-        m = rows.shape[1]
-        diag = np.arange(m)
-        g2 = g[rows] ** 2
-        d = d_graded[rows[:, :, None], rows[:, None, :]]
-        a = a0_graded[rows[:, :, None], rows[:, None, :]]
-        g2_norm = g2.max(axis=1)
-        d_norm = np.abs(d).sum(axis=2).max(axis=1)
-        a_norm = np.abs(a).sum(axis=2).max(axis=1)
-        rounding = ROUNDING_ULPS * m * np.finfo(float).eps
+    zeros, steps, at_lower = [], [], 0
+    for block in pencil.graded_blocks:
+        rows, g2, d, a, _ = block
+        rounding = ROUNDING_ULPS * rows.shape[1] * np.finfo(float).eps
 
         def solve(solved, at):
-            """Eigenvalues of the solved blocks' graded T(at), the forms
-            (|G x|^2, x^T G D G x, x^T G A0 G x) of their eigenvectors x,
-            and the blocks' graded scales at `at`."""
-            d_solved = d[solved]
-            a_solved = a[solved]
-            t = at[:, None, None] * d_solved + a_solved
-            t[:, diag, diag] += (at * at)[:, None] * g2[solved]
+            """Eigenvalues and zero cuts of the solved blocks' graded T(at), and
+            the forms (|G x|^2, x^T G D G x, x^T G A0 G x) of its eigenvectors x."""
+            t, cut = _graded_t(block, at, solved)
             w, v = np.linalg.eigh(t)
             forms = (np.einsum("bi,bik->bk", g2[solved], v * v),
-                     np.einsum("bik,bik->bk", v, d_solved @ v),
-                     np.einsum("bik,bik->bk", v, a_solved @ v))
-            scale = at * at * g2_norm[solved] + np.abs(at) * d_norm[solved] + a_norm[solved]
-            return w, forms, scale
+                     np.einsum("bik,bik->bk", v, d[solved] @ v),
+                     np.einsum("bik,bik->bk", v, a[solved] @ v))
+            return w, forms, cut
 
         solved = np.arange(len(rows))
         at = np.full(len(rows), lower)
-        w, forms, scale = solve(solved, at)
-        count = np.sum(w < 0.0, axis=1)
+        w, forms, cut = solve(solved, at)
+        at_lower = at_lower + _count(w, cut)
+        count = np.sum(w < -cut[:, None], axis=1)
         blk = np.repeat(solved, count)
         j = np.arange(blk.size) - np.repeat(np.cumsum(count) - count, count)
         lo = np.full(blk.size, lower)
@@ -226,7 +217,7 @@ def _curve_zeros(pencil: QuadraticPencil, lower: float) -> tuple[np.ndarray, np.
             _, p, cone = _roots_from_forms(forms[0][row, k], forms[1][row, k], forms[2][row, k])
             inside = cone & (lo_a < p) & (p < hi_a)
             step = np.abs(p - mu)
-            met = np.abs(e) <= rounding * scale[row]
+            met = np.abs(e) <= cut[row]
             met |= inside & (step <= rounding * np.abs(mu))
             met |= hi_a - lo_a <= rounding * np.abs(lo_a)
             zero[active[met]] = np.where(inside, p, mu)[met]
@@ -244,11 +235,11 @@ def _curve_zeros(pencil: QuadraticPencil, lower: float) -> tuple[np.ndarray, np.
                 guess = proposal[leads]
                 midpoint = 0.5 * (lo[leads] + hi[leads])
                 at = np.where((lo[leads] < guess) & (guess < hi[leads]), guess, midpoint)
-                w, forms, scale = solve(solved, at)
+                w, forms, cut = solve(solved, at)
                 taken[leads] += 1
         zeros.append(zero)
         steps.append(taken)
-    return np.concatenate(zeros), np.concatenate(steps)
+    return np.concatenate(zeros), np.concatenate(steps), InertiaCount(*at_lower.tolist())
 
 
 def locate_real_eigenvalues(
@@ -279,13 +270,13 @@ def locate_real_eigenvalues(
         raise InvalidArgumentError("tol must be positive")
 
     lower = interval.lower
-    values, steps = _curve_zeros(pencil, lower)
+    values, steps, at_lower = _curve_zeros(pencil, lower)
     order = np.argsort(-values, kind="stable")
     entries = [(float(values[i]), int(steps[i]), 1) for i in order]
     cuts = [0.0]
     cuts += [0.5 * (upper[0] + below[0]) for upper, below in zip(entries, entries[1:])]
+    counts = [inertia_negative(pencil, cut) for cut in cuts] + [at_lower]
     cuts.append(lower)
-    counts = [inertia_negative(pencil, cut) for cut in cuts]
     for k in reversed(range(1, len(entries))):
         (v_hi, s_hi, m_hi), (v_lo, s_lo, m_lo) = entries[k - 1], entries[k]
         if counts[k].boundary or v_hi - v_lo < tol:
@@ -320,16 +311,17 @@ def locate_real_eigenvalues(
 
 
 def _definite_margin(pencil: QuadraticPencil, basis: np.ndarray, mu: float, sign: int) -> float:
-    """Smallest eigenvalue of sign B^T T(mu) B - _rounding |B|^T S(mu) |B|,
+    """Smallest eigenvalue of sign B^T T(mu) B - r |B|^T S(mu) |B|,
     S(mu) = mu^2 I + |mu| |D| + |A0| >= |T(mu)| entrywise: positive when the
     compression on span(basis) is definite of that sign (-1 negative, +1
     positive) beyond the rounding of forming it. The subtracted term is a
     first-order bound of that rounding on the compression's own graded
-    scale, not a proven one."""
+    scale, not a proven one; r = ROUNDING_ULPS n eps."""
     a = np.abs(basis)
     scale = a.T @ _t(np.abs(pencil.d_matrix), np.abs(pencil.a0_matrix), abs(mu)) @ a
     compression = basis.T @ pencil.t_matrix(mu) @ basis
-    return float(np.linalg.eigvalsh(sign * compression - _rounding(pencil) * scale)[0])
+    rounding = ROUNDING_ULPS * pencil.dim * np.finfo(float).eps
+    return float(np.linalg.eigvalsh(sign * compression - rounding * scale)[0])
 
 
 def _attainer(pencil: QuadraticPencil, lam: float, basis: np.ndarray, witness: np.ndarray,
@@ -370,8 +362,11 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
     T(lambda_n) x = 0, which is lambda_n since p_minus(x) <= alpha <
     lambda_n: the check asks |p_plus(x) - lambda_n| <= VERIFY_TOL. The
     witness is the n-th pencil eigenvector for the eigenvector span, and for
-    the spectral subspaces, which come from the one eigh of T(lambda_n) and
-    not through the kernel cut, their eigenvector of smallest |eigenvalue|.
+    the spectral subspaces, from the one eigh of T(lambda_n), their
+    eigenvector of smallest |eigenvalue|. The kernel of T(lambda_n) has the
+    multiplicity's dimension, and its nonpositive subspace that of the
+    eigenvalues >= lambda_n: inertia_negative's boundary, and negative +
+    boundary, at lambda_n.
 
     The clauses over every subspace read inertia counts. For mu in
     (alpha, 0], by the same fact, t(mu)[x] < 0 exactly when p_plus(x) > mu:
@@ -392,19 +387,16 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
     report = Report("minmax_verification")
     n_dim = pencil.dim
     lower = result.interval.lower
-    # One count per distinct bracket end (neighbours share one), and at lower.
-    counts = {mu: inertia_negative(pencil, mu)
-              for mu in {lower, *(end for diag in result.per_eigenvalue for end in diag.bracket)}}
+    # One count per distinct mu: eigenvalues, bracket ends (shared) and lower.
+    counts = {mu: inertia_negative(pencil, mu) for mu in {lower, *(
+        mu for diag in result.per_eigenvalue for mu in (diag.value, *diag.bracket))}}
 
-    # One eigh of T(lam) per distinct eigenvalue, on the pencil's blocks (the
-    # dropped coupling is at most 2n eps term_scale(lam), far below the
-    # kernel cut); kernel bases, and decompositions with brackets, expanded
-    # in eigenvalue order.
+    # One eigh of T(lam) per distinct eigenvalue, on the pencil's blocks;
+    # kernel bases, and its decompositions, brackets and counts, expanded.
     vectors, per_n = [], []
     for diag in result.per_eigenvalue:
         eig = blocks.eigh(pencil.t_matrix(diag.value), pencil.partition)
-        cut = KERNEL_REL_TOL * pencil.term_scale(diag.value)
-        kernel_dim = int(np.sum(np.abs(eig[0]) <= cut))
+        kernel_dim = counts[diag.value].boundary
         report.add(
             "kernel_dimension_matches_multiplicity",
             kernel_dim == diag.multiplicity,
@@ -412,7 +404,7 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
             multiplicity=diag.multiplicity,
         )
         vectors.extend(_kernel_basis(eig, diag.multiplicity).T)
-        per_n.extend([(eig, diag.bracket)] * diag.multiplicity)
+        per_n.extend([(eig, diag.bracket, counts[diag.value])] * diag.multiplicity)
     eigvec_matrix = np.column_stack(vectors) if vectors else np.zeros((n_dim, 0))
 
     big_n = result.n_found
@@ -423,9 +415,8 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
                              eigvec_matrix[:, n - 1], -1)
         report.add("achievement_eigenvector_span", ok, n=n, eigenvalue=lam_n, **data)
 
-        (w, v), (lo, hi) = per_n[n - 1]
-        cut = KERNEL_REL_TOL * pencil.term_scale(lam_n)
-        dimension = int(np.sum(w <= cut))
+        (w, v), (lo, hi), at_lam = per_n[n - 1]
+        dimension = at_lam.negative + at_lam.boundary
         expected = int(np.sum(result.eigenvalues >= lam_n))
         report.add("nonpositive_subspace_dimension", dimension == expected,
                    n=n, dimension=dimension, expected=expected)

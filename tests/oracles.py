@@ -7,7 +7,7 @@ a grid searches over p_plus, rayleigh_batch evaluates it), semisimplicity
 from kernel ranks of the companion matrix, beam entries from adaptive
 quadrature, closed-form cosine moments and (for sampled profiles) the n x K
 cosine-matrix product, clusters from all-pairs adjacency, inertia counts
-from one eigvalsh of the whole matrix, evolution
+from symmetric elimination in exact rational arithmetic, evolution
 references from an explicit modal decomposition
 and from the trapezoidal scheme stepped one lu_solve at a time (with the
 forward-error bounds that separate it from simulate's propagator powers), the
@@ -24,6 +24,8 @@ alpha of the constant beam from its closed form, and the random pencil built
 twice, as the seeded ensemble was built before its damping scale was decided
 first.
 """
+from fractions import Fraction
+
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad
@@ -262,14 +264,39 @@ def components_bfs(adjacency):
     return np.array(labels, dtype=int)
 
 
-def inertia_whole(t, boundary_tol):
-    """variational.InertiaCount of the symmetric matrix t from one
-    np.linalg.eigvalsh of the whole matrix: eigenvalues within boundary_tol
-    times the largest |eigenvalue| of zero in the boundary slot."""
-    w = np.linalg.eigvalsh(t)
-    cut = boundary_tol * float(np.max(np.abs(w)))
-    negative, boundary = int(np.sum(w < -cut)), int(np.sum(np.abs(w) <= cut))
-    return InertiaCount(negative, boundary, len(w) - negative - boundary)
+def exact_inertia(pencil, mu):
+    """variational.InertiaCount of T(mu) = mu^2 I + mu D + A0, formed and
+    decomposed exactly in fractions.Fraction from the float entries of A0,
+    D and mu, block by block on the pencil's partition. Symmetric
+    elimination takes a nonzero diagonal pivot where there is one, else a
+    2 x 2 pivot [[0, b], [b, 0]] (one negative and one positive
+    eigenvalue); a zero remainder is the boundary. By Sylvester's law the
+    pivots' signs and the remainder are the block's inertia."""
+    mu = Fraction(mu)
+    counts = [0, 0, 0]
+    for _, group in pencil.partition.groups:
+        for rows in group.tolist():
+            t = [[mu * mu * (i == j) + mu * Fraction(pencil.d_matrix[i, j])
+                  + Fraction(pencil.a0_matrix[i, j]) for j in rows] for i in rows]
+            while t:
+                size = len(t)
+                k = next((i for i in range(size) if t[i][i]), None)
+                if k is not None:
+                    counts[0 if t[k][k] < 0 else 2] += 1
+                    rest = [i for i in range(size) if i != k]
+                    t = [[t[i][j] - t[i][k] * t[k][j] / t[k][k] for j in rest] for i in rest]
+                    continue
+                pair = next(((i, j) for i in range(size) for j in range(i) if t[i][j]), None)
+                if pair is None:
+                    counts[1] += size
+                    break
+                p, q = pair
+                counts[0] += 1
+                counts[2] += 1
+                rest = [i for i in range(size) if i not in pair]
+                t = [[t[i][j] - (t[i][p] * t[q][j] + t[i][q] * t[p][j]) / t[p][q] for j in rest]
+                     for i in rest]
+    return InertiaCount(*counts)
 
 
 def modal_energy(a_matrix, u0, times):

@@ -42,8 +42,6 @@ RUNS = [(command, name) for name in INPUTS
         for command in ("spectrum", "variational", "beam-report")
         if command != "beam-report" or INPUTS[name]["source"] == "beam"]
 KNOWN_FALSE_ALARMS = {
-    # The kernel cut counts a second kernel vector of T(lam).
-    **{("variational", f"{profile}_{n}"): 1 for profile in PROFILES for n in (150, 200)},
     # Heavy damping: spectrum fails zero_not_eigenvalue, an open disc of the
     # resolvent regions and eigenvalue_matches_pencil; beam-report fails
     # count_at_least_guaranteed, which asks the 12-mode pencil for the

@@ -31,14 +31,13 @@ from quadpencil import (
 from quadpencil.config import build_pencil, load_config, random_pencil
 from quadpencil.linearization import companion_eig
 from quadpencil.pencil import EIGEN_TOL
-from quadpencil.variational import BOUNDARY_TOL
 
 from oracles import (
     closed_form_inverse,
     components_bfs,
     conjugate_pairing,
     det_poly_eigenvalues,
-    inertia_whole,
+    exact_inertia,
     resolvent_regions_loop,
     semisimplicity_check,
     single_linkage_groups,
@@ -46,6 +45,9 @@ from oracles import (
 
 SQRT7 = np.sqrt(7.0)
 EPS = np.finfo(float).eps
+# The largest block whose exact rational inertia a test computes: its cost
+# grows with the block's size cubed times the digits of its minors.
+EXACT_BLOCK = 15
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -374,8 +376,10 @@ def assert_symmetric_blocks_match_whole(pencil):
     4N eps |M| where |E| <= 2N eps |M|. That holds for D; for T(lam) the
     pencil's partition bounds |E| by 2N eps term_scale(lam) only, and the
     tighter bound is kept here. eigh's vectors are orthonormal eigenvectors
-    of the blocks, zero off their block. The inertia counts of
-    inertia_negative equal those of the whole solve."""
+    of the blocks, zero off their block. At locate's separators, which lie
+    off the spectrum, the inertia counts of inertia_negative equal the exact
+    rational ones where no block is larger than EXACT_BLOCK (exact_inertia),
+    and the signs of the whole solve, with no boundary slot, elsewhere."""
     part = pencil.partition
     labels = partition_labels(part)
     for name, m in symmetric_inputs(pencil):
@@ -392,7 +396,12 @@ def assert_symmetric_blocks_match_whole(pencil):
         off_block = labels[:, None] != labels[np.argmax(np.abs(v), axis=0)][None, :]
         assert np.all(v[off_block] == 0.0), name
     for lam in locate_separators(pencil):
-        assert inertia_negative(pencil, lam) == inertia_whole(pencil.t_matrix(lam), BOUNDARY_TOL)
+        count = inertia_negative(pencil, lam)
+        if max(part.sizes) <= EXACT_BLOCK:
+            assert count == exact_inertia(pencil, lam), lam
+        else:
+            whole = np.linalg.eigvalsh(pencil.t_matrix(lam))
+            assert count == (np.sum(whole < 0.0), 0, np.sum(whole > 0.0)), lam
 
 
 def profile_beam(profile, n_modes):
@@ -543,7 +552,8 @@ class TestFullSpectrum:
             eig = companion_eig(a)
             w, v = eig.values, eig.vectors
             want = {}
-            for grp in blocks._cluster(w, spec.cluster_tolerance):
+            labels = blocks._cluster_labels(w, spec.cluster_tolerance)
+            for grp in (np.flatnonzero(labels == c) for c in range(labels.max() + 1)):
                 lam = complex(np.mean(w[grp]))
                 want[lam] = max(np.linalg.norm(a @ v[:, i] - lam * v[:, i])
                                 / np.linalg.norm(v[:, i]) for i in grp)
@@ -610,9 +620,10 @@ class TestFullSpectrum:
             clouds += [(w, rel * system.norm) for rel in (1e-10, 1e-8, 1e-7, 1e-5)]
         for w, tol in clouds:
             tol = rng.uniform(0.05, 0.5) if tol is None else tol
-            found = [tuple(c) for c in blocks._cluster(w, tol)]
+            labels = blocks._cluster_labels(w, tol)
+            found = [tuple(np.flatnonzero(labels == c)) for c in range(labels.max() + 1)]
             assert found == single_linkage_groups(w, tol)
-        assert blocks._cluster(np.empty(0), 1.0) == []
+        assert blocks._cluster_labels(np.empty(0), 1.0).size == 0
 
     @pytest.mark.parametrize("case", ["beam", "random", "critical", "jordan", "split_jordan",
                                       "semisimple"])

@@ -25,12 +25,12 @@ from quadpencil import (
 )
 from quadpencil import blocks, build_pencil, load_config, rayleigh_pair, variational
 from quadpencil.config import random_pencil
-from quadpencil.pencil import _orth
+from quadpencil.pencil import EIGEN_TOL, _orth
 
 from oracles import (
     constrained_sups,
     det_poly_real_roots_mp,
-    inertia_whole,
+    exact_inertia,
     min_p_plus_reference,
     p_plus_on_plane,
     pencil_eigenvectors,
@@ -50,6 +50,25 @@ FOUND_ON_CONFIG = {
     "dense_diag.json": 1, "interlace_violation_a.json": 1,
     "interlace_violation_b.json": 1, "random_dim4.json": 2,
 }
+
+
+def sourced(source, request=None):
+    """The pencil of a shipped config (its file name), of a beam (profile,
+    n_modes, constant damping value), of a seeded random pencil (dim, seed)
+    or of the rotated_pencil fixture, and its located real eigenvalues."""
+    if source == "rotated":
+        pencil = request.getfixturevalue("rotated_pencil")
+    elif isinstance(source, str):
+        pencil = build_pencil(load_config(CONFIGS / source))
+    elif isinstance(source[0], str):
+        profile, n_modes, value = source
+        params = {} if value is None else {"value": value}
+        pencil = discretize_beam(BeamConfig(a0=1.0, damping=make_damping_profile(
+            {"profile": profile, "params": params}), n_modes=n_modes))
+    else:
+        pencil = random_pencil(*source, damping_scale=5.0, ensure_real_root_cone=True)
+    interval = IntervalDelta.inside(compute_alpha(pencil).alpha)
+    return pencil, locate_real_eigenvalues(pencil, interval, EIGEN_TOL)
 
 
 class TestScalarRoots:
@@ -95,6 +114,26 @@ class TestInertia:
         grid = np.linspace(alpha * (1 - 1e-9), 0.0, 200)
         counts = [inertia_negative(diag_pencil, g).negative for g in grid]
         assert all(c1 >= c2 for c1, c2 in zip(counts, counts[1:]))
+
+    @pytest.mark.parametrize("source", [
+        *sorted(FOUND_ON_CONFIG), "rotated",
+        *((profile, n, 4.0 if profile == "constant" else None)
+          for profile in ("constant", "four_plus_sin") for n in (12, 20, 30)),
+        *((2 + seed % 13, 300 + seed) for seed in range(13))], ids=str)
+    def test_counts_match_exact_inertia(self, request, source):
+        # At every separator and bracket end of locate, the count on the
+        # graded blocks is the exact rational inertia of T(mu), with no
+        # boundary; at each located value, whose T is exactly nonsingular
+        # in rationals, the exact count lies between the count's negative
+        # and negative + boundary slots.
+        pencil, res = sourced(source, request)
+        ends = {0.0, res.interval.lower, *(x for d in res.per_eigenvalue for x in d.bracket)}
+        for mu in sorted(ends):
+            assert inertia_negative(pencil, mu) == exact_inertia(pencil, mu), mu
+        for diag in res.per_eigenvalue:
+            count = inertia_negative(pencil, diag.value)
+            exact = exact_inertia(pencil, diag.value).negative
+            assert count.negative <= exact <= count.negative + count.boundary, diag
 
 
 class TestLocate:
@@ -184,8 +223,12 @@ class TestLocate:
         pencil = QuadraticPencil(np.eye(2), np.diag([3.0, 4.0]))
         lower = (-3.0 - np.sqrt(5.0)) / 2.0 + 1e-6
         zeros = variational._curve_zeros
-        monkeypatch.setattr(variational, "_curve_zeros",
-                            lambda p, end: tuple(a[:1] for a in zeros(p, end)))
+
+        def first_zero(p, end):
+            values, steps, at_lower = zeros(p, end)
+            return values[:1], steps[:1], at_lower
+
+        monkeypatch.setattr(variational, "_curve_zeros", first_zero)
         with pytest.raises(ComputationError) as info:
             locate_real_eigenvalues(pencil, IntervalDelta(lower=lower), 1e-10)
         details = info.value.details
@@ -352,27 +395,41 @@ class TestLocate:
         {"profile": "four_plus_sin", "params": {}},
     ])
     def test_each_t_matrix_eigensolved_once(self, monkeypatch, profile):
-        # The residual and the semisimplicity test share one eigh of T(lam)
-        # per entry, and the inertia counts take one eigvalsh per separator:
-        # no n x n input is decomposed twice. Inputs are recorded at the
-        # block solver's entries, where every T(lam) arrives whole; numpy
-        # gets stacks of its blocks, and the count steps' graded blocks.
+        # Within locate, the residual and the semisimplicity test share one
+        # eigh of T(lam) per entry, the count at lower is the curves' first
+        # solve, and each other separator takes one count; within
+        # verify_minmax, one eigh of T(lam) per entry and one count per
+        # distinct mu (each eigenvalue, bracket end and lower). Inputs are
+        # recorded where the stacks of blocks, Euclidean or graded, reach
+        # numpy; no stack is decomposed twice in one call.
         pencil = discretize_beam(BeamConfig(
             a0=1.0, damping=make_damping_profile(profile), n_modes=40))
-        inputs = []
+        inputs, mus = [], []
         for name in ("eigh", "eigvalsh"):
-            original = getattr(blocks, name)
+            original = getattr(np.linalg, name)
 
             def recording(a, *args, _original=original, **kwargs):
-                if np.shape(a) == (pencil.dim, pencil.dim):
+                if np.ndim(a) == 3:
                     inputs.append(np.array(a))
                 return _original(a, *args, **kwargs)
 
-            monkeypatch.setattr(blocks, name, recording)
+            monkeypatch.setattr(np.linalg, name, recording)
+        count = variational.inertia_negative
+        monkeypatch.setattr(variational, "inertia_negative",
+                            lambda p, mu: mus.append(mu) or count(p, mu))
         res = locate_real_eigenvalues(pencil, IntervalDelta(lower=-2.0 * np.pi**2), 1e-8)
         assert res.n_found == 2 and len(inputs) >= 5
+        assert mus == [0.0, res.per_eigenvalue[1].bracket[1]]
         for i, a in enumerate(inputs):
-            assert not any(np.array_equal(a, b) for b in inputs[:i])
+            assert not any(a.shape == b.shape and np.array_equal(a, b) for b in inputs[:i])
+        inputs.clear()
+        mus.clear()
+        assert verify_minmax(pencil, res).ok
+        assert sorted(mus) == sorted({res.interval.lower, *(
+            mu for diag in res.per_eigenvalue for mu in (diag.value, *diag.bracket))})
+        assert len(inputs) == len(mus) * len(pencil.graded_blocks) + res.n_found
+        for i, a in enumerate(inputs):
+            assert not any(a.shape == b.shape and np.array_equal(a, b) for b in inputs[:i])
 
 
 class TestCountSteps:
@@ -498,6 +555,29 @@ class TestVerifyMinmax:
         assert checks["nonpositive_subspace_dimension"].data["dimension"] == (shift < 0)
         assert not checks["achievement_spectral_subspace"].ok
 
+    @pytest.mark.parametrize("source", [
+        *(("constant", 12, d) for d in (4.0, 100.0, 1e3, 1e4, 1e6)),
+        ("four_plus_sin", 12, None), ("four_plus_sin", 50, None),
+        *((2 + seed % 8, seed) for seed in range(32))], ids=str)
+    def test_moved_eigenvalue_fails_the_kernel_dimension(self, source):
+        # Negative control: each located eigenvalue moved by 1e-6 relative,
+        # up and down, inside its bracket leaves T(value) nonsingular, so its
+        # count has an empty boundary slot and the kernel dimension check
+        # fails.
+        pencil, res = sourced(source)
+        assert res.n_found >= 1
+        for k, diag in enumerate(res.per_eigenvalue):
+            for sign in (1.0, -1.0):
+                moved = diag.value * (1.0 + sign * 1e-6)
+                assert diag.bracket[0] < moved < diag.bracket[1]
+                entries = list(res.per_eigenvalue)
+                entries[k] = dataclasses.replace(diag, value=moved)
+                doctored = dataclasses.replace(res, per_eigenvalue=tuple(entries), eigenvalues=(
+                    np.array([e.value for e in entries for _ in range(e.multiplicity)])))
+                check = [c for c in verify_minmax(pencil, doctored).checks
+                         if c.label == "kernel_dimension_matches_multiplicity"][k]
+                assert not check.ok and check.data["kernel_dim"] == 0, (k, sign)
+
     def test_random_coupled(self):
         for seed in (1, 4):
             pencil = random_pencil(5, 1000 + seed, damping_scale=8.0,
@@ -546,11 +626,11 @@ class TestVerifyMinmax:
                 if c.label in ("maxmin_upper_by_inertia", "exhaustion_above_n")]
 
     @pytest.mark.parametrize("name", sorted(FOUND_ON_CONFIG))
-    def test_counts_are_exact_and_match_whole_matrix(self, name):
+    def test_counts_are_exact_and_match_exact_inertia(self, name):
         # Above lambda_n's bracket end lie exactly the n - 1 larger
         # eigenvalues, and above the lower end all N: the counts meet their
-        # bounds with equality, and one eigvalsh of the whole T(mu) agrees
-        # with the count on the pencil's blocks.
+        # bounds with equality, and the exact rational inertia of T(mu)
+        # agrees with the count on the pencil's graded blocks.
         pencil, res = self.located(name)
         counted = self.counted(pencil, res)
         assert [c.data["n"] for c in counted] == list(
@@ -558,8 +638,8 @@ class TestVerifyMinmax:
         for check in counted:
             assert check.ok
             assert check.data["negative_count"] == check.data["n"] - 1
-            whole = inertia_whole(pencil.t_matrix(check.data["mu"]), variational.BOUNDARY_TOL)
-            assert (whole.negative, whole.boundary) == (check.data["negative_count"], 0)
+            exact = exact_inertia(pencil, check.data["mu"])
+            assert (exact.negative, exact.boundary) == (check.data["negative_count"], 0)
         assert counted[-1].data["mu"] == res.interval.lower
 
     @pytest.mark.parametrize("name, dropped", [
@@ -580,8 +660,7 @@ class TestVerifyMinmax:
             ["maxmin_upper_by_inertia"] * (res.n_found - 1 - dropped) + ["exhaustion_above_n"])
         for n, check in enumerate(counted[dropped:], start=dropped + 1):
             assert check.data["n"] == n and check.data["negative_count"] == n
-            whole = inertia_whole(pencil.t_matrix(check.data["mu"]), variational.BOUNDARY_TOL)
-            assert whole.negative == n
+            assert exact_inertia(pencil, check.data["mu"]).negative == n
         assert counted[-1].data["mu"] == res.interval.lower
 
 
@@ -759,7 +838,7 @@ class TestCompressedExtrema:
         alpha = compute_alpha(pencil).alpha
         low = min_p_plus_reference(pencil, basis)[0]
         high = sup_p_plus_reference(pencil, basis)
-        pad = variational._rounding(pencil)
+        pad = variational.ROUNDING_ULPS * pencil.dim * np.finfo(float).eps
         for offset in offsets:
             mu = low * (1.0 + offset)
             if np.isfinite(low) and variational._definite_margin(pencil, basis, mu, -1) > 0.0:
