@@ -7,13 +7,13 @@ Van Loan 7.5), applied up front. The blocks are the connected components;
 of several matrices, the components of the union of their graphs. The test
 is homogeneous, so M -> c M gives the same blocks. Every dense solve on the
 beam path takes its blocks from the pencil's one partition, of D and A0
-together (pencil.QuadraticPencil.partition): T(lam), D and the whitened
-damping through eigh and eigvalsh below, and, with each block r taken with
-r + n (companion), the companion's eigensolve, norm and trapezoid
-propagator (linearization, evolution). Modes that a symmetric damping
-profile decouples exactly (odd from even, or each from every other under
-constant damping) then cost one small solve each. _components is the one
-connected-components routine: it also gives the eigenvalue clusters of
+together (pencil.QuadraticPencil.partition): the graded T(lam) (its
+graded_blocks), D and the whitened damping (eigvalsh below), and, with each
+block r taken with r + n (companion), the companion's eigensolve, norm and
+trapezoid propagator (linearization, evolution). Modes that a symmetric
+damping profile decouples exactly (odd from even, or each from every other
+under constant damping) then cost one small solve each. _components is the
+one connected-components routine: it also gives the eigenvalue clusters of
 linearization.full_spectrum (_cluster_labels below), on the graph of pairs
 within tol.
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import blocks
 from .errors import ComputationError, InvalidArgumentError
-from .pencil import KERNEL_REL_TOL, QuadraticPencil, compute_delta_gamma, disc_radius
+from .pencil import QuadraticPencil, compute_delta_gamma, disc_radius
 from .reports import Report
 
 J_SYMMETRY_TOL = 1e-12
@@ -36,6 +36,9 @@ J_SYMMETRY_TOL = 1e-12
 DEFECT_NORM = "sqrt(|R|_1 |R|_inf)"
 # full_spectrum joins eigenvalues closer than CLUSTER_REL_TOL * |A|.
 CLUSTER_REL_TOL = 1e-8
+# A singular value of A - lam I or of T(lam) below KERNEL_REL_TOL times its
+# scale counts as zero (_nullity, check_pencil_equivalence).
+KERNEL_REL_TOL = 1e-8
 # resolvent_region_check excuses eigenvalues within REGION_MARGIN (relative)
 # of an exceptional point or of the region boundary.
 REGION_MARGIN = 1e-9

@@ -27,9 +27,6 @@ if TYPE_CHECKING:
 
 # Relative eigenvalue threshold for definiteness checks at construction.
 DEFINITENESS_TOL = 1e-12
-# An eigenvalue or singular value of T(lam) (or of a form on its kernel)
-# below KERNEL_REL_TOL times its scale counts as zero.
-KERNEL_REL_TOL = 1e-8
 # The two thresholds of every verdict, set here only: the resolution at which
 # the verifiers locate real eigenvalues, and the slack of each comparison.
 EIGEN_TOL = 1e-8

@@ -9,11 +9,13 @@ Werner 1982; Voss 2009). Every count is inertia_negative's, on the graded
 blocks G T(mu) G, G = diag(A0)^{-1/2}; those at 0, at the midpoints between
 neighbouring eigenvalues and at the lower end must step by exactly the
 reported multiplicities, and each eigenvalue carries its isolating bracket.
-The max-min and min-sup formulas are then verified from the signs of T(mu):
-on each attaining subspace span(B), B^T T(mu) B is definite at
-mu = lambda_n -+ VERIFY_TOL, and p_plus at a kernel vector of T(lambda_n)
-in the subspace is lambda_n; the clauses over every subspace and every
-constraint read inertia counts at the bracket ends, by the same law.
+The max-min and min-sup formulas are verified from the signs of T(mu) and
+from one decomposition of T(lambda_n) on the same graded blocks, whose
+spectral subspaces G carries back: on each attaining subspace span(B),
+B^T T(mu) B is definite at mu = lambda_n -+ VERIFY_TOL, and p_plus at a
+kernel vector of T(lambda_n) in it is lambda_n; the clauses over every
+subspace and every constraint read inertia counts at the bracket ends, by
+the same law.
 """
 from __future__ import annotations
 
@@ -22,10 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import blocks
 from .errors import ComputationError, InvalidArgumentError
 from .pencil import (
-    KERNEL_REL_TOL,
     VERIFY_TOL,
     QuadraticPencil,
     _orth,
@@ -80,6 +80,25 @@ def inertia_negative(pencil: QuadraticPencil, lam: float) -> InertiaCount:
     return InertiaCount(*counts.tolist())
 
 
+def _graded_eigh(pencil: QuadraticPencil,
+                 lam: float) -> tuple[InertiaCount, np.ndarray, np.ndarray]:
+    """T(lam) decomposed once, one stacked eigh per block size of G T(lam) G:
+    its InertiaCount, the eigenvalues in units of their block's zero cut,
+    ascending (negative, boundary |w| <= 1, positive), and in that order the
+    unit vectors x = G y of their eigenvectors y: x^T T x = y^T G T G y."""
+    counts = np.zeros(3, dtype=int)
+    w, x = np.empty(pencil.dim), np.zeros((pencil.dim, pencil.dim))
+    for (slots, rows), block in zip(pencil.partition.groups, pencil.graded_blocks):
+        t, cut = _graded_t(block, np.full(len(rows), float(lam)))
+        e, y = np.linalg.eigh(t)
+        counts += _count(e, cut)
+        y *= np.sqrt(block[1])[:, :, None]
+        w[slots] = e / cut[:, None]
+        x[rows[:, :, None], slots[:, None, :]] = y / np.linalg.norm(y, axis=1, keepdims=True)
+    order = np.argsort(w, kind="stable")
+    return InertiaCount(*counts.tolist()), w[order], x[:, order]
+
+
 # ---------------------------------------------------------------------------
 # Search interval and results
 
@@ -127,8 +146,8 @@ class EigenvalueDiagnostics:
     multiplicity: int
     bracket: tuple[float, float]  # (lo, hi): inertia counts differ by multiplicity
     iterations: int               # solves taken for its curves after the one at lower
-    residual: float          # smallest |eigenvalue| of T(value)
-    semisimple: bool
+    residual: float          # smallest |eigenvalue| of G T(value) G, in its zero cuts
+    semisimple: bool         # T'(value) = 2 value I + D positive definite on the kernel
 
 
 @dataclass(frozen=True)
@@ -138,23 +157,6 @@ class VariationalResult:
     n_found: int
     per_eigenvalue: tuple[EigenvalueDiagnostics, ...]
     interval: IntervalDelta
-
-
-def _kernel_basis(eig, count: int) -> np.ndarray:
-    """The count eigenvectors of eig = blocks.eigh(T(lam)) whose
-    eigenvalues are smallest in modulus."""
-    w, v = eig
-    return v[:, np.argsort(np.abs(w))[:count]]
-
-
-def _is_semisimple(pencil: QuadraticPencil, lam: float, mult: int, eig) -> bool:
-    """Nondegeneracy of the derivative form x -> 2 lam |x|^2 + d[x] on the
-    kernel, from eig = blocks.eigh(T(lam))."""
-    basis = _kernel_basis(eig, mult)
-    g = basis.T @ (2.0 * lam * np.eye(pencil.dim) + pencil.d_matrix) @ basis
-    g = (g + g.T) / 2.0
-    gscale = 2.0 * abs(lam) + pencil.d_norm
-    return bool(np.min(np.abs(np.linalg.eigvalsh(g))) > KERNEL_REL_TOL * gscale)
 
 
 def _curve_zeros(pencil: QuadraticPencil,
@@ -252,14 +254,15 @@ def locate_real_eigenvalues(
 
     Each block of the pencil's partition holds as many as T(lower) has
     negative eigenvalues on it, each the zero of an eigenvalue curve
-    (_curve_zeros). Neighbouring values closer than `tol` (the caller's
-    resolution), or whose midpoint is numerically an eigenvalue (the curves
-    of a multiple eigenvalue meet there), are one entry whose multiplicity
-    is the sum and whose value is their mean. Each entry is certified by
-    inertia counts at its separators (0, the midpoints between neighbouring
-    entries, lower): they must differ by its multiplicity, and every
-    separator but the open end lower lies off the spectrum; a failed
-    certificate raises ComputationError with the bracket and its counts.
+    (_curve_zeros). Neighbouring values closer than `tol` times the smaller
+    of 1 and their larger modulus (the caller's resolution: absolute above
+    modulus 1, relative below), or whose midpoint is numerically an
+    eigenvalue (the curves of a multiple eigenvalue meet there), are one
+    entry whose multiplicity is the sum and whose value is their mean. Each entry is certified by inertia counts at its separators
+    (0, the midpoints between neighbouring entries, lower): they must differ
+    by its multiplicity, and every separator but the open end lower lies off
+    the spectrum; a failed certificate raises ComputationError with the
+    bracket and its counts.
 
     Scope: counts count eigenvalues only inside (alpha, 0], where every
     interval from IntervalDelta.inside lies (up to ALPHA_GATE_SLACK). Below
@@ -279,7 +282,7 @@ def locate_real_eigenvalues(
     cuts.append(lower)
     for k in reversed(range(1, len(entries))):
         (v_hi, s_hi, m_hi), (v_lo, s_lo, m_lo) = entries[k - 1], entries[k]
-        if counts[k].boundary or v_hi - v_lo < tol:
+        if counts[k].boundary or v_hi - v_lo < tol * min(1.0, abs(v_lo)):
             mult = m_hi + m_lo
             entries[k - 1] = ((m_hi * v_hi + m_lo * v_lo) / mult, s_hi + s_lo, mult)
             del entries[k], cuts[k], counts[k]
@@ -293,13 +296,17 @@ def locate_real_eigenvalues(
                 boundary=(c_lo.boundary, c_hi.boundary),
             )
 
+    # In (alpha, 0], p_minus(x) <= alpha < lam = p_plus(x) at a kernel vector
+    # x, so T'(lam) = 2 lam I + D is positive definite on the kernel.
     diags = []
     for k, (lam, taken, mult) in enumerate(entries):
-        eig = blocks.eigh(pencil.t_matrix(lam), pencil.partition)
+        _, w, x = _graded_eigh(pencil, lam)
+        kernel = x[:, np.argsort(np.abs(w))[:mult]]
+        derivative = _margin(kernel, 2.0 * lam * np.eye(pencil.dim) + pencil.d_matrix,
+                             2.0 * abs(lam) * np.eye(pencil.dim) + np.abs(pencil.d_matrix), 1)
         diags.append(EigenvalueDiagnostics(
             value=lam, multiplicity=mult, bracket=(cuts[k + 1], cuts[k]), iterations=taken,
-            residual=float(np.min(np.abs(eig[0]))),  # smallest |eigenvalue| of T(lam)
-            semisimple=_is_semisimple(pencil, lam, mult, eig)))
+            residual=float(np.min(np.abs(w))), semisimple=derivative > 0.0))
     expanded = np.array([d.value for d in diags for _ in range(d.multiplicity)], dtype=float)
     return VariationalResult(eigenvalues=expanded, kappa=counts[0].negative,
                              n_found=int(expanded.size), per_eigenvalue=tuple(diags),
@@ -310,18 +317,22 @@ def locate_real_eigenvalues(
 # Subspace verification of the max-min / min-sup formulas
 
 
-def _definite_margin(pencil: QuadraticPencil, basis: np.ndarray, mu: float, sign: int) -> float:
-    """Smallest eigenvalue of sign B^T T(mu) B - r |B|^T S(mu) |B|,
-    S(mu) = mu^2 I + |mu| |D| + |A0| >= |T(mu)| entrywise: positive when the
-    compression on span(basis) is definite of that sign (-1 negative, +1
-    positive) beyond the rounding of forming it. The subtracted term is a
-    first-order bound of that rounding on the compression's own graded
-    scale, not a proven one; r = ROUNDING_ULPS n eps."""
+def _margin(basis: np.ndarray, form: np.ndarray, bound: np.ndarray, sign: int) -> float:
+    """Smallest eigenvalue of sign B^T F B - r |B|^T S |B|, S >= |F|
+    entrywise: positive when F is definite of that sign (-1, +1) on
+    span(basis) beyond a first-order, not proven, bound of the rounding of
+    its compression; r = ROUNDING_ULPS n eps, n the basis vectors' length."""
     a = np.abs(basis)
-    scale = a.T @ _t(np.abs(pencil.d_matrix), np.abs(pencil.a0_matrix), abs(mu)) @ a
-    compression = basis.T @ pencil.t_matrix(mu) @ basis
-    rounding = ROUNDING_ULPS * pencil.dim * np.finfo(float).eps
+    scale = a.T @ bound @ a
+    compression = basis.T @ form @ basis
+    rounding = ROUNDING_ULPS * basis.shape[0] * np.finfo(float).eps
     return float(np.linalg.eigvalsh(sign * compression - rounding * scale)[0])
+
+
+def _definite_margin(pencil: QuadraticPencil, basis: np.ndarray, mu: float, sign: int) -> float:
+    """_margin of T(mu) on span(basis), S(mu) = mu^2 I + |mu| |D| + |A0|."""
+    return _margin(basis, pencil.t_matrix(mu),
+                   _t(np.abs(pencil.d_matrix), np.abs(pencil.a0_matrix), abs(mu)), sign)
 
 
 def _attainer(pencil: QuadraticPencil, lam: float, basis: np.ndarray, witness: np.ndarray,
@@ -332,27 +343,33 @@ def _attainer(pencil: QuadraticPencil, lam: float, basis: np.ndarray, witness: n
     margin = _definite_margin(pencil, basis, mu, sign)
     p_plus = rayleigh_pair(pencil, witness).p_plus
     return (margin > 0.0 and abs(p_plus - lam) <= VERIFY_TOL,
-            {"mu": mu, "margin": margin, "witness": witness, "p_plus": p_plus})
+            {"mu": mu, "margin": margin, "witness": witness.copy(), "p_plus": p_plus})
 
 
 def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
     """Executable form of the max-min and min-sup eigenvalue formulas.
 
     For each n <= N: (a) the span of the first n pencil eigenvectors and the
-    span of the eigenvectors of the n smallest eigenvalues of T(lambda_n)
-    (the Courant-Fischer subspace) both achieve min p_plus = lambda_n; (b)
-    no n-dimensional subspace pushes min p_plus above lambda_n; (c) the dual
-    form: the supremum of p_plus orthogonal to the eigenvectors of the
-    n - 1 smallest eigenvalues of T(lambda_n) equals lambda_n, and
-    orthogonal to any n - 1 vectors it is >= lambda_n. For n = N+1 <= dim,
-    no subspace has min p_plus above interval.lower (the no-more-eigenvalues
-    clause).
+    spectral subspace of the n smallest eigenvalues of T(lambda_n) (the
+    Courant-Fischer subspace) both achieve min p_plus = lambda_n; (b) no
+    n-dimensional subspace pushes min p_plus above lambda_n; (c) the dual
+    form: the supremum of p_plus on the spectral subspace of the others, the
+    orthogonal complement of n - 1 vectors, equals lambda_n, and orthogonal
+    to any n - 1 vectors it is >= lambda_n. For n = N+1 <= dim, no subspace
+    has min p_plus above interval.lower (the no-more-eigenvalues clause).
 
     Every clause rests on the scalar quadratic
     t(mu)[x] = mu^2 |x|^2 + mu d[x] + a0[x] at real mu. t(mu)[x] < 0 puts mu
     strictly between its two real roots, so p_plus(x) > mu. For mu > alpha,
     t(mu)[x] > 0 gives p_plus(x) < mu or x outside the cone, because
     p_minus(x) <= alpha < mu.
+
+    Each entry's T(lambda) is decomposed once (_graded_eigh), one at a time:
+    its count gives the kernel dimension (boundary) and the nonpositive one
+    (negative + boundary); of its vectors x = G y, those of smallest
+    |eigenvalue| are the pencil eigenvectors, the first n span (a)'s
+    spectral subspace and the others (c)'s, orthogonal to G^{-1} y of the
+    first n - 1.
 
     The attainers of (a) and (c) on span(B): B^T T(mu) B negative definite
     at mu = lambda_n - VERIFY_TOL gives min p_plus >= mu, and positive
@@ -361,12 +378,8 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
     other side of each equality is p_plus at a witness x in span(B) with
     T(lambda_n) x = 0, which is lambda_n since p_minus(x) <= alpha <
     lambda_n: the check asks |p_plus(x) - lambda_n| <= VERIFY_TOL. The
-    witness is the n-th pencil eigenvector for the eigenvector span, and for
-    the spectral subspaces, from the one eigh of T(lambda_n), their
-    eigenvector of smallest |eigenvalue|. The kernel of T(lambda_n) has the
-    multiplicity's dimension, and its nonpositive subspace that of the
-    eigenvalues >= lambda_n: inertia_negative's boundary, and negative +
-    boundary, at lambda_n.
+    witness is the n-th pencil eigenvector, or the spectral subspace's
+    vector of smallest |eigenvalue|.
 
     The clauses over every subspace read inertia counts. For mu in
     (alpha, 0], by the same fact, t(mu)[x] < 0 exactly when p_plus(x) > mu:
@@ -382,66 +395,52 @@ def verify_minmax(pencil: QuadraticPencil, result: VariationalResult) -> Report:
     in (lambda_n, hi]); (c)'s clause over every V when inertia_negative(lo)
     has at least n (the sup over V^perp then exceeds every mu in
     [lo, lambda_n)); and the exhaustion clause when the count at
-    interval.lower is at most N.
+    interval.lower is at most N. The counts are taken here, not read from
+    locate: the result checked may be any claim.
     """
     report = Report("minmax_verification")
-    n_dim = pencil.dim
     lower = result.interval.lower
-    # One count per distinct mu: eigenvalues, bracket ends (shared) and lower.
+    # One count per distinct bracket end (neighbours share one) and lower.
     counts = {mu: inertia_negative(pencil, mu) for mu in {lower, *(
-        mu for diag in result.per_eigenvalue for mu in (diag.value, *diag.bracket))}}
+        mu for diag in result.per_eigenvalue for mu in diag.bracket)}}
 
-    # One eigh of T(lam) per distinct eigenvalue, on the pencil's blocks;
-    # kernel bases, and its decompositions, brackets and counts, expanded.
-    vectors, per_n = [], []
+    # The kernel vectors of the entries, in order: the pencil eigenvectors.
+    kernels, stop = np.zeros((pencil.dim, result.n_found)), 0
     for diag in result.per_eigenvalue:
-        eig = blocks.eigh(pencil.t_matrix(diag.value), pencil.partition)
-        kernel_dim = counts[diag.value].boundary
-        report.add(
-            "kernel_dimension_matches_multiplicity",
-            kernel_dim == diag.multiplicity,
-            eigenvalue=diag.value, kernel_dim=kernel_dim,
-            multiplicity=diag.multiplicity,
-        )
-        vectors.extend(_kernel_basis(eig, diag.multiplicity).T)
-        per_n.extend([(eig, diag.bracket, counts[diag.value])] * diag.multiplicity)
-    eigvec_matrix = np.column_stack(vectors) if vectors else np.zeros((n_dim, 0))
+        start, stop = stop, stop + diag.multiplicity
+        at_lam, w, x = _graded_eigh(pencil, diag.value)
+        kernel_dim, dimension = at_lam.boundary, at_lam.negative + at_lam.boundary
+        report.add("kernel_dimension_matches_multiplicity", kernel_dim == diag.multiplicity,
+                   eigenvalue=diag.value, kernel_dim=kernel_dim, multiplicity=diag.multiplicity)
+        kernels[:, start:stop] = x[:, np.argsort(np.abs(w))[:diag.multiplicity]]
+        lo, hi = diag.bracket
+        for n in range(start + 1, stop + 1):
+            lam_n = float(result.eigenvalues[n - 1])
 
-    big_n = result.n_found
-    for n in range(1, big_n + 1):
-        lam_n = float(result.eigenvalues[n - 1])
+            ok, data = _attainer(pencil, lam_n, _orth(kernels[:, :n]), kernels[:, n - 1], -1)
+            report.add("achievement_eigenvector_span", ok, n=n, eigenvalue=lam_n, **data)
 
-        ok, data = _attainer(pencil, lam_n, _orth(eigvec_matrix[:, :n]),
-                             eigvec_matrix[:, n - 1], -1)
-        report.add("achievement_eigenvector_span", ok, n=n, eigenvalue=lam_n, **data)
+            expected = int(np.sum(result.eigenvalues >= lam_n))
+            report.add("nonpositive_subspace_dimension", dimension == expected,
+                       n=n, dimension=dimension, expected=expected)
+            ok, data = _attainer(pencil, lam_n, x[:, :n], x[:, np.argmin(np.abs(w[:n]))], -1)
+            report.add("achievement_spectral_subspace", ok, n=n, eigenvalue=lam_n, **data)
 
-        (w, v), (lo, hi), at_lam = per_n[n - 1]
-        dimension = at_lam.negative + at_lam.boundary
-        expected = int(np.sum(result.eigenvalues >= lam_n))
-        report.add("nonpositive_subspace_dimension", dimension == expected,
-                   n=n, dimension=dimension, expected=expected)
-        ok, data = _attainer(pencil, lam_n, v[:, :n], v[:, np.argmin(np.abs(w[:n]))], -1)
-        report.add("achievement_spectral_subspace", ok, n=n, eigenvalue=lam_n, **data)
+            count = counts[hi]
+            report.add("maxmin_upper_by_inertia", count.negative <= n - 1 and count.boundary == 0,
+                       n=n, eigenvalue=lam_n, mu=hi, negative_count=count.negative)
 
-        count = counts[hi]
-        report.add("maxmin_upper_by_inertia", count.negative <= n - 1 and count.boundary == 0,
-                   n=n, eigenvalue=lam_n, mu=hi, negative_count=count.negative)
+            ok, data = _attainer(pencil, lam_n, x[:, n - 1:],
+                                 x[:, n - 1 + np.argmin(np.abs(w[n - 1:]))], 1)
+            report.add("dual_spectral_subspace", ok, n=n, eigenvalue=lam_n,
+                       constraint_dim=n - 1, **data)
 
-        # Dual form: Courant-Fischer's constraint is spanned by the
-        # eigenvectors of the n - 1 smallest eigenvalues of T(lambda_n), so
-        # its orthogonal complement by the others.
-        ok, data = _attainer(pencil, lam_n, v[:, n - 1:],
-                             v[:, n - 1 + np.argmin(np.abs(w[n - 1:]))], 1)
-        report.add("dual_spectral_subspace", ok, n=n, eigenvalue=lam_n,
-                   constraint_dim=n - 1, **data)
+            count = counts[lo].negative
+            report.add("minsup_lower_by_inertia", count >= n,
+                       n=n, eigenvalue=lam_n, mu=lo, negative_count=count)
 
-        count = counts[lo].negative
-        report.add("minsup_lower_by_inertia", count >= n,
-                   n=n, eigenvalue=lam_n, mu=lo, negative_count=count)
-
-    n_above = big_n + 1
-    if n_above <= n_dim:
+    if result.n_found < pencil.dim:
         count = counts[lower].negative
-        report.add("exhaustion_above_n", count <= big_n,
-                   n=n_above, mu=lower, negative_count=count)
+        report.add("exhaustion_above_n", count <= result.n_found,
+                   n=result.n_found + 1, mu=lower, negative_count=count)
     return report

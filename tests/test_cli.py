@@ -326,6 +326,26 @@ class TestVariationalCommand:
         assert [e["multiplicity"] for e in doc["eigenvalues"]] == [1, 1]
         assert np.allclose([e["value"] for e in doc["eigenvalues"]], r, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [3e9, 1e12])
+    def test_heavily_damped_neighbours_stay_apart(self, tmp_path, d):
+        # The 12-mode constant beam at d = 3e9: modes 1 and 2, -3.3e-9 and
+        # -1.3e-8, lie 9.9e-9 apart, under the tolerance 1e-8 taken
+        # absolutely but a factor 4 apart (at d = 1e12 all 12 lie in
+        # [-1.5e-9, 0]): below modulus 1 the merge is relative, so all 12
+        # eigenvalues are simple entries at the closed form, all verified.
+        cfg = write_config(tmp_path, {"schema": 1, "source": "beam", "beam": {
+            "a0": 1.0, "n_modes": 12,
+            "damping": {"profile": "constant", "params": {"value": d}}}})
+        out = tmp_path / "var.json"
+        assert main(["variational", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert [e["multiplicity"] for e in doc["eigenvalues"]] == [1] * 12
+        exact = beam_closed_form(load_config(cfg).beam).real
+        exact = -np.sort(-exact[(doc["interval"]["lower"] < exact) & (exact <= 0.0)])
+        found = np.array([e["value"] for e in doc["eigenvalues"]])
+        assert exact.size == 12
+        assert np.max(np.abs(found - exact) / np.abs(exact)) <= 1e-13
+
     def test_rerun_byte_identical_except_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["variational", str(CONFIGS / "dense_diag.json")]

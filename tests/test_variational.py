@@ -23,7 +23,7 @@ from quadpencil import (
     make_damping_profile,
     verify_minmax,
 )
-from quadpencil import blocks, build_pencil, load_config, rayleigh_pair, variational
+from quadpencil import build_pencil, load_config, rayleigh_pair, variational
 from quadpencil.config import random_pencil
 from quadpencil.pencil import EIGEN_TOL, _orth
 
@@ -125,15 +125,18 @@ class TestInertia:
         # graded blocks is the exact rational inertia of T(mu), with no
         # boundary; at each located value, whose T is exactly nonsingular
         # in rationals, the exact count lies between the count's negative
-        # and negative + boundary slots.
+        # and negative + boundary slots, both inertia_negative's and that of
+        # the one decomposition of T(value) that locate and verify_minmax
+        # read.
         pencil, res = sourced(source, request)
         ends = {0.0, res.interval.lower, *(x for d in res.per_eigenvalue for x in d.bracket)}
         for mu in sorted(ends):
             assert inertia_negative(pencil, mu) == exact_inertia(pencil, mu), mu
         for diag in res.per_eigenvalue:
-            count = inertia_negative(pencil, diag.value)
             exact = exact_inertia(pencil, diag.value).negative
-            assert count.negative <= exact <= count.negative + count.boundary, diag
+            for count in (inertia_negative(pencil, diag.value),
+                          variational._graded_eigh(pencil, diag.value)[0]):
+                assert count.negative <= exact <= count.negative + count.boundary, diag
 
 
 class TestLocate:
@@ -145,9 +148,9 @@ class TestLocate:
         diag = res.per_eigenvalue[0]
         assert diag.multiplicity == 1
         assert diag.semisimple
-        lam = diag.value
-        t = lam * lam * np.eye(2) + lam * diag_pencil.d_matrix + diag_pencil.a0_matrix
-        assert diag.residual <= 1e-8 * np.max(np.abs(np.linalg.eigvalsh(t)))
+        # The residual is in units of the block's zero cut, 4 m eps of its
+        # graded scale: T(value) is singular within the rounding.
+        assert diag.residual <= 1.0
 
     def test_undamped_finds_nothing(self, undamped_pencil):
         res = locate_real_eigenvalues(undamped_pencil, IntervalDelta(lower=-50.0), 1e-10)
@@ -245,18 +248,31 @@ class TestLocate:
         assert [d.multiplicity for d in res.per_eigenvalue] == [1]
         assert res.eigenvalues[0] == pytest.approx(root, rel=1e-12)
 
-    def test_values_closer_than_tol_are_one_entry(self):
-        # Two blocks whose eigenvalues near -1 lie about 1.3e-6 apart: one
-        # entry of multiplicity 2 at tol 1e-5 (their mean, certified by a
-        # count jump of 2), two entries at tol 1e-8.
-        pencil = QuadraticPencil(np.diag([4.0, 4.0 * (1.0 + 1e-6)]), np.diag([5.0, 5.0]))
-        exact = [(-5.0 + np.sqrt(25.0 - 16.0 * (1.0 + s))) / 2.0 for s in (0.0, 1e-6)]
-        (entry,) = locate_real_eigenvalues(pencil, IntervalDelta(lower=-2.0), 1e-5).per_eigenvalue
+    @pytest.mark.parametrize("c, split", [(1.0, 1e-6), (1e-8, 1e-6), (100.0, 5e-9)])
+    def test_values_closer_than_tol_are_one_entry(self, c, split):
+        # Two blocks whose eigenvalues near -c lie about 1.3 split c apart
+        # (the pencil lam^2 + 5 lam + 4 (1 + s) at lam -> lam / c): one entry
+        # of multiplicity 2 at tol 1e-5 (their mean, certified by a count
+        # jump of 2), two entries at tol 1e-8. The merge is relative below
+        # modulus 1 and absolute above it: at c = 1e-8 the gap, 1.3e-14, is
+        # below 1e-8 but not below 1e-8 c; at c = 100, 6.7e-7 is below
+        # 1e-8 c but not below 1e-8, and the counts separate the two.
+        pencil = QuadraticPencil(np.diag([4.0, 4.0 * (1.0 + split)]) * c * c,
+                                 np.diag([5.0, 5.0]) * c)
+        exact = [c * (-5.0 + np.sqrt(25.0 - 16.0 * (1.0 + s))) / 2.0 for s in (0.0, split)]
+        interval = IntervalDelta(lower=-2.0 * c)
+        (entry,) = locate_real_eigenvalues(pencil, interval, 1e-5).per_eigenvalue
         assert entry.multiplicity == 2
         assert entry.value == pytest.approx(np.mean(exact), rel=1e-12)
-        res = locate_real_eigenvalues(pencil, IntervalDelta(lower=-2.0), 1e-8)
+        res = locate_real_eigenvalues(pencil, interval, 1e-8)
         assert [d.multiplicity for d in res.per_eigenvalue] == [1, 1]
         assert np.allclose(res.eigenvalues, exact, rtol=1e-12, atol=0.0)
+        # A false merge fails here: no kernel at the mean of two simple
+        # eigenvalues. (At c = 1e-8 the attainers fail on the absolute
+        # VERIFY_TOL, ROADMAP item 8.)
+        kernel = [check.ok for check in verify_minmax(pencil, res).checks
+                  if check.label == "kernel_dimension_matches_multiplicity"]
+        assert kernel == [True, True]
 
     def test_semisimple_double_split_wider_than_tol(self):
         # A double eigenvalue in a stiff coupled pencil: the eigensolver may
@@ -395,41 +411,62 @@ class TestLocate:
         {"profile": "four_plus_sin", "params": {}},
     ])
     def test_each_t_matrix_eigensolved_once(self, monkeypatch, profile):
-        # Within locate, the residual and the semisimplicity test share one
-        # eigh of T(lam) per entry, the count at lower is the curves' first
-        # solve, and each other separator takes one count; within
-        # verify_minmax, one eigh of T(lam) per entry and one count per
-        # distinct mu (each eigenvalue, bracket end and lower). Inputs are
-        # recorded where the stacks of blocks, Euclidean or graded, reach
-        # numpy; no stack is decomposed twice in one call.
+        # Every stack that reaches np.linalg.eigh or eigvalsh is a graded
+        # T(mu) from _graded_t, decomposed once; every other solve is the
+        # eigvalsh of a compression (2-D). Within locate: the curves'
+        # solves (their first is the count at lower), one count at each
+        # other separator, and one decomposition of T(lam) per entry, whose
+        # kernel carries one compression. Within verify_minmax: one
+        # decomposition per entry, one count per distinct bracket end and
+        # at lower, none at a located value, and three compressions per n.
         pencil = discretize_beam(BeamConfig(
             a0=1.0, damping=make_damping_profile(profile), n_modes=40))
-        inputs, mus = [], []
+        graded, solved, mus, lams = [], [], [], []
+
+        def graded_t(*args, _original=variational._graded_t):
+            t, cut = _original(*args)
+            graded.append(t.copy())
+            return t, cut
+
+        monkeypatch.setattr(variational, "_graded_t", graded_t)
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
 
-            def recording(a, *args, _original=original, **kwargs):
-                if np.ndim(a) == 3:
-                    inputs.append(np.array(a))
+            def recording(a, *args, _name=name, _original=original, **kwargs):
+                solved.append((_name, np.array(a)))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recording)
-        count = variational.inertia_negative
+        count, decompose = variational.inertia_negative, variational._graded_eigh
         monkeypatch.setattr(variational, "inertia_negative",
                             lambda p, mu: mus.append(mu) or count(p, mu))
+        monkeypatch.setattr(variational, "_graded_eigh",
+                            lambda p, lam: lams.append(lam) or decompose(p, lam))
+
+        def solved_once(compressions):
+            stacks = [a for _, a in solved if a.ndim == 3]
+            assert len(stacks) == len(graded)
+            assert all(np.array_equal(a, b) for a, b in zip(stacks, graded))
+            for i, a in enumerate(stacks):
+                assert not any(a.shape == b.shape and np.array_equal(a, b) for b in stacks[:i])
+            assert [name for name, a in solved if a.ndim == 2] == ["eigvalsh"] * compressions
+            return [name for name, a in solved if a.ndim == 3]
+
         res = locate_real_eigenvalues(pencil, IntervalDelta(lower=-2.0 * np.pi**2), 1e-8)
-        assert res.n_found == 2 and len(inputs) >= 5
+        values = [diag.value for diag in res.per_eigenvalue]
+        assert res.n_found == 2 and len(graded) >= 5
         assert mus == [0.0, res.per_eigenvalue[1].bracket[1]]
-        for i, a in enumerate(inputs):
-            assert not any(a.shape == b.shape and np.array_equal(a, b) for b in inputs[:i])
-        inputs.clear()
-        mus.clear()
+        assert lams == values
+        solved_once(len(values))
+        for log in (graded, solved, mus, lams):
+            log.clear()
         assert verify_minmax(pencil, res).ok
+        assert lams == values
         assert sorted(mus) == sorted({res.interval.lower, *(
-            mu for diag in res.per_eigenvalue for mu in (diag.value, *diag.bracket))})
-        assert len(inputs) == len(mus) * len(pencil.graded_blocks) + res.n_found
-        for i, a in enumerate(inputs):
-            assert not any(a.shape == b.shape and np.array_equal(a, b) for b in inputs[:i])
+            mu for diag in res.per_eigenvalue for mu in diag.bracket)})
+        blocks_per_solve = len(pencil.graded_blocks)
+        assert sorted(solved_once(3 * res.n_found)) == sorted(
+            ["eigh"] * len(lams) * blocks_per_solve + ["eigvalsh"] * len(mus) * blocks_per_solve)
 
 
 class TestCountSteps:
@@ -578,6 +615,23 @@ class TestVerifyMinmax:
                          if c.label == "kernel_dimension_matches_multiplicity"][k]
                 assert not check.ok and check.data["kernel_dim"] == 0, (k, sign)
 
+    def test_peak_memory_is_a_few_n_by_n_arrays(self):
+        # One dense 150 x 150 block with over 100 eigenvalues in (alpha, 0]:
+        # one decomposition of T(lambda) is held at a time and the checks
+        # keep copies of their witnesses, so the peak stays within 16 n x n
+        # float arrays; a decomposition kept per entry would pass 20 MB.
+        pencil = random_pencil(150, 5, damping_scale=20.0, ensure_real_root_cone=True)
+        res = locate_real_eigenvalues(
+            pencil, IntervalDelta.inside(compute_alpha(pencil).alpha), 1e-8)
+        tracemalloc.start()
+        try:
+            report = verify_minmax(pencil, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_found >= 100 and report.ok, report.failures()
+        assert peak <= 16 * 8 * pencil.dim**2
+
     def test_random_coupled(self):
         for seed in (1, 4):
             pencil = random_pencil(5, 1000 + seed, damping_scale=8.0,
@@ -710,12 +764,20 @@ class TestVerifyMinmax:
                  if c.label == "dual_spectral_subspace"]
         assert [c.data["constraint_dim"] for c in duals] == list(range(res.n_found))
         for n, lam in enumerate(res.eigenvalues, start=1):
-            w, v = blocks.eigh(pencil.t_matrix(lam), pencil.partition)
-            cut = variational.KERNEL_REL_TOL * pencil.term_scale(lam)
-            negative, kernel = v[:, w < -cut], v[:, np.abs(w) <= cut]
+            count, w, x = variational._graded_eigh(pencil, lam)
+            negative, kernel = x[:, w < -1.0], x[:, np.abs(w) <= 1.0]
+            assert (negative.shape[1], kernel.shape[1]) == (count.negative, count.boundary)
             assert negative.shape[1] <= n - 1 <= negative.shape[1] + kernel.shape[1]
             padded = np.column_stack([negative, kernel[:, :n - 1 - negative.shape[1]]])
-            assert np.array_equal(padded, v[:, :n - 1])
+            assert np.array_equal(padded, x[:, :n - 1])
+            # The vectors are G y, y orthonormal eigenvectors of G T G: the
+            # constraint G^{-1} y, in the direction diag(A0) x, is
+            # orthogonal to the others, and the witness is a kernel vector.
+            constraint = np.diagonal(pencil.a0_matrix)[:, None] * x[:, :n - 1]
+            inner = constraint.T @ x[:, n - 1:]
+            assert np.all(np.abs(inner) <= 1e-12 * np.linalg.norm(constraint, axis=0)[:, None])
+            witness = duals[n - 1].data["witness"]
+            assert any(np.array_equal(witness, k) for k in kernel.T)
 
     @settings(max_examples=25, deadline=None)
     @given(source=st.one_of(st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.json"))),
