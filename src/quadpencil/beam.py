@@ -73,6 +73,9 @@ def make_damping_profile(spec: dict) -> DampingProfile:
     unknown = sorted(set(params) - set(PROFILE_PARAMS[name]))
     if unknown:
         raise InvalidArgumentError(f"unknown params {unknown} for damping profile {name!r}")
+    missing = [key for key in PROFILE_PARAMS[name] if key not in params and key != "slope"]
+    if missing:
+        raise InvalidArgumentError(f"missing params {missing} for damping profile {name!r}")
     if name == "constant":
         value = float(params["value"])
         func = lambda r: np.full_like(np.asarray(r, float), value)

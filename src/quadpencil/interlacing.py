@@ -13,12 +13,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormOrderError, InvalidArgumentError
-from .pencil import (EIGEN_TOL, VERIFY_TOL, QuadraticPencil, alpha_brackets, compute_alpha,
-                     compute_delta_gamma)
+from .pencil import (DEFINITENESS_TOL, EIGEN_TOL, VERIFY_TOL, QuadraticPencil, alpha_brackets,
+                     compute_alpha, compute_delta_gamma)
 from .reports import _jsonable
 from .variational import IntervalDelta, locate_real_eigenvalues
-
-FORM_ORDER_TOL = 1e-12
 
 
 class ComparisonReport(NamedTuple):
@@ -58,7 +56,8 @@ class ComparisonReport(NamedTuple):
 
 
 def check_form_order(p: QuadraticPencil, p_hat: QuadraticPencil) -> bool:
-    """True iff A0 - A0_hat and D_hat - D are both positive semidefinite."""
+    """True iff A0 - A0_hat and D_hat - D are both positive semidefinite,
+    by the rule of the pencil's construction check (DEFINITENESS_TOL)."""
     if p.dim != p_hat.dim:
         raise InvalidArgumentError(
             f"dimension mismatch: {p.dim} vs {p_hat.dim}"
@@ -68,8 +67,7 @@ def check_form_order(p: QuadraticPencil, p_hat: QuadraticPencil) -> bool:
     ok = True
     for gap in (stiff_gap, damp_gap):
         w = np.linalg.eigvalsh(gap)
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
-        if w[0] < -FORM_ORDER_TOL * max(scale, 1e-300):
+        if w[0] < -DEFINITENESS_TOL * float(np.max(np.abs(w))):
             ok = False
     return ok
 

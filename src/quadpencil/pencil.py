@@ -6,8 +6,8 @@ the scalar machinery built on the quadratic form
 t(lam)[x] = lam^2 |x|^2 + lam d[x] + a0[x]: the root functionals p-/p+, the
 cone of vectors with real roots, the damping-to-stiffness ratio extremes
 (delta, gamma), a certified bracket on the left endpoint alpha = sup p-
-and the resolvent disc radius, and the compressed pencils
-B^T T(lam) B = lam^2 I + lam B^T D B + B^T A0 B on subspaces span(B).
+from the support lines of the joint numerical range of (D, A0) and the cone
+crossings of the quadratic forms on planes, and the resolvent disc radius.
 """
 from __future__ import annotations
 
@@ -323,8 +323,10 @@ def _roots_from_forms(
     disc = b2 - ac4
     feasible = disc >= -DISC_CLAMP_TOL * np.maximum(b2, np.abs(ac4))
     q = -(b + np.sqrt(np.maximum(disc, 0.0))) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(feasible, q / a, np.inf), np.where(feasible, c / q, -np.inf), feasible
+    # Only in the cone: outside it q = -b/2 can be 0, or so small that c / q
+    # overflows.
+    p_minus = np.divide(q, a, out=np.full_like(q, np.inf), where=feasible)
+    return p_minus, np.divide(c, q, out=np.full_like(q, -np.inf), where=feasible), feasible
 
 
 def compute_delta_gamma(pencil: QuadraticPencil) -> tuple[float, float]:
@@ -410,7 +412,9 @@ def _crossings(s0, a0, s1, a1, k) -> np.ndarray:
     qb2 = qb * qb
     disc = qb2 - 4.0 * qa * qc
     tiny = 8.0 * np.finfo(float).eps * (qb2 + 4.0 * qa * (s0 * s0 + k * np.abs(a0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A root far outside [0, 1] may overflow, or divide by qa = 0 when the
+    # segment's s is constant; either way it is dropped below.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         root = np.sqrt(np.where(disc >= -tiny, np.maximum(disc, 0.0), np.nan))
         q = -(qb + np.copysign(root, qb)) / 2.0
         t = np.array([q / qa, qc / q])
@@ -531,84 +535,43 @@ def _orth(columns: np.ndarray) -> np.ndarray:
     return q[:, _independent(r)]
 
 
-def _compress(pencil: QuadraticPencil, basis: np.ndarray):
-    """The compression B^T T(lam) B = lam^2 I + lam dc + ac as (dc, ac), of
-    one basis or of each in a stack."""
-    bt = np.swapaxes(basis, -1, -2)
-    dc = bt @ pencil.d_matrix @ basis
-    ac = bt @ pencil.a0_matrix @ basis
-    return (dc + np.swapaxes(dc, -1, -2)) / 2.0, (ac + np.swapaxes(ac, -1, -2)) / 2.0
-
-
 def _t(d: np.ndarray, a0: np.ndarray, lam) -> np.ndarray:
-    """lam^2 I + lam d + a0: the one builder of T(lam), of the pencil or of
-    a compression, for each lam and matrix of broadcastable stacks."""
+    """lam^2 I + lam d + a0: the one builder of T(lam), for each lam and
+    matrix of broadcastable stacks."""
     return lam * lam * np.eye(d.shape[-1]) + lam * d + a0
-
-
-def _companion(dc: np.ndarray, ac: np.ndarray) -> np.ndarray:
-    """[[0, I], [-ac, -dc]], the companion of lam^2 I + lam dc + ac, of one
-    pencil or of each in a stack: the one builder of the compressed
-    companions."""
-    k = dc.shape[-1]
-    companion = np.zeros(dc.shape[:-2] + (2 * k, 2 * k))
-    companion[..., :k, k:] = np.eye(k)
-    companion[..., k:, :k] = -ac
-    companion[..., k:, k:] = -dc
-    return companion
-
-
-def _kernel_vectors(dc: np.ndarray, ac: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Columns: for each lam, the eigenvector of lam^2 I + lam dc + ac whose
-    eigenvalue is smallest in modulus; for a stack of pencils (..., k, k)
-    and of lams (..., m), a stack (..., k, m)."""
-    w, v = np.linalg.eigh(_t(dc[..., None, :, :], ac[..., None, :, :], lams[..., None, None]))
-    k = dc.shape[-1]
-    v = v.reshape(-1, k, k)
-    x = v[np.arange(v.shape[0]), :, np.argmin(np.abs(w), axis=-1).ravel()]
-    return np.swapaxes(x.reshape(lams.shape + (k,)), -1, -2)
 
 
 def _span_candidates(pencil: QuadraticPencil, spans: np.ndarray) -> np.ndarray:
     """Columns: unit vectors where p- can peak in the plane of each n x 2
-    matrix of the stack spans: the points where the compressed quadratic
-    form crosses into the cone, and the real eigenvectors of the compressed
-    2x2 pencil (the critical points of p-). A plane of two dependent vectors
-    gives none.
+    matrix of the stack spans, the points where the compressed quadratic
+    form crosses into the cone. A plane of two dependent vectors gives none.
 
     With x = cos(phi) q1 + sin(phi) q2, d[x] and a0[x] are affine in
-    z = exp(2i phi), so the crossings are roots of a quartic in z. They are
-    taken half-way into the clamped band of rayleigh_pair, where p- = -d[x]/2.
-    All planes share one QR, one eigvals (the 4x4 companions of the
-    compressed pencils and of the quartics, the latter built as numpy.roots
-    builds them) and one eigh; a quartic whose leading coefficient is 0
-    drops its degree in numpy.roots.
+    z = exp(2i phi), so the crossings are roots of a quartic in z, one
+    numpy.roots each (which drops a zero leading coefficient and gives no
+    roots for a zero quartic). They are taken half-way into the clamped band
+    of rayleigh_pair, where p- = -d[x]/2. Where p- peaks inside the cone,
+    W's boundary touches a level line of p- (a straight line), so the peak is
+    a support point of W, which the support lines approach; the critical
+    points of p- in the plane are not searched.
     """
     q, r = np.linalg.qr(spans)
     q = q[_independent(r).all(axis=-1)]
-    if q.shape[0] == 0:
-        return np.empty((pencil.dim, 0))
-    dc, ac = _compress(pencil, q)
-    # On each plane d[x] = m_s + Re(sig z) and a0[x] = m_a + Re(rho z).
-    forms = np.array([dc, ac])
+    # The compressed forms, and on each plane d[x] = m_s + Re(sig z) and
+    # a0[x] = m_a + Re(rho z).
+    qt = np.swapaxes(q, -1, -2)
+    forms = np.array([qt @ pencil.d_matrix @ q, qt @ pencil.a0_matrix @ q])
+    forms = (forms + np.swapaxes(forms, -1, -2)) / 2.0
     m_s, m_a = (forms[..., 0, 0] + forms[..., 1, 1]) / 2.0
     sig, rho = (forms[..., 0, 0] - forms[..., 1, 1]) / 2.0 - 1j * forms[..., 0, 1]
     k = 4.0 * (1.0 - DISC_CLAMP_TOL / 2.0)
     c0, c1 = sig * sig / 4.0, m_s * sig - k * rho / 2.0
     quartic = np.array([c0, c1, m_s * m_s + np.abs(sig) ** 2 / 2.0 - k * m_a,
                         c1.conj(), c0.conj()]).T
-    degree4 = c0 != 0.0
-    top = quartic[degree4]
-    companions = np.zeros((top.shape[0], 4, 4), dtype=complex)
-    companions[:, 0] = -top[:, 1:] / top[:, :1]
-    companions[:, 1:, :3] = np.eye(3)
-    planes = dc.shape[0]
-    eigs = np.linalg.eigvals(np.concatenate([_companion(dc, ac), companions]))
-    critical = _kernel_vectors(dc, ac, np.sort(eigs[:planes].real)[:, ::-1])
-    roots, columns = iter(eigs[planes:]), []
-    for basis, full, coeffs, kernel in zip(q, degree4, quartic, critical):
-        phi = np.angle(next(roots) if full else np.roots(coeffs)) / 2.0
-        columns.append(basis @ np.concatenate([[np.cos(phi), np.sin(phi)], kernel], axis=1))
+    columns = [np.empty((pencil.dim, 0))]
+    for basis, coeffs in zip(q, quartic):
+        phi = np.angle(np.roots(coeffs)) / 2.0
+        columns.append(basis @ np.array([np.cos(phi), np.sin(phi)]))
     return np.concatenate(columns, axis=1)
 
 
@@ -641,12 +604,14 @@ def alpha_brackets(pencil: QuadraticPencil) -> Iterator[AlphaResult]:
     above; each bracket's upper end is the least of these bounds so far, so
     the upper ends never increase. The lower end is
     rayleigh_pair(witness).p_minus for the best of the support vectors and
-    of the maximisers in the 2-D spans of neighbouring support vectors
-    where the polygon peaks (a plane already evaluated, keyed by its two
-    support vectors, is skipped). New directions split the neighbours
-    there: the chord normals of _split and, when the peak lies on an edge
-    crossing the parabola s^2 = 4a, the _secant zero of g = s^2 - 4a
-    between the neighbouring support points on opposite sides of it.
+    of the cone crossings in the 2-D spans of neighbouring support vectors
+    where the polygon peaks (_span_candidates). A plane met again is
+    searched again: in the basis of other support vectors, a crossing that
+    rounding put outside the cone can land inside it. New directions split
+    the neighbours there: the chord normals of _split and, when the peak
+    lies on an edge crossing the parabola s^2 = 4a, the _secant zero of
+    g = s^2 - 4a between the neighbouring support points on opposite sides
+    of it.
     Refinement stops once the bracket is ALPHA_RTOL wide, no direction can
     be split or ALPHA_MAX_ROUNDS rounds have run; without a witness the
     lower end is -inf. upper = -inf decides an empty cone.
@@ -694,7 +659,6 @@ def alpha_brackets(pencil: QuadraticPencil) -> Iterator[AlphaResult]:
     thetas = np.linspace(0.0, 2.0 * np.pi, ALPHA_SWEEP, endpoint=False)
     heights, vectors, points = _support(d_unit, a_unit, part, thetas)
     pending = vectors
-    evaluated = set()
 
     for _ in range(ALPHA_MAX_ROUNDS):
         peak, i, at_vertex = _polygon_max(thetas, heights, points, sigma_d, sigma_a)
@@ -704,14 +668,8 @@ def alpha_brackets(pencil: QuadraticPencil) -> Iterator[AlphaResult]:
         upper = min(upper, peak)
         m = thetas.size
         pairs = [(i, (i + 1) % m)] if at_vertex else [((i - 1) % m, i), (i, (i + 1) % m)]
-        keys = [frozenset((vectors[:, a].tobytes(), vectors[:, b].tobytes())) for a, b in pairs]
-        fresh = [pair for pair, key in zip(pairs, keys) if key not in evaluated]
-        evaluated.update(keys)
-        if fresh:
-            pending = np.concatenate(
-                [pending, _span_candidates(pencil, vectors[:, fresh].transpose(1, 0, 2))], axis=1)
-        offer(pending)
-        pending = np.empty((pencil.dim, 0))
+        offer(np.concatenate(
+            [pending, _span_candidates(pencil, vectors[:, pairs].transpose(1, 0, 2))], axis=1))
         yield AlphaResult(lower, upper, witness)
         if upper - lower <= ALPHA_RTOL * abs(upper):
             return

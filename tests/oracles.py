@@ -14,9 +14,9 @@ forward-error bounds that separate it from simulate's propagator powers), the
 max-min clauses that the min-max check decides by inertia counts probed on
 random subspaces, one at a time,
 the min-sup clause that it decides by inertia counts probed on given
-constraints, the alpha search's span candidates found one plane at a time,
-the sup of p_plus on a subspace from one kernel-vector eigh per
-compressed eigenvalue, its min by bisection on the top eigenvalue of the
+constraints, the alpha search's cone crossings as sign changes on an angle
+grid of each plane, the sup of p_plus on a subspace from one kernel-vector
+eigh per compressed eigenvalue, its min by bisection on the top eigenvalue of the
 compressed T, and the simulate CSV formatted one row at a time;
 the companion's closed-form inverse assembled as one 2n x 2n matrix, which
 structural_report only multiplies by block by block;
@@ -454,34 +454,24 @@ def constrained_sups(pencil, constraints):
     return [sup_p_plus_reference(pencil, scipy.linalg.null_space(v.T)) for v in constraints]
 
 
-def span_candidates_pair(pencil, u, v):
-    """The candidates of pencil._span_candidates in one plane span(u, v),
-    one plane at a time: the reference for the stacked version. One QR (no
-    candidates when u and v are dependent), the cone crossings from
-    numpy.roots of the quartic in z = exp(2i phi), the eigenvalues of the
-    compressed 2x2 pencil from its np.block companion, and at the real part
-    of each the eigenvector of the compressed T of smallest |eigenvalue|.
-    Columns are unit vectors: crossings first, then critical points."""
-    q, r = np.linalg.qr(np.column_stack([u, v]))
-    if not np.all(np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())):
-        return np.empty((pencil.dim, 0))
-    dc = q.T @ pencil.d_matrix @ q
-    ac = q.T @ pencil.a0_matrix @ q
-    dc, ac = (dc + dc.T) / 2.0, (ac + ac.T) / 2.0
-    m_s, sig = (dc[0, 0] + dc[1, 1]) / 2.0, complex((dc[0, 0] - dc[1, 1]) / 2.0, -dc[0, 1])
-    m_a, rho = (ac[0, 0] + ac[1, 1]) / 2.0, complex((ac[0, 0] - ac[1, 1]) / 2.0, -ac[0, 1])
+def grid_cone_crossings(pencil, u, v, steps=4096):
+    """The cone crossings of the plane span(u, v) on an angle grid: the
+    reference for pencil._span_candidates. With q an orthonormal basis of
+    the plane and x(phi) = cos(phi) q1 + sin(phi) q2, the sign changes of
+    g = d[x]^2 - k |x|^2 a0[x], k = 4 (1 - DISC_CLAMP_TOL / 2), between
+    neighbouring points of the grid phi_j = j pi / steps (x(phi + pi) =
+    -x(phi), so the grid closes on itself), with the forms taken on the
+    whole vectors. Returns the unit vectors x at the middle of each grid
+    interval with a sign change, and the grid step."""
+    q = np.linalg.qr(np.column_stack([u, v]))[0]
+    phi = np.arange(steps + 1) * (np.pi / steps)
+    x = q @ np.array([np.cos(phi), np.sin(phi)])
     k = 4.0 * (1.0 - DISC_CLAMP_TOL / 2.0)
-    quartic = [sig * sig / 4.0, m_s * sig - k * rho / 2.0,
-               m_s * m_s + abs(sig) ** 2 / 2.0 - k * m_a,
-               m_s * sig.conjugate() - k * rho.conjugate() / 2.0,
-               sig.conjugate() ** 2 / 4.0]
-    phis = np.angle(np.roots(quartic)) / 2.0 if any(quartic) else np.empty(0)
-    companion = np.block([[np.zeros((2, 2)), np.eye(2)], [-ac, -dc]])
-    critical = []
-    for lam in np.sort(np.linalg.eigvals(companion).real)[::-1]:
-        w, vecs = np.linalg.eigh(lam * lam * np.eye(2) + lam * dc + ac)
-        critical.append(vecs[:, np.argmin(np.abs(w))])
-    return q @ np.hstack([np.stack([np.cos(phis), np.sin(phis)]), np.column_stack(critical)])
+    g = (np.einsum("ij,ij->j", x, pencil.d_matrix @ x) ** 2
+         - k * np.einsum("ij,ij->j", x, x) * np.einsum("ij,ij->j", x, pencil.a0_matrix @ x))
+    changes = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
+    middle = phi[changes] + np.pi / (2 * steps)
+    return q @ np.array([np.cos(middle), np.sin(middle)]), np.pi / steps
 
 
 def sup_p_plus_reference(pencil, basis):

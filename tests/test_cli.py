@@ -835,6 +835,14 @@ class TestMalformedNumbers:
         ({"source": "beam", "beam": {"damping": {"profile": "samples", "params": {
             "values": [4.0, 4.5, 4.5, 4.0], "value": 4.0}}}},
          "unknown params ['value'] for damping profile 'samples'"),
+        # and needs each but affine's slope.
+        ({"source": "beam", "beam": {"damping": {"profile": "constant"}}},
+         "missing params ['value'] for damping profile 'constant'"),
+        ({"source": "beam", "beam": {"damping": {"profile": "affine",
+                                                 "params": {"slope": 1.0}}}},
+         "missing params ['intercept'] for damping profile 'affine'"),
+        ({"source": "beam", "beam": {"damping": {"profile": "samples", "params": {}}}},
+         "missing params ['values'] for damping profile 'samples'"),
         # A number is a JSON number; only integers (QUADPENCIL_SEED) may be strings.
         ({"source": "beam", "beam": {"a0": "2.5", "damping": {"profile": "four_plus_sin"}}},
          "beam.a0 must be a finite number"),

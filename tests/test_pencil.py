@@ -1,4 +1,5 @@
 import collections
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +29,10 @@ from quadpencil.pencil import _span_candidates, alpha_brackets
 
 from oracles import (
     beam_alpha_closed_form,
+    grid_cone_crossings,
     p_minus_grid_2d,
     quad_roots,
     random_pencil_built_twice,
-    span_candidates_pair,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -356,7 +357,8 @@ class TestAlphaBracket:
 
     def test_upper_end_bounds_every_rayleigh_value(self):
         rng = np.random.default_rng(2024)
-        pencils = [ensemble_pencil(seed) for seed in range(50)] + beam_pencils()
+        # Seeds 20, 25 and 55 take the most rounds of seeds 0-59 (13, 13, 11).
+        pencils = [ensemble_pencil(seed) for seed in [*range(50), 55]] + beam_pencils()
         for pencil in pencils:
             res = compute_alpha(pencil)
             assert res.upper - res.lower <= 1e-8 * abs(res.upper)
@@ -366,6 +368,17 @@ class TestAlphaBracket:
             p_minus, _, feasible = rayleigh_batch(pencil, np.column_stack([x, res.witness]))
             assert feasible[-1]
             assert np.all(p_minus[feasible] <= res.upper)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160])
+    def test_tiny_damping_decides_the_empty_cone_without_overflow(self, scale):
+        # Outside the cone the root quotients of p-/p+, and the far crossings
+        # of the polygon's edges with the parabola, overflow; neither is kept,
+        # so neither may warn.
+        pencil = QuadraticPencil(np.array([[2.0, 1.0], [1.0, 3.0]]), np.diag([scale, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = compute_alpha(pencil)
+        assert res.certificate == DstarVerdict.EMPTY_CERTIFIED
 
     def test_constant_beam_maximum_on_a_two_mode_edge(self):
         # D and A0 commute; sup p- is where the segment between modes 1 and 2
@@ -401,31 +414,45 @@ def same_directions(got, want, tol=1e-9):
                 and np.all(overlap.max(axis=1, initial=0.0) >= 1.0 - tol))
 
 
+def assert_covers_grid_crossings(pencil, got, u, v):
+    """Every cone crossing of span(u, v) on the angle grid of
+    oracles.grid_cone_crossings has a unit column of got within one grid
+    step of the middle of its grid interval, up to sign. Returns the number
+    of grid crossings."""
+    assert np.allclose(np.linalg.norm(got, axis=0), 1.0)
+    want, step = grid_cone_crossings(pencil, u, v)
+    overlap = np.abs(got.T @ want)
+    assert np.all(overlap.max(axis=0, initial=0.0) >= np.cos(step))
+    return want.shape[1]
+
+
 class TestSpanCandidates:
-    """The stacked _span_candidates against the one-plane loop of oracles."""
+    """_span_candidates against the sign changes of the cone's parabola on
+    an angle grid of each plane."""
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_random_planes_match_one_plane_loop(self, seed):
+    def test_random_planes_cover_grid_crossings(self, seed):
         pencil = ensemble_pencil(seed)
         spans = np.random.default_rng(seed).standard_normal((2, pencil.dim, 2))
-        want = np.hstack([span_candidates_pair(pencil, *span.T) for span in spans])
-        assert same_directions(_span_candidates(pencil, spans), want)
-        assert same_directions(_span_candidates(pencil, spans[:1]),
-                               span_candidates_pair(pencil, *spans[0].T))
+        got = _span_candidates(pencil, spans)
+        assert got.shape[1] <= 8
+        for span in spans:
+            assert_covers_grid_crossings(pencil, got, *span.T)
+        one_at_a_time = np.hstack([_span_candidates(pencil, span[None]) for span in spans])
+        assert same_directions(got, one_at_a_time)
 
     @pytest.mark.parametrize("name", ["random_dim4", "beam_sin"])
-    def test_planes_of_the_alpha_search_match(self, monkeypatch, name):
-        pencil, seen = config_pencil(name), []
+    def test_planes_of_the_alpha_search_cover_grid_crossings(self, monkeypatch, name):
+        pencil, crossings = config_pencil(name), []
 
         def checked(pencil, spans):
             got = _span_candidates(pencil, spans)
-            want = np.hstack([span_candidates_pair(pencil, *span.T) for span in spans])
-            seen.append(same_directions(got, want))
+            crossings.extend(assert_covers_grid_crossings(pencil, got, *span.T) for span in spans)
             return got
 
         monkeypatch.setattr(pencil_mod, "_span_candidates", checked)
         compute_alpha(pencil)
-        assert len(seen) >= 2 and all(seen)
+        assert len(crossings) >= 2 and sum(crossings) > 0
 
     def test_dependent_vectors_give_none(self):
         pencil = config_pencil("random_dim4")
@@ -433,16 +460,18 @@ class TestSpanCandidates:
         parallel = np.column_stack([u, -2.5 * u])
         assert _span_candidates(pencil, parallel[None]).shape == (pencil.dim, 0)
         got = _span_candidates(pencil, np.array([parallel, np.column_stack([u, v])]))
-        assert same_directions(got, span_candidates_pair(pencil, u, v))
+        assert same_directions(got, _span_candidates(pencil, np.column_stack([u, v])[None]))
 
     # On span(e1, e2) of diagonal pencils the compressed damping is exact:
     # D = cI there (sig = 0) drops the quartic's degree, zero damping there
-    # leaves a quadratic, and s^2 = k a with k = 4 (1 - DISC_CLAMP_TOL / 2)
-    # (exact in floating point for these s, a) zeroes the whole quartic.
+    # leaves a quadratic whose roots give directions but no crossing (g < 0
+    # on the whole plane), and s^2 = k a with k = 4 (1 - DISC_CLAMP_TOL / 2)
+    # (exact in floating point for these s, a) zeroes the whole quartic, so
+    # that there are no candidates (on the grid, g is then rounding noise).
     @pytest.mark.parametrize("d, a0, crossings", [
-        ([3.0, 3.0, 1.0, 2.0], [2.0, 5.0, 3.0, 4.0], True),
-        ([0.0, 0.0, 1.0, 2.0], [2.0, 5.0, 3.0, 4.0], True),
-        ([2.0615528128083147, 2.0615528128083147, 1.0, 2.0], [1.0625, 1.0625, 3.0, 4.0], False),
+        ([3.0, 3.0, 1.0, 2.0], [2.0, 5.0, 3.0, 4.0], 2),
+        ([0.0, 0.0, 1.0, 2.0], [2.0, 5.0, 3.0, 4.0], 0),
+        ([2.0615528128083147, 2.0615528128083147, 1.0, 2.0], [1.0625, 1.0625, 3.0, 4.0], None),
     ], ids=["constant_damping", "zero_damping", "zero_quartic"])
     def test_degree_drop_spans(self, d, a0, crossings):
         pencil = QuadraticPencil(np.diag(a0), np.diag(d))
@@ -450,13 +479,18 @@ class TestSpanCandidates:
         q = np.linalg.qr(e[:, :2])[0]
         dc = q.T @ pencil.d_matrix @ q
         assert dc[0, 0] == dc[1, 1] and dc[0, 1] == 0.0
-        want = span_candidates_pair(pencil, e[:, 0], e[:, 1])
-        assert (want.shape[1] > 4) == crossings
-        assert same_directions(_span_candidates(pencil, e[None, :, :2]), want)
+        got = _span_candidates(pencil, e[None, :, :2])
+        if crossings is None:
+            assert got.shape[1] == 0
+        else:
+            assert got.shape[1] > 0
+            assert assert_covers_grid_crossings(pencil, got, e[:, 0], e[:, 1]) == crossings
         # a degree-4 plane in the same stack keeps its own candidates
-        spans = np.array([e[:, :2], np.column_stack([e[:, 2], e[:, 0] + e[:, 3]])])
-        want = np.hstack([want, span_candidates_pair(pencil, e[:, 2], e[:, 0] + e[:, 3])])
-        assert same_directions(_span_candidates(pencil, spans), want)
+        u, v = e[:, 2], e[:, 0] + e[:, 3]
+        spans = np.array([e[:, :2], np.column_stack([u, v])])
+        both = _span_candidates(pencil, spans)
+        assert same_directions(both[:, :got.shape[1]], got)
+        assert_covers_grid_crossings(pencil, both[:, got.shape[1]:], u, v)
 
 
 class TestAlphaRounds:
@@ -490,9 +524,10 @@ class TestAlphaRounds:
 
     @pytest.mark.parametrize("name", ["random_dim4", "beam_sin"])
     def test_call_budget_per_round(self, monkeypatch, name):
-        # Per refinement round: one qr, one eigvals and one eigh for the
-        # span candidates, one eigh for the new support lines, and one
-        # rayleigh_batch; the first sweep of support lines is one eigh.
+        # Per refinement round: one qr and one numpy.roots per plane (at
+        # most two) for the span candidates, one eigh for the new support
+        # lines, and one rayleigh_batch; the first sweep of support lines is
+        # one eigh.
         pencil, calls = config_pencil(name), collections.Counter()
 
         def count(module, attr, key):
@@ -550,21 +585,14 @@ class TestAlphaBrackets:
         assert len(list(alpha_brackets(config_pencil("random_dim4")))) <= 5
 
     @pytest.mark.parametrize("name", ["dense_diag", "interlace_violation_a"])
-    def test_n2_planes_evaluated_once(self, monkeypatch, name):
+    def test_n2_as_one_block_closes_its_bracket(self, name):
         # The diagonal pencil taken as one block, so that it takes the
-        # support polygons as a pencil with coupled blocks does: both rounds
-        # peak on planes of the same two support vectors (e1, e2); the
-        # second round skips them. (Turned by a rotation, the pencil's
-        # support vectors differ in their last bits from round to round, so
-        # no plane repeats exactly.)
-        pencil, calls = config_pencil(name), []
+        # support polygons as a pencil with coupled blocks does: every round
+        # searches a plane of two support vectors of R^2.
+        pencil = config_pencil(name)
         pencil.__dict__["partition"] = blocks.partition(np.ones((2, 2)))
-        monkeypatch.setattr(pencil_mod, "_span_candidates",
-                            lambda pencil, spans: calls.append(spans) or _span_candidates(pencil, spans))
         res = compute_alpha(pencil)
-        assert len(calls) == 1
         assert res.upper - res.lower <= pencil_mod.ALPHA_RTOL * abs(res.upper)
-
 
     @pytest.mark.parametrize("angle", [0.05, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5])
     def test_turned_graded_pair_closes_its_bracket(self, angle):
