@@ -8,8 +8,10 @@ D[m,n] = 2 m n pi^2 * integral d(r) cos(m pi r) cos(n pi r) dr
        = m n pi^2 (c_|m-n| + c_(m+n)),  c_k = integral d(r) cos(k pi r) dr.
 The 2n + 1 moments c_k come from one composite Gauss-Legendre rule of
 K = 16 P nodes (16 n by default) in two (2n+1) x 16 x P products, so the
-assembly costs O(n K) flops and memory, not the O(n^2 K) of a product of
-n x K cosine matrices.
+assembly costs O(n K) flops, not the O(n^2 K) of a product of n x K cosine
+matrices. Its (2n+1) x P tables (the angle indices, their cosines and
+sines, the two products) hold O(n P) entries, O(n^2) at the default P = n:
+at n = 1000 the assembly peaks at 60 MB (tracemalloc), 16 MB of it A0 and D.
 """
 from __future__ import annotations
 
@@ -162,7 +164,8 @@ def discretize_beam(cfg: BeamConfig) -> QuadraticPencil:
     and the moments are two (2n+1) x 16 x P products. k pi mid_p is
     pi j / (2P) with the integer j = k (2p + 1) mod 4P, so its cosines and
     sines are read from a table of 4P angles in [0, 2 pi): no n x K matrix
-    is built and no argument exceeds 2 pi.
+    is built and no argument exceeds 2 pi. The (2n+1) x P tables are the
+    assembly's memory, O(n^2) at the default P = n (module docstring).
     """
     n = cfg.n_modes
     modes = np.arange(1, n + 1)

@@ -30,6 +30,7 @@ even where T(lam) is much smaller than its terms.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -91,14 +92,59 @@ def _components(adjacency: np.ndarray) -> np.ndarray:
         near = order[np.argmax(adjacency[:, order], axis=1)]
 
 
+# The cell offsets that bound, in (column, row) order, the run of a point's
+# own cell and the cell above it, and the run of the next column's three
+# cells (_cluster_labels).
+_RUN_BOUNDS = np.array([[1.5j], [1.0 - 1.5j], [1.0 + 1.5j]])
+
+
 def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     """Single-linkage clustering of real or complex points: the connected
-    components of the dense graph joining every pair within tol, as one
-    label per point, the clusters numbered in the order of their smallest
-    index. An empty input has no labels."""
-    if values.size == 0:
-        return np.empty(0, dtype=int)
-    return _components(np.abs(values[:, None] - values) <= tol)
+    components of the graph joining every pair within tol, as one label per
+    point, the clusters numbered in the order of their smallest index. An
+    empty input has no labels.
+
+    Only pairs that can be within tol are tested, by the same
+    |w_i - w_j| <= tol as the dense graph, and no N x N array is formed.
+    The points are bucketed in square cells of side 2 tol, or 2^-40 times
+    the largest |w| where that is larger, so the cell coordinates are
+    integers below 2^41, exact in floating point, and a pair within tol lies
+    in the same or neighbouring cells, also where rounding stretches the
+    quotients of its distance by the side a little beyond 1/2. With the
+    cells sorted by (column, row), a point's own cell after it and the cell
+    above are one run, and the three cells of the next column another, so
+    each point is tested against two runs: the work is O(N log N) plus the
+    pairs in neighbouring cells, however the points are placed
+    (proportional damping puts every complex eigenvalue on one vertical
+    line). _components joins the points that have an edge; the others are
+    clusters of one.
+    """
+    values = np.ascontiguousarray(values, dtype=complex)
+    index = np.arange(values.size)
+    side = max(2.0 * tol, math.ldexp(float(np.abs(values).max(initial=0.0)), -40)) or 1.0
+    keys = np.floor(values.view(float) / side).view(complex)  # sorts by (column, row)
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    bounds = keys.searchsorted(keys + _RUN_BOUNDS)
+    starts = np.concatenate([index + 1, bounds[1]])
+    count = np.concatenate([bounds[0], bounds[2]]) - starts
+    if not count.any():  # no pair in neighbouring cells
+        return index
+    tested = np.arange(count.sum()) + (starts - count.cumsum() + count).repeat(count)
+    first, second = order[np.concatenate([index, index]).repeat(count)], order[tested]
+    edge = np.abs(values[first] - values[second]) <= tol
+    if not edge.any():
+        return index
+    first, second = first[edge], second[edge]
+    ends = np.unique(np.concatenate([first, second]))
+    adjacency = np.zeros((ends.size, ends.size), dtype=bool)
+    i, j = np.searchsorted(ends, first), np.searchsorted(ends, second)
+    adjacency[i, j] = adjacency[j, i] = True
+    components = _components(adjacency)
+    _, smallest = np.unique(components, return_index=True)
+    root = index.copy()
+    root[ends] = ends[smallest[components]]
+    return (np.cumsum(root == index) - 1)[root]
 
 
 def partition(*matrices: np.ndarray) -> Partition:
@@ -128,26 +174,70 @@ def companion(part: Partition, n: int) -> Partition:
         for slots, rows in part.groups))
 
 
-def eigh(m: np.ndarray, part: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of a symmetric matrix from one stacked eigh per block
-    size of part: eigenvalues ascending, each eigenvector zero off its block.
+def eigvalsh(m: np.ndarray, part: Partition) -> np.ndarray:
+    """np.linalg.eigvalsh of a symmetric matrix from one stacked eigvalsh
+    per block size of part, ascending.
 
-    The blocks' eigenpairs are exact for M - E + F, E the dropped coupling
+    The blocks' eigenvalues are exact for M - E + F, E the dropped coupling
     (the soundness note above bounds it) and F dsyevd's backward error on
     the blocks, so by Weyl every eigenvalue lies within |E|_2 + |F|_2 of M's.
     A matrix with one block is solved whole, so there is no second code path.
     """
-    w, v = np.empty(m.shape[0]), np.zeros(m.shape)
-    for slots, rows, stack in part.stacks(m):
-        w[slots], v[rows[:, :, None], slots[:, None, :]] = np.linalg.eigh(stack)
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def eigvalsh(m: np.ndarray, part: Partition) -> np.ndarray:
-    """np.linalg.eigvalsh of a symmetric matrix from one stacked eigvalsh
-    per block size of part, ascending; the bound of eigh holds."""
     w = np.empty(m.shape[0])
     for slots, _, stack in part.stacks(m):
         w[slots] = np.linalg.eigvalsh(stack)
     return np.sort(w)
+
+
+class BlockDiagonal(NamedTuple):
+    """A block diagonal matrix held as its blocks, in the layout of a
+    Partition: per block size the pair (rows, stack), stack[b] the block on
+    the ascending indices rows[b], the blocks in the order of their smallest
+    index and covering every index. It is exactly zero between blocks. A
+    product with it is one stacked product per block size, with no dense
+    matrix. A diagonal matrix (one group of 1 x 1 blocks) scales, bitwise
+    its dense product, whose other terms are exact zeros, and a matrix of
+    one block is that one dense product."""
+
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The matrix itself, written into out (zero off the blocks) or a
+        new array."""
+        if out is None:
+            size = sum(rows.size for rows, _ in self.groups)
+            out = np.zeros((size, size))
+        for rows, stack in self.groups:
+            out[rows[:, :, None], rows[:, None, :]] = stack
+        return out
+
+    def left(self, m: np.ndarray) -> np.ndarray:
+        """self @ m for a matrix m of as many rows."""
+        (rows, stack), *more = self.groups
+        if not more and rows.shape[1] == 1:
+            return stack.reshape(-1, 1) * m
+        if not more and len(rows) == 1:
+            return stack[0] @ m
+        out = np.empty(m.shape, np.promote_types(m.dtype, float))
+        for rows, stack in self.groups:
+            out[rows] = product(stack, m.take(rows, axis=0))
+        return out
+
+    def right(self, m: np.ndarray) -> np.ndarray:
+        """m @ self for a matrix m of as many columns."""
+        (rows, stack), *more = self.groups
+        if not more and rows.shape[1] == 1:
+            return m * stack.reshape(-1)
+        if not more and len(rows) == 1:
+            return m @ stack[0]
+        out = np.empty(m.shape, np.promote_types(m.dtype, float))
+        for rows, stack in self.groups:
+            part = m.take(rows, axis=1).swapaxes(0, 1)  # (blocks, rows of m, size)
+            out[:, rows] = product(part, stack).swapaxes(0, 1)
+        return out
+
+
+def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for stacks of matrices; where the summed dimension has length 1
+    (1 x 1 blocks) that is the scaling x * y, with no matrix product."""
+    return x * y if x.shape[-1] == 1 else x @ y

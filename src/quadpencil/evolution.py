@@ -108,7 +108,7 @@ def simulate(pencil: QuadraticPencil, z0, w0, t_final: float, dt: float) -> Simu
         raise InvalidArgumentError("initial data must be finite")
 
     system = build_linearization(pencil)
-    u0 = np.concatenate([pencil.a0_sqrt @ z0, w0])
+    u0 = np.concatenate([pencil.a0_sqrt_blocks.left(z0[:, None])[:, 0], w0])
 
     times = dt * np.arange(steps + 1)
     energies = np.zeros(steps + 1)

@@ -16,6 +16,12 @@ norm and the trapezoid propagator of evolution.simulate use the same
 blocks. Modes that a symmetric damping profile decouples exactly (odd from
 even, or each from every other under constant damping) then cost one small
 eigensolve each instead of a share of one 2n x 2n eigensolve.
+
+Apart from the companion and the eigenvectors of its blocks, the spectrum
+path forms no 2n x 2n array: the clusters come from bucketed pairs
+(blocks._cluster_labels), the residuals and damping blocks from the blocks'
+eigenpairs (BlockEig), and the structure defects and T(lam) x from slices of
+SLICE rows or columns, with A0^{-1/2} applied on A0's blocks.
 """
 from __future__ import annotations
 
@@ -39,6 +45,13 @@ CLUSTER_REL_TOL = 1e-8
 # A singular value of A - lam I or of T(lam) below KERNEL_REL_TOL times its
 # scale counts as zero (_nullity, check_pencil_equivalence).
 KERNEL_REL_TOL = 1e-8
+# The diagonal of J = diag(I, -I), one entry per half (_symmetry_defect).
+_J_SIGNS = np.array([1.0, -1.0])
+# The width of the slices in which the products with eigenvectors
+# (BlockEig.residuals, check_pencil_equivalence) and the defects of
+# structural_report are taken: their temporaries have SLICE columns or rows
+# where the whole would have 2n.
+SLICE = 64
 # resolvent_region_check excuses eigenvalues within REGION_MARGIN (relative)
 # of an exceptional point or of the region boundary.
 REGION_MARGIN = 1e-9
@@ -88,7 +101,7 @@ class LinearizedSystem:
         for _, rows, stack in self.partition.stacks(self.a_matrix):
             stack[rows >= self.dim] *= -1.0  # the rows of J A
             sym = (stack + np.swapaxes(stack, 1, 2)) / 2.0
-            top = max(top, float(np.max(np.abs(np.linalg.eigvalsh(sym)))))
+            top = max(top, float(np.abs(np.linalg.eigvalsh(sym)).max()))
         return top
 
 
@@ -111,33 +124,80 @@ class SpectrumResult:
 def build_linearization(pencil: QuadraticPencil) -> LinearizedSystem:
     n = pencil.dim
     a = np.zeros((2 * n, 2 * n))
-    a[:n, n:] = pencil.a0_sqrt
-    np.negative(pencil.a0_sqrt, out=a[n:, :n])
+    pencil.a0_sqrt_blocks.dense(out=a[:n, n:])
+    np.negative(a[:n, n:], out=a[n:, :n])
     np.negative(pencil.d_matrix, out=a[n:, n:])
     return LinearizedSystem(a_matrix=a, dim=n, pencil=pencil)
 
 
-class BlockEig(NamedTuple):
-    """Eigenvalues of a matrix solved block by block (companion_eig).
+def _slices(width: int):
+    """The slices of SLICE indices that cover range(width)."""
+    return (slice(start, min(start + SLICE, width)) for start in range(0, width, SLICE))
 
-    values[k] belongs to the eigenvector vectors[:, k], which is zero off
-    its block. block_sizes are in the order of each block's smallest index, and values and vectors
+
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """np.linalg.norm(x, axis=axis), the same sums, without its argument
+    handling: the residual and backward-error loops call it per slice."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+
+
+def _real_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for a real m (or a stack of them). A complex x is taken as the
+    real array of its parts side by side, so the product is one real
+    product and m is not copied to complex."""
+    if x.dtype.kind != "c":
+        return m @ x
+    return (m @ np.ascontiguousarray(x).view(float)).view(complex)
+
+
+class BlockEig(NamedTuple):
+    """Eigenpairs of a matrix solved block by block (companion_eig), held on
+    its blocks: no N x N array of eigenvectors is formed.
+
+    block_sizes are in the order of each block's smallest index, and values
     are laid out block by block in that order. pairs holds, per block size,
-    the (slots, stack, eigenvectors) of its blocks that residuals reads.
+    (slots, rows, vectors): block b is matrix on the indices rows[b], and
+    vectors[b][:, j] is its eigenvector of eigenvalue values[slots[b, j]],
+    zero off rows[b].
     """
 
+    matrix: np.ndarray
     values: np.ndarray
-    vectors: np.ndarray
     block_sizes: tuple[int, ...]
     pairs: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def residuals(self, shifts: np.ndarray) -> np.ndarray:
         """|B v_k - shifts[k] v_k| / |v_k| for every eigenvector v_k, B its
-        block: one product per block size, and no N x N array."""
+        block: per block size, one product of the stacked blocks with each
+        slice of SLICE eigenvector columns, in real arithmetic where
+        the eigenpairs and their shifts are real."""
         out = np.empty(self.values.size)
-        for slots, stack, v in self.pairs:
-            r = stack @ v - v * shifts[slots][:, None, :]
-            out[slots] = np.linalg.norm(r, axis=1) / np.linalg.norm(v, axis=1)
+        for slots, rows, v in self.pairs:
+            stack = self.matrix[rows[:, :, None], rows[:, None, :]]
+            for cols in _slices(v.shape[2]):
+                x, at = v[:, :, cols], slots[:, cols]
+                shift = shifts[at][:, None, :]
+                if x.dtype.kind == "f" and not shift.imag.any():
+                    shift = shift.real
+                r = _real_product(stack, x) - x * shift
+                out[at] = _norms(r, 1) / _norms(x, 1)
+        return out
+
+    def tails(self, columns: np.ndarray) -> np.ndarray:
+        """The eigenvectors at the slots columns on the second half of their
+        block's indices, as the columns of an N/2 x len(columns) array. On a
+        companion partition (blocks.companion: block r of the pencil with
+        r + n) that half is the rows r + n, so column k is the damping block
+        w of the eigenvector (u, w) at columns[k], in the pencil's rows."""
+        n = self.values.size // 2
+        out = np.zeros((n, columns.size), np.result_type(*(v for *_, v in self.pairs)))
+        for slots, rows, v in self.pairs:
+            size = rows.shape[1]
+            block = slots[:, 0].searchsorted(columns, side="right") - 1
+            local = columns - slots[block, 0]
+            mine = (local.view(np.uintp) < size).nonzero()[0]  # 0 <= local < size
+            block, local = block[mine], local[mine]
+            out[rows[block, size // 2:] - n, mine[:, None]] = v[block, size // 2:, local]
         return out
 
 
@@ -145,7 +205,8 @@ def companion_eig(a: np.ndarray, partition: blocks.Partition | None = None) -> B
     """Eigenpairs of a square matrix, from one np.linalg.eig call per block
     size on the stack of its diagonal blocks: partition, or
     blocks.partition(a) when none is given. A matrix with one block is
-    solved whole, so there is no second code path.
+    solved whole, so there is no second code path. The eigenvectors stay on
+    the blocks (BlockEig), and the stacks of blocks are not kept.
 
     Soundness: the dropped coupling E has |E|_2 <= 2N eps |a|_2 for an
     N x N matrix (4n eps |a|_2 for the 2n x 2n companion), the order of
@@ -165,13 +226,8 @@ def companion_eig(a: np.ndarray, partition: blocks.Partition | None = None) -> B
             raise ComputationError(
                 "eigensolver failed", condition=float(np.linalg.cond(a))
             ) from exc
-        pairs.append((slots, stack, v))
-    # Real when every eigenvalue is, as from LAPACK: products with the
-    # vectors downstream stay real GEMMs.
-    vecs = np.zeros(a.shape, np.result_type(*(v for _, _, v in pairs)))
-    for (slots, _, v), (_, rows) in zip(pairs, part.groups):
-        vecs[rows[:, :, None], slots[:, None, :]] = v
-    return BlockEig(values, vecs, part.sizes, tuple(pairs))
+        pairs.append((slots, rows, v))
+    return BlockEig(a, values, part.sizes, tuple(pairs))
 
 
 def _nullity(m: np.ndarray) -> int:
@@ -192,7 +248,9 @@ def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
     of dgeev's backward error. The residuals |A v - lam v| are taken on the
     blocks (BlockEig.residuals), so they omit |E v| <= 4n eps |A| |v|; the
     geometric multiplicities below, structural_report and
-    check_pencil_equivalence use the true matrices.
+    check_pencil_equivalence use the true matrices. The damping blocks in
+    vectors are read from the blocks' eigenvectors (BlockEig.tails), so
+    apart from the companion and its eigenvectors no array is N x N.
 
     Algebraic multiplicity is the cluster size. Geometric multiplicity is
     the numerical kernel dimension of (A - lam I), computed only for
@@ -204,13 +262,15 @@ def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
     """
     cluster_tolerance = CLUSTER_REL_TOL * system.norm
     eig = companion_eig(system.a_matrix, system.partition)
-    w, v = eig.values, eig.vectors
+    w = eig.values
 
     labels = blocks._cluster_labels(w, cluster_tolerance)
     alg = np.bincount(labels)
-    _, first = np.unique(labels, return_index=True)
+    # The first member of each cluster: the labels are numbered in order of
+    # their first members, so the running maximum first reaches k there.
+    first = np.maximum.accumulate(labels).searchsorted(np.arange(alg.size))
     reps = w[first]
-    multiple = np.flatnonzero(alg > 1)
+    multiple = (alg > 1).nonzero()[0]
     reps[multiple] = (np.bincount(labels, w.real)[multiple]
                       + 1j * np.bincount(labels, w.imag)[multiple]) / alg[multiple]
     geo = np.ones_like(alg)
@@ -228,26 +288,64 @@ def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
         residuals=res[order],
         cluster_tolerance=float(cluster_tolerance),
         raw_eigenvalues=w,
-        vectors=v[system.dim:, first[order]],
+        vectors=eig.tails(first[order]),
         block_sizes=eig.block_sizes,
     )
 
 
-def _norm_bound(r: np.ndarray) -> float:
-    """sqrt(|R|_1 |R|_inf), an upper bound on |R|_2 (|R|_2^2 = rho(R^T R)
-    <= |R^T R|_1 <= |R^T|_1 |R|_1), equal to it when each row and column
-    of R holds at most one nonzero entry (a single entry, a multiple of I):
-    two O(N^2) sums in place of an SVD."""
-    mag = np.abs(r)
-    return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
+def _norm_bound(slices) -> float:
+    """sqrt(|R|_1 |R|_inf) of a matrix R given as the slices of its rows,
+    in order: the column sums of |R| are accumulated and the largest row
+    sum kept one slice at a time, so no array of R's size is formed. An
+    upper bound on |R|_2 (|R|_2^2 = rho(R^T R) <= |R^T R|_1 <= |R^T|_1
+    |R|_1), equal to it when each row and column of R holds at most one
+    nonzero entry (a single entry, a multiple of I): O(N^2) sums in place
+    of an SVD."""
+    cols, rows = None, 0.0
+    for r in slices:
+        mag = np.abs(r)
+        col = mag.sum(axis=0)
+        cols = col if cols is None else cols + col
+        rows = max(rows, mag.sum(axis=1).max())
+    return float(np.sqrt(cols.max() * rows))
+
+
+def _symmetry_defect(a: np.ndarray, n: int):
+    """The rows of J A - (J A)^T, J = diag(I, -I), a slice at a time: rows
+    r of J A are those of A times J's diagonal there, rows r of (J A)^T the
+    columns r of A, times J's diagonal, transposed."""
+    sign = _J_SIGNS.repeat(n)
+    for r in _slices(2 * n):
+        yield a[r] * sign[r, None] - a[:, r].T * sign
+
+
+def _inverse_defect(a: np.ndarray, n: int, pencil: QuadraticPencil):
+    """The rows of R = A A^{-1} - I for the closed form
+    A^{-1} = [[-W, -S^{-1}], [S^{-1}, 0]], W the whitened damping and
+    S^{-1} = A0^{-1/2}, a slice at a time: a row [A_1, A_2] of A gives the
+    row [A_2 S^{-1} - A_1 W, -A_1 S^{-1}] of A A^{-1}. Both halves of the
+    rows are multiplied by S^{-1} in one product on A0's blocks
+    (a0_inv_sqrt_blocks)."""
+    for r in _slices(2 * n):
+        rows = a[r]
+        size = len(rows)
+        halves = pencil.a0_inv_sqrt_blocks.right(rows.reshape(2 * size, n)).reshape(size, 2, n)
+        out = np.empty((size, 2 * n))
+        np.subtract(halves[:, 1], rows[:, :n] @ pencil.whitened_damping, out=out[:, :n])
+        np.negative(halves[:, 0], out=out[:, n:])
+        out.reshape(-1)[r.start::2 * n + 1] -= 1.0  # less the rows r of I
+        yield out
 
 
 def structural_report(system: LinearizedSystem, spectrum: SpectrumResult) -> Report:
     """Signature symmetry, closed-form inverse, half-plane location,
     conjugation symmetry and invertibility, as one pass/fail report.
 
-    With J = diag(I, -I), the symmetry defect is J A - (J A)^T over all four
-    blocks of a_matrix. For the blocks 0, s, -s, -D of a valid companion (D
+    Both defects are taken from all four n x n blocks of a_matrix, a slice
+    of SLICE rows of the defect at a time (_symmetry_defect,
+    _inverse_defect, _norm_bound), so no other 2n x 2n array is formed.
+    With J = diag(I, -I), the symmetry defect is
+    J A - (J A)^T. For the blocks 0, s, -s, -D of a valid companion (D
     exactly symmetric) it is [[0, K], [K, 0]] with K = s - s^T, whose
     measure (_norm_bound) is that of K. The inverse defect is
     R = A A^{-1} - I for the closed form A^{-1} (LinearizedSystem), taken by
@@ -263,34 +361,30 @@ def structural_report(system: LinearizedSystem, spectrum: SpectrumResult) -> Rep
     """
     report = Report("structural_identities")
     a, scale, n, pencil = system.a_matrix, system.norm, system.dim, system.pencil
-    ja = a.copy()
-    ja[n:] *= -1.0
-    sym = _norm_bound(ja - ja.T)
+    sym = _norm_bound(_symmetry_defect(a, n))
     report.add("j_symmetry", sym <= J_SYMMETRY_TOL * scale,
                defect=sym, bound=J_SYMMETRY_TOL * scale, norm=DEFECT_NORM)
-    residual = -(a[:, :n] @ np.hstack([pencil.whitened_damping, pencil.a0_inv_sqrt]))
-    residual[:, :n] += a[:, n:] @ pencil.a0_inv_sqrt
-    residual[np.diag_indices(2 * n)] -= 1.0  # A A^{-1} - I
-    inv = _norm_bound(residual)
+    inv = _norm_bound(_inverse_defect(a, n, pencil))
     _, gamma = compute_delta_gamma(pencil)
     inv_bound = (2.0 * 2 * n * np.finfo(float).eps * scale
                  * (gamma + np.sqrt(pencil.a0_inv_norm)))
     report.add("inverse_identity", inv <= inv_bound, defect=inv, bound=inv_bound,
                norm=DEFECT_NORM)
     w, tol = spectrum.raw_eigenvalues, spectrum.cluster_tolerance
-    max_re = float(np.max(w.real))
+    max_re = float(w.real.max())
     report.add("left_half_plane", max_re <= 1e-10 * scale,
                max_real_part=max_re, bound=1e-10 * scale)
-    min_abs = float(np.min(np.abs(w)))
+    min_abs = float(np.abs(w).min())
     report.add("zero_not_eigenvalue", min_abs > tol,
                min_abs=min_abs, cluster_tolerance=tol)
 
     # Conjugation symmetry: the values above the axis, sorted, must match the
     # conjugates of the values below it, sorted the same way; values within
     # tol of the axis are their own partners.
-    above = np.sort(w[w.imag > tol])
-    below = np.sort(np.conj(w[w.imag < -tol]))
-    worst = (float(np.max(np.abs(above - below), initial=0.0))
+    above, below = w[w.imag > tol], np.conj(w[w.imag < -tol])
+    above.sort()
+    below.sort()
+    worst = (float(np.abs(above - below).max(initial=0.0))
              if above.size == below.size else np.inf)
     report.add("conjugation_symmetry", worst <= tol, worst_pair_distance=worst)
     return report
@@ -309,21 +403,29 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
     two or more counts the singular values of T(lam) below KERNEL_REL_TOL *
     scale; its eta is sigma_min / scale, the minimum over x, as x is no
     eigenvector at the cluster mean. T(0) = A0 is certified definite.
+    T(lam) x is formed with the true D and A0, for SLICE columns at a
+    time, in real products (_real_product).
     """
     report = Report("pencil_equivalence")
     lam, x = spectrum.eigenvalues, spectrum.vectors
-    t_x = x * lam ** 2 + (pencil.d_matrix @ x) * lam + pencil.a0_matrix @ x
     scales = pencil.term_scale(lam)
-    etas = np.linalg.norm(t_x, axis=0) / (scales * np.linalg.norm(x, axis=0))
-    for k, z in enumerate(lam):
-        kernel_dim, geo = 1, int(spectrum.geometric_multiplicities[k])
-        if spectrum.algebraic_multiplicities[k] > 1:
+    etas = np.empty(lam.size)
+    for cols in _slices(lam.size):
+        x_k, lam_k = x[:, cols], lam[cols]
+        t_x = (x_k * lam_k ** 2 + _real_product(pencil.d_matrix, x_k) * lam_k
+               + _real_product(pencil.a0_matrix, x_k))
+        etas[cols] = _norms(t_x, 0) / (scales[cols] * _norms(x_k, 0))
+    for z, eta, scale, alg, geo in zip(*(v.tolist() for v in (
+            lam, etas, scales, spectrum.algebraic_multiplicities,
+            spectrum.geometric_multiplicities))):
+        kernel_dim = 1
+        if alg > 1:
             s = np.linalg.svd(pencil.t_matrix(z), compute_uv=False)
-            kernel_dim = int(np.sum(s < KERNEL_REL_TOL * scales[k]))
-            etas[k] = s[-1] / scales[k]
+            kernel_dim = int(np.sum(s < KERNEL_REL_TOL * scale))
+            eta = float(s[-1] / scale)
         report.add(
-            "eigenvalue_matches_pencil", etas[k] <= 1e-8 and kernel_dim == geo,
-            eigenvalue=complex(z), backward_error=float(etas[k]), scale=float(scales[k]),
+            "eigenvalue_matches_pencil", eta <= 1e-8 and kernel_dim == geo,
+            eigenvalue=z, backward_error=eta, scale=scale,
             kernel_dim=kernel_dim, geometric_multiplicity=geo,
         )
     return report
@@ -351,9 +453,9 @@ def resolvent_region_check(pencil: QuadraticPencil, spectrum: SpectrumResult) ->
     depth = radius - np.abs(w)
     deep = depth > REGION_MARGIN * radius
     report.add("open_disc_excluded", not deep.any(), radius=radius,
-               worst_violation_depth=float(np.max(depth[deep], initial=0.0)))
+               worst_violation_depth=float(depth[deep].max(initial=0.0)))
 
-    excused = np.min(np.abs(w[:, None] - exceptional), axis=1) <= eps
+    excused = np.abs(w[:, None] - exceptional).min(axis=1) <= eps
     inside = (~excused & (w.real >= -inv_g + eps) & (w.real <= -eps)
               & (np.abs(w.imag) <= -w.real - eps))
     violations = [{

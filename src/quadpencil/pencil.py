@@ -56,10 +56,14 @@ class QuadraticPencil:
 
     Construction symmetrizes both matrices exactly, makes them read-only and
     checks that every entry is finite (a block eigensolve would carry an
-    infinite diagonal entry through as an eigenvalue) and, relative to each
-    matrix's norm, that A0 is positive definite and D positive
-    semidefinite, from the eigenvalues the pencil caches anyway.
-    Pencils compare and hash by identity.
+    infinite diagonal entry through as an eigenvalue), that A0 is positive
+    definite and that D is positive semidefinite, from the eigenvalues the
+    pencil caches anyway. A diagonal A0 is read exactly (_a0_eig), so a
+    positive diagonal is exact evidence of definiteness and is accepted at
+    any condition number (a beam's A0 has cond n^4). An eigensolved A0 must
+    have its smallest eigenvalue above DEFINITENESS_TOL times its largest,
+    the eigensolve's rounding; D's smallest may be below zero by at most
+    that much. Pencils compare and hash by identity.
     """
 
     a0_matrix: np.ndarray
@@ -81,7 +85,7 @@ class QuadraticPencil:
                 f"damping {self.d_matrix.shape[0]}"
             )
         w = self._a0_eig[0]
-        tol = DEFINITENESS_TOL * float(np.max(np.abs(w)))
+        tol = 0.0 if self._a0_diagonal else DEFINITENESS_TOL * float(np.max(np.abs(w)))
         if w[0] <= tol:
             raise InvalidArgumentError(
                 f"matrix is not positive definite: min eigenvalue {w[0]:.3e} "
@@ -121,17 +125,28 @@ class QuadraticPencil:
         return tuple(graded)
 
     @cached_property
-    def _a0_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs of A0, ascending, on A0's own blocks (blocks.eigh), so
-        the eigenvectors, A0^{1/2} and A0^{-1/2} are exactly zero between
-        them, and so between the pencil's blocks, which join A0's. A
-        diagonal A0 (no nonzero entry off the diagonal, as every beam's) is
-        read directly: its sorted diagonal and the matching permutation of I."""
-        diag = np.diagonal(self.a0_matrix)
-        if np.count_nonzero(self.a0_matrix) == np.count_nonzero(diag):
-            order = np.argsort(diag, kind="stable")
-            return diag[order], np.eye(self.dim)[:, order]
-        return blocks.eigh(self.a0_matrix, blocks.partition(self.a0_matrix))
+    def _a0_diagonal(self) -> bool:
+        """Whether A0 has no nonzero entry off its diagonal, as every beam's."""
+        return np.count_nonzero(self.a0_matrix) == np.count_nonzero(self.a0_matrix.diagonal())
+
+    @cached_property
+    def _a0_eig(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
+        """The eigenvalues of A0, ascending, and the eigenpairs of A0's own
+        blocks (blocks.partition): per block size (rows, w, v), w[b] and v[b]
+        np.linalg.eigh of the block on the indices rows[b]. A0^{1/2} and
+        A0^{-1/2} are taken on these blocks (a0_sqrt_blocks), so they are
+        exactly zero between them, and so between the pencil's blocks, which
+        join A0's. A diagonal A0 is read directly, with no eigensolve: its
+        1 x 1 blocks are its entries, each with eigenvector 1."""
+        if self._a0_diagonal:
+            diag = self.a0_matrix.diagonal()
+            groups = ((np.arange(self.dim)[:, None], diag[:, None], np.ones((self.dim, 1, 1))),)
+        else:
+            groups = tuple((rows, *np.linalg.eigh(stack)) for _, rows, stack
+                           in blocks.partition(self.a0_matrix).stacks(self.a0_matrix))
+        values = np.concatenate([w.ravel() for _, w, _ in groups])
+        values.sort()
+        return values, groups
 
     @classmethod
     def _with_cone_margin(cls, a0_matrix: np.ndarray, d_matrix: np.ndarray,
@@ -153,14 +168,32 @@ class QuadraticPencil:
         return pencil
 
     @cached_property
-    def a0_sqrt(self) -> np.ndarray:
-        w, v = self._a0_eig
-        return (v * np.sqrt(w)) @ v.T
+    def a0_sqrt_blocks(self) -> blocks.BlockDiagonal:
+        """A0^{1/2} on A0's blocks, (v * sqrt(w)) v^T per block (_a0_eig):
+        for a diagonal A0 the square roots of its entries."""
+        return self._a0_function(np.multiply)
 
     @cached_property
+    def a0_inv_sqrt_blocks(self) -> blocks.BlockDiagonal:
+        """A0^{-1/2} on A0's blocks, (v / sqrt(w)) v^T per block (_a0_eig)."""
+        return self._a0_function(np.divide)
+
+    def _a0_function(self, scale) -> blocks.BlockDiagonal:
+        """(v scale sqrt(w)) v^T on each of A0's blocks, scale multiply or
+        divide."""
+        return blocks.BlockDiagonal(tuple(
+            (rows, blocks.product(scale(v, np.sqrt(w)[:, None, :]), v.swapaxes(1, 2)))
+            for rows, w, v in self._a0_eig[1]))
+
+    @property
+    def a0_sqrt(self) -> np.ndarray:
+        """A0^{1/2} as a dense matrix."""
+        return self.a0_sqrt_blocks.dense()
+
+    @property
     def a0_inv_sqrt(self) -> np.ndarray:
-        w, v = self._a0_eig
-        return (v / np.sqrt(w)) @ v.T
+        """A0^{-1/2} as a dense matrix."""
+        return self.a0_inv_sqrt_blocks.dense()
 
     @cached_property
     def a0_norm(self) -> float:
@@ -188,8 +221,9 @@ class QuadraticPencil:
 
     @cached_property
     def whitened_damping(self) -> np.ndarray:
-        """A0^{-1/2} D A0^{-1/2}, symmetric PSD; carries delta and gamma."""
-        s = self.a0_inv_sqrt @ self.d_matrix @ self.a0_inv_sqrt
+        """A0^{-1/2} D A0^{-1/2}, symmetric PSD; carries delta and gamma.
+        Both products are taken on A0's blocks (a0_inv_sqrt_blocks)."""
+        s = self.a0_inv_sqrt_blocks.right(self.a0_inv_sqrt_blocks.left(self.d_matrix))
         return (s + s.T) / 2.0
 
     @cached_property

@@ -241,6 +241,27 @@ def single_linkage_groups(values, tol):
     return sorted({tuple(int(i) for i in np.flatnonzero(row)) for row in reach})
 
 
+def dense_cluster_labels(values, tol):
+    """The clustering that blocks._cluster_labels computes, from the dense
+    N x N graph joining every pair within tol (np.abs(w_i - w_j) <= tol)
+    and its components by breadth-first search: one label per point, the
+    clusters numbered in the order of their smallest index."""
+    values = np.asarray(values)
+    if values.size == 0:
+        return np.empty(0, dtype=int)
+    return components_bfs(np.abs(values[:, None] - values) <= tol)
+
+
+def dense_eigenvectors(eig):
+    """The N x N eigenvector matrix of a linearization.BlockEig: column k is
+    the eigenvector of eig.values[k], zero off its block."""
+    size = eig.values.size
+    vectors = np.zeros((size, size), np.result_type(*(v for *_, v in eig.pairs)))
+    for slots, rows, v in eig.pairs:
+        vectors[rows[:, :, None], slots[:, None, :]] = v
+    return vectors
+
+
 def components_bfs(adjacency):
     """Connected components of a symmetric boolean adjacency matrix by
     breadth-first search from each unvisited vertex in index order: one

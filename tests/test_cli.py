@@ -109,6 +109,29 @@ class TestSpectrumCommand:
         assert main(["spectrum", cfg, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["ok"]
 
+    @pytest.mark.parametrize("command", ["spectrum", "variational", "beam-report"])
+    def test_thousand_mode_beam_ok(self, tmp_path, command):
+        # A0 = diag(k^4 pi^4) has cond n^4 = 1e12 at 1000 modes: it is read
+        # exactly, so its positive diagonal proves it definite.
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "beam", "seed": 0,
+            "beam": {"a0": 1.0, "damping": {"profile": "constant", "params": {"value": 4.0}},
+                     "n_modes": 1000},
+        })
+        out = tmp_path / "out.json"
+        assert main([command, cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ok"]
+
+    @pytest.mark.parametrize("entry", [0.0, -1.0])
+    def test_singular_or_negative_diagonal_stiffness_exits_2(self, tmp_path, capsys, entry):
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "dense",
+            "dense": {"a0": [[1.0, 0.0], [0.0, entry]], "d": [[1.0, 0.0], [0.0, 1.0]]},
+        })
+        assert main(["spectrum", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "not positive definite" in err and "Traceback" not in err
+
     def test_asymmetric_matrix_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {
             "schema": 1,

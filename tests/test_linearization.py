@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import functools
+import gc
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,8 @@ from oracles import (
     closed_form_inverse,
     components_bfs,
     conjugate_pairing,
+    dense_cluster_labels,
+    dense_eigenvectors,
     det_poly_eigenvalues,
     exact_inertia,
     resolvent_regions_loop,
@@ -49,6 +53,9 @@ EPS = np.finfo(float).eps
 # grows with the block's size cubed times the digits of its minors.
 EXACT_BLOCK = 15
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# A dense pencil with proportional damping D = 0.5 I: every complex
+# eigenvalue has real part -1/4.
+PROPORTIONAL = Path(__file__).resolve().parent / "data" / "dense_proportional.json"
 
 
 def match_multisets(left, right, tol):
@@ -162,11 +169,11 @@ def test_each_matrix_is_eigensolved_once(monkeypatch):
     # and the whitened damping A0^{-1/2} D A0^{-1/2} once each; a diagonal
     # A0 (every beam's) is read directly and never eigensolved. Inputs are
     # recorded at the entries of the block solver (D and the whitened
-    # damping) and of numpy's (a dense A0; the block solver hands numpy
-    # stacks of blocks, never a whole matrix).
+    # damping) and of numpy's (the stack of A0's blocks, here one block:
+    # the block solver hands numpy stacks of blocks, never a whole matrix).
     solved = []
     for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-                         (blocks, "eigh"), (blocks, "eigvalsh")):
+                         (blocks, "eigvalsh")):
         original = getattr(module, name)
 
         def counting(a, *args, _original=original, **kwargs):
@@ -184,7 +191,7 @@ def test_each_matrix_is_eigensolved_once(monkeypatch):
         assert compute_delta_gamma(pencil)[1] > 0.0
         resolvent_region_check(pencil, spectrum)
         compute_scalars(pencil)
-        assert sum(np.array_equal(m, pencil.a0_matrix) for m in solved) == a0_solves
+        assert sum(np.array_equal(m, pencil.a0_matrix[None]) for m in solved) == a0_solves
         for matrix in (pencil.d_matrix, pencil.whitened_damping):
             assert sum(np.array_equal(m, matrix) for m in solved) == 1
 
@@ -306,8 +313,9 @@ class TestStructuralChecks:
         spec = full_spectrum(system)
         assert self._checks(system, spec)["inverse_identity"].ok
         scaled = copy.copy(pencil)  # with the caches the bound is taken from
-        for factor in ("a0_inv_sqrt", "whitened_damping"):
-            vars(scaled)[factor] = getattr(pencil, factor) * (1.0 + 1e-8)
+        vars(scaled)["a0_inv_sqrt_blocks"] = blocks.BlockDiagonal(tuple(
+            (rows, stack * (1.0 + 1e-8)) for rows, stack in pencil.a0_inv_sqrt_blocks.groups))
+        vars(scaled)["whitened_damping"] = pencil.whitened_damping * (1.0 + 1e-8)
         check = self._checks(dataclasses.replace(system, pencil=scaled), spec)["inverse_identity"]
         assert not check.ok
         assert check.data["defect"] == pytest.approx(1e-8, rel=1e-3)
@@ -368,33 +376,24 @@ def partition_labels(part):
 
 
 def assert_symmetric_blocks_match_whole(pencil):
-    """blocks.eigvalsh and blocks.eigh on the pencil's partition against
+    """blocks.eigvalsh on the pencil's partition against
     np.linalg.eigvalsh of the whole matrix M (N x N). Bound fixed from
     Weyl's theorem: the two solves are exact for M - E + F1 and M + F2,
     with E the dropped coupling and |F1|, |F2| <= N eps |M| the backward
     errors of dsyevd, so the sorted eigenvalues differ by at most
     4N eps |M| where |E| <= 2N eps |M|. That holds for D; for T(lam) the
     pencil's partition bounds |E| by 2N eps term_scale(lam) only, and the
-    tighter bound is kept here. eigh's vectors are orthonormal eigenvectors
-    of the blocks, zero off their block. At locate's separators, which lie
+    tighter bound is kept here. At locate's separators, which lie
     off the spectrum, the inertia counts of inertia_negative equal the exact
     rational ones where no block is larger than EXACT_BLOCK (exact_inertia),
     and the signs of the whole solve, with no boundary slot, elsewhere."""
     part = pencil.partition
-    labels = partition_labels(part)
     for name, m in symmetric_inputs(pencil):
         whole = np.linalg.eigvalsh(m)
         size = m.shape[0]
         bound = 4.0 * size * EPS * np.max(np.abs(whole))
         got = blocks.eigvalsh(m, part)
         assert np.all(np.abs(got - whole) <= bound), (name, np.max(np.abs(got - whole)), bound)
-        w, v = blocks.eigh(m, part)
-        assert np.array_equal(w, np.sort(w))
-        assert np.all(np.abs(w - whole) <= bound), name
-        assert np.linalg.norm(v.T @ v - np.eye(size), 2) <= 4.0 * size * EPS
-        assert np.linalg.norm(m @ v - v * w, 2) <= bound + 4.0 * size * EPS * np.max(np.abs(w))
-        off_block = labels[:, None] != labels[np.argmax(np.abs(v), axis=0)][None, :]
-        assert np.all(v[off_block] == 0.0), name
     for lam in locate_separators(pencil):
         count = inertia_negative(pencil, lam)
         if max(part.sizes) <= EXACT_BLOCK:
@@ -428,8 +427,8 @@ def block_cases():
 
 
 class TestCompanionBlocks:
-    """The block solves, companion_eig and the symmetric blocks.eigh and
-    blocks.eigvalsh, against the whole solves on the same inputs."""
+    """The block solves, companion_eig and the symmetric blocks.eigvalsh,
+    against the whole solves on the same inputs."""
 
     @pytest.mark.parametrize("pencil", block_cases())
     def test_eigenvalues_match_whole_companion(self, pencil):
@@ -516,14 +515,114 @@ class TestCompanionBlocks:
             pencil = QuadraticPencil(np.diag([2.0, 8.0]), [[6.0, delta], [delta, 2.0]])
             eig = companion_eig(build_linearization(pencil).a_matrix)
             assert eig.block_sizes == sizes, delta
-            assert eig.vectors.shape == (4, 4)
+            assert [v.shape for *_, v in eig.pairs] == ([(2, 2, 2)] if sizes == (2, 2)
+                                                        else [(1, 4, 4)])
             assert eig.residuals(eig.values).shape == (4,)
-            # The symmetric driver on D itself: the same threshold 8 eps.
+            # The deflation test on D itself: the same threshold 8 eps.
             assert blocks.partition(pencil.d_matrix).sizes == ((1, 1) if sizes == (2, 2)
                                                                else (2,)), delta
-            _, v = blocks.eigh(pencil.d_matrix, pencil.partition)
-            assert np.count_nonzero(v) == (2 if sizes == (2, 2) else 4), delta
             assert build_linearization(pencil).partition.sizes == sizes, delta
+
+
+@functools.cache
+def _spectrum_of(name):
+    """(raw eigenvalues, cluster tolerance) of a shipped config, a beam
+    '<profile>-<n_modes>' or the proportional dense pencil."""
+    if name in ("constant", "four_plus_sin") or "-" in name:
+        profile, n_modes = name.rsplit("-", 1)
+        pencil = profile_beam(profile, int(n_modes))
+    else:
+        pencil = build_pencil(load_config(PROPORTIONAL if name == "proportional"
+                                          else CONFIGS / f"{name}.json"))
+    spectrum = full_spectrum(build_linearization(pencil))
+    return spectrum.raw_eigenvalues, spectrum.cluster_tolerance
+
+
+def cluster_inputs():
+    """(values, tol) pairs for the bucketed clustering, one pytest.param each."""
+    rng = np.random.default_rng(11)
+    cases = []
+    # Every value on one vertical line (proportional damping), as chains and
+    # as clusters, and the spectrum of a dense pencil with D = 0.5 I.
+    line = -0.25 + 1j * np.cumsum(rng.choice([0.09, 0.1, 0.11], 300))
+    cases += [pytest.param(line, tol, id=f"vertical-line-{tol}") for tol in (0.05, 0.1, 0.5)]
+    cases += [pytest.param(rng.permutation(np.concatenate([line, line.conj()])), 0.1,
+                           id="vertical-line-conjugates")]
+    values, tol = _spectrum_of("proportional")
+    cases += [pytest.param(values, t, id=f"proportional-{rel:g}")
+              for rel, t in ((1.0, tol), (1e7, 1e7 * tol))]
+    # Pairs at exactly tol: along each axis, on the diagonal of a 3-4-5
+    # triangle, and far from the origin, where the cells' quotients round.
+    quarter = 0.25 * np.array([0, 1, 2, 4, 1j, 2j, 1 + 1j, -1, -1j, 3 - 1j])
+    cases += [pytest.param(quarter, 0.25, id="exact-tol-axes"),
+              pytest.param(np.array([0.0, 0.15 + 0.2j, 0.3 + 0.4j, 0.3 - 0.4j]), 0.25,
+                           id="exact-tol-diagonal"),
+              pytest.param(1e6 * (1 + 1j) + 2.0**-4 * np.arange(-3, 4), 2.0**-4,
+                           id="exact-tol-far"),
+              pytest.param(np.array([1.0, np.nextafter(1.0, 2.0), 1.0 + 2**-51]), 2.0**-52,
+                           id="exact-tol-one-ulp")]
+    # Conjugate pairs within tol of each other and not.
+    z = rng.standard_normal(40) + 1j * rng.uniform(0.0, 0.2, 40)
+    cases += [pytest.param(rng.permutation(np.concatenate([z, z.conj()])), tol,
+                           id=f"conjugates-{tol}") for tol in (0.05, 0.2)]
+    # tol = 0 joins equal values only; empty and single inputs.
+    cases += [pytest.param(np.array([1.0, 1.0, 2.0, 1 + 1j, 1 + 1j, 1 - 1j, 0.0, -0.0]), 0.0,
+                           id="tol-zero"),
+              pytest.param(np.zeros(3), 0.0, id="tol-zero-all-zero"),
+              pytest.param(np.empty(0, dtype=complex), 1.0, id="empty"),
+              pytest.param(np.array([-2.0 + 1j]), 1.0, id="single"),
+              pytest.param(rng.standard_normal(50), 0.1, id="real")]
+    # The spectra of the shipped configs, the benchmark's six beams and the
+    # 1000-mode beam, at their cluster tolerance and at 1e4 times it.
+    names = ([path.stem for path in sorted(CONFIGS.glob("*.json"))]
+             + [f"{p}-{n}" for p in ("constant", "four_plus_sin") for n in (50, 100, 150)]
+             + ["constant-1000"])
+    cases += [pytest.param(name, scale, id=f"{name}-{scale:g}")
+              for name in names for scale in (1.0, 1e4)]
+    return cases
+
+
+@pytest.mark.parametrize("values, tol", cluster_inputs())
+def test_clusters_match_dense_graph(values, tol):
+    # The bucketed graph against the dense N x N one: the same labels.
+    if isinstance(values, str):
+        values, cluster_tol = _spectrum_of(values)
+        tol *= cluster_tol
+    assert np.array_equal(blocks._cluster_labels(values, tol), dense_cluster_labels(values, tol))
+
+
+def test_proportional_dense_config():
+    # Every cluster of the D = 0.5 I spectrum is a simple eigenvalue with
+    # real part -1/4, and every check passes.
+    pencil = build_pencil(load_config(PROPORTIONAL))
+    system = build_linearization(pencil)
+    spec = full_spectrum(system)
+    assert list(spec.algebraic_multiplicities) == [1] * 12
+    assert np.allclose(spec.eigenvalues.real, -0.25, rtol=0.0, atol=1e-14)
+    for report in (structural_report(system, spec), check_pencil_equivalence(pencil, spec),
+                   resolvent_region_check(pencil, spec)):
+        assert report.ok, report.failures()
+
+
+@pytest.mark.parametrize("profile", ["constant", "four_plus_sin"])
+@pytest.mark.parametrize("n_modes", [150, 300])
+def test_spectrum_memory_within_three_companions(profile, n_modes):
+    # The spectrum command's stages allocate, above what is live before
+    # them (the pencil and the companion), at most three times the
+    # companion's bytes at their peak (tracemalloc sees numpy's buffers).
+    pencil = profile_beam(profile, n_modes)
+    system = build_linearization(pencil)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        spectrum = full_spectrum(system)
+        structural_report(system, spectrum)
+        check_pencil_equivalence(pencil, spectrum)
+        resolvent_region_check(pencil, spectrum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * system.a_matrix.nbytes, peak / system.a_matrix.nbytes
 
 
 class TestFullSpectrum:
@@ -550,7 +649,7 @@ class TestFullSpectrum:
             spec = full_spectrum(system)
             a = system.a_matrix
             eig = companion_eig(a)
-            w, v = eig.values, eig.vectors
+            w, v = eig.values, dense_eigenvectors(eig)
             want = {}
             labels = blocks._cluster_labels(w, spec.cluster_tolerance)
             for grp in (np.flatnonzero(labels == c) for c in range(labels.max() + 1)):
@@ -644,7 +743,7 @@ class TestFullSpectrum:
         system = build_linearization(pencil)
         spec = full_spectrum(system)
         eig = companion_eig(system.a_matrix)
-        w, v = eig.values, eig.vectors
+        w, v = eig.values, dense_eigenvectors(eig)
         groups = single_linkage_groups(w, spec.cluster_tolerance)
         reps = np.array([w[g[0]] if len(g) == 1 else np.mean(w[list(g)]) for g in groups])
         order = np.lexsort((np.abs(reps.imag), -reps.real))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,6 +76,29 @@ class TestConstruction:
         with pytest.raises(InvalidArgumentError, match="not positive definite"):
             QuadraticPencil(np.diag([1.0, -1.0]), np.eye(2))
 
+    def test_diagonal_stiffness_definite_at_any_condition(self):
+        # A diagonal A0 is read exactly: a positive diagonal is definite
+        # however wide its range (a 1000-mode beam's spans 1e12).
+        pencil = QuadraticPencil(np.diag([1.0, 1e13]), np.eye(2))
+        assert pencil.a0_inv_norm == 1.0 and pencil.a0_norm == 1e13
+        for diag in ([1.0, 0.0], [1.0, -1.0], [-0.0, 1e13], [1e13, -1e-300]):
+            with pytest.raises(InvalidArgumentError, match="not positive definite"):
+                QuadraticPencil(np.diag(diag), np.eye(2))
+
+    def test_eigensolved_stiffness_keeps_the_relative_rule(self):
+        # Rotated, the same eigenvalues 1e-13 and 1 come from an eigensolve,
+        # whose rounding is of order 1e-16: at or below DEFINITENESS_TOL
+        # times the largest they are rejected, above it accepted.
+        c, s = np.cos(0.3), np.sin(0.3)
+        q = np.array([[c, -s], [s, c]])
+        for small, ok in ((1e-13, False), (1e-10, True)):
+            a0 = q @ np.diag([small, 1.0]) @ q.T
+            if ok:
+                QuadraticPencil((a0 + a0.T) / 2.0, np.eye(2))
+            else:
+                with pytest.raises(InvalidArgumentError, match="not positive definite"):
+                    QuadraticPencil((a0 + a0.T) / 2.0, np.eye(2))
+
     def test_rejects_negative_damping(self):
         with pytest.raises(InvalidArgumentError, match="not positive semidefinite"):
             QuadraticPencil(np.eye(2), np.diag([1.0, -1e-3]))
@@ -122,17 +146,27 @@ class TestConstruction:
           for n in (12, 50, 150)),
         build_pencil(load_config(CONFIGS / "dense_diag.json")),
     ])
-    def test_diagonal_a0_eigenpairs_are_eighs(self, pencil):
-        w, v = pencil._a0_eig
+    def test_diagonal_a0_roots_are_the_eigh_products(self, pencil):
+        # A diagonal A0 is read, not solved: its eigenvalues are eigh's, and
+        # A0^{+-1/2} scale by its entries, bitwise the dense products of
+        # eigh's eigenvectors.
+        w, groups = pencil._a0_eig
         want_w, want_v = np.linalg.eigh(pencil.a0_matrix)
-        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+        assert np.array_equal(w, want_w)
+        assert [v.shape for *_, v in groups] == [(pencil.dim, 1, 1)]
+        assert np.array_equal(pencil.a0_sqrt, (want_v * np.sqrt(want_w)) @ want_v.T)
+        assert np.array_equal(pencil.a0_inv_sqrt, (want_v / np.sqrt(want_w)) @ want_v.T)
+        d = pencil.d_matrix
+        inv = (want_v / np.sqrt(want_w)) @ want_v.T
+        s = inv @ d @ inv
+        assert np.array_equal(pencil.whitened_damping, (s + s.T) / 2.0)
 
     def test_unsorted_repeated_diagonal_a0(self):
         diag = np.array([3.0, 1.0, 3.0, 2.0, 1.0, 1e-4])
         pencil = QuadraticPencil(np.diag(diag), np.eye(6))
-        w, v = pencil._a0_eig
+        w, ((rows, block_w, v),) = pencil._a0_eig
         assert np.array_equal(w, np.sort(diag))
-        assert np.array_equal((v * w) @ v.T, np.diag(diag))
+        assert np.array_equal(block_w[:, 0], diag[rows[:, 0]]) and np.all(v == 1.0)
         # Against the eigh route within its rounding, 4 n eps times the norm.
         ew, ev = np.linalg.eigh(np.diag(diag))
         eps = np.finfo(float).eps
@@ -140,6 +174,41 @@ class TestConstruction:
                           (pencil.a0_inv_sqrt, (ev / np.sqrt(ew)) @ ev.T)):
             assert np.max(np.abs(got - want)) <= 4 * 6 * eps * np.max(np.abs(want))
         assert np.array_equal(pencil.a0_sqrt, np.diag(np.sqrt(diag)))
+
+    @pytest.mark.parametrize("pencil", [
+        build_pencil(load_config(CONFIGS / "random_dim4.json")),
+        *(random_pencil(dim, seed, damping_scale=2.0) for dim, seed in ((3, 1), (9, 2), (40, 3))),
+        QuadraticPencil(scipy.linalg.block_diag([[2.0, 1.0], [1.0, 3.0]], [[5.0]],
+                                                [[4.0, -1.0], [-1.0, 6.0]]), np.eye(5)),
+    ])
+    def test_dense_a0_roots_on_its_blocks(self, pencil):
+        # An eigensolved A0: per block of A0's partition the products of
+        # eigh's eigenvectors, exactly zero between blocks, one dense product
+        # (bitwise eigh's of the whole A0) when A0 is one block; products
+        # with the roots, as the whitened damping takes them, are the dense
+        # products within rounding.
+        part = blocks.partition(pencil.a0_matrix)
+        sqrt, inv = pencil.a0_sqrt, pencil.a0_inv_sqrt
+        labels = np.empty(pencil.dim, dtype=int)
+        for block, rows in enumerate(r for _, group in part.groups for r in group):
+            labels[rows] = block
+        off_block = labels[:, None] != labels[None, :]
+        assert np.all(sqrt[off_block] == 0.0) and np.all(inv[off_block] == 0.0)
+        if part.sizes == (pencil.dim,):
+            ew, ev = np.linalg.eigh(pencil.a0_matrix)
+            assert np.array_equal(sqrt, (ev * np.sqrt(ew)) @ ev.T)
+            assert np.array_equal(inv, (ev / np.sqrt(ew)) @ ev.T)
+            s = inv @ pencil.d_matrix @ inv
+            assert np.array_equal(pencil.whitened_damping, (s + s.T) / 2.0)
+        scale = 4 * pencil.dim * np.finfo(float).eps
+        norm = np.linalg.norm(pencil.a0_matrix, 2)
+        assert np.linalg.norm(sqrt @ sqrt - pencil.a0_matrix, 2) <= scale * norm
+        assert np.linalg.norm(inv @ sqrt - np.eye(pencil.dim), 2) <= (
+            scale * np.sqrt(norm * pencil.a0_inv_norm))
+        m = np.random.default_rng(0).standard_normal((pencil.dim, 7))
+        for product, want in ((pencil.a0_inv_sqrt_blocks.left(m), inv @ m),
+                              (pencil.a0_sqrt_blocks.right(m.T), m.T @ sqrt)):
+            assert np.max(np.abs(product - want)) <= scale * np.max(np.abs(want))
 
     def test_compares_and_hashes_by_identity(self, diag_pencil):
         twin = QuadraticPencil(diag_pencil.a0_matrix, diag_pencil.d_matrix)

@@ -31,7 +31,7 @@ from quadpencil import (
     reports,
     simulate,
 )
-from quadpencil.blocks import Partition
+from quadpencil.blocks import BlockDiagonal, Partition
 from quadpencil.config import build_pencil
 from quadpencil.linearization import BlockEig, companion_eig
 
@@ -49,7 +49,7 @@ EXIT_CODES = {
     ("interlace", "interlace_violation_a"): 1,
 }
 RECORDS = (DampingProfile, BeamBounds, Partition, SimulationTrace,
-           ComparisonReport, BlockEig, RayleighPair, PencilScalars, AlphaResult,
+           ComparisonReport, BlockEig, BlockDiagonal, RayleighPair, PencilScalars, AlphaResult,
            DstarCertificate, InertiaCount)
 
 
@@ -67,6 +67,7 @@ def instances():
         SimulationTrace: simulate(pencil, e1, 0.0 * e1, 0.01, 0.001),
         ComparisonReport: compare_eigenvalues(pencil, other),
         BlockEig: companion_eig(a),
+        BlockDiagonal: pencil.a0_sqrt_blocks,
         RayleighPair: rayleigh_pair(pencil, e1),
         PencilScalars: compute_scalars(pencil),
         AlphaResult: compute_alpha(pencil),
