@@ -21,7 +21,10 @@ Apart from the companion and the eigenvectors of its blocks, the spectrum
 path forms no 2n x 2n array: the clusters come from bucketed pairs
 (blocks._cluster_labels), the residuals and damping blocks from the blocks'
 eigenpairs (BlockEig), and the structure defects and T(lam) x from slices of
-SLICE rows or columns, with A0^{-1/2} applied on A0's blocks.
+SLICE rows or columns, with A0^{-1/2} applied on A0's blocks. A multiple
+cluster's kernel, dim ker(A - lam I) = dim ker T(lam), is counted on the
+graded blocks of T(lam) that variational counts on (_graded_kernel), whose
+dropped coupling lies far below the cut (pencil.graded_t).
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import blocks
 from .errors import ComputationError, InvalidArgumentError
-from .pencil import QuadraticPencil, compute_delta_gamma, disc_radius
+from .pencil import QuadraticPencil, compute_delta_gamma, disc_radius, graded_t
 from .reports import Report
 
 J_SYMMETRY_TOL = 1e-12
@@ -42,8 +45,7 @@ J_SYMMETRY_TOL = 1e-12
 DEFECT_NORM = "sqrt(|R|_1 |R|_inf)"
 # full_spectrum joins eigenvalues closer than CLUSTER_REL_TOL * |A|.
 CLUSTER_REL_TOL = 1e-8
-# A singular value of A - lam I or of T(lam) below KERNEL_REL_TOL times its
-# scale counts as zero (_nullity, check_pencil_equivalence).
+# A graded singular value below KERNEL_REL_TOL of its block's scale is zero.
 KERNEL_REL_TOL = 1e-8
 # The diagonal of J = diag(I, -I), one entry per half (_symmetry_defect).
 _J_SIGNS = np.array([1.0, -1.0])
@@ -108,8 +110,9 @@ class LinearizedSystem:
 @dataclass(frozen=True)
 class SpectrumResult:
     """Clustered eigenvalues of the companion matrix with multiplicities.
-    vectors[:, k] is the damping block w of one member's eigenvector (u, w)
-    in cluster k: A v = lam v gives T(lam) w = 0 at lam = eigenvalues[k]."""
+    vectors[:, k] is a kernel vector of T(lam), lam = eigenvalues[k]: a simple
+    eigenvalue's damping block w of its eigenvector (u, w) (A v = lam v gives
+    T(lam) w = 0), a cluster's graded kernel vector at its mean (_graded_kernel)."""
 
     eigenvalues: np.ndarray          # one representative per cluster
     algebraic_multiplicities: np.ndarray
@@ -230,11 +233,25 @@ def companion_eig(a: np.ndarray, partition: blocks.Partition | None = None) -> B
     return BlockEig(a, values, part.sizes, tuple(pairs))
 
 
-def _nullity(m: np.ndarray) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return m.shape[1]
-    return int(np.sum(s < KERNEL_REL_TOL * s[0]))
+def _graded_kernel(pencil: QuadraticPencil, lam: complex) -> tuple[int, np.ndarray]:
+    """dim ker T(lam) and a kernel vector x, from one stacked SVD per block
+    size of G T(lam) G (graded_t; real at a real lam): the singular values
+    below KERNEL_REL_TOL of their block's graded scale, and x = G v, v the
+    right singular vector of the smallest one relative to its block's scale."""
+    lam = lam.real if lam.imag == 0.0 else lam
+    kernel, smallest = 0, np.inf
+    for block in pencil.graded_blocks:
+        rows, g2 = block[:2]
+        t, scale = graded_t(block, np.full(len(rows), lam))
+        _, s, vh = np.linalg.svd(t)
+        kernel += int(np.count_nonzero(s < KERNEL_REL_TOL * scale[:, None]))
+        relative = s[:, -1] / scale
+        b = int(relative.argmin())
+        if relative[b] < smallest:
+            smallest, at, v = relative[b], rows[b], np.sqrt(g2[b]) * vh[b, -1].conj()
+    x = np.zeros(pencil.dim, v.dtype)
+    x[at] = v
+    return kernel, x
 
 
 def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
@@ -242,23 +259,19 @@ def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
     at CLUSTER_REL_TOL * |A|, |A| = system.norm from the blocks' symmetric
     eigensolves.
 
-    The eigenpairs come from companion_eig on system.partition, block by
-    block: A is split where an entry |A_ij| is at most eps (|A_ii| +
-    |A_jj|), and the dropped coupling E has |E|_2 <= 4n eps |A|, the order
-    of dgeev's backward error. The residuals |A v - lam v| are taken on the
-    blocks (BlockEig.residuals), so they omit |E v| <= 4n eps |A| |v|; the
-    geometric multiplicities below, structural_report and
-    check_pencil_equivalence use the true matrices. The damping blocks in
-    vectors are read from the blocks' eigenvectors (BlockEig.tails), so
-    apart from the companion and its eigenvectors no array is N x N.
+    The eigenpairs come from companion_eig on system.partition, whose
+    dropped coupling E has |E|_2 <= 4n eps |A|. The residuals |A v - lam v|
+    are taken on the blocks (BlockEig.residuals), so they omit
+    |E v| <= 4n eps |A| |v|; structural_report and check_pencil_equivalence
+    use the true matrices. The damping blocks in vectors are read from the
+    blocks' eigenvectors (BlockEig.tails), so apart from the companion and
+    its eigenvectors no array is N x N.
 
-    Algebraic multiplicity is the cluster size. Geometric multiplicity is
-    the numerical kernel dimension of (A - lam I), computed only for
-    clusters of two or more: a simple eigenvalue has 1 <= geo <= alg = 1,
-    so one eigensolve plus O(n^2) residual work per eigenvalue covers it.
-    The representative of a cluster is its members' mean (a singleton's is
-    its eigenvalue); means, residual maxima and the first members come from
-    the cluster labels by array reductions, not a loop over eigenvalues.
+    Algebraic multiplicity is the cluster size, and a cluster's
+    representative its members' mean (a singleton's is its eigenvalue), from
+    the labels by array reductions. The geometric multiplicity and vector of
+    a cluster of two or more come from the graded T(lam) at its mean
+    (_graded_kernel); a simple eigenvalue has 1 <= geo <= alg = 1.
     """
     cluster_tolerance = CLUSTER_REL_TOL * system.norm
     eig = companion_eig(system.a_matrix, system.partition)
@@ -273,22 +286,22 @@ def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
     multiple = (alg > 1).nonzero()[0]
     reps[multiple] = (np.bincount(labels, w.real)[multiple]
                       + 1j * np.bincount(labels, w.imag)[multiple]) / alg[multiple]
-    geo = np.ones_like(alg)
-    for k in multiple:
-        geo[k] = _nullity(system.a_matrix - reps[k] * np.eye(2 * system.dim))
     # |A v - lam v| / |v| of every eigenvector at its cluster's representative.
     defect = eig.residuals(reps[labels])
     res = np.zeros(alg.size)
     np.maximum.at(res, labels, defect)
     order = np.lexsort((np.abs(reps.imag), -reps.real))
+    geo, vectors = np.ones_like(alg), eig.tails(first[order])
+    for i in (alg[order] > 1).nonzero()[0]:
+        geo[i], vectors[:, i] = _graded_kernel(system.pencil, reps[order[i]])
     return SpectrumResult(
         eigenvalues=reps[order],
         algebraic_multiplicities=alg[order],
-        geometric_multiplicities=geo[order],
+        geometric_multiplicities=geo,
         residuals=res[order],
         cluster_tolerance=float(cluster_tolerance),
         raw_eigenvalues=w,
-        vectors=eig.tails(first[order]),
+        vectors=vectors,
         block_sizes=eig.block_sizes,
     )
 
@@ -338,8 +351,8 @@ def _inverse_defect(a: np.ndarray, n: int, pencil: QuadraticPencil):
 
 
 def structural_report(system: LinearizedSystem, spectrum: SpectrumResult) -> Report:
-    """Signature symmetry, closed-form inverse, half-plane location,
-    conjugation symmetry and invertibility, as one pass/fail report.
+    """Signature symmetry, closed-form inverse, half-plane location and
+    invertibility, as one pass/fail report (dgeev pairs conjugates exactly).
 
     Both defects are taken from all four n x n blocks of a_matrix, a slice
     of SLICE rows of the defect at a time (_symmetry_defect,
@@ -377,16 +390,6 @@ def structural_report(system: LinearizedSystem, spectrum: SpectrumResult) -> Rep
     min_abs = float(np.abs(w).min())
     report.add("zero_not_eigenvalue", min_abs > tol,
                min_abs=min_abs, cluster_tolerance=tol)
-
-    # Conjugation symmetry: the values above the axis, sorted, must match the
-    # conjugates of the values below it, sorted the same way; values within
-    # tol of the axis are their own partners.
-    above, below = w[w.imag > tol], np.conj(w[w.imag < -tol])
-    above.sort()
-    below.sort()
-    worst = (float(np.abs(above - below).max(initial=0.0))
-             if above.size == below.size else np.inf)
-    report.add("conjugation_symmetry", worst <= tol, worst_pair_distance=worst)
     return report
 
 
@@ -398,13 +401,11 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
     1e-8, which bounds sigma_min(T(lam)) by 1e-8 * scale, and the kernel
     dimension must equal the geometric multiplicity. scale is
     |lam|^2 + |lam| |D| + |A0|, the size of the three terms of T(lam) (not
-    |T(lam)|, which vanishes when the whole space is the kernel). A simple
-    eigenvalue has kernel dimension 1 (1 <= geo <= alg = 1). A cluster of
-    two or more counts the singular values of T(lam) below KERNEL_REL_TOL *
-    scale; its eta is sigma_min / scale, the minimum over x, as x is no
-    eigenvector at the cluster mean. T(0) = A0 is certified definite.
-    T(lam) x is formed with the true D and A0, for SLICE columns at a
-    time, in real products (_real_product).
+    |T(lam)|, which vanishes when the whole space is the kernel); x is the
+    spectrum's vectors column. A simple eigenvalue has kernel dimension 1;
+    a cluster's is recounted (_graded_kernel), not read from the spectrum.
+    T(0) = A0 is certified definite. T(lam) x is formed with the true D and
+    A0, for SLICE columns at a time, in real products (_real_product).
     """
     report = Report("pencil_equivalence")
     lam, x = spectrum.eigenvalues, spectrum.vectors
@@ -418,11 +419,7 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
     for z, eta, scale, alg, geo in zip(*(v.tolist() for v in (
             lam, etas, scales, spectrum.algebraic_multiplicities,
             spectrum.geometric_multiplicities))):
-        kernel_dim = 1
-        if alg > 1:
-            s = np.linalg.svd(pencil.t_matrix(z), compute_uv=False)
-            kernel_dim = int(np.sum(s < KERNEL_REL_TOL * scale))
-            eta = float(s[-1] / scale)
+        kernel_dim = _graded_kernel(pencil, z)[0] if alg > 1 else 1
         report.add(
             "eigenvalue_matches_pencil", eta <= 1e-8 and kernel_dim == geo,
             eigenvalue=z, backward_error=eta, scale=scale,

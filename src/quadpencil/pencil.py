@@ -185,16 +185,6 @@ class QuadraticPencil:
             (rows, blocks.product(scale(v, np.sqrt(w)[:, None, :]), v.swapaxes(1, 2)))
             for rows, w, v in self._a0_eig[1]))
 
-    @property
-    def a0_sqrt(self) -> np.ndarray:
-        """A0^{1/2} as a dense matrix."""
-        return self.a0_sqrt_blocks.dense()
-
-    @property
-    def a0_inv_sqrt(self) -> np.ndarray:
-        """A0^{-1/2} as a dense matrix."""
-        return self.a0_inv_sqrt_blocks.dense()
-
     @cached_property
     def a0_norm(self) -> float:
         """Spectral norm of A0, i.e. max eig(A0)."""
@@ -573,6 +563,22 @@ def _t(d: np.ndarray, a0: np.ndarray, lam) -> np.ndarray:
     """lam^2 I + lam d + a0: the one builder of T(lam), for each lam and
     matrix of broadcastable stacks."""
     return lam * lam * np.eye(d.shape[-1]) + lam * d + a0
+
+
+def graded_t(block, at: np.ndarray, solved=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """G T(at) G on the blocks `solved` of an entry of graded_blocks, at one
+    real or complex shift per block, and each block's graded scale
+    s = |at|^2 |G^2| + |at| |G D G|_inf + |G A0 G|_inf >= 1, the yardstick of
+    each caller's zero cut. A dropped entry between blocks I and J is at most
+    eps sqrt(kappa) (s_I + s_J) (blocks), kappa = max/min diag(A0) (n^4 on an
+    n-mode beam); measured, at most 1e-16 (s_I + s_J) on constant and
+    four_plus_sin beams at n = 200 and 1000."""
+    _, g2, d, a, norms = block
+    m = g2.shape[1]
+    square = at * at
+    t = at[:, None, None] * d[solved] + a[solved]
+    t[:, np.arange(m), np.arange(m)] += square[:, None] * g2[solved]
+    return t, np.abs(square) * norms[0, solved] + np.abs(at) * norms[1, solved] + norms[2, solved]
 
 
 def _span_candidates(pencil: QuadraticPencil, spans: np.ndarray) -> np.ndarray:

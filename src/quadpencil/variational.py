@@ -31,6 +31,7 @@ from .pencil import (
     _orth,
     _roots_from_forms,
     _t,
+    graded_t,
     rayleigh_pair,
 )
 from .reports import Report
@@ -51,16 +52,10 @@ class InertiaCount(NamedTuple):
     positive: int
 
 
-def _graded_t(block, at: np.ndarray, solved=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """G T(at) G on the blocks `solved` of one entry of pencil.graded_blocks,
-    at one shift per block, and each block's zero cut: ROUNDING_ULPS m eps of
-    its graded scale at^2 |G^2| + |at| |G D G|_inf + |G A0 G|_inf."""
-    _, g2, d, a, norms = block
-    m = g2.shape[1]
-    t = at[:, None, None] * d[solved] + a[solved]
-    t[:, np.arange(m), np.arange(m)] += (at * at)[:, None] * g2[solved]
-    scale = at * at * norms[0, solved] + np.abs(at) * norms[1, solved] + norms[2, solved]
-    return t, ROUNDING_ULPS * m * np.finfo(float).eps * scale
+def _cut(t: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The m x m graded blocks t and graded scales of graded_t, with the
+    scales turned into zero cuts: ROUNDING_ULPS m eps of each."""
+    return t, ROUNDING_ULPS * t.shape[-1] * np.finfo(float).eps * scale
 
 
 def _count(w: np.ndarray, cut: np.ndarray) -> np.ndarray:
@@ -73,10 +68,11 @@ def _count(w: np.ndarray, cut: np.ndarray) -> np.ndarray:
 def inertia_negative(pencil: QuadraticPencil, lam: float) -> InertiaCount:
     """The inertia of T(lam) (of T(lam) less its dropped coupling, blocks),
     from one stacked eigvalsh per block size of pencil.graded_blocks.
-    Eigenvalues within their block's zero cut (_graded_t) go in the boundary
+    Eigenvalues within their block's zero cut (_cut) go in the boundary
     slot: they flag lam as numerically a pencil eigenvalue."""
     counts = sum(_count(np.linalg.eigvalsh(t), cut) for t, cut in (
-        _graded_t(block, np.full(len(block[0]), float(lam))) for block in pencil.graded_blocks))
+        _cut(*graded_t(block, np.full(len(block[0]), float(lam))))
+        for block in pencil.graded_blocks))
     return InertiaCount(*counts.tolist())
 
 
@@ -89,7 +85,7 @@ def _graded_eigh(pencil: QuadraticPencil,
     counts = np.zeros(3, dtype=int)
     w, x = np.empty(pencil.dim), np.zeros((pencil.dim, pencil.dim))
     for (slots, rows), block in zip(pencil.partition.groups, pencil.graded_blocks):
-        t, cut = _graded_t(block, np.full(len(rows), float(lam)))
+        t, cut = _cut(*graded_t(block, np.full(len(rows), float(lam))))
         e, y = np.linalg.eigh(t)
         counts += _count(e, cut)
         y *= np.sqrt(block[1])[:, :, None]
@@ -175,7 +171,7 @@ def _curve_zeros(pencil: QuadraticPencil,
     its proposal if inside its bracket, else at the bracket's midpoint; the
     blocks of one size take one stacked eigh per step, and each holds only
     its own m x m matrices (m its size). A curve stops only when e is
-    within the block's zero cut (_graded_t), or p_plus inside its bracket
+    within the block's zero cut (_cut), or p_plus inside its bracket
     within ROUNDING_ULPS m eps of |mu|, or the bracket within that of its
     lower end: at p_plus if inside the bracket, else at mu.
     """
@@ -187,7 +183,7 @@ def _curve_zeros(pencil: QuadraticPencil,
         def solve(solved, at):
             """Eigenvalues and zero cuts of the solved blocks' graded T(at), and
             the forms (|G x|^2, x^T G D G x, x^T G A0 G x) of its eigenvectors x."""
-            t, cut = _graded_t(block, at, solved)
+            t, cut = _cut(*graded_t(block, at, solved))
             w, v = np.linalg.eigh(t)
             forms = (np.einsum("bi,bik->bk", g2[solved], v * v),
                      np.einsum("bik,bik->bk", v, d[solved] @ v),

@@ -102,32 +102,6 @@ def semisimplicity_check(system, lam, tol=1e-8):
     return nullity(m) == nullity(m @ m)
 
 
-def conjugate_pairing(values, tol):
-    """(paired, worst): each value more than tol off the real axis, in turn,
-    takes the nearest other unmatched value to its conjugate as partner when
-    it lies within tol; paired is False when some value finds none, and
-    worst is the largest nearest distance met (inf when no candidate)."""
-    values = list(values)
-    used = [False] * len(values)
-    paired, worst = True, 0.0
-    for i, lam in enumerate(values):
-        if used[i]:
-            continue
-        if abs(lam.imag) <= tol:
-            used[i] = True
-            continue
-        free = [j for j in range(len(values)) if j != i and not used[j]]
-        dist = [abs(values[j] - np.conj(lam)) for j in free]
-        best = int(np.argmin(dist)) if free else -1
-        best_d = dist[best] if free else np.inf
-        if best_d <= tol:
-            used[i] = used[free[best]] = True
-        else:
-            paired = False
-        worst = max(worst, best_d)
-    return paired, worst
-
-
 def real_eigenvalues_in(spectrum, lower, upper=0.0):
     """Cluster representatives of a full_spectrum result that are real
     (within its cluster tolerance) and lie in (lower, upper], with their
@@ -337,7 +311,7 @@ def trapezoid_reference(pencil, z0, w0, steps, dt, snapshot_stride=0):
     dissipation rate and (every snapshot_stride-th) state are recorded right
     after the step; zs and ws are None when snapshot_stride is 0."""
     n = pencil.dim
-    s = pencil.a0_sqrt
+    s, s_inv = pencil.a0_sqrt_blocks.dense(), pencil.a0_inv_sqrt_blocks.dense()
     a = np.block([[np.zeros((n, n)), s], [-s, -pencil.d_matrix]])
     eye = np.eye(2 * n)
     lu = scipy.linalg.lu_factor(eye - (dt / 2.0) * a)
@@ -351,7 +325,7 @@ def trapezoid_reference(pencil, z0, w0, steps, dt, snapshot_stride=0):
         w = u_now[n:]
         dissipation[k] = 2.0 * float(w @ (pencil.d_matrix @ w))
         if snapshot_stride > 0 and k % snapshot_stride == 0:
-            zs.append(pencil.a0_inv_sqrt @ u_now[:n])
+            zs.append(s_inv @ u_now[:n])
             ws.append(w.copy())
 
     u = np.concatenate([s @ np.asarray(z0, float), np.asarray(w0, float)])
@@ -376,7 +350,7 @@ def trapezoid_error_bounds(pencil, z0, w0, steps, dt):
     |d_k - d_k^ref| <= 2 |D| c_k (2 |u_0| + c_k) for d = 2 w^T D w.
     """
     n = pencil.dim
-    s = pencil.a0_sqrt
+    s = pencil.a0_sqrt_blocks.dense()
     a = np.block([[np.zeros((n, n)), s], [-s, -pencil.d_matrix]])
     u0 = np.linalg.norm(np.concatenate([s @ np.asarray(z0, float), np.asarray(w0, float)]))
     cond = np.linalg.cond(np.eye(2 * n) - (dt / 2.0) * a)
@@ -582,9 +556,8 @@ def random_pencil_built_twice(dim, seed, damping_scale):
 def closed_form_inverse(pencil):
     """The inverse [[-W, -A0^{-1/2}], [A0^{-1/2}, 0]] of the whitened
     companion, W = A0^{-1/2} D A0^{-1/2}, from the pencil's cached factors."""
-    n = pencil.dim
-    return np.block([[-pencil.whitened_damping, -pencil.a0_inv_sqrt],
-                     [pencil.a0_inv_sqrt, np.zeros((n, n))]])
+    n, s_inv = pencil.dim, pencil.a0_inv_sqrt_blocks.dense()
+    return np.block([[-pencil.whitened_damping, -s_inv], [s_inv, np.zeros((n, n))]])
 
 
 def real_roots_polished(pencil, lower, steps=50):

@@ -179,7 +179,7 @@ def test_criterion_04_structural_identities(ensemble):
         report = structural_report(entry.system, entry.spectrum)
         for check in report.failures():
             problems.append(f"seed {entry.seed}: {check.label} {check.data}")
-    conclude(4, "signature symmetry, closed-form inverse, half-plane, conjugation",
+    conclude(4, "signature symmetry, closed-form inverse, half-plane, invertibility",
              problems, started)
 
 

@@ -122,6 +122,27 @@ class TestSpectrumCommand:
         assert main([command, cfg, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["ok"]
 
+    def test_critically_damped_beam_ok(self, tmp_path):
+        # a0 = 1, d = 2: every mode is a Jordan double eigenvalue, and the
+        # graded kernel count does not take the low modes of T(lam), tiny
+        # against |A0| = cond(A0) = 200^4, for kernel. The eigensolver
+        # splits the high modes wider than the cluster tolerance, so they
+        # come out as two simple eigenvalues each; the low ones are doubles.
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "beam", "seed": 0,
+            "beam": {"a0": 1.0, "damping": {"profile": "constant", "params": {"value": 2.0}},
+                     "n_modes": 200},
+        })
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["ok"]
+        rows = doc["eigenvalues"]
+        assert sum(e["algebraic_multiplicity"] for e in rows) == 400
+        assert all(e["algebraic_multiplicity"] <= 2 and e["geometric_multiplicity"] == 1
+                   for e in rows)
+        assert all(e["algebraic_multiplicity"] == 2 for e in rows[:100])
+
     @pytest.mark.parametrize("entry", [0.0, -1.0])
     def test_singular_or_negative_diagonal_stiffness_exits_2(self, tmp_path, capsys, entry):
         cfg = write_config(tmp_path, {

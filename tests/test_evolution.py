@@ -42,7 +42,7 @@ class TestSimulate:
     def test_matches_modal_oracle(self, diag_pencil):
         trace = simulate(diag_pencil, [1.0, 0.5], [0.2, 0.0], 1.0, 1e-4)
         system = build_linearization(diag_pencil)
-        u0 = np.concatenate([diag_pencil.a0_sqrt @ [1.0, 0.5], [0.2, 0.0]])
+        u0 = np.concatenate([diag_pencil.a0_sqrt_blocks.dense() @ [1.0, 0.5], [0.2, 0.0]])
         exact = modal_energy(system.a_matrix, u0, trace.times[::2000])
         assert np.allclose(trace.energies[::2000], exact, rtol=1e-7)
 
@@ -278,7 +278,7 @@ class TestEnergyLaws:
     def test_step_refinement_second_order(self, diag_pencil):
         t_final = 1.0
         system = build_linearization(diag_pencil)
-        u0 = np.concatenate([diag_pencil.a0_sqrt @ [1.0, 0.0], [0.0, 0.0]])
+        u0 = np.concatenate([diag_pencil.a0_sqrt_blocks.dense() @ [1.0, 0.0], [0.0, 0.0]])
         exact = modal_energy(system.a_matrix, u0, [t_final])[0]
         errors = []
         for dt in (4e-3, 2e-3, 1e-3):

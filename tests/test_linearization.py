@@ -37,7 +37,6 @@ from quadpencil.pencil import EIGEN_TOL
 from oracles import (
     closed_form_inverse,
     components_bfs,
-    conjugate_pairing,
     dense_cluster_labels,
     dense_eigenvectors,
     det_poly_eigenvalues,
@@ -112,11 +111,11 @@ class TestBuild:
             [np.eye(n), np.zeros((n, n))],
         ])
         w = np.block([
-            [diag_pencil.a0_sqrt, np.zeros((n, n))],
+            [diag_pencil.a0_sqrt_blocks.dense(), np.zeros((n, n))],
             [np.zeros((n, n)), np.eye(n)],
         ])
         w_inv = np.block([
-            [diag_pencil.a0_inv_sqrt, np.zeros((n, n))],
+            [diag_pencil.a0_inv_sqrt_blocks.dense(), np.zeros((n, n))],
             [np.zeros((n, n)), np.eye(n)],
         ])
         assert np.linalg.norm(inverse - w @ raw @ w_inv, 2) <= 1e-10
@@ -677,19 +676,40 @@ class TestFullSpectrum:
         assert list(spec.algebraic_multiplicities) == [2, 2]
         assert list(spec.geometric_multiplicities) == [2, 2]
 
+    @pytest.mark.parametrize("case", ["critical", "semisimple", "jordan6", "jordan8"])
+    def test_cluster_vector_is_a_kernel_vector(self, case, critical_1x1):
+        # A multiple cluster's vectors column is the graded kernel vector of
+        # T(lam) at the cluster mean: its backward error is at rounding level.
+        pencil = {
+            "critical": lambda: critical_1x1,
+            "semisimple": lambda: QuadraticPencil(np.diag([2.0, 2.0]), np.diag([6.0, 6.0])),
+            "jordan6": lambda: QuadraticPencil([[1.0, 6.0], [6.0, 38.0]],
+                                               [[2.0, 6.0], [6.0, 108.0]]),
+            "jordan8": lambda: QuadraticPencil([[1.0, 8.0], [8.0, 96.0]],
+                                               [[2.0, 8.0], [8.0, 192.0]]),
+        }[case]()
+        spec = full_spectrum(build_linearization(pencil))
+        multiple = np.flatnonzero(spec.algebraic_multiplicities > 1)
+        assert multiple.size
+        for k in multiple:
+            lam, x = spec.eigenvalues[k], spec.vectors[:, k]
+            eta = (np.linalg.norm(pencil.t_matrix(lam) @ x)
+                   / (pencil.term_scale(lam) * np.linalg.norm(x)))
+            assert eta <= 1e-14, (lam, eta)
+
     def test_kernel_count_only_for_clusters(self, monkeypatch, critical_1x1):
         calls = []
 
-        def counting_nullity(m, *args, **kwargs):
-            calls.append(m.shape)
-            return original(m, *args, **kwargs)
+        def counting_kernel(pencil, lam):
+            calls.append(lam)
+            return original(pencil, lam)
 
-        original = linearization_mod._nullity
-        monkeypatch.setattr(linearization_mod, "_nullity", counting_nullity)
+        original = linearization_mod._graded_kernel
+        monkeypatch.setattr(linearization_mod, "_graded_kernel", counting_kernel)
         spec = full_spectrum(build_linearization(discretize_beam(beam_cfg(20))))
         assert len(spec.eigenvalues) == 40 and calls == []
         spec = full_spectrum(build_linearization(critical_1x1))
-        assert calls == [(2, 2)] and spec.geometric_multiplicities[0] == 1
+        assert calls == [spec.eigenvalues[0]] and spec.geometric_multiplicities[0] == 1
 
     def test_cluster_matches_connected_components(self):
         # Oracle: components of the dense graph |w_i - w_j| <= tol, including
@@ -729,8 +749,9 @@ class TestFullSpectrum:
     def test_label_reductions_match_group_loop(self, case, critical_1x1):
         # Reference: one cluster at a time from the all-pairs groups; the
         # mean of its members (a singleton's eigenvalue exactly), its size
-        # and the damping block of its first member, sorted like
-        # full_spectrum sorts.
+        # and, for a singleton, the damping block of its eigenvector, sorted
+        # like full_spectrum sorts (a multiple cluster's vector is its graded
+        # kernel vector, test_cluster_vector_is_a_kernel_vector).
         pencil = {
             "beam": lambda: discretize_beam(beam_cfg(20)),
             "random": lambda: random_pencil(12, 3, damping_scale=1.0),
@@ -750,7 +771,9 @@ class TestFullSpectrum:
         assert np.array_equal(spec.raw_eigenvalues, w)
         assert np.array_equal(spec.eigenvalues, reps[order])
         assert list(spec.algebraic_multiplicities) == [len(groups[k]) for k in order]
-        assert np.array_equal(spec.vectors, v[pencil.dim:, [groups[k][0] for k in order]])
+        single = [i for i, k in enumerate(order) if len(groups[k]) == 1]
+        assert np.array_equal(spec.vectors[:, single],
+                              v[pencil.dim:, [groups[order[i]][0] for i in single]])
 
     def test_structural_report_random(self):
         for seed in range(10):
@@ -759,25 +782,6 @@ class TestFullSpectrum:
             spec = full_spectrum(system)
             report = structural_report(system, spec)
             assert report.ok, report.failures()
-
-    def test_conjugation_symmetry_matches_pairing_loop(self):
-        # Exact spectra, one value of a pair moved by 1e-3, and one value
-        # dropped; the loop reports a finite nearest distance for the last.
-        for seed in range(8):
-            pencil = random_pencil(3 + seed % 4, 60 + seed, damping_scale=0.5)
-            system = build_linearization(pencil)
-            spec = full_spectrum(system)
-            w = spec.raw_eigenvalues
-            k = int(np.argmax(w.imag))
-            for case, broken in enumerate((w, w + 1e-3 * (np.arange(w.size) == k),
-                                           np.delete(w, k))):
-                report = structural_report(
-                    system, dataclasses.replace(spec, raw_eigenvalues=broken))
-                check = {c.label: c for c in report.checks}["conjugation_symmetry"]
-                paired, worst = conjugate_pairing(broken, spec.cluster_tolerance)
-                assert check.ok == paired == (case == 0)
-                if case < 2:
-                    assert check.data["worst_pair_distance"] == worst
 
     def test_spectrum_matches_det_polynomial_oracle(self):
         for seed in range(8):
@@ -862,7 +866,8 @@ class TestPencilEquivalence:
         # eigenvalue, but T'(-1) e1 = (0, c) != 0: at the cluster mean either
         # member's eigenvector has backward error about 2e-9 here (sqrt(eps)
         # times the coupling), while the members split by a tenth of the
-        # cluster tolerance. The cluster takes the minimum over x.
+        # cluster tolerance. The cluster's vector is the graded kernel vector
+        # of T at the mean instead, near the minimum over x.
         pencil = QuadraticPencil([[1.0, c], [c, a22]], [[2.0, c], [c, d22]])
         spec = full_spectrum(build_linearization(pencil))
         k = int(np.argmin(np.abs(spec.eigenvalues + 1.0)))
@@ -874,6 +879,26 @@ class TestPencilEquivalence:
         assert check.data["backward_error"] <= 1e-14
         assert abs(check.data["backward_error"] * check.data["scale"] - s[-1]) <= 1e-13 * s[0]
         assert check.ok
+
+    @pytest.mark.parametrize("k", [0, 5, 10])
+    def test_raised_geometric_multiplicity_fails(self, k):
+        # Negative control: one cluster of the critically damped beam (every
+        # mode a Jordan double; the eigensolver splits mode 12 wider than the
+        # cluster tolerance) claims one more kernel dimension than T(lam)
+        # has; that entry alone fails.
+        pencil = discretize_beam(BeamConfig(
+            a0=1.0, damping=make_damping_profile({"profile": "constant",
+                                                  "params": {"value": 2.0}}),
+            n_modes=12))
+        spec = full_spectrum(build_linearization(pencil))
+        assert spec.algebraic_multiplicities[k] == 2
+        assert check_pencil_equivalence(pencil, spec).ok
+        geo = spec.geometric_multiplicities.copy()
+        geo[k] += 1
+        checks = check_pencil_equivalence(
+            pencil, dataclasses.replace(spec, geometric_multiplicities=geo)).checks
+        assert checks[k].data["kernel_dim"] == 1
+        assert [c.ok for c in checks] == [i != k for i in range(len(checks))]
 
     def test_zero_is_regular(self, diag_pencil):
         t0 = diag_pencil.a0_matrix

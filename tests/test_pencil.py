@@ -154,8 +154,9 @@ class TestConstruction:
         want_w, want_v = np.linalg.eigh(pencil.a0_matrix)
         assert np.array_equal(w, want_w)
         assert [v.shape for *_, v in groups] == [(pencil.dim, 1, 1)]
-        assert np.array_equal(pencil.a0_sqrt, (want_v * np.sqrt(want_w)) @ want_v.T)
-        assert np.array_equal(pencil.a0_inv_sqrt, (want_v / np.sqrt(want_w)) @ want_v.T)
+        sqrt, inv_sqrt = pencil.a0_sqrt_blocks.dense(), pencil.a0_inv_sqrt_blocks.dense()
+        assert np.array_equal(sqrt, (want_v * np.sqrt(want_w)) @ want_v.T)
+        assert np.array_equal(inv_sqrt, (want_v / np.sqrt(want_w)) @ want_v.T)
         d = pencil.d_matrix
         inv = (want_v / np.sqrt(want_w)) @ want_v.T
         s = inv @ d @ inv
@@ -170,10 +171,10 @@ class TestConstruction:
         # Against the eigh route within its rounding, 4 n eps times the norm.
         ew, ev = np.linalg.eigh(np.diag(diag))
         eps = np.finfo(float).eps
-        for got, want in ((pencil.a0_sqrt, (ev * np.sqrt(ew)) @ ev.T),
-                          (pencil.a0_inv_sqrt, (ev / np.sqrt(ew)) @ ev.T)):
+        for got, want in ((pencil.a0_sqrt_blocks.dense(), (ev * np.sqrt(ew)) @ ev.T),
+                          (pencil.a0_inv_sqrt_blocks.dense(), (ev / np.sqrt(ew)) @ ev.T)):
             assert np.max(np.abs(got - want)) <= 4 * 6 * eps * np.max(np.abs(want))
-        assert np.array_equal(pencil.a0_sqrt, np.diag(np.sqrt(diag)))
+        assert np.array_equal(pencil.a0_sqrt_blocks.dense(), np.diag(np.sqrt(diag)))
 
     @pytest.mark.parametrize("pencil", [
         build_pencil(load_config(CONFIGS / "random_dim4.json")),
@@ -188,7 +189,7 @@ class TestConstruction:
         # with the roots, as the whitened damping takes them, are the dense
         # products within rounding.
         part = blocks.partition(pencil.a0_matrix)
-        sqrt, inv = pencil.a0_sqrt, pencil.a0_inv_sqrt
+        sqrt, inv = pencil.a0_sqrt_blocks.dense(), pencil.a0_inv_sqrt_blocks.dense()
         labels = np.empty(pencil.dim, dtype=int)
         for block, rows in enumerate(r for _, group in part.groups for r in group):
             labels[rows] = block

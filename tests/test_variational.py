@@ -412,7 +412,7 @@ class TestLocate:
     ])
     def test_each_t_matrix_eigensolved_once(self, monkeypatch, profile):
         # Every stack that reaches np.linalg.eigh or eigvalsh is a graded
-        # T(mu) from _graded_t, decomposed once; every other solve is the
+        # T(mu) from graded_t, decomposed once; every other solve is the
         # eigvalsh of a compression (2-D). Within locate: the curves'
         # solves (their first is the count at lower), one count at each
         # other separator, and one decomposition of T(lam) per entry, whose
@@ -423,12 +423,12 @@ class TestLocate:
             a0=1.0, damping=make_damping_profile(profile), n_modes=40))
         graded, solved, mus, lams = [], [], [], []
 
-        def graded_t(*args, _original=variational._graded_t):
-            t, cut = _original(*args)
+        def graded_t(*args, _original=variational.graded_t):
+            t, scale = _original(*args)
             graded.append(t.copy())
-            return t, cut
+            return t, scale
 
-        monkeypatch.setattr(variational, "_graded_t", graded_t)
+        monkeypatch.setattr(variational, "graded_t", graded_t)
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
 
