@@ -3,8 +3,8 @@
 Exit codes: 0 all checks pass, 1 a verified property failed, 2 input or
 configuration error, 3 numerical failure. Reruns with identical config and
 seed produce byte-identical outputs except for the timestamp line. The
-QUADPENCIL_SEED environment variable overrides config seeds; only a
-random-source config draws from its seed.
+QUADPENCIL_SEED environment variable overrides random.seed, the only seed
+drawn from; an invalid value is an input error for every config.
 """
 from __future__ import annotations
 
@@ -147,7 +147,6 @@ def _load(path: str) -> ProblemConfig:
     env_seed = os.environ.get("QUADPENCIL_SEED")
     if env_seed is not None:
         seed = parse_number(env_seed, "QUADPENCIL_SEED", integer=True, minimum=0)
-        config = replace(config, seed=seed)
         if config.random is not None:
             config = replace(config, random={**config.random, "seed": seed})
     return config
@@ -178,10 +177,10 @@ def cmd_spectrum(args) -> int:
         "schema": 1,
         "command": "spectrum",
         "eigenvalues": [
-            {**lam, "algebraic_multiplicity": am, "geometric_multiplicity": gm, "residual": res}
-            for lam, am, gm, res in zip(*_jsonable([
+            {**lam, "algebraic_multiplicity": am, "geometric_multiplicity": gm}
+            for lam, am, gm in zip(*_jsonable([
                 spectrum.eigenvalues, spectrum.algebraic_multiplicities,
-                spectrum.geometric_multiplicities, spectrum.residuals]))
+                spectrum.geometric_multiplicities]))
         ],
         "cluster_tolerance": spectrum.cluster_tolerance,
         "block_sizes": list(spectrum.block_sizes),

@@ -33,7 +33,6 @@ class ProblemConfig:
     dense: tuple[np.ndarray, np.ndarray] | None = None
     beam: BeamConfig | None = None
     random: dict | None = None
-    seed: int = 0
     initial: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -205,7 +204,6 @@ def parse_config(doc: dict) -> ProblemConfig:
         dense=dense,
         beam=beam,
         random=random_spec,
-        seed=seed,
         initial=initial,
     )
 

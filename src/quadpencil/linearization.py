@@ -19,12 +19,12 @@ eigensolve each instead of a share of one 2n x 2n eigensolve.
 
 Apart from the companion and the eigenvectors of its blocks, the spectrum
 path forms no 2n x 2n array: the clusters come from bucketed pairs
-(blocks._cluster_labels), the residuals and damping blocks from the blocks'
-eigenpairs (BlockEig), and the structure defects and T(lam) x from slices of
-SLICE rows or columns, with A0^{-1/2} applied on A0's blocks. A multiple
-cluster's kernel, dim ker(A - lam I) = dim ker T(lam), is counted on the
-graded blocks of T(lam) that variational counts on (_graded_kernel), whose
-dropped coupling lies far below the cut (pencil.graded_t).
+(blocks._cluster_labels), the damping blocks from the blocks' eigenpairs
+(BlockEig), and the structure defects and T(lam) x (whose backward error is
+each eigenvalue's one residual) from slices of SLICE rows or columns. A
+multiple cluster's kernel, dim ker(A - lam I) = dim ker T(lam), is counted
+on the graded blocks of T(lam) that variational counts on (_graded_kernel),
+whose dropped coupling lies far below the cut (pencil.graded_t).
 """
 from __future__ import annotations
 
@@ -49,10 +49,9 @@ CLUSTER_REL_TOL = 1e-8
 KERNEL_REL_TOL = 1e-8
 # The diagonal of J = diag(I, -I), one entry per half (_symmetry_defect).
 _J_SIGNS = np.array([1.0, -1.0])
-# The width of the slices in which the products with eigenvectors
-# (BlockEig.residuals, check_pencil_equivalence) and the defects of
-# structural_report are taken: their temporaries have SLICE columns or rows
-# where the whole would have 2n.
+# The width of the slices in which T(lam) x (check_pencil_equivalence) and
+# the defects of structural_report are taken: their temporaries have SLICE
+# columns or rows where the whole would have up to 2n.
 SLICE = 64
 # resolvent_region_check excuses eigenvalues within REGION_MARGIN (relative)
 # of an exceptional point or of the region boundary.
@@ -117,7 +116,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray          # one representative per cluster
     algebraic_multiplicities: np.ndarray
     geometric_multiplicities: np.ndarray
-    residuals: np.ndarray            # max |A v - lam v| over cluster members
     cluster_tolerance: float
     raw_eigenvalues: np.ndarray      # all 2n values from companion_eig, block by block
     vectors: np.ndarray              # n x clusters, ordered like eigenvalues
@@ -138,16 +136,16 @@ def _slices(width: int):
     return (slice(start, min(start + SLICE, width)) for start in range(0, width, SLICE))
 
 
-def _norms(x: np.ndarray, axis: int) -> np.ndarray:
-    """np.linalg.norm(x, axis=axis), the same sums, without its argument
-    handling: the residual and backward-error loops call it per slice."""
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=0), the same sums, without its argument
+    handling: the backward-error loop calls it per slice."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
 
 
 def _real_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a real m (or a stack of them). A complex x is taken as the
-    real array of its parts side by side, so the product is one real
-    product and m is not copied to complex."""
+    """m @ x for a real m. A complex x is taken as the real array of its
+    parts side by side, so the product is one real product and m is not
+    copied to complex."""
     if x.dtype.kind != "c":
         return m @ x
     return (m @ np.ascontiguousarray(x).view(float)).view(complex)
@@ -159,32 +157,14 @@ class BlockEig(NamedTuple):
 
     block_sizes are in the order of each block's smallest index, and values
     are laid out block by block in that order. pairs holds, per block size,
-    (slots, rows, vectors): block b is matrix on the indices rows[b], and
-    vectors[b][:, j] is its eigenvector of eigenvalue values[slots[b, j]],
+    (slots, rows, vectors): block b is the matrix on the indices rows[b],
+    and vectors[b][:, j] is its eigenvector of eigenvalue values[slots[b, j]],
     zero off rows[b].
     """
 
-    matrix: np.ndarray
     values: np.ndarray
     block_sizes: tuple[int, ...]
     pairs: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-    def residuals(self, shifts: np.ndarray) -> np.ndarray:
-        """|B v_k - shifts[k] v_k| / |v_k| for every eigenvector v_k, B its
-        block: per block size, one product of the stacked blocks with each
-        slice of SLICE eigenvector columns, in real arithmetic where
-        the eigenpairs and their shifts are real."""
-        out = np.empty(self.values.size)
-        for slots, rows, v in self.pairs:
-            stack = self.matrix[rows[:, :, None], rows[:, None, :]]
-            for cols in _slices(v.shape[2]):
-                x, at = v[:, :, cols], slots[:, cols]
-                shift = shifts[at][:, None, :]
-                if x.dtype.kind == "f" and not shift.imag.any():
-                    shift = shift.real
-                r = _real_product(stack, x) - x * shift
-                out[at] = _norms(r, 1) / _norms(x, 1)
-        return out
 
     def tails(self, columns: np.ndarray) -> np.ndarray:
         """The eigenvectors at the slots columns on the second half of their
@@ -204,22 +184,21 @@ class BlockEig(NamedTuple):
         return out
 
 
-def companion_eig(a: np.ndarray, partition: blocks.Partition | None = None) -> BlockEig:
+def companion_eig(a: np.ndarray, partition: blocks.Partition) -> BlockEig:
     """Eigenpairs of a square matrix, from one np.linalg.eig call per block
-    size on the stack of its diagonal blocks: partition, or
-    blocks.partition(a) when none is given. A matrix with one block is
-    solved whole, so there is no second code path. The eigenvectors stay on
-    the blocks (BlockEig), and the stacks of blocks are not kept.
+    size on the stack of its diagonal blocks, those of partition. A matrix
+    with one block is solved whole, so there is no second code path. The
+    eigenvectors stay on the blocks (BlockEig); neither the stacks of blocks
+    nor a itself are kept.
 
     Soundness: the dropped coupling E has |E|_2 <= 2N eps |a|_2 for an
     N x N matrix (4n eps |a|_2 for the 2n x 2n companion), the order of
     dgeev's own backward error. Verdicts are decided on the true matrices,
     not on the blocks.
     """
-    part = blocks.partition(a) if partition is None else partition
     values = np.empty(a.shape[0], dtype=complex)
     pairs = []
-    for slots, rows, stack in part.stacks(a):
+    for slots, rows, stack in partition.stacks(a):
         # slots: the positions of each block of this size when the indices
         # are laid out block by block, which are also the columns of its
         # eigenpairs.
@@ -230,7 +209,7 @@ def companion_eig(a: np.ndarray, partition: blocks.Partition | None = None) -> B
                 "eigensolver failed", condition=float(np.linalg.cond(a))
             ) from exc
         pairs.append((slots, rows, v))
-    return BlockEig(a, values, part.sizes, tuple(pairs))
+    return BlockEig(values, partition.sizes, tuple(pairs))
 
 
 def _graded_kernel(pencil: QuadraticPencil, lam: complex) -> tuple[int, np.ndarray]:
@@ -255,17 +234,17 @@ def _graded_kernel(pencil: QuadraticPencil, lam: complex) -> tuple[int, np.ndarr
 
 
 def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
-    """All 2n eigenvalues with residuals, clustered into multiplicity groups
-    at CLUSTER_REL_TOL * |A|, |A| = system.norm from the blocks' symmetric
+    """All 2n eigenvalues, clustered into multiplicity groups at
+    CLUSTER_REL_TOL * |A|, |A| = system.norm from the blocks' symmetric
     eigensolves.
 
     The eigenpairs come from companion_eig on system.partition, whose
-    dropped coupling E has |E|_2 <= 4n eps |A|. The residuals |A v - lam v|
-    are taken on the blocks (BlockEig.residuals), so they omit
-    |E v| <= 4n eps |A| |v|; structural_report and check_pencil_equivalence
-    use the true matrices. The damping blocks in vectors are read from the
-    blocks' eigenvectors (BlockEig.tails), so apart from the companion and
-    its eigenvectors no array is N x N.
+    dropped coupling E has |E|_2 <= 4n eps |A|; structural_report and
+    check_pencil_equivalence use the true matrices, and the latter's
+    backward error of (lam, x) is each eigenvalue's residual. The damping
+    blocks in vectors are read from the blocks' eigenvectors
+    (BlockEig.tails), so apart from the companion and its eigenvectors no
+    array is N x N.
 
     Algebraic multiplicity is the cluster size, and a cluster's
     representative its members' mean (a singleton's is its eigenvalue), from
@@ -286,10 +265,6 @@ def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
     multiple = (alg > 1).nonzero()[0]
     reps[multiple] = (np.bincount(labels, w.real)[multiple]
                       + 1j * np.bincount(labels, w.imag)[multiple]) / alg[multiple]
-    # |A v - lam v| / |v| of every eigenvector at its cluster's representative.
-    defect = eig.residuals(reps[labels])
-    res = np.zeros(alg.size)
-    np.maximum.at(res, labels, defect)
     order = np.lexsort((np.abs(reps.imag), -reps.real))
     geo, vectors = np.ones_like(alg), eig.tails(first[order])
     for i in (alg[order] > 1).nonzero()[0]:
@@ -298,7 +273,6 @@ def full_spectrum(system: LinearizedSystem) -> SpectrumResult:
         eigenvalues=reps[order],
         algebraic_multiplicities=alg[order],
         geometric_multiplicities=geo,
-        residuals=res[order],
         cluster_tolerance=float(cluster_tolerance),
         raw_eigenvalues=w,
         vectors=vectors,
@@ -415,7 +389,7 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
         x_k, lam_k = x[:, cols], lam[cols]
         t_x = (x_k * lam_k ** 2 + _real_product(pencil.d_matrix, x_k) * lam_k
                + _real_product(pencil.a0_matrix, x_k))
-        etas[cols] = _norms(t_x, 0) / (scales[cols] * _norms(x_k, 0))
+        etas[cols] = _norms(t_x) / (scales[cols] * _norms(x_k))
     for z, eta, scale, alg, geo in zip(*(v.tolist() for v in (
             lam, etas, scales, spectrum.algebraic_multiplicities,
             spectrum.geometric_multiplicities))):

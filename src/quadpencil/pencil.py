@@ -583,17 +583,21 @@ def graded_t(block, at: np.ndarray, solved=slice(None)) -> tuple[np.ndarray, np.
 
 def _span_candidates(pencil: QuadraticPencil, spans: np.ndarray) -> np.ndarray:
     """Columns: unit vectors where p- can peak in the plane of each n x 2
-    matrix of the stack spans, the points where the compressed quadratic
-    form crosses into the cone. A plane of two dependent vectors gives none.
+    matrix of the stack spans, one per root of a quartic (below): the points
+    where the compressed quadratic form crosses into the cone, and
+    directions that are none. A plane of two dependent vectors gives none.
 
     With x = cos(phi) q1 + sin(phi) q2, d[x] and a0[x] are affine in
     z = exp(2i phi), so the crossings are roots of a quartic in z, one
     numpy.roots each (which drops a zero leading coefficient and gives no
     roots for a zero quartic). They are taken half-way into the clamped band
-    of rayleigh_pair, where p- = -d[x]/2. Where p- peaks inside the cone,
-    W's boundary touches a level line of p- (a straight line), so the peak is
-    a support point of W, which the support lines approach; the critical
-    points of p- in the plane are not searched.
+    of rayleigh_pair, where p- = -d[x]/2. A root off the unit circle is no
+    crossing, yet gives the direction arg(z) / 2 too, even on a plane that
+    misses the cone; it is not filtered, as it costs only a column of
+    rayleigh_batch. Where p- peaks inside the cone, W's boundary touches a
+    level line of p- (a straight line), so the peak is a support point of
+    W, which the support lines approach; the critical points of p- in the
+    plane are not searched.
     """
     q, r = np.linalg.qr(spans)
     q = q[_independent(r).all(axis=-1)]

@@ -85,6 +85,22 @@ class TestSpectrumCommand:
         lam1 = (-2.0 + np.sqrt(3.0)) * np.pi**2
         assert min(abs(v - lam1) for v in values) < 1e-7
 
+    @pytest.mark.parametrize("name", ["dense_diag", "beam_sin", "random_dim4"])
+    def test_entry_residual_is_its_pencil_check(self, tmp_path, name):
+        # An entry holds its value and multiplicities; its one residual is
+        # the backward error of the pencil check at the same index.
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", str(CONFIGS / f"{name}.json"), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        rows = doc["eigenvalues"]
+        checks = doc["reports"]["pencil_equivalence"]["checks"]
+        assert all(sorted(e) == ["algebraic_multiplicity", "geometric_multiplicity", "im", "re"]
+                   for e in rows)
+        assert [c["label"] for c in checks] == ["eigenvalue_matches_pencil"] * len(rows)
+        assert [c["eigenvalue"] for c in checks] == [{"re": e["re"], "im": e["im"]} for e in rows]
+        assert [c["geometric_multiplicity"] for c in checks] == [
+            e["geometric_multiplicity"] for e in rows]
+
     @pytest.mark.parametrize("name, sizes", [("beam_sin", [12, 12]), ("random_dim4", [8])])
     def test_block_sizes_reported_and_rerun_byte_identical(self, tmp_path, name, sizes):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -802,9 +818,11 @@ class TestSeedOverride:
         assert strip_timestamp(out1.read_text()) == strip_timestamp(out2.read_text())
         assert strip_timestamp(out1.read_text()) != strip_timestamp(out3.read_text())
 
-    def test_bad_env_seed_exits_2(self, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(c.stem for c in CONFIGS.glob("*.json")))
+    def test_bad_env_seed_exits_2(self, monkeypatch, name):
+        # Only random.seed is drawn from, but every config rejects it.
         monkeypatch.setenv("QUADPENCIL_SEED", "not-a-number")
-        assert main(["spectrum", str(CONFIGS / "dense_diag.json")]) == 2
+        assert main(["spectrum", str(CONFIGS / f"{name}.json")]) == 2
 
     def test_negative_env_seed_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("QUADPENCIL_SEED", "-4")

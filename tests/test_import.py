@@ -123,6 +123,20 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
     assert out.strip() == f"0 {loaded!r}"
 
 
+def test_variational_adds_no_numpy_random(tmp_path):
+    # On a config that draws nothing, variational adds no numpy.random to
+    # what `import numpy` loaded (numpy 1.x loads it with numpy itself):
+    # verify_minmax draws no subspaces, only config.random_pencil draws.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy; "
+            "before = set(sys.modules); from quadpencil.cli import main; "
+            "rc = main(sys.argv[2:]); "
+            "print(rc, sorted(m for m in set(sys.modules) - before "
+            "if m.startswith('numpy.random')))")
+    out = _fresh(code, "variational", ROOT / "configs" / "dense_diag.json",
+                 "--out", tmp_path / "out")
+    assert out.strip() == "0 []"
+
+
 # What every command loads after numpy and quadpencil.cli: its argument
 # parsing, JSON and the modules of a pencil. Only spectrum and simulate load
 # the companion (quadpencil.linearization).

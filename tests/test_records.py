@@ -66,7 +66,7 @@ def instances():
         Partition: blocks.partition(a),
         SimulationTrace: simulate(pencil, e1, 0.0 * e1, 0.01, 0.001),
         ComparisonReport: compare_eigenvalues(pencil, other),
-        BlockEig: companion_eig(a),
+        BlockEig: companion_eig(a, blocks.partition(a)),
         BlockDiagonal: pencil.a0_sqrt_blocks,
         RayleighPair: rayleigh_pair(pencil, e1),
         PencilScalars: compute_scalars(pencil),
