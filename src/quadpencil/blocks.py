@@ -116,8 +116,8 @@ def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     each point is tested against two runs: the work is O(N log N) plus the
     pairs in neighbouring cells, however the points are placed
     (proportional damping puts every complex eigenvalue on one vertical
-    line). _components joins the points that have an edge; the others are
-    clusters of one.
+    line). _components joins the points that have an edge (found by
+    bincount: np.unique imports numpy.ma); the others are clusters of one.
     """
     values = np.ascontiguousarray(values, dtype=complex)
     index = np.arange(values.size)
@@ -136,7 +136,7 @@ def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     if not edge.any():
         return index
     first, second = first[edge], second[edge]
-    ends = np.unique(np.concatenate([first, second]))
+    ends = np.flatnonzero(np.bincount(np.concatenate([first, second])))
     adjacency = np.zeros((ends.size, ends.size), dtype=bool)
     i, j = np.searchsorted(ends, first), np.searchsorted(ends, second)
     adjacency[i, j] = adjacency[j, i] = True

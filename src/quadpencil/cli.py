@@ -212,7 +212,6 @@ def cmd_variational(args) -> int:
         **fields,
         "alpha_bracket": None if fields["alpha"] is None else [alpha_lower, fields["alpha"]],
         "interval": {"lower": interval.lower, "upper": 0.0},
-        "kappa": result.kappa,
         "n_found": result.n_found,
         "eigenvalues": [_jsonable(vars(diag)) for diag in result.per_eigenvalue],
         "minmax_report": minmax.to_dict(),

@@ -136,12 +136,6 @@ def _slices(width: int):
     return (slice(start, min(start + SLICE, width)) for start in range(0, width, SLICE))
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x, axis=0), the same sums, without its argument
-    handling: the backward-error loop calls it per slice."""
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
-
-
 def _real_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m @ x for a real m. A complex x is taken as the real array of its
     parts side by side, so the product is one real product and m is not
@@ -325,8 +319,9 @@ def _inverse_defect(a: np.ndarray, n: int, pencil: QuadraticPencil):
 
 
 def structural_report(system: LinearizedSystem, spectrum: SpectrumResult) -> Report:
-    """Signature symmetry, closed-form inverse, half-plane location and
-    invertibility, as one pass/fail report (dgeev pairs conjugates exactly).
+    """Signature symmetry, closed-form inverse and half-plane location, as
+    one pass/fail report (dgeev pairs conjugates exactly). A0 > 0 and the
+    inverse certify 0 is not an eigenvalue; resolvent_region_check bounds |lam|.
 
     Both defects are taken from all four n x n blocks of a_matrix, a slice
     of SLICE rows of the defect at a time (_symmetry_defect,
@@ -357,13 +352,9 @@ def structural_report(system: LinearizedSystem, spectrum: SpectrumResult) -> Rep
                  * (gamma + np.sqrt(pencil.a0_inv_norm)))
     report.add("inverse_identity", inv <= inv_bound, defect=inv, bound=inv_bound,
                norm=DEFECT_NORM)
-    w, tol = spectrum.raw_eigenvalues, spectrum.cluster_tolerance
-    max_re = float(w.real.max())
+    max_re = float(spectrum.raw_eigenvalues.real.max())
     report.add("left_half_plane", max_re <= 1e-10 * scale,
                max_real_part=max_re, bound=1e-10 * scale)
-    min_abs = float(np.abs(w).min())
-    report.add("zero_not_eigenvalue", min_abs > tol,
-               min_abs=min_abs, cluster_tolerance=tol)
     return report
 
 
@@ -389,7 +380,7 @@ def check_pencil_equivalence(pencil: QuadraticPencil, spectrum: SpectrumResult) 
         x_k, lam_k = x[:, cols], lam[cols]
         t_x = (x_k * lam_k ** 2 + _real_product(pencil.d_matrix, x_k) * lam_k
                + _real_product(pencil.a0_matrix, x_k))
-        etas[cols] = _norms(t_x) / (scales[cols] * _norms(x_k))
+        etas[cols] = np.linalg.norm(t_x, axis=0) / (scales[cols] * np.linalg.norm(x_k, axis=0))
     for z, eta, scale, alg, geo in zip(*(v.tolist() for v in (
             lam, etas, scales, spectrum.algebraic_multiplicities,
             spectrum.geometric_multiplicities))):

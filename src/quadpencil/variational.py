@@ -148,8 +148,8 @@ class EigenvalueDiagnostics:
 
 @dataclass(frozen=True)
 class VariationalResult:
+    """The eigenvalues in interval; no count at 0: T(0) = A0 is certified > 0."""
     eigenvalues: np.ndarray  # non-increasing, repeated by multiplicity
-    kappa: int
     n_found: int
     per_eigenvalue: tuple[EigenvalueDiagnostics, ...]
     interval: IntervalDelta
@@ -304,9 +304,8 @@ def locate_real_eigenvalues(
             value=lam, multiplicity=mult, bracket=(cuts[k + 1], cuts[k]), iterations=taken,
             residual=float(np.min(np.abs(w))), semisimple=derivative > 0.0))
     expanded = np.array([d.value for d in diags for _ in range(d.multiplicity)], dtype=float)
-    return VariationalResult(eigenvalues=expanded, kappa=counts[0].negative,
-                             n_found=int(expanded.size), per_eigenvalue=tuple(diags),
-                             interval=interval)
+    return VariationalResult(eigenvalues=expanded, n_found=int(expanded.size),
+                             per_eigenvalue=tuple(diags), interval=interval)
 
 
 # ---------------------------------------------------------------------------

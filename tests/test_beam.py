@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from quadpencil import (
     BeamConfig,
@@ -16,6 +20,7 @@ from quadpencil import (
 )
 from quadpencil import beam
 from quadpencil import pencil as pencil_mod
+from quadpencil import variational
 from quadpencil.pencil import AlphaResult, compute_alpha
 from quadpencil.variational import within_alpha
 
@@ -84,6 +89,31 @@ class TestProfiles:
         assert prof.d_max == pytest.approx(5.0, abs=1e-6)
         r = np.linspace(0, 1, 101)
         assert np.max(np.abs(prof(r) - (4.0 + np.sin(np.pi * r)))) < 1e-5
+
+    @pytest.mark.parametrize("values, extreme, bracket", [
+        ([4.0, 6.5, 5.0, 4.2, 7.0, 4.5], "d_max", (0.8, 0.9)),
+        ([4.0, 4.0, 4.0, 5.0, 4.0, 4.0], "d_min", (0.85, 0.95)),
+    ])
+    def test_samples_extremes_at_critical_points(self, values, extreme, bracket):
+        # The extreme lies between knots, at a zero of the spline's
+        # derivative (found here by bisection), beyond the knots' values and
+        # beyond every point of a dense scan.
+        spline = CubicSpline(np.linspace(0.0, 1.0, len(values)), values)
+        prof = make_damping_profile({"profile": "samples", "params": {"values": values}})
+        at_root = float(spline(brentq(spline.derivative(), *bracket, xtol=1e-15)))
+        scan = spline(np.linspace(0.0, 1.0, 200_001))
+        if extreme == "d_max":
+            assert prof.d_max == pytest.approx(at_root, rel=1e-15, abs=0.0)
+            assert prof.d_max >= scan.max() and prof.d_max > max(values)
+        else:
+            assert prof.d_min == pytest.approx(at_root, rel=1e-15, abs=0.0)
+            assert prof.d_min <= scan.min() and prof.d_min < min(values)
+
+    def test_constant_samples(self):
+        # The derivative vanishes on every piece: its roots are nan there,
+        # and the knots give the extremes.
+        prof = make_damping_profile({"profile": "samples", "params": {"values": [3.0] * 5}})
+        assert prof.d_min == prof.d_max == 3.0
 
     def test_unknown_profile(self):
         with pytest.raises(InvalidArgumentError):
@@ -279,6 +309,20 @@ class TestTheorem:
         report = verify_beam_theorem(constant_cfg(value=1.0, n_modes=4))
         assert not report.ok
         assert report.checks[0].label == "hypothesis_d_min_sq_ge_4a0"
+
+    def test_empty_result_fails_the_count(self, monkeypatch):
+        # Negative control: a located result with no eigenvalue fails
+        # count_at_least_guaranteed (its n_min is at least 1), and no other
+        # check repeats it.
+        locate = variational.locate_real_eigenvalues
+        monkeypatch.setattr(variational, "locate_real_eigenvalues", lambda *args: (
+            dataclasses.replace(locate(*args), eigenvalues=np.empty(0), n_found=0,
+                                per_eigenvalue=())))
+        report = verify_beam_theorem(constant_cfg(value=4.0, n_modes=8))
+        assert [c.label for c in report.checks] == ["alpha_below_interval",
+                                                     "count_at_least_guaranteed"]
+        assert report.failures() == report.checks[1:]
+        assert report.checks[1].data == {"n_found": 0, "n_min": 2}
 
 
 class TestAlphaGate:

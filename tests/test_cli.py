@@ -159,6 +159,26 @@ class TestSpectrumCommand:
                    for e in rows)
         assert all(e["algebraic_multiplicity"] == 2 for e in rows[:100])
 
+    def test_heavily_damped_beam_ok(self, tmp_path):
+        # d = 1e3: the smallest root, about -pi^2 / d, lies below the
+        # cluster tolerance. A0 > 0 and the closed-form inverse put 0 in the
+        # resolvent set, and the disc keeps the computed roots off it; no
+        # other check decides it a second time.
+        cfg = write_config(tmp_path, {
+            "schema": 1, "source": "beam", "seed": 0,
+            "beam": {"a0": 1.0, "damping": {"profile": "constant", "params": {"value": 1e3}},
+                     "n_modes": 12},
+        })
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        reports = doc["reports"]
+        assert [c["label"] for c in reports["structural"]["checks"]] == [
+            "j_symmetry", "inverse_identity", "left_half_plane"]
+        disc = reports["resolvent_regions"]["checks"][0]
+        assert disc["label"] == "open_disc_excluded" and disc["ok"]
+        assert disc["radius"] < doc["cluster_tolerance"]
+
     @pytest.mark.parametrize("entry", [0.0, -1.0])
     def test_singular_or_negative_diagonal_stiffness_exits_2(self, tmp_path, capsys, entry):
         cfg = write_config(tmp_path, {
@@ -235,7 +255,7 @@ class TestVariationalCommand:
         code = main(["variational", str(CONFIGS / "dense_diag.json"), "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["ok"] and doc["kappa"] == 0
+        assert doc["ok"] and "kappa" not in doc  # T(0) = A0 is certified definite
         assert doc["n_found"] == 1
         assert doc["eigenvalues"][0]["value"] == pytest.approx(-3.0 + SQRT7, abs=1e-9)
         assert doc["alpha"] == pytest.approx((3.0 - np.sqrt(53.0)) / 2.0, abs=1e-8)
@@ -697,6 +717,10 @@ class TestBeamReportCommand:
         assert doc["bounds"]["n_min_count"] == 2
         assert doc["bounds"]["applicable"]
         assert "closed_form" in doc
+        # count_at_least_guaranteed (n_min >= 1) is the one check of a
+        # nonempty result.
+        labels = [c["label"] for c in doc["report"]["checks"]]
+        assert "count_at_least_guaranteed" in labels and "spectrum_nonempty" not in labels
 
     def test_requires_beam_source(self):
         assert main(["beam-report", str(CONFIGS / "dense_diag.json")]) == 2

@@ -25,14 +25,18 @@ def test_import_loads_no_optimizer_or_interpolation():
 def test_minmax_verification_loads_no_optimizer():
     # Nor numpy.ma (np.unique without indices imports it) or numpy.polynomial
     # on the way to a beam's spectrum: each costs every process milliseconds.
+    # The critically damped beam (a0 = 1, d = 2) has multiple clusters.
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import quadpencil as qp; "
             "p = qp.QuadraticPencil([[2.0, 0.0], [0.0, 8.0]], "
             "[[6.0, 0.0], [0.0, 2.0]]); "
             "res = qp.locate_real_eigenvalues(p, qp.IntervalDelta(lower=-2.1), 1e-10); "
             "assert qp.verify_minmax(p, res).ok; "
-            "cfg = qp.BeamConfig(a0=1.0, n_modes=12, damping=qp.make_damping_profile("
-            "{'profile': 'four_plus_sin'})); "
-            "qp.full_spectrum(qp.build_linearization(qp.discretize_beam(cfg))); "
+            "cfgs = [qp.BeamConfig(a0=1.0, n_modes=12, damping=qp.make_damping_profile(spec)) "
+            "for spec in ({'profile': 'four_plus_sin'}, "
+            "{'profile': 'constant', 'params': {'value': 2.0}})]; "
+            "specs = [qp.full_spectrum(qp.build_linearization(qp.discretize_beam(cfg))) "
+            "for cfg in cfgs]; "
+            "assert specs[1].algebraic_multiplicities.max() == 2; "
             "print(res.n_found, *(m in sys.modules for m in "
             "('scipy.optimize', 'numpy.ma', 'numpy.polynomial')))")
     done = subprocess.run([sys.executable, "-c", code, str(SRC)],

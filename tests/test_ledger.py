@@ -42,8 +42,9 @@ RUNS = [(command, name) for name in INPUTS
         for command in ("spectrum", "variational", "beam-report")
         if command != "beam-report" or INPUTS[name]["source"] == "beam"]
 KNOWN_FALSE_ALARMS = {
-    # Heavy damping: spectrum fails zero_not_eigenvalue, an open disc of the
-    # resolvent regions and eigenvalue_matches_pencil; beam-report fails
+    # Heavy damping: spectrum fails eigenvalue_matches_pencil and the open
+    # disc of the resolvent regions (the companion's smallest root is
+    # inaccurate, ROADMAP item 16); beam-report fails
     # count_at_least_guaranteed, which asks the 12-mode pencil for the
     # infinite beam's 707106781 eigenvalues (ROADMAP item 5).
     ("spectrum", "constant_12_d1e9"): 1,

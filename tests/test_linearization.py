@@ -962,6 +962,17 @@ class TestResolventRegions:
             assert (triangle.ok, triangle.data["violations"]) == (triangle_ok, violations)
             assert len(violations) >= 4
 
+    def test_zero_eigenvalue_fails_the_disc(self, diag_pencil):
+        # Negative control: an eigenvalue at 0 fails open_disc_excluded, at
+        # the disc's full depth; structural_report has no check of it.
+        spec = full_spectrum(build_linearization(diag_pencil))
+        w = spec.raw_eigenvalues.copy()
+        w[np.argmin(np.abs(w))] = 0.0
+        disc = resolvent_region_check(
+            diag_pencil, dataclasses.replace(spec, raw_eigenvalues=w)).checks[0]
+        assert disc.label == "open_disc_excluded" and not disc.ok
+        assert disc.data["worst_violation_depth"] == disc.data["radius"] > 0.0
+
     def test_requires_damping(self, undamped_pencil):
         spec = full_spectrum(build_linearization(undamped_pencil))
         with pytest.raises(InvalidArgumentError):
